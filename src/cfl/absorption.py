@@ -31,6 +31,11 @@ from .rng import SplitMix64, derive_seed
 from .tiling import CliqueTiling, has_factor, verify_tiling
 
 
+class CertificateError(RuntimeError):
+    """A certificate assembled from solver output failed its independent
+    re-verification (a solver defect, never a property of the input)."""
+
+
 @dataclass
 class AbsorberCertificate:
     """A set A (at most r*t vertices, disjoint from S) such that both A and
@@ -95,7 +100,9 @@ def certify_absorber(g: Graph, s: VertexSet, a: VertexSet, r: int,
         return None
     cert = AbsorberCertificate(s=s, a=a, r=r, t=t, factor_of_a=fa.tiling,
                                factor_of_a_union_s=fas.tiling)
-    assert verify_absorber(g, cert)
+    if not verify_absorber(g, cert):
+        raise CertificateError(f"absorber certificate for S={s.vertices()} "
+                               "failed re-verification")
     return cert
 
 
@@ -115,7 +122,9 @@ def certify_reachable(g: Graph, u: int, v: int, s: VertexSet,
         return None
     cert = ReachableCertificate(u=u, v=v, s=s, r=r, factor_u=fu.tiling,
                                 factor_v=fv.tiling)
-    assert verify_reachable(g, cert)
+    if not verify_reachable(g, cert):
+        raise CertificateError(f"reachable certificate for ({u}, {v}) "
+                               "failed re-verification")
     return cert
 
 

@@ -110,6 +110,8 @@ def run_alpha(cfg, seed, caps, outdir):
 def run_tile(cfg, seed, caps, outdir):
     g = load_graph(cfg, "tile", seed=seed)
     r = cfg.get_int("tile", "r")
+    if r < 2:
+        raise ConfigError("[tile] r", f"expected an integer >= 2, got {r}")
     res = tiling.max_tiling(g, r, node_cap=caps.get("node_budget"))
     result = {"r": r, "tiles": [m for m in res.best.members],
               "count": len(res.best), "deficiency": res.deficiency,
@@ -121,6 +123,8 @@ def run_tile(cfg, seed, caps, outdir):
 def run_factor(cfg, seed, caps, outdir):
     g = load_graph(cfg, "factor", seed=seed)
     r = cfg.get_int("factor", "r")
+    if r < 2:
+        raise ConfigError("[factor] r", f"expected an integer >= 2, got {r}")
     res = tiling.has_factor(g, r, node_cap=caps.get("node_budget"))
     result = {"r": r, "status": res.status,
               "factor": [m for m in res.tiling.members] if res.tiling else None,

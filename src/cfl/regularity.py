@@ -32,6 +32,11 @@ from .rng import SplitMix64
 EXHAUSTIVE_SIDE_CAP = 14
 
 
+class WitnessError(RuntimeError):
+    """An irregularity witness failed its direct density re-computation (a
+    checker defect, never a property of the input)."""
+
+
 class PartitionFormatError(ValueError):
     def __init__(self, message: str, line: Optional[int] = None):
         suffix = f" (line {line})" if line is not None else ""
@@ -150,7 +155,9 @@ def _violation(g, x, y, xs, ys, xmask, ysel, eps, d0, ax, q, edge_count):
     wy = VertexSet.of(g, (ys[j] for j in ysel))
     dv = Fraction(edge_count, ax * q)
     # re-verify the witness by direct density computation
-    assert pair_density(g, wx, wy) == dv
+    if pair_density(g, wx, wy) != dv:
+        raise WitnessError(f"witness density {dv} does not match a direct "
+                           "count")
     return RegularityVerdict(epsilon=eps, mode="exhaustive", regular=False,
                              base_density=d0, violation=(wx, wy),
                              violation_density=dv)

@@ -4,7 +4,35 @@ A K_r-tiling is a family of pairwise-disjoint r-cliques; its deficiency is
 the number of vertices left uncovered; a factor is a tiling of deficiency
 zero.  The solver branches on the lowest-indexed uncovered vertex: cover it
 with one of its r-cliques (enumerated lazily, lexicographically) or declare
-it uncovered.  Factor queries prune the moment a vertex is stranded.
+it uncovered.
+
+Pruning rules of ``max_tiling`` (a node holds ``tiles`` and the uncovered
+set ``active``; a pruned subtree cannot strictly beat the incumbent):
+
+* ceiling: stop once the incumbent has n // r tiles;
+* free set: if S is K_{l+1}-free, every K_r meets S in at most l vertices,
+  so a tiling of ``active`` has at most |active & ~S| // (r - l) tiles; prune
+  when ``len(tiles)`` plus the least such count over l = 1 .. r-1 cannot
+  exceed the incumbent;
+* coverable: only vertices with r-1 active neighbors can be covered, so at
+  most (their number) // r more tiles fit.
+
+Pruning rules of ``has_factor`` (a pruned subtree holds no factor):
+
+* stranded: the lowest active vertex has fewer than r-1 active neighbors;
+* free set: a factor of ``active`` puts at least r - l vertices outside S in
+  every tile, so it needs r * |active & ~S| >= (r - l) * |active|.
+
+The free sets S_1 .. S_{r-1} are built greedily once per call, inside the
+call's universe (``_free_sets``).  A subset of a K_{l+1}-free set is
+K_{l+1}-free, so S restricted to any deeper ``active`` still qualifies and
+the root sets serve every node at r-1 popcounts each.  ``max_tiling`` builds
+them only when the greedy incumbent misses the ceiling; ``has_factor`` only
+at its first dead end, so queries answered on the first descent never pay
+for them, and re-tests a node's bound after each failed child, because the
+sets may have been built below it.  Neither rule changes the branching order, so certificates,
+``optimal`` and ``status`` are those of the unpruned search; only
+``nodes_explored`` shrinks.
 """
 
 from __future__ import annotations
@@ -12,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .graphs import Graph, VertexSet, iter_bits, iter_clique_masks
+from .graphs import Graph, VertexSet, has_clique, iter_bits, iter_clique_masks
 from .rng import SplitMix64
 
 
@@ -92,6 +120,33 @@ def _coverable_bound(adj, active: int, r: int) -> int:
     return count // r
 
 
+def _free_sets(g: Graph, r: int, universe: int) -> List[int]:
+    """Greedy K_{l+1}-free sets S_l inside ``universe`` for l = 1 .. r-1.
+
+    Vertices are visited by ascending degree within ``universe`` (ties by
+    index): on a lower-bound graph that picks up the K_{l+1}-free inner part
+    before the clique.  v joins S iff S & N(v) spans no K_l.
+    """
+    adj = g.adj
+    order = sorted(iter_bits(universe),
+                   key=lambda v: ((adj[v] & universe).bit_count(), v))
+    sets = []
+    for ell in range(1, r):
+        s = 0
+        for v in order:
+            nb = s & adj[v]
+            if ell == 1:
+                fits = not nb
+            elif ell == 2:
+                fits = not any(adj[u] & nb for u in iter_bits(nb))
+            else:
+                fits = not has_clique(g, ell, nb)
+            if fits:
+                s |= 1 << v
+        sets.append(s)
+    return sets
+
+
 def _lex_greedy_masks(g: Graph, r: int, active: int) -> List[int]:
     """Deterministic first-fit tiling used as the branch-and-bound incumbent."""
     adj = g.adj
@@ -124,7 +179,7 @@ def max_tiling(g: Graph, r: int, within: Optional[VertexSet] = None,
     best: List[int] = _lex_greedy_masks(g, r, universe)
     nodes = 0
     budget = node_cap
-    complete = True
+    free = _free_sets(g, r, universe) if len(best) < ceiling else []
 
     def search(active: int, tiles: List[int]) -> bool:
         nonlocal best, nodes
@@ -137,6 +192,10 @@ def max_tiling(g: Graph, r: int, within: Optional[VertexSet] = None,
             return True
         if not active:
             return True
+        need = len(best) - len(tiles)
+        for ell, s in enumerate(free, 1):
+            if (active & ~s).bit_count() // (r - ell) <= need:
+                return True
         if len(tiles) + _coverable_bound(adj, active, r) <= len(best):
             return True
         low = active & -active
@@ -166,7 +225,8 @@ def max_tiling(g: Graph, r: int, within: Optional[VertexSet] = None,
 
 def has_factor(g: Graph, r: int, within: Optional[VertexSet] = None,
                node_cap: Optional[int] = None) -> FactorResult:
-    """Perfect K_r-tiling decision; branches that strand a vertex are cut."""
+    """Perfect K_r-tiling decision; branches that strand a vertex or fail the
+    free-set bound are cut."""
     if r < 2:
         raise ValueError("r must be >= 2")
     universe = g.full_mask() if within is None else within.mask
@@ -177,6 +237,21 @@ def has_factor(g: Graph, r: int, within: Optional[VertexSet] = None,
     nodes = 0
     budget = node_cap
     found: Optional[List[int]] = None
+    free: Optional[List[int]] = None   # built at the first dead end
+
+    def dead_end() -> bool:
+        nonlocal free
+        if free is None:
+            free = _free_sets(g, r, universe)
+        return True
+
+    def hopeless(active: int) -> bool:
+        """Free-set bound: ``active`` has no factor."""
+        size = active.bit_count()
+        for ell, s in enumerate(free, 1):
+            if (r - ell) * size > r * (active & ~s).bit_count():
+                return True
+        return False
 
     def search(active: int, tiles: List[int]) -> bool:
         nonlocal found, nodes
@@ -186,11 +261,13 @@ def has_factor(g: Graph, r: int, within: Optional[VertexSet] = None,
         if not active:
             found = tiles.copy()
             return True
+        if free is not None and hopeless(active):
+            return True
         low = active & -active
         v = low.bit_length() - 1
         # every remaining vertex must keep r-1 active neighbors
         if (adj[v] & active).bit_count() < r - 1:
-            return True
+            return dead_end()
         for cm in iter_clique_masks(g, r - 1, active & adj[v]):
             clique = cm | low
             tiles.append(clique)
@@ -198,7 +275,9 @@ def has_factor(g: Graph, r: int, within: Optional[VertexSet] = None,
             tiles.pop()
             if not ok or found is not None:
                 return ok
-        return True
+            if hopeless(active):      # a failed child has built the sets
+                return True
+        return dead_end()
 
     complete = search(universe, [])
     if found is not None:

@@ -98,6 +98,14 @@ def test_exit_code_missing_input(tmp_path, capsys):
     assert run_cli(["alpha", "--config", cfg]) == 3
 
 
+@pytest.mark.parametrize("kind", ["tile", "factor"])
+def test_exit_code_r_below_two(tmp_path, capsys, kind):
+    cfg = write(tmp_path / "r1.ini", f"[run]\nkind = {kind}\n"
+                                     f"[{kind}]\ngraph = complete:4\nr = 1\n")
+    assert run_cli([kind, "--config", cfg]) == 2
+    assert f"[{kind}] r" in capsys.readouterr().err
+
+
 def test_exit_code_kind_mismatch(tmp_path):
     cfg = write(tmp_path / "mm.ini", "[run]\nkind = tile\n"
                                      "[alpha]\ngraph = c5\nell = 2\n")

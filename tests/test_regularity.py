@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from cfl import regularity
 from cfl.graphs import (Graph, VertexSet, complete_multipartite, empty_graph,
                         random_gnp)
-from cfl.regularity import (Partition, PartitionFormatError, format_partition,
-                            is_regular_pair, is_super_regular,
-                            make_super_regular, pair_density, parse_partition,
-                            reduced_graph, slicing_check)
+from cfl.regularity import (Partition, PartitionFormatError, WitnessError,
+                            format_partition, is_regular_pair,
+                            is_super_regular, make_super_regular,
+                            pair_density, parse_partition, reduced_graph,
+                            slicing_check)
 from cfl.rng import SplitMix64
 
 
@@ -89,6 +91,14 @@ def test_single_cross_edge_is_irregular_with_witness():
     assert 0 in wx and 10 in wy
     assert abs(pair_density(g, wx, wy) - v.base_density) > Fraction(1, 5)
     assert v.violation_density == pair_density(g, wx, wy)
+
+
+def test_witness_check_raises_without_assert(monkeypatch):
+    g = Graph(20, [(0, 10)])
+    x, y = split_pair(g, 10, 10)
+    monkeypatch.setattr(regularity, "pair_density", lambda g, wx, wy: Fraction(-1))
+    with pytest.raises(WitnessError):
+        is_regular_pair(g, x, y, 0.2)
 
 
 def test_exhaustive_matches_definitional_enumeration():

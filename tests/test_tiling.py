@@ -1,10 +1,14 @@
 """Exact tiling solver, factor decisions, greedy warm starts."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cfl.constructions import LowerBoundSpec, build_lower_bound_graph
 from cfl.graphs import (Graph, VertexSet, complete_graph,
-                        complete_multipartite, cycle_graph, random_gnp)
-from cfl.tiling import greedy_tiling, has_factor, max_tiling, verify_tiling
+                        complete_multipartite, cycle_graph, has_clique,
+                        iter_clique_masks, random_gnp)
+from cfl.tiling import (_free_sets, greedy_tiling, has_factor, max_tiling,
+                        verify_tiling)
 
 from conftest import naive_has_factor, naive_max_tiling_count
 
@@ -116,3 +120,147 @@ def test_rejects_bad_r():
         max_tiling(complete_graph(4), 1)
     with pytest.raises(ValueError):
         has_factor(complete_graph(4), 0)
+
+
+# -- the free-set bound against a prune-free reference ------------------------
+
+def reference_max_tiling(g, r, universe):
+    """Same branching order as ``max_tiling`` with no bound at all: the
+    first tiling of each strictly larger size wins; stops at n // r."""
+    ceiling = universe.bit_count() // r
+    best = []
+
+    def search(active, tiles):
+        nonlocal best
+        if len(tiles) > len(best):
+            best = tiles.copy()
+        if len(best) == ceiling or not active:
+            return
+        low = active & -active
+        for cm in iter_clique_masks(g, r - 1, active & g.adj[low.bit_length() - 1]):
+            tiles.append(cm | low)
+            search(active & ~(cm | low), tiles)
+            tiles.pop()
+            if len(best) == ceiling:
+                return
+        search(active ^ low, tiles)
+
+    search(universe, [])
+    return best
+
+
+def reference_factor(g, r, universe):
+    """First perfect tiling in ``has_factor``'s branching order, or None."""
+    def search(active, tiles):
+        if not active:
+            return tiles.copy()
+        low = active & -active
+        for cm in iter_clique_masks(g, r - 1, active & g.adj[low.bit_length() - 1]):
+            tiles.append(cm | low)
+            found = search(active & ~(cm | low), tiles)
+            tiles.pop()
+            if found is not None:
+                return found
+        return None
+
+    return search(universe, [])
+
+
+def assert_matches_reference(g, r, within):
+    universe = g.full_mask() if within is None else within.mask
+    res = max_tiling(g, r, within=within)
+    ref = sorted(reference_max_tiling(g, r, universe),
+                 key=lambda m: VertexSet(g, m).vertices())
+    assert [m.mask for m in res.best.members] == ref
+    assert res.optimal
+    assert res.deficiency == universe.bit_count() - r * len(ref)
+
+    fac = has_factor(g, r, within=within)
+    if universe.bit_count() % r:
+        assert fac.status == "divisibility" and fac.tiling is None
+        return
+    found = reference_factor(g, r, universe)
+    assert fac.status == ("found" if found is not None else "none")
+    if found is None:
+        assert fac.tiling is None
+    else:
+        expect = sorted(found, key=lambda m: VertexSet(g, m).vertices())
+        assert [m.mask for m in fac.tiling.members] == expect
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def triangle_free_graphs(draw, n):
+    """Random triangle-free graph: candidate edges in drawn order, each kept
+    unless it closes a triangle."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    order = draw(st.permutations(pairs))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    adj = [0] * n
+    edges = []
+    for (u, v), k in zip(order, keep):
+        if k and not adj[u] & adj[v]:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            edges.append((u, v))
+    return Graph(n, edges)
+
+
+@st.composite
+def lower_bound_graphs(draw):
+    r = draw(st.integers(3, 4))
+    n = draw(st.integers(r + 2, 14))
+    x1 = draw(st.integers(1, (n * (r - 2) - 1) // r))   # |X1| / n < (r-2)/r
+    inner = draw(triangle_free_graphs(n - x1))
+    spec = LowerBoundSpec.with_clique_size(n, r, 2, x1, inner)
+    return build_lower_bound_graph(spec, audit_alpha=False).graph, r
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.integers(2, 5), st.integers(0, 2**12 - 1),
+       st.booleans())
+def test_free_set_bound_keeps_certificates_on_random_graphs(g, r, sub, whole):
+    within = None if whole else VertexSet(g, sub & g.full_mask())
+    assert_matches_reference(g, r, within)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lower_bound_graphs())
+def test_free_set_bound_keeps_certificates_on_lower_bound_graphs(case):
+    g, r = case
+    assert_matches_reference(g, r, None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(), st.integers(2, 6), st.integers(0, 2**12 - 1))
+def test_free_sets_are_clique_free_and_maximal(g, r, sub):
+    universe = sub & g.full_mask()
+    sets = _free_sets(g, r, universe)
+    assert len(sets) == r - 1
+    for ell, s in enumerate(sets, 1):
+        assert s & ~universe == 0
+        assert not has_clique(g, ell + 1, s)
+        for v in range(g.n):
+            if universe >> v & 1 and not s >> v & 1:
+                assert has_clique(g, ell + 1, s | 1 << v)
+
+
+def test_free_set_bound_node_count_on_criterion_4_instance():
+    # the (n, r, ell, |X1|) = (20, 4, 2, 9) spec of acceptance criterion 4,
+    # whose optimality proof took 12.3M nodes without the free-set bound
+    inner = Graph(11, [(0, 3), (0, 6), (1, 2), (1, 3), (1, 4), (2, 6), (2, 7),
+                       (3, 5), (3, 9), (3, 10), (4, 7), (4, 9), (5, 6), (6, 8),
+                       (6, 9), (7, 10), (8, 10)])
+    spec = LowerBoundSpec.with_clique_size(20, 4, 2, 9, inner)
+    g = build_lower_bound_graph(spec, audit_alpha=False).graph
+    res = max_tiling(g, 4)
+    assert res.optimal and len(res.best) == 4
+    assert verify_tiling(g, res.best)
+    assert res.nodes_explored <= 10**4
