@@ -125,6 +125,17 @@ def test_exit_code_cap_hit(tmp_path, capsys, monkeypatch):
     assert run_cli(["tile", "--config", cfg]) == 0
 
 
+def test_factor_exit_code_cap_hit(tmp_path, capsys, monkeypatch):
+    cfg = write(tmp_path / "fcap.ini", "[run]\nkind = factor\n"
+                                       "[factor]\ngraph = gnp:24,0.28,4\nr = 3\n")
+    monkeypatch.setenv("CFL_NODE_BUDGET", "2")
+    assert run_cli(["factor", "--config", cfg]) == 4
+    assert read_report(capsys)["result"]["status"] == "cap"
+    monkeypatch.delenv("CFL_NODE_BUDGET")
+    assert run_cli(["factor", "--config", cfg]) == 0
+    assert read_report(capsys)["result"]["status"] == "none"
+
+
 def test_report_reproducible_modulo_timings(tmp_path, capsys):
     cfg = write(tmp_path / "r.ini", "[run]\nkind = drc\nseed = 11\n"
                                     "[drc]\ngraph = gnp:40,0.5,77\n"

@@ -7,9 +7,9 @@ import pytest
 from cfl.bounds import drc_condition
 from cfl.graphs import (Graph, VertexSet, complete_multipartite, empty_graph,
                         random_gnp)
-from cfl.embedding import (EmbedConfig, PartiteHypergraph, drc_select,
-                           embed_clique_in_tuple, hypergraph_drc_step,
-                           multipartite_clique_search,
+from cfl.embedding import (EmbedConfig, PartiteHypergraph, SearchCapExceeded,
+                           drc_select, embed_clique_in_tuple,
+                           hypergraph_drc_step, multipartite_clique_search,
                            transversal_clique_hypergraph)
 from cfl.invariants import alpha_ell_exact
 
@@ -209,6 +209,18 @@ def test_embed_failure_stage_no_cross_edges():
     assert not res.success
     assert res.stage == "no cross K_2"
     assert res.path == "none"
+
+
+def test_embed_fallback_cap_is_recorded():
+    g = Graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
+    cls = [VertexSet.of(g, range(4)), VertexSet.of(g, range(4, 8))]
+    with pytest.raises(SearchCapExceeded):
+        multipartite_clique_search(g, cls, 1, node_cap=2)
+    assert multipartite_clique_search(g, cls, 1) is None
+    res = embed_clique_in_tuple(g, cls, p=1, alpha_bound=3, seed=0,
+                                config=EmbedConfig(fallback_node_cap=2))
+    assert not res.success and res.path == "none"
+    assert res.telemetry[-1] == {"fallback": "cap"}
 
 
 def test_embed_three_classes_drc_path_agrees_with_fallback():

@@ -75,6 +75,15 @@ def test_alpha_node_cap_flags_partial():
     assert is_klfree(g, 2, capped.witness.mask)
 
 
+def test_alpha_node_cap_counts_the_first_node_past_it():
+    g = random_gnp(20, 0.5, 3)
+    assert alpha_ell_exact(g, 3).nodes_explored > 51
+    for cap in (0, 1, 5, 50):
+        capped = alpha_ell_exact(g, 3, node_cap=cap)
+        assert not capped.exact
+        assert capped.nodes_explored == cap + 1
+
+
 def test_alpha_rejects_bad_ell():
     with pytest.raises(ValueError):
         alpha_ell_exact(complete_graph(3), 1)

@@ -115,6 +115,28 @@ def test_node_cap_marks_incomplete():
         assert not res.optimal
 
 
+def test_max_tiling_cap_counts_the_first_node_past_it():
+    g = random_gnp(24, 0.28, 4)
+    full = max_tiling(g, 3)
+    assert full.optimal and full.nodes_explored > 6
+    for cap in (0, 1, 2, 5):
+        capped = max_tiling(g, 3, node_cap=cap)
+        assert not capped.optimal
+        assert capped.nodes_explored == cap + 1
+        assert verify_tiling(g, capped.best)
+
+
+def test_has_factor_cap_leaves_existence_undecided():
+    g = random_gnp(24, 0.28, 4)
+    assert has_factor(g, 3).status == "none"
+    for cap in (0, 1, 5):
+        capped = has_factor(g, 3, node_cap=cap)
+        assert capped.status == "cap" and capped.tiling is None
+    k9 = complete_graph(9)
+    assert has_factor(k9, 3, node_cap=4).status == "found"
+    assert has_factor(k9, 3, node_cap=3).status == "cap"
+
+
 def test_rejects_bad_r():
     with pytest.raises(ValueError):
         max_tiling(complete_graph(4), 1)
