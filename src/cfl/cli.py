@@ -135,10 +135,18 @@ def run_factor(cfg, seed, caps, outdir):
 def run_cover(cfg, seed, caps, outdir):
     g = load_graph(cfg, "cover", seed=seed)
     v = cfg.get_int("cover", "vertex")
+    if not 0 <= v < g.n:
+        raise ConfigError("[cover] vertex",
+                          f"expected a vertex id in 0..{g.n - 1}, got {v}")
     r = cfg.get_int("cover", "r")
+    if r < 1:
+        raise ConfigError("[cover] r", f"expected an integer >= 1, got {r}")
     forbidden = None
     if cfg.has("cover", "forbidden"):
         forbidden = _vertex_set(cfg, "cover", "forbidden", g)
+        if v in forbidden:
+            raise ConfigError("[cover] forbidden",
+                              f"contains the distinguished vertex {v}")
     res = invariants.has_clique_cover(g, v, r, forbidden)
     return {"vertex": v, "r": r, "cover": res}, {"cap_hit": False}
 
@@ -526,23 +534,7 @@ def cmd_scan(args) -> int:
 
     def one(idx_value):
         idx, value = idx_value
-        text_parts = []
-        parser = cfg._parser
-        for sec in parser.sections():
-            text_parts.append(f"[{sec}]")
-            for k, v in parser.items(sec):
-                if sec == section and k == key:
-                    v = value
-                elif sec == "scan":
-                    continue
-                text_parts.append(f"{k} = {v}")
-            text_parts.append("")
-        if not parser.has_section(section):
-            raise ConfigError(f"[{section}]", "swept section missing")
-        if not parser.has_option(section, key):
-            text_parts.insert(text_parts.index(f"[{section}]") + 1,
-                              f"{key} = {value}")
-        point_cfg = Config.from_text("\n".join(text_parts))
+        point_cfg = cfg.scan_point(section, key, value)
         result, meta, timings = _execute(kind, point_cfg, base_seed, outdir)
         report = reports.build_report(kind, base_seed, point_cfg.flat(), result,
                                       meta["flags"], meta["caps"], timings)
@@ -569,7 +561,8 @@ def cmd_scan(args) -> int:
                              ["index", "param", "param_value"] + scalar_keys,
                              csv_rows)
     print(csv_path)
-    return EXIT_OK
+    capped = any(rep["flags"].get("cap_hit") for _, _, rep in rows)
+    return EXIT_CAP if capped else EXIT_OK
 
 
 def cmd_convert(args) -> int:

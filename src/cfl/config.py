@@ -27,10 +27,15 @@ class Config:
     def __init__(self, parser: configparser.ConfigParser):
         self._parser = parser
 
-    @classmethod
-    def from_text(cls, text: str) -> "Config":
+    @staticmethod
+    def _new_parser() -> configparser.ConfigParser:
         parser = configparser.ConfigParser(interpolation=None)
         parser.optionxform = str  # keys are case-sensitive
+        return parser
+
+    @classmethod
+    def from_text(cls, text: str) -> "Config":
+        parser = cls._new_parser()
         try:
             parser.read_string(text)
         except configparser.Error as exc:
@@ -48,6 +53,20 @@ class Config:
             for key, value in self._parser.items(section):
                 out[f"{section}.{key}"] = value
         return out
+
+    def scan_point(self, section: str, key: str, value: str) -> "Config":
+        """One ``cfl scan`` grid point: a copy of this config with
+        ``[section] key`` set to ``value`` and the ``[scan]`` section dropped."""
+        if section == "scan":
+            raise ConfigError("[scan] param", "cannot sweep a [scan] key")
+        if not self._parser.has_section(section):
+            raise ConfigError(f"[{section}]", "swept section missing")
+        parser = self._new_parser()
+        for sec in self._parser.sections():
+            if sec != "scan":
+                parser[sec] = dict(self._parser.items(sec))
+        parser.set(section, key, value)
+        return Config(parser)
 
     def has(self, section: str, key: str) -> bool:
         return self._parser.has_option(section, key)

@@ -26,13 +26,18 @@ from typing import List, Optional
 
 from . import graphs as gr
 from .graphs import Graph, VertexSet, has_clique
-from .invariants import alpha_ell_exact
+from .invariants import alpha_ell_exact, has_clique_cover
 from .numbers import exact_fraction as _as_fraction, round_half_up
 from .rng import SplitMix64, derive_seed
 
 
 class ConstructionError(ValueError):
     pass
+
+
+class ConstructionInvariantError(RuntimeError):
+    """A built graph failed its post-assembly re-certification (a builder
+    defect, never a property of a validated spec)."""
 
 
 # -- lower-bound family ----------------------------------------------------
@@ -202,10 +207,9 @@ def build_cover_threshold_graph(spec: CoverThresholdSpec) -> CoverThresholdBuild
         for v in range(u + 1, spec.n):
             edges.append((u, v))
     g = Graph(spec.n, edges)
-    from .invariants import has_clique_cover
-
     if has_clique_cover(g, 0, spec.r) is not None:
-        raise AssertionError("construction invariant broken: hub is covered")
+        raise ConstructionInvariantError(
+            "construction invariant broken: hub is covered")
     hub_deg = g.degree(0)
     nb = VertexSet.of(g, range(1, s + 1))
     cl = VertexSet.of(g, range(clique_lo, spec.n))

@@ -33,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .graphs import Graph, VertexSet, iter_bits, iter_clique_masks
+from .graphs import (Graph, SearchCapExceeded, VertexSet, iter_bits,
+                     iter_clique_masks)
 from .rng import SplitMix64, derive_seed
 
 
@@ -336,10 +337,6 @@ class EmbedResult:
     trials_used: int
     config: EmbedConfig
     telemetry: List[dict] = field(default_factory=list)
-
-
-class SearchCapExceeded(Exception):
-    """Raised when a bounded brute-force search runs out of node budget."""
 
 
 def multipartite_clique_search(g: Graph, classes: Sequence[VertexSet], p: int,

@@ -21,6 +21,11 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 from .rng import SplitMix64, bulk_random
 
 
+class SearchCapExceeded(Exception):
+    """Raised by an exact search on its first node past ``node_cap``; the
+    search's public entry point catches it and flags the result."""
+
+
 class GraphFormatError(ValueError):
     """Malformed graph payload. ``line`` is 1-based; ``offset`` a byte offset."""
 
@@ -117,9 +122,6 @@ class Graph:
     def min_degree(self) -> int:
         return min(self.degrees(), default=0)
 
-    def max_degree(self) -> int:
-        return max(self.degrees(), default=0)
-
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
@@ -129,9 +131,6 @@ class Graph:
             rest = self.adj[u] >> (u + 1)
             for off in iter_bits(rest):
                 yield (u, u + 1 + off)
-
-    def degree_in(self, v: int, mask: int) -> int:
-        return (self.adj[v] & mask).bit_count()
 
     def is_clique(self, mask: int) -> bool:
         """True iff the vertices of ``mask`` are pairwise adjacent."""
@@ -154,15 +153,6 @@ class Graph:
                 if u > v:
                     edges.append((i, pos[u]))
         return Graph(len(verts), edges)
-
-    def complement(self) -> "Graph":
-        full = self.full_mask()
-        edges = []
-        for u in range(self.n):
-            non = full & ~self.adj[u] & ~(1 << u)
-            for v in iter_bits(non >> (u + 1)):
-                edges.append((u, u + 1 + v))
-        return Graph(self.n, edges)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -203,22 +193,6 @@ class VertexSet:
 
     def vertices(self) -> Tuple[int, ...]:
         return tuple(iter_bits(self.mask))
-
-    def _check_same_graph(self, other: "VertexSet") -> None:
-        if self.graph is not other.graph and self.graph != other.graph:
-            raise ValueError("vertex sets belong to different graphs")
-
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        self._check_same_graph(other)
-        return VertexSet(self.graph, self.mask & other.mask)
-
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        self._check_same_graph(other)
-        return VertexSet(self.graph, self.mask | other.mask)
-
-    def __sub__(self, other: "VertexSet") -> "VertexSet":
-        self._check_same_graph(other)
-        return VertexSet(self.graph, self.mask & ~other.mask)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, VertexSet) and self.mask == other.mask
@@ -505,45 +479,29 @@ def iter_clique_masks(g: Graph, k: int, within: Optional[int] = None) -> Iterato
     yield from extend(0, universe, 0)
 
 
-class CliqueEnumeration:
-    """Result of enumerate_cliques: canonical list plus a truncation flag."""
+def _has_clique(adj, k: int, mask: int) -> bool:
+    """Early-exit test for a k-clique inside ``mask`` over the adjacency
+    bitsets ``adj``; k <= 0 asks for the empty clique, which always exists.
 
-    __slots__ = ("cliques", "truncated")
-
-    def __init__(self, cliques: List[VertexSet], truncated: bool):
-        self.cliques = cliques
-        self.truncated = truncated
-
-    def __len__(self) -> int:
-        return len(self.cliques)
-
-    def __iter__(self):
-        return iter(self.cliques)
-
-
-def enumerate_cliques(g: Graph, k: int, cap: Optional[int] = None,
-                      within: Optional[VertexSet] = None) -> CliqueEnumeration:
-    """All k-cliques of g (inside ``within`` if given), canonically ordered.
-
-    Exhaustive when the cap is not hit; hitting the cap sets ``truncated``
-    rather than raising.
+    Private so that the exact searches' per-node calls stay out of
+    function-level tracing; callers outside the hot loops use has_clique.
     """
-    mask = within.mask if within is not None else None
-    out: List[VertexSet] = []
-    truncated = False
-    for m in iter_clique_masks(g, k, mask):
-        if cap is not None and len(out) >= cap:
-            truncated = True
-            break
-        out.append(VertexSet(g, m))
-    return CliqueEnumeration(out, truncated)
+    if k <= 0:
+        return True
+    if k == 1:
+        return mask != 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if _has_clique(adj, k - 1, rest & adj[low.bit_length() - 1]):
+            return True
+    return False
 
 
 def has_clique(g: Graph, k: int, within: Optional[int] = None) -> bool:
-    """True iff a k-clique exists (early exit)."""
-    for _ in iter_clique_masks(g, k, within):
-        return True
-    return False
+    """True iff a k-clique exists inside ``within`` (default: all of g)."""
+    return _has_clique(g.adj, k, g.full_mask() if within is None else within)
 
 
 def common_neighborhood(g: Graph, s: VertexSet) -> VertexSet:
@@ -554,10 +512,3 @@ def common_neighborhood(g: Graph, s: VertexSet) -> VertexSet:
     for v in s:
         m &= g.adj[v]
     return VertexSet(g, m & ~s.mask)
-
-
-def common_neighbors_mask(g: Graph, vertices_mask: int) -> int:
-    m = -1
-    for v in iter_bits(vertices_mask):
-        m &= g.adj[v]
-    return m & g.full_mask() & ~vertices_mask

@@ -7,7 +7,11 @@ bitsets; the upper bound partitions the candidates into cliques greedily,
 each clique contributing at most l-1 vertices to any K_l-free set.
 
 Resource caps are node counts, not wall clock, so capped results are
-machine-independent and reproducible.
+machine-independent and reproducible.  As in every exact search of the
+package, the recursion counts its nodes in a local ``nodes`` and raises
+``graphs.SearchCapExceeded`` on the first node past ``node_cap``; the entry
+point catches it and returns the incumbent with ``exact=False`` and
+``nodes_explored = node_cap + 1``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .graphs import Graph, VertexSet, iter_bits, iter_clique_masks
+from .graphs import (Graph, SearchCapExceeded, VertexSet, _has_clique,
+                     iter_bits, iter_clique_masks)
 from .rng import SplitMix64
 from . import tiling
 
@@ -34,43 +39,6 @@ class AlphaResult:
     exact: bool
     nodes_explored: int
     ell: int
-
-
-class _NodeBudget:
-    __slots__ = ("left", "used")
-
-    def __init__(self, cap: Optional[int]):
-        self.left = cap
-        self.used = 0
-
-    def tick(self) -> bool:
-        self.used += 1
-        if self.left is None:
-            return True
-        self.left -= 1
-        return self.left >= 0
-
-
-def _has_clique_within(adj, size: int, mask: int) -> bool:
-    """Early-exit test for a clique of ``size`` inside ``mask``."""
-    if size <= 0:
-        return True
-    if size == 1:
-        return mask != 0
-    rest = mask
-    while rest:
-        low = rest & -rest
-        v = low.bit_length() - 1
-        rest ^= low
-        if _has_clique_within(adj, size - 1, rest & adj[v]):
-            return True
-    return False
-
-
-def is_klfree(g: Graph, ell: int, mask: Optional[int] = None) -> bool:
-    """True iff the (sub)graph spans no K_ell."""
-    m = g.full_mask() if mask is None else mask
-    return not _has_clique_within(g.adj, ell, m)
 
 
 def _clique_cover_bound(adj, mask: int, ell: int) -> int:
@@ -101,7 +69,7 @@ def _feasible_candidates(adj, ell: int, chosen: int, cand: int, v: int) -> int:
     would complete a K_ell (i.e. a K_{ell-2} sits in chosen & N(u) & N(v))."""
     out = cand
     for u in iter_bits(cand & adj[v]):
-        if _has_clique_within(adj, ell - 2, chosen & adj[u] & adj[v]):
+        if _has_clique(adj, ell - 2, chosen & adj[u] & adj[v]):
             out &= ~(1 << u)
     return out
 
@@ -118,34 +86,37 @@ def alpha_ell_exact(g: Graph, ell: int, node_cap: Optional[int] = None,
         raise ValueError("ell must be >= 2")
     adj = g.adj
     universe = g.full_mask() if within is None else within.mask
-    budget = _NodeBudget(node_cap)
+    nodes = 0
     best_mask = 0
     best_size = 0
 
-    def branch(chosen: int, size: int, cand: int) -> bool:
-        nonlocal best_mask, best_size
-        if not budget.tick():
-            return False
+    def branch(chosen: int, size: int, cand: int) -> None:
+        nonlocal nodes, best_mask, best_size
+        nodes += 1
+        if node_cap is not None and nodes > node_cap:
+            raise SearchCapExceeded
         if size > best_size:
             best_size, best_mask = size, chosen
         if not cand:
-            return True
+            return
         if size + _clique_cover_bound(adj, cand, ell) <= best_size:
-            return True
+            return
         csize = cand.bit_count()
         if csize == 1:
             v = cand.bit_length() - 1
         else:
             v = max(iter_bits(cand), key=lambda u: ((adj[u] & cand).bit_count(), u))
-        ok = branch(chosen | (1 << v), size + 1,
-                    _feasible_candidates(adj, ell, chosen, cand & ~(1 << v), v))
-        if not ok:
-            return False
-        return branch(chosen, size, cand & ~(1 << v))
+        branch(chosen | (1 << v), size + 1,
+               _feasible_candidates(adj, ell, chosen, cand & ~(1 << v), v))
+        branch(chosen, size, cand & ~(1 << v))
 
-    complete = branch(0, 0, universe)
+    try:
+        branch(0, 0, universe)
+        exact = True
+    except SearchCapExceeded:
+        exact = False
     return AlphaResult(value=best_size, witness=VertexSet(g, best_mask),
-                       exact=complete, nodes_explored=budget.used, ell=ell)
+                       exact=exact, nodes_explored=nodes, ell=ell)
 
 
 def alpha_ell_greedy(g: Graph, ell: int, seed: int,
@@ -160,7 +131,7 @@ def alpha_ell_greedy(g: Graph, ell: int, seed: int,
     SplitMix64(seed).shuffle(order)
     chosen = 0
     for v in order:
-        if not _has_clique_within(adj, ell - 1, chosen & adj[v]):
+        if not _has_clique(adj, ell - 1, chosen & adj[v]):
             chosen |= 1 << v
     return AlphaResult(value=chosen.bit_count(), witness=VertexSet(g, chosen),
                        exact=False, nodes_explored=len(order), ell=ell)

@@ -10,8 +10,10 @@ density lies between.  The verdict is therefore exact while the work is
 
 Exhaustive mode is capped at |X|, |Y| <= 14.  Beyond that only sampled mode
 runs: it can refute regularity with a witness but never certify it, and
-verdicts say so.  All densities and thresholds are exact rationals (a float
-epsilon is taken at its exact binary value), so verdicts carry no float fuzz.
+verdicts say so.  All densities and thresholds are exact rationals, so
+verdicts carry no float fuzz.  A float epsilon is read at its shortest
+decimal (``numbers.exact_fraction``): 0.2 means exactly 1/5, not the binary
+double just above it.
 
 Partitions here are supplied by builders or files, never produced by a
 regularity-lemma algorithm: the package certifies partitions, it does not

@@ -75,9 +75,6 @@ class SplitMix64:
     def choice(self, seq):
         return seq[self.randrange(len(seq))]
 
-    def sample_with_repetition(self, seq, k: int) -> list:
-        return [seq[self.randrange(len(seq))] for _ in range(k)]
-
     def shuffle(self, items: list) -> None:
         """Fisher-Yates, in place."""
         for i in range(len(items) - 1, 0, -1):

@@ -30,9 +30,16 @@ the root sets serve every node at r-1 popcounts each.  ``max_tiling`` builds
 them only when the greedy incumbent misses the ceiling; ``has_factor`` only
 at its first dead end, so queries answered on the first descent never pay
 for them, and re-tests a node's bound after each failed child, because the
-sets may have been built below it.  Neither rule changes the branching order, so certificates,
-``optimal`` and ``status`` are those of the unpruned search; only
-``nodes_explored`` shrinks.
+sets may have been built below it.  Neither rule changes the branching
+order, so certificates, ``optimal`` and ``status`` are those of the unpruned
+search; only ``nodes_explored`` shrinks.
+
+Node caps: each search counts its nodes in a local ``nodes`` and raises
+``graphs.SearchCapExceeded`` on the first node past ``node_cap`` (so a
+capped ``max_tiling`` reports ``nodes_explored = node_cap + 1``).  The entry
+point catches it once: ``max_tiling`` keeps its incumbent with
+``optimal=False`` (unless the incumbent already meets the ceiling), and
+``has_factor`` returns ``status="cap"``.
 """
 
 from __future__ import annotations
@@ -40,7 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .graphs import Graph, VertexSet, has_clique, iter_bits, iter_clique_masks
+from .graphs import (Graph, SearchCapExceeded, VertexSet, _has_clique,
+                     iter_bits, iter_clique_masks)
 from .rng import SplitMix64
 
 
@@ -140,7 +148,7 @@ def _free_sets(g: Graph, r: int, universe: int) -> List[int]:
             elif ell == 2:
                 fits = not any(adj[u] & nb for u in iter_bits(nb))
             else:
-                fits = not has_clique(g, ell, nb)
+                fits = not _has_clique(adj, ell, nb)
             if fits:
                 s |= 1 << v
         sets.append(s)
@@ -178,40 +186,39 @@ def max_tiling(g: Graph, r: int, within: Optional[VertexSet] = None,
 
     best: List[int] = _lex_greedy_masks(g, r, universe)
     nodes = 0
-    budget = node_cap
     free = _free_sets(g, r, universe) if len(best) < ceiling else []
 
-    def search(active: int, tiles: List[int]) -> bool:
+    def search(active: int, tiles: List[int]) -> None:
         nonlocal best, nodes
         nodes += 1
-        if budget is not None and nodes > budget:
-            return False
+        if node_cap is not None and nodes > node_cap:
+            raise SearchCapExceeded
         if len(tiles) > len(best):
             best = tiles.copy()
-        if len(best) == ceiling:
-            return True
-        if not active:
-            return True
+        if len(best) == ceiling or not active:
+            return
         need = len(best) - len(tiles)
         for ell, s in enumerate(free, 1):
             if (active & ~s).bit_count() // (r - ell) <= need:
-                return True
+                return
         if len(tiles) + _coverable_bound(adj, active, r) <= len(best):
-            return True
+            return
         low = active & -active
         v = low.bit_length() - 1
         for cm in iter_clique_masks(g, r - 1, active & adj[v]):
             clique = cm | low
             tiles.append(clique)
-            ok = search(active & ~clique, tiles)
+            search(active & ~clique, tiles)
             tiles.pop()
-            if not ok:
-                return False
             if len(best) == ceiling:
-                return True
-        return search(active ^ low, tiles)
+                return
+        search(active ^ low, tiles)
 
-    complete = search(universe, [])
+    try:
+        search(universe, [])
+        complete = True
+    except SearchCapExceeded:
+        complete = False
     members = [VertexSet(g, m) for m in best]
     til = CliqueTiling(r, members).canonical()
     deficiency = n_active - r * len(members)
@@ -235,15 +242,13 @@ def has_factor(g: Graph, r: int, within: Optional[VertexSet] = None,
         return FactorResult(None, "divisibility")
     adj = g.adj
     nodes = 0
-    budget = node_cap
     found: Optional[List[int]] = None
     free: Optional[List[int]] = None   # built at the first dead end
 
-    def dead_end() -> bool:
+    def dead_end() -> None:
         nonlocal free
         if free is None:
             free = _free_sets(g, r, universe)
-        return True
 
     def hopeless(active: int) -> bool:
         """Free-set bound: ``active`` has no factor."""
@@ -253,37 +258,40 @@ def has_factor(g: Graph, r: int, within: Optional[VertexSet] = None,
                 return True
         return False
 
-    def search(active: int, tiles: List[int]) -> bool:
+    def search(active: int, tiles: List[int]) -> None:
         nonlocal found, nodes
         nodes += 1
-        if budget is not None and nodes > budget:
-            return False
+        if node_cap is not None and nodes > node_cap:
+            raise SearchCapExceeded
         if not active:
             found = tiles.copy()
-            return True
+            return
         if free is not None and hopeless(active):
-            return True
+            return
         low = active & -active
         v = low.bit_length() - 1
         # every remaining vertex must keep r-1 active neighbors
         if (adj[v] & active).bit_count() < r - 1:
-            return dead_end()
+            dead_end()
+            return
         for cm in iter_clique_masks(g, r - 1, active & adj[v]):
             clique = cm | low
             tiles.append(clique)
-            ok = search(active & ~clique, tiles)
+            search(active & ~clique, tiles)
             tiles.pop()
-            if not ok or found is not None:
-                return ok
-            if hopeless(active):      # a failed child has built the sets
-                return True
-        return dead_end()
+            # once a child has failed, the free sets exist
+            if found is not None or hopeless(active):
+                return
+        dead_end()
 
-    complete = search(universe, [])
-    if found is not None:
-        til = CliqueTiling(r, [VertexSet(g, m) for m in found]).canonical()
-        return FactorResult(til, "found")
-    return FactorResult(None, "none" if complete else "cap")
+    try:
+        search(universe, [])
+    except SearchCapExceeded:
+        return FactorResult(None, "cap")
+    if found is None:
+        return FactorResult(None, "none")
+    til = CliqueTiling(r, [VertexSet(g, m) for m in found]).canonical()
+    return FactorResult(til, "found")
 
 
 def greedy_tiling(g: Graph, r: int, seed: int,

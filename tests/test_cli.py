@@ -6,6 +6,7 @@ import os
 import pytest
 
 from cfl.cli import main
+from cfl.config import Config, ConfigError
 from cfl.graphs import cycle_graph, format_edgelist, parse_graph
 from cfl.reports import strip_timings
 
@@ -106,6 +107,21 @@ def test_exit_code_r_below_two(tmp_path, capsys, kind):
     assert f"[{kind}] r" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, field", [
+    ("vertex", "99", "[cover] vertex"),
+    ("vertex", "-1", "[cover] vertex"),
+    ("forbidden", "0,3", "[cover] forbidden"),
+    ("r", "0", "[cover] r"),
+])
+def test_cover_user_errors_exit_two(tmp_path, capsys, key, value, field):
+    params = {"vertex": "0", "r": "2", key: value}
+    cfg = write(tmp_path / "cv.ini",
+                "[run]\nkind = cover\n[cover]\ngraph = petersen\n"
+                + "".join(f"{k} = {v}\n" for k, v in params.items()))
+    assert run_cli(["cover", "--config", cfg]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_exit_code_kind_mismatch(tmp_path):
     cfg = write(tmp_path / "mm.ini", "[run]\nkind = tile\n"
                                      "[alpha]\ngraph = c5\nell = 2\n")
@@ -191,6 +207,32 @@ values = gnp-min-degree:12,0.5,4; gnp-min-degree:12,0.5,6; gnp-min-degree:12,0.5
     for i, fname in enumerate(points):
         rep = json.loads((outdir / fname).read_text())
         assert rep["result"]["status"] in lines[i + 1]
+
+
+def test_scan_exits_four_when_a_point_is_capped(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CFL_NODE_BUDGET", raising=False)
+    cfg = write(tmp_path / "sc.ini", "[run]\nkind = factor\nnode_budget = 2\n"
+                                     "[factor]\ngraph = gnp:24,0.28,4\nr = 3\n"
+                                     "[scan]\nparam = run.node_budget\n"
+                                     "values = 2, 1000\n")
+    outdir = tmp_path / "capped"
+    assert run_cli(["scan", "--config", cfg, "--out", str(outdir)]) == 4
+    lines = (outdir / "scan.csv").read_text().strip().split("\n")
+    assert lines[1:] == ["0,run.node_budget,2,3,cap",
+                         "1,run.node_budget,1000,3,none"]
+
+
+def test_scan_point_config_sets_one_key_and_drops_scan():
+    cfg = Config.from_text("[run]\nkind = alpha\n[alpha]\ngraph = c5\nell = 2\n"
+                           "[scan]\nparam = alpha.ell\nvalues = 3, 4\n")
+    point = cfg.scan_point("alpha", "ell", "3")
+    assert point.flat() == {"run.kind": "alpha", "alpha.graph": "c5",
+                            "alpha.ell": "3"}
+    assert cfg.get_int("alpha", "ell") == 2          # the original is untouched
+    added = cfg.scan_point("run", "seed", "9")
+    assert added.get_int("run", "seed") == 9 and not added.has("scan", "param")
+    with pytest.raises(ConfigError):
+        cfg.scan_point("tile", "r", "3")
 
 
 def test_scan_empty_grid_is_success(tmp_path, capsys):

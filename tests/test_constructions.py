@@ -4,15 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from cfl.constructions import (ConstructionError, CoverThresholdSpec,
-                               LowerBoundSpec, build_cover_threshold_graph,
+from cfl import constructions
+from cfl.constructions import (ConstructionError, ConstructionInvariantError,
+                               CoverThresholdSpec, LowerBoundSpec,
+                               build_cover_threshold_graph,
                                build_lower_bound_graph, graph_from_spec,
                                sample_sparse_klfree, sparse_gamma_limit,
                                strip_cliques)
-from cfl.graphs import (complete_graph, cycle_graph, empty_graph,
-                        enumerate_cliques, has_clique, petersen_graph,
+from cfl.graphs import (VertexSet, complete_graph, cycle_graph, empty_graph,
+                        has_clique, iter_clique_masks, petersen_graph,
                         random_gnp)
-from cfl.invariants import alpha_ell_exact, has_clique_cover, is_klfree
+from cfl.invariants import alpha_ell_exact, has_clique_cover
 from cfl.tiling import max_tiling
 from cfl.rng import SplitMix64
 
@@ -32,8 +34,8 @@ def test_lower_bound_desk_instance():
 def test_lower_bound_every_clique_meets_x1():
     spec = LowerBoundSpec.with_clique_size(12, 4, 2, 2, petersen_graph())
     b = build_lower_bound_graph(spec)
-    for c in enumerate_cliques(b.graph, 4):
-        assert len(c & b.clique_part) >= 2   # r - ell
+    for c in iter_clique_masks(b.graph, 4):
+        assert (c & b.clique_part.mask).bit_count() >= 2   # r - ell
     res = max_tiling(b.graph, 4)
     assert 12 - res.deficiency <= 4
 
@@ -99,6 +101,15 @@ def test_cover_threshold_r3_forces_empty_inner():
         CoverThresholdSpec(10, 3, 2, Fraction(1, 2), cycle_graph(5)).validate()
 
 
+def test_cover_threshold_recheck_raises_without_assert(monkeypatch):
+    spec = CoverThresholdSpec(16, 4, 2, Fraction(1, 2), cycle_graph(8))
+    monkeypatch.setattr(constructions, "has_clique_cover",
+                        lambda g, v, r: VertexSet(g, 1 << v))
+    with pytest.raises(ConstructionInvariantError, match="hub is covered"):
+        build_cover_threshold_graph(spec)
+    assert not issubclass(ConstructionInvariantError, AssertionError)
+
+
 def test_cover_threshold_rejects_kr1_inner():
     with pytest.raises(ConstructionError):
         CoverThresholdSpec(16, 4, 2, Fraction(1, 2),
@@ -141,9 +152,9 @@ def test_sparse_sampler_postconditions_and_determinism():
 
 def test_strip_cliques_produces_free_graph():
     g = strip_cliques(random_gnp(14, 0.7, 5), 3, seed=2)
-    assert is_klfree(g, 3)
+    assert not has_clique(g, 3)
     g4 = strip_cliques(random_gnp(14, 0.7, 5), 4, seed=2)
-    assert is_klfree(g4, 4)
+    assert not has_clique(g4, 4)
 
 
 def test_graph_from_spec():

@@ -36,21 +36,21 @@ def _stripped(text: str) -> str:
     return dump_report(strip_timings(json.loads(text)))
 
 
-def render(name: str, scratch: str) -> Tuple[int, Dict[str, str]]:
+def render(name: str, outdir: str) -> Tuple[int, Dict[str, str]]:
     """Run one golden config from inside ``golden/``; returns the exit code
     and the golden file name -> expected text map it should match."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         if name == "scan":
-            code = main(["scan", "--config", "scan.ini", "--out", scratch])
+            code = main(["scan", "--config", "scan.ini", "--out", outdir])
         else:
             kind = name.split("-", 1)[0]
             code = main([kind, "--config", f"{name}.ini"])
     if name != "scan":
         return code, {f"{name}.json": _stripped(out.getvalue())}
     files = {}
-    for f in sorted(os.listdir(scratch)):
-        with open(os.path.join(scratch, f), encoding="utf-8") as fh:
+    for f in sorted(os.listdir(outdir)):
+        with open(os.path.join(outdir, f), encoding="utf-8") as fh:
             text = fh.read()
         if f.startswith("point-"):
             files[f"scan-{f[:len('point-000')]}.json"] = _stripped(text)
@@ -77,8 +77,8 @@ def regenerate() -> None:
     os.environ.pop("CFL_NODE_BUDGET", None)
     os.chdir(GOLDEN)
     for name in NAMES + ["scan"]:
-        with tempfile.TemporaryDirectory() as scratch:
-            _, files = render(name, scratch)
+        with tempfile.TemporaryDirectory() as outdir:
+            _, files = render(name, outdir)
         for fname, text in files.items():
             with open(fname, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -101,6 +101,21 @@ def test_witness_check_raises_without_assert(monkeypatch):
         is_regular_pair(g, x, y, 0.2)
 
 
+def test_float_epsilon_is_read_at_its_shortest_decimal():
+    # K_{10,10} minus one edge: at eps = 1/5 the 2x2 corner around the
+    # missing edge (density 3/4 against 99/100) qualifies and breaks
+    # regularity; at the binary double of 0.2, just above 1/5, subsets need
+    # 3 vertices a side and the pair is regular.
+    g = Graph(20, [(u, v) for u in range(10) for v in range(10, 20)
+                   if (u, v) != (0, 10)])
+    x, y = split_pair(g, 10, 10)
+    as_float = is_regular_pair(g, x, y, 0.2)
+    as_fraction = is_regular_pair(g, x, y, Fraction(1, 5))
+    assert as_float.epsilon == Fraction(1, 5)
+    assert as_float == as_fraction and not as_float.regular
+    assert is_regular_pair(g, x, y, Fraction(0.2)).regular
+
+
 def test_exhaustive_matches_definitional_enumeration():
     rng = SplitMix64(2718)
     for i in range(25):
