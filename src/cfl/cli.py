@@ -15,6 +15,7 @@ variable CFL_NODE_BUDGET overrides the node budget of every exact solver.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 import time
@@ -67,13 +68,16 @@ def load_graph(cfg: Config, section: str, key: str = "graph",
         raise ConfigError(f"[{section}] {key}", str(exc)) from exc
 
 
-def _vertex_set(cfg: Config, section: str, key: str, g: Graph) -> VertexSet:
-    raw = cfg.get_str(section, key)
-    vs = parse_vertex_list(raw, f"[{section}] {key}")
+def _vertices(raw: str, field: str, g: Graph) -> VertexSet:
+    vs = parse_vertex_list(raw, field)
     bad = [v for v in vs if not 0 <= v < g.n]
     if bad:
-        raise ConfigError(f"[{section}] {key}", f"vertex ids out of range: {bad}")
+        raise ConfigError(field, f"vertex ids out of range: {bad}")
     return VertexSet.of(g, vs)
+
+
+def _vertex_set(cfg: Config, section: str, key: str, g: Graph) -> VertexSet:
+    return _vertices(cfg.get_str(section, key), f"[{section}] {key}", g)
 
 
 def _node_budget(cfg: Config) -> Optional[int]:
@@ -94,6 +98,8 @@ def _node_budget(cfg: Config) -> Optional[int]:
 def run_alpha(cfg, seed, caps, outdir):
     g = load_graph(cfg, "alpha", seed=seed)
     ell = cfg.get_int("alpha", "ell")
+    if ell < 2:
+        raise ConfigError("[alpha] ell", f"expected an integer >= 2, got {ell}")
     mode = cfg.get_str("alpha", "mode", "exact")
     if mode == "exact":
         res = invariants.alpha_ell_exact(g, ell, node_cap=caps.get("node_budget"))
@@ -294,21 +300,32 @@ def run_drc(cfg, seed, caps, outdir):
 def run_embed(cfg, seed, caps, outdir):
     g = load_graph(cfg, "embed", seed=seed)
     class_specs = cfg.get_str("embed", "classes").split(";")
-    classes = []
-    for i, spec in enumerate(class_specs):
-        vs = parse_vertex_list(spec, f"[embed] classes[{i}]")
-        classes.append(VertexSet.of(g, vs))
+    classes = [_vertices(spec, f"[embed] classes[{i}]", g)
+               for i, spec in enumerate(class_specs)]
+    if len(classes) < 2:
+        raise ConfigError("[embed] classes", "expected at least two classes")
+    seen = 0
+    for i, c in enumerate(classes):
+        if c.mask & seen:
+            raise ConfigError(f"[embed] classes[{i}]", "meets an earlier class")
+        seen |= c.mask
     p = cfg.get_int("embed", "p")
-    raw_ab = cfg.get_str("embed", "alpha_bound", "auto")
-    if raw_ab == "auto":
+    if p < 1:
+        raise ConfigError("[embed] p", f"expected an integer >= 1, got {p}")
+    if cfg.get_str("embed", "alpha_bound", "auto") == "auto":
         alpha_bound = max(invariants.alpha_ell_exact(g, max(2, p), within=c).value
                           for c in classes)
     else:
-        alpha_bound = int(raw_ab)
+        alpha_bound = cfg.get_int("embed", "alpha_bound")
     econf = embedding.EmbedConfig(
         s=cfg.get_int("embed", "s", 2),
         beta=cfg.get_float("embed", "beta", 0.1),
         trials=cfg.get_int("embed", "trials", 8))
+    if econf.s < 1:
+        raise ConfigError("[embed] s", f"expected an integer >= 1, got {econf.s}")
+    if not 0 < econf.beta < 1:
+        raise ConfigError("[embed] beta", f"expected a number in (0, 1), "
+                                          f"got {econf.beta}")
     res = embedding.embed_clique_in_tuple(g, classes, p, alpha_bound,
                                           seed=seed, config=econf)
     result = {"success": res.success, "path": res.path, "stage": res.stage,
@@ -384,8 +401,14 @@ def run_absorb(cfg, seed, caps, outdir):
 
 def run_rtt(cfg, seed, caps, outdir):
     n = cfg.get_int("rtt", "n")
+    if n < 1:
+        raise ConfigError("[rtt] n", f"expected an integer >= 1, got {n}")
     r = cfg.get_int("rtt", "r")
+    if r < 2:
+        raise ConfigError("[rtt] r", f"expected an integer >= 2, got {r}")
     ell = cfg.get_int("rtt", "ell")
+    if ell < 2:
+        raise ConfigError("[rtt] ell", f"expected an integer >= 2, got {ell}")
     alpha_bound = cfg.get_int("rtt", "alpha_bound")
     tries = cfg.get_int("rtt", "tries", 2000)
     res = invariants.rtt_oracle(n, r, ell, alpha_bound, seed=seed, tries=tries)
@@ -492,8 +515,15 @@ def _execute(kind: str, cfg: Config, seed: int, outdir: Optional[str]
     return result, {"caps": caps, "flags": flags}, timings
 
 
-def _report_path(outdir: str, kind: str, digest: str, prefix: str = "report") -> str:
-    return os.path.join(outdir, f"{prefix}-{kind}-{digest[:12]}.json")
+def _report_path(outdir: str, report: dict, prefix: str = "report") -> str:
+    """File name for ``report``.  Its digest covers the config file's hash,
+    the seed and the effective node budget, since ``--seed`` and
+    CFL_NODE_BUDGET override the file; runs that differ in any of them
+    never share a file."""
+    key = (f"{report['config_hash']}\n{report['seed']}\n"
+           f"{report['caps']['node_budget']}")
+    digest = hashlib.sha256(key.encode()).hexdigest()
+    return os.path.join(outdir, f"{prefix}-{report['kind']}-{digest[:12]}.json")
 
 
 def cmd_run(kind: str, args) -> int:
@@ -507,7 +537,7 @@ def cmd_run(kind: str, args) -> int:
     report = reports.build_report(kind, seed, cfg.flat(), result,
                                   meta["flags"], meta["caps"], timings)
     if args.out:
-        path = _report_path(args.out, kind, report["config_hash"])
+        path = _report_path(args.out, report)
         reports.write_report_atomic(path, report)
         print(path)
     else:
@@ -538,8 +568,7 @@ def cmd_scan(args) -> int:
         result, meta, timings = _execute(kind, point_cfg, base_seed, outdir)
         report = reports.build_report(kind, base_seed, point_cfg.flat(), result,
                                       meta["flags"], meta["caps"], timings)
-        path = _report_path(outdir, kind, report["config_hash"],
-                            prefix=f"point-{idx:03d}")
+        path = _report_path(outdir, report, prefix=f"point-{idx:03d}")
         reports.write_report_atomic(path, report)
         return idx, value, report
 

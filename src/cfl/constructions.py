@@ -313,6 +313,14 @@ def strip_cliques(g: Graph, k: int, seed: int = 0) -> Graph:
         current = Graph(current.n, edges)
 
 
+def _spec_args(spec: str, arg: str, required: int) -> List[str]:
+    parts = arg.split(",")
+    if len(parts) < required:
+        raise ConstructionError(f"graph spec {spec!r} needs at least "
+                                f"{required} arguments")
+    return parts
+
+
 def graph_from_spec(spec: str, seed: int = 0) -> Graph:
     """Resolve a compact graph description.
 
@@ -340,12 +348,12 @@ def graph_from_spec(spec: str, seed: int = 0) -> Graph:
     if name == "multipartite":
         return gr.complete_multipartite([int(t) for t in arg.split(",")])
     if name == "gnp":
-        parts = arg.split(",")
+        parts = _spec_args(spec, arg, 2)
         n, p = int(parts[0]), float(parts[1])
         s0 = int(parts[2]) if len(parts) > 2 else seed
         return gr.random_gnp(n, p, s0)
     if name == "gnp-min-degree":
-        parts = arg.split(",")
+        parts = _spec_args(spec, arg, 3)
         n, p, tgt = int(parts[0]), float(parts[1]), int(parts[2])
         s0 = int(parts[3]) if len(parts) > 3 else seed
         return gr.random_graph_with_min_degree(n, tgt, s0, p=p)

@@ -3,8 +3,11 @@
 The central quantity is the l-independence number: the maximum size of a
 vertex subset inducing no K_l (l=2 recovers the ordinary independence
 number).  The exact solver is a branch-and-bound over (chosen, candidate)
-bitsets; the upper bound partitions the candidates into cliques greedily,
-each clique contributing at most l-1 vertices to any K_l-free set.
+bitsets; the upper bound partitions the candidates into cliques greedily.
+Each part Q is built beside a clique K of chosen vertices, inside their
+common neighbourhood, and contributes at most l-1-|K| vertices: with the
+final set S, (S & Q) | K is a clique of the K_l-free S.  For l = 2 no
+candidate has a chosen neighbour, so K is empty and the cap is l-1.
 
 Resource caps are node counts, not wall clock, so capped results are
 machine-independent and reproducible.  As in every exact search of the
@@ -41,17 +44,32 @@ class AlphaResult:
     ell: int
 
 
-def _clique_cover_bound(adj, mask: int, ell: int) -> int:
-    """Greedy clique partition of ``mask``; each clique of size q caps the
-    contribution of its vertices to a K_ell-free set at min(q, ell-1)."""
+def _clique_cover_bound(adj, chosen: int, mask: int, ell: int) -> int:
+    """Upper bound on how many vertices of ``mask`` a K_ell-free superset of
+    ``chosen`` can add, from a greedy clique partition of ``mask``.
+
+    Each part is seeded at its lowest vertex v.  A clique K is first grown
+    greedily inside ``chosen & N(v)``, lowest index first, and the part then
+    extends only inside the common neighbourhood of K.  For a K_ell-free
+    S containing ``chosen``, (S & Q) | K is a clique of S for the part Q,
+    so Q contributes at most min(|Q|, ell-1-|K|) vertices.  That cap is at
+    least 1, because every candidate v keeps ``chosen | {v}`` K_ell-free,
+    so |K| + 1 <= ell - 1.
+    """
     bound = 0
-    cap = ell - 1
     rest = mask
     while rest:
         low = rest & -rest
         v = low.bit_length() - 1
-        clique = low
         avail = rest & adj[v]
+        cap = ell - 1
+        common = chosen & adj[v]
+        while common:
+            w = (common & -common).bit_length() - 1
+            common &= adj[w]
+            avail &= adj[w]
+            cap -= 1
+        clique = low
         size = 1
         while avail:
             ulow = avail & -avail
@@ -99,13 +117,19 @@ def alpha_ell_exact(g: Graph, ell: int, node_cap: Optional[int] = None,
             best_size, best_mask = size, chosen
         if not cand:
             return
-        if size + _clique_cover_bound(adj, cand, ell) <= best_size:
+        if size + _clique_cover_bound(adj, chosen, cand, ell) <= best_size:
             return
-        csize = cand.bit_count()
-        if csize == 1:
-            v = cand.bit_length() - 1
-        else:
-            v = max(iter_bits(cand), key=lambda u: ((adj[u] & cand).bit_count(), u))
+        # highest degree inside cand, ties to the higher index
+        v = -1
+        vdeg = -1
+        rest = cand
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            d = (adj[u] & cand).bit_count()
+            if d >= vdeg:
+                v, vdeg = u, d
         branch(chosen | (1 << v), size + 1,
                _feasible_candidates(adj, ell, chosen, cand & ~(1 << v), v))
         branch(chosen, size, cand & ~(1 << v))

@@ -13,6 +13,7 @@ from itertools import combinations
 from typing import Dict, List, Tuple
 
 import pytest
+from hypothesis import strategies as st
 
 from cfl.graphs import Graph, mask_of, random_gnp
 from cfl.rng import SplitMix64
@@ -118,3 +119,13 @@ def seeded_graphs(count: int, n_range: Tuple[int, int], seed: int,
 @pytest.fixture(scope="session")
 def small_graph_battery():
     return seeded_graphs(40, (4, 11), seed=0xBEEF)
+
+
+@st.composite
+def small_graphs(draw, max_n=12):
+    """Hypothesis strategy: a graph on 1..max_n vertices, each pair drawn as
+    an edge or not."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])

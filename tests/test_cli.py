@@ -1,9 +1,13 @@
 """Command-line harness: runs, sweeps, conversion, exit codes, reproducibility."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfl.cli import main
 from cfl.config import Config, ConfigError
@@ -122,6 +126,34 @@ def test_cover_user_errors_exit_two(tmp_path, capsys, key, value, field):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, body, field", [
+    ("alpha", "graph = c5\nell = 1\n", "[alpha] ell"),
+    ("alpha", "graph = c5\nell = 0\nmode = greedy\n", "[alpha] ell"),
+    ("rtt", "n = 0\nr = 3\nell = 2\nalpha_bound = 3\n", "[rtt] n"),
+    ("rtt", "n = 3\nr = 1\nell = 2\nalpha_bound = 3\n", "[rtt] r"),
+    ("rtt", "n = 3\nr = 3\nell = 1\nalpha_bound = 3\n", "[rtt] ell"),
+    ("embed", "graph = complete:6\nclasses = 0-2;3-6\np = 1\n",
+     "[embed] classes[1]"),
+    ("embed", "graph = complete:6\nclasses = 0,7;3-5\np = 1\n",
+     "[embed] classes[0]"),
+    ("embed", "graph = complete:6\nclasses = 0-5\np = 1\n", "[embed] classes"),
+    ("embed", "graph = complete:6\nclasses = 0-2;2-5\np = 1\n",
+     "[embed] classes[1]"),
+    ("embed", "graph = complete:6\nclasses = 0-2;3-5\np = 0\n", "[embed] p"),
+    ("embed", "graph = complete:6\nclasses = 0-2;3-5\np = 1\ns = 0\n",
+     "[embed] s"),
+    ("embed", "graph = complete:6\nclasses = 0-2;3-5\np = 1\nbeta = 1\n",
+     "[embed] beta"),
+    ("embed", "graph = complete:6\nclasses = 0-2;3-5\np = 1\nalpha_bound = x\n",
+     "[embed] alpha_bound"),
+    ("alpha", "graph = gnp:12\nell = 2\n", "[alpha] graph"),
+])
+def test_out_of_range_parameters_exit_two(tmp_path, capsys, kind, body, field):
+    cfg = write(tmp_path / "oor.ini", f"[run]\nkind = {kind}\n[{kind}]\n{body}")
+    assert run_cli([kind, "--config", cfg]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_exit_code_kind_mismatch(tmp_path):
     cfg = write(tmp_path / "mm.ini", "[run]\nkind = tile\n"
                                      "[alpha]\ngraph = c5\nell = 2\n")
@@ -178,6 +210,27 @@ def test_report_file_written_atomically(tmp_path, capsys):
     rep = json.loads((outdir / files[0]).read_text())
     assert rep["result"]["value"] == 4
     assert not [f for f in files if f.startswith(".tmp")]
+
+
+@pytest.mark.parametrize("seeds, budgets", [
+    (("1", "2"), (None, None)),
+    (("1", "1"), ("10", "20")),
+])
+def test_report_files_differ_by_seed_and_node_budget(tmp_path, capsys,
+                                                    monkeypatch, seeds, budgets):
+    cfg = write(tmp_path / "a.ini", "[run]\nkind = alpha\n"
+                                    "[alpha]\ngraph = gnp:12,0.5\nell = 3\n")
+    outdir = tmp_path / "o"
+    for seed, budget in zip(seeds, budgets):
+        if budget is None:
+            monkeypatch.delenv("CFL_NODE_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("CFL_NODE_BUDGET", budget)
+        assert run_cli(["alpha", "--config", cfg, "--seed", seed,
+                        "--out", str(outdir)]) in (0, 4)
+    paths = capsys.readouterr().out.split()
+    assert len(set(paths)) == 2
+    assert sorted(os.listdir(outdir)) == sorted(os.path.basename(p) for p in paths)
 
 
 def test_scan_sweep_writes_reports_and_csv(tmp_path, capsys):
@@ -312,3 +365,124 @@ def test_embed_kind_auto_alpha(tmp_path, capsys):
     rep = read_report(capsys)
     assert rep["result"]["success"] is True
     assert len(rep["result"]["vertices"]) == 4
+
+
+# -- fuzzing over generated configs ---------------------------------------------
+
+_JUNK = st.sampled_from(["", "x", "1.5", "-", "1e3", "0x10", "3 4"])
+
+
+def _value(lo, hi=5):
+    """Mostly an integer in lo..hi, sometimes one just outside, sometimes junk."""
+    valid = st.integers(lo, hi).map(str)
+    return st.one_of(valid, valid, valid, valid,
+                     st.integers(lo - 2, hi + 1).map(str), _JUNK)
+
+
+_VALID_GRAPHS = st.one_of(
+    st.sampled_from(["c5", "petersen"]),
+    st.integers(1, 8).map(lambda n: f"complete:{n}"),
+    st.integers(3, 12).map(lambda n: f"cycle:{n}"),
+    st.integers(0, 8).map(lambda n: f"empty:{n}"),
+    st.integers(1, 10).map(lambda n: f"path:{n}"),
+    st.tuples(st.integers(1, 6), st.integers(1, 3)).map(
+        lambda a: f"kneser:{a[0]},{a[1]}"),
+    st.lists(st.integers(1, 4), min_size=1, max_size=4).map(
+        lambda ps: "multipartite:" + ",".join(map(str, ps))),
+    st.tuples(st.integers(0, 14), st.sampled_from(["0", "0.3", "0.5", "1"]),
+              st.integers(0, 9)).map(lambda a: f"gnp:{a[0]},{a[1]},{a[2]}"),
+    st.tuples(st.integers(1, 12), st.sampled_from(["0.2", "0.5"]),
+              st.integers(0, 12)).map(
+        lambda a: f"gnp-min-degree:{a[0]},{a[1]},{a[2]}"))
+
+
+@st.composite
+def _malformed_graphs(draw):
+    name = draw(st.sampled_from(
+        ["cycle", "complete", "empty", "kneser", "multipartite", "gnp",
+         "gnp-min-degree", "nosuch", "./missing.g6"]))
+    if name in ("nosuch", "./missing.g6"):
+        return name
+    args = draw(st.lists(st.one_of(st.integers(-2, 2).map(str), _JUNK,
+                                   st.sampled_from(["1.5", "-0.2"])),
+                         max_size=4))
+    return f"{name}:{','.join(args)}"
+
+
+def _graph_specs():
+    """Generator specs of at most 15 vertices, about a quarter malformed."""
+    return st.one_of(_VALID_GRAPHS, _VALID_GRAPHS, _VALID_GRAPHS,
+                     _malformed_graphs())
+
+
+def _vertex_lists():
+    return st.lists(st.integers(-1, 16), max_size=5).map(
+        lambda vs: ",".join(map(str, vs)))
+
+
+def _class_lists():
+    """Consecutive disjoint ranges '0-2;3-4', or arbitrary vertex lists."""
+    ranges = st.lists(st.integers(1, 4), min_size=2, max_size=3).map(
+        lambda sizes: ";".join(f"{sum(sizes[:i])}-{sum(sizes[:i + 1]) - 1}"
+                               for i in range(len(sizes))))
+    return st.one_of(ranges, ranges, ranges,
+                     st.lists(_vertex_lists(), min_size=1, max_size=3).map(";".join))
+
+
+@st.composite
+def _fuzz_configs(draw):
+    kind = draw(st.sampled_from(["alpha", "rtt", "embed", "cover", "tile",
+                                 "factor"]))
+    keys = {}
+    if kind != "rtt":
+        keys["graph"] = draw(_graph_specs())
+    if kind == "alpha":
+        keys["ell"] = draw(_value(2))
+        keys["mode"] = draw(st.sampled_from(["exact", "exact", "greedy", "other"]))
+    elif kind in ("tile", "factor"):
+        keys["r"] = draw(_value(2))
+    elif kind == "cover":
+        keys["vertex"] = draw(_value(0, 14))
+        keys["r"] = draw(_value(1))
+        keys["forbidden"] = draw(st.one_of(st.just(""), _vertex_lists()))
+    elif kind == "rtt":
+        # n <= 5 scans at most 2^10 graphs; n = 8 samples `tries` graphs
+        keys["n"] = draw(st.one_of(_value(1), st.just("8")))
+        keys["r"] = draw(_value(2))
+        keys["ell"] = draw(_value(2))
+        keys["alpha_bound"] = draw(_value(0, 8))
+        keys["tries"] = draw(st.integers(-1, 2).map(str))
+    else:
+        keys["classes"] = draw(_class_lists())
+        keys["p"] = draw(_value(1, 3))
+        keys["alpha_bound"] = draw(st.one_of(st.just("auto"), _value(0)))
+        keys["s"] = draw(_value(1, 3))
+        keys["beta"] = draw(st.sampled_from(["0.1", "0.5", "0", "1", "x"]))
+        keys["trials"] = draw(st.integers(-1, 3).map(str))
+    dropped = draw(st.one_of(st.none(), st.none(), st.none(),
+                             st.sampled_from(sorted(keys))))
+    body = "".join(f"{k} = {v}\n" for k, v in keys.items() if k != dropped)
+    budget = draw(st.sampled_from([None, None, None, "-1", "0", "3", "50", "x"]))
+    return kind, f"[run]\nkind = {kind}\n[{kind}]\n{body}", budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzz_configs())
+def test_generated_configs_never_end_in_a_traceback(case):
+    kind, text, budget = case
+    saved = os.environ.pop("CFL_NODE_BUDGET", None)
+    if budget is not None:
+        os.environ["CFL_NODE_BUDGET"] = budget
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.ini")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = run_cli([kind, "--config", path, "--out", tmp])
+    finally:
+        os.environ.pop("CFL_NODE_BUDGET", None)
+        if saved is not None:
+            os.environ["CFL_NODE_BUDGET"] = saved
+    assert code in (0, 2, 3, 4)

@@ -1,14 +1,15 @@
 """Clique-independence solvers, cover checks, and the tiny-n oracle."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfl.graphs import (VertexSet, complete_graph, cycle_graph, empty_graph,
                         has_clique, iter_clique_masks, petersen_graph,
                         random_gnp)
-from cfl.invariants import (alpha_ell_exact, alpha_ell_greedy,
-                            has_clique_cover, rtt_oracle)
+from cfl.invariants import (_clique_cover_bound, alpha_ell_exact,
+                            alpha_ell_greedy, has_clique_cover, rtt_oracle)
 
-from conftest import contains_clique, naive_alpha
+from conftest import contains_clique, naive_alpha, small_graphs
 
 
 def test_alpha_examples():
@@ -88,6 +89,75 @@ def test_alpha_node_cap_counts_the_first_node_past_it():
 def test_alpha_rejects_bad_ell():
     with pytest.raises(ValueError):
         alpha_ell_exact(complete_graph(3), 1)
+
+
+# -- the clique-cover bound ---------------------------------------------------
+
+
+def reference_alpha(g, ell, universe):
+    """The exact search without any bound: same branching vertex (highest
+    degree inside the candidates, ties to the higher index), include branch
+    first, incumbent replaced only by a strictly larger set.  A sound bound
+    prunes only subtrees that cannot beat the incumbent, so the pruned search
+    must return this value and this witness."""
+    best = [0, 0]
+
+    def branch(chosen, size, cand):
+        if size > best[0]:
+            best[:] = [size, chosen]
+        if not cand:
+            return
+        v = max((u for u in range(g.n) if cand >> u & 1),
+                key=lambda u: ((g.adj[u] & cand).bit_count(), u))
+        rest = cand & ~(1 << v)
+        keep = chosen | 1 << v
+        feasible = 0
+        for u in range(g.n):
+            if rest >> u & 1 and not has_clique(g, ell, keep | 1 << u):
+                feasible |= 1 << u
+        branch(keep, size + 1, feasible)
+        branch(chosen, size, rest)
+
+    branch(0, 0, universe)
+    return best[0], best[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.integers(2, 5), st.integers(0, 2**12 - 1),
+       st.booleans())
+def test_alpha_matches_unpruned_search(g, ell, sub, whole):
+    within = None if whole else VertexSet(g, sub & g.full_mask())
+    universe = g.full_mask() if whole else within.mask
+    res = alpha_ell_exact(g, ell, within=within)
+    assert res.exact
+    assert (res.value, res.witness.mask) == reference_alpha(g, ell, universe)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(max_n=10), st.integers(2, 5), st.data())
+def test_clique_cover_bound_is_at_least_the_optimum(g, ell, data):
+    # a random K_ell-free chosen set, grown in a drawn order
+    chosen = 0
+    for v in data.draw(st.permutations(range(g.n))):
+        if data.draw(st.booleans()) and not has_clique(g, ell, chosen | 1 << v):
+            chosen |= 1 << v
+    feasible = [v for v in range(g.n) if not chosen >> v & 1
+                and not has_clique(g, ell, chosen | 1 << v)]
+    cand = 0
+    for v in feasible:
+        if data.draw(st.booleans()):
+            cand |= 1 << v
+    best = max(sub.bit_count() for sub in range(1 << g.n)
+               if sub & ~cand == 0 and not has_clique(g, ell, chosen | sub))
+    assert _clique_cover_bound(g.adj, chosen, cand, ell) >= best
+
+
+@pytest.mark.parametrize("n, ell, cap", [(42, 3, 10_000), (34, 4, 25_000)])
+def test_alpha_node_counts_with_the_chosen_clique_cap(n, ell, cap):
+    # before the chosen-clique cap: 44,457 and 206,583 nodes
+    res = alpha_ell_exact(random_gnp(n, 0.5, 1), ell)
+    assert res.exact
+    assert res.nodes_explored <= cap
 
 
 # -- clique covers -----------------------------------------------------------

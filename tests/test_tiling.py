@@ -10,7 +10,7 @@ from cfl.graphs import (Graph, VertexSet, complete_graph,
 from cfl.tiling import (_free_sets, greedy_tiling, has_factor, max_tiling,
                         verify_tiling)
 
-from conftest import naive_has_factor, naive_max_tiling_count
+from conftest import naive_has_factor, naive_max_tiling_count, small_graphs
 
 
 def test_max_tiling_examples():
@@ -208,14 +208,6 @@ def assert_matches_reference(g, r, within):
     else:
         expect = sorted(found, key=lambda m: VertexSet(g, m).vertices())
         assert [m.mask for m in fac.tiling.members] == expect
-
-
-@st.composite
-def small_graphs(draw):
-    n = draw(st.integers(1, 12))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph(n, [e for e, k in zip(pairs, keep) if k])
 
 
 @st.composite
