@@ -19,7 +19,6 @@ import hashlib
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -78,6 +77,23 @@ def _vertices(raw: str, field: str, g: Graph) -> VertexSet:
 
 def _vertex_set(cfg: Config, section: str, key: str, g: Graph) -> VertexSet:
     return _vertices(cfg.get_str(section, key), f"[{section}] {key}", g)
+
+
+def _user_error(exc: Exception, where: str = "") -> int:
+    """Print a config or input error on stderr; return its exit code."""
+    if isinstance(exc, ConfigError):
+        print(f"{where}config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    print(f"{where}input error: {exc}", file=sys.stderr)
+    return EXIT_INPUT
+
+
+def _vertex(cfg: Config, section: str, key: str, g: Graph) -> int:
+    v = cfg.get_int(section, key)
+    if not 0 <= v < g.n:
+        raise ConfigError(f"[{section}] {key}",
+                          f"expected a vertex id in 0..{g.n - 1}, got {v}")
+    return v
 
 
 def _node_budget(cfg: Config) -> Optional[int]:
@@ -140,10 +156,7 @@ def run_factor(cfg, seed, caps, outdir):
 
 def run_cover(cfg, seed, caps, outdir):
     g = load_graph(cfg, "cover", seed=seed)
-    v = cfg.get_int("cover", "vertex")
-    if not 0 <= v < g.n:
-        raise ConfigError("[cover] vertex",
-                          f"expected a vertex id in 0..{g.n - 1}, got {v}")
+    v = _vertex(cfg, "cover", "vertex", g)
     r = cfg.get_int("cover", "r")
     if r < 1:
         raise ConfigError("[cover] r", f"expected an integer >= 1, got {r}")
@@ -281,9 +294,17 @@ def run_drc(cfg, seed, caps, outdir):
     g = load_graph(cfg, "drc", seed=seed)
     target = _vertex_set(cfg, "drc", "target", g)
     witness = _vertex_set(cfg, "drc", "witness", g)
+    if target.mask & witness.mask:
+        raise ConfigError("[drc] witness", "meets [drc] target")
+    if not target.mask | witness.mask:
+        raise ConfigError("[drc] target", "target and witness are both empty")
     t = cfg.get_int("drc", "t")
     r = cfg.get_int("drc", "r")
     m = cfg.get_int("drc", "m")
+    for key, value, low in (("t", t, 1), ("r", r, 2), ("m", m, 1)):
+        if value < low:
+            raise ConfigError(f"[drc] {key}",
+                              f"expected an integer >= {low}, got {value}")
     trials = cfg.get_int("drc", "trials", 8)
     out = embedding.drc_select(g, target, witness, t, r, m, seed=seed,
                                max_trials=trials)
@@ -337,8 +358,10 @@ def run_embed(cfg, seed, caps, outdir):
 
 def run_absorb(cfg, seed, caps, outdir):
     task = cfg.get_str("absorb", "task")
+    r = cfg.get_int("absorb", "r")
+    if r < 2:
+        raise ConfigError("[absorb] r", f"expected an integer >= 2, got {r}")
     if task == "gadget":
-        r = cfg.get_int("absorb", "r")
         gad = absorption.build_reachable_gadget(r)
         cert = absorption.certify_reachable(gad.graph, gad.u, gad.v,
                                             gad.reach_set, r)
@@ -349,10 +372,13 @@ def run_absorb(cfg, seed, caps, outdir):
                   "factor_v": [m for m in cert.factor_v.members] if cert else None}
         return result, {"cap_hit": False}
     g = load_graph(cfg, "absorb", seed=seed)
-    r = cfg.get_int("absorb", "r")
     if task == "absorber":
         s = _vertex_set(cfg, "absorb", "s_set", g)
+        if len(s) != r:
+            raise ConfigError("[absorb] s_set", f"expected exactly r = {r} vertices")
         a = _vertex_set(cfg, "absorb", "a_set", g)
+        if a.mask & s.mask:
+            raise ConfigError("[absorb] a_set", "meets [absorb] s_set")
         t = cfg.get_int("absorb", "t")
         cert = absorption.certify_absorber(g, s, a, r, t)
         result = {"task": task, "certified": cert is not None,
@@ -360,9 +386,13 @@ def run_absorb(cfg, seed, caps, outdir):
                   "factor_of_a_union_s":
                       [m for m in cert.factor_of_a_union_s.members] if cert else None}
     elif task == "reachable":
-        u = cfg.get_int("absorb", "u")
-        v = cfg.get_int("absorb", "v")
+        u = _vertex(cfg, "absorb", "u", g)
+        v = _vertex(cfg, "absorb", "v", g)
+        if u == v:
+            raise ConfigError("[absorb] v", "equals [absorb] u")
         s = _vertex_set(cfg, "absorb", "s_set", g)
+        if u in s or v in s:
+            raise ConfigError("[absorb] s_set", "contains [absorb] u or v")
         cert = absorption.certify_reachable(g, u, v, s, r)
         result = {"task": task, "certified": cert is not None,
                   "factor_u": [m for m in cert.factor_u.members] if cert else None,
@@ -383,7 +413,7 @@ def run_absorb(cfg, seed, caps, outdir):
     elif task == "closedness":
         raw = cfg.get_str("absorb", "u_set", "all")
         u_set = (VertexSet(g, g.full_mask()) if raw == "all"
-                 else VertexSet.of(g, parse_vertex_list(raw, "[absorb] u_set")))
+                 else _vertices(raw, "[absorb] u_set", g))
         t = cfg.get_int("absorb", "t", 1)
         budget = cfg.get_int("absorb", "pair_budget", 64)
         inner = cfg.get_bool("absorb", "inner", False)
@@ -546,6 +576,11 @@ def cmd_run(kind: str, args) -> int:
 
 
 def cmd_scan(args) -> int:
+    """Sweep one parameter.  A point that raises a user error gets no report
+    and its row in scan.csv says so; the scan still writes every other point.
+    Exit code: the first failing point's, else 4 if any point capped, else 0."""
+    from concurrent.futures import ThreadPoolExecutor
+
     cfg = Config.from_path(args.config)
     kind = cfg.get_str("run", "kind")
     if kind not in HANDLERS:
@@ -558,40 +593,45 @@ def cmd_scan(args) -> int:
     # semicolons separate values that themselves contain commas
     splitter = ";" if ";" in raw_values else ","
     values = [v.strip() for v in raw_values.split(splitter) if v.strip()]
+    points = [cfg.scan_point(section, key, value) for value in values]
     base_seed = args.seed if args.seed is not None else cfg.get_int("run", "seed", 0)
     outdir = args.out or "cfl-scan-out"
     os.makedirs(outdir, exist_ok=True)
 
-    def one(idx_value):
-        idx, value = idx_value
-        point_cfg = cfg.scan_point(section, key, value)
-        result, meta, timings = _execute(kind, point_cfg, base_seed, outdir)
-        report = reports.build_report(kind, base_seed, point_cfg.flat(), result,
+    def one(idx):
+        try:
+            result, meta, timings = _execute(kind, points[idx], base_seed, outdir)
+        except (ConfigError, InputError) as exc:
+            code = _user_error(exc, f"point {idx} ({param} = {values[idx]}): ")
+            return "error", code, {}
+        report = reports.build_report(kind, base_seed, points[idx].flat(), result,
                                       meta["flags"], meta["caps"], timings)
         path = _report_path(outdir, report, prefix=f"point-{idx:03d}")
         reports.write_report_atomic(path, report)
-        return idx, value, report
+        if meta["flags"].get("cap_hit"):
+            return "cap", EXIT_CAP, report["result"]
+        return "ok", EXIT_OK, report["result"]
 
-    rows = []
-    if values:
-        with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-            rows = list(pool.map(one, enumerate(values)))
+    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
+        rows = list(pool.map(one, range(len(points))))
     scalar_keys: List[str] = []
-    for _, _, rep in rows:
-        for k, v in rep["result"].items():
+    for _, _, result in rows:
+        for k, v in result.items():
             if isinstance(v, (int, float, str, bool)) and k not in scalar_keys:
                 scalar_keys.append(k)
-    csv_rows = []
-    for idx, value, rep in rows:
-        csv_rows.append([idx, param, value]
-                        + [rep["result"].get(k) for k in scalar_keys])
+    fixed = ["index", "param", "param_value", "status", "exit_code"]
+    csv_rows = [[idx, param, values[idx], status, code]
+                + [result.get(k) for k in scalar_keys]
+                for idx, (status, code, result) in enumerate(rows)]
     csv_path = os.path.join(outdir, "scan.csv")
-    reports.write_csv_atomic(csv_path,
-                             ["index", "param", "param_value"] + scalar_keys,
-                             csv_rows)
+    reports.write_csv_atomic(
+        csv_path, fixed + [f"result.{k}" if k in fixed else k for k in scalar_keys],
+        csv_rows)
     print(csv_path)
-    capped = any(rep["flags"].get("cap_hit") for _, _, rep in rows)
-    return EXIT_CAP if capped else EXIT_OK
+    failed = [code for status, code, _ in rows if status == "error"]
+    if failed:
+        return failed[0]
+    return EXIT_CAP if any(status == "cap" for status, _, _ in rows) else EXIT_OK
 
 
 def cmd_convert(args) -> int:
@@ -650,15 +690,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "scan":
             return cmd_scan(args)
         return cmd_run(args.command, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except (ConfigError, InputError, FileNotFoundError) as exc:
+        return _user_error(exc)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .rng import SplitMix64, bulk_random
+from .rng import SplitMix64
 
 
 class SearchCapExceeded(Exception):
@@ -397,23 +397,9 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
-    npairs = n * (n - 1) // 2
-    if npairs == 0:
-        return Graph(n)
-    if p == 0.0:
-        return Graph(n)
-    if p == 1.0:
-        return complete_graph(n)
-    draws = bulk_random(seed, npairs)
-    hit = draws < p
-    edges = []
-    k = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if hit[k]:
-                edges.append((u, v))
-            k += 1
-    return Graph(n, edges)
+    draw = SplitMix64(seed).random
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if draw() < p])
 
 
 def random_graph_with_min_degree(n: int, target: int, seed: int,

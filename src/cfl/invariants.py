@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from .graphs import (Graph, SearchCapExceeded, VertexSet, _has_clique,
                      iter_bits, iter_clique_masks)
 from .rng import SplitMix64
@@ -243,6 +241,8 @@ def rtt_oracle(n: int, r: int, ell: int, alpha_bound: int, seed: int = 0,
 
 def _rtt_exhaustive(n: int, r: int, ell: int, alpha_bound: int,
                     degenerate: bool) -> RttResult:
+    import numpy as np
+
     npairs = n * (n - 1) // 2
     total = 1 << npairs
     pair_masks = _pair_index_masks(n)

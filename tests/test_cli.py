@@ -4,11 +4,14 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cfl
 from cfl.cli import main
 from cfl.config import Config, ConfigError
 from cfl.graphs import cycle_graph, format_edgelist, parse_graph
@@ -147,6 +150,33 @@ def test_cover_user_errors_exit_two(tmp_path, capsys, key, value, field):
     ("embed", "graph = complete:6\nclasses = 0-2;3-5\np = 1\nalpha_bound = x\n",
      "[embed] alpha_bound"),
     ("alpha", "graph = gnp:12\nell = 2\n", "[alpha] graph"),
+    ("absorb", "task = closedness\ngraph = petersen\nr = 3\nu_set = 0,99\n",
+     "[absorb] u_set"),
+    ("absorb", "task = reachable\ngraph = petersen\nr = 3\nu = 0\nv = 99\n"
+     "s_set = 1,2\n", "[absorb] v"),
+    ("absorb", "task = reachable\ngraph = petersen\nr = 3\nu = -1\nv = 0\n"
+     "s_set = 1,2\n", "[absorb] u"),
+    ("absorb", "task = reachable\ngraph = petersen\nr = 3\nu = 4\nv = 4\n"
+     "s_set = 1,2\n", "[absorb] v"),
+    ("absorb", "task = reachable\ngraph = petersen\nr = 3\nu = 1\nv = 4\n"
+     "s_set = 1,2\n", "[absorb] s_set"),
+    ("absorb", "task = absorber\ngraph = petersen\nr = 3\ns_set = 0,1\n"
+     "a_set = 2,3,4\nt = 1\n", "[absorb] s_set"),
+    ("absorb", "task = absorber\ngraph = petersen\nr = 3\ns_set = 0,1,2\n"
+     "a_set = 2,3,4\nt = 1\n", "[absorb] a_set"),
+    ("absorb", "task = gadget\nr = 1\n", "[absorb] r"),
+    ("absorb", "task = xi\ngraph = petersen\nr = 0\na_set = 0,1,2\nxi = 0\n",
+     "[absorb] r"),
+    ("drc", "graph = petersen\ntarget = 0-4\nwitness = 4-9\nt = 1\nr = 2\nm = 1\n",
+     "[drc] witness"),
+    ("drc", "graph = petersen\ntarget =\nwitness =\nt = 1\nr = 2\nm = 1\n",
+     "[drc] target"),
+    ("drc", "graph = petersen\ntarget = 0-4\nwitness = 5-9\nt = 0\nr = 2\nm = 1\n",
+     "[drc] t"),
+    ("drc", "graph = petersen\ntarget = 0-4\nwitness = 5-9\nt = 1\nr = 1\nm = 1\n",
+     "[drc] r"),
+    ("drc", "graph = petersen\ntarget = 0-4\nwitness = 5-9\nt = 1\nr = 2\nm = 0\n",
+     "[drc] m"),
 ])
 def test_out_of_range_parameters_exit_two(tmp_path, capsys, kind, body, field):
     cfg = write(tmp_path / "oor.ini", f"[run]\nkind = {kind}\n[{kind}]\n{body}")
@@ -271,8 +301,62 @@ def test_scan_exits_four_when_a_point_is_capped(tmp_path, capsys, monkeypatch):
     outdir = tmp_path / "capped"
     assert run_cli(["scan", "--config", cfg, "--out", str(outdir)]) == 4
     lines = (outdir / "scan.csv").read_text().strip().split("\n")
-    assert lines[1:] == ["0,run.node_budget,2,3,cap",
-                         "1,run.node_budget,1000,3,none"]
+    assert lines == ["index,param,param_value,status,exit_code,r,result.status",
+                     "0,run.node_budget,2,cap,4,3,cap",
+                     "1,run.node_budget,1000,ok,0,3,none"]
+
+
+def test_scan_point_errors_are_rows_not_aborts(tmp_path, capsys):
+    cfg = write(tmp_path / "bad.ini", "[run]\nkind = alpha\nseed = 1\n"
+                                      "[alpha]\ngraph = c5\nell = 2\n"
+                                      "[scan]\nparam = alpha.ell\n"
+                                      "values = 2, x, 3, 1\n")
+    outdir = tmp_path / "bad"
+    assert run_cli(["scan", "--config", cfg, "--out", str(outdir),
+                    "--threads", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "point 1 (alpha.ell = x): config error: [alpha] ell" in err
+    assert "point 3 (alpha.ell = 1): config error: [alpha] ell" in err
+    lines = (outdir / "scan.csv").read_text().strip().split("\n")
+    assert lines[0].startswith("index,param,param_value,status,exit_code,value,")
+    assert [line.split(",")[:6] for line in lines[1:]] == [
+        ["0", "alpha.ell", "2", "ok", "0", "2"],
+        ["1", "alpha.ell", "x", "error", "2", ""],
+        ["2", "alpha.ell", "3", "ok", "0", "5"],
+        ["3", "alpha.ell", "1", "error", "2", ""]]
+    points = sorted(f for f in os.listdir(outdir) if f.startswith("point-"))
+    assert [p[:len("point-000")] for p in points] == ["point-000", "point-002"]
+
+
+def test_scan_exits_with_the_first_failing_points_code(tmp_path, capsys):
+    cfg = write(tmp_path / "mixed.ini",
+                "[run]\nkind = alpha\n[alpha]\ngraph = c5\nell = 2\n"
+                "[scan]\nparam = alpha.graph\n"
+                "values = c5; ./missing.el; gnp:12; petersen\n")
+    outdir = tmp_path / "mixed"
+    assert run_cli(["scan", "--config", cfg, "--out", str(outdir)]) == 3
+    assert "point 2 (alpha.graph = gnp:12): config error: [alpha] graph" in (
+        capsys.readouterr().err)
+    rows = [line.split(",")[3:5] for line in
+            (outdir / "scan.csv").read_text().strip().split("\n")[1:]]
+    assert rows == [["ok", "0"], ["error", "3"], ["error", "2"], ["ok", "0"]]
+
+
+def test_a_tile_run_loads_neither_numpy_nor_a_thread_pool(tmp_path):
+    """numpy is for the n <= 7 oracle and the rng bulk helpers, the thread
+    pool for ``cfl scan``; neither is on the path of any other kind."""
+    cfg = write(tmp_path / "t.ini", "[run]\nkind = tile\n"
+                                    "[tile]\ngraph = gnp:24,0.28,4\nr = 3\n")
+    code = ("import sys\nimport cfl.cli\n"
+            f"code = cfl.cli.main(['tile', '--config', {cfg!r}, "
+            f"'--out', {str(tmp_path)!r}])\n"
+            "print(code, [m for m in ('numpy', 'concurrent.futures') "
+            "if m in sys.modules])\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cfl.__file__)))
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"
 
 
 def test_scan_point_config_sets_one_key_and_drops_scan():
@@ -295,7 +379,7 @@ def test_scan_empty_grid_is_success(tmp_path, capsys):
     outdir = tmp_path / "empty"
     assert run_cli(["scan", "--config", cfg, "--out", str(outdir)]) == 0
     csv_text = (outdir / "scan.csv").read_text()
-    assert csv_text.strip() == "index,param,param_value"
+    assert csv_text.strip() == "index,param,param_value,status,exit_code"
 
 
 def test_graph_convert_roundtrip(tmp_path, capsys):
@@ -432,8 +516,11 @@ def _class_lists():
 @st.composite
 def _fuzz_configs(draw):
     kind = draw(st.sampled_from(["alpha", "rtt", "embed", "cover", "tile",
-                                 "factor"]))
+                                 "factor", "absorb", "drc"]))
     keys = {}
+    if kind == "absorb":
+        keys["task"] = draw(st.sampled_from(
+            ["absorber", "reachable", "xi", "closedness", "gadget", "other"]))
     if kind != "rtt":
         keys["graph"] = draw(_graph_specs())
     if kind == "alpha":
@@ -452,6 +539,27 @@ def _fuzz_configs(draw):
         keys["ell"] = draw(_value(2))
         keys["alpha_bound"] = draw(_value(0, 8))
         keys["tries"] = draw(st.integers(-1, 2).map(str))
+    elif kind == "absorb":
+        keys["r"] = draw(_value(2, 4))
+        for k in ("s_set", "a_set"):
+            keys[k] = draw(_vertex_lists())
+        keys["u"] = draw(_value(0, 14))
+        keys["v"] = draw(_value(0, 14))
+        keys["u_set"] = draw(st.one_of(st.just("all"), _vertex_lists()))
+        keys["t"] = draw(_value(0, 3))
+        keys["xi"] = draw(st.sampled_from(["0", "1/5", "0.25", "-1", "2", "x"]))
+        keys["mode"] = draw(st.sampled_from(["exhaustive", "sampled", "other"]))
+        keys["samples"] = draw(st.integers(-1, 20).map(str))
+        keys["pair_budget"] = draw(_value(0, 4))
+        keys["limit"] = draw(_value(0, 3))
+        keys["inner"] = draw(st.sampled_from(["true", "false", "x"]))
+    elif kind == "drc":
+        keys["target"] = draw(_vertex_lists())
+        keys["witness"] = draw(_vertex_lists())
+        keys["t"] = draw(_value(1, 3))
+        keys["r"] = draw(_value(2, 4))
+        keys["m"] = draw(_value(1, 4))
+        keys["trials"] = draw(st.integers(-1, 3).map(str))
     else:
         keys["classes"] = draw(_class_lists())
         keys["p"] = draw(_value(1, 3))

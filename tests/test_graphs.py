@@ -10,6 +10,7 @@ from cfl.graphs import (DuplicateEdgeError, EdgeSyntaxError,
                         empty_graph, format_edgelist, format_graph6,
                         iter_clique_masks, kneser_graph, parse_edgelist,
                         parse_graph, parse_graph6, petersen_graph, random_gnp)
+from cfl.rng import bulk_random
 
 from conftest import independent_graph6_decode, naive_cliques, seeded_graphs
 
@@ -118,6 +119,18 @@ def test_random_gnp_extremes_and_determinism():
     assert random_gnp(40, 0.37, 123) != random_gnp(40, 0.37, 124)
     with pytest.raises(ValueError):
         random_gnp(5, 1.5, 0)
+
+
+@pytest.mark.parametrize("n, p, seed", [(2, 0.5, 3), (17, 0.3, 0),
+                                        (64, 0.5, 2**64 - 1), (120, 0.05, 77),
+                                        (200, 0.5, 1), (200, 0.93, 12345)])
+def test_random_gnp_matches_the_vectorised_stream(n, p, seed):
+    """Pair k in lexicographic order is an edge iff draw k of
+    bulk_random(seed, C(n, 2)) is below p."""
+    draws = bulk_random(seed, n * (n - 1) // 2)
+    g = random_gnp(n, p, seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    assert [g.has_edge(u, v) for u, v in pairs] == [bool(d < p) for d in draws]
 
 
 def test_random_gnp_edge_count_statistics():
