@@ -96,6 +96,14 @@ def _vertex(cfg: Config, section: str, key: str, g: Graph) -> int:
     return v
 
 
+def _int_at_least(cfg: Config, section: str, key: str, low: int) -> int:
+    value = cfg.get_int(section, key)
+    if value < low:
+        raise ConfigError(f"[{section}] {key}",
+                          f"expected an integer >= {low}, got {value}")
+    return value
+
+
 def _node_budget(cfg: Config) -> Optional[int]:
     env = os.environ.get("CFL_NODE_BUDGET")
     if env is not None:
@@ -113,9 +121,7 @@ def _node_budget(cfg: Config) -> Optional[int]:
 
 def run_alpha(cfg, seed, caps, outdir):
     g = load_graph(cfg, "alpha", seed=seed)
-    ell = cfg.get_int("alpha", "ell")
-    if ell < 2:
-        raise ConfigError("[alpha] ell", f"expected an integer >= 2, got {ell}")
+    ell = _int_at_least(cfg, "alpha", "ell", 2)
     mode = cfg.get_str("alpha", "mode", "exact")
     if mode == "exact":
         res = invariants.alpha_ell_exact(g, ell, node_cap=caps.get("node_budget"))
@@ -131,9 +137,7 @@ def run_alpha(cfg, seed, caps, outdir):
 
 def run_tile(cfg, seed, caps, outdir):
     g = load_graph(cfg, "tile", seed=seed)
-    r = cfg.get_int("tile", "r")
-    if r < 2:
-        raise ConfigError("[tile] r", f"expected an integer >= 2, got {r}")
+    r = _int_at_least(cfg, "tile", "r", 2)
     res = tiling.max_tiling(g, r, node_cap=caps.get("node_budget"))
     result = {"r": r, "tiles": [m for m in res.best.members],
               "count": len(res.best), "deficiency": res.deficiency,
@@ -144,9 +148,7 @@ def run_tile(cfg, seed, caps, outdir):
 
 def run_factor(cfg, seed, caps, outdir):
     g = load_graph(cfg, "factor", seed=seed)
-    r = cfg.get_int("factor", "r")
-    if r < 2:
-        raise ConfigError("[factor] r", f"expected an integer >= 2, got {r}")
+    r = _int_at_least(cfg, "factor", "r", 2)
     res = tiling.has_factor(g, r, node_cap=caps.get("node_budget"))
     result = {"r": r, "status": res.status,
               "factor": [m for m in res.tiling.members] if res.tiling else None,
@@ -157,9 +159,7 @@ def run_factor(cfg, seed, caps, outdir):
 def run_cover(cfg, seed, caps, outdir):
     g = load_graph(cfg, "cover", seed=seed)
     v = _vertex(cfg, "cover", "vertex", g)
-    r = cfg.get_int("cover", "r")
-    if r < 1:
-        raise ConfigError("[cover] r", f"expected an integer >= 1, got {r}")
+    r = _int_at_least(cfg, "cover", "r", 1)
     forbidden = None
     if cfg.has("cover", "forbidden"):
         forbidden = _vertex_set(cfg, "cover", "forbidden", g)
@@ -175,7 +175,7 @@ def run_construct(cfg, seed, caps, outdir):
     section = "construct"
     flags = {"cap_hit": False}
     if family == "lower-bound":
-        n = cfg.get_int(section, "n")
+        n = _int_at_least(cfg, section, "n", 1)
         r = cfg.get_int(section, "r")
         ell = cfg.get_int(section, "ell")
         inner = load_graph(cfg, section, "inner", seed=seed)
@@ -197,7 +197,7 @@ def run_construct(cfg, seed, caps, outdir):
                   "alpha_audit": build.alpha_audit}
         built = build.graph
     elif family == "cover-threshold":
-        n = cfg.get_int(section, "n")
+        n = _int_at_least(cfg, section, "n", 1)
         r = cfg.get_int(section, "r")
         ell = cfg.get_int(section, "ell")
         inner = load_graph(cfg, section, "inner", seed=seed)
@@ -214,7 +214,7 @@ def run_construct(cfg, seed, caps, outdir):
                   "degree_breakdown": build.degree_breakdown}
         built = build.graph
     elif family == "sparse-klfree":
-        n = cfg.get_int(section, "n")
+        n = _int_at_least(cfg, section, "n", 1)
         ell = cfg.get_int(section, "ell")
         gamma = cfg.get_float(section, "gamma")
         tries = cfg.get_int(section, "max_tries", 20)
@@ -258,6 +258,9 @@ def run_regcheck(cfg, seed, caps, outdir):
     except ValueError as exc:
         raise InputError(f"{ppath}: {exc}") from exc
     eps = cfg.get_fraction("regcheck", "epsilon")
+    if eps <= 0:
+        raise ConfigError("[regcheck] epsilon", f"expected a positive rational, "
+                          f"got {eps}")
     d = cfg.get_fraction("regcheck", "d")
     samples = cfg.get_int("regcheck", "samples", 10_000)
     check_super = cfg.get_bool("regcheck", "super", False)
@@ -298,13 +301,9 @@ def run_drc(cfg, seed, caps, outdir):
         raise ConfigError("[drc] witness", "meets [drc] target")
     if not target.mask | witness.mask:
         raise ConfigError("[drc] target", "target and witness are both empty")
-    t = cfg.get_int("drc", "t")
-    r = cfg.get_int("drc", "r")
-    m = cfg.get_int("drc", "m")
-    for key, value, low in (("t", t, 1), ("r", r, 2), ("m", m, 1)):
-        if value < low:
-            raise ConfigError(f"[drc] {key}",
-                              f"expected an integer >= {low}, got {value}")
+    t = _int_at_least(cfg, "drc", "t", 1)
+    r = _int_at_least(cfg, "drc", "r", 2)
+    m = _int_at_least(cfg, "drc", "m", 1)
     trials = cfg.get_int("drc", "trials", 8)
     out = embedding.drc_select(g, target, witness, t, r, m, seed=seed,
                                max_trials=trials)
@@ -330,9 +329,7 @@ def run_embed(cfg, seed, caps, outdir):
         if c.mask & seen:
             raise ConfigError(f"[embed] classes[{i}]", "meets an earlier class")
         seen |= c.mask
-    p = cfg.get_int("embed", "p")
-    if p < 1:
-        raise ConfigError("[embed] p", f"expected an integer >= 1, got {p}")
+    p = _int_at_least(cfg, "embed", "p", 1)
     if cfg.get_str("embed", "alpha_bound", "auto") == "auto":
         alpha_bound = max(invariants.alpha_ell_exact(g, max(2, p), within=c).value
                           for c in classes)
@@ -358,9 +355,7 @@ def run_embed(cfg, seed, caps, outdir):
 
 def run_absorb(cfg, seed, caps, outdir):
     task = cfg.get_str("absorb", "task")
-    r = cfg.get_int("absorb", "r")
-    if r < 2:
-        raise ConfigError("[absorb] r", f"expected an integer >= 2, got {r}")
+    r = _int_at_least(cfg, "absorb", "r", 2)
     if task == "gadget":
         gad = absorption.build_reachable_gadget(r)
         cert = absorption.certify_reachable(gad.graph, gad.u, gad.v,
@@ -430,15 +425,9 @@ def run_absorb(cfg, seed, caps, outdir):
 
 
 def run_rtt(cfg, seed, caps, outdir):
-    n = cfg.get_int("rtt", "n")
-    if n < 1:
-        raise ConfigError("[rtt] n", f"expected an integer >= 1, got {n}")
-    r = cfg.get_int("rtt", "r")
-    if r < 2:
-        raise ConfigError("[rtt] r", f"expected an integer >= 2, got {r}")
-    ell = cfg.get_int("rtt", "ell")
-    if ell < 2:
-        raise ConfigError("[rtt] ell", f"expected an integer >= 2, got {ell}")
+    n = _int_at_least(cfg, "rtt", "n", 1)
+    r = _int_at_least(cfg, "rtt", "r", 2)
+    ell = _int_at_least(cfg, "rtt", "ell", 2)
     alpha_bound = cfg.get_int("rtt", "alpha_bound")
     tries = cfg.get_int("rtt", "tries", 2000)
     res = invariants.rtt_oracle(n, r, ell, alpha_bound, seed=seed, tries=tries)
@@ -454,6 +443,9 @@ def run_thresholds(cfg, seed, caps, outdir):
     result: Dict[str, object] = {}
     if cfg.has("thresholds", "parts"):
         parts = cfg.get_int_list("thresholds", "parts")
+        if not parts or min(parts) < 1:
+            raise ConfigError("[thresholds] parts", f"expected one or more "
+                              f"positive part sizes, got {parts}")
         c = bounds.chi_cr(parts)
         result["parts"] = parts
         result["chi_cr"] = c
@@ -475,9 +467,15 @@ def run_thresholds(cfg, seed, caps, outdir):
         if cfg.has("thresholds", "profile_c"):
             c = cfg.get_float("thresholds", "profile_c")
             npts = cfg.get_int("thresholds", "profile_n", n if n > 1 else 100)
-            result["alpha_profile"] = {
-                "c": c, "n": npts,
-                "value": bounds.alpha_profile(npts, r, ell, c)}
+            if npts < 2:
+                raise ConfigError("[thresholds] profile_n",
+                                  f"expected an integer >= 2, got {npts}")
+            try:
+                value = bounds.alpha_profile(npts, r, ell, c)
+            except OverflowError as exc:
+                raise ConfigError("[thresholds] profile_c",
+                                  f"profile at n = {npts} overflows: {exc}") from exc
+            result["alpha_profile"] = {"c": c, "n": npts, "value": value}
     if not result:
         raise ConfigError("[thresholds]", "nothing to compute: give parts "
                           "and/or r, ell")
@@ -486,19 +484,34 @@ def run_thresholds(cfg, seed, caps, outdir):
 
 def run_bounds(cfg, seed, caps, outdir):
     formula = cfg.get_str("bounds", "formula")
+
+    def probability() -> float:
+        p = cfg.get_float("bounds", "p")
+        if not 0.0 <= p <= 1.0:
+            raise ConfigError("[bounds] p", f"expected a probability in [0, 1], "
+                              f"got {p}")
+        return p
+
+    def nonnegative(key: str) -> float:
+        value = cfg.get_float("bounds", key)
+        if not value >= 0.0:
+            raise ConfigError(f"[bounds] {key}",
+                              f"expected a number >= 0, got {value}")
+        return value
+
     if formula == "fkg":
         n = cfg.get_int("bounds", "n")
-        ell = cfg.get_int("bounds", "ell")
-        p = cfg.get_float("bounds", "p")
+        ell = _int_at_least(cfg, "bounds", "ell", 1)
+        p = probability()
         log_lb = bounds.fkg_lower_bound(n, ell, p)
         result = {"formula": formula, "n": n, "ell": ell, "p": p,
                   "log_lower_bound": log_lb,
                   "lower_bound": 0.0 if log_lb == -float("inf")
                   else __import__("math").exp(log_lb)}
     elif formula == "janson":
-        a = cfg.get_int("bounds", "a_size")
-        ell = cfg.get_int("bounds", "ell")
-        p = cfg.get_float("bounds", "p")
+        ell = _int_at_least(cfg, "bounds", "ell", 2)
+        a = _int_at_least(cfg, "bounds", "a_size", ell)
+        p = probability()
         rep = bounds.janson_bound(a, ell, p)
         result = {"formula": formula, "a_size": a, "ell": ell, "p": p,
                   "expected_x": rep.expected_x, "delta": rep.delta,
@@ -506,11 +519,11 @@ def run_bounds(cfg, seed, caps, outdir):
                   "upper_bound": rep.upper_bound,
                   "delta_exact": bounds.janson_delta_exact(a, ell, p)}
     elif formula == "drc-condition":
-        n = cfg.get_int("bounds", "n")
-        d = cfg.get_float("bounds", "avg_degree")
-        t = cfg.get_int("bounds", "t")
-        r = cfg.get_int("bounds", "r")
-        m = cfg.get_float("bounds", "m")
+        n = _int_at_least(cfg, "bounds", "n", 1)
+        d = nonnegative("avg_degree")
+        t = _int_at_least(cfg, "bounds", "t", 1)
+        r = _int_at_least(cfg, "bounds", "r", 1)
+        m = nonnegative("m")
         a = cfg.get_float("bounds", "a")
         slack = bounds.drc_condition(n, d, t, r, m, a)
         result = {"formula": formula, "slack": slack, "holds": slack >= 0}

@@ -15,11 +15,18 @@ package, the recursion counts its nodes in a local ``nodes`` and raises
 ``graphs.SearchCapExceeded`` on the first node past ``node_cap``; the entry
 point catches it and returns the incumbent with ``exact=False`` and
 ``nodes_explored = node_cap + 1``.
+
+The tiny-n oracle never runs that solver for n <= 7.  It decides
+alpha_l(G) <= b for all labeled graphs of one minimum-degree level at once:
+that holds exactly when every (b+1)-subset of the vertices contains a K_l,
+which is a handful of mask tests on the graphs' pair-bit encodings.  Only
+the graphs that pass are built and checked for a K_r-factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import List, Optional
 
 from .graphs import (Graph, SearchCapExceeded, VertexSet, _has_clique,
@@ -226,10 +233,14 @@ def rtt_oracle(n: int, r: int, ell: int, alpha_bound: int, seed: int = 0,
     and "no K_r-factor".
 
     n <= 7: exhaustive over all 2^C(n,2) labeled graphs, scanned in
-    decreasing-min-degree order (degree pruning only; isomorph rejection is
-    unnecessary for exhaustiveness).  Larger n: seeded randomized search,
-    flagged non-exhaustive.  r not dividing n is accepted but flagged
-    degenerate (no graph has a factor, so the factor constraint is vacuous).
+    decreasing-min-degree order, ascending pair mask within a degree
+    (isomorph rejection is unnecessary for exhaustiveness).  Each degree
+    level is filtered at once by the test "every (alpha_bound+1)-subset
+    holds a K_ell"; only the survivors, in order, run ``has_factor``, and
+    ``graphs_scanned`` counts graphs up to the answer in that order.  Larger
+    n: seeded randomized search, flagged non-exhaustive.  r not dividing n
+    is accepted but flagged degenerate (no graph has a factor, so the factor
+    constraint is vacuous).
     """
     if n < 1 or r < 2 or ell < 2:
         raise ValueError("need n >= 1, r >= 2, ell >= 2")
@@ -251,19 +262,34 @@ def _rtt_exhaustive(n: int, r: int, ell: int, alpha_bound: int,
     for v in range(n):
         dv = np.bitwise_count(masks_arr & np.uint32(pair_masks[v])).astype(np.uint8)
         np.minimum(mindeg, dv, out=mindeg)
-    order = np.argsort(-mindeg.astype(np.int16), kind="stable")
+    # pair bits of each ell-clique; the pair slot of u < v is the one bit
+    # their incidence masks share
+    clique_masks = {t: np.uint32(sum(pair_masks[u] & pair_masks[v]
+                                     for u, v in combinations(t, 2)))
+                    for t in combinations(range(n), ell)}
     scanned = 0
-    for idx in order:
-        scanned += 1
-        g = _graph_from_pair_mask(n, int(idx))
-        if alpha_ell_exact(g, ell).value > alpha_bound:
-            continue
-        if not degenerate:
-            if tiling.has_factor(g, r).tiling is not None:
-                continue
-        return RttResult(n, r, ell, alpha_bound, value=g.min_degree(), witness=g,
-                         exhaustive=True, degenerate=degenerate, feasible=True,
-                         graphs_scanned=scanned)
+    for degree in range(n - 1, -1, -1):
+        level = masks_arr[mindeg == degree]   # ascending, as a stable sort keeps it
+        alive = np.arange(len(level))   # positions in the level still passing
+        cand = level
+        # a graph m passes when each (alpha_bound+1)-set holds an ell-set t
+        # with m & K_t == K_t; the empty set holds none, so a negative
+        # alpha_bound passes nothing
+        for s in combinations(range(n), max(alpha_bound + 1, 0)):
+            hit = np.zeros(len(cand), dtype=bool)
+            for t in combinations(s, ell):
+                k = clique_masks[t]
+                hit |= (cand & k) == k
+            alive, cand = alive[hit], cand[hit]
+            if not len(cand):
+                break
+        for pos, mask in zip(alive.tolist(), cand.tolist()):
+            g = _graph_from_pair_mask(n, mask)
+            if degenerate or tiling.has_factor(g, r).tiling is None:
+                return RttResult(n, r, ell, alpha_bound, value=degree, witness=g,
+                                 exhaustive=True, degenerate=degenerate,
+                                 feasible=True, graphs_scanned=scanned + pos + 1)
+        scanned += len(level)
     return RttResult(n, r, ell, alpha_bound, value=None, witness=None,
                      exhaustive=True, degenerate=degenerate, feasible=False,
                      graphs_scanned=scanned)

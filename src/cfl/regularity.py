@@ -350,6 +350,8 @@ def parse_partition(text: str, g: Graph) -> Partition:
         raise PartitionFormatError(f"expected 'k m n0' header, got {lines[0]!r}",
                                    line=1)
     k, m, n0 = (int(p) for p in head)
+    if m < 1:
+        raise PartitionFormatError("cluster size m must be at least 1", line=1)
     need = k + (1 if n0 > 0 else 0)
     if len(lines) - 1 < need:
         raise PartitionFormatError(

@@ -18,6 +18,9 @@ from cfl.graphs import cycle_graph, format_edgelist, parse_graph
 from cfl.reports import strip_timings
 
 
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
 def write(path, text):
     path.write_text(text)
     return str(path)
@@ -177,8 +180,33 @@ def test_cover_user_errors_exit_two(tmp_path, capsys, key, value, field):
      "[drc] r"),
     ("drc", "graph = petersen\ntarget = 0-4\nwitness = 5-9\nt = 1\nr = 2\nm = 0\n",
      "[drc] m"),
+    ("regcheck", "graph = multipartite:3,3,3\n"
+     "partition = {golden}/regcheck-partition.txt\nepsilon = 0\nd = 0.5\n",
+     "[regcheck] epsilon"),
+    ("thresholds", "parts = 1 0 3\n", "[thresholds] parts"),
+    ("thresholds", "parts =\n", "[thresholds] parts"),
+    ("thresholds", "r = 4\nell = 2\nprofile_c = 0.5\nprofile_n = 1\n",
+     "[thresholds] profile_n"),
+    ("thresholds", "r = 4\nell = 2\nprofile_c = -1e6\nprofile_n = 12\n",
+     "[thresholds] profile_c"),
+    ("bounds", "formula = janson\na_size = 5\nell = 3\np = 2\n", "[bounds] p"),
+    ("bounds", "formula = fkg\nn = 5\nell = 2\np = nan\n", "[bounds] p"),
+    ("bounds", "formula = janson\na_size = -3\nell = 3\np = 0.5\n",
+     "[bounds] a_size"),
+    ("bounds", "formula = janson\na_size = 5\nell = 0\np = 0.5\n",
+     "[bounds] ell"),
+    ("bounds", "formula = fkg\nn = 2\nell = -2\np = 0.5\n", "[bounds] ell"),
+    ("bounds", "formula = drc-condition\nn = 0\navg_degree = 1\nt = 1\nr = 1\n"
+     "m = 1\na = 0\n", "[bounds] n"),
+    ("bounds", "formula = drc-condition\nn = 5\navg_degree = -1\nt = 1\nr = 1\n"
+     "m = 1\na = 0\n", "[bounds] avg_degree"),
+    ("construct", "family = lower-bound\nn = 0\nr = 3\nell = 2\nclique_size = 1\n"
+     "inner = empty:1\n", "[construct] n"),
+    ("construct", "family = sparse-klfree\nn = 0\nell = 3\ngamma = 0.1\n",
+     "[construct] n"),
 ])
 def test_out_of_range_parameters_exit_two(tmp_path, capsys, kind, body, field):
+    body = body.replace("{golden}", GOLDEN)
     cfg = write(tmp_path / "oor.ini", f"[run]\nkind = {kind}\n[{kind}]\n{body}")
     assert run_cli([kind, "--config", cfg]) == 2
     assert field in capsys.readouterr().err
@@ -513,15 +541,51 @@ def _class_lists():
                      st.lists(_vertex_lists(), min_size=1, max_size=3).map(";".join))
 
 
+_FRACTIONS = st.sampled_from(["0", "1/4", "0.5", "1", "2", "-1/3", "1/100", "x"])
+_FLOATS = st.sampled_from(["0", "0.1", "0.5", "1", "1.5", "2", "-0.1", "1e6",
+                           "-1e6", "nan", "inf", "x"])
+
+
+def _int_lists():
+    return st.one_of(st.lists(st.integers(-1, 4), max_size=4).map(
+        lambda ps: " ".join(map(str, ps))), _JUNK)
+
+
+@st.composite
+def _partitioned_graphs(draw):
+    """A graph spec and a partition file: mostly k clusters of m consecutive
+    ids and an exceptional rest, matching the graph's order; sometimes
+    malformed or for another graph."""
+    k, m, n0 = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 2))
+    n = k * m + n0
+    graph = draw(st.one_of(
+        st.sampled_from([f"complete:{n}", f"empty:{n}", f"cycle:{n}"]),
+        st.integers(0, 9).map(lambda s: f"gnp:{n},0.5,{s}"),
+        _graph_specs()))
+    lines = [f"{k} {m} {n0}"]
+    lines += [" ".join(map(str, range(i * m, (i + 1) * m))) for i in range(k)]
+    lines.append(" ".join(map(str, range(k * m, n))))
+    partition = draw(st.one_of(
+        st.just("\n".join(lines) + "\n"), st.just("\n".join(lines) + "\n"),
+        st.sampled_from(["", "x\n", "2 2 0\n0 1\n", "1 1 0\n99\n",
+                         "1 2 0\n0 0\n"])))
+    return graph, partition
+
+
 @st.composite
 def _fuzz_configs(draw):
     kind = draw(st.sampled_from(["alpha", "rtt", "embed", "cover", "tile",
-                                 "factor", "absorb", "drc"]))
+                                 "factor", "absorb", "drc", "regcheck",
+                                 "thresholds", "bounds", "construct"]))
     keys = {}
+    files = {}
     if kind == "absorb":
         keys["task"] = draw(st.sampled_from(
             ["absorber", "reachable", "xi", "closedness", "gadget", "other"]))
-    if kind != "rtt":
+    if kind == "construct":
+        keys["family"] = draw(st.sampled_from(
+            ["lower-bound", "cover-threshold", "sparse-klfree", "spec", "other"]))
+    if kind not in ("rtt", "thresholds", "bounds", "regcheck"):
         keys["graph"] = draw(_graph_specs())
     if kind == "alpha":
         keys["ell"] = draw(_value(2))
@@ -533,8 +597,9 @@ def _fuzz_configs(draw):
         keys["r"] = draw(_value(1))
         keys["forbidden"] = draw(st.one_of(st.just(""), _vertex_lists()))
     elif kind == "rtt":
-        # n <= 5 scans at most 2^10 graphs; n = 8 samples `tries` graphs
-        keys["n"] = draw(st.one_of(_value(1), st.just("8")))
+        # n <= 7 scans at most 2^21 graphs, a min-degree level at a time;
+        # n = 8 samples `tries` graphs
+        keys["n"] = draw(st.one_of(_value(1, 7), st.just("8")))
         keys["r"] = draw(_value(2))
         keys["ell"] = draw(_value(2))
         keys["alpha_bound"] = draw(_value(0, 8))
@@ -560,6 +625,40 @@ def _fuzz_configs(draw):
         keys["r"] = draw(_value(2, 4))
         keys["m"] = draw(_value(1, 4))
         keys["trials"] = draw(st.integers(-1, 3).map(str))
+    elif kind == "regcheck":
+        keys["graph"], files["part.txt"] = draw(_partitioned_graphs())
+        keys["partition"] = "{dir}/part.txt"
+        keys["epsilon"] = draw(_FRACTIONS)
+        keys["d"] = draw(_FRACTIONS)
+        keys["super"] = draw(st.sampled_from(["true", "false", "x"]))
+    elif kind == "thresholds":
+        optional = {"parts": _int_lists(), "r": _value(2, 6), "ell": _value(2, 4),
+                    "n": _value(-1, 12), "rho_star": _FRACTIONS,
+                    "profile_c": _FLOATS, "profile_n": _value(0, 12)}
+        for k, values in optional.items():
+            if draw(st.sampled_from([True, True, True, False])):
+                keys[k] = draw(values)
+    elif kind == "bounds":
+        keys["formula"] = draw(st.sampled_from(
+            ["fkg", "janson", "drc-condition", "other"]))
+        for k in ("n", "ell", "a_size", "t", "r"):
+            keys[k] = draw(_value(0, 6))
+        for k in ("p", "avg_degree", "m", "a"):
+            keys[k] = draw(_FLOATS)
+    elif kind == "construct":
+        keys["n"] = draw(_value(0, 12))
+        keys["r"] = draw(_value(2, 5))
+        keys["ell"] = draw(_value(2, 4))
+        keys["eta"] = draw(_FRACTIONS)
+        keys["x"] = draw(_FRACTIONS)
+        if draw(st.booleans()):
+            keys["clique_size"] = draw(_value(0, 6))
+        keys["inner"] = draw(st.one_of(
+            _graph_specs(), st.integers(0, 8).map(lambda n: f"empty:{n}"),
+            st.integers(3, 8).map(lambda n: f"cycle:{n}")))
+        keys["gamma"] = draw(_FLOATS)
+        keys["max_tries"] = draw(_value(-1, 3))
+        keys["graph_out"] = draw(st.sampled_from(["g.g6", "g.el", "sub/g.el"]))
     else:
         keys["classes"] = draw(_class_lists())
         keys["p"] = draw(_value(1, 3))
@@ -568,24 +667,27 @@ def _fuzz_configs(draw):
         keys["beta"] = draw(st.sampled_from(["0.1", "0.5", "0", "1", "x"]))
         keys["trials"] = draw(st.integers(-1, 3).map(str))
     dropped = draw(st.one_of(st.none(), st.none(), st.none(),
-                             st.sampled_from(sorted(keys))))
+                             st.sampled_from(sorted(keys)))) if keys else None
     body = "".join(f"{k} = {v}\n" for k, v in keys.items() if k != dropped)
     budget = draw(st.sampled_from([None, None, None, "-1", "0", "3", "50", "x"]))
-    return kind, f"[run]\nkind = {kind}\n[{kind}]\n{body}", budget
+    return kind, f"[run]\nkind = {kind}\n[{kind}]\n{body}", budget, files
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=450, deadline=None)
 @given(_fuzz_configs())
 def test_generated_configs_never_end_in_a_traceback(case):
-    kind, text, budget = case
+    kind, text, budget, files = case
     saved = os.environ.pop("CFL_NODE_BUDGET", None)
     if budget is not None:
         os.environ["CFL_NODE_BUDGET"] = budget
     try:
         with tempfile.TemporaryDirectory() as tmp:
+            for name, content in files.items():
+                with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                    fh.write(content)
             path = os.path.join(tmp, "fuzz.ini")
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.write(text.replace("{dir}", tmp))
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 code = run_cli([kind, "--config", path, "--out", tmp])

@@ -3,10 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import numpy as np
+
+from cfl import tiling
 from cfl.graphs import (VertexSet, complete_graph, cycle_graph, empty_graph,
-                        has_clique, iter_clique_masks, petersen_graph,
-                        random_gnp)
-from cfl.invariants import (_clique_cover_bound, alpha_ell_exact,
+                        format_graph6, has_clique, iter_clique_masks,
+                        petersen_graph, random_gnp)
+from cfl.invariants import (_clique_cover_bound, _graph_from_pair_mask,
+                            _pair_index_masks, alpha_ell_exact,
                             alpha_ell_greedy, has_clique_cover, rtt_oracle)
 
 from conftest import contains_clique, naive_alpha, small_graphs
@@ -214,6 +218,62 @@ def test_rtt_degenerate_divisibility():
     res = rtt_oracle(5, 3, 2, alpha_bound=5)
     assert res.degenerate and res.feasible
     assert res.value == 4   # K_5 itself: no factor question applies
+
+
+def reference_rtt_exhaustive(n, r, ell, alpha_bound):
+    """The per-graph scan the level filter replaced: every labeled graph, in
+    stable decreasing-min-degree order, becomes a Graph and runs the exact
+    alpha solver.  Returns (value, feasible, graphs_scanned, witness)."""
+    degenerate = n % r != 0
+    total = 1 << (n * (n - 1) // 2)
+    pair_masks = _pair_index_masks(n)
+    masks_arr = np.arange(total, dtype=np.uint32)
+    mindeg = np.full(total, 255, dtype=np.uint8)
+    for v in range(n):
+        dv = np.bitwise_count(masks_arr & np.uint32(pair_masks[v])).astype(np.uint8)
+        np.minimum(mindeg, dv, out=mindeg)
+    order = np.argsort(-mindeg.astype(np.int16), kind="stable")
+    scanned = 0
+    for idx in order:
+        scanned += 1
+        g = _graph_from_pair_mask(n, int(idx))
+        if alpha_ell_exact(g, ell).value > alpha_bound:
+            continue
+        if not degenerate and tiling.has_factor(g, r).tiling is not None:
+            continue
+        return g.min_degree(), True, scanned, g
+    return None, False, scanned, None
+
+
+def assert_matches_reference(n, r, ell, alpha_bound):
+    res = rtt_oracle(n, r, ell, alpha_bound)
+    value, feasible, scanned, witness = reference_rtt_exhaustive(n, r, ell,
+                                                                 alpha_bound)
+    assert res.exhaustive
+    assert (res.value, res.feasible, res.graphs_scanned) == (value, feasible,
+                                                             scanned)
+    assert (format_graph6(res.witness) if res.witness else None) == (
+        format_graph6(witness) if witness else None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rtt_level_filter_matches_the_per_graph_scan(data):
+    n = data.draw(st.integers(1, 5), label="n")
+    r = data.draw(st.integers(2, n + 1), label="r")
+    ell = data.draw(st.integers(2, 4), label="ell")
+    alpha_bound = data.draw(st.integers(-1, n + 1), label="alpha_bound")
+    assert_matches_reference(n, r, ell, alpha_bound)
+
+
+def test_rtt_level_filter_matches_the_per_graph_scan_at_n6():
+    assert_matches_reference(6, 3, 2, 1)
+
+
+def test_rtt_n7_infeasible_full_scan():
+    res = rtt_oracle(7, 7, 2, 1)
+    assert res.exhaustive and res.feasible is False and res.value is None
+    assert res.graphs_scanned == 2 ** 21
 
 
 def test_rtt_search_mode_is_certified():

@@ -257,6 +257,8 @@ def test_partition_roundtrip_and_validation():
         parse_partition("junk\n", g)
     with pytest.raises(PartitionFormatError):
         parse_partition("2 3 0\n0 1 2\n", g)
+    with pytest.raises(PartitionFormatError):   # empty clusters have no density
+        parse_partition("2 0 9\n\n\n0 1 2 3 4 5 6 7 8\n", g)
     bad = Partition(graph=g, exceptional=VertexSet(g, 0),
                     clusters=[VertexSet.of(g, [0, 1, 2]),
                               VertexSet.of(g, [2, 3, 4]),
