@@ -256,8 +256,8 @@ class ClosednessReport:
 
 def closedness_report(g: Graph, u_set: VertexSet, r: int, t: int,
                       pair_budget: int, inner: bool = False,
-                      per_pair_limit: int = 8, seed: int = 0,
-                      candidate_budget: int = 50_000) -> ClosednessReport:
+                      per_pair_limit: int = 8, seed: int = 0
+                      ) -> ClosednessReport:
     """Greedy disjoint-reachable counts across pairs of U.  The inner
     variant restricts the reachable sets themselves to U."""
     verts = u_set.vertices()
@@ -274,7 +274,7 @@ def closedness_report(g: Graph, u_set: VertexSet, r: int, t: int,
     for (a, b) in pairs:
         certs = find_disjoint_reachable_sets(
             g, a, b, r, t, limit=per_pair_limit, within=within,
-            candidate_budget=candidate_budget)
+            candidate_budget=50_000)
         counts.append((a, b, len(certs)))
     values = [c for (_, _, c) in counts] or [0]
     return ClosednessReport(

@@ -8,8 +8,10 @@ Grammar::
 
 Kinds: construct, alpha, tile, factor, cover, regcheck, drc, embed, absorb,
 rtt, thresholds, bounds.  Exit codes: 0 success, 2 config error, 3 input
-error, 4 resource cap hit (partial results written).  The environment
-variable CFL_NODE_BUDGET overrides the node budget of every exact solver.
+error (including an unreadable or unwritable path), 4 resource cap hit
+(partial results written).  The environment variable CFL_NODE_BUDGET
+overrides the node budget of every exact solver and of the embed fallback
+search.  ``--threads`` is accepted and ignored: scan points run in sequence.
 """
 
 from __future__ import annotations
@@ -31,10 +33,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_CAP = 4
-
-KINDS = ("construct", "alpha", "tile", "factor", "cover", "regcheck",
-         "drc", "embed", "absorb", "rtt", "thresholds", "bounds")
-
 
 class InputError(Exception):
     pass
@@ -96,8 +94,9 @@ def _vertex(cfg: Config, section: str, key: str, g: Graph) -> int:
     return v
 
 
-def _int_at_least(cfg: Config, section: str, key: str, low: int) -> int:
-    value = cfg.get_int(section, key)
+def _int_at_least(cfg: Config, section: str, key: str, low: int,
+                  default: Optional[int] = None) -> int:
+    value = cfg.get_int(section, key, default)
     if value < low:
         raise ConfigError(f"[{section}] {key}",
                           f"expected an integer >= {low}, got {value}")
@@ -131,8 +130,7 @@ def run_alpha(cfg, seed, caps, outdir):
         flags = {"exhaustive": False, "cap_hit": False}
     else:
         raise ConfigError("[alpha] mode", f"expected exact|greedy, got {mode!r}")
-    return {"value": res.value, "witness": res.witness, "exact": res.exact,
-            "nodes_explored": res.nodes_explored, "ell": ell}, flags
+    return res, flags
 
 
 def run_tile(cfg, seed, caps, outdir):
@@ -253,16 +251,14 @@ def run_regcheck(cfg, seed, caps, outdir):
     ppath = cfg.get_str("regcheck", "partition")
     try:
         part = regularity.parse_partition(_read_file(ppath), g)
-    except regularity.PartitionFormatError as exc:
-        raise InputError(f"{ppath}: {exc}") from exc
-    except ValueError as exc:
+    except ValueError as exc:      # PartitionFormatError included
         raise InputError(f"{ppath}: {exc}") from exc
     eps = cfg.get_fraction("regcheck", "epsilon")
     if eps <= 0:
         raise ConfigError("[regcheck] epsilon", f"expected a positive rational, "
                           f"got {eps}")
     d = cfg.get_fraction("regcheck", "d")
-    samples = cfg.get_int("regcheck", "samples", 10_000)
+    samples = _int_at_least(cfg, "regcheck", "samples", 1, default=10_000)
     check_super = cfg.get_bool("regcheck", "super", False)
     m = part.cluster_size
     mode = "exhaustive" if m <= regularity.EXHAUSTIVE_SIDE_CAP else "sampled"
@@ -339,6 +335,8 @@ def run_embed(cfg, seed, caps, outdir):
         s=cfg.get_int("embed", "s", 2),
         beta=cfg.get_float("embed", "beta", 0.1),
         trials=cfg.get_int("embed", "trials", 8))
+    if caps.get("node_budget") is not None:
+        econf.fallback_node_cap = caps["node_budget"]
     if econf.s < 1:
         raise ConfigError("[embed] s", f"expected an integer >= 1, got {econf.s}")
     if not 0 < econf.beta < 1:
@@ -350,7 +348,7 @@ def run_embed(cfg, seed, caps, outdir):
               "vertices": res.vertices, "per_class": res.per_class,
               "alpha_bound": alpha_bound, "trials_used": res.trials_used,
               "telemetry": res.telemetry}
-    return result, {"cap_hit": False}
+    return result, {"cap_hit": {"fallback": "cap"} in res.telemetry}
 
 
 def run_absorb(cfg, seed, caps, outdir):
@@ -396,7 +394,7 @@ def run_absorb(cfg, seed, caps, outdir):
         a = _vertex_set(cfg, "absorb", "a_set", g)
         xi = cfg.get_fraction("absorb", "xi")
         mode = cfg.get_str("absorb", "mode", "exhaustive")
-        samples = cfg.get_int("absorb", "samples", 2000)
+        samples = _int_at_least(cfg, "absorb", "samples", 1, default=2000)
         try:
             verdict = absorption.certify_xi_absorbing(g, a, r, xi, mode=mode,
                                                       samples=samples, seed=seed)
@@ -431,12 +429,8 @@ def run_rtt(cfg, seed, caps, outdir):
     alpha_bound = cfg.get_int("rtt", "alpha_bound")
     tries = cfg.get_int("rtt", "tries", 2000)
     res = invariants.rtt_oracle(n, r, ell, alpha_bound, seed=seed, tries=tries)
-    result = {"n": n, "r": r, "ell": ell, "alpha_bound": alpha_bound,
-              "value": res.value, "witness": res.witness,
-              "exhaustive": res.exhaustive, "degenerate": res.degenerate,
-              "feasible": res.feasible, "graphs_scanned": res.graphs_scanned}
-    return result, {"exhaustive": res.exhaustive, "degenerate": res.degenerate,
-                    "cap_hit": False}
+    return res, {"exhaustive": res.exhaustive, "degenerate": res.degenerate,
+                 "cap_hit": False}
 
 
 def run_thresholds(cfg, seed, caps, outdir):
@@ -534,11 +528,11 @@ def run_bounds(cfg, seed, caps, outdir):
 
 
 HANDLERS = {
+    "construct": run_construct,
     "alpha": run_alpha,
     "tile": run_tile,
     "factor": run_factor,
     "cover": run_cover,
-    "construct": run_construct,
     "regcheck": run_regcheck,
     "drc": run_drc,
     "embed": run_embed,
@@ -547,6 +541,7 @@ HANDLERS = {
     "thresholds": run_thresholds,
     "bounds": run_bounds,
 }
+KINDS = tuple(HANDLERS)
 
 
 def _execute(kind: str, cfg: Config, seed: int, outdir: Optional[str]
@@ -591,9 +586,8 @@ def cmd_run(kind: str, args) -> int:
 def cmd_scan(args) -> int:
     """Sweep one parameter.  A point that raises a user error gets no report
     and its row in scan.csv says so; the scan still writes every other point.
-    Exit code: the first failing point's, else 4 if any point capped, else 0."""
-    from concurrent.futures import ThreadPoolExecutor
-
+    Exit code: the first failing point's, else 4 if any point capped, else 0.
+    Points run one after another, in index order."""
     cfg = Config.from_path(args.config)
     kind = cfg.get_str("run", "kind")
     if kind not in HANDLERS:
@@ -611,22 +605,22 @@ def cmd_scan(args) -> int:
     outdir = args.out or "cfl-scan-out"
     os.makedirs(outdir, exist_ok=True)
 
-    def one(idx):
+    rows = []
+    for idx, point in enumerate(points):
         try:
-            result, meta, timings = _execute(kind, points[idx], base_seed, outdir)
-        except (ConfigError, InputError) as exc:
+            result, meta, timings = _execute(kind, point, base_seed, outdir)
+        except (ConfigError, InputError, OSError) as exc:
             code = _user_error(exc, f"point {idx} ({param} = {values[idx]}): ")
-            return "error", code, {}
-        report = reports.build_report(kind, base_seed, points[idx].flat(), result,
+            rows.append(("error", code, {}))
+            continue
+        report = reports.build_report(kind, base_seed, point.flat(), result,
                                       meta["flags"], meta["caps"], timings)
         path = _report_path(outdir, report, prefix=f"point-{idx:03d}")
         reports.write_report_atomic(path, report)
         if meta["flags"].get("cap_hit"):
-            return "cap", EXIT_CAP, report["result"]
-        return "ok", EXIT_OK, report["result"]
-
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        rows = list(pool.map(one, range(len(points))))
+            rows.append(("cap", EXIT_CAP, report["result"]))
+        else:
+            rows.append(("ok", EXIT_OK, report["result"]))
     scalar_keys: List[str] = []
     for _, _, result in rows:
         for k, v in result.items():
@@ -679,7 +673,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (scan grid points)")
+                       help="ignored; kept so older command lines still "
+                            "parse (scan points run in sequence)")
 
     for kind in KINDS:
         add_run_args(sub.add_parser(kind, help=f"run a {kind} experiment"))
@@ -703,7 +698,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "scan":
             return cmd_scan(args)
         return cmd_run(args.command, args)
-    except (ConfigError, InputError, FileNotFoundError) as exc:
+    except (ConfigError, InputError, OSError) as exc:
         return _user_error(exc)
 
 

@@ -9,6 +9,7 @@ offending field path.
 from __future__ import annotations
 
 import configparser
+import math
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -103,9 +104,13 @@ class Config:
             return default
         raw = self._raw(section, key)
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"[{section}] {key}", f"expected number, got {raw!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"[{section}] {key}",
+                              f"expected a finite number, got {raw!r}")
+        return value
 
     def get_fraction(self, section: str, key: str,
                      default: Optional[Fraction] = None) -> Fraction:

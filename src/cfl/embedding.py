@@ -11,8 +11,9 @@ Three layers:
 
 * hypergraph_drc_step: one arity-reduction step on an r-partite r-uniform
   hypergraph.  Sample s vertices from the first class; keep the (r-1)-edges
-  extended by every sampled vertex (the link intersection).  A configurable
-  audit enumerates small edge sets and flags the "dangerous" ones whose
+  extended by every sampled vertex (the link intersection).  An optional
+  audit enumerates small edge sets (at most AUDIT_DELTA_CAP edges spanning
+  at most AUDIT_WEIGHT_CAP vertices) and flags the "dangerous" ones whose
   extender count in the first class falls below beta * N.
 
 * embed_clique_in_tuple: the cascade.  Reduce arity down to 2, run the
@@ -24,8 +25,9 @@ Three layers:
   structured outcome with the stage reached.
 
 The asymptotic parameter schedule behind these procedures is meaningless at
-desk scale; s, beta and the audit caps are explicit configuration recorded
-in every outcome.
+desk scale; s, beta, the trial count and the fallback node cap are explicit
+configuration (EmbedConfig).  The audit caps are module constants, and the
+cascade runs its steps without the audit.
 """
 
 from __future__ import annotations
@@ -205,13 +207,11 @@ class DangerousSet:
 @dataclass
 class DangerAudit:
     """Extender audit of small edge sets of the reduced hypergraph.
-    Exhaustive only under the configured caps; otherwise sampled and
+    Exhaustive only within AUDIT_BUDGET sets; otherwise sampled and
     labeled as such.  ``sampled_vertices`` are the link centers the step
     intersected, recorded so the output can be re-derived."""
     mode: str                      # "exhaustive" | "sampled" | "skipped"
     threshold: float               # beta * N
-    delta_cap: int
-    weight_cap: int
     sets_checked: int
     dangerous: List[DangerousSet]
     dangerous_by_weight: Dict[int, int]
@@ -222,10 +222,13 @@ class DangerAudit:
         return sum(self.dangerous_by_weight.values())
 
 
+AUDIT_DELTA_CAP = 4          # largest edge set the audit inspects
+AUDIT_WEIGHT_CAP = 12        # most vertices an audited edge set may span
+AUDIT_BUDGET = 20_000        # sets checked before the audit turns sampled
+
+
 def hypergraph_drc_step(h: PartiteHypergraph, s: int, beta: float,
-                        seed: int = 0, delta_cap: int = 4,
-                        weight_cap: int = 12, audit_budget: int = 20000,
-                        audit: bool = True
+                        seed: int = 0, audit: bool = True
                         ) -> Tuple[PartiteHypergraph, DangerAudit]:
     """One link-intersection step: sample s vertices from the first class
     (with repetition) and keep the tails extended by all of them."""
@@ -258,8 +261,7 @@ def hypergraph_drc_step(h: PartiteHypergraph, s: int, beta: float,
     threshold = beta * n_first
     if not audit or not out_edges:
         report = DangerAudit(mode="skipped" if not audit else "exhaustive",
-                             threshold=threshold, delta_cap=delta_cap,
-                             weight_cap=weight_cap, sets_checked=0,
+                             threshold=threshold, sets_checked=0,
                              dangerous=[], dangerous_by_weight={},
                              sampled_vertices=tuple(sampled))
         return out, report
@@ -267,9 +269,9 @@ def hypergraph_drc_step(h: PartiteHypergraph, s: int, beta: float,
     ecount = len(out_edges)
     total_sets = 0
     from math import comb
-    for size in range(1, delta_cap + 1):
+    for size in range(1, AUDIT_DELTA_CAP + 1):
         total_sets += comb(ecount, size)
-    exhaustive = total_sets <= audit_budget
+    exhaustive = total_sets <= AUDIT_BUDGET
     dangerous: List[DangerousSet] = []
     by_weight: Dict[int, int] = {}
     checked = 0
@@ -285,7 +287,7 @@ def hypergraph_drc_step(h: PartiteHypergraph, s: int, beta: float,
             hs = heads_by_tail.get(tail, set())
             exts = hs.copy() if exts is None else exts & hs
         w = len(verts)
-        if w > weight_cap:
+        if w > AUDIT_WEIGHT_CAP:
             return
         count = len(exts) if exts else 0
         if count < threshold:
@@ -295,18 +297,17 @@ def hypergraph_drc_step(h: PartiteHypergraph, s: int, beta: float,
 
     if exhaustive:
         from itertools import combinations
-        for size in range(1, delta_cap + 1):
+        for size in range(1, AUDIT_DELTA_CAP + 1):
             for indices in combinations(range(ecount), size):
                 audit_set(indices)
     else:
         arng = SplitMix64(derive_seed(seed, "hdrc-audit"))
-        for _ in range(audit_budget):
-            size = 1 + arng.randrange(delta_cap)
+        for _ in range(AUDIT_BUDGET):
+            size = 1 + arng.randrange(AUDIT_DELTA_CAP)
             picks = sorted({arng.randrange(ecount) for _ in range(size)})
             audit_set(tuple(picks))
     report = DangerAudit(mode="exhaustive" if exhaustive else "sampled",
-                         threshold=threshold, delta_cap=delta_cap,
-                         weight_cap=weight_cap, sets_checked=checked,
+                         threshold=threshold, sets_checked=checked,
                          dangerous=dangerous, dangerous_by_weight=by_weight,
                          sampled_vertices=tuple(sampled))
     return out, report
@@ -315,16 +316,15 @@ def hypergraph_drc_step(h: PartiteHypergraph, s: int, beta: float,
 # -- the cascade embedder -------------------------------------------------------
 
 
+HYPERGRAPH_CAP = 500_000        # transversal cliques kept per cascade pass
+
+
 @dataclass
 class EmbedConfig:
     s: int = 2                     # sample count per reduction / selector exponent
     beta: float = 0.1
-    delta_cap: int = 4
-    weight_cap: int = 12
     trials: int = 8
-    hypergraph_cap: int = 500_000
     fallback_node_cap: int = 2_000_000
-    audit: bool = False            # per-step audits inside the cascade
 
 
 @dataclass
@@ -452,8 +452,7 @@ def _drc_attempt(g: Graph, classes: Sequence[VertexSet], p: int, m: int,
                  ) -> Optional[List[VertexSet]]:
     """One cascade pass; fills ``note`` with per-stage telemetry."""
     q = len(classes)
-    h, truncated = transversal_clique_hypergraph(g, classes,
-                                                 cap=config.hypergraph_cap)
+    h, truncated = transversal_clique_hypergraph(g, classes, cap=HYPERGRAPH_CAP)
     note["h0_edges"] = len(h.edges)
     note["h0_truncated"] = truncated
     if not h.edges:
@@ -462,13 +461,9 @@ def _drc_attempt(g: Graph, classes: Sequence[VertexSet], p: int, m: int,
         return None
     levels = [h]
     for step in range(1, q - 1):
-        # audit set sizes follow p^(arity-1), truncated at the configured cap
-        dcap = min(p ** (h.arity - 1), config.delta_cap)
         h, _ = hypergraph_drc_step(h, config.s, config.beta,
                                    seed=derive_seed(seed, "step", step),
-                                   delta_cap=dcap,
-                                   weight_cap=config.weight_cap,
-                                   audit=config.audit)
+                                   audit=False)
         note[f"h{step}_edges"] = len(h.edges)
         if not h.edges:
             note["stage"] = f"link intersection empty at step {step}"

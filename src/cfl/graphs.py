@@ -403,14 +403,14 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
 
 
 def random_graph_with_min_degree(n: int, target: int, seed: int,
-                                 p: float = 0.5, max_rounds: int = 1000) -> Graph:
+                                 p: float = 0.5) -> Graph:
     """Sample G(n,p), then raise the minimum degree to ``target`` by adding
     edges at the lowest-degree vertex toward low-degree non-neighbors."""
     g = random_gnp(n, p, seed)
     rng = SplitMix64(seed ^ 0xD06)
     adj = [a for a in g.adj]
     full = (1 << n) - 1
-    for _ in range(max_rounds):
+    for _ in range(1000):
         degs = [a.bit_count() for a in adj]
         v = min(range(n), key=lambda i: degs[i])
         if degs[v] >= target:

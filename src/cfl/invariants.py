@@ -319,7 +319,7 @@ def _rtt_search(n: int, r: int, ell: int, alpha_bound: int, degenerate: bool,
         scanned += 1
         if not feasible(g):
             continue
-        g = _climb(g, feasible, rng)
+        g = _climb(g, feasible)
         if g.min_degree() > best_val:
             best_val = g.min_degree()
             best = g
@@ -329,10 +329,10 @@ def _rtt_search(n: int, r: int, ell: int, alpha_bound: int, degenerate: bool,
                      feasible=best is not None, graphs_scanned=scanned)
 
 
-def _climb(g: Graph, feasible, rng: SplitMix64, rounds: int = 200) -> Graph:
+def _climb(g: Graph, feasible) -> Graph:
     """Add edges at a minimum-degree vertex while feasibility survives."""
     current = g
-    for _ in range(rounds):
+    for _ in range(200):
         degs = current.degrees()
         v = min(range(current.n), key=lambda i: (degs[i], i))
         non = [u for u in range(current.n)

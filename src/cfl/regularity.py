@@ -238,8 +238,8 @@ class SuperRegularization:
 
 
 def make_super_regular(g: Graph, clusters: Sequence[VertexSet], epsilon,
-                       recertify: bool = True, samples: int = 10_000,
-                       seed: int = 0) -> SuperRegularization:
+                       samples: int = 10_000, seed: int = 0
+                       ) -> SuperRegularization:
     """Trim each cluster by its low-cross-degree vertices so every pair
     becomes (2 eps, d_ij - (t+1) eps)-super-regular, d_ij the original pair
     density and t+1 the number of clusters.
@@ -281,17 +281,16 @@ def make_super_regular(g: Graph, clusters: Sequence[VertexSet], epsilon,
         for j in range(i + 1, k):
             dij = dens[(i, j)]
             targets[(i, j)] = (2 * eps, dij - (t + 1) * eps)
-    if recertify:
-        for (i, j), (e2, dt) in targets.items():
-            a, b = refined[i], refined[j]
-            if len(a) == 0 or len(b) == 0:
-                continue
-            mode = ("exhaustive"
-                    if len(a) <= EXHAUSTIVE_SIDE_CAP and len(b) <= EXHAUSTIVE_SIDE_CAP
-                    else "sampled")
-            out.verdicts[(i, j)] = is_super_regular(
-                g, a, b, e2, max(dt, Fraction(0)), mode=mode,
-                samples=samples, seed=seed)
+    for (i, j), (e2, dt) in targets.items():
+        a, b = refined[i], refined[j]
+        if len(a) == 0 or len(b) == 0:
+            continue
+        mode = ("exhaustive"
+                if len(a) <= EXHAUSTIVE_SIDE_CAP and len(b) <= EXHAUSTIVE_SIDE_CAP
+                else "sampled")
+        out.verdicts[(i, j)] = is_super_regular(
+            g, a, b, e2, max(dt, Fraction(0)), mode=mode,
+            samples=samples, seed=seed)
     return out
 
 

@@ -183,12 +183,26 @@ def test_cover_user_errors_exit_two(tmp_path, capsys, key, value, field):
     ("regcheck", "graph = multipartite:3,3,3\n"
      "partition = {golden}/regcheck-partition.txt\nepsilon = 0\nd = 0.5\n",
      "[regcheck] epsilon"),
+    ("regcheck", "graph = multipartite:3,3,3\n"
+     "partition = {golden}/regcheck-partition.txt\nepsilon = 1/4\nd = 0.5\n"
+     "samples = 0\n", "[regcheck] samples"),
+    ("regcheck", "graph = multipartite:3,3,3\n"
+     "partition = {golden}/regcheck-partition.txt\nepsilon = 1/4\nd = 0.5\n"
+     "samples = -3\n", "[regcheck] samples"),
+    ("absorb", "task = xi\ngraph = petersen\nr = 3\na_set = 0,1,2\nxi = 1/5\n"
+     "mode = sampled\nsamples = 0\n", "[absorb] samples"),
+    ("absorb", "task = xi\ngraph = petersen\nr = 3\na_set = 0,1,2\nxi = 1/5\n"
+     "mode = sampled\nsamples = -5\n", "[absorb] samples"),
     ("thresholds", "parts = 1 0 3\n", "[thresholds] parts"),
     ("thresholds", "parts =\n", "[thresholds] parts"),
     ("thresholds", "r = 4\nell = 2\nprofile_c = 0.5\nprofile_n = 1\n",
      "[thresholds] profile_n"),
     ("thresholds", "r = 4\nell = 2\nprofile_c = -1e6\nprofile_n = 12\n",
      "[thresholds] profile_c"),
+    ("thresholds", "r = 4\nell = 2\nprofile_c = nan\nprofile_n = 12\n",
+     "[thresholds] profile_c: expected a finite number"),
+    ("thresholds", "r = 4\nell = 2\nprofile_c = inf\nprofile_n = 12\n",
+     "[thresholds] profile_c: expected a finite number"),
     ("bounds", "formula = janson\na_size = 5\nell = 3\np = 2\n", "[bounds] p"),
     ("bounds", "formula = fkg\nn = 5\nell = 2\np = nan\n", "[bounds] p"),
     ("bounds", "formula = janson\na_size = -3\nell = 3\np = 0.5\n",
@@ -200,6 +214,10 @@ def test_cover_user_errors_exit_two(tmp_path, capsys, key, value, field):
      "m = 1\na = 0\n", "[bounds] n"),
     ("bounds", "formula = drc-condition\nn = 5\navg_degree = -1\nt = 1\nr = 1\n"
      "m = 1\na = 0\n", "[bounds] avg_degree"),
+    ("bounds", "formula = drc-condition\nn = 5\navg_degree = 1\nt = 1\nr = 1\n"
+     "m = 1\na = nan\n", "[bounds] a: expected a finite number"),
+    ("bounds", "formula = drc-condition\nn = 5\navg_degree = inf\nt = 1\n"
+     "r = 1\nm = inf\na = 0\n", "[bounds] avg_degree: expected a finite number"),
     ("construct", "family = lower-bound\nn = 0\nr = 3\nell = 2\nclique_size = 1\n"
      "inner = empty:1\n", "[construct] n"),
     ("construct", "family = sparse-klfree\nn = 0\nell = 3\ngamma = 0.1\n",
@@ -240,6 +258,36 @@ def test_factor_exit_code_cap_hit(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("CFL_NODE_BUDGET")
     assert run_cli(["factor", "--config", cfg]) == 0
     assert read_report(capsys)["result"]["status"] == "none"
+
+
+def test_embed_fallback_obeys_the_node_budget(tmp_path, capsys, monkeypatch):
+    # trials = 0 sends the run straight to the brute-force fallback
+    cfg = write(tmp_path / "eb.ini", "[run]\nkind = embed\n"
+                                     "[embed]\ngraph = complete:12\n"
+                                     "classes = 0-3;4-7;8-11\np = 2\n"
+                                     "alpha_bound = 1\ntrials = 0\n")
+    monkeypatch.setenv("CFL_NODE_BUDGET", "1")
+    assert run_cli(["embed", "--config", cfg]) == 4
+    rep = read_report(capsys)
+    assert rep["flags"]["cap_hit"] is True and rep["result"]["path"] == "none"
+    monkeypatch.delenv("CFL_NODE_BUDGET")
+    assert run_cli(["embed", "--config", cfg]) == 0
+    assert read_report(capsys)["result"]["path"] == "fallback"
+
+
+@pytest.mark.parametrize("command", ["alpha", "scan"])
+def test_out_naming_a_file_is_an_input_error(tmp_path, capsys, command):
+    cfg = write(tmp_path / "a.ini", "[run]\nkind = alpha\n"
+                                    "[alpha]\ngraph = c5\nell = 2\n"
+                                    "[scan]\nparam = alpha.ell\nvalues = 2\n")
+    taken = write(tmp_path / "taken", "")
+    assert run_cli([command, "--config", cfg, "--out", taken]) == 3
+    assert "input error: " in capsys.readouterr().err
+
+
+def test_config_naming_a_directory_is_an_input_error(tmp_path, capsys):
+    assert run_cli(["alpha", "--config", str(tmp_path)]) == 3
+    assert str(tmp_path) in capsys.readouterr().err
 
 
 def test_report_reproducible_modulo_timings(tmp_path, capsys):
@@ -343,8 +391,8 @@ def test_scan_point_errors_are_rows_not_aborts(tmp_path, capsys):
     assert run_cli(["scan", "--config", cfg, "--out", str(outdir),
                     "--threads", "2"]) == 2
     err = capsys.readouterr().err
-    assert "point 1 (alpha.ell = x): config error: [alpha] ell" in err
-    assert "point 3 (alpha.ell = 1): config error: [alpha] ell" in err
+    first = err.index("point 1 (alpha.ell = x): config error: [alpha] ell")
+    assert first < err.index("point 3 (alpha.ell = 1): config error: [alpha] ell")
     lines = (outdir / "scan.csv").read_text().strip().split("\n")
     assert lines[0].startswith("index,param,param_value,status,exit_code,value,")
     assert [line.split(",")[:6] for line in lines[1:]] == [
@@ -371,20 +419,21 @@ def test_scan_exits_with_the_first_failing_points_code(tmp_path, capsys):
 
 
 def test_a_tile_run_loads_neither_numpy_nor_a_thread_pool(tmp_path):
-    """numpy is for the n <= 7 oracle and the rng bulk helpers, the thread
-    pool for ``cfl scan``; neither is on the path of any other kind."""
+    """numpy is for the n <= 7 oracle and the rng bulk helpers; neither a
+    tile run nor a scan of tile points loads it or a thread pool."""
     cfg = write(tmp_path / "t.ini", "[run]\nkind = tile\n"
-                                    "[tile]\ngraph = gnp:24,0.28,4\nr = 3\n")
+                                    "[tile]\ngraph = gnp:24,0.28,4\nr = 3\n"
+                                    "[scan]\nparam = tile.r\nvalues = 2, 3\n")
     code = ("import sys\nimport cfl.cli\n"
-            f"code = cfl.cli.main(['tile', '--config', {cfg!r}, "
-            f"'--out', {str(tmp_path)!r}])\n"
-            "print(code, [m for m in ('numpy', 'concurrent.futures') "
+            f"codes = [cfl.cli.main([command, '--config', {cfg!r}, '--out', "
+            f"{str(tmp_path)!r}, '--threads', '2']) for command in ('tile', 'scan')]\n"
+            "print(codes, [m for m in ('numpy', 'concurrent.futures') "
             "if m in sys.modules])\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cfl.__file__)))
     out = subprocess.run([sys.executable, "-c", code],
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "0 []"
+    assert out.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 def test_scan_point_config_sets_one_key_and_drops_scan():
@@ -572,11 +621,8 @@ def _partitioned_graphs(draw):
     return graph, partition
 
 
-@st.composite
-def _fuzz_configs(draw):
-    kind = draw(st.sampled_from(["alpha", "rtt", "embed", "cover", "tile",
-                                 "factor", "absorb", "drc", "regcheck",
-                                 "thresholds", "bounds", "construct"]))
+def _kind_keys(draw, kind):
+    """The [kind] section of a generated config, and the files it names."""
     keys = {}
     files = {}
     if kind == "absorb":
@@ -666,17 +712,52 @@ def _fuzz_configs(draw):
         keys["s"] = draw(_value(1, 3))
         keys["beta"] = draw(st.sampled_from(["0.1", "0.5", "0", "1", "x"]))
         keys["trials"] = draw(st.integers(-1, 3).map(str))
+    return keys, files
+
+
+def _scan_section(draw, kind, keys):
+    """A [scan] section: mostly a sweep of one of the kind's own keys over
+    values drawn like the key's own, sometimes a [run] key or a bad param."""
+    param = draw(st.one_of(
+        st.sampled_from([f"{kind}.{k}" for k in sorted(keys)] or [f"{kind}.x"]),
+        st.sampled_from(["run.seed", "run.node_budget", "run.kind", "scan.param",
+                         "nosuch.x", "noperiod", f"{kind}."])))
+    section, _, key = param.partition(".")
+    values = []
+    for _ in range(draw(st.integers(0, 3))):
+        if section == kind:
+            values.append(_kind_keys(draw, kind)[0].get(key, "x"))
+        else:
+            values.append(draw(_value(-1)))
+    return f"[scan]\nparam = {param}\nvalues = {'; '.join(values)}\n"
+
+
+@st.composite
+def _fuzz_configs(draw):
+    kind = draw(st.sampled_from(["alpha", "rtt", "embed", "cover", "tile",
+                                 "factor", "absorb", "drc", "regcheck",
+                                 "thresholds", "bounds", "construct"]))
+    keys, files = _kind_keys(draw, kind)
     dropped = draw(st.one_of(st.none(), st.none(), st.none(),
                              st.sampled_from(sorted(keys)))) if keys else None
     body = "".join(f"{k} = {v}\n" for k, v in keys.items() if k != dropped)
+    text = f"[run]\nkind = {kind}\n[{kind}]\n{body}"
+    command = kind
+    if draw(st.sampled_from([False, False, True])):
+        command = "scan"
+        text += _scan_section(draw, kind, keys)
     budget = draw(st.sampled_from([None, None, None, "-1", "0", "3", "50", "x"]))
-    return kind, f"[run]\nkind = {kind}\n[{kind}]\n{body}", budget, files
+    return command, text, budget, files
+
+
+def _no_constant(name):
+    raise AssertionError(f"report holds {name}, which is not JSON")
 
 
 @settings(max_examples=450, deadline=None)
 @given(_fuzz_configs())
 def test_generated_configs_never_end_in_a_traceback(case):
-    kind, text, budget, files = case
+    command, text, budget, files = case
     saved = os.environ.pop("CFL_NODE_BUDGET", None)
     if budget is not None:
         os.environ["CFL_NODE_BUDGET"] = budget
@@ -690,7 +771,11 @@ def test_generated_configs_never_end_in_a_traceback(case):
                 fh.write(text.replace("{dir}", tmp))
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
-                code = run_cli([kind, "--config", path, "--out", tmp])
+                code = run_cli([command, "--config", path, "--out", tmp])
+            for name in os.listdir(tmp):
+                if name.endswith(".json"):          # strict JSON: no NaN or Infinity
+                    with open(os.path.join(tmp, name), encoding="utf-8") as fh:
+                        json.loads(fh.read(), parse_constant=_no_constant)
     finally:
         os.environ.pop("CFL_NODE_BUDGET", None)
         if saved is not None:
