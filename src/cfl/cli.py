@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import time
@@ -261,7 +262,7 @@ def run_regcheck(cfg, seed, caps, outdir):
     samples = _int_at_least(cfg, "regcheck", "samples", 1, default=10_000)
     check_super = cfg.get_bool("regcheck", "super", False)
     m = part.cluster_size
-    mode = "exhaustive" if m <= regularity.EXHAUSTIVE_SIDE_CAP else "sampled"
+    mode = "exhaustive" if regularity._exhaustive_ok(m, m, eps) else "sampled"
     pair_results = {}
     for i in range(part.k):
         for j in range(i + 1, part.k):
@@ -326,9 +327,14 @@ def run_embed(cfg, seed, caps, outdir):
             raise ConfigError(f"[embed] classes[{i}]", "meets an earlier class")
         seen |= c.mask
     p = _int_at_least(cfg, "embed", "p", 1)
+    alpha_capped = False
     if cfg.get_str("embed", "alpha_bound", "auto") == "auto":
-        alpha_bound = max(invariants.alpha_ell_exact(g, max(2, p), within=c).value
-                          for c in classes)
+        alphas = [invariants.alpha_ell_exact(g, max(2, p), within=c,
+                                             node_cap=caps.get("node_budget"))
+                  for c in classes]
+        alpha_bound = max(res.value for res in alphas)
+        # a capped search gives only a lower bound on alpha
+        alpha_capped = not all(res.exact for res in alphas)
     else:
         alpha_bound = cfg.get_int("embed", "alpha_bound")
     econf = embedding.EmbedConfig(
@@ -348,7 +354,8 @@ def run_embed(cfg, seed, caps, outdir):
               "vertices": res.vertices, "per_class": res.per_class,
               "alpha_bound": alpha_bound, "trials_used": res.trials_used,
               "telemetry": res.telemetry}
-    return result, {"cap_hit": {"fallback": "cap"} in res.telemetry}
+    return result, {"cap_hit": alpha_capped
+                    or {"fallback": "cap"} in res.telemetry}
 
 
 def run_absorb(cfg, seed, caps, outdir):
@@ -498,10 +505,11 @@ def run_bounds(cfg, seed, caps, outdir):
         ell = _int_at_least(cfg, "bounds", "ell", 1)
         p = probability()
         log_lb = bounds.fkg_lower_bound(n, ell, p)
+        if log_lb == -math.inf:
+            raise ConfigError("[bounds] p", f"at p = {p} the lower bound is 0 "
+                              "and its log, -inf, has no JSON form")
         result = {"formula": formula, "n": n, "ell": ell, "p": p,
-                  "log_lower_bound": log_lb,
-                  "lower_bound": 0.0 if log_lb == -float("inf")
-                  else __import__("math").exp(log_lb)}
+                  "log_lower_bound": log_lb, "lower_bound": math.exp(log_lb)}
     elif formula == "janson":
         ell = _int_at_least(cfg, "bounds", "ell", 2)
         a = _int_at_least(cfg, "bounds", "a_size", ell)
@@ -520,6 +528,12 @@ def run_bounds(cfg, seed, caps, outdir):
         m = nonnegative("m")
         a = cfg.get_float("bounds", "a")
         slack = bounds.drc_condition(n, d, t, r, m, a)
+        if not math.isfinite(slack):
+            # +inf: d^t / n^(t-1) dominates; -inf: C(n, r) (m/n)^t does
+            raise ConfigError("[bounds] avg_degree" if slack > 0 else "[bounds] m",
+                              f"the slack overflows a double (avg_degree = {d}, "
+                              f"m = {m}, n = {n}, t = {t}, r = {r}, a = {a}); "
+                              "a report cannot hold it")
         result = {"formula": formula, "slack": slack, "holds": slack >= 0}
     else:
         raise ConfigError("[bounds] formula",
@@ -601,19 +615,20 @@ def cmd_scan(args) -> int:
     splitter = ";" if ";" in raw_values else ","
     values = [v.strip() for v in raw_values.split(splitter) if v.strip()]
     points = [cfg.scan_point(section, key, value) for value in values]
-    base_seed = args.seed if args.seed is not None else cfg.get_int("run", "seed", 0)
     outdir = args.out or "cfl-scan-out"
     os.makedirs(outdir, exist_ok=True)
 
     rows = []
     for idx, point in enumerate(points):
         try:
-            result, meta, timings = _execute(kind, point, base_seed, outdir)
+            seed = (args.seed if args.seed is not None
+                    else point.get_int("run", "seed", 0))
+            result, meta, timings = _execute(kind, point, seed, outdir)
         except (ConfigError, InputError, OSError) as exc:
             code = _user_error(exc, f"point {idx} ({param} = {values[idx]}): ")
             rows.append(("error", code, {}))
             continue
-        report = reports.build_report(kind, base_seed, point.flat(), result,
+        report = reports.build_report(kind, seed, point.flat(), result,
                                       meta["flags"], meta["caps"], timings)
         path = _report_path(outdir, report, prefix=f"point-{idx:03d}")
         reports.write_report_atomic(path, report)

@@ -60,6 +60,9 @@ class Config:
         ``[section] key`` set to ``value`` and the ``[scan]`` section dropped."""
         if section == "scan":
             raise ConfigError("[scan] param", "cannot sweep a [scan] key")
+        if (section, key) == ("run", "kind"):
+            raise ConfigError("[scan] param", "cannot sweep run.kind: a scan "
+                              "runs one kind")
         if not self._parser.has_section(section):
             raise ConfigError(f"[{section}]", "swept section missing")
         parser = self._new_parser()

@@ -1,14 +1,20 @@
 """Density, regularity and super-regularity certification on explicit graphs.
 
 A pair (X, Y) is epsilon-regular when every pair of subsets X' of X, Y' of
-Y with |X'| >= eps|X|, |Y'| >= eps|Y| has |d(X',Y') - d(X,Y)| <= eps.  The
-exhaustive checker runs over all qualifying X' but, for each X', only the
-extreme Y' need checking: at a fixed size q the densest and sparsest Y' are
-the top-q and bottom-q vertices by degree into X', and every other subset's
-density lies between.  The verdict is therefore exact while the work is
-2^|X| * poly instead of 2^|X| * 2^|Y|.
+Y with |X'| >= eps|X|, |Y'| >= eps|Y| has |d(X',Y') - d(X,Y)| <= eps.  Only
+the minimum sizes min_x = ceil(eps|X|), min_y = ceil(eps|Y|) need checking:
+the density of a larger X' is the average over its min_x-subsets, so if it
+lies outside the band so does some min_x-subset's, and the same holds for Y'.
+At a fixed X' the densest and sparsest Y' of size min_y are the top and
+bottom min_y vertices by degree into X'.  The exhaustive checker therefore
+scans the C(|X|, min_x) subsets of X of size min_x against those two Y',
+and the verdict is exact.  Deciding epsilon-regularity is co-NP-complete
+(Alon, Duke, Lefmann, Rödl and Yuster, 1994), so an exact check stays
+exponential in general.
 
-Exhaustive mode is capped at |X|, |Y| <= 14.  Beyond that only sampled mode
+Exhaustive mode runs when that scan is affordable: C(|X|, min_x) * |Y| <=
+2^19 (``_exhaustive_ok``), which admits every pair with both sides <= 14
+and, for example, sides 20 at eps = 1/4.  Beyond that only sampled mode
 runs: it can refute regularity with a witness but never certify it, and
 verdicts say so.  All densities and thresholds are exact rationals, so
 verdicts carry no float fuzz.  A float epsilon is read at its shortest
@@ -31,7 +37,8 @@ from .graphs import Graph, VertexSet, iter_bits
 from .numbers import exact_fraction as _as_fraction
 from .rng import SplitMix64
 
-EXHAUSTIVE_SIDE_CAP = 14
+# Work bound of an exhaustive check: subsets of X scanned times |Y|.
+_EXHAUSTIVE_WORK = 1 << 19
 
 
 class WitnessError(RuntimeError):
@@ -84,14 +91,20 @@ def _qualifying_min(eps: Fraction, size: int) -> int:
     return max(1, math.ceil(eps * size))
 
 
+def _exhaustive_ok(a: int, b: int, eps: Fraction) -> bool:
+    """Whether the exhaustive check of a pair with |X| = a, |Y| = b fits its
+    work bound: C(a, min_x) subsets of X, each costing b degree counts."""
+    return math.comb(a, _qualifying_min(eps, a)) * b <= _EXHAUSTIVE_WORK
+
+
 def is_regular_pair(g: Graph, x: VertexSet, y: VertexSet, epsilon,
                     mode: str = "exhaustive", samples: int = 10_000,
                     seed: int = 0) -> RegularityVerdict:
     """Check epsilon-regularity of a disjoint pair.
 
-    Exhaustive mode enumerates every qualifying X' and the extreme Y' per
-    size (see module docstring); the first violation in scan order is the
-    witness, making verdicts deterministic.  Sampled mode draws subset
+    Exhaustive mode enumerates every X' of the minimum qualifying size and
+    its extreme Y' (see module docstring); the first violation in scan order
+    is the witness, making verdicts deterministic.  Sampled mode draws subset
     pairs at the minimum qualifying sizes, where deviations are largest.
     """
     eps = _as_fraction(epsilon)
@@ -113,9 +126,10 @@ def is_regular_pair(g: Graph, x: VertexSet, y: VertexSet, epsilon,
         ydeg_masks.append(m)
 
     if mode == "exhaustive":
-        if a > EXHAUSTIVE_SIDE_CAP or b > EXHAUSTIVE_SIDE_CAP:
+        if not _exhaustive_ok(a, b, eps):
             raise ValueError(
-                f"exhaustive mode capped at side size {EXHAUSTIVE_SIDE_CAP}; "
+                f"exhaustive mode needs C(|X|, min_x) * |Y| <= "
+                f"{_EXHAUSTIVE_WORK}, got C({a}, {min_x}) * {b}; "
                 "use sampled mode")
         return _regular_exhaustive(g, x, y, xs, ys, ydeg_masks, eps, d0,
                                    min_x, min_y)
@@ -126,28 +140,39 @@ def is_regular_pair(g: Graph, x: VertexSet, y: VertexSet, epsilon,
 
 
 def _regular_exhaustive(g, x, y, xs, ys, ydeg_masks, eps, d0, min_x, min_y):
+    """Scan the size-min_x masks of X in ascending order (Gosper's hack),
+    each against the top then the bottom min_y vertices of Y.
+
+    The witness is the first violation of the scan over every qualifying X'
+    in ascending mask order and every q >= min_y: its X' has exactly min_x
+    vertices, since a larger violating X' holds a violating min_x-subset
+    with a smaller mask, and its q is min_y, since the top-q average never
+    rises and the bottom-q average never falls as q grows.
+    """
     a, b = len(xs), len(ys)
-    lo = d0 - eps
-    hi = d0 + eps
-    for xmask in range(1, 1 << a):
-        ax = xmask.bit_count()
-        if ax < min_x:
-            continue
-        degs = sorted(((ydeg_masks[j] & xmask).bit_count(), j)
-                      for j in range(b))
-        prefix = [0]
-        for dgt, _ in degs:
-            prefix.append(prefix[-1] + dgt)
-        total = prefix[-1]
-        for q in range(min_y, b + 1):
-            top = total - prefix[b - q]
-            if Fraction(top, ax * q) > hi:
-                sel = [j for _, j in degs[b - q:]]
-                return _violation(g, x, y, xs, ys, xmask, sel, eps, d0, ax, q, top)
-            bot = prefix[q]
-            if Fraction(bot, ax * q) < lo:
-                sel = [j for _, j in degs[:q]]
-                return _violation(g, x, y, xs, ys, xmask, sel, eps, d0, ax, q, bot)
+    if min_x <= a and min_y <= b:
+        q = min_y
+        cells = min_x * q
+        # top > (d0 + eps) cells and bot < (d0 - eps) cells, in integers
+        top_max = math.floor((d0 + eps) * cells)
+        bot_min = math.ceil((d0 - eps) * cells)
+        xmask = (1 << min_x) - 1
+        while not xmask >> a:
+            counts = [(m & xmask).bit_count() for m in ydeg_masks]
+            degs = sorted(counts)
+            top = sum(degs[b - q:])
+            bot = sum(degs[:q])
+            if top > top_max or bot < bot_min:
+                # rank Y by (degree, index), the witness's tie order
+                order = sorted(range(b), key=counts.__getitem__)
+                if top > top_max:
+                    return _violation(g, x, y, xs, ys, xmask, order[b - q:],
+                                      eps, d0, min_x, q, top)
+                return _violation(g, x, y, xs, ys, xmask, order[:q], eps, d0,
+                                  min_x, q, bot)
+            low = xmask & -xmask
+            ripple = xmask + low
+            xmask = ripple | (((xmask ^ ripple) >> 2) // low)
     return RegularityVerdict(epsilon=eps, mode="exhaustive", regular=True,
                              base_density=d0)
 
@@ -285,9 +310,7 @@ def make_super_regular(g: Graph, clusters: Sequence[VertexSet], epsilon,
         a, b = refined[i], refined[j]
         if len(a) == 0 or len(b) == 0:
             continue
-        mode = ("exhaustive"
-                if len(a) <= EXHAUSTIVE_SIDE_CAP and len(b) <= EXHAUSTIVE_SIDE_CAP
-                else "sampled")
+        mode = "exhaustive" if _exhaustive_ok(len(a), len(b), e2) else "sampled"
         out.verdicts[(i, j)] = is_super_regular(
             g, a, b, e2, max(dt, Fraction(0)), mode=mode,
             samples=samples, seed=seed)

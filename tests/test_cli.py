@@ -216,6 +216,11 @@ def test_cover_user_errors_exit_two(tmp_path, capsys, key, value, field):
      "m = 1\na = 0\n", "[bounds] avg_degree"),
     ("bounds", "formula = drc-condition\nn = 5\navg_degree = 1\nt = 1\nr = 1\n"
      "m = 1\na = nan\n", "[bounds] a: expected a finite number"),
+    ("bounds", "formula = fkg\nn = 5\nell = 2\np = 1\n", "[bounds] p"),
+    ("bounds", "formula = drc-condition\nn = 5\navg_degree = 1e308\nt = 2\n"
+     "r = 2\nm = 1\na = 0\n", "[bounds] avg_degree: the slack overflows"),
+    ("bounds", "formula = drc-condition\nn = 5\navg_degree = 2\nt = 2\n"
+     "r = 2\nm = 1e308\na = 0\n", "[bounds] m: the slack overflows"),
     ("bounds", "formula = drc-condition\nn = 5\navg_degree = inf\nt = 1\n"
      "r = 1\nm = inf\na = 0\n", "[bounds] avg_degree: expected a finite number"),
     ("construct", "family = lower-bound\nn = 0\nr = 3\nell = 2\nclique_size = 1\n"
@@ -273,6 +278,20 @@ def test_embed_fallback_obeys_the_node_budget(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("CFL_NODE_BUDGET")
     assert run_cli(["embed", "--config", cfg]) == 0
     assert read_report(capsys)["result"]["path"] == "fallback"
+
+
+def test_embed_auto_alpha_obeys_the_node_budget(tmp_path, capsys, monkeypatch):
+    # a capped alpha search is only a lower bound, so the run counts as capped
+    cfg = write(tmp_path / "ea.ini", "[run]\nkind = embed\n"
+                                     "[embed]\ngraph = gnp:40,0.9,9\n"
+                                     "classes = 0-19;20-39\np = 2\n")
+    monkeypatch.setenv("CFL_NODE_BUDGET", "1")
+    assert run_cli(["embed", "--config", cfg]) == 4
+    rep = read_report(capsys)
+    assert rep["caps"]["node_budget"] == 1 and rep["flags"]["cap_hit"] is True
+    monkeypatch.delenv("CFL_NODE_BUDGET")
+    assert run_cli(["embed", "--config", cfg]) == 0
+    assert read_report(capsys)["flags"]["cap_hit"] is False
 
 
 @pytest.mark.parametrize("command", ["alpha", "scan"])
@@ -416,6 +435,30 @@ def test_scan_exits_with_the_first_failing_points_code(tmp_path, capsys):
     rows = [line.split(",")[3:5] for line in
             (outdir / "scan.csv").read_text().strip().split("\n")[1:]]
     assert rows == [["ok", "0"], ["error", "3"], ["error", "2"], ["ok", "0"]]
+
+
+def test_scan_points_use_their_swept_seed(tmp_path, capsys):
+    cfg = write(tmp_path / "seed.ini", "[run]\nkind = alpha\n"
+                                       "[alpha]\ngraph = gnp:12,0.5\nell = 2\n"
+                                       "[scan]\nparam = run.seed\nvalues = 1, 2\n")
+    for extra, seeds in (([], [1, 2]), (["--seed", "7"], [7, 7])):
+        outdir = tmp_path / f"out{len(extra)}"
+        assert run_cli(["scan", "--config", cfg, "--out", str(outdir)] + extra) == 0
+        reports = [json.loads((outdir / f).read_text())
+                   for f in sorted(os.listdir(outdir)) if f.startswith("point-")]
+        assert [rep["seed"] for rep in reports] == seeds
+        assert [rep["config"]["run.seed"] for rep in reports] == ["1", "2"]
+    capsys.readouterr()
+
+
+def test_scan_cannot_sweep_the_kind(tmp_path, capsys):
+    cfg = write(tmp_path / "kind.ini", "[run]\nkind = alpha\n"
+                                       "[alpha]\ngraph = c5\nell = 2\n"
+                                       "[scan]\nparam = run.kind\nvalues = tile\n")
+    outdir = tmp_path / "kind"
+    assert run_cli(["scan", "--config", cfg, "--out", str(outdir)]) == 2
+    assert "[scan] param: cannot sweep run.kind" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_a_tile_run_loads_neither_numpy_nor_a_thread_pool(tmp_path):
@@ -750,12 +793,45 @@ def _fuzz_configs(draw):
     return command, text, budget, files
 
 
+_EXTREME_FLOATS = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "-0.0"])
+
+
+@st.composite
+def _float_key_configs(draw):
+    """A valid config whose float keys that reach a report (bounds a, p,
+    avg_degree and m; thresholds profile_c; embed beta) mostly hold
+    non-finite, huge or negative-zero values, run directly or swept."""
+    kind, base = draw(st.sampled_from([
+        ("bounds", {"formula": "drc-condition", "n": "5", "avg_degree": "2",
+                    "t": "2", "r": "2", "m": "1", "a": "0"}),
+        ("bounds", {"formula": "fkg", "n": "5", "ell": "2", "p": "0.5"}),
+        ("bounds", {"formula": "janson", "a_size": "5", "ell": "3", "p": "0.5"}),
+        ("thresholds", {"r": "4", "ell": "2", "profile_c": "0.5",
+                        "profile_n": "12"}),
+        ("embed", {"graph": "complete:6", "classes": "0 1 2;3 4 5", "p": "1",
+                   "beta": "0.1"})]))
+    keys = dict(base)
+    floats = [k for k in ("a", "p", "avg_degree", "m", "profile_c", "beta")
+              if k in keys]
+    values = st.one_of(_EXTREME_FLOATS, _FLOATS)
+    for k in draw(st.lists(st.sampled_from(floats), min_size=1, unique=True)):
+        keys[k] = draw(values)
+    text = f"[run]\nkind = {kind}\n[{kind}]\n" + "".join(
+        f"{k} = {v}\n" for k, v in keys.items())
+    if not draw(st.booleans()):
+        return kind, text, None, {}
+    swept = draw(st.lists(values, min_size=1, max_size=3))
+    text += (f"[scan]\nparam = {kind}.{draw(st.sampled_from(floats))}\n"
+             f"values = {'; '.join(swept)}\n")
+    return "scan", text, None, {}
+
+
 def _no_constant(name):
     raise AssertionError(f"report holds {name}, which is not JSON")
 
 
 @settings(max_examples=450, deadline=None)
-@given(_fuzz_configs())
+@given(st.one_of(_fuzz_configs(), _float_key_configs()))
 def test_generated_configs_never_end_in_a_traceback(case):
     command, text, budget, files = case
     saved = os.environ.pop("CFL_NODE_BUDGET", None)

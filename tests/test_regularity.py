@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfl import regularity
 from cfl.graphs import (Graph, VertexSet, complete_multipartite, empty_graph,
-                        random_gnp)
+                        iter_bits, random_gnp)
 from cfl.regularity import (Partition, PartitionFormatError, WitnessError,
                             format_partition, is_regular_pair,
                             is_super_regular, make_super_regular,
@@ -42,6 +43,50 @@ def definitional_regular(g, x, y, eps: Fraction):
             if abs(Fraction(esum[ym], ax * ay) - d0) > eps:
                 return False
     return True
+
+
+def full_scan_exhaustive(g, x, y, eps: Fraction):
+    """The exhaustive checker before the minimum-size reduction: every
+    qualifying X' (all 2^|X| masks, ascending) against the top-q and
+    bottom-q vertices of Y for every q >= min_y, comparing Fractions."""
+    d0 = pair_density(g, x, y)
+    xs = x.vertices()
+    ys = y.vertices()
+    a, b = len(xs), len(ys)
+    min_x = regularity._qualifying_min(eps, a)
+    min_y = regularity._qualifying_min(eps, b)
+    ydeg_masks = []
+    xpos = {v: i for i, v in enumerate(xs)}
+    for yv in ys:
+        m = 0
+        for v in iter_bits(g.adj[yv] & x.mask):
+            m |= 1 << xpos[v]
+        ydeg_masks.append(m)
+    lo = d0 - eps
+    hi = d0 + eps
+    for xmask in range(1, 1 << a):
+        ax = xmask.bit_count()
+        if ax < min_x:
+            continue
+        degs = sorted(((ydeg_masks[j] & xmask).bit_count(), j)
+                      for j in range(b))
+        prefix = [0]
+        for dgt, _ in degs:
+            prefix.append(prefix[-1] + dgt)
+        total = prefix[-1]
+        for q in range(min_y, b + 1):
+            top = total - prefix[b - q]
+            if Fraction(top, ax * q) > hi:
+                sel = [j for _, j in degs[b - q:]]
+                return regularity._violation(g, x, y, xs, ys, xmask, sel, eps,
+                                             d0, ax, q, top)
+            bot = prefix[q]
+            if Fraction(bot, ax * q) < lo:
+                sel = [j for _, j in degs[:q]]
+                return regularity._violation(g, x, y, xs, ys, xmask, sel, eps,
+                                             d0, ax, q, bot)
+    return regularity.RegularityVerdict(epsilon=eps, mode="exhaustive",
+                                        regular=True, base_density=d0)
 
 
 def split_pair(g, a, b):
@@ -132,10 +177,50 @@ def test_exhaustive_matches_definitional_enumeration():
                 assert abs(pair_density(g, wx, wy) - got.base_density) > eps
 
 
+@settings(max_examples=300, deadline=None)
+@given(a=st.integers(1, 10), b=st.integers(1, 10),
+       p=st.integers(0, 10), graph_seed=st.integers(0, 2 ** 32),
+       eps=st.integers(1, 36).map(lambda k: Fraction(k, 24)))
+def test_min_size_scan_matches_the_full_scan(a, b, p, graph_seed, eps):
+    # eps up to 3/2 makes min_x > |X| (nothing qualifies) occur too
+    g = random_gnp(a + b, p / 10, graph_seed)
+    x, y = split_pair(g, a, b)
+    got = is_regular_pair(g, x, y, eps)
+    want = full_scan_exhaustive(g, x, y, eps)
+    assert got.regular == want.regular
+    assert got.violation_density == want.violation_density
+    if not got.regular:
+        assert [s.mask for s in got.violation] == [s.mask for s in want.violation]
+
+
+def test_side_twenty_pair_is_exhaustive_and_finds_a_min_size_violation():
+    # K_{20,20} minus a perfect matching is 1/4-regular: subsets of at
+    # least 5 a side miss at most min(|X'|, |Y'|) edges, so their density is
+    # at least 4/5 against 19/20.  Emptying one 5 x 5 corner plants a
+    # violation that only the minimum qualifying sizes show.
+    eps = Fraction(1, 4)
+    assert regularity._exhaustive_ok(20, 20, eps)
+    assert not regularity._exhaustive_ok(22, 22, eps)
+    full = [(u, 20 + v) for u in range(20) for v in range(20) if u != v]
+    g = Graph(40, full)
+    x, y = split_pair(g, 20, 20)
+    v = is_regular_pair(g, x, y, eps)
+    assert v.regular and v.certified
+    g = Graph(40, [(u, w) for u, w in full if u >= 5 or w >= 25])
+    v = is_regular_pair(g, x, y, eps)
+    assert v.certified and not v.regular
+    assert v.regular == definitional_regular(g, x, y, eps)
+    assert [s.vertices() for s in v.violation] == [tuple(range(5)),
+                                                   tuple(range(20, 25))]
+    assert v.violation_density == 0
+
+
 def test_exhaustive_cap_is_enforced():
-    g = empty_graph(40)
+    # C(40, 10) * 40 subset scans is far past the exhaustive work bound
+    g = empty_graph(80)
     with pytest.raises(ValueError):
-        is_regular_pair(g, *split_pair(g, 20, 20), 0.1, mode="exhaustive")
+        is_regular_pair(g, *split_pair(g, 40, 40), Fraction(1, 4),
+                        mode="exhaustive")
 
 
 def test_sampled_mode_is_one_sided():
