@@ -4,8 +4,9 @@ Each ``golden/<name>.ini`` (kind = the name up to the first '-') runs
 through ``cfl.cli.main`` from inside ``golden/``, so regcheck's partition
 file resolves by a relative path and no report carries a temporary path.
 The report, with ``timings`` stripped, must equal ``golden/<name>.json``
-byte for byte; ``scan.ini`` is swept with ``cfl scan`` and its point report
-and ``scan.csv`` are compared the same way.  A run that hits a node cap
+byte for byte.  Each ``scan*.ini`` is swept with ``cfl scan`` instead: its
+point reports must equal ``<name>-point-NNN.json`` and its ``scan.csv``
+``<name>.csv``, so the csv pins the order of the result columns too.  A run that hits a node cap
 must exit 4, every other run 0.
 
 After a deliberate report change, regenerate with
@@ -28,8 +29,7 @@ from cfl.cli import main
 from cfl.reports import dump_report, strip_timings
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-NAMES = sorted(f[:-4] for f in os.listdir(GOLDEN)
-               if f.endswith(".ini") and f != "scan.ini")
+NAMES = sorted(f[:-4] for f in os.listdir(GOLDEN) if f.endswith(".ini"))
 
 
 def _stripped(text: str) -> str:
@@ -39,27 +39,27 @@ def _stripped(text: str) -> str:
 def render(name: str, outdir: str) -> Tuple[int, Dict[str, str]]:
     """Run one golden config from inside ``golden/``; returns the exit code
     and the golden file name -> expected text map it should match."""
+    kind = name.split("-", 1)[0]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        if name == "scan":
-            code = main(["scan", "--config", "scan.ini", "--out", outdir])
+        if kind == "scan":
+            code = main(["scan", "--config", f"{name}.ini", "--out", outdir])
         else:
-            kind = name.split("-", 1)[0]
             code = main([kind, "--config", f"{name}.ini"])
-    if name != "scan":
+    if kind != "scan":
         return code, {f"{name}.json": _stripped(out.getvalue())}
     files = {}
     for f in sorted(os.listdir(outdir)):
         with open(os.path.join(outdir, f), encoding="utf-8") as fh:
             text = fh.read()
         if f.startswith("point-"):
-            files[f"scan-{f[:len('point-000')]}.json"] = _stripped(text)
+            files[f"{name}-{f[:len('point-000')]}.json"] = _stripped(text)
         elif f == "scan.csv":
-            files[f] = text
+            files[f"{name}.csv"] = text
     return code, files
 
 
-@pytest.mark.parametrize("name", NAMES + ["scan"])
+@pytest.mark.parametrize("name", NAMES)
 def test_golden_report(name, tmp_path, monkeypatch):
     monkeypatch.delenv("CFL_NODE_BUDGET", raising=False)
     monkeypatch.chdir(GOLDEN)
@@ -76,7 +76,7 @@ def test_golden_report(name, tmp_path, monkeypatch):
 def regenerate() -> None:
     os.environ.pop("CFL_NODE_BUDGET", None)
     os.chdir(GOLDEN)
-    for name in NAMES + ["scan"]:
+    for name in NAMES:
         with tempfile.TemporaryDirectory() as outdir:
             _, files = render(name, outdir)
         for fname, text in files.items():
