@@ -185,8 +185,6 @@ class AbsorbingVerdict:
     (absorbing=True means "no violating leftover found in checked trials")."""
     absorbing: bool
     mode: str
-    xi: Fraction
-    r: int
     checked: int
     witness_r: Optional[VertexSet] = None
 
@@ -217,13 +215,13 @@ def certify_xi_absorbing(g: Graph, a: VertexSet, r: int, xi,
                 checked += 1
                 rm = mask_of(combo)
                 if has_factor(g, r, within=VertexSet(g, a.mask | rm)).tiling is None:
-                    return AbsorbingVerdict(False, mode, x, r, checked,
+                    return AbsorbingVerdict(False, mode, checked,
                                             witness_r=VertexSet(g, rm))
-        return AbsorbingVerdict(True, mode, x, r, checked)
+        return AbsorbingVerdict(True, mode, checked)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     if not sizes:
-        return AbsorbingVerdict(True, mode, x, r, 0)
+        return AbsorbingVerdict(True, mode, 0)
     rng = SplitMix64(derive_seed(seed, "xi-absorb"))
     for _ in range(samples):
         s = sizes[rng.randrange(len(sizes))]
@@ -233,9 +231,9 @@ def certify_xi_absorbing(g: Graph, a: VertexSet, r: int, xi,
         checked += 1
         rm = mask_of(combo)
         if has_factor(g, r, within=VertexSet(g, a.mask | rm)).tiling is None:
-            return AbsorbingVerdict(False, mode, x, r, checked,
+            return AbsorbingVerdict(False, mode, checked,
                                     witness_r=VertexSet(g, rm))
-    return AbsorbingVerdict(True, mode, x, r, checked)
+    return AbsorbingVerdict(True, mode, checked)
 
 
 @dataclass

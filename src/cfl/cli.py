@@ -12,6 +12,11 @@ error (including an unreadable or unwritable path), 4 resource cap hit
 (partial results written).  The environment variable CFL_NODE_BUDGET
 overrides the node budget of every exact solver and of the embed fallback
 search.  ``--threads`` is accepted and ignored: scan points run in sequence.
+
+Each kind handler returns its result and its flags; ``_execute`` turns them
+into the finished report.  A handler returns its solver's result dataclass
+as it is, or spreads its fields (``vars``) into the result dict beside the
+few keys the solver does not know, so report keys are field names.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from . import absorption, bounds, constructions, embedding, graphs
 from . import invariants, regularity, reports, tiling
@@ -138,7 +143,7 @@ def run_tile(cfg, seed, caps, outdir):
     g = load_graph(cfg, "tile", seed=seed)
     r = _int_at_least(cfg, "tile", "r", 2)
     res = tiling.max_tiling(g, r, node_cap=caps.get("node_budget"))
-    result = {"r": r, "tiles": [m for m in res.best.members],
+    result = {"r": r, "tiles": res.best.members,
               "count": len(res.best), "deficiency": res.deficiency,
               "optimal": res.optimal, "nodes_explored": res.nodes_explored,
               "valid": tiling.verify_tiling(g, res.best)}
@@ -150,7 +155,7 @@ def run_factor(cfg, seed, caps, outdir):
     r = _int_at_least(cfg, "factor", "r", 2)
     res = tiling.has_factor(g, r, node_cap=caps.get("node_budget"))
     result = {"r": r, "status": res.status,
-              "factor": [m for m in res.tiling.members] if res.tiling else None,
+              "factor": res.tiling.members if res.tiling else None,
               "valid": tiling.verify_tiling(g, res.tiling) if res.tiling else None}
     return result, {"cap_hit": res.status == "cap"}
 
@@ -188,12 +193,7 @@ def run_construct(cfg, seed, caps, outdir):
             build = constructions.build_lower_bound_graph(spec)
         except constructions.ConstructionError as exc:
             raise ConfigError("[construct]", str(exc)) from exc
-        result = {"family": family, "graph": build.graph,
-                  "clique_part": build.clique_part, "inner_part": build.inner_part,
-                  "min_degree": build.min_degree,
-                  "tiling_size_limit": build.tiling_size_limit,
-                  "nominal_uncovered_fraction": build.nominal_uncovered_fraction,
-                  "alpha_audit": build.alpha_audit}
+        result = {"family": family, **vars(build)}
         built = build.graph
     elif family == "cover-threshold":
         n = _int_at_least(cfg, section, "n", 1)
@@ -206,11 +206,7 @@ def run_construct(cfg, seed, caps, outdir):
             build = constructions.build_cover_threshold_graph(spec)
         except constructions.ConstructionError as exc:
             raise ConfigError("[construct]", str(exc)) from exc
-        result = {"family": family, "graph": build.graph, "hub": build.hub,
-                  "neighborhood": build.neighborhood,
-                  "clique_part": build.clique_part,
-                  "min_degree": build.min_degree,
-                  "degree_breakdown": build.degree_breakdown}
+        result = {"family": family, **vars(build)}
         built = build.graph
     elif family == "sparse-klfree":
         n = _int_at_least(cfg, section, "n", 1)
@@ -222,10 +218,7 @@ def run_construct(cfg, seed, caps, outdir):
                                                         max_tries=tries)
         except ValueError as exc:
             raise ConfigError("[construct]", str(exc)) from exc
-        result = {"family": family, "accepted": sample.accepted,
-                  "p": sample.p, "exponent": sample.exponent,
-                  "alpha_target": sample.alpha_target,
-                  "attempts": sample.attempts, "graph": sample.graph}
+        result = {"family": family, "accepted": sample.accepted, **vars(sample)}
         flags["accepted"] = sample.accepted
         built = sample.graph
     elif family == "spec":
@@ -279,9 +272,7 @@ def run_regcheck(cfg, seed, caps, outdir):
                     mode=mode, samples=samples, seed=seed)
                 pair_results[f"{i}-{j}"] = {
                     "density": part.density(i, j), "regular": rv.regular,
-                    "mode": rv.mode,
-                    "violation": ([rv.violation[0], rv.violation[1]]
-                                  if rv.violation else None)}
+                    "mode": rv.mode, "violation": rv.violation}
     red = regularity.reduced_graph(g, part, d)
     result = {"k": part.k, "cluster_size": m, "mode": mode,
               "pairs": pair_results,
@@ -307,9 +298,7 @@ def run_drc(cfg, seed, caps, outdir):
     slack = bounds.drc_condition(len(target) + len(witness),
                                  2 * g.edge_count / max(1, g.n), t, r, m,
                                  a=len(out.selected))
-    result = {"selected": out.selected, "size": len(out.selected),
-              "certified": out.certified, "trials": out.trials,
-              "deletions": out.deletions, "initial_size": out.initial_size,
+    result = {"size": len(out.selected), **vars(out),
               "condition_slack_at_size": slack}
     return result, {"cap_hit": False}
 
@@ -350,12 +339,8 @@ def run_embed(cfg, seed, caps, outdir):
                                           f"got {econf.beta}")
     res = embedding.embed_clique_in_tuple(g, classes, p, alpha_bound,
                                           seed=seed, config=econf)
-    result = {"success": res.success, "path": res.path, "stage": res.stage,
-              "vertices": res.vertices, "per_class": res.per_class,
-              "alpha_bound": alpha_bound, "trials_used": res.trials_used,
-              "telemetry": res.telemetry}
-    return result, {"cap_hit": alpha_capped
-                    or {"fallback": "cap"} in res.telemetry}
+    return res, {"cap_hit": alpha_capped
+                 or {"fallback": "cap"} in res.telemetry}
 
 
 def run_absorb(cfg, seed, caps, outdir):
@@ -368,8 +353,8 @@ def run_absorb(cfg, seed, caps, outdir):
         result = {"task": task, "r": r, "graph": gad.graph,
                   "u": gad.u, "v": gad.v, "reach_set": gad.reach_set,
                   "parts": gad.parts, "certified": cert is not None,
-                  "factor_u": [m for m in cert.factor_u.members] if cert else None,
-                  "factor_v": [m for m in cert.factor_v.members] if cert else None}
+                  "factor_u": cert.factor_u.members if cert else None,
+                  "factor_v": cert.factor_v.members if cert else None}
         return result, {"cap_hit": False}
     g = load_graph(cfg, "absorb", seed=seed)
     if task == "absorber":
@@ -382,9 +367,9 @@ def run_absorb(cfg, seed, caps, outdir):
         t = cfg.get_int("absorb", "t")
         cert = absorption.certify_absorber(g, s, a, r, t)
         result = {"task": task, "certified": cert is not None,
-                  "factor_of_a": [m for m in cert.factor_of_a.members] if cert else None,
+                  "factor_of_a": cert.factor_of_a.members if cert else None,
                   "factor_of_a_union_s":
-                      [m for m in cert.factor_of_a_union_s.members] if cert else None}
+                      cert.factor_of_a_union_s.members if cert else None}
     elif task == "reachable":
         u = _vertex(cfg, "absorb", "u", g)
         v = _vertex(cfg, "absorb", "v", g)
@@ -395,8 +380,8 @@ def run_absorb(cfg, seed, caps, outdir):
             raise ConfigError("[absorb] s_set", "contains [absorb] u or v")
         cert = absorption.certify_reachable(g, u, v, s, r)
         result = {"task": task, "certified": cert is not None,
-                  "factor_u": [m for m in cert.factor_u.members] if cert else None,
-                  "factor_v": [m for m in cert.factor_v.members] if cert else None}
+                  "factor_u": cert.factor_u.members if cert else None,
+                  "factor_v": cert.factor_v.members if cert else None}
     elif task == "xi":
         a = _vertex_set(cfg, "absorb", "a_set", g)
         xi = cfg.get_fraction("absorb", "xi")
@@ -407,9 +392,7 @@ def run_absorb(cfg, seed, caps, outdir):
                                                       samples=samples, seed=seed)
         except ValueError as exc:
             raise ConfigError("[absorb]", str(exc)) from exc
-        result = {"task": task, "absorbing": verdict.absorbing,
-                  "mode": verdict.mode, "checked": verdict.checked,
-                  "witness_r": verdict.witness_r}
+        result = {"task": task, **vars(verdict)}
     elif task == "closedness":
         raw = cfg.get_str("absorb", "u_set", "all")
         u_set = (VertexSet(g, g.full_mask()) if raw == "all"
@@ -504,7 +487,11 @@ def run_bounds(cfg, seed, caps, outdir):
         n = cfg.get_int("bounds", "n")
         ell = _int_at_least(cfg, "bounds", "ell", 1)
         p = probability()
-        log_lb = bounds.fkg_lower_bound(n, ell, p)
+        try:
+            log_lb = bounds.fkg_lower_bound(n, ell, p)
+        except OverflowError as exc:
+            raise ConfigError("[bounds] n", f"C(n, ell + 1) at n = {n}, "
+                              f"ell = {ell} overflows a double: {exc}") from exc
         if log_lb == -math.inf:
             raise ConfigError("[bounds] p", f"at p = {p} the lower bound is 0 "
                               "and its log, -inf, has no JSON form")
@@ -514,12 +501,18 @@ def run_bounds(cfg, seed, caps, outdir):
         ell = _int_at_least(cfg, "bounds", "ell", 2)
         a = _int_at_least(cfg, "bounds", "a_size", ell)
         p = probability()
-        rep = bounds.janson_bound(a, ell, p)
-        result = {"formula": formula, "a_size": a, "ell": ell, "p": p,
-                  "expected_x": rep.expected_x, "delta": rep.delta,
-                  "log_upper_bound": rep.log_upper_bound,
-                  "upper_bound": rep.upper_bound,
-                  "delta_exact": bounds.janson_delta_exact(a, ell, p)}
+        where = f"a_size = {a}, ell = {ell}, p = {p}"
+        try:
+            rep = bounds.janson_bound(a, ell, p)
+            delta_exact = reports.jsonable(bounds.janson_delta_exact(a, ell, p))
+        except OverflowError as exc:
+            raise ConfigError("[bounds] a_size", f"E[X] or Delta at {where} "
+                              "overflows a double") from exc
+        except ValueError as exc:   # past Python's int-to-str digit limit
+            raise ConfigError("[bounds] a_size", f"the exact Delta at {where} "
+                              "has too many digits for a report") from exc
+        result = {"formula": formula, **vars(rep), "upper_bound": rep.upper_bound,
+                  "delta_exact": delta_exact}
     elif formula == "drc-condition":
         n = _int_at_least(cfg, "bounds", "n", 1)
         d = nonnegative("avg_degree")
@@ -558,13 +551,14 @@ HANDLERS = {
 KINDS = tuple(HANDLERS)
 
 
-def _execute(kind: str, cfg: Config, seed: int, outdir: Optional[str]
-             ) -> Tuple[dict, dict, dict]:
+def _execute(kind: str, cfg: Config, seed: int, outdir: Optional[str]) -> dict:
+    """Run one kind handler and return its finished report."""
     caps = {"node_budget": _node_budget(cfg)}
     t0 = time.perf_counter()
     result, flags = HANDLERS[kind](cfg, seed, caps, outdir)
     timings = {"total_s": time.perf_counter() - t0}
-    return result, {"caps": caps, "flags": flags}, timings
+    return reports.build_report(kind, seed, cfg.flat(), result, flags, caps,
+                                timings)
 
 
 def _report_path(outdir: str, report: dict, prefix: str = "report") -> str:
@@ -585,16 +579,14 @@ def cmd_run(kind: str, args) -> int:
         raise ConfigError("[run] kind",
                           f"config declares {declared!r}, command line says {kind!r}")
     seed = args.seed if args.seed is not None else cfg.get_int("run", "seed", 0)
-    result, meta, timings = _execute(kind, cfg, seed, args.out)
-    report = reports.build_report(kind, seed, cfg.flat(), result,
-                                  meta["flags"], meta["caps"], timings)
+    report = _execute(kind, cfg, seed, args.out)
     if args.out:
         path = _report_path(args.out, report)
         reports.write_report_atomic(path, report)
         print(path)
     else:
         sys.stdout.write(reports.dump_report(report))
-    return EXIT_CAP if meta["flags"].get("cap_hit") else EXIT_OK
+    return EXIT_CAP if report["flags"].get("cap_hit") else EXIT_OK
 
 
 def cmd_scan(args) -> int:
@@ -623,16 +615,14 @@ def cmd_scan(args) -> int:
         try:
             seed = (args.seed if args.seed is not None
                     else point.get_int("run", "seed", 0))
-            result, meta, timings = _execute(kind, point, seed, outdir)
+            report = _execute(kind, point, seed, outdir)
         except (ConfigError, InputError, OSError) as exc:
             code = _user_error(exc, f"point {idx} ({param} = {values[idx]}): ")
             rows.append(("error", code, {}))
             continue
-        report = reports.build_report(kind, seed, point.flat(), result,
-                                      meta["flags"], meta["caps"], timings)
         path = _report_path(outdir, report, prefix=f"point-{idx:03d}")
         reports.write_report_atomic(path, report)
-        if meta["flags"].get("cap_hit"):
+        if report["flags"].get("cap_hit"):
             rows.append(("cap", EXIT_CAP, report["result"]))
         else:
             rows.append(("ok", EXIT_OK, report["result"]))

@@ -75,9 +75,6 @@ class Config:
     def has(self, section: str, key: str) -> bool:
         return self._parser.has_option(section, key)
 
-    def sections(self) -> List[str]:
-        return list(self._parser.sections())
-
     def _raw(self, section: str, key: str) -> str:
         if not self._parser.has_section(section):
             raise ConfigError(f"[{section}]", "missing section")

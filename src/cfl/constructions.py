@@ -87,7 +87,6 @@ class LowerBoundSpec:
 @dataclass
 class LowerBoundBuild:
     graph: Graph
-    spec: LowerBoundSpec
     clique_part: VertexSet            # X1
     inner_part: VertexSet             # X2
     min_degree: int
@@ -115,7 +114,6 @@ def build_lower_bound_graph(spec: LowerBoundSpec,
     mu = Fraction(spec.r, r_minus_l) * (Fraction(r_minus_l, spec.r) - spec.eta)
     build = LowerBoundBuild(
         graph=g,
-        spec=spec,
         clique_part=VertexSet.of(g, range(x1)),
         inner_part=VertexSet.of(g, range(x1, spec.n)),
         min_degree=g.min_degree(),
@@ -181,7 +179,6 @@ class CoverThresholdSpec:
 @dataclass
 class CoverThresholdBuild:
     graph: Graph
-    spec: CoverThresholdSpec
     hub: int                      # the distinguished vertex, always 0
     neighborhood: VertexSet
     clique_part: VertexSet
@@ -218,7 +215,7 @@ def build_cover_threshold_graph(spec: CoverThresholdSpec) -> CoverThresholdBuild
         "neighborhood_min": min(g.degree(v) for v in nb),
         "clique_min": min(g.degree(v) for v in cl) if len(cl) else None,
     }
-    return CoverThresholdBuild(graph=g, spec=spec, hub=0, neighborhood=nb,
+    return CoverThresholdBuild(graph=g, hub=0, neighborhood=nb,
                                clique_part=cl, min_degree=g.min_degree(),
                                degree_breakdown=breakdown)
 

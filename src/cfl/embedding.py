@@ -45,16 +45,10 @@ class DrcOutcome:
     """A selected set in which every r-subset has at least m common
     neighbors inside the witness class, verified by complete scan."""
     selected: VertexSet
-    t_used: int
-    r: int
-    m: int
-    trials: int
     certified: bool
+    trials: int
     deletions: int
     initial_size: int
-
-    def __len__(self) -> int:
-        return len(self.selected)
 
 
 def _certify_scan(g: Graph, umask: int, witness_mask: int, r: int, m: int
@@ -132,9 +126,9 @@ def drc_select(g: Graph, target_class: VertexSet, witness_class: VertexSet,
         if umask.bit_count() > best_mask.bit_count():
             best_mask, best_trial = umask, trial
             best_deletions, best_initial = deletions, initial
-    return DrcOutcome(selected=VertexSet(g, best_mask), t_used=t, r=r, m=m,
-                      trials=trials_run, certified=True,
-                      deletions=best_deletions, initial_size=best_initial)
+    return DrcOutcome(selected=VertexSet(g, best_mask), certified=True,
+                      trials=trials_run, deletions=best_deletions,
+                      initial_size=best_initial)
 
 
 # -- partite hypergraphs -------------------------------------------------------
@@ -334,8 +328,8 @@ class EmbedResult:
     per_class: Optional[List[VertexSet]]
     path: str                      # "drc" | "fallback" | "none"
     stage: str                     # furthest stage reached (or "done")
+    alpha_bound: int
     trials_used: int
-    config: EmbedConfig
     telemetry: List[dict] = field(default_factory=list)
 
 
@@ -423,7 +417,7 @@ def embed_clique_in_tuple(g: Graph, classes: Sequence[VertexSet], p: int,
                     union |= a.mask
                 return EmbedResult(True, VertexSet(g, union), per_class,
                                    path="drc", stage="done",
-                                   trials_used=trial, config=config,
+                                   alpha_bound=alpha_bound, trials_used=trial,
                                    telemetry=telemetry)
             note["stage"] = "verification"
             stage = "verification"
@@ -440,10 +434,10 @@ def embed_clique_in_tuple(g: Graph, classes: Sequence[VertexSet], p: int,
             union |= a.mask
         return EmbedResult(True, VertexSet(g, union), fallback,
                            path="fallback", stage="done",
-                           trials_used=trials_used, config=config,
+                           alpha_bound=alpha_bound, trials_used=trials_used,
                            telemetry=telemetry)
     return EmbedResult(False, None, None, path="none", stage=stage,
-                       trials_used=trials_used, config=config,
+                       alpha_bound=alpha_bound, trials_used=trials_used,
                        telemetry=telemetry)
 
 

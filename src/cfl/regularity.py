@@ -419,9 +419,6 @@ class ReducedGraph:
     weights: Dict[Tuple[int, int], Fraction]
     source: Optional["Partition"] = None
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.weights
-
     def degree(self, i: int) -> int:
         return sum(1 for e in self.weights if i in e)
 

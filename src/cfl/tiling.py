@@ -55,7 +55,7 @@ from .rng import SplitMix64
 @dataclass
 class CliqueTiling:
     """Pairwise-disjoint vertex sets, each inducing a complete graph of
-    order r.  ``covered`` is the cached union."""
+    order r.  ``covered_mask`` is their union."""
     r: int
     members: List[VertexSet]
 
@@ -65,9 +65,6 @@ class CliqueTiling:
         for s in self.members:
             m |= s.mask
         return m
-
-    def covered(self, g: Graph) -> VertexSet:
-        return VertexSet(g, self.covered_mask)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -91,10 +88,6 @@ class FactorResult:
     existence undecided)."""
     tiling: Optional[CliqueTiling]
     status: str
-
-    @property
-    def found(self) -> bool:
-        return self.tiling is not None
 
 
 def verify_tiling(g: Graph, t: CliqueTiling, within: Optional[VertexSet] = None) -> bool:

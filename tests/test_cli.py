@@ -223,6 +223,12 @@ def test_cover_user_errors_exit_two(tmp_path, capsys, key, value, field):
      "r = 2\nm = 1e308\na = 0\n", "[bounds] m: the slack overflows"),
     ("bounds", "formula = drc-condition\nn = 5\navg_degree = inf\nt = 1\n"
      "r = 1\nm = inf\na = 0\n", "[bounds] avg_degree: expected a finite number"),
+    ("bounds", "formula = fkg\nn = 100000\nell = 300\np = 0.5\n",
+     "[bounds] n: C(n, ell + 1)"),
+    ("bounds", "formula = janson\na_size = 1000\nell = 150\np = 0.5\n",
+     "[bounds] a_size: the exact Delta"),
+    ("bounds", "formula = janson\na_size = 100000\nell = 300\np = 0.99\n",
+     "[bounds] a_size: E[X] or Delta"),
     ("construct", "family = lower-bound\nn = 0\nr = 3\nell = 2\nclique_size = 1\n"
      "inner = empty:1\n", "[construct] n"),
     ("construct", "family = sparse-klfree\nn = 0\nell = 3\ngamma = 0.1\n",
