@@ -504,10 +504,11 @@ def run_bounds(cfg, seed, caps, outdir):
         where = f"a_size = {a}, ell = {ell}, p = {p}"
         try:
             rep = bounds.janson_bound(a, ell, p)
-            delta_exact = reports.jsonable(bounds.janson_delta_exact(a, ell, p))
         except OverflowError as exc:
             raise ConfigError("[bounds] a_size", f"E[X] or Delta at {where} "
                               "overflows a double") from exc
+        try:
+            delta_exact = reports.jsonable(bounds.janson_delta_exact(a, ell, p))
         except ValueError as exc:   # past Python's int-to-str digit limit
             raise ConfigError("[bounds] a_size", f"the exact Delta at {where} "
                               "has too many digits for a report") from exc

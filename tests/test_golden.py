@@ -6,8 +6,8 @@ file resolves by a relative path and no report carries a temporary path.
 The report, with ``timings`` stripped, must equal ``golden/<name>.json``
 byte for byte.  Each ``scan*.ini`` is swept with ``cfl scan`` instead: its
 point reports must equal ``<name>-point-NNN.json`` and its ``scan.csv``
-``<name>.csv``, so the csv pins the order of the result columns too.  A run that hits a node cap
-must exit 4, every other run 0.
+``<name>.csv``, so the csv pins the order of the result columns too.  A run
+that hits a node cap must exit 4, every other run 0.
 
 After a deliberate report change, regenerate with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -40,12 +40,10 @@ def render(name: str, outdir: str) -> Tuple[int, Dict[str, str]]:
     """Run one golden config from inside ``golden/``; returns the exit code
     and the golden file name -> expected text map it should match."""
     kind = name.split("-", 1)[0]
+    argv = [kind, "--config", f"{name}.ini"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        if kind == "scan":
-            code = main(["scan", "--config", f"{name}.ini", "--out", outdir])
-        else:
-            code = main([kind, "--config", f"{name}.ini"])
+        code = main(argv + ["--out", outdir] if kind == "scan" else argv)
     if kind != "scan":
         return code, {f"{name}.json": _stripped(out.getvalue())}
     files = {}
