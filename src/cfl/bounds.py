@@ -9,9 +9,10 @@ versions are provided where downstream tests demand bit-exact comparisons.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 
 def log_binomial(n: int, k: int) -> float:
@@ -102,11 +103,48 @@ def janson_bound(a_size: int, ell: int, p: float) -> JansonReport:
                         delta=delta, log_upper_bound=min(0.0, exponent))
 
 
+def _delta_denominator_bits(a_size: int, ell: int,
+                            q: Fraction) -> Optional[int]:
+    """Bit count B of the reduced denominator 2^B of janson_delta_exact
+    when ``q`` = m / 2^k (k >= 1, m odd), or None when this shortcut does
+    not decide it.
+
+    Over the common denominator 2^(k e), with e the largest exponent among
+    the terms whose coefficient c is nonzero, the numerator is c m^e plus
+    terms divisible by 2^(k gap), gap being the drop to the next exponent.
+    So when v = v_2(c) < k gap, the numerator has 2-adic valuation v and
+    B = k e - v.  A lone term (s = ell - 1) reduces to B = max(0, k e - v)."""
+    den = q.denominator
+    k = den.bit_length() - 1
+    if k == 0 or den != 1 << k:
+        return None
+    s = max(2, 2 * ell - a_size)       # smallest s with C(a-ell, ell-s) > 0
+    if s >= ell:
+        return None
+    c = (math.comb(a_size, ell) * math.comb(ell, s)
+         * math.comb(a_size - ell, ell - s))
+    v = (c & -c).bit_length() - 1
+    gap = s                             # C(s+1, 2) - C(s, 2)
+    if s + 1 < ell and v >= k * gap:
+        return None
+    return max(0, k * (2 * math.comb(ell, 2) - math.comb(s, 2)) - v)
+
+
 def janson_delta_exact(a_size: int, ell: int, p) -> Fraction:
     """Exact rational correlation sum (same casework as janson_bound).
     ``p`` is converted to an exact Fraction, so binary floats are taken at
-    their exact value."""
+    their exact value.
+
+    Raises ValueError, before summing, when the result's denominator would
+    have more decimal digits than Python's int-to-str limit allows: such a
+    sum can run for minutes and could not be printed anyway."""
     q = p if isinstance(p, Fraction) else Fraction(p)
+    # the limit exists from Python 3.10.7 on; 0 means none
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bits = _delta_denominator_bits(a_size, ell, q) if limit else None
+    if bits is not None and bits * math.log10(2) >= limit:
+        raise ValueError(f"the exact Delta's denominator 2^{bits} has more "
+                         f"than {limit} decimal digits")
     epairs = math.comb(ell, 2)
     total = Fraction(0)
     for s in range(2, ell):

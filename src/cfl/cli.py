@@ -16,7 +16,9 @@ search.  ``--threads`` is accepted and ignored: scan points run in sequence.
 Each kind handler returns its result and its flags; ``_execute`` turns them
 into the finished report.  A handler returns its solver's result dataclass
 as it is, or spreads its fields (``vars``) into the result dict beside the
-few keys the solver does not know, so report keys are field names.
+few keys the solver does not know, so report keys are field names.  Each
+handler imports its own solver modules on its first line, so a run loads
+only the solvers its kind uses.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ import time
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from . import absorption, bounds, constructions, embedding, graphs
-from . import invariants, regularity, reports, tiling
+from . import graphs, reports
 from .config import Config, ConfigError, parse_vertex_list
 from .graphs import Graph, GraphFormatError, VertexSet
 
@@ -65,6 +66,7 @@ def load_graph(cfg: Config, section: str, key: str = "graph",
             return graphs.parse_graph(text)
         except GraphFormatError as exc:
             raise InputError(f"{raw}: {exc}") from exc
+    from . import constructions
     try:
         return constructions.graph_from_spec(raw, seed=seed)
     except (constructions.ConstructionError, ValueError) as exc:
@@ -125,6 +127,7 @@ def _node_budget(cfg: Config) -> Optional[int]:
 
 
 def run_alpha(cfg, seed, caps, outdir):
+    from . import invariants
     g = load_graph(cfg, "alpha", seed=seed)
     ell = _int_at_least(cfg, "alpha", "ell", 2)
     mode = cfg.get_str("alpha", "mode", "exact")
@@ -140,6 +143,7 @@ def run_alpha(cfg, seed, caps, outdir):
 
 
 def run_tile(cfg, seed, caps, outdir):
+    from . import tiling
     g = load_graph(cfg, "tile", seed=seed)
     r = _int_at_least(cfg, "tile", "r", 2)
     res = tiling.max_tiling(g, r, node_cap=caps.get("node_budget"))
@@ -151,6 +155,7 @@ def run_tile(cfg, seed, caps, outdir):
 
 
 def run_factor(cfg, seed, caps, outdir):
+    from . import tiling
     g = load_graph(cfg, "factor", seed=seed)
     r = _int_at_least(cfg, "factor", "r", 2)
     res = tiling.has_factor(g, r, node_cap=caps.get("node_budget"))
@@ -161,6 +166,7 @@ def run_factor(cfg, seed, caps, outdir):
 
 
 def run_cover(cfg, seed, caps, outdir):
+    from . import invariants
     g = load_graph(cfg, "cover", seed=seed)
     v = _vertex(cfg, "cover", "vertex", g)
     r = _int_at_least(cfg, "cover", "r", 1)
@@ -175,6 +181,7 @@ def run_cover(cfg, seed, caps, outdir):
 
 
 def run_construct(cfg, seed, caps, outdir):
+    from . import constructions
     family = cfg.get_str("construct", "family")
     section = "construct"
     flags = {"cap_hit": False}
@@ -241,6 +248,7 @@ def run_construct(cfg, seed, caps, outdir):
 
 
 def run_regcheck(cfg, seed, caps, outdir):
+    from . import regularity
     g = load_graph(cfg, "regcheck", seed=seed)
     ppath = cfg.get_str("regcheck", "partition")
     try:
@@ -282,6 +290,7 @@ def run_regcheck(cfg, seed, caps, outdir):
 
 
 def run_drc(cfg, seed, caps, outdir):
+    from . import bounds, embedding
     g = load_graph(cfg, "drc", seed=seed)
     target = _vertex_set(cfg, "drc", "target", g)
     witness = _vertex_set(cfg, "drc", "witness", g)
@@ -292,7 +301,7 @@ def run_drc(cfg, seed, caps, outdir):
     t = _int_at_least(cfg, "drc", "t", 1)
     r = _int_at_least(cfg, "drc", "r", 2)
     m = _int_at_least(cfg, "drc", "m", 1)
-    trials = cfg.get_int("drc", "trials", 8)
+    trials = _int_at_least(cfg, "drc", "trials", 1, default=8)
     out = embedding.drc_select(g, target, witness, t, r, m, seed=seed,
                                max_trials=trials)
     slack = bounds.drc_condition(len(target) + len(witness),
@@ -304,6 +313,7 @@ def run_drc(cfg, seed, caps, outdir):
 
 
 def run_embed(cfg, seed, caps, outdir):
+    from . import embedding, invariants
     g = load_graph(cfg, "embed", seed=seed)
     class_specs = cfg.get_str("embed", "classes").split(";")
     classes = [_vertices(spec, f"[embed] classes[{i}]", g)
@@ -325,11 +335,11 @@ def run_embed(cfg, seed, caps, outdir):
         # a capped search gives only a lower bound on alpha
         alpha_capped = not all(res.exact for res in alphas)
     else:
-        alpha_bound = cfg.get_int("embed", "alpha_bound")
+        alpha_bound = _int_at_least(cfg, "embed", "alpha_bound", 0)
     econf = embedding.EmbedConfig(
         s=cfg.get_int("embed", "s", 2),
         beta=cfg.get_float("embed", "beta", 0.1),
-        trials=cfg.get_int("embed", "trials", 8))
+        trials=_int_at_least(cfg, "embed", "trials", 0, default=8))
     if caps.get("node_budget") is not None:
         econf.fallback_node_cap = caps["node_budget"]
     if econf.s < 1:
@@ -344,6 +354,7 @@ def run_embed(cfg, seed, caps, outdir):
 
 
 def run_absorb(cfg, seed, caps, outdir):
+    from . import absorption
     task = cfg.get_str("absorb", "task")
     r = _int_at_least(cfg, "absorb", "r", 2)
     if task == "gadget":
@@ -364,7 +375,7 @@ def run_absorb(cfg, seed, caps, outdir):
         a = _vertex_set(cfg, "absorb", "a_set", g)
         if a.mask & s.mask:
             raise ConfigError("[absorb] a_set", "meets [absorb] s_set")
-        t = cfg.get_int("absorb", "t")
+        t = _int_at_least(cfg, "absorb", "t", 1)
         cert = absorption.certify_absorber(g, s, a, r, t)
         result = {"task": task, "certified": cert is not None,
                   "factor_of_a": cert.factor_of_a.members if cert else None,
@@ -397,8 +408,8 @@ def run_absorb(cfg, seed, caps, outdir):
         raw = cfg.get_str("absorb", "u_set", "all")
         u_set = (VertexSet(g, g.full_mask()) if raw == "all"
                  else _vertices(raw, "[absorb] u_set", g))
-        t = cfg.get_int("absorb", "t", 1)
-        budget = cfg.get_int("absorb", "pair_budget", 64)
+        t = _int_at_least(cfg, "absorb", "t", 1, default=1)
+        budget = _int_at_least(cfg, "absorb", "pair_budget", 1, default=64)
         inner = cfg.get_bool("absorb", "inner", False)
         limit = cfg.get_int("absorb", "limit", 8)
         rep = absorption.closedness_report(g, u_set, r, t, budget,
@@ -413,17 +424,19 @@ def run_absorb(cfg, seed, caps, outdir):
 
 
 def run_rtt(cfg, seed, caps, outdir):
+    from . import invariants
     n = _int_at_least(cfg, "rtt", "n", 1)
     r = _int_at_least(cfg, "rtt", "r", 2)
     ell = _int_at_least(cfg, "rtt", "ell", 2)
     alpha_bound = cfg.get_int("rtt", "alpha_bound")
-    tries = cfg.get_int("rtt", "tries", 2000)
+    tries = _int_at_least(cfg, "rtt", "tries", 1, default=2000)
     res = invariants.rtt_oracle(n, r, ell, alpha_bound, seed=seed, tries=tries)
     return res, {"exhaustive": res.exhaustive, "degenerate": res.degenerate,
                  "cap_hit": False}
 
 
 def run_thresholds(cfg, seed, caps, outdir):
+    from . import bounds
     result: Dict[str, object] = {}
     if cfg.has("thresholds", "parts"):
         parts = cfg.get_int_list("thresholds", "parts")
@@ -439,7 +452,7 @@ def run_thresholds(cfg, seed, caps, outdir):
     if cfg.has("thresholds", "r") and cfg.has("thresholds", "ell"):
         r = cfg.get_int("thresholds", "r")
         ell = cfg.get_int("thresholds", "ell")
-        n = cfg.get_int("thresholds", "n", 1)
+        n = _int_at_least(cfg, "thresholds", "n", 1, default=1)
         rho = cfg.get_fraction("thresholds", "rho_star", Fraction(0))
         try:
             dt = bounds.degree_thresholds(n, r, ell, rho)
@@ -467,6 +480,7 @@ def run_thresholds(cfg, seed, caps, outdir):
 
 
 def run_bounds(cfg, seed, caps, outdir):
+    from . import bounds
     formula = cfg.get_str("bounds", "formula")
 
     def probability() -> float:

@@ -32,7 +32,6 @@ from typing import List, Optional
 from .graphs import (Graph, SearchCapExceeded, VertexSet, _has_clique,
                      iter_bits, iter_clique_masks)
 from .rng import SplitMix64
-from . import tiling
 
 
 @dataclass
@@ -254,6 +253,8 @@ def _rtt_exhaustive(n: int, r: int, ell: int, alpha_bound: int,
                     degenerate: bool) -> RttResult:
     import numpy as np
 
+    from . import tiling
+
     npairs = n * (n - 1) // 2
     total = 1 << npairs
     pair_masks = _pair_index_masks(n)
@@ -299,6 +300,7 @@ def _rtt_search(n: int, r: int, ell: int, alpha_bound: int, degenerate: bool,
                 seed: int, tries: int) -> RttResult:
     """Random sampling plus a min-degree hill climb; every incumbent is
     re-certified by the exact solvers before acceptance."""
+    from . import tiling
     from .graphs import random_gnp
 
     rng = SplitMix64(seed)

@@ -6,10 +6,10 @@ from itertools import combinations
 
 import pytest
 
-from cfl.bounds import (alpha_profile, chi_cr, degree_thresholds,
-                        drc_condition, fkg_lower_bound, janson_bound,
-                        janson_delta_exact, janson_expected_exact,
-                        komlos_threshold, log_binomial)
+from cfl.bounds import (_delta_denominator_bits, alpha_profile, chi_cr,
+                        degree_thresholds, drc_condition, fkg_lower_bound,
+                        janson_bound, janson_delta_exact,
+                        janson_expected_exact, komlos_threshold, log_binomial)
 
 
 def brute_delta(a_size: int, ell: int, p: Fraction) -> Fraction:
@@ -83,6 +83,19 @@ def test_delta_matches_brute_force_exactly():
             for p in (Fraction(1, 2), Fraction(3, 10), Fraction(0.2)):
                 assert janson_delta_exact(a_size, ell, p) == \
                     brute_delta(a_size, ell, p)
+
+
+def test_delta_denominator_bits_match_the_exact_sums():
+    decided = 0
+    for a_size in range(3, 26):
+        for ell in range(3, min(a_size, 8) + 1):
+            for p in (0.3, 0.5, 0.7, 0.123456789, Fraction(3, 8), Fraction(3, 10)):
+                bits = _delta_denominator_bits(a_size, ell, Fraction(p))
+                if bits is None:
+                    continue
+                decided += 1
+                assert janson_delta_exact(a_size, ell, p).denominator == 1 << bits
+    assert decided > 500
 
 
 def test_janson_float_tracks_exact():

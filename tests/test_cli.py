@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import cfl
 from cfl.cli import main
 from cfl.config import Config, ConfigError
-from cfl.graphs import cycle_graph, format_edgelist, parse_graph
+from cfl.graphs import cycle_graph, format_edgelist, parse_graph, random_gnp
 from cfl.reports import strip_timings
 
 
@@ -233,12 +233,42 @@ def test_cover_user_errors_exit_two(tmp_path, capsys, key, value, field):
      "inner = empty:1\n", "[construct] n"),
     ("construct", "family = sparse-klfree\nn = 0\nell = 3\ngamma = 0.1\n",
      "[construct] n"),
+    ("drc", "graph = petersen\ntarget = 0-4\nwitness = 5-9\nt = 1\nr = 2\nm = 1\n"
+     "trials = -1\n", "[drc] trials"),
+    ("drc", "graph = petersen\ntarget = 0-4\nwitness = 5-9\nt = 1\nr = 2\nm = 1\n"
+     "trials = 0\n", "[drc] trials"),
+    ("absorb", "task = closedness\ngraph = petersen\nr = 3\npair_budget = -1\n",
+     "[absorb] pair_budget"),
+    ("absorb", "task = closedness\ngraph = petersen\nr = 3\nt = -1\n",
+     "[absorb] t"),
+    ("absorb", "task = absorber\ngraph = petersen\nr = 3\ns_set = 0,1,2\n"
+     "a_set = 3,4,5\nt = -2\n", "[absorb] t"),
+    ("rtt", "n = 9\nr = 3\nell = 2\nalpha_bound = 3\ntries = 0\n", "[rtt] tries"),
+    ("embed", "graph = complete:12\nclasses = 0-3;4-7;8-11\np = 2\n"
+     "alpha_bound = 1\ntrials = -3\n", "[embed] trials"),
+    ("embed", "graph = complete:12\nclasses = 0-3;4-7;8-11\np = 2\n"
+     "alpha_bound = -1\n", "[embed] alpha_bound"),
+    ("thresholds", "r = 4\nell = 2\nn = -5\n", "[thresholds] n"),
 ])
 def test_out_of_range_parameters_exit_two(tmp_path, capsys, kind, body, field):
     body = body.replace("{golden}", GOLDEN)
     cfg = write(tmp_path / "oor.ini", f"[run]\nkind = {kind}\n[{kind}]\n{body}")
     assert run_cli([kind, "--config", cfg]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_janson_delta_past_the_digit_limit_exits_two_before_summing(tmp_path):
+    # p = 0.3 is m / 2^54: the exact Delta's denominator has about 1.46 M
+    # digits, and summing it took minutes before the check could reject it
+    cfg = write(tmp_path / "j.ini", "[run]\nkind = bounds\n[bounds]\n"
+                                    "formula = janson\na_size = 100000\n"
+                                    "ell = 300\np = 0.3\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cfl.__file__)))
+    out = subprocess.run([sys.executable, "-m", "cfl.cli", "bounds",
+                          "--config", cfg], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=20)
+    assert out.returncode == 2
+    assert "[bounds] a_size: the exact Delta" in out.stderr
 
 
 def test_exit_code_kind_mismatch(tmp_path):
@@ -467,22 +497,44 @@ def test_scan_cannot_sweep_the_kind(tmp_path, capsys):
     assert not outdir.exists()
 
 
-def test_a_tile_run_loads_neither_numpy_nor_a_thread_pool(tmp_path):
-    """numpy is for the n <= 7 oracle and the rng bulk helpers; neither a
-    tile run nor a scan of tile points loads it or a thread pool."""
-    cfg = write(tmp_path / "t.ini", "[run]\nkind = tile\n"
-                                    "[tile]\ngraph = gnp:24,0.28,4\nr = 3\n"
-                                    "[scan]\nparam = tile.r\nvalues = 2, 3\n")
-    code = ("import sys\nimport cfl.cli\n"
+SOLVERS = {"absorption", "bounds", "constructions", "embedding", "invariants",
+           "regularity", "tiling"}
+
+
+@pytest.mark.parametrize("commands, body, solvers", [
+    ((), "", set()),
+    (("thresholds",), "[thresholds]\nr = 4\nell = 2\n", {"bounds"}),
+    (("tile", "scan"), "[tile]\ngraph = {graph}\nr = 3\n"
+     "[scan]\nparam = tile.r\nvalues = 2, 3\n", {"tiling"}),
+    (("factor",), "[factor]\ngraph = {graph}\nr = 3\n", {"tiling"}),
+    (("alpha",), "[alpha]\ngraph = {graph}\nell = 2\n", {"invariants"}),
+    (("tile",), "[tile]\ngraph = gnp:24,0.28,4\nr = 3\n",
+     {"tiling", "constructions", "invariants"}),
+], ids=["import", "thresholds", "tile-and-scan", "factor", "alpha", "tile-spec"])
+def test_a_run_loads_only_its_kinds_solvers(tmp_path, commands, body, solvers):
+    """Each handler imports its own solver modules, so ``import cfl.cli``
+    loads none of them and a run loads only its kind's; a generator spec
+    adds ``constructions`` and the ``invariants`` it imports.  numpy is for
+    the n <= 7 oracle and the rng bulk helpers, so none of these runs loads
+    it, nor a thread pool."""
+    graph = write(tmp_path / "g.el", format_edgelist(random_gnp(24, 0.28, 4)))
+    kind = commands[0] if commands else "alpha"
+    cfg = write(tmp_path / "k.ini", f"[run]\nkind = {kind}\n"
+                + body.replace("{graph}", graph))
+    code = ("import json, sys\nimport cfl.cli\n"
             f"codes = [cfl.cli.main([command, '--config', {cfg!r}, '--out', "
-            f"{str(tmp_path)!r}, '--threads', '2']) for command in ('tile', 'scan')]\n"
-            "print(codes, [m for m in ('numpy', 'concurrent.futures') "
-            "if m in sys.modules])\n")
+            f"{str(tmp_path)!r}, '--threads', '2']) for command in {commands!r}]\n"
+            "print(json.dumps([codes, sorted(m[4:] for m in sys.modules "
+            "if m.startswith('cfl.')), [m for m in ('numpy', 'concurrent.futures') "
+            "if m in sys.modules]]))\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cfl.__file__)))
     out = subprocess.run([sys.executable, "-c", code],
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "[0, 0] []"
+    codes, modules, heavy = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands)
+    assert SOLVERS.intersection(modules) == solvers
+    assert heavy == []
 
 
 def test_scan_point_config_sets_one_key_and_drops_scan():
