@@ -115,11 +115,15 @@ def _node_budget(cfg: Config) -> Optional[int]:
     env = os.environ.get("CFL_NODE_BUDGET")
     if env is not None:
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise ConfigError("CFL_NODE_BUDGET", f"expected integer, got {env!r}")
+        if budget < 0:
+            raise ConfigError("CFL_NODE_BUDGET",
+                              f"expected an integer >= 0, got {budget}")
+        return budget
     if cfg.has("run", "node_budget"):
-        return cfg.get_int("run", "node_budget")
+        return _int_at_least(cfg, "run", "node_budget", 0)
     return None
 
 
@@ -219,7 +223,7 @@ def run_construct(cfg, seed, caps, outdir):
         n = _int_at_least(cfg, section, "n", 1)
         ell = cfg.get_int(section, "ell")
         gamma = cfg.get_float(section, "gamma")
-        tries = cfg.get_int(section, "max_tries", 20)
+        tries = _int_at_least(cfg, section, "max_tries", 1, default=20)
         try:
             sample = constructions.sample_sparse_klfree(n, ell, gamma, seed,
                                                         max_tries=tries)
@@ -411,7 +415,7 @@ def run_absorb(cfg, seed, caps, outdir):
         t = _int_at_least(cfg, "absorb", "t", 1, default=1)
         budget = _int_at_least(cfg, "absorb", "pair_budget", 1, default=64)
         inner = cfg.get_bool("absorb", "inner", False)
-        limit = cfg.get_int("absorb", "limit", 8)
+        limit = _int_at_least(cfg, "absorb", "limit", 1, default=8)
         rep = absorption.closedness_report(g, u_set, r, t, budget,
                                            inner=inner, per_pair_limit=limit,
                                            seed=seed)

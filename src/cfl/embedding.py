@@ -10,13 +10,19 @@ Three layers:
   final scan, never by the expectation argument.
 
 * hypergraph_drc_step: one arity-reduction step on an r-partite r-uniform
-  hypergraph.  Sample s vertices from the first class; keep the (r-1)-edges
-  extended by every sampled vertex (the link intersection).  An optional
-  audit enumerates small edge sets (at most AUDIT_DELTA_CAP edges spanning
-  at most AUDIT_WEIGHT_CAP vertices) and flags the "dangerous" ones whose
-  extender count in the first class falls below beta * N.
+  hypergraph.  Sample s heads from the first class with repetition and
+  keep the tails, the (r-1)-edges, that every sampled head extends (the
+  link intersection).
 
-* embed_clique_in_tuple: the cascade.  Reduce arity down to 2, run the
+* embed_clique_in_tuple: the cascade.  Its level 0 is the hypergraph of
+  class-transversal cliques, capped at HYPERGRAPH_CAP edges in
+  lexicographic order, and it is never held in memory.  One counting pass
+  per call gives each head of the first class its share of the capped
+  level; a head's tails, the transversal cliques of the other classes
+  inside its neighborhood, are enumerated only when step 1 samples it (or,
+  with two classes, once to build the bipartite graph), and back-extension
+  into the first class tests membership head by head.  Levels 1 and up
+  are small and are held as edge lists.  Reduce arity down to 2, run the
   selector on the resulting bipartite structure, find a p-clique inside the
   selected set (any set larger than the caller's independence budget must
   contain one), back-extend through common links, and verify the final
@@ -25,18 +31,18 @@ Three layers:
   structured outcome with the stage reached.
 
 The asymptotic parameter schedule behind these procedures is meaningless at
-desk scale; s, beta, the trial count and the fallback node cap are explicit
-configuration (EmbedConfig).  The audit caps are module constants, and the
-cascade runs its steps without the audit.
+desk scale; s, the trial count and the fallback node cap are explicit
+configuration (EmbedConfig).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .graphs import (Graph, SearchCapExceeded, VertexSet, iter_bits,
-                     iter_clique_masks)
+                     iter_clique_masks, mask_of)
 from .rng import SplitMix64, derive_seed
 
 
@@ -145,19 +151,6 @@ class PartiteHypergraph:
     def arity(self) -> int:
         return len(self.classes)
 
-    def validate(self) -> None:
-        seen = 0
-        for c in self.classes:
-            if c.mask & seen:
-                raise ValueError("classes must be pairwise disjoint")
-            seen |= c.mask
-        for e in self.edges:
-            if len(e) != self.arity:
-                raise ValueError(f"edge {e} has wrong arity")
-            for i, v in enumerate(e):
-                if v not in self.classes[i]:
-                    raise ValueError(f"edge {e} is not transversal at slot {i}")
-
     def to_bipartite_graph(self, n: int) -> Graph:
         if self.arity != 2:
             raise ValueError("only arity-2 hypergraphs convert to graphs")
@@ -165,10 +158,11 @@ class PartiteHypergraph:
 
 
 def transversal_clique_hypergraph(g: Graph, classes: Sequence[VertexSet],
-                                  cap: Optional[int] = None
+                                  cap: Optional[int] = None, within: int = -1
                                   ) -> Tuple[PartiteHypergraph, bool]:
-    """All class-transversal cliques of g as hypergraph edges (lexicographic
-    by tuple); the flag reports cap truncation."""
+    """All class-transversal cliques of g inside the vertex mask ``within``
+    (every vertex by default) as hypergraph edges, lexicographic by tuple;
+    the flag reports cap truncation."""
     q = len(classes)
     edges: List[Tuple[int, ...]] = []
     truncated = False
@@ -187,58 +181,40 @@ def transversal_clique_hypergraph(g: Graph, classes: Sequence[VertexSet],
                 return False
         return True
 
-    rec(0, (), -1)
+    rec(0, (), within)
     return PartiteHypergraph(classes=list(classes), edges=edges), truncated
 
 
-@dataclass
-class DangerousSet:
-    edge_indices: Tuple[int, ...]
-    weight: int
-    extenders: int
+def _count_transversal_cliques(g: Graph, classes: Sequence[VertexSet],
+                               within: int, limit: Optional[int]) -> int:
+    """How many edges ``transversal_clique_hypergraph(g, classes,
+    within=within)`` would have, without building them.  Once the count
+    passes ``limit`` it stops and returns a value above the limit."""
+    adj = g.adj
+    last = len(classes) - 1
+    total = 0
+
+    def rec(i: int, common: int) -> bool:
+        nonlocal total
+        if i == last:
+            total += (classes[i].mask & common).bit_count()
+            return limit is None or total <= limit
+        for v in iter_bits(classes[i].mask & common):
+            if not rec(i + 1, common & adj[v]):
+                return False
+        return True
+
+    rec(0, within)
+    return total
 
 
-@dataclass
-class DangerAudit:
-    """Extender audit of small edge sets of the reduced hypergraph.
-    Exhaustive only within AUDIT_BUDGET sets; otherwise sampled and
-    labeled as such.  ``sampled_vertices`` are the link centers the step
-    intersected, recorded so the output can be re-derived."""
-    mode: str                      # "exhaustive" | "sampled" | "skipped"
-    threshold: float               # beta * N
-    sets_checked: int
-    dangerous: List[DangerousSet]
-    dangerous_by_weight: Dict[int, int]
-    sampled_vertices: Tuple[int, ...] = ()
-
-    @property
-    def dangerous_count(self) -> int:
-        return sum(self.dangerous_by_weight.values())
-
-
-AUDIT_DELTA_CAP = 4          # largest edge set the audit inspects
-AUDIT_WEIGHT_CAP = 12        # most vertices an audited edge set may span
-AUDIT_BUDGET = 20_000        # sets checked before the audit turns sampled
-
-
-def hypergraph_drc_step(h: PartiteHypergraph, s: int, beta: float,
-                        seed: int = 0, audit: bool = True
-                        ) -> Tuple[PartiteHypergraph, DangerAudit]:
-    """One link-intersection step: sample s vertices from the first class
-    (with repetition) and keep the tails extended by all of them."""
-    if h.arity < 2:
-        raise ValueError("arity must be >= 2")
+def _link_intersection(first: Sequence[int], tails_of: Callable[[int], set],
+                       s: int, seed: int
+                       ) -> Tuple[List[Tuple[int, ...]], Tuple[int, ...]]:
+    """Sample s heads from ``first`` (with repetition) and intersect their
+    tail sets; returns the kept tails, sorted, and the sampled heads."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    if not 0 < beta < 1:
-        raise ValueError("beta must lie in (0, 1)")
-    first = h.classes[0].vertices()
-    tails_by_head: Dict[int, set] = {}
-    heads_by_tail: Dict[Tuple[int, ...], set] = {}
-    for e in h.edges:
-        head, tail = e[0], e[1:]
-        tails_by_head.setdefault(head, set()).add(tail)
-        heads_by_tail.setdefault(tail, set()).add(head)
     rng = SplitMix64(derive_seed(seed, "hdrc-sample"))
     kept: Optional[set] = None
     sampled: List[int] = []
@@ -246,71 +222,91 @@ def hypergraph_drc_step(h: PartiteHypergraph, s: int, beta: float,
         for _ in range(s):
             w = first[rng.randrange(len(first))]
             sampled.append(w)
-            tails = tails_by_head.get(w, set())
-            kept = tails.copy() if kept is None else kept & tails
-    out_edges = sorted(kept) if kept else []
-    out = PartiteHypergraph(classes=list(h.classes[1:]), edges=out_edges)
+            tails = tails_of(w)
+            kept = set(tails) if kept is None else kept & tails
+    return (sorted(kept) if kept else []), tuple(sampled)
 
-    n_first = len(first)
-    threshold = beta * n_first
-    if not audit or not out_edges:
-        report = DangerAudit(mode="skipped" if not audit else "exhaustive",
-                             threshold=threshold, sets_checked=0,
-                             dangerous=[], dangerous_by_weight={},
-                             sampled_vertices=tuple(sampled))
-        return out, report
 
-    ecount = len(out_edges)
-    total_sets = 0
-    from math import comb
-    for size in range(1, AUDIT_DELTA_CAP + 1):
-        total_sets += comb(ecount, size)
-    exhaustive = total_sets <= AUDIT_BUDGET
-    dangerous: List[DangerousSet] = []
-    by_weight: Dict[int, int] = {}
-    checked = 0
+def hypergraph_drc_step(h: PartiteHypergraph, s: int, seed: int = 0
+                        ) -> Tuple[PartiteHypergraph, Tuple[int, ...]]:
+    """One link-intersection step: sample s vertices from the first class
+    (with repetition) and keep the tails extended by all of them.  Returns
+    the reduced hypergraph and the sampled heads."""
+    if h.arity < 2:
+        raise ValueError("arity must be >= 2")
+    tails_by_head: Dict[int, set] = {}
+    for e in h.edges:
+        tails_by_head.setdefault(e[0], set()).add(e[1:])
+    edges, sampled = _link_intersection(
+        h.classes[0].vertices(), lambda w: tails_by_head.get(w, set()), s, seed)
+    return PartiteHypergraph(classes=list(h.classes[1:]), edges=edges), sampled
 
-    def audit_set(indices: Tuple[int, ...]) -> None:
-        nonlocal checked
-        checked += 1
-        verts = set()
-        exts: Optional[set] = None
-        for idx in indices:
-            tail = out_edges[idx]
-            verts.update(tail)
-            hs = heads_by_tail.get(tail, set())
-            exts = hs.copy() if exts is None else exts & hs
-        w = len(verts)
-        if w > AUDIT_WEIGHT_CAP:
-            return
-        count = len(exts) if exts else 0
-        if count < threshold:
-            by_weight[w] = by_weight.get(w, 0) + 1
-            if len(dangerous) < 200:
-                dangerous.append(DangerousSet(indices, w, count))
 
-    if exhaustive:
-        from itertools import combinations
-        for size in range(1, AUDIT_DELTA_CAP + 1):
-            for indices in combinations(range(ecount), size):
-                audit_set(indices)
-    else:
-        arng = SplitMix64(derive_seed(seed, "hdrc-audit"))
-        for _ in range(AUDIT_BUDGET):
-            size = 1 + arng.randrange(AUDIT_DELTA_CAP)
-            picks = sorted({arng.randrange(ecount) for _ in range(size)})
-            audit_set(tuple(picks))
-    report = DangerAudit(mode="exhaustive" if exhaustive else "sampled",
-                         threshold=threshold, sets_checked=checked,
-                         dangerous=dangerous, dangerous_by_weight=by_weight,
-                         sampled_vertices=tuple(sampled))
-    return out, report
+class _ImplicitLevel0:
+    """The capped hypergraph of class-transversal cliques, without its edges.
+
+    Its edges, lexicographic, are the tuples (w, *tail) where a head w of
+    the first class meets a tail, a transversal clique of the other classes
+    inside N(w).  One counting pass over the heads in increasing order
+    gives each head its share of the capped level, clamp(cap - tails of
+    earlier heads, 0, its tail count): exactly the lexicographic prefix that
+    ``transversal_clique_hypergraph(g, classes, cap)`` keeps.  The count
+    stops at the first head past the cap, the one head (``partial``) that
+    may keep only part of its tails."""
+
+    def __init__(self, g: Graph, classes: Sequence[VertexSet],
+                 cap: Optional[int]):
+        self.g = g
+        self.tail_classes = list(classes[1:])
+        self.shares: Dict[int, int] = {}      # heads with a nonzero share
+        self.partial: Optional[int] = None
+        self.truncated = False
+        total = 0
+        for w in iter_bits(classes[0].mask):
+            room = None if cap is None else cap - total
+            count = _count_transversal_cliques(g, self.tail_classes,
+                                               g.adj[w], room)
+            if room is not None and count > room:
+                self.truncated = True
+                if room:
+                    self.shares[w] = room
+                    self.partial = w
+                total += room
+                break
+            if count:
+                self.shares[w] = count
+            total += count
+        self.edge_count = total
+
+    def tails(self, w: int) -> set:
+        """The tails of head w that the capped level keeps."""
+        share = self.shares.get(w, 0)
+        if not share:
+            return set()
+        h, _ = transversal_clique_hypergraph(self.g, self.tail_classes,
+                                             cap=share, within=self.g.adj[w])
+        return set(h.edges)
+
+    def extends(self, v: int, tails: Sequence[Tuple[int, ...]]) -> bool:
+        """True when (v, *t) is an edge for every t in ``tails``, each of
+        which must be transversal to the tail classes.  A head that keeps
+        all its tails extends exactly the tails that are cliques in N(v)."""
+        if v == self.partial or v not in self.shares:
+            kept = self.tails(v)
+            return all(t in kept for t in tails)
+        return all(self.g.is_clique(mask_of(t) | 1 << v) for t in tails)
+
+    @cached_property
+    def bipartite_graph(self) -> Graph:
+        """With two classes, the level itself as a graph on g's vertices."""
+        return Graph(self.g.n, ((w, u) for w in self.shares
+                                for (u,) in self.tails(w)))
 
 
 # -- the cascade embedder -------------------------------------------------------
 
 
-HYPERGRAPH_CAP = 500_000        # transversal cliques kept per cascade pass
+HYPERGRAPH_CAP = 500_000        # level-0 edges the cascade keeps
 
 
 @dataclass
@@ -402,12 +398,14 @@ def embed_clique_in_tuple(g: Graph, classes: Sequence[VertexSet], p: int,
     telemetry: List[dict] = []
     stage = "start"
     trials_used = 0
+    level0 = (_ImplicitLevel0(g, classes, HYPERGRAPH_CAP) if config.trials
+              else None)
 
     for trial in range(1, config.trials + 1):
         trials_used = trial
         tseed = derive_seed(seed, "embed-trial", trial)
         note: dict = {"trial": trial}
-        per_class = _drc_attempt(g, classes, p, m, tseed, config, note)
+        per_class = _drc_attempt(g, classes, level0, p, m, tseed, config, note)
         telemetry.append(note)
         stage = note.get("stage", stage)
         if per_class is not None:
@@ -441,30 +439,35 @@ def embed_clique_in_tuple(g: Graph, classes: Sequence[VertexSet], p: int,
                        telemetry=telemetry)
 
 
-def _drc_attempt(g: Graph, classes: Sequence[VertexSet], p: int, m: int,
-                 seed: int, config: EmbedConfig, note: dict
+def _drc_attempt(g: Graph, classes: Sequence[VertexSet],
+                 level0: _ImplicitLevel0, p: int, m: int, seed: int,
+                 config: EmbedConfig, note: dict
                  ) -> Optional[List[VertexSet]]:
     """One cascade pass; fills ``note`` with per-stage telemetry."""
     q = len(classes)
-    h, truncated = transversal_clique_hypergraph(g, classes, cap=HYPERGRAPH_CAP)
-    note["h0_edges"] = len(h.edges)
-    note["h0_truncated"] = truncated
-    if not h.edges:
+    note["h0_edges"] = level0.edge_count
+    note["h0_truncated"] = level0.truncated
+    if not level0.edge_count:
         note["stage"] = ("no cross K_2" if q == 2
                          else "no transversal cliques")
         return None
-    levels = [h]
+    levels: List[PartiteHypergraph] = []    # levels[i - 1] is level i
     for step in range(1, q - 1):
-        h, _ = hypergraph_drc_step(h, config.s, config.beta,
-                                   seed=derive_seed(seed, "step", step),
-                                   audit=False)
+        step_seed = derive_seed(seed, "step", step)
+        if levels:
+            h, _ = hypergraph_drc_step(levels[-1], config.s, seed=step_seed)
+        else:
+            edges, _ = _link_intersection(classes[0].vertices(), level0.tails,
+                                          config.s, step_seed)
+            h = PartiteHypergraph(classes=list(classes[1:]), edges=edges)
         note[f"h{step}_edges"] = len(h.edges)
         if not h.edges:
             note["stage"] = f"link intersection empty at step {step}"
             return None
         levels.append(h)
 
-    bip = levels[-1].to_bipartite_graph(g.n)
+    bip = (levels[-1].to_bipartite_graph(g.n) if levels
+           else level0.bipartite_graph)
     target, witness = classes[q - 2], classes[q - 1]
     drc = drc_select(bip, target, witness, t=config.s, r=max(2, p), m=m,
                      seed=derive_seed(seed, "select"), max_trials=1)
@@ -496,14 +499,16 @@ def _drc_attempt(g: Graph, classes: Sequence[VertexSet], p: int, m: int,
     chosen[q - 2] = a_target
     chosen[q - 1] = a_witness
     for i in range(q - 3, -1, -1):
-        # levels[i] lives on classes i..q-1; v extends when every
+        # level i lives on classes i..q-1; v extends when every
         # transversal tuple of the already-chosen p-sets lifts to an edge
-        edge_set = set(levels[i].edges)
         tuples = _transversals([chosen[j] for j in range(i + 1, q)])
-        extenders = 0
-        for v in iter_bits(classes[i].mask):
-            if all((v,) + t in edge_set for t in tuples):
-                extenders |= 1 << v
+        if i:
+            edge_set = set(levels[i - 1].edges)
+            extenders = mask_of(v for v in iter_bits(classes[i].mask)
+                                if all((v,) + t in edge_set for t in tuples))
+        else:
+            extenders = mask_of(v for v in iter_bits(classes[0].mask)
+                                if level0.extends(v, tuples))
         note[f"extenders_{i}"] = extenders.bit_count()
         a_i = None
         for cm in iter_clique_masks(g, p, extenders):

@@ -249,12 +249,32 @@ def test_cover_user_errors_exit_two(tmp_path, capsys, key, value, field):
     ("embed", "graph = complete:12\nclasses = 0-3;4-7;8-11\np = 2\n"
      "alpha_bound = -1\n", "[embed] alpha_bound"),
     ("thresholds", "r = 4\nell = 2\nn = -5\n", "[thresholds] n"),
+    ("alpha", "node_budget = -1\n[alpha]\ngraph = petersen\nell = 2\n",
+     "[run] node_budget"),
+    ("absorb", "task = closedness\ngraph = petersen\nr = 3\nlimit = 0\n",
+     "[absorb] limit"),
+    ("absorb", "task = closedness\ngraph = petersen\nr = 3\nlimit = -4\n",
+     "[absorb] limit"),
+    ("construct", "family = sparse-klfree\nn = 12\nell = 3\ngamma = 0.1\n"
+     "max_tries = 0\n", "[construct] max_tries"),
 ])
 def test_out_of_range_parameters_exit_two(tmp_path, capsys, kind, body, field):
     body = body.replace("{golden}", GOLDEN)
-    cfg = write(tmp_path / "oor.ini", f"[run]\nkind = {kind}\n[{kind}]\n{body}")
+    # a body that opens its kind's section itself starts with [run] keys
+    if f"[{kind}]" not in body:
+        body = f"[{kind}]\n{body}"
+    cfg = write(tmp_path / "oor.ini", f"[run]\nkind = {kind}\n{body}")
     assert run_cli([kind, "--config", cfg]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_negative_node_budget_from_the_environment_exits_two(tmp_path, capsys,
+                                                             monkeypatch):
+    cfg = write(tmp_path / "nb.ini", "[run]\nkind = alpha\n"
+                                     "[alpha]\ngraph = petersen\nell = 2\n")
+    monkeypatch.setenv("CFL_NODE_BUDGET", "-1")
+    assert run_cli(["alpha", "--config", cfg]) == 2
+    assert "CFL_NODE_BUDGET" in capsys.readouterr().err
 
 
 def test_janson_delta_past_the_digit_limit_exits_two_before_summing(tmp_path):

@@ -1,15 +1,18 @@
 """Dependent random choice selectors and the cascade embedder."""
 
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, product
 
 import pytest
 
+from cfl import embedding
 from cfl.bounds import drc_condition
 from cfl.graphs import (Graph, VertexSet, complete_multipartite, empty_graph,
                         random_gnp)
 from cfl.embedding import (EmbedConfig, PartiteHypergraph, SearchCapExceeded,
-                           drc_select, embed_clique_in_tuple,
-                           hypergraph_drc_step, multipartite_clique_search,
+                           _ImplicitLevel0, _link_intersection, drc_select,
+                           embed_clique_in_tuple, hypergraph_drc_step,
+                           multipartite_clique_search,
                            transversal_clique_hypergraph)
 from cfl.invariants import alpha_ell_exact
 
@@ -106,25 +109,23 @@ def test_transversal_hypergraph_of_complete_multipartite():
     cls = hyper_classes(k333, [3, 3, 3])
     h, truncated = transversal_clique_hypergraph(k333, cls)
     assert len(h.edges) == 27 and not truncated
-    h.validate()
     hcap, trunc2 = transversal_clique_hypergraph(k333, cls, cap=10)
     assert len(hcap.edges) == 10 and trunc2
 
 
-def test_step_on_complete_hypergraph_is_complete_and_safe():
+def test_step_on_complete_hypergraph_is_complete():
     k333 = complete_multipartite([3, 3, 3])
     cls = hyper_classes(k333, [3, 3, 3])
     h, _ = transversal_clique_hypergraph(k333, cls)
-    out, audit = hypergraph_drc_step(h, s=2, beta=0.5, seed=0)
+    out, _ = hypergraph_drc_step(h, s=2, seed=0)
     assert sorted(out.edges) == [(a, b) for a in (3, 4, 5) for b in (6, 7, 8)]
-    assert audit.mode == "exhaustive" and audit.dangerous_count == 0
 
 
 def test_step_on_empty_hypergraph():
     g = empty_graph(9)
     h = PartiteHypergraph(classes=hyper_classes(g, [3, 3, 3]), edges=[])
-    out, audit = hypergraph_drc_step(h, s=1, beta=0.5, seed=0)
-    assert out.edges == [] and audit.sets_checked == 0
+    out, sampled = hypergraph_drc_step(h, s=1, seed=0)
+    assert out.edges == [] and len(sampled) == 1
 
 
 def test_step_planted_single_extender():
@@ -133,49 +134,98 @@ def test_step_planted_single_extender():
     cls = hyper_classes(g, [3, 3, 3])
     edges = [(0, t, u) for t in (3, 4, 5) for u in (6, 7, 8)]
     h = PartiteHypergraph(classes=cls, edges=edges)
-    outcomes = {}
+    outcomes = []
     for seed in range(6):
-        out, audit = hypergraph_drc_step(h, s=1, beta=2 / 3, seed=seed)
-        outcomes[seed] = (len(out.edges), audit.dangerous_count,
-                          audit.sets_checked)
-    # nonempty output iff the special vertex was sampled; when it was, every
-    # audited set has exactly one extender, below the threshold of 2
-    assert any(n == 9 for (n, _, _) in outcomes.values())
-    assert any(n == 0 for (n, _, _) in outcomes.values())
-    for n_edges, dangerous, checked in outcomes.values():
-        if n_edges:
-            assert checked > 0 and dangerous == checked
-        else:
-            assert dangerous == 0
+        out, sampled = hypergraph_drc_step(h, s=1, seed=seed)
+        outcomes.append(len(out.edges))
+        # nonempty output iff the special vertex was sampled
+        assert len(out.edges) == (9 if sampled == (0,) else 0)
+    assert 9 in outcomes and 0 in outcomes
 
 
 def test_step_output_is_exactly_link_intersection():
     g = random_gnp(18, 0.6, seed=5)
     cls = hyper_classes(g, [6, 6, 6])
     h, _ = transversal_clique_hypergraph(g, cls)
-    out, audit = hypergraph_drc_step(h, s=2, beta=0.2, seed=9, audit=False)
+    out, sampled = hypergraph_drc_step(h, s=2, seed=9)
     # re-derive the definition from the recorded samples
     edge_set = set(h.edges)
     expected = None
-    for w in audit.sampled_vertices:
+    for w in sampled:
         link = {e[1:] for e in edge_set if e[0] == w}
         expected = link if expected is None else expected & link
     assert sorted(expected) == out.edges
-    out2, audit2 = hypergraph_drc_step(h, s=2, beta=0.2, seed=9, audit=False)
+    out2, sampled2 = hypergraph_drc_step(h, s=2, seed=9)
     assert out.edges == out2.edges
-    assert audit.sampled_vertices == audit2.sampled_vertices
+    assert sampled == sampled2
 
 
 def test_step_validation():
     g = empty_graph(4)
     h = PartiteHypergraph(classes=[VertexSet.of(g, [0, 1])], edges=[])
     with pytest.raises(ValueError):
-        hypergraph_drc_step(h, s=1, beta=0.5)
+        hypergraph_drc_step(h, s=1)
     h2 = PartiteHypergraph(classes=hyper_classes(g, [2, 2]), edges=[(0, 2)])
     with pytest.raises(ValueError):
-        hypergraph_drc_step(h2, s=0, beta=0.5)
-    with pytest.raises(ValueError):
-        hypergraph_drc_step(h2, s=1, beta=1.5)
+        hypergraph_drc_step(h2, s=0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_implicit_level0_matches_the_materialised_hypergraph(q):
+    # the cascade never builds level 0; its per-head view must be exactly
+    # the capped lexicographic hypergraph grouped by head
+    seen = set()
+    for graph_seed in range(3):
+        g = random_gnp(5 * q, 0.8, seed=100 * q + graph_seed)
+        cls = hyper_classes(g, [5] * q)
+        for cap in (5, 20, 60, None):
+            h, truncated = transversal_clique_hypergraph(g, cls, cap)
+            level0 = _ImplicitLevel0(g, cls, cap)
+            assert (level0.edge_count, level0.truncated) == (len(h.edges),
+                                                             truncated)
+            seen.add((truncated, level0.partial is not None))
+            by_head = {}
+            for e in h.edges:
+                by_head.setdefault(e[0], set()).add(e[1:])
+            edge_set = set(h.edges)
+            for w in cls[0].vertices():
+                assert level0.tails(w) == by_head.get(w, set())
+                for t in product(*(c.vertices() for c in cls[1:])):
+                    assert level0.extends(w, [t]) == ((w,) + t in edge_set)
+            for seed in range(3):
+                out, sampled = hypergraph_drc_step(h, s=2, seed=seed)
+                assert _link_intersection(cls[0].vertices(), level0.tails,
+                                          2, seed) == (out.edges, sampled)
+            if q == 2:
+                assert (level0.bipartite_graph.adj
+                        == h.to_bipartite_graph(g.n).adj)
+    assert (False, False) in seen and (True, True) in seen
+
+
+def test_embed_never_holds_level0_in_memory():
+    # 42,725 transversal 4-cliques: a materialised level 0 and its indexes
+    # peaked near 12 MB
+    g = random_gnp(80, 0.8, 7)
+    cls = hyper_classes(g, [20] * 4)
+    tracemalloc.start()
+    try:
+        res = embed_clique_in_tuple(g, cls, p=2, alpha_bound=3, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.telemetry[0]["h0_edges"] == 42_725
+    assert peak < 3 * 2**20
+
+
+def test_zero_trials_skip_the_level0_count(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("level 0 was counted")
+
+    monkeypatch.setattr(embedding, "_count_transversal_cliques", refuse)
+    g = complete_multipartite([3, 3, 3])
+    res = embed_clique_in_tuple(g, hyper_classes(g, [3, 3, 3]), p=1,
+                                alpha_bound=0, config=EmbedConfig(trials=0))
+    assert res.success and res.path == "fallback" and res.telemetry == []
 
 
 # -- embedder -----------------------------------------------------------------------
