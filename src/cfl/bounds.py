@@ -59,10 +59,6 @@ class JansonReport:
     def upper_bound(self) -> float:
         return math.exp(self.log_upper_bound)
 
-    @property
-    def raw_exponent(self) -> float:
-        return -self.expected_x + self.delta / 2.0
-
 
 def _delta_terms_log(a_size: int, ell: int, p: float) -> List[float]:
     """Per-intersection-size log terms of the exact pairwise sum."""
@@ -152,11 +148,6 @@ def janson_delta_exact(a_size: int, ell: int, p) -> Fraction:
                   * math.comb(a_size - ell, ell - s)
                   * q ** (2 * epairs - math.comb(s, 2)))
     return total
-
-
-def janson_expected_exact(a_size: int, ell: int, p) -> Fraction:
-    q = p if isinstance(p, Fraction) else Fraction(p)
-    return math.comb(a_size, ell) * q ** math.comb(ell, 2)
 
 
 def drc_condition(n: int, avg_degree: float, t: int, r: int, m: float,

@@ -341,16 +341,10 @@ def run_embed(cfg, seed, caps, outdir):
     else:
         alpha_bound = _int_at_least(cfg, "embed", "alpha_bound", 0)
     econf = embedding.EmbedConfig(
-        s=cfg.get_int("embed", "s", 2),
-        beta=cfg.get_float("embed", "beta", 0.1),
+        s=_int_at_least(cfg, "embed", "s", 1, default=2),
         trials=_int_at_least(cfg, "embed", "trials", 0, default=8))
     if caps.get("node_budget") is not None:
         econf.fallback_node_cap = caps["node_budget"]
-    if econf.s < 1:
-        raise ConfigError("[embed] s", f"expected an integer >= 1, got {econf.s}")
-    if not 0 < econf.beta < 1:
-        raise ConfigError("[embed] beta", f"expected a number in (0, 1), "
-                                          f"got {econf.beta}")
     res = embedding.embed_clique_in_tuple(g, classes, p, alpha_bound,
                                           seed=seed, config=econf)
     return res, {"cap_hit": alpha_capped

@@ -18,10 +18,12 @@ Three layers:
   class-transversal cliques, capped at HYPERGRAPH_CAP edges in
   lexicographic order, and it is never held in memory.  One counting pass
   per call gives each head of the first class its share of the capped
-  level; a head's tails, the transversal cliques of the other classes
-  inside its neighborhood, are enumerated only when step 1 samples it (or,
-  with two classes, once to build the bipartite graph), and back-extension
-  into the first class tests membership head by head.  Levels 1 and up
+  level; step 1 samples only the heads that count reached, so when the cap
+  cuts the level no sample falls on a head left without tails.  A head's
+  tails, the transversal cliques of the other classes inside its
+  neighborhood, are enumerated only when step 1 samples it (or, with two
+  classes, once to build the bipartite graph), and back-extension into the
+  first class tests membership head by head.  Levels 1 and up
   are small and are held as edge lists.  Reduce arity down to 2, run the
   selector on the resulting bipartite structure, find a p-clique inside the
   selected set (any set larger than the caller's independence budget must
@@ -252,13 +254,16 @@ class _ImplicitLevel0:
     earlier heads, 0, its tail count): exactly the lexicographic prefix that
     ``transversal_clique_hypergraph(g, classes, cap)`` keeps.  The count
     stops at the first head past the cap, the one head (``partial``) that
-    may keep only part of its tails."""
+    may keep only part of its tails.  ``heads`` lists the heads before that
+    stop, plus ``partial``: all of the first class when nothing is
+    truncated, and never a head the cap left without tails."""
 
     def __init__(self, g: Graph, classes: Sequence[VertexSet],
                  cap: Optional[int]):
         self.g = g
         self.tail_classes = list(classes[1:])
         self.shares: Dict[int, int] = {}      # heads with a nonzero share
+        self.heads: List[int] = []            # heads step 1 samples from
         self.partial: Optional[int] = None
         self.truncated = False
         total = 0
@@ -270,11 +275,13 @@ class _ImplicitLevel0:
                 self.truncated = True
                 if room:
                     self.shares[w] = room
+                    self.heads.append(w)
                     self.partial = w
                 total += room
                 break
             if count:
                 self.shares[w] = count
+            self.heads.append(w)
             total += count
         self.edge_count = total
 
@@ -312,7 +319,6 @@ HYPERGRAPH_CAP = 500_000        # level-0 edges the cascade keeps
 @dataclass
 class EmbedConfig:
     s: int = 2                     # sample count per reduction / selector exponent
-    beta: float = 0.1
     trials: int = 8
     fallback_node_cap: int = 2_000_000
 
@@ -457,7 +463,7 @@ def _drc_attempt(g: Graph, classes: Sequence[VertexSet],
         if levels:
             h, _ = hypergraph_drc_step(levels[-1], config.s, seed=step_seed)
         else:
-            edges, _ = _link_intersection(classes[0].vertices(), level0.tails,
+            edges, _ = _link_intersection(level0.heads, level0.tails,
                                           config.s, step_seed)
             h = PartiteHypergraph(classes=list(classes[1:]), edges=edges)
         note[f"h{step}_edges"] = len(h.edges)

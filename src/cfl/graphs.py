@@ -143,17 +143,6 @@ class Graph:
                 return False
         return True
 
-    def subgraph(self, mask: int) -> "Graph":
-        """Materialize the induced subgraph, vertices relabeled by rank."""
-        verts = list(iter_bits(mask))
-        pos = {v: i for i, v in enumerate(verts)}
-        edges = []
-        for i, v in enumerate(verts):
-            for u in iter_bits(self.adj[v] & mask):
-                if u > v:
-                    edges.append((i, pos[u]))
-        return Graph(len(verts), edges)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
@@ -488,13 +477,3 @@ def _has_clique(adj, k: int, mask: int) -> bool:
 def has_clique(g: Graph, k: int, within: Optional[int] = None) -> bool:
     """True iff a k-clique exists inside ``within`` (default: all of g)."""
     return _has_clique(g.adj, k, g.full_mask() if within is None else within)
-
-
-def common_neighborhood(g: Graph, s: VertexSet) -> VertexSet:
-    """Vertices adjacent to every member of s; members of s excluded."""
-    if len(s) == 0:
-        raise ValueError("common neighborhood of an empty set is undefined")
-    m = g.full_mask()
-    for v in s:
-        m &= g.adj[v]
-    return VertexSet(g, m & ~s.mask)

@@ -402,22 +402,12 @@ def parse_partition(text: str, g: Graph) -> Partition:
     return part
 
 
-def format_partition(p: Partition) -> str:
-    out = [f"{p.k} {p.cluster_size} {len(p.exceptional)}"]
-    for c in p.clusters:
-        out.append(" ".join(str(v) for v in c))
-    out.append(" ".join(str(v) for v in p.exceptional))
-    return "\n".join(out) + "\n"
-
-
 @dataclass
 class ReducedGraph:
     """Cluster graph of a partition: an edge wherever the pair density
     clears the threshold, weighted by that density."""
     k: int
-    threshold: Fraction
     weights: Dict[Tuple[int, int], Fraction]
-    source: Optional["Partition"] = None
 
     def degree(self, i: int) -> int:
         return sum(1 for e in self.weights if i in e)
@@ -435,38 +425,4 @@ def reduced_graph(g: Graph, partition: Partition, d) -> ReducedGraph:
             dij = partition.density(i, j)
             if dij >= dd:
                 weights[(i, j)] = dij
-    return ReducedGraph(k=partition.k, threshold=dd, weights=weights,
-                        source=partition)
-
-
-def slicing_check(g: Graph, x: VertexSet, y: VertexSet, epsilon, d, eta,
-                  x1: VertexSet, y1: VertexSet, mode: str = "exhaustive",
-                  samples: int = 10_000, seed: int = 0) -> RegularityVerdict:
-    """Certify that large slices of a regular pair stay regular: given a
-    certified (eps, d)-regular (X, Y) and X1, Y1 with |X1| >= eta|X|,
-    |Y1| >= eta|Y|, the slice must be (eps', d - eps)-regular at
-    eps' = max(eps/eta, 2 eps).
-
-    The base pair is certified here as a precondition; a slice failure is a
-    finding, returned in the verdict.
-    """
-    eps = _as_fraction(epsilon)
-    et = _as_fraction(eta)
-    dd = _as_fraction(d)
-    if not (0 < et <= 1):
-        raise ValueError("eta must lie in (0, 1]")
-    if x1.mask & ~x.mask or y1.mask & ~y.mask:
-        raise ValueError("slices must be subsets of their sides")
-    if len(x1) < et * len(x) or len(y1) < et * len(y):
-        raise ValueError("slices smaller than eta fraction of their sides")
-    base = is_regular_pair(g, x, y, eps, mode=mode, samples=samples, seed=seed)
-    if not base.regular or base.base_density < dd:
-        raise ValueError("base pair is not certified (epsilon, d)-regular")
-    eps_prime = max(eps / et, 2 * eps)
-    verdict = is_regular_pair(g, x1, y1, eps_prime, mode=mode,
-                              samples=samples, seed=seed)
-    if verdict.regular and pair_density(g, x1, y1) < dd - eps:
-        return RegularityVerdict(epsilon=eps_prime, mode=verdict.mode,
-                                 regular=False, base_density=verdict.base_density,
-                                 samples_used=verdict.samples_used)
-    return verdict
+    return ReducedGraph(k=partition.k, weights=weights)

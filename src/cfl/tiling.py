@@ -49,7 +49,6 @@ from typing import List, Optional
 
 from .graphs import (Graph, SearchCapExceeded, VertexSet, _has_clique,
                      iter_bits, iter_clique_masks)
-from .rng import SplitMix64
 
 
 @dataclass
@@ -285,34 +284,3 @@ def has_factor(g: Graph, r: int, within: Optional[VertexSet] = None,
         return FactorResult(None, "none")
     til = CliqueTiling(r, [VertexSet(g, m) for m in found]).canonical()
     return FactorResult(til, "found")
-
-
-def greedy_tiling(g: Graph, r: int, seed: int,
-                  within: Optional[VertexSet] = None) -> CliqueTiling:
-    """Seeded greedy tiling: shuffled vertex order, greedy clique extension
-    in that order.  Size never exceeds the optimum."""
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    universe = g.full_mask() if within is None else within.mask
-    adj = g.adj
-    order = list(iter_bits(universe))
-    rng = SplitMix64(seed)
-    rng.shuffle(order)
-    rank = {v: i for i, v in enumerate(order)}
-    rest = universe
-    members = []
-    for v in order:
-        if not rest >> v & 1:
-            continue
-        clique = 1 << v
-        avail = rest & adj[v]
-        size = 1
-        while size < r and avail:
-            u = min(iter_bits(avail), key=rank.__getitem__)
-            clique |= 1 << u
-            size += 1
-            avail &= adj[u] & ~clique
-        if size == r:
-            members.append(VertexSet(g, clique))
-            rest &= ~clique
-    return CliqueTiling(r, members).canonical()

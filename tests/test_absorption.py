@@ -13,7 +13,7 @@ from cfl.absorption import (CertificateError, build_reachable_gadget,
                             verify_reachable)
 from cfl.graphs import (Graph, VertexSet, complete_graph, cycle_graph,
                         mask_of, random_gnp)
-from cfl.tiling import CliqueTiling, greedy_tiling, has_factor, verify_tiling
+from cfl.tiling import CliqueTiling, has_factor, verify_tiling
 
 from conftest import subset_is_clique
 
@@ -254,7 +254,8 @@ def test_absorbing_composition_yields_factor():
     verdict = certify_xi_absorbing(k12, a, r=3, xi=Fraction(1, 4))
     assert verdict.absorbing
     outside = VertexSet(k12, k12.full_mask() & ~a.mask)
-    tiling = greedy_tiling(k12, 3, seed=0, within=outside)
+    tiling = CliqueTiling(3, [VertexSet.of(k12, [6, 7, 9]),
+                              VertexSet.of(k12, [8, 10, 11])])
     leftover = outside.mask & ~tiling.covered_mask
     assert leftover.bit_count() <= 3   # within the absorbing tolerance
     res = has_factor(k12, 3, within=VertexSet(k12, a.mask | leftover))

@@ -8,8 +8,8 @@ import pytest
 
 from cfl.bounds import (_delta_denominator_bits, alpha_profile, chi_cr,
                         degree_thresholds, drc_condition, fkg_lower_bound,
-                        janson_bound, janson_delta_exact,
-                        janson_expected_exact, komlos_threshold, log_binomial)
+                        janson_bound, janson_delta_exact, komlos_threshold,
+                        log_binomial)
 
 
 def brute_delta(a_size: int, ell: int, p: Fraction) -> Fraction:
@@ -28,6 +28,11 @@ def brute_delta(a_size: int, ell: int, p: Fraction) -> Fraction:
                         edges.add((sub[i], sub[j]))
             total += p ** len(edges)
     return total
+
+
+def janson_expected_exact(a_size: int, ell: int, p: Fraction) -> Fraction:
+    """E(X), the expected K_ell count in an a_size-set, as an exact rational."""
+    return math.comb(a_size, ell) * p ** math.comb(ell, 2)
 
 
 # -- product lower bound ---------------------------------------------------------
@@ -74,7 +79,7 @@ def test_janson_bound_clamped_to_probability():
     rep = janson_bound(9, 3, 0.9)       # exponent goes positive
     assert rep.log_upper_bound <= 0.0
     assert 0.0 <= rep.upper_bound <= 1.0
-    assert rep.raw_exponent > rep.log_upper_bound
+    assert -rep.expected_x + rep.delta / 2 > rep.log_upper_bound
 
 
 def test_delta_matches_brute_force_exactly():

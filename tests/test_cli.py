@@ -148,8 +148,6 @@ def test_cover_user_errors_exit_two(tmp_path, capsys, key, value, field):
     ("embed", "graph = complete:6\nclasses = 0-2;3-5\np = 0\n", "[embed] p"),
     ("embed", "graph = complete:6\nclasses = 0-2;3-5\np = 1\ns = 0\n",
      "[embed] s"),
-    ("embed", "graph = complete:6\nclasses = 0-2;3-5\np = 1\nbeta = 1\n",
-     "[embed] beta"),
     ("embed", "graph = complete:6\nclasses = 0-2;3-5\np = 1\nalpha_bound = x\n",
      "[embed] alpha_bound"),
     ("alpha", "graph = gnp:12\nell = 2\n", "[alpha] graph"),
@@ -831,7 +829,6 @@ def _kind_keys(draw, kind):
         keys["p"] = draw(_value(1, 3))
         keys["alpha_bound"] = draw(st.one_of(st.just("auto"), _value(0)))
         keys["s"] = draw(_value(1, 3))
-        keys["beta"] = draw(st.sampled_from(["0.1", "0.5", "0", "1", "x"]))
         keys["trials"] = draw(st.integers(-1, 3).map(str))
     return keys, files
 
@@ -877,19 +874,17 @@ _EXTREME_FLOATS = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "-0.
 @st.composite
 def _float_key_configs(draw):
     """A valid config whose float keys that reach a report (bounds a, p,
-    avg_degree and m; thresholds profile_c; embed beta) mostly hold
-    non-finite, huge or negative-zero values, run directly or swept."""
+    avg_degree and m; thresholds profile_c) mostly hold non-finite, huge or
+    negative-zero values, run directly or swept."""
     kind, base = draw(st.sampled_from([
         ("bounds", {"formula": "drc-condition", "n": "5", "avg_degree": "2",
                     "t": "2", "r": "2", "m": "1", "a": "0"}),
         ("bounds", {"formula": "fkg", "n": "5", "ell": "2", "p": "0.5"}),
         ("bounds", {"formula": "janson", "a_size": "5", "ell": "3", "p": "0.5"}),
         ("thresholds", {"r": "4", "ell": "2", "profile_c": "0.5",
-                        "profile_n": "12"}),
-        ("embed", {"graph": "complete:6", "classes": "0 1 2;3 4 5", "p": "1",
-                   "beta": "0.1"})]))
+                        "profile_n": "12"})]))
     keys = dict(base)
-    floats = [k for k in ("a", "p", "avg_degree", "m", "profile_c", "beta")
+    floats = [k for k in ("a", "p", "avg_degree", "m", "profile_c")
               if k in keys]
     values = st.one_of(_EXTREME_FLOATS, _FLOATS)
     for k in draw(st.lists(st.sampled_from(floats), min_size=1, unique=True)):

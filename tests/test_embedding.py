@@ -178,6 +178,7 @@ def test_implicit_level0_matches_the_materialised_hypergraph(q):
     for graph_seed in range(3):
         g = random_gnp(5 * q, 0.8, seed=100 * q + graph_seed)
         cls = hyper_classes(g, [5] * q)
+        full, _ = transversal_clique_hypergraph(g, cls)
         for cap in (5, 20, 60, None):
             h, truncated = transversal_clique_hypergraph(g, cls, cap)
             level0 = _ImplicitLevel0(g, cls, cap)
@@ -188,6 +189,13 @@ def test_implicit_level0_matches_the_materialised_hypergraph(q):
             for e in h.edges:
                 by_head.setdefault(e[0], set()).add(e[1:])
             edge_set = set(h.edges)
+            # the count reaches a head when the capped level keeps one of
+            # its tails or every edge up to and including its own
+            counted = [w for w in cls[0].vertices() if w in by_head
+                       or all(e in edge_set for e in full.edges if e[0] <= w)]
+            assert level0.heads == counted
+            if not truncated:
+                assert level0.heads == list(cls[0].vertices())
             for w in cls[0].vertices():
                 assert level0.tails(w) == by_head.get(w, set())
                 for t in product(*(c.vertices() for c in cls[1:])):

@@ -1,11 +1,11 @@
-"""Graph core: formats, generators, clique listing, neighborhoods."""
+"""Graph core: formats, generators, clique listing, vertex sets."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfl.graphs import (DuplicateEdgeError, EdgeSyntaxError,
                         Graph6Error, HeaderError, LoopError,
-                        VertexRangeError, VertexSet, common_neighborhood,
+                        VertexRangeError, VertexSet,
                         complete_graph, complete_multipartite, cycle_graph,
                         empty_graph, format_edgelist, format_graph6,
                         iter_clique_masks, kneser_graph, parse_edgelist,
@@ -177,18 +177,6 @@ def test_enumerate_cliques_canonical_and_capped():
     assert first == full[:5]
 
 
-def test_common_neighborhood_examples():
-    k5 = complete_graph(5)
-    assert common_neighborhood(k5, VertexSet.of(k5, [0, 1])).vertices() == (2, 3, 4)
-    c6 = cycle_graph(6)
-    assert len(common_neighborhood(c6, VertexSet.of(c6, [0, 3]))) == 0
-    k33 = complete_multipartite([3, 3])
-    side = common_neighborhood(k33, VertexSet.of(k33, [0, 1]))
-    assert side.vertices() == (3, 4, 5)
-    with pytest.raises(ValueError):
-        common_neighborhood(k5, VertexSet(k5, 0))
-
-
 def test_kneser_graph_is_triangle_free():
     g = kneser_graph(7, 3)
     assert g.n == 35
@@ -214,9 +202,3 @@ def test_vertex_set_immutable_and_bounded():
         s.mask = 7
     with pytest.raises(AttributeError):
         g.n = 10
-
-
-def test_subgraph_materialization():
-    g = cycle_graph(6)
-    sub = g.subgraph(0b000111)   # vertices 0,1,2: path
-    assert sub.n == 3 and sub.edge_count == 2

@@ -9,10 +9,9 @@ from cfl import regularity
 from cfl.graphs import (Graph, VertexSet, complete_multipartite, empty_graph,
                         iter_bits, random_gnp)
 from cfl.regularity import (Partition, PartitionFormatError, WitnessError,
-                            format_partition, is_regular_pair,
-                            is_super_regular, make_super_regular,
-                            pair_density, parse_partition, reduced_graph,
-                            slicing_check)
+                            is_regular_pair, is_super_regular,
+                            make_super_regular, pair_density,
+                            parse_partition, reduced_graph)
 from cfl.rng import SplitMix64
 
 
@@ -335,8 +334,7 @@ def test_partition_roundtrip_and_validation():
     g = complete_multipartite([3, 3, 3])
     p = make_partition(g, 3, 3)
     p.validate()
-    text = format_partition(p)
-    back = parse_partition(text, g)
+    back = parse_partition("3 3 0\n0 1 2\n3 4 5\n6 7 8\n\n", g)
     assert [c.mask for c in back.clusters] == [c.mask for c in p.clusters]
     with pytest.raises(PartitionFormatError):
         parse_partition("junk\n", g)
@@ -359,7 +357,7 @@ def test_partition_with_exceptional_set_roundtrip():
                             VertexSet.of(g, [3, 4, 5]),
                             VertexSet.of(g, [6, 7, 8])])
     p.validate()
-    back = parse_partition(format_partition(p), g)
+    back = parse_partition("3 3 2\n0 1 2\n3 4 5\n6 7 8\n9 10\n", g)
     assert back.exceptional.mask == p.exceptional.mask
 
 
@@ -406,63 +404,3 @@ def test_reduced_min_degree_inequality_on_dichotomous_partition():
         eps = Fraction(1, 100)
         d = Fraction(1, 2)
         assert red.min_degree() >= (c - 2 * eps - d) * k
-
-
-# -- slicing ------------------------------------------------------------------------
-
-def test_slicing_full_slice_doubles_epsilon():
-    kb = complete_multipartite([8, 8])
-    x, y = split_pair(kb, 8, 8)
-    eps = Fraction(1, 8)
-    v = slicing_check(kb, x, y, eps, Fraction(1, 2), 1, x, y)
-    assert v.regular and v.epsilon == 2 * eps    # eta = 1: eps' = 2 eps
-
-
-def test_slicing_complete_bipartite_any_slice():
-    kb = complete_multipartite([10, 10])
-    x, y = split_pair(kb, 10, 10)
-    x1 = VertexSet.of(kb, [0, 1, 2])
-    y1 = VertexSet.of(kb, [10, 11, 12])
-    v = slicing_check(kb, x, y, Fraction(1, 10), Fraction(1, 2),
-                      Fraction(3, 10), x1, y1)
-    assert v.regular
-
-
-def test_slicing_random_certified_slices():
-    # Strict eps-regularity at 12+12 only certifies for generous eps: the
-    # minimum qualifying subsets are tiny and fluctuate.  At eps = 2/5 most
-    # p = 0.5 pairs certify, and every large-enough random slice must then
-    # certify at eps' = max(eps/eta, 2 eps).
-    rng = SplitMix64(31337)
-    done = 0
-    for _ in range(40):
-        if done >= 12:
-            break
-        g = random_gnp(24, 0.5, rng.next_u64())
-        x, y = split_pair(g, 12, 12)
-        eps = Fraction(2, 5)
-        d = Fraction(1, 4)
-        base = is_regular_pair(g, x, y, eps)
-        if not base.regular or base.base_density < d:
-            continue
-        xsub = [v for v in x if rng.random() < 0.75]
-        ysub = [v for v in y if rng.random() < 0.75]
-        if len(xsub) < 6 or len(ysub) < 6:
-            continue
-        done += 1
-        v = slicing_check(g, x, y, eps, d, Fraction(1, 2),
-                          VertexSet.of(g, xsub), VertexSet.of(g, ysub))
-        assert v.regular
-    assert done >= 8
-
-
-def test_slicing_preconditions():
-    kb = complete_multipartite([10, 10])
-    x, y = split_pair(kb, 10, 10)
-    with pytest.raises(ValueError):
-        slicing_check(kb, x, y, Fraction(1, 10), Fraction(1, 2), Fraction(1, 2),
-                      VertexSet.of(kb, [0]), y)    # slice too small
-    g = Graph(20, [(0, 10)])
-    gx, gy = split_pair(g, 10, 10)
-    with pytest.raises(ValueError):               # base pair not regular enough
-        slicing_check(g, gx, gy, Fraction(1, 5), Fraction(1, 2), 1, gx, gy)

@@ -1,4 +1,4 @@
-"""Exact tiling solver, factor decisions, greedy warm starts."""
+"""Exact tiling solver and factor decisions."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +7,7 @@ from cfl.constructions import LowerBoundSpec, build_lower_bound_graph
 from cfl.graphs import (Graph, VertexSet, complete_graph,
                         complete_multipartite, cycle_graph, has_clique,
                         iter_clique_masks, random_gnp)
-from cfl.tiling import (_free_sets, greedy_tiling, has_factor, max_tiling,
-                        verify_tiling)
+from cfl.tiling import _free_sets, has_factor, max_tiling, verify_tiling
 
 from conftest import naive_has_factor, naive_max_tiling_count, small_graphs
 
@@ -80,21 +79,6 @@ def test_factor_absent_implies_positive_deficiency(small_graph_battery):
     for g in small_graph_battery[:10]:
         if g.n % 3 == 0 and has_factor(g, 3).status == "none":
             assert max_tiling(g, 3).deficiency > 0
-
-
-def test_greedy_examples():
-    assert len(greedy_tiling(complete_graph(9), 3, seed=0)) == 3
-    assert len(greedy_tiling(cycle_graph(6), 3, seed=0)) == 0
-
-
-def test_greedy_never_beats_optimum():
-    g = random_gnp(24, 0.9, seed=4242)
-    opt = max_tiling(g, 4)
-    for seed in (0, 1, 2, 3):
-        greedy = greedy_tiling(g, 4, seed)
-        assert verify_tiling(g, greedy)
-        assert len(greedy) <= len(opt.best)
-        assert g.n - 4 * len(greedy) >= opt.deficiency
 
 
 def test_hajnal_szemeredi_threshold_small():
