@@ -103,6 +103,17 @@ def test_delta_denominator_bits_match_the_exact_sums():
     assert decided > 500
 
 
+def test_expected_reference_matches_the_subset_sum():
+    # E(X) summed over the ell-subsets, each a K_ell with probability
+    # p^C(ell, 2)
+    for a_size in range(2, 8):
+        for ell in range(2, a_size + 1):
+            for p in (Fraction(1, 2), Fraction(3, 10), Fraction(1)):
+                direct = sum(p ** math.comb(ell, 2)
+                             for _ in combinations(range(a_size), ell))
+                assert janson_expected_exact(a_size, ell, p) == direct
+
+
 def test_janson_float_tracks_exact():
     for a_size in (6, 9, 12):
         for p in (0.2, 0.3, 0.5):

@@ -148,6 +148,8 @@ def test_cover_user_errors_exit_two(tmp_path, capsys, key, value, field):
     ("embed", "graph = complete:6\nclasses = 0-2;3-5\np = 0\n", "[embed] p"),
     ("embed", "graph = complete:6\nclasses = 0-2;3-5\np = 1\ns = 0\n",
      "[embed] s"),
+    ("embed", "graph = complete:6\nclasses = 0-2;3-5\np = 1\ns = 1.5\n",
+     "[embed] s"),
     ("embed", "graph = complete:6\nclasses = 0-2;3-5\np = 1\nalpha_bound = x\n",
      "[embed] alpha_bound"),
     ("alpha", "graph = gnp:12\nell = 2\n", "[alpha] graph"),
@@ -645,6 +647,20 @@ def test_embed_kind_auto_alpha(tmp_path, capsys):
     rep = read_report(capsys)
     assert rep["result"]["success"] is True
     assert len(rep["result"]["vertices"]) == 4
+
+
+@pytest.mark.parametrize("beta", ["0.1", "0.9", "1", "x"])
+def test_embed_ignores_a_beta_key(tmp_path, capsys, beta):
+    # nothing reads [embed] beta, so like any unknown key it leaves the
+    # result as it is and is never range-checked
+    body = ("[run]\nkind = embed\nseed = 3\n[embed]\ngraph = gnp:45,0.93,77\n"
+            "classes = 0-14;15-29;30-44\np = 2\nalpha_bound = 1\n")
+    results = []
+    for extra in ("", f"beta = {beta}\n"):
+        cfg = write(tmp_path / "b.ini", body + extra)
+        assert run_cli(["embed", "--config", cfg]) == 0
+        results.append(strip_timings(read_report(capsys))["result"])
+    assert results[0] == results[1]
 
 
 # -- fuzzing over generated configs ---------------------------------------------

@@ -210,6 +210,24 @@ def test_implicit_level0_matches_the_materialised_hypergraph(q):
     assert (False, False) in seen and (True, True) in seen
 
 
+def test_truncated_level0_samples_only_the_counted_heads(monkeypatch):
+    # K_{6,6,6}: every head extends all 36 tails, so a cap of 40 keeps head
+    # 0 whole and 4 tails of head 1; a step-1 sample of any later head
+    # would empty the link intersection
+    monkeypatch.setattr(embedding, "HYPERGRAPH_CAP", 40)
+    g = complete_multipartite([6, 6, 6])
+    cls = hyper_classes(g, [6, 6, 6])
+    level0 = _ImplicitLevel0(g, cls, embedding.HYPERGRAPH_CAP)
+    assert (level0.heads, level0.partial, level0.truncated) == ([0, 1], 1,
+                                                                 True)
+    for seed in range(10):
+        res = embed_clique_in_tuple(g, cls, p=1, alpha_bound=0, seed=seed)
+        assert (res.success, res.path) == (True, "drc")
+        for note in res.telemetry:
+            assert note["h0_edges"] == 40
+            assert note["h1_edges"] in (4, 36)
+
+
 def test_embed_never_holds_level0_in_memory():
     # 42,725 transversal 4-cliques: a materialised level 0 and its indexes
     # peaked near 12 MB

@@ -146,9 +146,9 @@ def test_every_definition_is_reached_from_the_command_line():
     assert not unreached, f"no cfl kind reaches {', '.join(unreached)}"
 
 
-def test_the_walk_reports_an_unreached_function(tmp_path):
-    # the guard itself: a function no handler calls is found, one that a
-    # handler calls through a method of a reached class is not
+def _toy(tmp_path, lib: str) -> _Package:
+    """A two-module package: a ``cli`` with one handler that calls
+    ``Thing().go()`` from ``lib``, and the given ``lib`` source."""
     (tmp_path / "cli.py").write_text(
         "from .lib import Thing\n"
         "def run_x(cfg):\n"
@@ -156,18 +156,67 @@ def test_the_walk_reports_an_unreached_function(tmp_path):
         "HANDLERS = {'x': run_x}\n"
         "def main():\n"
         "    return HANDLERS['x'](None)\n")
-    (tmp_path / "lib.py").write_text(
-        "def used():\n"
-        "    return 1\n"
-        "def unused():\n"
-        "    return 2\n"
-        "class Thing:\n"
-        "    def __init__(self):\n"
-        "        self.v = 0\n"
-        "    def go(self):\n"
-        "        return used()\n"
-        "    def idle(self):\n"
-        "        return unused()\n")
-    package = _Package(str(tmp_path))
+    (tmp_path / "lib.py").write_text(lib)
+    return _Package(str(tmp_path))
+
+
+def test_the_walk_reports_an_unreached_function(tmp_path):
+    # the guard itself: a function no handler calls is found, one that a
+    # handler calls through a method of a reached class is not
+    package = _toy(tmp_path,
+                   "def used():\n"
+                   "    return 1\n"
+                   "def unused():\n"
+                   "    return 2\n"
+                   "class Thing:\n"
+                   "    def __init__(self):\n"
+                   "        self.v = 0\n"
+                   "    def go(self):\n"
+                   "        return used()\n"
+                   "    def idle(self):\n"
+                   "        return unused()\n")
     unreached = set(package.defs) - package.reach(package.handlers())
     assert unreached == {"lib.unused", "lib.Thing.idle"}
+
+
+def test_module_level_code_and_dunder_methods_are_reached(tmp_path):
+    # a table built at import runs, and Python calls a reached class's
+    # dunder methods without naming them
+    package = _toy(tmp_path,
+                   "def build():\n"
+                   "    return 1\n"
+                   "TABLE = {'b': build}\n"
+                   "def size():\n"
+                   "    return 2\n"
+                   "class Thing:\n"
+                   "    def __len__(self):\n"
+                   "        return size()\n"
+                   "    def go(self):\n"
+                   "        return 0\n"
+                   "class Idle:\n"
+                   "    def __len__(self):\n"
+                   "        return 3\n")
+    unreached = set(package.defs) - package.reach(package.handlers())
+    assert unreached == {"lib.Idle", "lib.Idle.__len__"}
+
+
+def test_an_allowed_definition_keeps_its_methods_and_what_it_uses(tmp_path):
+    package = _toy(tmp_path,
+                   "def helper():\n"
+                   "    return 1\n"
+                   "def dead():\n"
+                   "    return 2\n"
+                   "class Thing:\n"
+                   "    def go(self):\n"
+                   "        return 0\n"
+                   "class Kept:\n"
+                   "    def first(self):\n"
+                   "        return helper()\n"
+                   "    def second(self):\n"
+                   "        return 0\n")
+    handlers = package.handlers()
+    assert set(package.defs) - package.reach(handlers) == {
+        "lib.helper", "lib.dead", "lib.Kept", "lib.Kept.first",
+        "lib.Kept.second"}
+    kept = package.reach(handlers + ["lib.Kept"], whole_classes=["lib.Kept"])
+    assert set(package.defs) - kept == {"lib.dead"}
