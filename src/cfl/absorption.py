@@ -256,8 +256,9 @@ def closedness_report(g: Graph, u_set: VertexSet, r: int, t: int,
                       pair_budget: int, inner: bool = False,
                       per_pair_limit: int = 8, seed: int = 0
                       ) -> ClosednessReport:
-    """Greedy disjoint-reachable counts across pairs of U.  The inner
-    variant restricts the reachable sets themselves to U."""
+    """Greedy disjoint-reachable counts across pairs of U, which needs at
+    least two vertices.  The inner variant restricts the reachable sets
+    themselves to U."""
     verts = u_set.vertices()
     pairs = [(verts[i], verts[j]) for i in range(len(verts))
              for j in range(i + 1, len(verts))]
@@ -274,13 +275,13 @@ def closedness_report(g: Graph, u_set: VertexSet, r: int, t: int,
             g, a, b, r, t, limit=per_pair_limit, within=within,
             candidate_budget=50_000)
         counts.append((a, b, len(certs)))
-    values = [c for (_, _, c) in counts] or [0]
+    values = [c for (_, _, c) in counts]
     return ClosednessReport(
         r=r, t=t, variant="inner-closed" if inner else "closed",
         pairs_evaluated=len(pairs), all_pairs=all_pairs,
         min_count=min(values), median_count=float(median(values)),
         max_count=max(values),
-        implied_beta=Fraction(min(values), max(1, len(u_set))),
+        implied_beta=Fraction(min(values), len(u_set)),
         per_pair=counts)
 
 

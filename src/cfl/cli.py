@@ -264,6 +264,8 @@ def run_regcheck(cfg, seed, caps, outdir):
         raise ConfigError("[regcheck] epsilon", f"expected a positive rational, "
                           f"got {eps}")
     d = cfg.get_fraction("regcheck", "d")
+    if not 0 <= d <= 1:
+        raise ConfigError("[regcheck] d", f"expected a rational in [0, 1], got {d}")
     samples = _int_at_least(cfg, "regcheck", "samples", 1, default=10_000)
     check_super = cfg.get_bool("regcheck", "super", False)
     m = part.cluster_size
@@ -394,6 +396,8 @@ def run_absorb(cfg, seed, caps, outdir):
     elif task == "xi":
         a = _vertex_set(cfg, "absorb", "a_set", g)
         xi = cfg.get_fraction("absorb", "xi")
+        if xi < 0:
+            raise ConfigError("[absorb] xi", f"expected a rational >= 0, got {xi}")
         mode = cfg.get_str("absorb", "mode", "exhaustive")
         samples = _int_at_least(cfg, "absorb", "samples", 1, default=2000)
         try:
@@ -406,6 +410,9 @@ def run_absorb(cfg, seed, caps, outdir):
         raw = cfg.get_str("absorb", "u_set", "all")
         u_set = (VertexSet(g, g.full_mask()) if raw == "all"
                  else _vertices(raw, "[absorb] u_set", g))
+        if len(u_set) < 2:
+            raise ConfigError("[absorb] u_set", f"expected at least two vertices, "
+                              f"got {len(u_set)}")
         t = _int_at_least(cfg, "absorb", "t", 1, default=1)
         budget = _int_at_least(cfg, "absorb", "pair_budget", 1, default=64)
         inner = cfg.get_bool("absorb", "inner", False)

@@ -1,6 +1,6 @@
 """Executable dependent random choice and the regular-tuple clique embedder.
 
-Three layers:
+Two parts:
 
 * drc_select: the classical selector on a graph.  Sample t vertices from a
   witness class with repetition, intersect their neighborhoods inside a
@@ -9,28 +9,24 @@ Three layers:
   r-subset scan comes back clean.  The returned set is certified by that
   final scan, never by the expectation argument.
 
-* hypergraph_drc_step: one arity-reduction step on an r-partite r-uniform
-  hypergraph.  Sample s heads from the first class with repetition and
-  keep the tails, the (r-1)-edges, that every sampled head extends (the
-  link intersection).
-
 * embed_clique_in_tuple: the cascade.  Its level 0 is the hypergraph of
   class-transversal cliques, capped at HYPERGRAPH_CAP edges in
-  lexicographic order, and it is never held in memory.  One counting pass
-  per call gives each head of the first class its share of the capped
-  level; step 1 samples only the heads that count reached, so when the cap
-  cuts the level no sample falls on a head left without tails.  A head's
-  tails, the transversal cliques of the other classes inside its
-  neighborhood, are enumerated only when step 1 samples it (or, with two
-  classes, once to build the bipartite graph), and back-extension into the
-  first class tests membership head by head.  Levels 1 and up
-  are small and are held as edge lists.  Reduce arity down to 2, run the
-  selector on the resulting bipartite structure, find a p-clique inside the
-  selected set (any set larger than the caller's independence budget must
-  contain one), back-extend through common links, and verify the final
-  p-per-class clique directly.  A bounded brute-force multipartite search
-  is the fallback; reports name which path succeeded, and failure is a
-  structured outcome with the stage reached.
+  lexicographic order.  A step samples s heads from the level's first
+  class with repetition and keeps the tails that every one of them
+  extends (the link intersection), reducing the arity by one.  No level
+  is ever held as an edge list: level i is the transversal cliques of
+  classes i.. inside a vertex mask, at or below a lexicographic bound
+  when the cap cut level 0, so a step only cuts the mask to the heads'
+  common neighborhood, and membership and edge counts are computed from
+  the graph.  One counting pass per call finds level 0's size, its last
+  kept edge and the heads step 1 samples; when the cap cuts the level, no
+  sample falls on a head left without tails.  Reduce arity down to 2, run
+  the selector on the resulting bipartite structure, find a p-clique
+  inside the selected set (any set larger than the caller's independence
+  budget must contain one), back-extend through common links, and verify
+  the final p-per-class clique directly.  A bounded brute-force
+  multipartite search is the fallback; reports name which path
+  succeeded, and failure is a structured outcome with the stage reached.
 
 The asymptotic parameter schedule behind these procedures is meaningless at
 desk scale; s, the trial count and the fallback node cap are explicit
@@ -40,11 +36,10 @@ configuration (EmbedConfig).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .graphs import (Graph, SearchCapExceeded, VertexSet, iter_bits,
-                     iter_clique_masks, mask_of)
+                     iter_clique_masks)
 from .rng import SplitMix64, derive_seed
 
 
@@ -139,175 +134,80 @@ def drc_select(g: Graph, target_class: VertexSet, witness_class: VertexSet,
                       initial_size=best_initial)
 
 
-# -- partite hypergraphs -------------------------------------------------------
-
-
-@dataclass
-class PartiteHypergraph:
-    """r-partite r-uniform hypergraph: one vertex per class per edge.
-    Edge tuples are ordered by class."""
-    classes: List[VertexSet]
-    edges: List[Tuple[int, ...]]
-
-    @property
-    def arity(self) -> int:
-        return len(self.classes)
-
-    def to_bipartite_graph(self, n: int) -> Graph:
-        if self.arity != 2:
-            raise ValueError("only arity-2 hypergraphs convert to graphs")
-        return Graph(n, [(min(u, v), max(u, v)) for u, v in self.edges])
-
-
-def transversal_clique_hypergraph(g: Graph, classes: Sequence[VertexSet],
-                                  cap: Optional[int] = None, within: int = -1
-                                  ) -> Tuple[PartiteHypergraph, bool]:
-    """All class-transversal cliques of g inside the vertex mask ``within``
-    (every vertex by default) as hypergraph edges, lexicographic by tuple;
-    the flag reports cap truncation."""
-    q = len(classes)
-    edges: List[Tuple[int, ...]] = []
-    truncated = False
-    adj = g.adj
-
-    def rec(i: int, chosen: Tuple[int, ...], common: int) -> bool:
-        nonlocal truncated
-        if i == q:
-            if cap is not None and len(edges) >= cap:
-                truncated = True
-                return False
-            edges.append(chosen)
-            return True
-        for v in iter_bits(classes[i].mask & common):
-            if not rec(i + 1, chosen + (v,), common & adj[v]):
-                return False
-        return True
-
-    rec(0, (), within)
-    return PartiteHypergraph(classes=list(classes), edges=edges), truncated
+# -- cascade levels -------------------------------------------------------------
 
 
 def _count_transversal_cliques(g: Graph, classes: Sequence[VertexSet],
-                               within: int, limit: Optional[int]) -> int:
-    """How many edges ``transversal_clique_hypergraph(g, classes,
-    within=within)`` would have, without building them.  Once the count
-    passes ``limit`` it stops and returns a value above the limit."""
+                               within: int, limit: Optional[int] = None,
+                               bound: Optional[Tuple[int, ...]] = None) -> int:
+    """How many class-transversal cliques of ``classes`` lie inside the
+    vertex mask ``within`` and, when ``bound`` is set, at or below it in
+    lexicographic order.  Once the count passes ``limit`` it stops and
+    returns a value above the limit."""
     adj = g.adj
     last = len(classes) - 1
     total = 0
 
-    def rec(i: int, common: int) -> bool:
+    def rec(i: int, common: int, tight: bool) -> bool:
+        # tight: the clique so far is bound's prefix, so bound[i] caps vertex i
         nonlocal total
+        pool = classes[i].mask & common
+        if tight:
+            pool &= (2 << bound[i]) - 1
         if i == last:
-            total += (classes[i].mask & common).bit_count()
+            total += pool.bit_count()
             return limit is None or total <= limit
-        for v in iter_bits(classes[i].mask & common):
-            if not rec(i + 1, common & adj[v]):
+        for v in iter_bits(pool):
+            if not rec(i + 1, common & adj[v], tight and v == bound[i]):
                 return False
         return True
 
-    rec(0, within)
+    rec(0, within, bound is not None)
     return total
 
 
-def _link_intersection(first: Sequence[int], tails_of: Callable[[int], set],
-                       s: int, seed: int
-                       ) -> Tuple[List[Tuple[int, ...]], Tuple[int, ...]]:
-    """Sample s heads from ``first`` (with repetition) and intersect their
-    tail sets; returns the kept tails, sorted, and the sampled heads."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    rng = SplitMix64(derive_seed(seed, "hdrc-sample"))
-    kept: Optional[set] = None
-    sampled: List[int] = []
-    if first:
-        for _ in range(s):
-            w = first[rng.randrange(len(first))]
-            sampled.append(w)
-            tails = tails_of(w)
-            kept = set(tails) if kept is None else kept & tails
-    return (sorted(kept) if kept else []), tuple(sampled)
-
-
-def hypergraph_drc_step(h: PartiteHypergraph, s: int, seed: int = 0
-                        ) -> Tuple[PartiteHypergraph, Tuple[int, ...]]:
-    """One link-intersection step: sample s vertices from the first class
-    (with repetition) and keep the tails extended by all of them.  Returns
-    the reduced hypergraph and the sampled heads."""
-    if h.arity < 2:
-        raise ValueError("arity must be >= 2")
-    tails_by_head: Dict[int, set] = {}
-    for e in h.edges:
-        tails_by_head.setdefault(e[0], set()).add(e[1:])
-    edges, sampled = _link_intersection(
-        h.classes[0].vertices(), lambda w: tails_by_head.get(w, set()), s, seed)
-    return PartiteHypergraph(classes=list(h.classes[1:]), edges=edges), sampled
-
-
-class _ImplicitLevel0:
-    """The capped hypergraph of class-transversal cliques, without its edges.
-
-    Its edges, lexicographic, are the tuples (w, *tail) where a head w of
-    the first class meets a tail, a transversal clique of the other classes
-    inside N(w).  One counting pass over the heads in increasing order
-    gives each head its share of the capped level, clamp(cap - tails of
-    earlier heads, 0, its tail count): exactly the lexicographic prefix that
-    ``transversal_clique_hypergraph(g, classes, cap)`` keeps.  The count
-    stops at the first head past the cap, the one head (``partial``) that
-    may keep only part of its tails.  ``heads`` lists the heads before that
-    stop, plus ``partial``: all of the first class when nothing is
-    truncated, and never a head the cap left without tails."""
-
-    def __init__(self, g: Graph, classes: Sequence[VertexSet],
-                 cap: Optional[int]):
-        self.g = g
-        self.tail_classes = list(classes[1:])
-        self.shares: Dict[int, int] = {}      # heads with a nonzero share
-        self.heads: List[int] = []            # heads step 1 samples from
-        self.partial: Optional[int] = None
-        self.truncated = False
-        total = 0
-        for w in iter_bits(classes[0].mask):
-            room = None if cap is None else cap - total
-            count = _count_transversal_cliques(g, self.tail_classes,
-                                               g.adj[w], room)
-            if room is not None and count > room:
-                self.truncated = True
-                if room:
-                    self.shares[w] = room
-                    self.heads.append(w)
-                    self.partial = w
-                total += room
+def _nth_transversal_clique(g: Graph, classes: Sequence[VertexSet],
+                            within: int, k: int) -> Tuple[int, ...]:
+    """The k-th (from 1) class-transversal clique of ``classes`` inside
+    ``within``, in lexicographic order; there must be at least k."""
+    clique = []
+    for i, c in enumerate(classes):
+        rest = classes[i + 1:]
+        for v in iter_bits(c.mask & within):
+            below = (_count_transversal_cliques(g, rest, within & g.adj[v], k)
+                     if rest else 1)
+            if k <= below:
                 break
-            if count:
-                self.shares[w] = count
-            self.heads.append(w)
-            total += count
-        self.edge_count = total
+            k -= below
+        clique.append(v)
+        within &= g.adj[v]
+    return tuple(clique)
 
-    def tails(self, w: int) -> set:
-        """The tails of head w that the capped level keeps."""
-        share = self.shares.get(w, 0)
-        if not share:
-            return set()
-        h, _ = transversal_clique_hypergraph(self.g, self.tail_classes,
-                                             cap=share, within=self.g.adj[w])
-        return set(h.edges)
 
-    def extends(self, v: int, tails: Sequence[Tuple[int, ...]]) -> bool:
-        """True when (v, *t) is an edge for every t in ``tails``, each of
-        which must be transversal to the tail classes.  A head that keeps
-        all its tails extends exactly the tails that are cliques in N(v)."""
-        if v == self.partial or v not in self.shares:
-            kept = self.tails(v)
-            return all(t in kept for t in tails)
-        return all(self.g.is_clique(mask_of(t) | 1 << v) for t in tails)
+def _level0(g: Graph, classes: Sequence[VertexSet], cap: int
+            ) -> Tuple[List[int], int, bool, Optional[Tuple[int, ...]]]:
+    """The counting pass over level 0: the heads step 1 samples, the level's
+    edge count, whether the cap cut it, and its last edge when it did.
 
-    @cached_property
-    def bipartite_graph(self) -> Graph:
-        """With two classes, the level itself as a graph on g's vertices."""
-        return Graph(self.g.n, ((w, u) for w in self.shares
-                                for (u,) in self.tails(w)))
+    Level 0 is the class-transversal cliques of all the classes, capped at
+    ``cap`` in lexicographic order.  The pass counts the tails of each head
+    of the first class (the transversal cliques of the other classes inside
+    its neighborhood) in increasing order and stops at the first head past
+    the cap.  The heads before it, plus that head when the cap keeps some of
+    its tails, are the heads step 1 samples: all of the first class when
+    nothing is cut, and never a head the cap left without tails."""
+    heads: List[int] = []
+    total = 0
+    for w in iter_bits(classes[0].mask):
+        room = cap - total
+        count = _count_transversal_cliques(g, classes[1:], g.adj[w], room)
+        if count > room:
+            if room:
+                heads.append(w)
+            return heads, cap, True, _nth_transversal_clique(g, classes, -1, cap)
+        heads.append(w)
+        total += count
+    return heads, total, False, None
 
 
 # -- the cascade embedder -------------------------------------------------------
@@ -395,6 +295,8 @@ def embed_clique_in_tuple(g: Graph, classes: Sequence[VertexSet], p: int,
     q = len(classes)
     if q < 2 or p < 1:
         raise ValueError("need at least two classes and p >= 1")
+    if config.s < 1:
+        raise ValueError("s must be >= 1")
     seen = 0
     for c in classes:
         if c.mask & seen:
@@ -404,8 +306,7 @@ def embed_clique_in_tuple(g: Graph, classes: Sequence[VertexSet], p: int,
     telemetry: List[dict] = []
     stage = "start"
     trials_used = 0
-    level0 = (_ImplicitLevel0(g, classes, HYPERGRAPH_CAP) if config.trials
-              else None)
+    level0 = _level0(g, classes, HYPERGRAPH_CAP) if config.trials else ()
 
     for trial in range(1, config.trials + 1):
         trials_used = trial
@@ -445,46 +346,58 @@ def embed_clique_in_tuple(g: Graph, classes: Sequence[VertexSet], p: int,
                        telemetry=telemetry)
 
 
-def _drc_attempt(g: Graph, classes: Sequence[VertexSet],
-                 level0: _ImplicitLevel0, p: int, m: int, seed: int,
-                 config: EmbedConfig, note: dict
+def _drc_attempt(g: Graph, classes: Sequence[VertexSet], level0: tuple,
+                 p: int, m: int, seed: int, config: EmbedConfig, note: dict
                  ) -> Optional[List[VertexSet]]:
-    """One cascade pass; fills ``note`` with per-stage telemetry."""
+    """One cascade pass; fills ``note`` with per-stage telemetry.
+
+    Level i holds the class-transversal cliques of ``classes[i:]`` inside a
+    vertex mask W_i, at or below a lexicographic bound B_i when one is set:
+    ``levels[i] = (W_i, B_i)``.  A step keeps the tails that every sampled
+    head extends, so W_{i+1} is W_i cut to the heads' common neighborhood,
+    and B_i's tail still binds only when the largest head is B_i's head."""
     q = len(classes)
-    note["h0_edges"] = level0.edge_count
-    note["h0_truncated"] = level0.truncated
-    if not level0.edge_count:
+    heads, edge_count, truncated, bound = level0
+    note["h0_edges"] = edge_count
+    note["h0_truncated"] = truncated
+    if not edge_count:
         note["stage"] = ("no cross K_2" if q == 2
                          else "no transversal cliques")
         return None
-    levels: List[PartiteHypergraph] = []    # levels[i - 1] is level i
+    levels: List[Tuple[int, Optional[Tuple[int, ...]]]] = [(-1, bound)]
     for step in range(1, q - 1):
-        step_seed = derive_seed(seed, "step", step)
-        if levels:
-            h, _ = hypergraph_drc_step(levels[-1], config.s, seed=step_seed)
-        else:
-            edges, _ = _link_intersection(level0.heads, level0.tails,
-                                          config.s, step_seed)
-            h = PartiteHypergraph(classes=list(classes[1:]), edges=edges)
-        note[f"h{step}_edges"] = len(h.edges)
-        if not h.edges:
+        within, bound = levels[-1]
+        first = heads if step == 1 else classes[step - 1].vertices()
+        rng = SplitMix64(derive_seed(derive_seed(seed, "step", step),
+                                     "hdrc-sample"))
+        sampled = [first[rng.randrange(len(first))] for _ in range(config.s)]
+        top = max(sampled)
+        count = 0
+        if ((bound is None or top <= bound[0])
+                and all(within >> h & 1 for h in sampled)):
+            for h in sampled:
+                within &= g.adj[h]
+            bound = bound[1:] if bound is not None and top == bound[0] else None
+            count = _count_transversal_cliques(g, classes[step:], within,
+                                               bound=bound)
+        note[f"h{step}_edges"] = count
+        if not count:
             note["stage"] = f"link intersection empty at step {step}"
             return None
-        levels.append(h)
+        levels.append((within, bound))
 
-    bip = (levels[-1].to_bipartite_graph(g.n) if levels
-           else level0.bipartite_graph)
+    within, bound = levels[-1]
     target, witness = classes[q - 2], classes[q - 1]
+    bip = Graph(g.n, ((u, v) for u in iter_bits(target.mask & within)
+                      for v in iter_bits(witness.mask & within & g.adj[u])
+                      if bound is None or (u, v) <= bound))
     drc = drc_select(bip, target, witness, t=config.s, r=max(2, p), m=m,
                      seed=derive_seed(seed, "select"), max_trials=1)
     note["selected"] = len(drc.selected)
     if len(drc.selected) < p:
         note["stage"] = "selected set smaller than p"
         return None
-    a_target = None
-    for cm in iter_clique_masks(g, p, drc.selected.mask):
-        a_target = cm
-        break
+    a_target = next(iter_clique_masks(g, p, drc.selected.mask), None)
     if a_target is None:
         note["stage"] = "no p-clique in selected set"
         return None
@@ -493,44 +406,33 @@ def _drc_attempt(g: Graph, classes: Sequence[VertexSet],
         common &= bip.adj[v]
     pool = common & witness.mask
     note["back_pool"] = pool.bit_count()
-    a_witness = None
-    for cm in iter_clique_masks(g, p, pool):
-        a_witness = cm
-        break
+    a_witness = next(iter_clique_masks(g, p, pool), None)
     if a_witness is None:
         note["stage"] = "no p-clique in common neighborhood"
         return None
 
-    chosen: List[Optional[int]] = [None] * q
+    chosen = [0] * q
     chosen[q - 2] = a_target
     chosen[q - 1] = a_witness
+    common = -1                 # common neighborhood of the chosen vertices
+    for v in iter_bits(a_target | a_witness):
+        common &= g.adj[v]
     for i in range(q - 3, -1, -1):
-        # level i lives on classes i..q-1; v extends when every
-        # transversal tuple of the already-chosen p-sets lifts to an edge
-        tuples = _transversals([chosen[j] for j in range(i + 1, q)])
-        if i:
-            edge_set = set(levels[i - 1].edges)
-            extenders = mask_of(v for v in iter_bits(classes[i].mask)
-                                if all((v,) + t in edge_set for t in tuples))
-        else:
-            extenders = mask_of(v for v in iter_bits(classes[0].mask)
-                                if level0.extends(v, tuples))
+        # v extends when (v, *t) is a level-i edge for every transversal t
+        # of the chosen p-sets, each already a clique inside W_i: v lies in
+        # W_i, sees every chosen vertex, and (v, the sets' maxima) <= B_i
+        within, bound = levels[i]
+        extenders = classes[i].mask & within & common
+        if bound is not None:
+            top = tuple(chosen[j].bit_length() - 1 for j in range(i + 1, q))
+            extenders &= (1 << (bound[0] + (top <= bound[1:]))) - 1
         note[f"extenders_{i}"] = extenders.bit_count()
-        a_i = None
-        for cm in iter_clique_masks(g, p, extenders):
-            a_i = cm
-            break
+        a_i = next(iter_clique_masks(g, p, extenders), None)
         if a_i is None:
             note["stage"] = f"no p-clique among extenders of class {i}"
             return None
         chosen[i] = a_i
+        for v in iter_bits(a_i):
+            common &= g.adj[v]
     note["stage"] = "assembled"
-    return [VertexSet(g, cm) for cm in chosen]  # type: ignore[arg-type]
-
-
-def _transversals(masks: List[int]) -> List[Tuple[int, ...]]:
-    out: List[Tuple[int, ...]] = [()]
-    for m in masks:
-        verts = list(iter_bits(m))
-        out = [t + (v,) for t in out for v in verts]
-    return out
+    return [VertexSet(g, cm) for cm in chosen]

@@ -255,6 +255,18 @@ def test_cover_user_errors_exit_two(tmp_path, capsys, key, value, field):
      "[absorb] limit"),
     ("absorb", "task = closedness\ngraph = petersen\nr = 3\nlimit = -4\n",
      "[absorb] limit"),
+    ("absorb", "task = xi\ngraph = complete:6\nr = 3\na_set = 0-2\nxi = -1/2\n",
+     "[absorb] xi"),
+    ("absorb", "task = closedness\ngraph = petersen\nr = 3\nu_set = 2\n",
+     "[absorb] u_set"),
+    ("absorb", "task = closedness\ngraph = petersen\nr = 3\nu_set =\n",
+     "[absorb] u_set"),
+    ("regcheck", "graph = multipartite:3,3,3\n"
+     "partition = {golden}/regcheck-partition.txt\nepsilon = 1/4\nd = -1\n"
+     "super = true\n", "[regcheck] d"),
+    ("regcheck", "graph = multipartite:3,3,3\n"
+     "partition = {golden}/regcheck-partition.txt\nepsilon = 1/4\nd = 3/2\n"
+     "super = true\n", "[regcheck] d"),
     ("construct", "family = sparse-klfree\nn = 12\nell = 3\ngamma = 0.1\n"
      "max_tries = 0\n", "[construct] max_tries"),
 ])

@@ -8,13 +8,12 @@ import pytest
 from cfl import embedding
 from cfl.bounds import drc_condition
 from cfl.graphs import (Graph, VertexSet, complete_multipartite, empty_graph,
-                        random_gnp)
-from cfl.embedding import (EmbedConfig, PartiteHypergraph, SearchCapExceeded,
-                           _ImplicitLevel0, _link_intersection, drc_select,
-                           embed_clique_in_tuple, hypergraph_drc_step,
-                           multipartite_clique_search,
-                           transversal_clique_hypergraph)
+                        iter_clique_masks, random_gnp)
+from cfl.embedding import (EmbedConfig, SearchCapExceeded, drc_select,
+                           embed_clique_in_tuple, multipartite_clique_search)
 from cfl.invariants import alpha_ell_exact
+from cfl.reports import jsonable
+from cfl.rng import SplitMix64, derive_seed
 
 
 def exhaustive_pair_floor(g, selected, witness, r, m):
@@ -93,7 +92,7 @@ def test_drc_input_validation():
         drc_select(g, VertexSet.of(g, [0]), VertexSet.of(g, [1]), 1, 1, 1)
 
 
-# -- hypergraph step ---------------------------------------------------------------
+# -- the cascade against a materialising reference ----------------------------
 
 def hyper_classes(g, sizes):
     out = []
@@ -104,110 +103,152 @@ def hyper_classes(g, sizes):
     return out
 
 
-def test_transversal_hypergraph_of_complete_multipartite():
-    k333 = complete_multipartite([3, 3, 3])
-    cls = hyper_classes(k333, [3, 3, 3])
-    h, truncated = transversal_clique_hypergraph(k333, cls)
-    assert len(h.edges) == 27 and not truncated
-    hcap, trunc2 = transversal_clique_hypergraph(k333, cls, cap=10)
-    assert len(hcap.edges) == 10 and trunc2
+def transversal_cliques(g, classes):
+    """Every class-transversal clique of g, lexicographic by tuple."""
+    out = [()]
+    for c in classes:
+        out = [t + (v,) for t in out for v in c.vertices()
+               if all(g.has_edge(u, v) for u in t)]
+    return out
 
 
-def test_step_on_complete_hypergraph_is_complete():
-    k333 = complete_multipartite([3, 3, 3])
-    cls = hyper_classes(k333, [3, 3, 3])
-    h, _ = transversal_clique_hypergraph(k333, cls)
-    out, _ = hypergraph_drc_step(h, s=2, seed=0)
-    assert sorted(out.edges) == [(a, b) for a in (3, 4, 5) for b in (6, 7, 8)]
+def reference_attempt(seen):
+    """A cascade pass that builds every level as its edge list: level 0 is
+    the capped list of transversal cliques, and a step keeps the tails that
+    every sampled head extends by explicit link intersection.  It takes the
+    place of ``embedding._drc_attempt`` and ignores the level-0 summary that
+    the real pass gets; ``seen`` collects which cut cases it met."""
 
+    def attempt(g, classes, _level0, p, m, seed, config, note):
+        q = len(classes)
+        full = transversal_cliques(g, classes)
+        level = full[:embedding.HYPERGRAPH_CAP]
+        note["h0_edges"] = len(level)
+        note["h0_truncated"] = len(full) > len(level)
+        if not level:
+            note["stage"] = "no cross K_2" if q == 2 else "no transversal cliques"
+            return None
+        # step 1 samples the heads before the first head with a cut edge,
+        # and that head too when the cap keeps some of its edges
+        heads = classes[0].vertices()
+        partial = None
+        if len(full) > len(level):
+            stop = full[len(level)][0]
+            partial = stop if level[-1][0] == stop else None
+            heads = [w for w in heads if w < stop or w == partial]
+            seen.add("cut")
+            if partial is None and level[-1][0] < heads[-1]:
+                seen.add("cut at a head boundary before tail-less heads")
+        else:
+            seen.add("no cut")
+        levels = [level]
+        for step in range(1, q - 1):
+            first = heads if step == 1 else classes[step - 1].vertices()
+            rng = SplitMix64(derive_seed(derive_seed(seed, "step", step),
+                                         "hdrc-sample"))
+            kept = None
+            for _ in range(config.s):
+                w = first[rng.randrange(len(first))]
+                if step == 1 and partial is not None:
+                    seen.add(f"partial head sampled: {w == partial}")
+                link = {e[1:] for e in levels[-1] if e[0] == w}
+                kept = link if kept is None else kept & link
+            levels.append(sorted(kept))
+            note[f"h{step}_edges"] = len(kept)
+            if not kept:
+                note["stage"] = f"link intersection empty at step {step}"
+                return None
+        edge_sets = [set(level) for level in levels]
+        target, witness = classes[q - 2], classes[q - 1]
+        drc = drc_select(Graph(g.n, levels[-1]), target, witness, t=config.s,
+                         r=max(2, p), m=m, seed=derive_seed(seed, "select"),
+                         max_trials=1)
+        note["selected"] = len(drc.selected)
+        if len(drc.selected) < p:
+            note["stage"] = "selected set smaller than p"
+            return None
+        a_target = next(iter_clique_masks(g, p, drc.selected.mask), None)
+        if a_target is None:
+            note["stage"] = "no p-clique in selected set"
+            return None
+        a_target = VertexSet(g, a_target).vertices()
+        pool = [v for v in witness.vertices()
+                if all((u, v) in edge_sets[-1] for u in a_target)]
+        note["back_pool"] = len(pool)
+        a_witness = next(iter_clique_masks(g, p, VertexSet.of(g, pool).mask),
+                         None)
+        if a_witness is None:
+            note["stage"] = "no p-clique in common neighborhood"
+            return None
+        chosen = [a_target, VertexSet(g, a_witness).vertices()]
+        for i in range(q - 3, -1, -1):
+            extenders = [v for v in classes[i].vertices()
+                         if all((v,) + t in edge_sets[i]
+                                for t in product(*chosen))]
+            note[f"extenders_{i}"] = len(extenders)
+            a_i = next(iter_clique_masks(
+                g, p, VertexSet.of(g, extenders).mask), None)
+            if a_i is None:
+                note["stage"] = f"no p-clique among extenders of class {i}"
+                return None
+            chosen.insert(0, VertexSet(g, a_i).vertices())
+        note["stage"] = "assembled"
+        return [VertexSet.of(g, c) for c in chosen]
 
-def test_step_on_empty_hypergraph():
-    g = empty_graph(9)
-    h = PartiteHypergraph(classes=hyper_classes(g, [3, 3, 3]), edges=[])
-    out, sampled = hypergraph_drc_step(h, s=1, seed=0)
-    assert out.edges == [] and len(sampled) == 1
-
-
-def test_step_planted_single_extender():
-    # only vertex 0 of the first class extends anything
-    g = empty_graph(9)
-    cls = hyper_classes(g, [3, 3, 3])
-    edges = [(0, t, u) for t in (3, 4, 5) for u in (6, 7, 8)]
-    h = PartiteHypergraph(classes=cls, edges=edges)
-    outcomes = []
-    for seed in range(6):
-        out, sampled = hypergraph_drc_step(h, s=1, seed=seed)
-        outcomes.append(len(out.edges))
-        # nonempty output iff the special vertex was sampled
-        assert len(out.edges) == (9 if sampled == (0,) else 0)
-    assert 9 in outcomes and 0 in outcomes
-
-
-def test_step_output_is_exactly_link_intersection():
-    g = random_gnp(18, 0.6, seed=5)
-    cls = hyper_classes(g, [6, 6, 6])
-    h, _ = transversal_clique_hypergraph(g, cls)
-    out, sampled = hypergraph_drc_step(h, s=2, seed=9)
-    # re-derive the definition from the recorded samples
-    edge_set = set(h.edges)
-    expected = None
-    for w in sampled:
-        link = {e[1:] for e in edge_set if e[0] == w}
-        expected = link if expected is None else expected & link
-    assert sorted(expected) == out.edges
-    out2, sampled2 = hypergraph_drc_step(h, s=2, seed=9)
-    assert out.edges == out2.edges
-    assert sampled == sampled2
-
-
-def test_step_validation():
-    g = empty_graph(4)
-    h = PartiteHypergraph(classes=[VertexSet.of(g, [0, 1])], edges=[])
-    with pytest.raises(ValueError):
-        hypergraph_drc_step(h, s=1)
-    h2 = PartiteHypergraph(classes=hyper_classes(g, [2, 2]), edges=[(0, 2)])
-    with pytest.raises(ValueError):
-        hypergraph_drc_step(h2, s=0)
+    return attempt
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
-def test_implicit_level0_matches_the_materialised_hypergraph(q):
-    # the cascade never builds level 0; its per-head view must be exactly
-    # the capped lexicographic hypergraph grouped by head
+def test_the_cascade_matches_a_materialising_reference(monkeypatch, q):
     seen = set()
-    for graph_seed in range(3):
-        g = random_gnp(5 * q, 0.8, seed=100 * q + graph_seed)
+    instances = drc_paths = 0
+    for graph_seed in range(10):
+        size = 4 + graph_seed % 3
+        g = random_gnp(size * q, (0.55, 0.7, 0.85, 0.95)[graph_seed % 4],
+                       seed=100 * q + graph_seed)
+        cls = hyper_classes(g, [size] * q)
+        full = transversal_cliques(g, cls)
+        # cuts at the first six head boundaries and inside the heads
+        # between them, the whole level, and no cut
+        ends = [0] + [i + 1 for i in range(len(full) - 1)
+                      if full[i][0] != full[i + 1][0]][:6]
+        caps = sorted({1, *ends[1:], *((a + b) // 2 for a, b
+                                       in zip(ends, ends[1:])),
+                       len(full), len(full) + 1} - {0})
+        for cap in caps:
+            monkeypatch.setattr(embedding, "HYPERGRAPH_CAP", cap)
+            for p, embed_seed in product((1, 2), range(2)):
+                config = EmbedConfig(s=1 + (graph_seed + embed_seed) % 3,
+                                     trials=3)
+                args = (g, cls, p, graph_seed % 3, embed_seed, config)
+                got = jsonable(embed_clique_in_tuple(*args))
+                with monkeypatch.context() as m:
+                    m.setattr(embedding, "_drc_attempt", reference_attempt(seen))
+                    want = jsonable(embed_clique_in_tuple(*args))
+                assert got == want, (graph_seed, cap, p, embed_seed)
+                instances += 1
+                drc_paths += got["path"] == "drc"
+    assert instances >= 250 and drc_paths
+    assert {"no cut", "cut"} <= seen
+    if q > 2:
+        assert {"partial head sampled: True", "partial head sampled: False",
+                "cut at a head boundary before tail-less heads"} <= seen
+
+
+def test_level0_bound_is_the_last_kept_edge():
+    for q in (2, 3, 4):
+        g = random_gnp(5 * q, 0.7, seed=q)
         cls = hyper_classes(g, [5] * q)
-        full, _ = transversal_clique_hypergraph(g, cls)
-        for cap in (5, 20, 60, None):
-            h, truncated = transversal_clique_hypergraph(g, cls, cap)
-            level0 = _ImplicitLevel0(g, cls, cap)
-            assert (level0.edge_count, level0.truncated) == (len(h.edges),
-                                                             truncated)
-            seen.add((truncated, level0.partial is not None))
-            by_head = {}
-            for e in h.edges:
-                by_head.setdefault(e[0], set()).add(e[1:])
-            edge_set = set(h.edges)
-            # the count reaches a head when the capped level keeps one of
-            # its tails or every edge up to and including its own
-            counted = [w for w in cls[0].vertices() if w in by_head
-                       or all(e in edge_set for e in full.edges if e[0] <= w)]
-            assert level0.heads == counted
-            if not truncated:
-                assert level0.heads == list(cls[0].vertices())
-            for w in cls[0].vertices():
-                assert level0.tails(w) == by_head.get(w, set())
-                for t in product(*(c.vertices() for c in cls[1:])):
-                    assert level0.extends(w, [t]) == ((w,) + t in edge_set)
-            for seed in range(3):
-                out, sampled = hypergraph_drc_step(h, s=2, seed=seed)
-                assert _link_intersection(cls[0].vertices(), level0.tails,
-                                          2, seed) == (out.edges, sampled)
-            if q == 2:
-                assert (level0.bipartite_graph.adj
-                        == h.to_bipartite_graph(g.n).adj)
-    assert (False, False) in seen and (True, True) in seen
+        full = transversal_cliques(g, cls)
+        for k in range(1, len(full) + 1):
+            assert embedding._nth_transversal_clique(g, cls, -1, k) == full[k - 1]
+            assert embedding._count_transversal_cliques(
+                g, cls, -1, bound=full[k - 1]) == k
+            heads, edges, truncated, bound = embedding._level0(g, cls, k)
+            assert (edges, truncated) == (k, k < len(full))
+            assert bound == (full[k - 1] if k < len(full) else None)
+        heads, edges, truncated, bound = embedding._level0(g, cls, len(full))
+        assert heads == list(cls[0].vertices())
 
 
 def test_truncated_level0_samples_only_the_counted_heads(monkeypatch):
@@ -217,9 +258,8 @@ def test_truncated_level0_samples_only_the_counted_heads(monkeypatch):
     monkeypatch.setattr(embedding, "HYPERGRAPH_CAP", 40)
     g = complete_multipartite([6, 6, 6])
     cls = hyper_classes(g, [6, 6, 6])
-    level0 = _ImplicitLevel0(g, cls, embedding.HYPERGRAPH_CAP)
-    assert (level0.heads, level0.partial, level0.truncated) == ([0, 1], 1,
-                                                                 True)
+    assert embedding._level0(g, cls, embedding.HYPERGRAPH_CAP) == (
+        [0, 1], 40, True, (1, 6, 15))
     for seed in range(10):
         res = embed_clique_in_tuple(g, cls, p=1, alpha_bound=0, seed=seed)
         assert (res.success, res.path) == (True, "drc")
@@ -241,6 +281,23 @@ def test_embed_never_holds_level0_in_memory():
         tracemalloc.stop()
     assert res.telemetry[0]["h0_edges"] == 42_725
     assert peak < 3 * 2**20
+
+
+def test_a_five_class_embed_holds_no_level_in_memory():
+    # level 0 is cut at 500,000 transversal 5-cliques; a materialised level
+    # 1 (15,177 tails of four vertices) and its indexes peaked near 49 MB
+    g = random_gnp(100, 0.85, 7)
+    cls = hyper_classes(g, [20] * 5)
+    tracemalloc.start()
+    try:
+        res = embed_clique_in_tuple(g, cls, p=2, alpha_bound=3, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    note = res.telemetry[0]
+    assert (note["h0_edges"], note["h0_truncated"]) == (500_000, True)
+    assert note["h1_edges"] == 15_177
+    assert peak < 2**20
 
 
 def test_zero_trials_skip_the_level0_count(monkeypatch):
