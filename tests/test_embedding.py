@@ -388,6 +388,18 @@ def test_embed_deterministic_per_seed():
         assert a.vertices == b.vertices and a.path == b.path
 
 
+def test_embed_input_validation():
+    g = complete_multipartite([3, 3, 3])
+    cls = hyper_classes(g, [3, 3, 3])
+    with pytest.raises(ValueError):
+        embed_clique_in_tuple(g, cls[:1], p=1, alpha_bound=0)
+    with pytest.raises(ValueError):
+        embed_clique_in_tuple(g, [cls[0], cls[0]], p=1, alpha_bound=0)
+    with pytest.raises(ValueError):
+        embed_clique_in_tuple(g, cls, p=1, alpha_bound=0,
+                              config=EmbedConfig(s=0))
+
+
 def test_multipartite_search_finds_lexicographic_min():
     g = complete_multipartite([3, 3])
     cls = hyper_classes(g, [3, 3])
