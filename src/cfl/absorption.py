@@ -128,31 +128,41 @@ def certify_reachable(g: Graph, u: int, v: int, s: VertexSet,
     return cert
 
 
+# The most candidate sets one find_disjoint_reachable_sets call examines.
+CANDIDATE_BUDGET = 50_000
+
+
 def find_disjoint_reachable_sets(g: Graph, u: int, v: int, r: int, t: int,
-                                 limit: int, within: Optional[VertexSet] = None,
-                                 candidate_budget: int = 200_000
+                                 limit: int, within: Optional[VertexSet] = None
                                  ) -> List[ReachableCertificate]:
     """Greedy first-fit collection of pairwise-disjoint reachable sets for
     {u, v}, sizes r-1, 2r-1, ..., rt-1 in that order, candidates in
     lexicographic order.  The count is a lower bound on the true maximum.
 
     Size r-1 has a fast path: such a set works iff it is an (r-1)-clique
-    adjacent to both endpoints.  Larger sizes enumerate subsets outright
-    under the candidate budget.
+    adjacent to both endpoints.  Larger sizes enumerate the subsets of the
+    vertices still unused when that size starts.  At most CANDIDATE_BUDGET
+    candidates are examined in all.
     """
-    if limit <= 0:
-        return []
     universe = (g.full_mask() if within is None else within.mask)
     universe &= ~((1 << u) | (1 << v))
     out: List[ReachableCertificate] = []
     used = 0
-    budget = candidate_budget
 
-    # fast path: single-clique reachable sets
-    pool = universe & g.adj[u] & g.adj[v]
-    for cm in iter_clique_masks(g, r - 1, pool):
+    def candidates():
+        yield from iter_clique_masks(g, r - 1, universe & g.adj[u] & g.adj[v])
+        for k in range(2, t + 1):
+            size = k * r - 1
+            avail = list(iter_bits(universe & ~used))
+            if len(avail) < size:
+                return
+            for combo in combinations(avail, size):
+                yield mask_of(combo)
+
+    budget = CANDIDATE_BUDGET
+    for cm in candidates():
         if budget <= 0 or len(out) >= limit:
-            return out
+            break
         budget -= 1
         if cm & used:
             continue
@@ -160,22 +170,6 @@ def find_disjoint_reachable_sets(g: Graph, u: int, v: int, r: int, t: int,
         if cert is not None:
             out.append(cert)
             used |= cm
-    for k in range(2, t + 1):
-        size = k * r - 1
-        avail = list(iter_bits(universe & ~used))
-        if len(avail) < size:
-            break
-        for combo in combinations(avail, size):
-            if budget <= 0 or len(out) >= limit:
-                return out
-            budget -= 1
-            cm = mask_of(combo)
-            if cm & used:
-                continue
-            cert = certify_reachable(g, u, v, VertexSet(g, cm), r)
-            if cert is not None:
-                out.append(cert)
-                used |= cm
     return out
 
 
@@ -193,41 +187,48 @@ EXHAUSTIVE_ABSORB_N_CAP = 16
 EXHAUSTIVE_ABSORB_SIZE_CAP = 4
 
 
-def certify_xi_absorbing(g: Graph, a: VertexSet, r: int, xi,
-                         mode: str = "exhaustive", samples: int = 2000,
-                         seed: int = 0) -> AbsorbingVerdict:
-    """Check that every qualifying leftover R (|R| <= xi*n, |A u R|
-    divisible by r, R outside A) leaves G[A u R] with a clique factor."""
-    x = exact_fraction(xi)
-    n = g.n
-    max_size = int(x * n)  # floor
-    outside = [w for w in range(n) if w not in a]
-    sizes = [s for s in range(0, max_size + 1)
+def _leftover_space(g: Graph, a: VertexSet, r: int, xi):
+    """The vertices outside A and the leftover sizes s <= floor(xi*n) with
+    |A| + s divisible by r."""
+    outside = [w for w in range(g.n) if w not in a]
+    sizes = [s for s in range(0, int(exact_fraction(xi) * g.n) + 1)
              if (len(a) + s) % r == 0 and s <= len(outside)]
-    checked = 0
-    if mode == "exhaustive":
-        if n > EXHAUSTIVE_ABSORB_N_CAP or max_size > EXHAUSTIVE_ABSORB_SIZE_CAP:
-            raise ValueError(
-                f"exhaustive mode capped at n <= {EXHAUSTIVE_ABSORB_N_CAP} and "
-                f"xi*n <= {EXHAUSTIVE_ABSORB_SIZE_CAP}")
-        for s in sizes:
-            for combo in combinations(outside, s):
-                checked += 1
-                rm = mask_of(combo)
-                if has_factor(g, r, within=VertexSet(g, a.mask | rm)).tiling is None:
-                    return AbsorbingVerdict(False, mode, checked,
-                                            witness_r=VertexSet(g, rm))
-        return AbsorbingVerdict(True, mode, checked)
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
-    if not sizes:
-        return AbsorbingVerdict(True, mode, 0)
+    return outside, sizes
+
+
+def certify_xi_absorbing(g: Graph, a: VertexSet, r: int, xi,
+                         samples: int = 2000, seed: int = 0) -> AbsorbingVerdict:
+    """Check that every qualifying leftover R (|R| <= xi*n, |A u R|
+    divisible by r, R outside A) leaves G[A u R] with a clique factor.
+
+    Exhaustive, over every leftover, when n <= EXHAUSTIVE_ABSORB_N_CAP and
+    floor(xi*n) <= EXHAUSTIVE_ABSORB_SIZE_CAP; otherwise ``samples`` seeded
+    draws, and the verdict says "sampled"."""
+    if (g.n > EXHAUSTIVE_ABSORB_N_CAP
+            or int(exact_fraction(xi) * g.n) > EXHAUSTIVE_ABSORB_SIZE_CAP):
+        return _xi_sampled(g, a, r, xi, samples, seed)
+    outside, sizes = _leftover_space(g, a, r, xi)
+    leftovers = (c for s in sizes for c in combinations(outside, s))
+    return _absorbs_every(g, a, r, "exhaustive", leftovers)
+
+
+def _xi_sampled(g: Graph, a: VertexSet, r: int, xi, samples: int,
+                seed: int) -> AbsorbingVerdict:
+    """The one-sided check: ``samples`` leftovers, each a uniform size then
+    a uniform set of that size.  ``certify_xi_absorbing`` runs it past the
+    exhaustive cap; tests call it directly on small graphs."""
+    outside, sizes = _leftover_space(g, a, r, xi)
     rng = SplitMix64(derive_seed(seed, "xi-absorb"))
-    for _ in range(samples):
-        s = sizes[rng.randrange(len(sizes))]
-        idx = list(range(len(outside)))
-        rng.shuffle(idx)
-        combo = [outside[i] for i in idx[:s]]
+    leftovers = (rng.sample(outside, sizes[rng.randrange(len(sizes))])
+                 for _ in range(samples if sizes else 0))
+    return _absorbs_every(g, a, r, "sampled", leftovers)
+
+
+def _absorbs_every(g: Graph, a: VertexSet, r: int, mode: str,
+                   leftovers) -> AbsorbingVerdict:
+    """Test each leftover in turn; the first without a factor refutes."""
+    checked = 0
+    for combo in leftovers:
         checked += 1
         rm = mask_of(combo)
         if has_factor(g, r, within=VertexSet(g, a.mask | rm)).tiling is None:
@@ -264,16 +265,14 @@ def closedness_report(g: Graph, u_set: VertexSet, r: int, t: int,
              for j in range(i + 1, len(verts))]
     all_pairs = len(pairs) <= pair_budget
     if not all_pairs:
+        # sampled pairs run in lexicographic order, as all pairs do
         rng = SplitMix64(derive_seed(seed, "closedness"))
-        idx = list(range(len(pairs)))
-        rng.shuffle(idx)
-        pairs = [pairs[i] for i in sorted(idx[:pair_budget])]
+        pairs = sorted(rng.sample(pairs, pair_budget))
     within = u_set if inner else None
     counts: List[Tuple[int, int, int]] = []
     for (a, b) in pairs:
         certs = find_disjoint_reachable_sets(
-            g, a, b, r, t, limit=per_pair_limit, within=within,
-            candidate_budget=50_000)
+            g, a, b, r, t, limit=per_pair_limit, within=within)
         counts.append((a, b, len(certs)))
     values = [c for (_, _, c) in counts]
     return ClosednessReport(

@@ -18,7 +18,8 @@ into the finished report.  A handler returns its solver's result dataclass
 as it is, or spreads its fields (``vars``) into the result dict beside the
 few keys the solver does not know, so report keys are field names.  Each
 handler imports its own solver modules on its first line, so a run loads
-only the solvers its kind uses.
+only the solvers its kind uses.  No key picks a certifier's mode: each runs
+exhaustive within its module's size cap, sampled beyond it, and says which.
 """
 
 from __future__ import annotations
@@ -191,8 +192,8 @@ def run_construct(cfg, seed, caps, outdir):
     flags = {"cap_hit": False}
     if family == "lower-bound":
         n = _int_at_least(cfg, section, "n", 1)
-        r = cfg.get_int(section, "r")
-        ell = cfg.get_int(section, "ell")
+        ell = _int_at_least(cfg, section, "ell", 2)
+        r = _int_at_least(cfg, section, "r", ell + 1)
         inner = load_graph(cfg, section, "inner", seed=seed)
         if cfg.has(section, "clique_size"):
             spec = constructions.LowerBoundSpec.with_clique_size(
@@ -208,7 +209,7 @@ def run_construct(cfg, seed, caps, outdir):
         built = build.graph
     elif family == "cover-threshold":
         n = _int_at_least(cfg, section, "n", 1)
-        r = cfg.get_int(section, "r")
+        r = _int_at_least(cfg, section, "r", 2)
         ell = cfg.get_int(section, "ell")
         inner = load_graph(cfg, section, "inner", seed=seed)
         spec = constructions.CoverThresholdSpec(
@@ -221,14 +222,16 @@ def run_construct(cfg, seed, caps, outdir):
         built = build.graph
     elif family == "sparse-klfree":
         n = _int_at_least(cfg, section, "n", 1)
-        ell = cfg.get_int(section, "ell")
+        # ell = 2 lives at the Ramsey scale R(3, n), outside the sampler's regime
+        ell = _int_at_least(cfg, section, "ell", 3)
         gamma = cfg.get_float(section, "gamma")
+        limit = constructions.sparse_gamma_limit(ell)
+        if not 0 < gamma < limit:
+            raise ConfigError("[construct] gamma", f"expected a number in "
+                              f"(0, {limit}) for ell = {ell}, got {gamma}")
         tries = _int_at_least(cfg, section, "max_tries", 1, default=20)
-        try:
-            sample = constructions.sample_sparse_klfree(n, ell, gamma, seed,
-                                                        max_tries=tries)
-        except ValueError as exc:
-            raise ConfigError("[construct]", str(exc)) from exc
+        sample = constructions.sample_sparse_klfree(n, ell, gamma, seed,
+                                                    max_tries=tries)
         result = {"family": family, "accepted": sample.accepted, **vars(sample)}
         flags["accepted"] = sample.accepted
         built = sample.graph
@@ -260,8 +263,8 @@ def run_regcheck(cfg, seed, caps, outdir):
     except ValueError as exc:      # PartitionFormatError included
         raise InputError(f"{ppath}: {exc}") from exc
     eps = cfg.get_fraction("regcheck", "epsilon")
-    if eps <= 0:
-        raise ConfigError("[regcheck] epsilon", f"expected a positive rational, "
+    if not 0 < eps < 1:
+        raise ConfigError("[regcheck] epsilon", f"expected a rational in (0, 1), "
                           f"got {eps}")
     d = cfg.get_fraction("regcheck", "d")
     if not 0 <= d <= 1:
@@ -269,21 +272,22 @@ def run_regcheck(cfg, seed, caps, outdir):
     samples = _int_at_least(cfg, "regcheck", "samples", 1, default=10_000)
     check_super = cfg.get_bool("regcheck", "super", False)
     m = part.cluster_size
-    mode = "exhaustive" if regularity._exhaustive_ok(m, m, eps) else "sampled"
+    # every pair has sides m and m, so the one rule gives every pair's mode
+    mode = "exhaustive" if regularity.exhaustive_fits(m, m, eps) else "sampled"
     pair_results = {}
     for i in range(part.k):
         for j in range(i + 1, part.k):
             if check_super:
                 sv = regularity.is_super_regular(
                     g, part.clusters[i], part.clusters[j], eps, d,
-                    mode=mode, samples=samples, seed=seed)
+                    samples=samples, seed=seed)
                 pair_results[f"{i}-{j}"] = {
                     "density": part.density(i, j), "super_regular": sv.ok,
                     "reason": sv.reason, "mode": sv.regularity.mode}
             else:
                 rv = regularity.is_regular_pair(
                     g, part.clusters[i], part.clusters[j], eps,
-                    mode=mode, samples=samples, seed=seed)
+                    samples=samples, seed=seed)
                 pair_results[f"{i}-{j}"] = {
                     "density": part.density(i, j), "regular": rv.regular,
                     "mode": rv.mode, "violation": rv.violation}
@@ -313,6 +317,11 @@ def run_drc(cfg, seed, caps, outdir):
     slack = bounds.drc_condition(len(target) + len(witness),
                                  2 * g.edge_count / max(1, g.n), t, r, m,
                                  a=len(out.selected))
+    if not math.isfinite(slack):
+        # -inf: C(n, r) (m/n)^t dominates; +inf: d^t / n^(t-1) does
+        raise ConfigError("[drc] m" if slack < 0 else "[drc] t",
+                          f"the condition's slack at m = {m}, t = {t}, "
+                          f"r = {r} overflows a double; a report cannot hold it")
     result = {"size": len(out.selected), **vars(out),
               "condition_slack_at_size": slack}
     return result, {"cap_hit": False}
@@ -398,13 +407,9 @@ def run_absorb(cfg, seed, caps, outdir):
         xi = cfg.get_fraction("absorb", "xi")
         if xi < 0:
             raise ConfigError("[absorb] xi", f"expected a rational >= 0, got {xi}")
-        mode = cfg.get_str("absorb", "mode", "exhaustive")
         samples = _int_at_least(cfg, "absorb", "samples", 1, default=2000)
-        try:
-            verdict = absorption.certify_xi_absorbing(g, a, r, xi, mode=mode,
-                                                      samples=samples, seed=seed)
-        except ValueError as exc:
-            raise ConfigError("[absorb]", str(exc)) from exc
+        verdict = absorption.certify_xi_absorbing(g, a, r, xi, samples=samples,
+                                                  seed=seed)
         result = {"task": task, **vars(verdict)}
     elif task == "closedness":
         raw = cfg.get_str("absorb", "u_set", "all")
@@ -455,14 +460,14 @@ def run_thresholds(cfg, seed, caps, outdir):
         if c != 0:
             result["komlos_threshold"] = bounds.komlos_threshold(parts)
     if cfg.has("thresholds", "r") and cfg.has("thresholds", "ell"):
-        r = cfg.get_int("thresholds", "r")
-        ell = cfg.get_int("thresholds", "ell")
+        ell = _int_at_least(cfg, "thresholds", "ell", 2)
+        r = _int_at_least(cfg, "thresholds", "r", ell + 1)
         n = _int_at_least(cfg, "thresholds", "n", 1, default=1)
         rho = cfg.get_fraction("thresholds", "rho_star", Fraction(0))
-        try:
-            dt = bounds.degree_thresholds(n, r, ell, rho)
-        except ValueError as exc:
-            raise ConfigError("[thresholds]", str(exc)) from exc
+        if not 0 <= rho < 1:
+            raise ConfigError("[thresholds] rho_star",
+                              f"expected a rational in [0, 1), got {rho}")
+        dt = bounds.degree_thresholds(n, r, ell, rho)
         result["degree_thresholds"] = {
             "tiling_term": dt.tiling_term, "cover_term": dt.cover_term,
             "threshold": dt.threshold, "scaled": dt.scaled, "rho_star": rho}

@@ -95,13 +95,12 @@ class LowerBoundBuild:
     alpha_audit: Optional[dict] = None
 
 
-def build_lower_bound_graph(spec: LowerBoundSpec,
-                            audit_alpha: Optional[bool] = None) -> LowerBoundBuild:
+def build_lower_bound_graph(spec: LowerBoundSpec) -> LowerBoundBuild:
     """Assemble clique + complete join + inner graph; certify the inner graph.
 
     X1 occupies vertices 0..|X1|-1, the inner graph sits on the rest in
-    order.  ``audit_alpha`` (auto: on for n <= 32) verifies the
-    l-independence bound (ell-1) + alpha_ell(inner) against the exact solver.
+    order.  For n <= 32 the l-independence bound (ell-1) + alpha_ell(inner)
+    is audited against the exact solver.
     """
     spec.validate()
     x1 = spec.clique_size
@@ -120,9 +119,7 @@ def build_lower_bound_graph(spec: LowerBoundSpec,
         tiling_size_limit=Fraction(x1, r_minus_l),
         nominal_uncovered_fraction=mu,
     )
-    if audit_alpha is None:
-        audit_alpha = spec.n <= 32
-    if audit_alpha:
+    if spec.n <= 32:
         whole = alpha_ell_exact(g, spec.ell)
         inner = alpha_ell_exact(spec.inner, spec.ell)
         bound = spec.ell - 1 + inner.value

@@ -12,11 +12,12 @@ and the verdict is exact.  Deciding epsilon-regularity is co-NP-complete
 (Alon, Duke, Lefmann, Rödl and Yuster, 1994), so an exact check stays
 exponential in general.
 
-Exhaustive mode runs when that scan is affordable: C(|X|, min_x) * |Y| <=
-2^19 (``_exhaustive_ok``), which admits every pair with both sides <= 14
-and, for example, sides 20 at eps = 1/4.  Beyond that only sampled mode
-runs: it can refute regularity with a witness but never certify it, and
-verdicts say so.  All densities and thresholds are exact rationals, so
+Every check runs exhaustive exactly when that scan is affordable:
+C(|X|, min_x) * |Y| <= 2^19 (``exhaustive_fits``), which admits every pair
+with both sides <= 14 and, for example, sides 20 at eps = 1/4.  Beyond that
+the check samples: it can refute regularity with a witness but never
+certify it, and the verdict's mode says "sampled".  No caller picks the
+mode.  All densities and thresholds are exact rationals, so
 verdicts carry no float fuzz.  A float epsilon is read at its shortest
 decimal (``numbers.exact_fraction``): 0.2 means exactly 1/5, not the binary
 double just above it.
@@ -91,55 +92,32 @@ def _qualifying_min(eps: Fraction, size: int) -> int:
     return max(1, math.ceil(eps * size))
 
 
-def _exhaustive_ok(a: int, b: int, eps: Fraction) -> bool:
+def exhaustive_fits(a: int, b: int, eps: Fraction) -> bool:
     """Whether the exhaustive check of a pair with |X| = a, |Y| = b fits its
-    work bound: C(a, min_x) subsets of X, each costing b degree counts."""
+    work bound: C(a, min_x) subsets of X, each costing b degree counts.
+    Every check in this module runs exhaustive exactly when this holds."""
     return math.comb(a, _qualifying_min(eps, a)) * b <= _EXHAUSTIVE_WORK
 
 
 def is_regular_pair(g: Graph, x: VertexSet, y: VertexSet, epsilon,
-                    mode: str = "exhaustive", samples: int = 10_000,
-                    seed: int = 0) -> RegularityVerdict:
+                    samples: int = 10_000, seed: int = 0) -> RegularityVerdict:
     """Check epsilon-regularity of a disjoint pair.
 
-    Exhaustive mode enumerates every X' of the minimum qualifying size and
-    its extreme Y' (see module docstring); the first violation in scan order
-    is the witness, making verdicts deterministic.  Sampled mode draws subset
-    pairs at the minimum qualifying sizes, where deviations are largest.
+    When ``exhaustive_fits`` admits the pair, every X' of the minimum
+    qualifying size is scanned against its extreme Y' (see module
+    docstring); the first violation in scan order is the witness, making
+    verdicts deterministic.  Otherwise ``samples`` subset pairs are drawn at
+    the minimum qualifying sizes, where deviations are largest.
     """
     eps = _as_fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    d0 = pair_density(g, x, y)
-    xs = x.vertices()
-    ys = y.vertices()
-    a, b = len(xs), len(ys)
-    min_x = _qualifying_min(eps, a)
-    min_y = _qualifying_min(eps, b)
-    # adjacency of each y into X-position space
-    ydeg_masks = []
-    xpos = {v: i for i, v in enumerate(xs)}
-    for yv in ys:
-        m = 0
-        for v in iter_bits(g.adj[yv] & x.mask):
-            m |= 1 << xpos[v]
-        ydeg_masks.append(m)
-
-    if mode == "exhaustive":
-        if not _exhaustive_ok(a, b, eps):
-            raise ValueError(
-                f"exhaustive mode needs C(|X|, min_x) * |Y| <= "
-                f"{_EXHAUSTIVE_WORK}, got C({a}, {min_x}) * {b}; "
-                "use sampled mode")
-        return _regular_exhaustive(g, x, y, xs, ys, ydeg_masks, eps, d0,
-                                   min_x, min_y)
-    if mode == "sampled":
-        return _regular_sampled(g, x, y, xs, ys, eps, d0, min_x, min_y,
-                                samples, seed)
-    raise ValueError(f"unknown mode {mode!r}")
+    if exhaustive_fits(len(x), len(y), eps):
+        return _regular_exhaustive(g, x, y, eps)
+    return _regular_sampled(g, x, y, eps, samples, seed)
 
 
-def _regular_exhaustive(g, x, y, xs, ys, ydeg_masks, eps, d0, min_x, min_y):
+def _regular_exhaustive(g, x, y, eps):
     """Scan the size-min_x masks of X in ascending order (Gosper's hack),
     each against the top then the bottom min_y vertices of Y.
 
@@ -149,7 +127,18 @@ def _regular_exhaustive(g, x, y, xs, ys, ydeg_masks, eps, d0, min_x, min_y):
     with a smaller mask, and its q is min_y, since the top-q average never
     rises and the bottom-q average never falls as q grows.
     """
+    d0 = pair_density(g, x, y)
+    xs, ys = x.vertices(), y.vertices()
     a, b = len(xs), len(ys)
+    min_x, min_y = _qualifying_min(eps, a), _qualifying_min(eps, b)
+    # adjacency of each y into X-position space
+    xpos = {v: i for i, v in enumerate(xs)}
+    ydeg_masks = []
+    for yv in ys:
+        m = 0
+        for v in iter_bits(g.adj[yv] & x.mask):
+            m |= 1 << xpos[v]
+        ydeg_masks.append(m)
     if min_x <= a and min_y <= b:
         q = min_y
         cells = min_x * q
@@ -190,19 +179,20 @@ def _violation(g, x, y, xs, ys, xmask, ysel, eps, d0, ax, q, edge_count):
                              violation_density=dv)
 
 
-def _regular_sampled(g, x, y, xs, ys, eps, d0, min_x, min_y, samples, seed):
+def _regular_sampled(g, x, y, epsilon, samples, seed):
+    """The one-sided check: ``samples`` seeded draws of a min_x-subset of X
+    and a min_y-subset of Y.  ``is_regular_pair`` runs it past the
+    exhaustive work bound; tests call it directly on small pairs."""
+    eps = _as_fraction(epsilon)
+    d0 = pair_density(g, x, y)
+    xs, ys = x.vertices(), y.vertices()
+    min_x, min_y = _qualifying_min(eps, len(xs)), _qualifying_min(eps, len(ys))
     rng = SplitMix64(seed)
     lo = d0 - eps
     hi = d0 + eps
-
-    def draw(pool: Tuple[int, ...], k: int) -> List[int]:
-        idx = list(range(len(pool)))
-        rng.shuffle(idx)
-        return [pool[i] for i in idx[:k]]
-
     for trial in range(1, samples + 1):
-        wx = VertexSet.of(g, draw(xs, min_x))
-        wy = VertexSet.of(g, draw(ys, min_y))
+        wx = VertexSet.of(g, rng.sample(xs, min_x))
+        wy = VertexSet.of(g, rng.sample(ys, min_y))
         dv = pair_density(g, wx, wy)
         if dv > hi or dv < lo:
             return RegularityVerdict(epsilon=eps, mode="sampled", regular=False,
@@ -225,13 +215,13 @@ class SuperRegularVerdict:
 
 
 def is_super_regular(g: Graph, x: VertexSet, y: VertexSet, epsilon, d,
-                     mode: str = "exhaustive", samples: int = 10_000,
-                     seed: int = 0) -> SuperRegularVerdict:
-    """(eps, d)-super-regularity: eps-regular, density >= d, and every
-    vertex keeps cross-degree >= d times the opposite side size."""
+                     samples: int = 10_000, seed: int = 0) -> SuperRegularVerdict:
+    """(eps, d)-super-regularity: eps-regular (exhaustive or sampled as
+    ``is_regular_pair`` decides), density >= d, and every vertex keeps
+    cross-degree >= d times the opposite side size."""
     eps = _as_fraction(epsilon)
     dd = _as_fraction(d)
-    verdict = is_regular_pair(g, x, y, eps, mode=mode, samples=samples, seed=seed)
+    verdict = is_regular_pair(g, x, y, eps, samples=samples, seed=seed)
     if not verdict.regular:
         return SuperRegularVerdict(eps, dd, False, "irregular", verdict)
     if verdict.base_density < dd:
@@ -310,10 +300,8 @@ def make_super_regular(g: Graph, clusters: Sequence[VertexSet], epsilon,
         a, b = refined[i], refined[j]
         if len(a) == 0 or len(b) == 0:
             continue
-        mode = "exhaustive" if _exhaustive_ok(len(a), len(b), e2) else "sampled"
         out.verdicts[(i, j)] = is_super_regular(
-            g, a, b, e2, max(dt, Fraction(0)), mode=mode,
-            samples=samples, seed=seed)
+            g, a, b, e2, max(dt, Fraction(0)), samples=samples, seed=seed)
     return out
 
 

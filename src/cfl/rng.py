@@ -81,6 +81,13 @@ class SplitMix64:
             j = self.randrange(i + 1)
             items[i], items[j] = items[j], items[i]
 
+    def sample(self, pool, k: int) -> list:
+        """k distinct items of ``pool``: the first k of a Fisher-Yates
+        shuffle of a copy (all of them when k >= len(pool))."""
+        items = list(pool)
+        self.shuffle(items)
+        return items[:k]
+
 
 def bulk_u64(seed: int, count: int, start: int = 0) -> "numpy.ndarray":
     """Outputs [start, start+count) of the SplitMix64 stream, vectorised.

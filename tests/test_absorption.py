@@ -228,10 +228,9 @@ def test_xi_absorbing_modes_agree_on_planted_instances():
     for i in range(6):
         g = random_gnp(12, 0.5 + 0.04 * i, rng.next_u64())
         a = VertexSet.of(g, range(6))
-        ex = certify_xi_absorbing(g, a, r=3, xi=Fraction(1, 4),
-                                  mode="exhaustive")
-        sa = certify_xi_absorbing(g, a, r=3, xi=Fraction(1, 4),
-                                  mode="sampled", samples=400, seed=i)
+        ex = certify_xi_absorbing(g, a, r=3, xi=Fraction(1, 4))
+        sa = absorption._xi_sampled(g, a, r=3, xi=Fraction(1, 4),
+                                    samples=400, seed=i)
         if ex.absorbing:
             assert sa.absorbing   # sampled can never refute a true absorber
         if not sa.absorbing:
@@ -241,10 +240,35 @@ def test_xi_absorbing_modes_agree_on_planted_instances():
                               ).tiling is None
 
 
-def test_xi_absorbing_exhaustive_caps():
+def test_xi_absorbing_past_the_cap_samples():
+    # n = 20 and floor(xi * n) = 10 are both past the exhaustive cap, so the
+    # check samples instead of refusing, and says so
     g = random_gnp(20, 0.5, 1)
-    with pytest.raises(ValueError):
-        certify_xi_absorbing(g, VertexSet.of(g, range(6)), 3, Fraction(1, 2))
+    verdict = certify_xi_absorbing(g, VertexSet.of(g, range(6)), 3,
+                                   Fraction(1, 2), samples=30)
+    assert verdict.mode == "sampled"
+    assert 1 <= verdict.checked <= 30
+
+
+@pytest.mark.parametrize("n", [15, 16, 17])
+@pytest.mark.parametrize("size", [4, 5])
+def test_the_size_cap_picks_the_xi_path(n, size):
+    # exhaustive exactly when n <= 16 and floor(xi * n) <= 4
+    g = complete_graph(n)
+    a = VertexSet.of(g, range(6))
+    xi = Fraction(size, n)
+    verdict = certify_xi_absorbing(g, a, 3, xi, samples=40, seed=5)
+    outside = n - 6
+    if n <= 16 and size <= 4:
+        assert verdict.mode == "exhaustive"
+        # every leftover of size 0 or 3 (|A| + s divisible by 3)
+        assert verdict.checked == 1 + len(list(combinations(range(outside), 3)))
+    else:
+        assert verdict.mode == "sampled"
+        want = absorption._xi_sampled(g, a, 3, xi, samples=40, seed=5)
+        assert (verdict.checked, verdict.witness_r) == (want.checked, None)
+        assert verdict.checked == 40
+    assert verdict.absorbing
 
 
 def test_absorbing_composition_yields_factor():

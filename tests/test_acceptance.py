@@ -113,7 +113,7 @@ def test_criterion_04_lower_bound_tiling_ceiling():
         inner = constructions.strip_cliques(
             random_gnp(n - x1, 0.45, rng.next_u64()), ell + 1, seed=built)
         s = constructions.LowerBoundSpec.with_clique_size(n, r, ell, x1, inner)
-        b = constructions.build_lower_bound_graph(s, audit_alpha=False)
+        b = constructions.build_lower_bound_graph(s)
         built += 1
         t = tiling.max_tiling(b.graph, r)
         covered = n - t.deficiency
@@ -373,9 +373,8 @@ def test_criterion_11_absorption_certificates():
         gp = random_gnp(n, 0.45 + 0.05 * (i % 4), rng.next_u64())
         a = VertexSet.of(gp, range(6))
         xi = Fraction(1, 4)
-        ex = absorption.certify_xi_absorbing(gp, a, 3, xi, mode="exhaustive")
-        sa = absorption.certify_xi_absorbing(gp, a, 3, xi, mode="sampled",
-                                             samples=600, seed=i)
+        ex = absorption.certify_xi_absorbing(gp, a, 3, xi)
+        sa = absorption._xi_sampled(gp, a, 3, xi, samples=600, seed=i)
         if ex.absorbing != sa.absorbing:
             disagreements += 1
         if not sa.absorbing:

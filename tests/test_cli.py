@@ -269,6 +269,29 @@ def test_cover_user_errors_exit_two(tmp_path, capsys, key, value, field):
      "super = true\n", "[regcheck] d"),
     ("construct", "family = sparse-klfree\nn = 12\nell = 3\ngamma = 0.1\n"
      "max_tries = 0\n", "[construct] max_tries"),
+    # epsilon >= 1 made every pair regular: gnp:9,0.5,3 passed all three
+    ("regcheck", "graph = gnp:9,0.5,3\n"
+     "partition = {golden}/regcheck-partition.txt\nepsilon = 2\nd = 0.5\n",
+     "[regcheck] epsilon"),
+    ("regcheck", "graph = gnp:9,0.5,3\n"
+     "partition = {golden}/regcheck-partition.txt\nepsilon = 1\nd = 0.5\n",
+     "[regcheck] epsilon"),
+    # the slack is -inf, which a JSON report cannot hold
+    ("drc", "graph = petersen\ntarget = 0-4\nwitness = 5-9\nt = 70\nr = 2\n"
+     "m = 1000000\n", "[drc] m: the condition's slack"),
+    # here d^t / n^(t-1) is +inf: the average degree 199 is taken over the
+    # whole graph, n = 2 only over target and witness
+    ("drc", "graph = complete:200\ntarget = 0\nwitness = 1\nt = 200\nr = 2\n"
+     "m = 1\n", "[drc] t: the condition's slack"),
+    ("thresholds", "r = 2\nell = 3\n", "[thresholds] r"),
+    ("thresholds", "r = 4\nell = 1\n", "[thresholds] ell"),
+    ("thresholds", "r = 4\nell = 2\nrho_star = 1\n", "[thresholds] rho_star"),
+    ("construct", "family = lower-bound\nn = 6\nr = 2\nell = 3\nclique_size = 1\n"
+     "inner = empty:5\n", "[construct] r"),
+    ("construct", "family = sparse-klfree\nn = 12\nell = 3\ngamma = 0.9\n",
+     "[construct] gamma"),
+    ("construct", "family = sparse-klfree\nn = 12\nell = 2\ngamma = 0.1\n",
+     "[construct] ell"),
 ])
 def test_out_of_range_parameters_exit_two(tmp_path, capsys, kind, body, field):
     body = body.replace("{golden}", GOLDEN)
@@ -673,6 +696,32 @@ def test_embed_ignores_a_beta_key(tmp_path, capsys, beta):
         assert run_cli(["embed", "--config", cfg]) == 0
         results.append(strip_timings(read_report(capsys))["result"])
     assert results[0] == results[1]
+
+
+def test_absorb_xi_past_the_cap_runs_sampled(tmp_path, capsys):
+    # floor(5 * 6) = 30 leftovers is past the exhaustive cap of 4; this used
+    # to exit 2 with a message that named no key
+    cfg = write(tmp_path / "xi.ini", "[run]\nkind = absorb\n[absorb]\ntask = xi\n"
+                                     "graph = complete:6\nr = 3\na_set = 0-2\n"
+                                     "xi = 5\nsamples = 50\n")
+    assert run_cli(["absorb", "--config", cfg]) == 0
+    res = read_report(capsys)["result"]
+    assert res["mode"] == "sampled" and res["absorbing"] is True
+    assert res["checked"] == 50
+
+
+def test_absorb_xi_ignores_a_mode_key(tmp_path, capsys):
+    # the leftover count and n decide the mode; an [absorb] mode line is
+    # ignored like any unknown key
+    body = ("[run]\nkind = absorb\nseed = 4\n[absorb]\ntask = xi\n"
+            "graph = gnp:12,0.7,9\nr = 3\na_set = 0-5\nxi = 1/4\n")
+    results = []
+    for extra in ("", "mode = exhaustive\n", "mode = sampled\n", "mode = other\n"):
+        cfg = write(tmp_path / "m.ini", body + extra)
+        assert run_cli(["absorb", "--config", cfg]) == 0
+        results.append(strip_timings(read_report(capsys))["result"])
+    assert results[0]["mode"] == "exhaustive"
+    assert all(res == results[0] for res in results)
 
 
 # -- fuzzing over generated configs ---------------------------------------------

@@ -61,7 +61,7 @@ def test_lower_bound_seeded_specs_respect_ceiling():
         inner = strip_cliques(random_gnp(n - x1, 0.4, rng.next_u64()), ell + 1,
                               seed=i)
         spec = LowerBoundSpec.with_clique_size(n, r, ell, x1, inner)
-        b = build_lower_bound_graph(spec, audit_alpha=True)
+        b = build_lower_bound_graph(spec)
         assert b.min_degree >= x1 - 1
         res = max_tiling(b.graph, r)
         assert res.optimal

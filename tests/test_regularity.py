@@ -198,8 +198,8 @@ def test_side_twenty_pair_is_exhaustive_and_finds_a_min_size_violation():
     # at least 4/5 against 19/20.  Emptying one 5 x 5 corner plants a
     # violation that only the minimum qualifying sizes show.
     eps = Fraction(1, 4)
-    assert regularity._exhaustive_ok(20, 20, eps)
-    assert not regularity._exhaustive_ok(22, 22, eps)
+    assert regularity.exhaustive_fits(20, 20, eps)
+    assert not regularity.exhaustive_fits(22, 22, eps)
     full = [(u, 20 + v) for u in range(20) for v in range(20) if u != v]
     g = Graph(40, full)
     x, y = split_pair(g, 20, 20)
@@ -214,22 +214,42 @@ def test_side_twenty_pair_is_exhaustive_and_finds_a_min_size_violation():
     assert v.violation_density == 0
 
 
-def test_exhaustive_cap_is_enforced():
-    # C(40, 10) * 40 subset scans is far past the exhaustive work bound
+def test_past_the_work_bound_the_check_samples():
+    # C(40, 10) * 40 subset scans is far past the exhaustive work bound, so
+    # the check samples instead of refusing, and says so
     g = empty_graph(80)
-    with pytest.raises(ValueError):
-        is_regular_pair(g, *split_pair(g, 40, 40), Fraction(1, 4),
-                        mode="exhaustive")
+    v = is_regular_pair(g, *split_pair(g, 40, 40), Fraction(1, 4), samples=50)
+    assert v.mode == "sampled" and not v.certified
+    assert v.regular and v.samples_used == 50
+
+
+@pytest.mark.parametrize("side, mode", [(20, "exhaustive"), (22, "sampled")])
+def test_the_work_bound_picks_the_path(side, mode):
+    # side 20 at eps = 1/4: C(20, 5) * 20 = 310,080 <= 2^19; side 22:
+    # C(22, 6) * 22 = 1,642,256 is past it
+    eps = Fraction(1, 4)
+    assert regularity.exhaustive_fits(side, side, eps) == (mode == "exhaustive")
+    g = random_gnp(2 * side, 0.5, 7)
+    x, y = split_pair(g, side, side)
+    v = is_regular_pair(g, x, y, eps, samples=200, seed=3)
+    assert v.mode == mode
+    if mode == "sampled":
+        # the same verdict as the sampled check run directly
+        want = regularity._regular_sampled(g, x, y, eps, 200, 3)
+        assert (v.regular, v.samples_used, v.violation_density) == \
+            (want.regular, want.samples_used, want.violation_density)
+    sv = is_super_regular(g, x, y, eps, 0, samples=200, seed=3)
+    assert sv.regularity.mode == mode
 
 
 def test_sampled_mode_is_one_sided():
     kb = complete_multipartite([20, 20])
-    v = is_regular_pair(kb, *split_pair(kb, 20, 20), 0.1, mode="sampled",
-                        samples=500, seed=11)
+    v = regularity._regular_sampled(kb, *split_pair(kb, 20, 20), 0.1,
+                                    samples=500, seed=11)
     assert v.regular and v.mode == "sampled" and v.samples_used == 500
     g = Graph(40, [(0, 20)])
-    v2 = is_regular_pair(g, *split_pair(g, 20, 20), 0.01, mode="sampled",
-                         samples=4000, seed=11)
+    v2 = regularity._regular_sampled(g, *split_pair(g, 20, 20), 0.01,
+                                     samples=4000, seed=11)
     if not v2.regular:     # one-sided: refutation carries a verified witness
         wx, wy = v2.violation
         assert abs(pair_density(g, wx, wy) - v2.base_density) > Fraction(1, 100)
@@ -242,8 +262,8 @@ def test_sampled_agrees_with_exhaustive_on_small_pairs():
         x, y = split_pair(g, 8, 8)
         eps = Fraction(1, 4)
         ex = is_regular_pair(g, x, y, eps)
-        sa = is_regular_pair(g, x, y, eps, mode="sampled", samples=3000,
-                             seed=rng.next_u64())
+        sa = regularity._regular_sampled(g, x, y, eps, samples=3000,
+                                         seed=rng.next_u64())
         if not sa.regular:
             assert not ex.regular    # sampled never refutes a regular pair
 
@@ -271,13 +291,14 @@ def test_super_regular_sampled_random_pair():
     g = random_gnp(128, 0.5, 999)
     x = VertexSet.of(g, range(64))
     y = VertexSet.of(g, range(64, 128))
-    tight = is_super_regular(g, x, y, 0.1, 0.3, mode="sampled", samples=2000,
+    # both eps put the 64 x 64 pair past the exhaustive work bound
+    tight = is_super_regular(g, x, y, 0.1, 0.3, samples=2000,
                              seed=5)
     assert not tight.ok and tight.reason == "irregular"
     wx, wy = tight.regularity.violation
     assert abs(pair_density(g, wx, wy) - tight.regularity.base_density) > \
         Fraction(1, 10)
-    loose = is_super_regular(g, x, y, 0.35, 0.3, mode="sampled", samples=2000,
+    loose = is_super_regular(g, x, y, 0.35, 0.3, samples=2000,
                              seed=5)
     assert loose.ok and loose.regularity.mode == "sampled"
     assert loose.witness_vertex is None     # every degree floor holds

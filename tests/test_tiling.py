@@ -218,7 +218,7 @@ def lower_bound_graphs(draw):
     x1 = draw(st.integers(1, (n * (r - 2) - 1) // r))   # |X1| / n < (r-2)/r
     inner = draw(triangle_free_graphs(n - x1))
     spec = LowerBoundSpec.with_clique_size(n, r, 2, x1, inner)
-    return build_lower_bound_graph(spec, audit_alpha=False).graph, r
+    return build_lower_bound_graph(spec).graph, r
 
 
 @settings(max_examples=150, deadline=None)
@@ -257,7 +257,7 @@ def test_free_set_bound_node_count_on_criterion_4_instance():
                        (3, 5), (3, 9), (3, 10), (4, 7), (4, 9), (5, 6), (6, 8),
                        (6, 9), (7, 10), (8, 10)])
     spec = LowerBoundSpec.with_clique_size(20, 4, 2, 9, inner)
-    g = build_lower_bound_graph(spec, audit_alpha=False).graph
+    g = build_lower_bound_graph(spec).graph
     res = max_tiling(g, 4)
     assert res.optimal and len(res.best) == 4
     assert verify_tiling(g, res.best)
