@@ -195,7 +195,10 @@ def run_construct(cfg, seed, caps, outdir):
         ell = _int_at_least(cfg, section, "ell", 2)
         r = _int_at_least(cfg, section, "r", ell + 1)
         inner = load_graph(cfg, section, "inner", seed=seed)
-        if cfg.has(section, "clique_size"):
+        # eta and clique_size both set |X1|; a refusal of either names the
+        # one the config gave
+        x1_key = "clique_size" if cfg.has(section, "clique_size") else "eta"
+        if x1_key == "clique_size":
             spec = constructions.LowerBoundSpec.with_clique_size(
                 n, r, ell, cfg.get_int(section, "clique_size"), inner)
         else:
@@ -204,20 +207,20 @@ def run_construct(cfg, seed, caps, outdir):
         try:
             build = constructions.build_lower_bound_graph(spec)
         except constructions.ConstructionError as exc:
-            raise ConfigError("[construct]", str(exc)) from exc
+            key = x1_key if exc.key in ("eta", "clique_size") else exc.key
+            raise ConfigError(f"[construct] {key}", str(exc)) from exc
         result = {"family": family, **vars(build)}
         built = build.graph
     elif family == "cover-threshold":
         n = _int_at_least(cfg, section, "n", 1)
         r = _int_at_least(cfg, section, "r", 2)
-        ell = cfg.get_int(section, "ell")
         inner = load_graph(cfg, section, "inner", seed=seed)
         spec = constructions.CoverThresholdSpec(
-            n, r, ell, cfg.get_fraction(section, "x"), inner)
+            n, r, cfg.get_fraction(section, "x"), inner)
         try:
             build = constructions.build_cover_threshold_graph(spec)
         except constructions.ConstructionError as exc:
-            raise ConfigError("[construct]", str(exc)) from exc
+            raise ConfigError(f"[construct] {exc.key}", str(exc)) from exc
         result = {"family": family, **vars(build)}
         built = build.graph
     elif family == "sparse-klfree":

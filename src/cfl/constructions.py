@@ -32,7 +32,12 @@ from .rng import SplitMix64, derive_seed
 
 
 class ConstructionError(ValueError):
-    pass
+    """A spec the builder refuses; ``key`` names the spec field at fault
+    (None for a graph spec string)."""
+
+    def __init__(self, message: str, key: Optional[str] = None):
+        super().__init__(message)
+        self.key = key
 
 
 class ConstructionInvariantError(RuntimeError):
@@ -70,18 +75,23 @@ class LowerBoundSpec:
 
     def validate(self) -> None:
         if not self.r > self.ell >= 2:
-            raise ConstructionError(f"need r > ell >= 2, got r={self.r}, ell={self.ell}")
+            raise ConstructionError(f"need r > ell >= 2, got r={self.r}, ell={self.ell}",
+                                    "r")
         if not 0 < self.eta < Fraction(self.r - self.ell, self.r):
             raise ConstructionError(
-                f"eta={self.eta} outside (0, (r-ell)/r = {Fraction(self.r - self.ell, self.r)})")
+                f"eta={self.eta} outside (0, (r-ell)/r = {Fraction(self.r - self.ell, self.r)})",
+                "eta")
         x1 = self.clique_size
         if x1 < 1:
-            raise ConstructionError("clique part X1 must have at least one vertex")
+            raise ConstructionError("clique part X1 must have at least one vertex",
+                                    "clique_size")
         if self.inner.n != self.n - x1:
             raise ConstructionError(
-                f"inner graph has {self.inner.n} vertices, expected {self.n - x1}")
+                f"inner graph has {self.inner.n} vertices, expected {self.n - x1}",
+                "inner")
         if has_clique(self.inner, self.ell + 1):
-            raise ConstructionError(f"inner graph contains a K_{self.ell + 1}")
+            raise ConstructionError(f"inner graph contains a K_{self.ell + 1}",
+                                    "inner")
 
 
 @dataclass
@@ -141,7 +151,6 @@ class CoverThresholdSpec:
     inner graph; a clique of size n - round(x*n) - 1 completes the picture."""
     n: int
     r: int
-    ell: int
     x: Fraction
     inner: Graph
 
@@ -158,19 +167,21 @@ class CoverThresholdSpec:
 
     def validate(self) -> None:
         if self.r < 2:
-            raise ConstructionError("r must be >= 2")
+            raise ConstructionError("r must be >= 2", "r")
         if not 0 < self.x < 1:
-            raise ConstructionError(f"x={self.x} outside (0, 1)")
+            raise ConstructionError(f"x={self.x} outside (0, 1)", "x")
         s = self.neighborhood_size
         if s < 1:
-            raise ConstructionError("hub neighborhood must be nonempty")
+            raise ConstructionError("hub neighborhood must be nonempty", "x")
         if self.clique_size < 1:
-            raise ConstructionError("clique part must have at least one vertex")
+            raise ConstructionError("clique part must have at least one vertex",
+                                    "x")
         if self.inner.n != s:
             raise ConstructionError(
-                f"inner graph has {self.inner.n} vertices, expected {s}")
+                f"inner graph has {self.inner.n} vertices, expected {s}", "inner")
         if has_clique(self.inner, self.r - 1):
-            raise ConstructionError(f"inner graph contains a K_{self.r - 1}")
+            raise ConstructionError(f"inner graph contains a K_{self.r - 1}",
+                                    "inner")
 
 
 @dataclass

@@ -16,11 +16,13 @@ package, the recursion counts its nodes in a local ``nodes`` and raises
 point catches it and returns the incumbent with ``exact=False`` and
 ``nodes_explored = node_cap + 1``.
 
-The tiny-n oracle never runs that solver for n <= 7.  It decides
-alpha_l(G) <= b for all labeled graphs of one minimum-degree level at once:
-that holds exactly when every (b+1)-subset of the vertices contains a K_l,
-which is a handful of mask tests on the graphs' pair-bit encodings.  Only
-the graphs that pass are built and checked for a K_r-factor.
+The tiny-n oracle never runs that solver for n <= 7.  It holds each set of
+labeled graphs as one Python int, bit m standing for the graph with pair
+mask m, and decides every graph at once with whole-int operations: a
+bit-sliced count gives the minimum-degree levels, alpha_l(G) <= b holds
+exactly when every (b+1)-subset of the vertices contains a K_l, and G has a
+K_r-factor exactly when it contains one of the few factors of K_n.  Only the
+answer's witness is built as a ``Graph``.
 """
 
 from __future__ import annotations
@@ -215,6 +217,15 @@ def _pair_index_masks(n: int) -> List[int]:
     return masks
 
 
+def _clique_pairs(pair_masks: List[int], t) -> int:
+    """Pair slots of the clique on the vertices ``t``; the slot of u < v is
+    the one bit their incidence masks share."""
+    pairs = 0
+    for u, v in combinations(t, 2):
+        pairs |= pair_masks[u] & pair_masks[v]
+    return pairs
+
+
 def _graph_from_pair_mask(n: int, mask: int) -> Graph:
     edges = []
     k = 0
@@ -233,10 +244,10 @@ def rtt_oracle(n: int, r: int, ell: int, alpha_bound: int, seed: int = 0,
 
     n <= 7: exhaustive over all 2^C(n,2) labeled graphs, scanned in
     decreasing-min-degree order, ascending pair mask within a degree
-    (isomorph rejection is unnecessary for exhaustiveness).  Each degree
-    level is filtered at once by the test "every (alpha_bound+1)-subset
-    holds a K_ell"; only the survivors, in order, run ``has_factor``, and
-    ``graphs_scanned`` counts graphs up to the answer in that order.  Larger
+    (isomorph rejection is unnecessary for exhaustiveness).  The answer is
+    the first graph in that order that passes "every (alpha_bound+1)-subset
+    holds a K_ell" and contains no K_r-factor of K_n, and ``graphs_scanned``
+    counts graphs up to it in that order.  Larger
     n: seeded randomized search, flagged non-exhaustive.  r not dividing n
     is accepted but flagged degenerate (no graph has a factor, so the factor
     constraint is vacuous).
@@ -249,48 +260,91 @@ def rtt_oracle(n: int, r: int, ell: int, alpha_bound: int, seed: int = 0,
     return _rtt_search(n, r, ell, alpha_bound, degenerate, seed, tries)
 
 
+def _factor_masks(n: int, r: int) -> List[int]:
+    """Pair masks of the K_r-factors of K_n, none when r does not divide n.
+
+    Each factor is built around the lowest vertex not yet covered, so every
+    partition of the vertices into r-sets appears once.
+    """
+    pair_masks = _pair_index_masks(n)
+    out: List[int] = []
+
+    def extend(rest: List[int], acc: int) -> None:
+        if not rest:
+            out.append(acc)
+            return
+        low, tail = rest[0], rest[1:]
+        for others in combinations(tail, r - 1):
+            extend([v for v in tail if v not in others],
+                   acc | _clique_pairs(pair_masks, (low,) + others))
+
+    if n % r == 0:
+        extend(list(range(n)), 0)
+    return out
+
+
 def _rtt_exhaustive(n: int, r: int, ell: int, alpha_bound: int,
                     degenerate: bool) -> RttResult:
-    import numpy as np
-
-    from . import tiling
-
+    # A set of labeled graphs is one int: bit m stands for the graph whose
+    # pair mask is m, so every filter below is a handful of whole-int ops.
     npairs = n * (n - 1) // 2
     total = 1 << npairs
+    everything = (1 << total) - 1
+    slots = []   # slots[k]: the graphs holding pair slot k
+    for k in range(npairs):
+        # m has bit k set on the upper half of each 2^(k+1)-block of masks:
+        # one block, doubled up to the full 2^npairs bits
+        width = 2 << k
+        block = ((1 << (1 << k)) - 1) << (1 << k)
+        while width < total:
+            block |= block << width
+            width <<= 1
+        slots.append(block)
+
+    def holding(pairs: int) -> int:
+        """The graphs that hold every pair slot of ``pairs``."""
+        out = everything
+        for k in iter_bits(pairs):
+            out &= slots[k]
+        return out
+
     pair_masks = _pair_index_masks(n)
-    masks_arr = np.arange(total, dtype=np.uint32)
-    mindeg = np.full(total, 255, dtype=np.uint8)
+    # at_least[j]: the graphs of min degree >= j, from a bit-sliced count of
+    # each vertex's pairs (count[j]: at least j of the slots seen so far)
+    at_least = [everything] * n + [0]
     for v in range(n):
-        dv = np.bitwise_count(masks_arr & np.uint32(pair_masks[v])).astype(np.uint8)
-        np.minimum(mindeg, dv, out=mindeg)
-    # pair bits of each ell-clique; the pair slot of u < v is the one bit
-    # their incidence masks share
-    clique_masks = {t: np.uint32(sum(pair_masks[u] & pair_masks[v]
-                                     for u, v in combinations(t, 2)))
-                    for t in combinations(range(n), ell)}
+        count = [everything] + [0] * (n - 1)
+        for seen, k in enumerate(iter_bits(pair_masks[v]), 1):
+            for j in range(seen, 0, -1):
+                count[j] |= count[j - 1] & slots[k]
+        for j in range(1, n):
+            at_least[j] &= count[j]
+    # alpha_ell(G) <= b exactly when each (b+1)-set holds an ell-set t with
+    # K_t in G; the empty set holds none, so a negative b passes nothing
+    cliques = {t: holding(_clique_pairs(pair_masks, t))
+               for t in combinations(range(n), ell)}
+    passing = everything
+    for s in combinations(range(n), max(alpha_bound + 1, 0)):
+        hit = 0
+        for t in combinations(s, ell):
+            hit |= cliques[t]
+        passing &= hit
+    with_factor = 0   # K_n has no factor when degenerate
+    for f in _factor_masks(n, r):
+        with_factor |= holding(f)
     scanned = 0
     for degree in range(n - 1, -1, -1):
-        level = masks_arr[mindeg == degree]   # ascending, as a stable sort keeps it
-        alive = np.arange(len(level))   # positions in the level still passing
-        cand = level
-        # a graph m passes when each (alpha_bound+1)-set holds an ell-set t
-        # with m & K_t == K_t; the empty set holds none, so a negative
-        # alpha_bound passes nothing
-        for s in combinations(range(n), max(alpha_bound + 1, 0)):
-            hit = np.zeros(len(cand), dtype=bool)
-            for t in combinations(s, ell):
-                k = clique_masks[t]
-                hit |= (cand & k) == k
-            alive, cand = alive[hit], cand[hit]
-            if not len(cand):
-                break
-        for pos, mask in zip(alive.tolist(), cand.tolist()):
-            g = _graph_from_pair_mask(n, mask)
-            if degenerate or tiling.has_factor(g, r).tiling is None:
-                return RttResult(n, r, ell, alpha_bound, value=degree, witness=g,
-                                 exhaustive=True, degenerate=degenerate,
-                                 feasible=True, graphs_scanned=scanned + pos + 1)
-        scanned += len(level)
+        level = at_least[degree] & ~at_least[degree + 1]
+        found = level & passing & ~with_factor
+        if found:
+            # ascending pair mask within a level
+            m = (found & -found).bit_length() - 1
+            scanned += (level & ((1 << m) - 1)).bit_count() + 1
+            return RttResult(n, r, ell, alpha_bound, value=degree,
+                             witness=_graph_from_pair_mask(n, m),
+                             exhaustive=True, degenerate=degenerate,
+                             feasible=True, graphs_scanned=scanned)
+        scanned += level.bit_count()
     return RttResult(n, r, ell, alpha_bound, value=None, witness=None,
                      exhaustive=True, degenerate=degenerate, feasible=False,
                      graphs_scanned=scanned)

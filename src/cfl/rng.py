@@ -5,9 +5,9 @@ All randomness flows from a single 64-bit master seed through SplitMix64
 stream seeded with s is mix64(s + (k+1)*GOLDEN), so sequential and bulk
 (vectorised) generation produce identical streams, and the generator is
 trivial to re-implement bit-for-bit in any language.  Reports record the
-generator name so runs stay auditable.  The bulk helpers import numpy inside
-the call; they and the n <= 7 oracle are the package's only numpy users, so
-no other code path pays for loading it.
+generator name so runs stay auditable.  The package itself only draws
+sequentially and needs no numpy; the tests' vectorised form of the stream
+lives with the tests.
 
 Per-task streams are derived from (master seed, label path) via SHA-256,
 never by ad-hoc arithmetic, so adding a new consumer of randomness cannot
@@ -88,24 +88,3 @@ class SplitMix64:
         self.shuffle(items)
         return items[:k]
 
-
-def bulk_u64(seed: int, count: int, start: int = 0) -> "numpy.ndarray":
-    """Outputs [start, start+count) of the SplitMix64 stream, vectorised.
-
-    Identical values to repeated SplitMix64(seed).next_u64() calls.
-    """
-    import numpy as np
-
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = np.uint64(seed) + idx * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
-
-
-def bulk_random(seed: int, count: int, start: int = 0) -> "numpy.ndarray":
-    """Uniform floats in [0,1), matching SplitMix64.random() bit-for-bit."""
-    import numpy as np
-
-    return (bulk_u64(seed, count, start) >> np.uint64(11)) * 2.0**-53

@@ -17,9 +17,10 @@ from cfl.graphs import (Graph, VertexSet, complete_multipartite, cycle_graph,
                         empty_graph, random_gnp,
                         random_graph_with_min_degree)
 from cfl.invariants import _graph_from_pair_mask, alpha_ell_exact, rtt_oracle
-from cfl.rng import SplitMix64, bulk_random, derive_seed
+from cfl.rng import SplitMix64, derive_seed
 
 from conftest import naive_alpha, naive_has_factor, naive_max_tiling_count
+from support import bulk_random
 from test_bounds import brute_delta
 from test_regularity import definitional_regular
 
@@ -135,13 +136,13 @@ def test_criterion_05_cover_threshold_hub_never_covered():
         r = 4 + rng.randrange(2)             # 4 or 5
         n = 12 + rng.randrange(9)            # 12..20
         x = Fraction(35 + rng.randrange(26), 100)   # 0.35..0.60
-        s = constructions.CoverThresholdSpec(n, r, 2, x, empty_graph(1))
+        s = constructions.CoverThresholdSpec(n, r, x, empty_graph(1))
         size = s.neighborhood_size
         if size < 1 or s.clique_size < 1:
             continue
         inner = constructions.strip_cliques(
             random_gnp(size, 0.5, rng.next_u64()), r - 1, seed=built)
-        spec = constructions.CoverThresholdSpec(n, r, 2, x, inner)
+        spec = constructions.CoverThresholdSpec(n, r, x, inner)
         b = constructions.build_cover_threshold_graph(spec)
         built += 1
         if invariants.has_clique_cover(b.graph, b.hub, r) is not None:

@@ -292,6 +292,28 @@ def test_cover_user_errors_exit_two(tmp_path, capsys, key, value, field):
      "[construct] gamma"),
     ("construct", "family = sparse-klfree\nn = 12\nell = 2\ngamma = 0.1\n",
      "[construct] ell"),
+    # a refused lower-bound or cover-threshold spec names its key, not just
+    # the section; eta and clique_size both set |X1|, and the config's names
+    ("construct", "family = lower-bound\nn = 10\nr = 3\nell = 2\neta = 9/10\n"
+     "inner = empty:1\n", "[construct] eta: eta=9/10 outside"),
+    ("construct", "family = lower-bound\nn = 10\nr = 3\nell = 2\n"
+     "clique_size = 5\ninner = empty:5\n", "[construct] clique_size: eta=1/2 outside"),
+    ("construct", "family = lower-bound\nn = 4\nr = 3\nell = 2\neta = 1/10\n"
+     "inner = empty:4\n", "[construct] eta: clique part X1 must have"),
+    ("construct", "family = lower-bound\nn = 7\nr = 3\nell = 2\nclique_size = 2\n"
+     "inner = empty:4\n", "[construct] inner: inner graph has 4 vertices"),
+    ("construct", "family = lower-bound\nn = 7\nr = 3\nell = 2\nclique_size = 2\n"
+     "inner = complete:5\n", "[construct] inner: inner graph contains a K_3"),
+    ("construct", "family = cover-threshold\nn = 16\nr = 4\nx = 3/2\n"
+     "inner = cycle:8\n", "[construct] x: x=3/2 outside"),
+    ("construct", "family = cover-threshold\nn = 4\nr = 3\nx = 1/10\n"
+     "inner = empty:1\n", "[construct] x: hub neighborhood must be nonempty"),
+    ("construct", "family = cover-threshold\nn = 4\nr = 3\nx = 9/10\n"
+     "inner = empty:4\n", "[construct] x: clique part must have"),
+    ("construct", "family = cover-threshold\nn = 16\nr = 4\nx = 1/2\n"
+     "inner = cycle:7\n", "[construct] inner: inner graph has 7 vertices"),
+    ("construct", "family = cover-threshold\nn = 16\nr = 4\nx = 1/2\n"
+     "inner = complete:8\n", "[construct] inner: inner graph contains a K_3"),
 ])
 def test_out_of_range_parameters_exit_two(tmp_path, capsys, kind, body, field):
     body = body.replace("{golden}", GOLDEN)
@@ -301,6 +323,25 @@ def test_out_of_range_parameters_exit_two(tmp_path, capsys, kind, body, field):
     cfg = write(tmp_path / "oor.ini", f"[run]\nkind = {kind}\n{body}")
     assert run_cli([kind, "--config", cfg]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_cover_threshold_builds_without_ell(tmp_path, capsys):
+    """The cover-threshold family has no ell; the key is ignored (it once
+    was stored unread, so ell = -7 built the graph and exited 0)."""
+    with open(os.path.join(GOLDEN, "construct-cover.ini"), encoding="utf-8") as fh:
+        golden = fh.read()
+    assert "ell = 2\n" in golden
+    graphs_out = []
+    for name, text in (("with", golden),
+                       ("without", golden.replace("ell = 2\n", "")),
+                       ("negative", golden.replace("ell = 2\n", "ell = -7\n"))):
+        cfg = write(tmp_path / f"{name}.ini", text + "graph_out = g.el\n")
+        assert run_cli(["construct", "--config", cfg, "--out",
+                        str(tmp_path / name)]) == 0
+        graphs_out.append((tmp_path / name / "g.el").read_text())
+        capsys.readouterr()
+    assert graphs_out[0] == graphs_out[1] == graphs_out[2]
+    assert parse_graph(graphs_out[0]).n == 16
 
 
 def test_negative_node_budget_from_the_environment_exits_two(tmp_path, capsys,
@@ -565,13 +606,16 @@ SOLVERS = {"absorption", "bounds", "constructions", "embedding", "invariants",
     (("alpha",), "[alpha]\ngraph = {graph}\nell = 2\n", {"invariants"}),
     (("tile",), "[tile]\ngraph = gnp:24,0.28,4\nr = 3\n",
      {"tiling", "constructions", "invariants"}),
-], ids=["import", "thresholds", "tile-and-scan", "factor", "alpha", "tile-spec"])
+    (("rtt",), "[rtt]\nn = 7\nr = 7\nell = 2\nalpha_bound = 1\n",
+     {"invariants"}),
+], ids=["import", "thresholds", "tile-and-scan", "factor", "alpha", "tile-spec",
+        "rtt"])
 def test_a_run_loads_only_its_kinds_solvers(tmp_path, commands, body, solvers):
     """Each handler imports its own solver modules, so ``import cfl.cli``
     loads none of them and a run loads only its kind's; a generator spec
-    adds ``constructions`` and the ``invariants`` it imports.  numpy is for
-    the n <= 7 oracle and the rng bulk helpers, so none of these runs loads
-    it, nor a thread pool."""
+    adds ``constructions`` and the ``invariants`` it imports.  The n <= 7
+    rtt oracle works on Python ints, so even its full n = 7 scan loads
+    neither ``tiling`` nor numpy; no run loads numpy or a thread pool."""
     graph = write(tmp_path / "g.el", format_edgelist(random_gnp(24, 0.28, 4)))
     kind = commands[0] if commands else "alpha"
     cfg = write(tmp_path / "k.ini", f"[run]\nkind = {kind}\n"

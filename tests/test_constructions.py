@@ -73,7 +73,7 @@ def test_lower_bound_seeded_specs_respect_ceiling():
 # -- cover-threshold family ------------------------------------------------------
 
 def test_cover_threshold_desk_instance():
-    spec = CoverThresholdSpec(16, 4, 2, Fraction(1, 2), cycle_graph(8))
+    spec = CoverThresholdSpec(16, 4, Fraction(1, 2), cycle_graph(8))
     b = build_cover_threshold_graph(spec)
     assert has_clique_cover(b.graph, b.hub, 4) is None
     assert b.min_degree == 8
@@ -82,7 +82,7 @@ def test_cover_threshold_desk_instance():
 
 
 def test_cover_threshold_structure():
-    spec = CoverThresholdSpec(16, 4, 2, Fraction(1, 2), cycle_graph(8))
+    spec = CoverThresholdSpec(16, 4, Fraction(1, 2), cycle_graph(8))
     b = build_cover_threshold_graph(spec)
     g = b.graph
     for c in b.clique_part:
@@ -94,15 +94,15 @@ def test_cover_threshold_structure():
 
 
 def test_cover_threshold_r3_forces_empty_inner():
-    spec = CoverThresholdSpec(10, 3, 2, Fraction(1, 2), empty_graph(5))
+    spec = CoverThresholdSpec(10, 3, Fraction(1, 2), empty_graph(5))
     b = build_cover_threshold_graph(spec)
     assert has_clique_cover(b.graph, 0, 3) is None
     with pytest.raises(ConstructionError):    # any edge is a K_2 = K_{r-1}
-        CoverThresholdSpec(10, 3, 2, Fraction(1, 2), cycle_graph(5)).validate()
+        CoverThresholdSpec(10, 3, Fraction(1, 2), cycle_graph(5)).validate()
 
 
 def test_cover_threshold_recheck_raises_without_assert(monkeypatch):
-    spec = CoverThresholdSpec(16, 4, 2, Fraction(1, 2), cycle_graph(8))
+    spec = CoverThresholdSpec(16, 4, Fraction(1, 2), cycle_graph(8))
     monkeypatch.setattr(constructions, "has_clique_cover",
                         lambda g, v, r: VertexSet(g, 1 << v))
     with pytest.raises(ConstructionInvariantError, match="hub is covered"):
@@ -112,8 +112,27 @@ def test_cover_threshold_recheck_raises_without_assert(monkeypatch):
 
 def test_cover_threshold_rejects_kr1_inner():
     with pytest.raises(ConstructionError):
-        CoverThresholdSpec(16, 4, 2, Fraction(1, 2),
+        CoverThresholdSpec(16, 4, Fraction(1, 2),
                            complete_graph(8)).validate()
+
+
+@pytest.mark.parametrize("spec, key", [
+    (LowerBoundSpec.with_clique_size(7, 2, 2, 2, cycle_graph(5)), "r"),
+    (LowerBoundSpec(10, 3, 2, Fraction(9, 10), empty_graph(1)), "eta"),
+    (LowerBoundSpec(4, 3, 2, Fraction(1, 10), empty_graph(4)), "clique_size"),
+    (LowerBoundSpec.with_clique_size(7, 3, 2, 2, cycle_graph(4)), "inner"),
+    (LowerBoundSpec.with_clique_size(7, 3, 2, 2, complete_graph(5)), "inner"),
+    (CoverThresholdSpec(16, 1, Fraction(1, 2), cycle_graph(8)), "r"),
+    (CoverThresholdSpec(16, 4, Fraction(3, 2), cycle_graph(8)), "x"),
+    (CoverThresholdSpec(4, 3, Fraction(1, 10), empty_graph(1)), "x"),
+    (CoverThresholdSpec(4, 3, Fraction(9, 10), empty_graph(4)), "x"),
+    (CoverThresholdSpec(16, 4, Fraction(1, 2), cycle_graph(7)), "inner"),
+    (CoverThresholdSpec(16, 4, Fraction(1, 2), complete_graph(8)), "inner"),
+])
+def test_each_refusal_names_its_spec_field(spec, key):
+    with pytest.raises(ConstructionError) as info:
+        spec.validate()
+    assert info.value.key == key
 
 
 # -- sparse sampler --------------------------------------------------------------

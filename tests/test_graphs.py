@@ -10,9 +10,9 @@ from cfl.graphs import (DuplicateEdgeError, EdgeSyntaxError,
                         empty_graph, format_edgelist, format_graph6,
                         iter_clique_masks, kneser_graph, parse_edgelist,
                         parse_graph, parse_graph6, petersen_graph, random_gnp)
-from cfl.rng import bulk_random
 
 from conftest import independent_graph6_decode, naive_cliques, seeded_graphs
+from support import bulk_random
 
 
 # -- edge list format ---------------------------------------------------------

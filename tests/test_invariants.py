@@ -9,11 +9,12 @@ from cfl import tiling
 from cfl.graphs import (VertexSet, complete_graph, cycle_graph, empty_graph,
                         format_graph6, has_clique, iter_clique_masks,
                         petersen_graph, random_gnp)
-from cfl.invariants import (_clique_cover_bound, _graph_from_pair_mask,
-                            _pair_index_masks, alpha_ell_exact,
-                            alpha_ell_greedy, has_clique_cover, rtt_oracle)
+from cfl.invariants import (_clique_cover_bound, _factor_masks,
+                            _graph_from_pair_mask, _pair_index_masks,
+                            alpha_ell_exact, alpha_ell_greedy,
+                            has_clique_cover, rtt_oracle)
 
-from conftest import contains_clique, naive_alpha, small_graphs
+from conftest import contains_clique, naive_alpha, seeded_graphs, small_graphs
 
 
 def test_alpha_examples():
@@ -256,6 +257,37 @@ def assert_matches_reference(n, r, ell, alpha_bound):
         format_graph6(witness) if witness else None)
 
 
+@pytest.mark.parametrize("n, r, count", [
+    (1, 2, 0), (4, 2, 3), (4, 3, 0), (6, 2, 15), (6, 3, 10), (6, 4, 0),
+    (6, 6, 1), (7, 2, 0), (7, 7, 1),
+])
+def test_factor_masks_count_the_factors_of_kn(n, r, count):
+    masks = _factor_masks(n, r)
+    assert len(masks) == len(set(masks)) == count
+    pair_masks = _pair_index_masks(n)
+    for f in masks:
+        # r-sets of vertices: each vertex meets r-1 of the factor's pairs
+        assert all((f & pm).bit_count() == r - 1 for pm in pair_masks)
+
+
+def test_factor_mask_membership_agrees_with_has_factor():
+    graphs = seeded_graphs(400, (2, 7), seed=0xFAC7,
+                           p_choices=(0.5, 0.7, 0.8, 0.9, 0.95))
+    graphs += [complete_graph(n) for n in range(2, 8)]
+    seen = {True: 0, False: 0}
+    for g in graphs:
+        pair_masks = _pair_index_masks(g.n)
+        m = sum(pair_masks[u] & pair_masks[v] for u, v in g.edges())
+        assert _graph_from_pair_mask(g.n, m) == g
+        for r in range(2, g.n + 1):
+            if g.n % r:
+                continue
+            has = any(m & f == f for f in _factor_masks(g.n, r))
+            assert has == (tiling.has_factor(g, r).tiling is not None)
+            seen[has] += 1
+    assert min(seen.values()) >= 100
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_rtt_level_filter_matches_the_per_graph_scan(data):
@@ -268,6 +300,16 @@ def test_rtt_level_filter_matches_the_per_graph_scan(data):
 
 def test_rtt_level_filter_matches_the_per_graph_scan_at_n6():
     assert_matches_reference(6, 3, 2, 1)
+
+
+@pytest.mark.parametrize("r, ell, alpha_bound", [
+    (2, 2, 2),    # value 2 at graph 2,445; K_6 has 15 perfect matchings
+    (2, 3, 3),    # value 0 at graph 29,616
+    (3, 2, 2),    # value 3 at graph 87
+    (3, 3, 3),    # value 1 at graph 15,195
+])
+def test_rtt_feasible_answers_match_the_per_graph_scan_at_n6(r, ell, alpha_bound):
+    assert_matches_reference(6, r, ell, alpha_bound)
 
 
 def test_rtt_n7_infeasible_full_scan():

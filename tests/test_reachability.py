@@ -34,10 +34,6 @@ ALLOWED = {
         "make_super_regular's result; criterion 9 reads its all_ok",
     "constructions.strip_cliques":
         "acceptance criteria 4 and 5 build their K_(l+1)-free inner graphs",
-    "rng.bulk_u64":
-        "the vectorised SplitMix64 stream behind bulk_random",
-    "rng.bulk_random":
-        "criterion 6 and the random_gnp reference test draw from it",
     "reports.strip_timings":
         "the golden and reproducibility tests compare reports without timings",
 }
