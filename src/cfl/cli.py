@@ -12,6 +12,8 @@ error (including an unreadable or unwritable path), 4 resource cap hit
 (partial results written).  The environment variable CFL_NODE_BUDGET
 overrides the node budget of every exact solver and of the embed fallback
 search.  ``--threads`` is accepted and ignored: scan points run in sequence.
+A finished run or scan warns on stderr about each config key that nothing
+read; the exit code and the report stay as they are.
 
 Each kind handler returns its result and its flags; ``_execute`` turns them
 into the finished report.  A handler returns its solver's result dataclass
@@ -600,6 +602,15 @@ def _report_path(outdir: str, report: dict, prefix: str = "report") -> str:
     return os.path.join(outdir, f"{prefix}-{report['kind']}-{digest[:12]}.json")
 
 
+def _warn_unread(*cfgs: Config) -> None:
+    """One stderr line per config key that the run never consulted, such as
+    a misspelled optional key; the exit code and the report stay as they
+    are."""
+    unread = dict.fromkeys(pair for cfg in cfgs for pair in cfg.unread_keys())
+    for section, key in unread:
+        print(f"warning: [{section}] {key} was never read", file=sys.stderr)
+
+
 def cmd_run(kind: str, args) -> int:
     cfg = Config.from_path(args.config)
     declared = cfg.get_str("run", "kind", kind)
@@ -614,6 +625,7 @@ def cmd_run(kind: str, args) -> int:
         print(path)
     else:
         sys.stdout.write(reports.dump_report(report))
+    _warn_unread(cfg)
     return EXIT_CAP if report["flags"].get("cap_hit") else EXIT_OK
 
 
@@ -668,6 +680,7 @@ def cmd_scan(args) -> int:
         csv_path, fixed + [f"result.{k}" if k in fixed else k for k in scalar_keys],
         csv_rows)
     print(csv_path)
+    _warn_unread(cfg, *points)
     failed = [code for status, code, _ in rows if status == "error"]
     if failed:
         return failed[0]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 from .numbers import exact_fraction
 
@@ -25,8 +25,14 @@ class ConfigError(ValueError):
 
 
 class Config:
-    def __init__(self, parser: configparser.ConfigParser):
+    """One parsed config file.  Every ``(section, key)`` that a getter or
+    ``has`` consults is recorded, so a run can name the keys it never read;
+    ``flat`` (the report's echo of the file) records nothing."""
+
+    def __init__(self, parser: configparser.ConfigParser,
+                 read: Optional[Set[Tuple[str, str]]] = None):
         self._parser = parser
+        self._read: Set[Tuple[str, str]] = set() if read is None else read
 
     @staticmethod
     def _new_parser() -> configparser.ConfigParser:
@@ -57,7 +63,8 @@ class Config:
 
     def scan_point(self, section: str, key: str, value: str) -> "Config":
         """One ``cfl scan`` grid point: a copy of this config with
-        ``[section] key`` set to ``value`` and the ``[scan]`` section dropped."""
+        ``[section] key`` set to ``value`` and the ``[scan]`` section dropped.
+        Keys the point reads count as read in this config too."""
         if section == "scan":
             raise ConfigError("[scan] param", "cannot sweep a [scan] key")
         if (section, key) == ("run", "kind"):
@@ -70,12 +77,21 @@ class Config:
             if sec != "scan":
                 parser[sec] = dict(self._parser.items(sec))
         parser.set(section, key, value)
-        return Config(parser)
+        return Config(parser, self._read)
+
+    def unread_keys(self) -> List[Tuple[str, str]]:
+        """``(section, key)`` pairs of the file that nothing has consulted,
+        in file order.  A scan point shares its scan's record."""
+        return [(section, key) for section in self._parser.sections()
+                for key in self._parser.options(section)
+                if (section, key) not in self._read]
 
     def has(self, section: str, key: str) -> bool:
+        self._read.add((section, key))
         return self._parser.has_option(section, key)
 
     def _raw(self, section: str, key: str) -> str:
+        self._read.add((section, key))
         if not self._parser.has_section(section):
             raise ConfigError(f"[{section}]", "missing section")
         if not self._parser.has_option(section, key):

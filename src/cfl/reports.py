@@ -5,6 +5,11 @@ Reports are versioned JSON ("schema": 1).  Rerunning an identical config
 all randomness flows from the recorded seed, vertex sets serialize sorted,
 rationals serialize as "p/q" strings, graphs as graph6 lines, and keys are
 emitted sorted.
+
+Every file cfl writes goes through ``write_text_atomic``: UTF-8 whatever the
+locale, and never rewritten when it already holds the bytes a run would
+write, so a seeded rerun leaves its graph files (inode and mtime included)
+untouched.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import stat
 import tempfile
 from fractions import Fraction
 from typing import Any, Dict, Iterable, Mapping
@@ -76,14 +82,38 @@ def dump_report(report: Mapping) -> str:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never observe a
-    partial report."""
+    """Write ``text`` as UTF-8, whatever the locale, via a sibling temp file
+    and rename, so readers never observe a partial file.
+
+    A regular file that already holds exactly these bytes is left alone: no
+    temp file, no rename, so its inode and mtime stay as they were.  A
+    replaced file keeps its permission bits; a new one gets
+    ``0o666 & ~umask``, as ``open`` would give it."""
+    data = text.encode("utf-8")
+    try:
+        st = os.stat(path)
+    except OSError:
+        # os.umask is the only way to read the mask; cfl starts no thread
+        # that could create a file while it reads 0
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    else:
+        mode = stat.S_IMODE(st.st_mode)
+        if stat.S_ISREG(st.st_mode) and st.st_size == len(data):
+            try:
+                with open(path, "rb") as fh:
+                    if fh.read() == data:
+                        return
+            except OSError:
+                pass
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-report-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -92,12 +122,6 @@ def write_text_atomic(path: str, text: str) -> None:
 
 def write_report_atomic(path: str, report: Mapping) -> None:
     write_text_atomic(path, dump_report(report))
-
-
-def strip_timings(report: Mapping) -> Dict:
-    out = dict(report)
-    out.pop("timings", None)
-    return out
 
 
 def write_csv_atomic(path: str, header: Iterable[str],

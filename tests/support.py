@@ -1,5 +1,8 @@
 """Helpers that only the tests use, kept out of the ``cfl`` package.
 
+``strip_timings`` drops the one report field that differs between reruns,
+so the golden and reproducibility tests can compare reports.
+
 ``bulk_u64`` and ``bulk_random`` are the vectorised (numpy) form of the
 package's SplitMix64 stream.  The stream is counter-based, so they give the
 same values as repeated ``SplitMix64(seed).next_u64()`` and ``.random()``
@@ -7,6 +10,8 @@ calls; criterion 6 and the ``random_gnp`` reference test draw from them.
 """
 
 from __future__ import annotations
+
+from typing import Dict, Mapping
 
 import numpy as np
 
@@ -29,3 +34,9 @@ def bulk_u64(seed: int, count: int, start: int = 0) -> np.ndarray:
 def bulk_random(seed: int, count: int, start: int = 0) -> np.ndarray:
     """Uniform floats in [0,1), matching SplitMix64.random() bit-for-bit."""
     return (bulk_u64(seed, count, start) >> np.uint64(11)) * 2.0**-53
+
+
+def strip_timings(report: Mapping) -> Dict:
+    out = dict(report)
+    out.pop("timings", None)
+    return out

@@ -15,7 +15,8 @@ import cfl
 from cfl.cli import main
 from cfl.config import Config, ConfigError
 from cfl.graphs import cycle_graph, format_edgelist, parse_graph, random_gnp
-from cfl.reports import strip_timings
+
+from support import strip_timings
 
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -469,6 +470,31 @@ def test_report_file_written_atomically(tmp_path, capsys):
     assert not [f for f in files if f.startswith(".tmp")]
 
 
+def test_rerunning_a_construct_leaves_its_graph_file_alone(tmp_path, capsys):
+    gpath = tmp_path / "lb.el"
+    cfg = write(tmp_path / "c.ini", "[run]\nkind = construct\nseed = 3\n"
+                                    "[construct]\nfamily = lower-bound\nn = 7\n"
+                                    "r = 3\nell = 2\nclique_size = 2\n"
+                                    f"inner = c5\ngraph_out = {gpath}\n")
+    assert run_cli(["construct", "--config", cfg]) == 0
+    rep1 = read_report(capsys)
+    inode = os.stat(gpath).st_ino
+    assert run_cli(["construct", "--config", cfg]) == 0
+    rep2 = read_report(capsys)
+    assert os.stat(gpath).st_ino == inode
+    assert strip_timings(rep1) == strip_timings(rep2)
+    assert sorted(os.listdir(tmp_path)) == ["c.ini", "lb.el"]
+
+
+def test_convert_onto_a_directory_is_an_input_error(tmp_path, capsys):
+    src = write(tmp_path / "c5.el", format_edgelist(cycle_graph(5)))
+    (tmp_path / "out").mkdir()
+    assert run_cli(["graph", "convert", "--from", "edgelist", "--to", "graph6",
+                    "--in", src, "--out", str(tmp_path / "out")]) == 3
+    assert "input error: " in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["c5.el", "out"]
+
+
 @pytest.mark.parametrize("seeds, budgets", [
     (("1", "2"), (None, None)),
     (("1", "1"), ("10", "20")),
@@ -715,6 +741,40 @@ def test_rtt_kind(tmp_path, capsys):
     # vertex has min degree 0; a K_4 minus nothing always has one; the
     # oracle reports the true maximum
     assert rep["result"]["value"] is not None
+
+
+RTT_N4 = "[run]\nkind = rtt\n[rtt]\nn = 4\nr = 2\nell = 2\nalpha_bound = 4\n"
+
+
+def test_a_key_the_run_never_reads_is_warned_about(tmp_path, capsys):
+    plain = write(tmp_path / "p.ini", RTT_N4)
+    assert run_cli(["rtt", "--config", plain]) == 0
+    expected = read_report(capsys)
+    cfg = write(tmp_path / "t.ini", RTT_N4 + "trys = 1\n")
+    assert run_cli(["rtt", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: [rtt] trys was never read\n"
+    report = json.loads(captured.out)
+    assert report["config"].pop("rtt.trys") == "1"
+    assert report["result"] == expected["result"]
+
+
+def test_a_scan_warns_once_about_a_swept_key_no_point_reads(tmp_path, capsys):
+    cfg = write(tmp_path / "s.ini", RTT_N4 + "[scan]\nparam = rtt.trys\n"
+                                             "values = 1, 2\nvaules = 3\n")
+    assert run_cli(["scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ("warning: [scan] vaules was never read\n"
+                                       "warning: [rtt] trys was never read\n")
+
+
+def test_a_config_whose_keys_are_all_read_prints_no_warning(tmp_path, capsys):
+    cfg = write(tmp_path / "a.ini", "[run]\nkind = alpha\nseed = 7\n"
+                                    "[alpha]\ngraph = c5\nell = 2\n")
+    assert run_cli(["alpha", "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
+    parsed = Config.from_text("[alpha]\ngraph = c5\nell = 2\n")
+    parsed.flat()
+    assert parsed.unread_keys() == [("alpha", "graph"), ("alpha", "ell")]
 
 
 def test_embed_kind_auto_alpha(tmp_path, capsys):

@@ -26,7 +26,9 @@ from typing import Dict, Tuple
 import pytest
 
 from cfl.cli import main
-from cfl.reports import dump_report, strip_timings
+from cfl.reports import dump_report
+
+from support import strip_timings
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 NAMES = sorted(f[:-4] for f in os.listdir(GOLDEN) if f.endswith(".ini"))

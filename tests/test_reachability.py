@@ -34,8 +34,6 @@ ALLOWED = {
         "make_super_regular's result; criterion 9 reads its all_ok",
     "constructions.strip_cliques":
         "acceptance criteria 4 and 5 build their K_(l+1)-free inner graphs",
-    "reports.strip_timings":
-        "the golden and reproducibility tests compare reports without timings",
 }
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
