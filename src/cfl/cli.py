@@ -8,14 +8,17 @@ Grammar::
 
 Kinds: construct, alpha, tile, factor, cover, regcheck, drc, embed, absorb,
 rtt, thresholds, bounds.  Exit codes: 0 success, 2 config error, 3 input
-error (including an unreadable or unwritable path), 4 resource cap hit
-(partial results written).  The environment variable CFL_NODE_BUDGET
-overrides the node budget of every exact solver and of the embed fallback
-search.  ``--threads`` is accepted and ignored: scan points run in sequence.
-A finished run or scan warns on stderr about each config key that nothing
-read; the exit code and the report stay as they are.
+error (including an unreadable or unwritable path, or an input file that
+is not UTF-8), 4 resource cap hit (partial results written).  The
+environment variable CFL_NODE_BUDGET overrides ``[run] node_budget``; only
+alpha, tile, factor and embed (its auto alpha and its fallback search) pass
+the budget on, and every other kind's search runs uncapped.  ``--threads``
+is accepted and ignored: scan points run in sequence.  A finished run or
+scan warns on stderr about each config key that nothing read; the exit code
+and the report stay as they are.
 
-Each kind handler returns its result and its flags; ``_execute`` turns them
+Each kind handler gets the effective node budget (None for none) as
+``node_cap`` and returns its result and its flags; ``_execute`` turns them
 into the finished report.  A handler returns its solver's result dataclass
 as it is, or spreads its fields (``vars``) into the result dict beside the
 few keys the solver does not know, so report keys are field names.  Each
@@ -52,7 +55,7 @@ def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -130,16 +133,16 @@ def _node_budget(cfg: Config) -> Optional[int]:
     return None
 
 
-# -- kind handlers: (config, seed, caps, outdir) -> (result, flags) ----------
+# -- kind handlers: (config, seed, node_cap, outdir) -> (result, flags) ------
 
 
-def run_alpha(cfg, seed, caps, outdir):
+def run_alpha(cfg, seed, node_cap, outdir):
     from . import invariants
     g = load_graph(cfg, "alpha", seed=seed)
     ell = _int_at_least(cfg, "alpha", "ell", 2)
     mode = cfg.get_str("alpha", "mode", "exact")
     if mode == "exact":
-        res = invariants.alpha_ell_exact(g, ell, node_cap=caps.get("node_budget"))
+        res = invariants.alpha_ell_exact(g, ell, node_cap=node_cap)
         flags = {"exhaustive": res.exact, "cap_hit": not res.exact}
     elif mode == "greedy":
         res = invariants.alpha_ell_greedy(g, ell, seed)
@@ -149,11 +152,11 @@ def run_alpha(cfg, seed, caps, outdir):
     return res, flags
 
 
-def run_tile(cfg, seed, caps, outdir):
+def run_tile(cfg, seed, node_cap, outdir):
     from . import tiling
     g = load_graph(cfg, "tile", seed=seed)
     r = _int_at_least(cfg, "tile", "r", 2)
-    res = tiling.max_tiling(g, r, node_cap=caps.get("node_budget"))
+    res = tiling.max_tiling(g, r, node_cap=node_cap)
     result = {"r": r, "tiles": res.best.members,
               "count": len(res.best), "deficiency": res.deficiency,
               "optimal": res.optimal, "nodes_explored": res.nodes_explored,
@@ -161,18 +164,18 @@ def run_tile(cfg, seed, caps, outdir):
     return result, {"exhaustive": res.optimal, "cap_hit": not res.optimal}
 
 
-def run_factor(cfg, seed, caps, outdir):
+def run_factor(cfg, seed, node_cap, outdir):
     from . import tiling
     g = load_graph(cfg, "factor", seed=seed)
     r = _int_at_least(cfg, "factor", "r", 2)
-    res = tiling.has_factor(g, r, node_cap=caps.get("node_budget"))
+    res = tiling.has_factor(g, r, node_cap=node_cap)
     result = {"r": r, "status": res.status,
               "factor": res.tiling.members if res.tiling else None,
               "valid": tiling.verify_tiling(g, res.tiling) if res.tiling else None}
     return result, {"cap_hit": res.status == "cap"}
 
 
-def run_cover(cfg, seed, caps, outdir):
+def run_cover(cfg, seed, node_cap, outdir):
     from . import invariants
     g = load_graph(cfg, "cover", seed=seed)
     v = _vertex(cfg, "cover", "vertex", g)
@@ -187,7 +190,7 @@ def run_cover(cfg, seed, caps, outdir):
     return {"vertex": v, "r": r, "cover": res}, {"cap_hit": False}
 
 
-def run_construct(cfg, seed, caps, outdir):
+def run_construct(cfg, seed, node_cap, outdir):
     from . import constructions
     family = cfg.get_str("construct", "family")
     section = "construct"
@@ -259,7 +262,7 @@ def run_construct(cfg, seed, caps, outdir):
     return result, flags
 
 
-def run_regcheck(cfg, seed, caps, outdir):
+def run_regcheck(cfg, seed, node_cap, outdir):
     from . import regularity
     g = load_graph(cfg, "regcheck", seed=seed)
     ppath = cfg.get_str("regcheck", "partition")
@@ -304,7 +307,7 @@ def run_regcheck(cfg, seed, caps, outdir):
     return result, {"exhaustive": mode == "exhaustive", "cap_hit": False}
 
 
-def run_drc(cfg, seed, caps, outdir):
+def run_drc(cfg, seed, node_cap, outdir):
     from . import bounds, embedding
     g = load_graph(cfg, "drc", seed=seed)
     target = _vertex_set(cfg, "drc", "target", g)
@@ -332,7 +335,7 @@ def run_drc(cfg, seed, caps, outdir):
     return result, {"cap_hit": False}
 
 
-def run_embed(cfg, seed, caps, outdir):
+def run_embed(cfg, seed, node_cap, outdir):
     from . import embedding, invariants
     g = load_graph(cfg, "embed", seed=seed)
     class_specs = cfg.get_str("embed", "classes").split(";")
@@ -349,25 +352,24 @@ def run_embed(cfg, seed, caps, outdir):
     alpha_capped = False
     if cfg.get_str("embed", "alpha_bound", "auto") == "auto":
         alphas = [invariants.alpha_ell_exact(g, max(2, p), within=c,
-                                             node_cap=caps.get("node_budget"))
+                                             node_cap=node_cap)
                   for c in classes]
         alpha_bound = max(res.value for res in alphas)
         # a capped search gives only a lower bound on alpha
         alpha_capped = not all(res.exact for res in alphas)
     else:
         alpha_bound = _int_at_least(cfg, "embed", "alpha_bound", 0)
-    econf = embedding.EmbedConfig(
+    res = embedding.embed_clique_in_tuple(
+        g, classes, p, alpha_bound, seed=seed,
         s=_int_at_least(cfg, "embed", "s", 1, default=2),
-        trials=_int_at_least(cfg, "embed", "trials", 0, default=8))
-    if caps.get("node_budget") is not None:
-        econf.fallback_node_cap = caps["node_budget"]
-    res = embedding.embed_clique_in_tuple(g, classes, p, alpha_bound,
-                                          seed=seed, config=econf)
+        trials=_int_at_least(cfg, "embed", "trials", 0, default=8),
+        fallback_node_cap=(embedding.FALLBACK_NODE_CAP if node_cap is None
+                           else node_cap))
     return res, {"cap_hit": alpha_capped
                  or {"fallback": "cap"} in res.telemetry}
 
 
-def run_absorb(cfg, seed, caps, outdir):
+def run_absorb(cfg, seed, node_cap, outdir):
     from . import absorption
     task = cfg.get_str("absorb", "task")
     r = _int_at_least(cfg, "absorb", "r", 2)
@@ -438,7 +440,7 @@ def run_absorb(cfg, seed, caps, outdir):
     return result, {"cap_hit": False}
 
 
-def run_rtt(cfg, seed, caps, outdir):
+def run_rtt(cfg, seed, node_cap, outdir):
     from . import invariants
     n = _int_at_least(cfg, "rtt", "n", 1)
     r = _int_at_least(cfg, "rtt", "r", 2)
@@ -450,7 +452,7 @@ def run_rtt(cfg, seed, caps, outdir):
                  "cap_hit": False}
 
 
-def run_thresholds(cfg, seed, caps, outdir):
+def run_thresholds(cfg, seed, node_cap, outdir):
     from . import bounds
     result: Dict[str, object] = {}
     if cfg.has("thresholds", "parts"):
@@ -494,7 +496,7 @@ def run_thresholds(cfg, seed, caps, outdir):
     return result, {"cap_hit": False}
 
 
-def run_bounds(cfg, seed, caps, outdir):
+def run_bounds(cfg, seed, node_cap, outdir):
     from . import bounds
     formula = cfg.get_str("bounds", "formula")
 
@@ -513,7 +515,7 @@ def run_bounds(cfg, seed, caps, outdir):
         return value
 
     if formula == "fkg":
-        n = cfg.get_int("bounds", "n")
+        n = _int_at_least(cfg, "bounds", "n", 1)
         ell = _int_at_least(cfg, "bounds", "ell", 1)
         p = probability()
         try:
@@ -583,12 +585,12 @@ KINDS = tuple(HANDLERS)
 
 def _execute(kind: str, cfg: Config, seed: int, outdir: Optional[str]) -> dict:
     """Run one kind handler and return its finished report."""
-    caps = {"node_budget": _node_budget(cfg)}
+    node_cap = _node_budget(cfg)
     t0 = time.perf_counter()
-    result, flags = HANDLERS[kind](cfg, seed, caps, outdir)
+    result, flags = HANDLERS[kind](cfg, seed, node_cap, outdir)
     timings = {"total_s": time.perf_counter() - t0}
-    return reports.build_report(kind, seed, cfg.flat(), result, flags, caps,
-                                timings)
+    return reports.build_report(kind, seed, cfg.flat(), result, flags,
+                                {"node_budget": node_cap}, timings)
 
 
 def _report_path(outdir: str, report: dict, prefix: str = "report") -> str:

@@ -52,7 +52,11 @@ class Config:
     @classmethod
     def from_path(cls, path: str) -> "Config":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError("(file)", f"not UTF-8 text: {exc}") from exc
+        return cls.from_text(text)
 
     def flat(self) -> Dict[str, str]:
         out = {}

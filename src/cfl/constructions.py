@@ -28,7 +28,7 @@ from . import graphs as gr
 from .graphs import Graph, VertexSet, has_clique
 from .invariants import alpha_ell_exact, has_clique_cover
 from .numbers import exact_fraction as _as_fraction, round_half_up
-from .rng import SplitMix64, derive_seed
+from .rng import derive_seed
 
 
 class ConstructionError(ValueError):
@@ -292,30 +292,6 @@ def sample_sparse_klfree(n: int, ell: int, gamma: float, seed: int,
         attempts.append(SparseAttempt(i, attempt_seed, "accepted", alpha=a.value))
         return SparseSample(g, p, exponent, alpha_target, attempts)
     return SparseSample(None, p, exponent, alpha_target, attempts)
-
-
-# -- helpers -------------------------------------------------------------------
-
-
-def strip_cliques(g: Graph, k: int, seed: int = 0) -> Graph:
-    """Delete one random edge from the first k-clique until none remain.
-    Deterministic per seed; handy for manufacturing certified K_k-free
-    inner graphs."""
-    rng = SplitMix64(seed)
-    current = g
-    while True:
-        clique = None
-        for m in gr.iter_clique_masks(current, k):
-            clique = m
-            break
-        if clique is None:
-            return current
-        verts = list(gr.iter_bits(clique))
-        pairs = [(verts[i], verts[j]) for i in range(len(verts))
-                 for j in range(i + 1, len(verts))]
-        drop = pairs[rng.randrange(len(pairs))]
-        edges = [e for e in current.edges() if e != drop]
-        current = Graph(current.n, edges)
 
 
 def _spec_args(spec: str, arg: str, required: int) -> List[str]:

@@ -30,7 +30,7 @@ Two parts:
 
 The asymptotic parameter schedule behind these procedures is meaningless at
 desk scale; s, the trial count and the fallback node cap are explicit
-configuration (EmbedConfig).
+arguments of embed_clique_in_tuple.
 """
 
 from __future__ import annotations
@@ -214,13 +214,7 @@ def _level0(g: Graph, classes: Sequence[VertexSet], cap: int
 
 
 HYPERGRAPH_CAP = 500_000        # level-0 edges the cascade keeps
-
-
-@dataclass
-class EmbedConfig:
-    s: int = 2                     # sample count per reduction / selector exponent
-    trials: int = 8
-    fallback_node_cap: int = 2_000_000
+FALLBACK_NODE_CAP = 2_000_000   # fallback search nodes when no budget is set
 
 
 @dataclass
@@ -281,21 +275,24 @@ def _verify_embedding(g: Graph, classes: Sequence[VertexSet],
 
 
 def embed_clique_in_tuple(g: Graph, classes: Sequence[VertexSet], p: int,
-                          alpha_bound: int, seed: int = 0,
-                          config: Optional[EmbedConfig] = None) -> EmbedResult:
+                          alpha_bound: int, seed: int = 0, *, s: int = 2,
+                          trials: int = 8,
+                          fallback_node_cap: int = FALLBACK_NODE_CAP
+                          ) -> EmbedResult:
     """Find a clique with exactly p vertices in each of q classes.
 
     ``alpha_bound`` is the caller's certificate budget: any vertex set
     larger than it must contain a p-clique, so the selector floor is
     m = alpha_bound + 1.  Pairwise density/regularity context is the
-    caller's responsibility and is not enforced here.
+    caller's responsibility and is not enforced here.  Each of ``trials``
+    cascade passes samples ``s`` heads per reduction (s is also the
+    selector's exponent); the brute-force fallback stops past
+    ``fallback_node_cap`` nodes.
     """
-    if config is None:
-        config = EmbedConfig()
     q = len(classes)
     if q < 2 or p < 1:
         raise ValueError("need at least two classes and p >= 1")
-    if config.s < 1:
+    if s < 1:
         raise ValueError("s must be >= 1")
     seen = 0
     for c in classes:
@@ -306,13 +303,13 @@ def embed_clique_in_tuple(g: Graph, classes: Sequence[VertexSet], p: int,
     telemetry: List[dict] = []
     stage = "start"
     trials_used = 0
-    level0 = _level0(g, classes, HYPERGRAPH_CAP) if config.trials else ()
+    level0 = _level0(g, classes, HYPERGRAPH_CAP) if trials else ()
 
-    for trial in range(1, config.trials + 1):
+    for trial in range(1, trials + 1):
         trials_used = trial
         tseed = derive_seed(seed, "embed-trial", trial)
         note: dict = {"trial": trial}
-        per_class = _drc_attempt(g, classes, level0, p, m, tseed, config, note)
+        per_class = _drc_attempt(g, classes, level0, p, m, tseed, note, s=s)
         telemetry.append(note)
         stage = note.get("stage", stage)
         if per_class is not None:
@@ -329,7 +326,7 @@ def embed_clique_in_tuple(g: Graph, classes: Sequence[VertexSet], p: int,
 
     try:
         fallback = multipartite_clique_search(g, classes, p,
-                                              node_cap=config.fallback_node_cap)
+                                              node_cap=fallback_node_cap)
     except SearchCapExceeded:
         fallback = None
         telemetry.append({"fallback": "cap"})
@@ -347,7 +344,7 @@ def embed_clique_in_tuple(g: Graph, classes: Sequence[VertexSet], p: int,
 
 
 def _drc_attempt(g: Graph, classes: Sequence[VertexSet], level0: tuple,
-                 p: int, m: int, seed: int, config: EmbedConfig, note: dict
+                 p: int, m: int, seed: int, note: dict, *, s: int
                  ) -> Optional[List[VertexSet]]:
     """One cascade pass; fills ``note`` with per-stage telemetry.
 
@@ -370,7 +367,7 @@ def _drc_attempt(g: Graph, classes: Sequence[VertexSet], level0: tuple,
         first = heads if step == 1 else classes[step - 1].vertices()
         rng = SplitMix64(derive_seed(derive_seed(seed, "step", step),
                                      "hdrc-sample"))
-        sampled = [first[rng.randrange(len(first))] for _ in range(config.s)]
+        sampled = [first[rng.randrange(len(first))] for _ in range(s)]
         top = max(sampled)
         count = 0
         if ((bound is None or top <= bound[0])
@@ -391,7 +388,7 @@ def _drc_attempt(g: Graph, classes: Sequence[VertexSet], level0: tuple,
     bip = Graph(g.n, ((u, v) for u in iter_bits(target.mask & within)
                       for v in iter_bits(witness.mask & within & g.adj[u])
                       if bound is None or (u, v) <= bound))
-    drc = drc_select(bip, target, witness, t=config.s, r=max(2, p), m=m,
+    drc = drc_select(bip, target, witness, t=s, r=max(2, p), m=m,
                      seed=derive_seed(seed, "select"), max_trials=1)
     note["selected"] = len(drc.selected)
     if len(drc.selected) < p:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .graphs import Graph, VertexSet, iter_bits
 from .numbers import exact_fraction as _as_fraction
@@ -82,10 +82,6 @@ class RegularityVerdict:
     violation: Optional[Tuple[VertexSet, VertexSet]] = None
     violation_density: Optional[Fraction] = None
     samples_used: int = 0
-
-    @property
-    def certified(self) -> bool:
-        return self.mode == "exhaustive"
 
 
 def _qualifying_min(eps: Fraction, size: int) -> int:
@@ -235,74 +231,6 @@ def is_super_regular(g: Graph, x: VertexSet, y: VertexSet, epsilon, d,
             return SuperRegularVerdict(eps, dd, False, "degree", verdict,
                                        witness_vertex=v)
     return SuperRegularVerdict(eps, dd, True, "ok", verdict)
-
-
-@dataclass
-class SuperRegularization:
-    """Result of trimming clusters toward super-regularity: the refined
-    subsets, what was removed, the per-pair targets actually realized, and
-    (when requested) re-certification verdicts instead of trust."""
-    refined: List[VertexSet]
-    removed: List[VertexSet]
-    pair_targets: Dict[Tuple[int, int], Tuple[Fraction, Fraction]]
-    verdicts: Dict[Tuple[int, int], SuperRegularVerdict] = field(default_factory=dict)
-
-    @property
-    def all_ok(self) -> bool:
-        return all(v.ok for v in self.verdicts.values())
-
-
-def make_super_regular(g: Graph, clusters: Sequence[VertexSet], epsilon,
-                       samples: int = 10_000, seed: int = 0
-                       ) -> SuperRegularization:
-    """Trim each cluster by its low-cross-degree vertices so every pair
-    becomes (2 eps, d_ij - (t+1) eps)-super-regular, d_ij the original pair
-    density and t+1 the number of clusters.
-
-    Requires t < 1/(2 eps).  Callers assert pairwise eps-regularity of the
-    input; realized super-regularity is re-certified here (exhaustive when
-    sizes permit, sampled otherwise), not trusted.
-    """
-    eps = _as_fraction(epsilon)
-    t = len(clusters) - 1
-    if t < 1:
-        raise ValueError("need at least two clusters")
-    if not 2 * eps * t < 1:
-        raise ValueError(f"precondition t < 1/(2 eps) violated: t={t}, eps={eps}")
-    k = len(clusters)
-    dens: Dict[Tuple[int, int], Fraction] = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            dens[(i, j)] = pair_density(g, clusters[i], clusters[j])
-    refined_masks = []
-    removed_masks = []
-    for i in range(k):
-        bad = 0
-        for j in range(k):
-            if i == j:
-                continue
-            dij = dens[(min(i, j), max(i, j))]
-            floor_ = (dij - eps) * len(clusters[j])
-            for v in clusters[i]:
-                if Fraction((g.adj[v] & clusters[j].mask).bit_count()) < floor_:
-                    bad |= 1 << v
-        refined_masks.append(clusters[i].mask & ~bad)
-        removed_masks.append(clusters[i].mask & bad)
-    refined = [VertexSet(g, m) for m in refined_masks]
-    removed = [VertexSet(g, m) for m in removed_masks]
-    targets = {}
-    out = SuperRegularization(refined=refined, removed=removed, pair_targets=targets)
-    for i in range(k):
-        for j in range(i + 1, k):
-            dij = dens[(i, j)]
-            targets[(i, j)] = (2 * eps, dij - (t + 1) * eps)
-    for (i, j), (e2, dt) in targets.items():
-        a, b = refined[i], refined[j]
-        if len(a) == 0 or len(b) == 0:
-            continue
-        out.verdicts[(i, j)] = is_super_regular(
-            g, a, b, e2, max(dt, Fraction(0)), samples=samples, seed=seed)
-    return out
 
 
 # -- partitions and reduced graphs -------------------------------------------

@@ -7,15 +7,27 @@ so the golden and reproducibility tests can compare reports.
 package's SplitMix64 stream.  The stream is counter-based, so they give the
 same values as repeated ``SplitMix64(seed).next_u64()`` and ``.random()``
 calls; criterion 6 and the ``random_gnp`` reference test draw from them.
+
+``make_super_regular`` (with its result, ``SuperRegularization``) and
+``strip_cliques`` build the inputs of two proof steps that ``cfl`` only
+certifies: clusters trimmed toward super-regularity (criterion 9 and the
+regularity tests) and K_k-free inner graphs for the extremal constructions
+(criteria 4 and 5 and the construction tests).  No ``cfl`` kind builds
+either, so they live here.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from cfl.rng import _GOLDEN
+from cfl.graphs import Graph, VertexSet, iter_bits, iter_clique_masks
+from cfl.numbers import exact_fraction
+from cfl.regularity import SuperRegularVerdict, is_super_regular, pair_density
+from cfl.rng import _GOLDEN, SplitMix64
 
 
 def bulk_u64(seed: int, count: int, start: int = 0) -> np.ndarray:
@@ -40,3 +52,92 @@ def strip_timings(report: Mapping) -> Dict:
     out = dict(report)
     out.pop("timings", None)
     return out
+
+
+@dataclass
+class SuperRegularization:
+    """Result of trimming clusters toward super-regularity: the refined
+    subsets, what was removed, the per-pair targets actually realized, and
+    (when requested) re-certification verdicts instead of trust."""
+    refined: List[VertexSet]
+    removed: List[VertexSet]
+    pair_targets: Dict[Tuple[int, int], Tuple[Fraction, Fraction]]
+    verdicts: Dict[Tuple[int, int], SuperRegularVerdict] = field(default_factory=dict)
+
+    @property
+    def all_ok(self) -> bool:
+        return all(v.ok for v in self.verdicts.values())
+
+
+def make_super_regular(g: Graph, clusters: Sequence[VertexSet], epsilon,
+                       samples: int = 10_000, seed: int = 0
+                       ) -> SuperRegularization:
+    """Trim each cluster by its low-cross-degree vertices so every pair
+    becomes (2 eps, d_ij - (t+1) eps)-super-regular, d_ij the original pair
+    density and t+1 the number of clusters.
+
+    Requires t < 1/(2 eps).  Callers assert pairwise eps-regularity of the
+    input; realized super-regularity is re-certified here (exhaustive when
+    sizes permit, sampled otherwise), not trusted.
+    """
+    eps = exact_fraction(epsilon)
+    t = len(clusters) - 1
+    if t < 1:
+        raise ValueError("need at least two clusters")
+    if not 2 * eps * t < 1:
+        raise ValueError(f"precondition t < 1/(2 eps) violated: t={t}, eps={eps}")
+    k = len(clusters)
+    dens: Dict[Tuple[int, int], Fraction] = {}
+    for i in range(k):
+        for j in range(i + 1, k):
+            dens[(i, j)] = pair_density(g, clusters[i], clusters[j])
+    refined_masks = []
+    removed_masks = []
+    for i in range(k):
+        bad = 0
+        for j in range(k):
+            if i == j:
+                continue
+            dij = dens[(min(i, j), max(i, j))]
+            floor_ = (dij - eps) * len(clusters[j])
+            for v in clusters[i]:
+                if Fraction((g.adj[v] & clusters[j].mask).bit_count()) < floor_:
+                    bad |= 1 << v
+        refined_masks.append(clusters[i].mask & ~bad)
+        removed_masks.append(clusters[i].mask & bad)
+    refined = [VertexSet(g, m) for m in refined_masks]
+    removed = [VertexSet(g, m) for m in removed_masks]
+    targets = {}
+    out = SuperRegularization(refined=refined, removed=removed, pair_targets=targets)
+    for i in range(k):
+        for j in range(i + 1, k):
+            dij = dens[(i, j)]
+            targets[(i, j)] = (2 * eps, dij - (t + 1) * eps)
+    for (i, j), (e2, dt) in targets.items():
+        a, b = refined[i], refined[j]
+        if len(a) == 0 or len(b) == 0:
+            continue
+        out.verdicts[(i, j)] = is_super_regular(
+            g, a, b, e2, max(dt, Fraction(0)), samples=samples, seed=seed)
+    return out
+
+
+def strip_cliques(g: Graph, k: int, seed: int = 0) -> Graph:
+    """Delete one random edge from the first k-clique until none remain.
+    Deterministic per seed; handy for manufacturing certified K_k-free
+    inner graphs."""
+    rng = SplitMix64(seed)
+    current = g
+    while True:
+        clique = None
+        for m in iter_clique_masks(current, k):
+            clique = m
+            break
+        if clique is None:
+            return current
+        verts = list(iter_bits(clique))
+        pairs = [(verts[i], verts[j]) for i in range(len(verts))
+                 for j in range(i + 1, len(verts))]
+        drop = pairs[rng.randrange(len(pairs))]
+        edges = [e for e in current.edges() if e != drop]
+        current = Graph(current.n, edges)

@@ -20,7 +20,7 @@ from cfl.invariants import _graph_from_pair_mask, alpha_ell_exact, rtt_oracle
 from cfl.rng import SplitMix64, derive_seed
 
 from conftest import naive_alpha, naive_has_factor, naive_max_tiling_count
-from support import bulk_random
+from support import bulk_random, make_super_regular, strip_cliques
 from test_bounds import brute_delta
 from test_regularity import definitional_regular
 
@@ -111,7 +111,7 @@ def test_criterion_04_lower_bound_tiling_ceiling():
         if max_x1 < 2:
             continue
         x1 = 1 + rng.randrange(max_x1 - 1)
-        inner = constructions.strip_cliques(
+        inner = strip_cliques(
             random_gnp(n - x1, 0.45, rng.next_u64()), ell + 1, seed=built)
         s = constructions.LowerBoundSpec.with_clique_size(n, r, ell, x1, inner)
         b = constructions.build_lower_bound_graph(s)
@@ -140,7 +140,7 @@ def test_criterion_05_cover_threshold_hub_never_covered():
         size = s.neighborhood_size
         if size < 1 or s.clique_size < 1:
             continue
-        inner = constructions.strip_cliques(
+        inner = strip_cliques(
             random_gnp(size, 0.5, rng.next_u64()), r - 1, seed=built)
         spec = constructions.CoverThresholdSpec(n, r, x, inner)
         b = constructions.build_cover_threshold_graph(spec)
@@ -317,7 +317,7 @@ def test_criterion_09_regularity_ground_truth():
     gp = Graph(size * kcl, edges)
     clusters = [VertexSet.of(gp, range(i * size, (i + 1) * size))
                 for i in range(kcl)]
-    out = regularity.make_super_regular(gp, clusters, Fraction(1, 10))
+    out = make_super_regular(gp, clusters, Fraction(1, 10))
     planted_ok = out.all_ok and all(
         sorted(out.removed[i].vertices()) == [i * size] for i in range(kcl))
 

@@ -211,6 +211,8 @@ def test_cover_user_errors_exit_two(tmp_path, capsys, key, value, field):
     ("bounds", "formula = janson\na_size = 5\nell = 0\np = 0.5\n",
      "[bounds] ell"),
     ("bounds", "formula = fkg\nn = 2\nell = -2\np = 0.5\n", "[bounds] ell"),
+    # n = -5 once reported lower_bound 1.0 with exit 0
+    ("bounds", "formula = fkg\nn = -5\nell = 2\np = 0.5\n", "[bounds] n"),
     ("bounds", "formula = drc-condition\nn = 0\navg_degree = 1\nt = 1\nr = 1\n"
      "m = 1\na = 0\n", "[bounds] n"),
     ("bounds", "formula = drc-condition\nn = 5\navg_degree = -1\nt = 1\nr = 1\n"
@@ -440,6 +442,36 @@ def test_out_naming_a_file_is_an_input_error(tmp_path, capsys, command):
 def test_config_naming_a_directory_is_an_input_error(tmp_path, capsys):
     assert run_cli(["alpha", "--config", str(tmp_path)]) == 3
     assert str(tmp_path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, command", [
+    ("[run]\nkind = alpha\n[alpha]\ngraph = {path}\nell = 2\n", ["alpha"]),
+    ("[run]\nkind = regcheck\n[regcheck]\ngraph = petersen\n"
+     "partition = {path}\nepsilon = 1/4\nd = 0\n", ["regcheck"]),
+    (None, ["graph", "convert", "--from", "edgelist", "--to", "graph6",
+            "--in", "{path}"]),
+], ids=["graph", "partition", "convert"])
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, body,
+                                                    command):
+    # a graph file and convert --in ended in UnicodeDecodeError with a
+    # traceback and exit 1; a partition file already exited 3, because
+    # regcheck catches ValueError around the read
+    path = tmp_path / "latin.el"
+    path.write_bytes(b"\xff\xfe0 1\n")
+    args = [a.replace("{path}", str(path)) for a in command]
+    if body is not None:
+        args += ["--config", write(tmp_path / "u.ini",
+                                   body.replace("{path}", str(path)))]
+    assert run_cli(args) == 3
+    assert f"input error: cannot read {path}" in capsys.readouterr().err
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin.ini"
+    cfg.write_bytes(b"[run]\nkind = alpha\n# \xff\n[alpha]\ngraph = c5\n"
+                    b"ell = 2\n")
+    assert run_cli(["alpha", "--config", str(cfg)]) == 2
+    assert "config error: (file): not UTF-8 text" in capsys.readouterr().err
 
 
 def test_report_reproducible_modulo_timings(tmp_path, capsys):

@@ -9,14 +9,15 @@ from cfl.constructions import (ConstructionError, ConstructionInvariantError,
                                CoverThresholdSpec, LowerBoundSpec,
                                build_cover_threshold_graph,
                                build_lower_bound_graph, graph_from_spec,
-                               sample_sparse_klfree, sparse_gamma_limit,
-                               strip_cliques)
+                               sample_sparse_klfree, sparse_gamma_limit)
 from cfl.graphs import (VertexSet, complete_graph, cycle_graph, empty_graph,
                         has_clique, iter_clique_masks, petersen_graph,
                         random_gnp)
 from cfl.invariants import alpha_ell_exact, has_clique_cover
 from cfl.tiling import max_tiling
 from cfl.rng import SplitMix64
+
+from support import strip_cliques
 
 
 # -- lower-bound family --------------------------------------------------------

@@ -9,7 +9,7 @@ from cfl import embedding
 from cfl.bounds import drc_condition
 from cfl.graphs import (Graph, VertexSet, complete_multipartite, empty_graph,
                         iter_clique_masks, random_gnp)
-from cfl.embedding import (EmbedConfig, SearchCapExceeded, drc_select,
+from cfl.embedding import (SearchCapExceeded, drc_select,
                            embed_clique_in_tuple, multipartite_clique_search)
 from cfl.invariants import alpha_ell_exact
 from cfl.reports import jsonable
@@ -119,7 +119,7 @@ def reference_attempt(seen):
     place of ``embedding._drc_attempt`` and ignores the level-0 summary that
     the real pass gets; ``seen`` collects which cut cases it met."""
 
-    def attempt(g, classes, _level0, p, m, seed, config, note):
+    def attempt(g, classes, _level0, p, m, seed, note, *, s):
         q = len(classes)
         full = transversal_cliques(g, classes)
         level = full[:embedding.HYPERGRAPH_CAP]
@@ -147,7 +147,7 @@ def reference_attempt(seen):
             rng = SplitMix64(derive_seed(derive_seed(seed, "step", step),
                                          "hdrc-sample"))
             kept = None
-            for _ in range(config.s):
+            for _ in range(s):
                 w = first[rng.randrange(len(first))]
                 if step == 1 and partial is not None:
                     seen.add(f"partial head sampled: {w == partial}")
@@ -160,7 +160,7 @@ def reference_attempt(seen):
                 return None
         edge_sets = [set(level) for level in levels]
         target, witness = classes[q - 2], classes[q - 1]
-        drc = drc_select(Graph(g.n, levels[-1]), target, witness, t=config.s,
+        drc = drc_select(Graph(g.n, levels[-1]), target, witness, t=s,
                          r=max(2, p), m=m, seed=derive_seed(seed, "select"),
                          max_trials=1)
         note["selected"] = len(drc.selected)
@@ -218,13 +218,12 @@ def test_the_cascade_matches_a_materialising_reference(monkeypatch, q):
         for cap in caps:
             monkeypatch.setattr(embedding, "HYPERGRAPH_CAP", cap)
             for p, embed_seed in product((1, 2), range(2)):
-                config = EmbedConfig(s=1 + (graph_seed + embed_seed) % 3,
-                                     trials=3)
-                args = (g, cls, p, graph_seed % 3, embed_seed, config)
-                got = jsonable(embed_clique_in_tuple(*args))
+                args = (g, cls, p, graph_seed % 3, embed_seed)
+                kwargs = {"s": 1 + (graph_seed + embed_seed) % 3, "trials": 3}
+                got = jsonable(embed_clique_in_tuple(*args, **kwargs))
                 with monkeypatch.context() as m:
                     m.setattr(embedding, "_drc_attempt", reference_attempt(seen))
-                    want = jsonable(embed_clique_in_tuple(*args))
+                    want = jsonable(embed_clique_in_tuple(*args, **kwargs))
                 assert got == want, (graph_seed, cap, p, embed_seed)
                 instances += 1
                 drc_paths += got["path"] == "drc"
@@ -307,7 +306,7 @@ def test_zero_trials_skip_the_level0_count(monkeypatch):
     monkeypatch.setattr(embedding, "_count_transversal_cliques", refuse)
     g = complete_multipartite([3, 3, 3])
     res = embed_clique_in_tuple(g, hyper_classes(g, [3, 3, 3]), p=1,
-                                alpha_bound=0, config=EmbedConfig(trials=0))
+                                alpha_bound=0, trials=0)
     assert res.success and res.path == "fallback" and res.telemetry == []
 
 
@@ -351,7 +350,7 @@ def test_embed_fallback_cap_is_recorded():
         multipartite_clique_search(g, cls, 1, node_cap=2)
     assert multipartite_clique_search(g, cls, 1) is None
     res = embed_clique_in_tuple(g, cls, p=1, alpha_bound=3, seed=0,
-                                config=EmbedConfig(fallback_node_cap=2))
+                                fallback_node_cap=2)
     assert not res.success and res.path == "none"
     assert res.telemetry[-1] == {"fallback": "cap"}
 
@@ -373,7 +372,7 @@ def test_embed_fallback_on_tiny_structured_instance():
     g = Graph(4, edges)
     cls = [VertexSet.of(g, [0, 1]), VertexSet.of(g, [2, 3])]
     res = embed_clique_in_tuple(g, cls, p=2, alpha_bound=1, seed=0,
-                                config=EmbedConfig(trials=2))
+                                trials=2)
     assert res.success and res.path in ("drc", "fallback")
     assert res.vertices.mask == 0b1111
 
@@ -397,7 +396,7 @@ def test_embed_input_validation():
         embed_clique_in_tuple(g, [cls[0], cls[0]], p=1, alpha_bound=0)
     with pytest.raises(ValueError):
         embed_clique_in_tuple(g, cls, p=1, alpha_bound=0,
-                              config=EmbedConfig(s=0))
+                              s=0)
 
 
 def test_multipartite_search_finds_lexicographic_min():

@@ -1,4 +1,4 @@
-"""Every definition in ``src/cfl`` is reached from the ``cfl`` command line.
+"""Every definition in ``src/cfl`` is reached from ``cli.main`` or a handler.
 
 The walk reads the package's source with ``ast`` and never imports it.  It
 starts at ``cli.main``, at each handler named in ``cli.HANDLERS`` and at
@@ -11,10 +11,9 @@ what runs, so the walk can miss dead code that shares a name with live
 code, but it never reports code that a kind calls.
 
 A top-level definition or method that the walk does not reach fails the
-test unless ``ALLOWED`` names it with the reason it stays.  An allowed
-class keeps its methods, and whatever an allowed definition uses is kept
-with it.  An entry the walk reaches anyway, or that no longer exists, also
-fails, so the list cannot go stale.
+test; there is no allowlist.  Code that only the tests use lives in
+``tests/support.py``, and a second test keeps that move one-way: no module
+of the package imports numpy, pytest, hypothesis or ``support``.
 """
 
 from __future__ import annotations
@@ -27,14 +26,7 @@ import cfl
 
 SRC = os.path.dirname(os.path.abspath(cfl.__file__))
 
-ALLOWED = {
-    "regularity.make_super_regular":
-        "acceptance criterion 9 trims planted clusters toward super-regularity",
-    "regularity.SuperRegularization":
-        "make_super_regular's result; criterion 9 reads its all_ok",
-    "constructions.strip_cliques":
-        "acceptance criteria 4 and 5 build their K_(l+1)-free inner graphs",
-}
+TEST_ONLY = {"numpy", "pytest", "hypothesis", "support"}
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -98,11 +90,8 @@ class _Package:
                 roots += [f"cli.{v.id}" for v in node.value.values]
         return roots
 
-    def reach(self, roots: Iterable[str], whole_classes: Iterable[str] = ()
-              ) -> Set[str]:
-        """The definitions reached from ``roots`` and the module-level code;
-        a class in ``whole_classes`` also reaches all of its methods."""
-        whole = set(whole_classes)
+    def reach(self, roots: Iterable[str]) -> Set[str]:
+        """The definitions reached from ``roots`` and the module-level code."""
         reached: Set[str] = set()
         pending = list(roots)
         used = _names(self.module_code)
@@ -125,19 +114,36 @@ class _Package:
             for sub in node.body:
                 if not isinstance(sub, _FUNCTIONS):
                     used |= _names([sub])
-                elif _is_dunder(sub.name) or qual in whole:
+                elif _is_dunder(sub.name):
                     pending.append(f"{qual}.{sub.name}")
 
 
 def test_every_definition_is_reached_from_the_command_line():
     package = _Package(SRC)
-    from_cli = package.reach(package.handlers())
-    assert not set(ALLOWED) - set(package.defs), "allowed but not defined"
-    assert not set(ALLOWED) & from_cli, "allowed but reached from the cli"
-    kept = package.reach(package.handlers() + sorted(ALLOWED),
-                         whole_classes=ALLOWED)
-    unreached = sorted(set(package.defs) - kept)
+    unreached = sorted(set(package.defs) - package.reach(package.handlers()))
     assert not unreached, f"no cfl kind reaches {', '.join(unreached)}"
+
+
+def _test_only_imports(package: _Package) -> List[str]:
+    """``module: name`` for each import of a ``TEST_ONLY`` module anywhere
+    in the package, function-level imports included."""
+    found = []
+    for module, tree in sorted(package.trees.items()):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{module}: {name}" for name in names
+                      if name.split(".")[0] in TEST_ONLY]
+    return found
+
+
+def test_no_module_imports_test_only_code():
+    found = _test_only_imports(_Package(SRC))
+    assert not found, f"src/cfl imports test-only code: {', '.join(found)}"
 
 
 def _toy(tmp_path, lib: str) -> _Package:
@@ -194,23 +200,13 @@ def test_module_level_code_and_dunder_methods_are_reached(tmp_path):
     assert unreached == {"lib.Idle", "lib.Idle.__len__"}
 
 
-def test_an_allowed_definition_keeps_its_methods_and_what_it_uses(tmp_path):
+def test_the_import_guard_finds_a_test_only_import(tmp_path):
+    # an import inside a function counts, as do ``from`` imports of a
+    # submodule; the package's own relative imports do not
     package = _toy(tmp_path,
-                   "def helper():\n"
-                   "    return 1\n"
-                   "def dead():\n"
-                   "    return 2\n"
+                   "from support import strip_cliques\n"
                    "class Thing:\n"
                    "    def go(self):\n"
-                   "        return 0\n"
-                   "class Kept:\n"
-                   "    def first(self):\n"
-                   "        return helper()\n"
-                   "    def second(self):\n"
+                   "        import numpy.linalg\n"
                    "        return 0\n")
-    handlers = package.handlers()
-    assert set(package.defs) - package.reach(handlers) == {
-        "lib.helper", "lib.dead", "lib.Kept", "lib.Kept.first",
-        "lib.Kept.second"}
-    kept = package.reach(handlers + ["lib.Kept"], whole_classes=["lib.Kept"])
-    assert set(package.defs) - kept == {"lib.dead"}
+    assert _test_only_imports(package) == ["lib: support", "lib: numpy.linalg"]

@@ -9,10 +9,11 @@ from cfl import regularity
 from cfl.graphs import (Graph, VertexSet, complete_multipartite, empty_graph,
                         iter_bits, random_gnp)
 from cfl.regularity import (Partition, PartitionFormatError, WitnessError,
-                            is_regular_pair, is_super_regular,
-                            make_super_regular, pair_density,
+                            is_regular_pair, is_super_regular, pair_density,
                             parse_partition, reduced_graph)
 from cfl.rng import SplitMix64
+
+from support import make_super_regular
 
 
 def definitional_regular(g, x, y, eps: Fraction):
@@ -204,10 +205,10 @@ def test_side_twenty_pair_is_exhaustive_and_finds_a_min_size_violation():
     g = Graph(40, full)
     x, y = split_pair(g, 20, 20)
     v = is_regular_pair(g, x, y, eps)
-    assert v.regular and v.certified
+    assert v.regular and v.mode == "exhaustive"
     g = Graph(40, [(u, w) for u, w in full if u >= 5 or w >= 25])
     v = is_regular_pair(g, x, y, eps)
-    assert v.certified and not v.regular
+    assert v.mode == "exhaustive" and not v.regular
     assert v.regular == definitional_regular(g, x, y, eps)
     assert [s.vertices() for s in v.violation] == [tuple(range(5)),
                                                    tuple(range(20, 25))]
@@ -219,7 +220,7 @@ def test_past_the_work_bound_the_check_samples():
     # the check samples instead of refusing, and says so
     g = empty_graph(80)
     v = is_regular_pair(g, *split_pair(g, 40, 40), Fraction(1, 4), samples=50)
-    assert v.mode == "sampled" and not v.certified
+    assert v.mode == "sampled"
     assert v.regular and v.samples_used == 50
 
 
