@@ -297,9 +297,6 @@ class ReachGadget:
     v: int
     reach_set: VertexSet
     parts: Dict[str, VertexSet]
-    anchor_u: int
-    anchor_v: int
-    shared: int
 
 
 def build_reachable_gadget(r: int) -> ReachGadget:
@@ -319,7 +316,7 @@ def build_reachable_gadget(r: int) -> ReachGadget:
     tail_v = list(range(r + 1, 2 * r))
     left = list(range(2 * r, 3 * r + 1))
     right = list(range(3 * r, 4 * r + 1))
-    anchor_u, shared, anchor_v = 2 * r, 3 * r, 4 * r
+    anchor_u, anchor_v = 2 * r, 4 * r
     edges = set()
 
     def add_clique(vs):
@@ -342,5 +339,4 @@ def build_reachable_gadget(r: int) -> ReachGadget:
         "clique_left": VertexSet.of(g, left),
         "clique_right": VertexSet.of(g, right),
     }
-    return ReachGadget(graph=g, u=u, v=v, reach_set=reach, parts=parts,
-                       anchor_u=anchor_u, anchor_v=anchor_v, shared=shared)
+    return ReachGadget(graph=g, u=u, v=v, reach_set=reach, parts=parts)

@@ -54,10 +54,7 @@ class JansonReport:
     expected_x: float
     delta: float
     log_upper_bound: float        # min(0, -E(X) + Delta/2); bound clamped to 1
-
-    @property
-    def upper_bound(self) -> float:
-        return math.exp(self.log_upper_bound)
+    upper_bound: float            # exp(log_upper_bound)
 
 
 def _delta_terms_log(a_size: int, ell: int, p: float) -> List[float]:
@@ -94,9 +91,10 @@ def janson_bound(a_size: int, ell: int, p: float) -> JansonReport:
     else:
         expected = math.exp(log_binomial(a_size, ell) + epairs * math.log(p))
     delta = math.fsum(math.exp(t) for t in _delta_terms_log(a_size, ell, p))
-    exponent = -expected + delta / 2.0
+    log_ub = min(0.0, -expected + delta / 2.0)
     return JansonReport(a_size=a_size, ell=ell, p=p, expected_x=expected,
-                        delta=delta, log_upper_bound=min(0.0, exponent))
+                        delta=delta, log_upper_bound=log_ub,
+                        upper_bound=math.exp(log_ub))
 
 
 def _delta_denominator_bits(a_size: int, ell: int,
@@ -206,21 +204,13 @@ def komlos_threshold(part_sizes: Sequence[int]) -> Fraction:
 @dataclass
 class DegreeThresholds:
     """The two minimum-degree terms competing in the factor threshold:
-    the tiling term (r-l)/r and the cover term 1/(2 - rho_star)."""
-    n: int
-    r: int
-    ell: int
+    the tiling term (r-l)/r and the cover term 1/(2 - rho_star); the
+    threshold is the larger, and ``scaled`` is the threshold times n."""
     rho_star: Fraction
     tiling_term: Fraction
     cover_term: Fraction
-
-    @property
-    def threshold(self) -> Fraction:
-        return max(self.tiling_term, self.cover_term)
-
-    @property
-    def scaled(self) -> Fraction:
-        return self.threshold * self.n
+    threshold: Fraction
+    scaled: Fraction
 
 
 def degree_thresholds(n: int, r: int, ell: int, rho_star) -> DegreeThresholds:
@@ -229,11 +219,12 @@ def degree_thresholds(n: int, r: int, ell: int, rho_star) -> DegreeThresholds:
     rho = rho_star if isinstance(rho_star, Fraction) else Fraction(rho_star)
     if not 0 <= rho < 1:
         raise ValueError(f"rho_star={rho} outside [0, 1)")
-    return DegreeThresholds(
-        n=n, r=r, ell=ell, rho_star=rho,
-        tiling_term=Fraction(r - ell, r),
-        cover_term=Fraction(1) / (2 - rho),
-    )
+    tiling_term = Fraction(r - ell, r)
+    cover_term = Fraction(1) / (2 - rho)
+    threshold = max(tiling_term, cover_term)
+    return DegreeThresholds(rho_star=rho, tiling_term=tiling_term,
+                            cover_term=cover_term, threshold=threshold,
+                            scaled=threshold * n)
 
 
 def alpha_profile(n: int, r: int, ell: int, c: float) -> float:

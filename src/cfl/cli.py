@@ -53,7 +53,7 @@ class InputError(Exception):
 
 def _read_file(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
@@ -203,14 +203,10 @@ def run_construct(cfg, seed, node_cap, outdir):
         # eta and clique_size both set |X1|; a refusal of either names the
         # one the config gave
         x1_key = "clique_size" if cfg.has(section, "clique_size") else "eta"
-        if x1_key == "clique_size":
-            spec = constructions.LowerBoundSpec.with_clique_size(
-                n, r, ell, cfg.get_int(section, "clique_size"), inner)
-        else:
-            spec = constructions.LowerBoundSpec(
-                n, r, ell, cfg.get_fraction(section, "eta"), inner)
+        eta = (Fraction(cfg.get_int(section, "clique_size"), n)
+               if x1_key == "clique_size" else cfg.get_fraction(section, "eta"))
         try:
-            build = constructions.build_lower_bound_graph(spec)
+            build = constructions.build_lower_bound_graph(n, r, ell, eta, inner)
         except constructions.ConstructionError as exc:
             key = x1_key if exc.key in ("eta", "clique_size") else exc.key
             raise ConfigError(f"[construct] {key}", str(exc)) from exc
@@ -220,10 +216,9 @@ def run_construct(cfg, seed, node_cap, outdir):
         n = _int_at_least(cfg, section, "n", 1)
         r = _int_at_least(cfg, section, "r", 2)
         inner = load_graph(cfg, section, "inner", seed=seed)
-        spec = constructions.CoverThresholdSpec(
-            n, r, cfg.get_fraction(section, "x"), inner)
+        x = cfg.get_fraction(section, "x")
         try:
-            build = constructions.build_cover_threshold_graph(spec)
+            build = constructions.build_cover_threshold_graph(n, r, x, inner)
         except constructions.ConstructionError as exc:
             raise ConfigError(f"[construct] {exc.key}", str(exc)) from exc
         result = {"family": family, **vars(build)}
@@ -240,7 +235,7 @@ def run_construct(cfg, seed, node_cap, outdir):
         tries = _int_at_least(cfg, section, "max_tries", 1, default=20)
         sample = constructions.sample_sparse_klfree(n, ell, gamma, seed,
                                                     max_tries=tries)
-        result = {"family": family, "accepted": sample.accepted, **vars(sample)}
+        result = {"family": family, **vars(sample)}
         flags["accepted"] = sample.accepted
         built = sample.graph
     elif family == "spec":
@@ -377,9 +372,7 @@ def run_absorb(cfg, seed, node_cap, outdir):
         gad = absorption.build_reachable_gadget(r)
         cert = absorption.certify_reachable(gad.graph, gad.u, gad.v,
                                             gad.reach_set, r)
-        result = {"task": task, "r": r, "graph": gad.graph,
-                  "u": gad.u, "v": gad.v, "reach_set": gad.reach_set,
-                  "parts": gad.parts, "certified": cert is not None,
+        result = {"task": task, "r": r, **vars(gad), "certified": cert is not None,
                   "factor_u": cert.factor_u.members if cert else None,
                   "factor_v": cert.factor_v.members if cert else None}
         return result, {"cap_hit": False}
@@ -474,10 +467,7 @@ def run_thresholds(cfg, seed, node_cap, outdir):
         if not 0 <= rho < 1:
             raise ConfigError("[thresholds] rho_star",
                               f"expected a rational in [0, 1), got {rho}")
-        dt = bounds.degree_thresholds(n, r, ell, rho)
-        result["degree_thresholds"] = {
-            "tiling_term": dt.tiling_term, "cover_term": dt.cover_term,
-            "threshold": dt.threshold, "scaled": dt.scaled, "rho_star": rho}
+        result["degree_thresholds"] = bounds.degree_thresholds(n, r, ell, rho)
         if cfg.has("thresholds", "profile_c"):
             c = cfg.get_float("thresholds", "profile_c")
             npts = cfg.get_int("thresholds", "profile_n", n if n > 1 else 100)
@@ -543,8 +533,7 @@ def run_bounds(cfg, seed, node_cap, outdir):
         except ValueError as exc:   # past Python's int-to-str digit limit
             raise ConfigError("[bounds] a_size", f"the exact Delta at {where} "
                               "has too many digits for a report") from exc
-        result = {"formula": formula, **vars(rep), "upper_bound": rep.upper_bound,
-                  "delta_exact": delta_exact}
+        result = {"formula": formula, **vars(rep), "delta_exact": delta_exact}
     elif formula == "drc-condition":
         n = _int_at_least(cfg, "bounds", "n", 1)
         d = nonnegative("avg_degree")

@@ -51,7 +51,7 @@ class Config:
 
     @classmethod
     def from_path(cls, path: str) -> "Config":
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             try:
                 text = fh.read()
             except UnicodeDecodeError as exc:
@@ -118,10 +118,7 @@ class Config:
         except ValueError:
             raise ConfigError(f"[{section}] {key}", f"expected integer, got {raw!r}")
 
-    def get_float(self, section: str, key: str,
-                  default: Optional[float] = None) -> float:
-        if default is not None and not self.has(section, key):
-            return default
+    def get_float(self, section: str, key: str) -> float:
         raw = self._raw(section, key)
         try:
             value = float(raw)

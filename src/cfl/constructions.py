@@ -27,12 +27,12 @@ from typing import List, Optional
 from . import graphs as gr
 from .graphs import Graph, VertexSet, has_clique
 from .invariants import alpha_ell_exact, has_clique_cover
-from .numbers import exact_fraction as _as_fraction, round_half_up
+from .numbers import round_half_up
 from .rng import derive_seed
 
 
 class ConstructionError(ValueError):
-    """A spec the builder refuses; ``key`` names the spec field at fault
+    """Parameters a builder refuses; ``key`` names the parameter at fault
     (None for a graph spec string)."""
 
     def __init__(self, message: str, key: Optional[str] = None):
@@ -42,56 +42,10 @@ class ConstructionError(ValueError):
 
 class ConstructionInvariantError(RuntimeError):
     """A built graph failed its post-assembly re-certification (a builder
-    defect, never a property of a validated spec)."""
+    defect, never a property of accepted parameters)."""
 
 
 # -- lower-bound family ----------------------------------------------------
-
-
-@dataclass
-class LowerBoundSpec:
-    """Parameters of one lower-bound graph.
-
-    ``eta`` in (0, (r-l)/r) fixes |X1| = round(eta*n); the inner graph must
-    have exactly n - |X1| vertices and no K_{l+1}.
-    """
-    n: int
-    r: int
-    ell: int
-    eta: Fraction
-    inner: Graph
-
-    def __post_init__(self):
-        self.eta = _as_fraction(self.eta)
-
-    @property
-    def clique_size(self) -> int:
-        return round_half_up(self.eta * self.n)
-
-    @classmethod
-    def with_clique_size(cls, n: int, r: int, ell: int, clique_size: int,
-                         inner: Graph) -> "LowerBoundSpec":
-        return cls(n=n, r=r, ell=ell, eta=Fraction(clique_size, n), inner=inner)
-
-    def validate(self) -> None:
-        if not self.r > self.ell >= 2:
-            raise ConstructionError(f"need r > ell >= 2, got r={self.r}, ell={self.ell}",
-                                    "r")
-        if not 0 < self.eta < Fraction(self.r - self.ell, self.r):
-            raise ConstructionError(
-                f"eta={self.eta} outside (0, (r-ell)/r = {Fraction(self.r - self.ell, self.r)})",
-                "eta")
-        x1 = self.clique_size
-        if x1 < 1:
-            raise ConstructionError("clique part X1 must have at least one vertex",
-                                    "clique_size")
-        if self.inner.n != self.n - x1:
-            raise ConstructionError(
-                f"inner graph has {self.inner.n} vertices, expected {self.n - x1}",
-                "inner")
-        if has_clique(self.inner, self.ell + 1):
-            raise ConstructionError(f"inner graph contains a K_{self.ell + 1}",
-                                    "inner")
 
 
 @dataclass
@@ -105,37 +59,52 @@ class LowerBoundBuild:
     alpha_audit: Optional[dict] = None
 
 
-def build_lower_bound_graph(spec: LowerBoundSpec) -> LowerBoundBuild:
+def build_lower_bound_graph(n: int, r: int, ell: int, eta: Fraction,
+                            inner: Graph) -> LowerBoundBuild:
     """Assemble clique + complete join + inner graph; certify the inner graph.
 
-    X1 occupies vertices 0..|X1|-1, the inner graph sits on the rest in
-    order.  For n <= 32 the l-independence bound (ell-1) + alpha_ell(inner)
-    is audited against the exact solver.
+    ``eta`` in (0, (r-l)/r) fixes |X1| = round(eta*n); the inner graph must
+    have exactly n - |X1| vertices and no K_{l+1}.  X1 occupies vertices
+    0..|X1|-1, the inner graph sits on the rest in order.  For n <= 32 the
+    l-independence bound (ell-1) + alpha_ell(inner) is audited against the
+    exact solver.
     """
-    spec.validate()
-    x1 = spec.clique_size
-    edges = [(u, v) for u in range(x1) for v in range(u + 1, spec.n)]
+    if not r > ell >= 2:
+        raise ConstructionError(f"need r > ell >= 2, got r={r}, ell={ell}", "r")
+    r_minus_l = r - ell
+    if not 0 < eta < Fraction(r_minus_l, r):
+        raise ConstructionError(
+            f"eta={eta} outside (0, (r-ell)/r = {Fraction(r_minus_l, r)})", "eta")
+    x1 = round_half_up(eta * n)
+    if x1 < 1:
+        raise ConstructionError("clique part X1 must have at least one vertex",
+                                "clique_size")
+    if inner.n != n - x1:
+        raise ConstructionError(
+            f"inner graph has {inner.n} vertices, expected {n - x1}", "inner")
+    if has_clique(inner, ell + 1):
+        raise ConstructionError(f"inner graph contains a K_{ell + 1}", "inner")
+    edges = [(u, v) for u in range(x1) for v in range(u + 1, n)]
     # inner edges shifted onto X2
-    for u, v in spec.inner.edges():
+    for u, v in inner.edges():
         edges.append((x1 + u, x1 + v))
-    g = Graph(spec.n, edges)
-    r_minus_l = spec.r - spec.ell
-    mu = Fraction(spec.r, r_minus_l) * (Fraction(r_minus_l, spec.r) - spec.eta)
+    g = Graph(n, edges)
+    mu = Fraction(r, r_minus_l) * (Fraction(r_minus_l, r) - eta)
     build = LowerBoundBuild(
         graph=g,
         clique_part=VertexSet.of(g, range(x1)),
-        inner_part=VertexSet.of(g, range(x1, spec.n)),
+        inner_part=VertexSet.of(g, range(x1, n)),
         min_degree=g.min_degree(),
         tiling_size_limit=Fraction(x1, r_minus_l),
         nominal_uncovered_fraction=mu,
     )
-    if spec.n <= 32:
-        whole = alpha_ell_exact(g, spec.ell)
-        inner = alpha_ell_exact(spec.inner, spec.ell)
-        bound = spec.ell - 1 + inner.value
+    if n <= 32:
+        whole = alpha_ell_exact(g, ell)
+        inner_alpha = alpha_ell_exact(inner, ell)
+        bound = ell - 1 + inner_alpha.value
         build.alpha_audit = {
             "alpha": whole.value,
-            "alpha_inner": inner.value,
+            "alpha_inner": inner_alpha.value,
             "bound": bound,
             "holds": whole.value <= bound,
         }
@@ -143,45 +112,6 @@ def build_lower_bound_graph(spec: LowerBoundSpec) -> LowerBoundBuild:
 
 
 # -- cover-threshold family --------------------------------------------------
-
-
-@dataclass
-class CoverThresholdSpec:
-    """Hub vertex with neighborhood size round(x*n) carrying a K_{r-1}-free
-    inner graph; a clique of size n - round(x*n) - 1 completes the picture."""
-    n: int
-    r: int
-    x: Fraction
-    inner: Graph
-
-    def __post_init__(self):
-        self.x = _as_fraction(self.x)
-
-    @property
-    def neighborhood_size(self) -> int:
-        return round_half_up(self.x * self.n)
-
-    @property
-    def clique_size(self) -> int:
-        return self.n - self.neighborhood_size - 1
-
-    def validate(self) -> None:
-        if self.r < 2:
-            raise ConstructionError("r must be >= 2", "r")
-        if not 0 < self.x < 1:
-            raise ConstructionError(f"x={self.x} outside (0, 1)", "x")
-        s = self.neighborhood_size
-        if s < 1:
-            raise ConstructionError("hub neighborhood must be nonempty", "x")
-        if self.clique_size < 1:
-            raise ConstructionError("clique part must have at least one vertex",
-                                    "x")
-        if self.inner.n != s:
-            raise ConstructionError(
-                f"inner graph has {self.inner.n} vertices, expected {s}", "inner")
-        if has_clique(self.inner, self.r - 1):
-            raise ConstructionError(f"inner graph contains a K_{self.r - 1}",
-                                    "inner")
 
 
 @dataclass
@@ -194,30 +124,44 @@ class CoverThresholdBuild:
     degree_breakdown: dict
 
 
-def build_cover_threshold_graph(spec: CoverThresholdSpec) -> CoverThresholdBuild:
-    """Hub = vertex 0; neighborhood = 1..s (inner graph); clique = the rest,
+def build_cover_threshold_graph(n: int, r: int, x: Fraction,
+                                inner: Graph) -> CoverThresholdBuild:
+    """Hub = vertex 0; neighborhood = 1..s with s = round(x*n), carrying the
+    K_{r-1}-free inner graph; clique = the other n - s - 1 vertices,
     complete to the neighborhood, with no edge to the hub.
 
     The "no K_r covers the hub" property is re-certified after assembly.
     """
-    spec.validate()
-    s = spec.neighborhood_size
+    if r < 2:
+        raise ConstructionError("r must be >= 2", "r")
+    if not 0 < x < 1:
+        raise ConstructionError(f"x={x} outside (0, 1)", "x")
+    s = round_half_up(x * n)
+    if s < 1:
+        raise ConstructionError("hub neighborhood must be nonempty", "x")
+    if n - s - 1 < 1:
+        raise ConstructionError("clique part must have at least one vertex", "x")
+    if inner.n != s:
+        raise ConstructionError(
+            f"inner graph has {inner.n} vertices, expected {s}", "inner")
+    if has_clique(inner, r - 1):
+        raise ConstructionError(f"inner graph contains a K_{r - 1}", "inner")
     edges = [(0, 1 + i) for i in range(s)]
-    for u, v in spec.inner.edges():
+    for u, v in inner.edges():
         edges.append((1 + u, 1 + v))
     clique_lo = 1 + s
-    for u in range(clique_lo, spec.n):
+    for u in range(clique_lo, n):
         for v in range(1, s + 1):
             edges.append((v, u))
-        for v in range(u + 1, spec.n):
+        for v in range(u + 1, n):
             edges.append((u, v))
-    g = Graph(spec.n, edges)
-    if has_clique_cover(g, 0, spec.r) is not None:
+    g = Graph(n, edges)
+    if has_clique_cover(g, 0, r) is not None:
         raise ConstructionInvariantError(
             "construction invariant broken: hub is covered")
     hub_deg = g.degree(0)
     nb = VertexSet.of(g, range(1, s + 1))
-    cl = VertexSet.of(g, range(clique_lo, spec.n))
+    cl = VertexSet.of(g, range(clique_lo, n))
     breakdown = {
         "hub": hub_deg,
         "neighborhood_min": min(g.degree(v) for v in nb),
@@ -241,15 +185,12 @@ class SparseAttempt:
 
 @dataclass
 class SparseSample:
+    accepted: bool
     graph: Optional[Graph]
     p: float
     exponent: float
     alpha_target: int
     attempts: List[SparseAttempt]
-
-    @property
-    def accepted(self) -> bool:
-        return self.graph is not None
 
 
 def sparse_gamma_limit(ell: int) -> Fraction:
@@ -290,8 +231,8 @@ def sample_sparse_klfree(n: int, ell: int, gamma: float, seed: int,
                                           alpha=a.value))
             continue
         attempts.append(SparseAttempt(i, attempt_seed, "accepted", alpha=a.value))
-        return SparseSample(g, p, exponent, alpha_target, attempts)
-    return SparseSample(None, p, exponent, alpha_target, attempts)
+        return SparseSample(True, g, p, exponent, alpha_target, attempts)
+    return SparseSample(False, None, p, exponent, alpha_target, attempts)
 
 
 def _spec_args(spec: str, arg: str, required: int) -> List[str]:

@@ -70,8 +70,7 @@ def _certify_scan(g: Graph, umask: int, witness_mask: int, r: int, m: int
 
     def rec(start: int, chosen_mask: int, common: int, depth: int) -> Optional[int]:
         if depth == r:
-            if (common & witness_mask).bit_count() < m:
-                return chosen_mask
+            # the full r-subset already passed the floor test as a prefix
             return None
         for i in range(start, nv - (r - depth) + 1):
             v = verts[i]

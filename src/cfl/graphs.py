@@ -438,9 +438,6 @@ def iter_clique_masks(g: Graph, k: int, within: Optional[int] = None) -> Iterato
     adj = g.adj
 
     def extend(clique_mask: int, cand: int, depth: int) -> Iterator[int]:
-        if depth == k:
-            yield clique_mask
-            return
         rest = cand
         while rest:
             low = rest & -rest

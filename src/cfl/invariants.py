@@ -149,15 +149,13 @@ def alpha_ell_exact(g: Graph, ell: int, node_cap: Optional[int] = None,
                        exact=exact, nodes_explored=nodes, ell=ell)
 
 
-def alpha_ell_greedy(g: Graph, ell: int, seed: int,
-                     within: Optional[VertexSet] = None) -> AlphaResult:
+def alpha_ell_greedy(g: Graph, ell: int, seed: int) -> AlphaResult:
     """Randomized greedy K_ell-free set: one shuffled pass, keep a vertex
     whenever the set stays K_ell-free.  Always a valid lower bound."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
     adj = g.adj
-    universe = g.full_mask() if within is None else within.mask
-    order = list(iter_bits(universe))
+    order = list(range(g.n))
     SplitMix64(seed).shuffle(order)
     chosen = 0
     for v in order:

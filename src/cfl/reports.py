@@ -47,12 +47,9 @@ def jsonable(obj: Any) -> Any:
                 for f in dataclasses.fields(obj) if not f.name.startswith("_")}
     if isinstance(obj, Mapping):
         return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = list(obj)
-        if isinstance(obj, (set, frozenset)):
-            items = sorted(items)
-        return [jsonable(v) for v in items]
-    return str(obj)
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
 def config_hash(flat_config: Mapping[str, str]) -> str:

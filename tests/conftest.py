@@ -84,11 +84,18 @@ def naive_has_factor(g: Graph, r: int) -> bool:
 
 
 def independent_graph6_decode(line: str) -> Tuple[int, List[Tuple[int, int]]]:
-    """From-scratch graph6 decoder (n <= 62): returns (n, sorted edges)."""
+    """From-scratch graph6 decoder (n <= 258047): returns (n, sorted edges).
+
+    n <= 62 takes one header byte; larger n take "~" and three 6-bit
+    digits, most significant first."""
     s = line.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
-    n = ord(s[0]) - 63
+    if s[0] == "~":
+        n = sum((ord(ch) - 63) << shift for ch, shift in zip(s[1:4], (12, 6, 0)))
+        s = s[3:]
+    else:
+        n = ord(s[0]) - 63
     bits = []
     for ch in s[1:]:
         val = ord(ch) - 63

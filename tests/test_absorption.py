@@ -133,18 +133,18 @@ def test_gadget_certifies_with_four_cliques(r):
     # the four structurally named cliques, side u:
     tiles_u = CliqueTiling(r, [
         VertexSet.of(g, [gad.u] + list(gad.parts["tail_u"])),
-        VertexSet.of(g, [x for x in gad.parts["clique_left"] if x != gad.shared]),
-        VertexSet.of(g, [x for x in gad.parts["clique_right"] if x != gad.anchor_v]),
-        VertexSet.of(g, [gad.anchor_v] + list(gad.parts["tail_v"])),
+        VertexSet.of(g, [x for x in gad.parts["clique_left"] if x != 3 * r]),
+        VertexSet.of(g, [x for x in gad.parts["clique_right"] if x != 4 * r]),
+        VertexSet.of(g, [4 * r] + list(gad.parts["tail_v"])),
     ])
     assert verify_tiling(g, tiles_u)
     assert tiles_u.covered_mask == gad.reach_set.mask | (1 << gad.u)
     # side v, mirrored
     tiles_v = CliqueTiling(r, [
         VertexSet.of(g, [gad.v] + list(gad.parts["tail_v"])),
-        VertexSet.of(g, [x for x in gad.parts["clique_right"] if x != gad.shared]),
-        VertexSet.of(g, [x for x in gad.parts["clique_left"] if x != gad.anchor_u]),
-        VertexSet.of(g, [gad.anchor_u] + list(gad.parts["tail_u"])),
+        VertexSet.of(g, [x for x in gad.parts["clique_right"] if x != 3 * r]),
+        VertexSet.of(g, [x for x in gad.parts["clique_left"] if x != 2 * r]),
+        VertexSet.of(g, [2 * r] + list(gad.parts["tail_u"])),
     ])
     assert verify_tiling(g, tiles_v)
     assert tiles_v.covered_mask == gad.reach_set.mask | (1 << gad.v)
@@ -328,9 +328,8 @@ def test_closedness_pair_budget_sampling():
 def test_closedness_on_lower_bound_construction_is_observational():
     # the report is computed and the implied beta recorded; no target value
     # is asserted, only internal consistency
-    from cfl.constructions import LowerBoundSpec, build_lower_bound_graph
-    b = build_lower_bound_graph(
-        LowerBoundSpec.with_clique_size(12, 3, 2, 3, cycle_graph(9)))
+    from cfl.constructions import build_lower_bound_graph
+    b = build_lower_bound_graph(12, 3, 2, Fraction(3, 12), cycle_graph(9))
     g = b.graph
     rep = closedness_report(g, VertexSet(g, g.full_mask()), r=3, t=1,
                             pair_budget=20, seed=1)

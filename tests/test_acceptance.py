@@ -17,6 +17,7 @@ from cfl.graphs import (Graph, VertexSet, complete_multipartite, cycle_graph,
                         empty_graph, random_gnp,
                         random_graph_with_min_degree)
 from cfl.invariants import _graph_from_pair_mask, alpha_ell_exact, rtt_oracle
+from cfl.numbers import round_half_up
 from cfl.rng import SplitMix64, derive_seed
 
 from conftest import naive_alpha, naive_has_factor, naive_max_tiling_count
@@ -94,9 +95,8 @@ def test_criterion_03_min_degree_two_thirds_forces_factor():
 # -- 4: lower-bound construction ceiling ---------------------------------------------
 
 def test_criterion_04_lower_bound_tiling_ceiling():
-    spec = constructions.LowerBoundSpec.with_clique_size(7, 3, 2, 2,
-                                                         cycle_graph(5))
-    build = constructions.build_lower_bound_graph(spec)
+    build = constructions.build_lower_bound_graph(7, 3, 2, Fraction(2, 7),
+                                                  cycle_graph(5))
     res = tiling.max_tiling(build.graph, 3)
     desk_ok = res.optimal and (7 - res.deficiency) <= 6
 
@@ -113,8 +113,8 @@ def test_criterion_04_lower_bound_tiling_ceiling():
         x1 = 1 + rng.randrange(max_x1 - 1)
         inner = strip_cliques(
             random_gnp(n - x1, 0.45, rng.next_u64()), ell + 1, seed=built)
-        s = constructions.LowerBoundSpec.with_clique_size(n, r, ell, x1, inner)
-        b = constructions.build_lower_bound_graph(s)
+        b = constructions.build_lower_bound_graph(n, r, ell, Fraction(x1, n),
+                                                  inner)
         built += 1
         t = tiling.max_tiling(b.graph, r)
         covered = n - t.deficiency
@@ -136,14 +136,12 @@ def test_criterion_05_cover_threshold_hub_never_covered():
         r = 4 + rng.randrange(2)             # 4 or 5
         n = 12 + rng.randrange(9)            # 12..20
         x = Fraction(35 + rng.randrange(26), 100)   # 0.35..0.60
-        s = constructions.CoverThresholdSpec(n, r, x, empty_graph(1))
-        size = s.neighborhood_size
-        if size < 1 or s.clique_size < 1:
+        size = round_half_up(x * n)
+        if size < 1 or n - size - 1 < 1:
             continue
         inner = strip_cliques(
             random_gnp(size, 0.5, rng.next_u64()), r - 1, seed=built)
-        spec = constructions.CoverThresholdSpec(n, r, x, inner)
-        b = constructions.build_cover_threshold_graph(spec)
+        b = constructions.build_cover_threshold_graph(n, r, x, inner)
         built += 1
         if invariants.has_clique_cover(b.graph, b.hub, r) is not None:
             violations += 1
@@ -353,15 +351,16 @@ def test_criterion_10_chi_cr_family_and_degree_thresholds():
 # -- 11: absorption certificates ---------------------------------------------------------------------
 
 def test_criterion_11_absorption_certificates():
-    gad = absorption.build_reachable_gadget(3)
+    r = 3
+    gad = absorption.build_reachable_gadget(r)
     g = gad.graph
     size_ok = len(gad.reach_set) == 11
-    cert = absorption.certify_reachable(g, gad.u, gad.v, gad.reach_set, 3)
-    named = tiling.CliqueTiling(3, [
+    cert = absorption.certify_reachable(g, gad.u, gad.v, gad.reach_set, r)
+    named = tiling.CliqueTiling(r, [
         VertexSet.of(g, [gad.u] + list(gad.parts["tail_u"])),
-        VertexSet.of(g, [x for x in gad.parts["clique_left"] if x != gad.shared]),
-        VertexSet.of(g, [x for x in gad.parts["clique_right"] if x != gad.anchor_v]),
-        VertexSet.of(g, [gad.anchor_v] + list(gad.parts["tail_v"])),
+        VertexSet.of(g, [x for x in gad.parts["clique_left"] if x != 3 * r]),
+        VertexSet.of(g, [x for x in gad.parts["clique_right"] if x != 4 * r]),
+        VertexSet.of(g, [4 * r] + list(gad.parts["tail_v"])),
     ])
     gadget_ok = (size_ok and cert is not None
                  and tiling.verify_tiling(g, named)

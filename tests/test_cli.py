@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 import cfl
 from cfl.cli import main
 from cfl.config import Config, ConfigError
-from cfl.graphs import cycle_graph, format_edgelist, parse_graph, random_gnp
+from cfl.graphs import (cycle_graph, format_edgelist, format_graph6, parse_graph,
+                        random_gnp)
 
 from support import strip_timings
 
@@ -317,6 +318,9 @@ def test_cover_user_errors_exit_two(tmp_path, capsys, key, value, field):
      "inner = cycle:7\n", "[construct] inner: inner graph has 7 vertices"),
     ("construct", "family = cover-threshold\nn = 16\nr = 4\nx = 1/2\n"
      "inner = complete:8\n", "[construct] inner: inner graph contains a K_3"),
+    ("absorb", "task = bogus\nr = 3\ngraph = c5\n",
+     "[absorb] task: expected absorber|reachable|xi|closedness|gadget"),
+    ("thresholds", "", "[thresholds]: nothing to compute"),
 ])
 def test_out_of_range_parameters_exit_two(tmp_path, capsys, kind, body, field):
     body = body.replace("{golden}", GOLDEN)
@@ -464,6 +468,60 @@ def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, body,
                                    body.replace("{path}", str(path)))]
     assert run_cli(args) == 3
     assert f"input error: cannot read {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["construct", "--config", "{cfg}"],
+    ["graph", "convert", "--from", "edgelist", "--to", "graph6", "--in", "{path}"],
+], ids=["config", "convert"])
+def test_a_graph_file_with_a_byte_order_mark_parses(tmp_path, capsys, command):
+    # a UTF-8 byte-order mark is no graph6 byte, so the sniffer must not see it
+    path = tmp_path / "bom.el"
+    path.write_bytes(b"\xef\xbb\xbf" + format_edgelist(cycle_graph(5)).encode())
+    cfg = write(tmp_path / "b.ini", "[run]\nkind = construct\n[construct]\n"
+                                    f"family = spec\ngraph = {path}\n")
+    args = [a.replace("{cfg}", cfg).replace("{path}", str(path)) for a in command]
+    assert run_cli(args) == 0
+    assert format_graph6(cycle_graph(5)) in capsys.readouterr().out
+
+
+def test_a_config_with_a_byte_order_mark_runs(tmp_path, capsys):
+    # the mark must not hide the first section header
+    cfg = tmp_path / "bom.ini"
+    cfg.write_bytes(b"\xef\xbb\xbf[run]\nkind = alpha\n[alpha]\ngraph = c5\n"
+                    b"ell = 2\n")
+    assert run_cli(["alpha", "--config", str(cfg)]) == 0
+    assert read_report(capsys)["result"]["value"] == 2
+
+
+@pytest.mark.parametrize("args, body, code, message", [
+    (["alpha"], "[run]\nkind = alpha\n[alpha]\ngraph = {bad}\nell = 2\n", 3,
+     "input error: {bad}: "),
+    (["alpha"], "kind = alpha\n", 2, "config error: (file): not parseable as INI"),
+    (["scan"], "[run]\nkind = bogus\n[scan]\nparam = run.seed\nvalues = 1\n", 2,
+     "config error: [run] kind: unknown kind 'bogus'"),
+    (["graph", "convert", "--from", "csv", "--to", "graph6", "--in", "{bad}"],
+     None, 2, "config error: --from/--to: formats are"),
+], ids=["malformed-graph-file", "unparseable-ini", "scan-unknown-kind",
+        "convert-from-csv"])
+def test_command_line_errors_exit_with_their_code(tmp_path, capsys, args, body,
+                                                  code, message):
+    bad = write(tmp_path / "bad.el", "3 9\n0 1\n")
+    args = [a.replace("{bad}", bad) for a in args]
+    if body is not None:
+        args += ["--config", write(tmp_path / "e.ini", body.replace("{bad}", bad)),
+                 "--out", str(tmp_path / "out")]
+    assert run_cli(args) == code
+    assert message.replace("{bad}", bad) in capsys.readouterr().err
+
+
+def test_construct_spec_family_reports_its_graph(tmp_path, capsys):
+    cfg = write(tmp_path / "s.ini", "[run]\nkind = construct\n[construct]\n"
+                                    "family = spec\ngraph = petersen\n")
+    assert run_cli(["construct", "--config", cfg]) == 0
+    result = read_report(capsys)["result"]
+    assert result == {"family": "spec", "min_degree": 3, "edges": 15,
+                      "graph": {"n": 10, "graph6": "IheA@GUAo"}}
 
 
 def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):

@@ -1,12 +1,12 @@
 """The extremal family builders and the sparse clique-free sampler."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from cfl import constructions
 from cfl.constructions import (ConstructionError, ConstructionInvariantError,
-                               CoverThresholdSpec, LowerBoundSpec,
                                build_cover_threshold_graph,
                                build_lower_bound_graph, graph_from_spec,
                                sample_sparse_klfree, sparse_gamma_limit)
@@ -23,8 +23,7 @@ from support import strip_cliques
 # -- lower-bound family --------------------------------------------------------
 
 def test_lower_bound_desk_instance():
-    spec = LowerBoundSpec.with_clique_size(7, 3, 2, 2, cycle_graph(5))
-    b = build_lower_bound_graph(spec)
+    b = build_lower_bound_graph(7, 3, 2, Fraction(2, 7), cycle_graph(5))
     assert b.min_degree >= 2
     res = max_tiling(b.graph, 3)
     assert res.optimal
@@ -33,8 +32,7 @@ def test_lower_bound_desk_instance():
 
 
 def test_lower_bound_every_clique_meets_x1():
-    spec = LowerBoundSpec.with_clique_size(12, 4, 2, 2, petersen_graph())
-    b = build_lower_bound_graph(spec)
+    b = build_lower_bound_graph(12, 4, 2, Fraction(2, 12), petersen_graph())
     for c in iter_clique_masks(b.graph, 4):
         assert (c & b.clique_part.mask).bit_count() >= 2   # r - ell
     res = max_tiling(b.graph, 4)
@@ -43,13 +41,13 @@ def test_lower_bound_every_clique_meets_x1():
 
 def test_lower_bound_rejects_bad_specs():
     with pytest.raises(ConstructionError):
-        LowerBoundSpec.with_clique_size(7, 3, 2, 0, cycle_graph(7)).validate()
+        build_lower_bound_graph(7, 3, 2, Fraction(0, 7), cycle_graph(7))
     with pytest.raises(ConstructionError):    # inner has a triangle
-        LowerBoundSpec.with_clique_size(7, 3, 2, 2, complete_graph(5)).validate()
+        build_lower_bound_graph(7, 3, 2, Fraction(2, 7), complete_graph(5))
     with pytest.raises(ConstructionError):    # size mismatch
-        LowerBoundSpec.with_clique_size(7, 3, 2, 2, cycle_graph(4)).validate()
+        build_lower_bound_graph(7, 3, 2, Fraction(2, 7), cycle_graph(4))
     with pytest.raises(ConstructionError):    # eta above (r-ell)/r
-        LowerBoundSpec(6, 3, 2, Fraction(1, 2), cycle_graph(3)).validate()
+        build_lower_bound_graph(6, 3, 2, Fraction(1, 2), cycle_graph(3))
 
 
 def test_lower_bound_seeded_specs_respect_ceiling():
@@ -61,8 +59,7 @@ def test_lower_bound_seeded_specs_respect_ceiling():
         x1 = 1 + rng.randrange(max(1, (n * (r - ell)) // r - 1))
         inner = strip_cliques(random_gnp(n - x1, 0.4, rng.next_u64()), ell + 1,
                               seed=i)
-        spec = LowerBoundSpec.with_clique_size(n, r, ell, x1, inner)
-        b = build_lower_bound_graph(spec)
+        b = build_lower_bound_graph(n, r, ell, Fraction(x1, n), inner)
         assert b.min_degree >= x1 - 1
         res = max_tiling(b.graph, r)
         assert res.optimal
@@ -74,8 +71,7 @@ def test_lower_bound_seeded_specs_respect_ceiling():
 # -- cover-threshold family ------------------------------------------------------
 
 def test_cover_threshold_desk_instance():
-    spec = CoverThresholdSpec(16, 4, Fraction(1, 2), cycle_graph(8))
-    b = build_cover_threshold_graph(spec)
+    b = build_cover_threshold_graph(16, 4, Fraction(1, 2), cycle_graph(8))
     assert has_clique_cover(b.graph, b.hub, 4) is None
     assert b.min_degree == 8
     assert b.degree_breakdown == {"hub": 8, "neighborhood_min": 10,
@@ -83,8 +79,7 @@ def test_cover_threshold_desk_instance():
 
 
 def test_cover_threshold_structure():
-    spec = CoverThresholdSpec(16, 4, Fraction(1, 2), cycle_graph(8))
-    b = build_cover_threshold_graph(spec)
+    b = build_cover_threshold_graph(16, 4, Fraction(1, 2), cycle_graph(8))
     g = b.graph
     for c in b.clique_part:
         assert not g.has_edge(b.hub, c)       # hub isolated from the clique
@@ -95,44 +90,51 @@ def test_cover_threshold_structure():
 
 
 def test_cover_threshold_r3_forces_empty_inner():
-    spec = CoverThresholdSpec(10, 3, Fraction(1, 2), empty_graph(5))
-    b = build_cover_threshold_graph(spec)
+    b = build_cover_threshold_graph(10, 3, Fraction(1, 2), empty_graph(5))
     assert has_clique_cover(b.graph, 0, 3) is None
     with pytest.raises(ConstructionError):    # any edge is a K_2 = K_{r-1}
-        CoverThresholdSpec(10, 3, Fraction(1, 2), cycle_graph(5)).validate()
+        build_cover_threshold_graph(10, 3, Fraction(1, 2), cycle_graph(5))
 
 
 def test_cover_threshold_recheck_raises_without_assert(monkeypatch):
-    spec = CoverThresholdSpec(16, 4, Fraction(1, 2), cycle_graph(8))
     monkeypatch.setattr(constructions, "has_clique_cover",
                         lambda g, v, r: VertexSet(g, 1 << v))
     with pytest.raises(ConstructionInvariantError, match="hub is covered"):
-        build_cover_threshold_graph(spec)
+        build_cover_threshold_graph(16, 4, Fraction(1, 2), cycle_graph(8))
     assert not issubclass(ConstructionInvariantError, AssertionError)
 
 
 def test_cover_threshold_rejects_kr1_inner():
     with pytest.raises(ConstructionError):
-        CoverThresholdSpec(16, 4, Fraction(1, 2),
-                           complete_graph(8)).validate()
+        build_cover_threshold_graph(16, 4, Fraction(1, 2), complete_graph(8))
 
 
 @pytest.mark.parametrize("spec, key", [
-    (LowerBoundSpec.with_clique_size(7, 2, 2, 2, cycle_graph(5)), "r"),
-    (LowerBoundSpec(10, 3, 2, Fraction(9, 10), empty_graph(1)), "eta"),
-    (LowerBoundSpec(4, 3, 2, Fraction(1, 10), empty_graph(4)), "clique_size"),
-    (LowerBoundSpec.with_clique_size(7, 3, 2, 2, cycle_graph(4)), "inner"),
-    (LowerBoundSpec.with_clique_size(7, 3, 2, 2, complete_graph(5)), "inner"),
-    (CoverThresholdSpec(16, 1, Fraction(1, 2), cycle_graph(8)), "r"),
-    (CoverThresholdSpec(16, 4, Fraction(3, 2), cycle_graph(8)), "x"),
-    (CoverThresholdSpec(4, 3, Fraction(1, 10), empty_graph(1)), "x"),
-    (CoverThresholdSpec(4, 3, Fraction(9, 10), empty_graph(4)), "x"),
-    (CoverThresholdSpec(16, 4, Fraction(1, 2), cycle_graph(7)), "inner"),
-    (CoverThresholdSpec(16, 4, Fraction(1, 2), complete_graph(8)), "inner"),
+    (partial(build_lower_bound_graph, 7, 2, 2, Fraction(2, 7), cycle_graph(5)), "r"),
+    (partial(build_lower_bound_graph, 10, 3, 2, Fraction(9, 10), empty_graph(1)),
+     "eta"),
+    (partial(build_lower_bound_graph, 4, 3, 2, Fraction(1, 10), empty_graph(4)),
+     "clique_size"),
+    (partial(build_lower_bound_graph, 7, 3, 2, Fraction(2, 7), cycle_graph(4)),
+     "inner"),
+    (partial(build_lower_bound_graph, 7, 3, 2, Fraction(2, 7), complete_graph(5)),
+     "inner"),
+    (partial(build_cover_threshold_graph, 16, 1, Fraction(1, 2), cycle_graph(8)),
+     "r"),
+    (partial(build_cover_threshold_graph, 16, 4, Fraction(3, 2), cycle_graph(8)),
+     "x"),
+    (partial(build_cover_threshold_graph, 4, 3, Fraction(1, 10), empty_graph(1)),
+     "x"),
+    (partial(build_cover_threshold_graph, 4, 3, Fraction(9, 10), empty_graph(4)),
+     "x"),
+    (partial(build_cover_threshold_graph, 16, 4, Fraction(1, 2), cycle_graph(7)),
+     "inner"),
+    (partial(build_cover_threshold_graph, 16, 4, Fraction(1, 2), complete_graph(8)),
+     "inner"),
 ])
 def test_each_refusal_names_its_spec_field(spec, key):
     with pytest.raises(ConstructionError) as info:
-        spec.validate()
+        spec()
     assert info.value.key == key
 
 

@@ -1,7 +1,7 @@
 """Graph core: formats, generators, clique listing, vertex sets."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cfl.graphs import (DuplicateEdgeError, EdgeSyntaxError,
                         Graph6Error, HeaderError, LoopError,
@@ -80,6 +80,8 @@ def test_graph6_bad_payloads():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 18), st.integers(0, 2**32 - 1))
+@example(63, 1)     # the first n that takes the "~" header
+@example(100, 2)
 def test_graph6_roundtrip(n, seed):
     g = random_gnp(n, 0.4, seed)
     assert parse_graph6(format_graph6(g)) == g

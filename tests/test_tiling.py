@@ -1,9 +1,11 @@
 """Exact tiling solver and factor decisions."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfl.constructions import LowerBoundSpec, build_lower_bound_graph
+from cfl.constructions import build_lower_bound_graph
 from cfl.graphs import (Graph, VertexSet, complete_graph,
                         complete_multipartite, cycle_graph, has_clique,
                         iter_clique_masks, random_gnp)
@@ -217,8 +219,7 @@ def lower_bound_graphs(draw):
     n = draw(st.integers(r + 2, 14))
     x1 = draw(st.integers(1, (n * (r - 2) - 1) // r))   # |X1| / n < (r-2)/r
     inner = draw(triangle_free_graphs(n - x1))
-    spec = LowerBoundSpec.with_clique_size(n, r, 2, x1, inner)
-    return build_lower_bound_graph(spec).graph, r
+    return build_lower_bound_graph(n, r, 2, Fraction(x1, n), inner).graph, r
 
 
 @settings(max_examples=150, deadline=None)
@@ -256,8 +257,7 @@ def test_free_set_bound_node_count_on_criterion_4_instance():
     inner = Graph(11, [(0, 3), (0, 6), (1, 2), (1, 3), (1, 4), (2, 6), (2, 7),
                        (3, 5), (3, 9), (3, 10), (4, 7), (4, 9), (5, 6), (6, 8),
                        (6, 9), (7, 10), (8, 10)])
-    spec = LowerBoundSpec.with_clique_size(20, 4, 2, 9, inner)
-    g = build_lower_bound_graph(spec).graph
+    g = build_lower_bound_graph(20, 4, 2, Fraction(9, 20), inner).graph
     res = max_tiling(g, 4)
     assert res.optimal and len(res.best) == 4
     assert verify_tiling(g, res.best)
