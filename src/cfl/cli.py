@@ -25,11 +25,17 @@ few keys the solver does not know, so report keys are field names.  Each
 handler imports its own solver modules on its first line, so a run loads
 only the solvers its kind uses.  No key picks a certifier's mode: each runs
 exhaustive within its module's size cap, sampled beyond it, and says which.
+
+A process (``python -m cfl.cli`` or the ``cfl`` script) runs ``entry``: it
+exits with ``main``'s code and freezes the heap on the way out, so shutdown's
+full collection has nothing to traverse.  ``main`` never freezes, so callers
+in one process, such as the tests, keep normal cycle collection.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import math
 import os
@@ -739,5 +745,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _user_error(exc)
 
 
+def entry() -> None:
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

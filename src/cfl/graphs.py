@@ -239,6 +239,7 @@ def format_edgelist(g: Graph) -> str:
 
 
 _G6_HEADER = ">>graph6<<"
+_SEXTET_BITS = [f"{b:06b}" for b in range(64)]
 
 
 def parse_graph6(text: str) -> Graph:
@@ -269,17 +270,15 @@ def parse_graph6(text: str) -> Graph:
     if len(data) - pos != need:
         raise Graph6Error(
             f"bit field has {len(data) - pos} sextets, expected {need}", offset=pos)
-    bits = 0
-    for b in data[pos:]:
-        bits = (bits << 6) | b
-    bits >>= (need * 6 - nbits)
+    # bit k of the field, pair (u, v) with k = v(v-1)/2 + u, is field[k]
+    field = "".join([_SEXTET_BITS[b] for b in data[pos:]])
     edges = []
-    k = nbits - 1
     for v in range(1, n):
-        for u in range(v):
-            if bits >> k & 1:
-                edges.append((u, v))
-            k -= 1
+        row = v * (v - 1) // 2
+        u = field.find("1", row, row + v)
+        while u >= 0:
+            edges.append((u - row, v))
+            u = field.find("1", u + 1, row + v)
     return Graph(n, edges)
 
 
@@ -291,17 +290,10 @@ def format_graph6(g: Graph) -> str:
         head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     else:
         head = "~~" + "".join(chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
-    bits = 0
-    nbits = n * (n - 1) // 2
-    k = nbits - 1
-    for v in range(1, n):
-        for u in range(v):
-            if g.has_edge(u, v):
-                bits |= 1 << k
-            k -= 1
-    need = (nbits + 5) // 6
-    bits <<= need * 6 - nbits
-    body = "".join(chr(((bits >> (6 * (need - 1 - i))) & 63) + 63) for i in range(need))
+    # row v lists pairs (0, v) .. (v-1, v): v's low neighbours, bit 0 first
+    field = "".join([f"{g.adj[v] & ((1 << v) - 1):0{v}b}"[::-1] for v in range(1, n)])
+    field += "0" * (-len(field) % 6)
+    body = "".join([chr(int(field[i:i + 6], 2) + 63) for i in range(0, len(field), 6)])
     return head + body
 
 

@@ -14,6 +14,10 @@ certifies: clusters trimmed toward super-regularity (criterion 9 and the
 regularity tests) and K_k-free inner graphs for the extremal constructions
 (criteria 4 and 5 and the construction tests).  No ``cfl`` kind builds
 either, so they live here.
+
+``reference_parse_graph6`` and ``reference_format_graph6`` are the graph6
+codec as it was before it went linear: one C(n, 2)-bit int, shifted once per
+pair.  The codec's equivalence test holds the package's pair to them.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from cfl.graphs import Graph, VertexSet, iter_bits, iter_clique_masks
+from cfl.graphs import (Graph, Graph6Error, VertexSet, iter_bits,
+                        iter_clique_masks)
 from cfl.numbers import exact_fraction
 from cfl.regularity import SuperRegularVerdict, is_super_regular, pair_density
 from cfl.rng import _GOLDEN, SplitMix64
@@ -141,3 +146,66 @@ def strip_cliques(g: Graph, k: int, seed: int = 0) -> Graph:
         drop = pairs[rng.randrange(len(pairs))]
         edges = [e for e in current.edges() if e != drop]
         current = Graph(current.n, edges)
+
+
+def reference_parse_graph6(text: str) -> Graph:
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise Graph6Error("empty graph6 payload", offset=0)
+    data = [ord(c) - 63 for c in s]
+    if any(b < 0 or b > 63 for b in data):
+        bad = next(i for i, b in enumerate(data) if b < 0 or b > 63)
+        raise Graph6Error(f"byte {s[bad]!r} outside graph6 alphabet", offset=bad)
+    if data[0] <= 62:
+        n, pos = data[0], 1
+    elif len(data) >= 4 and data[1] <= 62:
+        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        pos = 4
+    elif len(data) >= 8:
+        n = 0
+        for b in data[2:8]:
+            n = (n << 6) | b
+        pos = 8
+    else:
+        raise Graph6Error("truncated vertex count", offset=0)
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    if len(data) - pos != need:
+        raise Graph6Error(
+            f"bit field has {len(data) - pos} sextets, expected {need}", offset=pos)
+    bits = 0
+    for b in data[pos:]:
+        bits = (bits << 6) | b
+    bits >>= (need * 6 - nbits)
+    edges = []
+    k = nbits - 1
+    for v in range(1, n):
+        for u in range(v):
+            if bits >> k & 1:
+                edges.append((u, v))
+            k -= 1
+    return Graph(n, edges)
+
+
+def reference_format_graph6(g: Graph) -> str:
+    n = g.n
+    if n <= 62:
+        head = chr(n + 63)
+    elif n <= 258047:
+        head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    else:
+        head = "~~" + "".join(chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
+    bits = 0
+    nbits = n * (n - 1) // 2
+    k = nbits - 1
+    for v in range(1, n):
+        for u in range(v):
+            if g.has_edge(u, v):
+                bits |= 1 << k
+            k -= 1
+    need = (nbits + 5) // 6
+    bits <<= need * 6 - nbits
+    body = "".join(chr(((bits >> (6 * (need - 1 - i))) & 63) + 63) for i in range(need))
+    return head + body

@@ -12,7 +12,8 @@ from cfl.graphs import (DuplicateEdgeError, EdgeSyntaxError,
                         parse_graph, parse_graph6, petersen_graph, random_gnp)
 
 from conftest import independent_graph6_decode, naive_cliques, seeded_graphs
-from support import bulk_random
+from cfl.rng import SplitMix64
+from support import bulk_random, reference_format_graph6, reference_parse_graph6
 
 
 # -- edge list format ---------------------------------------------------------
@@ -87,6 +88,58 @@ def test_graph6_roundtrip(n, seed):
     assert parse_graph6(format_graph6(g)) == g
     n2, edges = independent_graph6_decode(format_graph6(g))
     assert n2 == n and edges == sorted(g.edges())
+
+
+def _decode_outcome(parse, payload):
+    """What ``parse`` makes of ``payload``: the graph, or the error's class,
+    message and position."""
+    try:
+        return parse(payload)
+    except Graph6Error as exc:
+        return type(exc), str(exc), exc.offset, exc.line
+
+
+def _corruptions(line, rng):
+    """Payloads near ``line``: a byte replaced (often outside the alphabet),
+    one dropped, one inserted, a cut, and the header byte changed."""
+    alphabet = [chr(c) for c in range(0x20, 0x80)]
+    out = []
+    for _ in range(4):
+        i = rng.randrange(len(line) + 1)
+        c = alphabet[rng.randrange(len(alphabet))]
+        out += [line[:i] + c + line[i + 1:], line[:i] + line[i + 1:],
+                line[:i] + c + line[i:], line[:i]]
+    out.append(alphabet[rng.randrange(len(alphabet))] + line[1:])
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 70), st.integers(0, 2**32 - 1))
+@example(0, 1)
+@example(1, 2)
+@example(62, 3)     # the last n with a one-byte header
+@example(63, 4)     # the first n that takes the "~" header
+def test_graph6_codec_matches_the_reference(n, seed):
+    rng = SplitMix64(seed)
+    g = random_gnp(n, rng.random(), rng.next_u64())
+    line = format_graph6(g)
+    assert line == reference_format_graph6(g)
+    payloads = [line, line + "\n", ">>graph6<<" + line, line + ">>graph6<<",
+                ">>graph6<<" + line + ">>graph6<<", *_corruptions(line, rng)]
+    for payload in payloads:
+        assert (_decode_outcome(parse_graph6, payload)
+                == _decode_outcome(reference_parse_graph6, payload)), payload
+    assert parse_graph6(">>graph6<<" + line) == g
+
+
+@pytest.mark.parametrize("payload", [
+    "", " \n", ">>graph6<<", "~", "~?", "~??", "~~??", "~~???", "~~??????",
+    "~~?????@", "~??~", "~?A?", "~?@~" + "?" * 5, "?", "@", "A", "A_", "A__",
+    "D\x7f", "D" + "?" * 3, "\x7f", "~~~~~~~~", "}" + "?" * 2000,
+])
+def test_graph6_fixed_payloads_match_the_reference(payload):
+    assert (_decode_outcome(parse_graph6, payload)
+            == _decode_outcome(reference_parse_graph6, payload))
 
 
 def test_parse_graph_sniffs_both_formats():
