@@ -25,7 +25,8 @@ from itertools import combinations
 from statistics import median
 from typing import Dict, List, Optional, Tuple
 
-from .graphs import Graph, VertexSet, iter_bits, iter_clique_masks, mask_of
+from .graphs import (Graph, ParameterError, VertexSet, iter_bits,
+                     iter_clique_masks, mask_of)
 from .numbers import exact_fraction
 from .rng import SplitMix64, derive_seed
 from .tiling import CliqueTiling, has_factor, verify_tiling
@@ -87,9 +88,9 @@ def certify_absorber(g: Graph, s: VertexSet, a: VertexSet, r: int,
     """Certificate iff both factor queries succeed; size or divisibility
     failure returns None (not an error)."""
     if len(s) != r:
-        raise ValueError(f"S must have exactly r={r} vertices")
+        raise ParameterError("s_set", f"expected exactly r = {r} vertices")
     if a.mask & s.mask:
-        raise ValueError("absorber must be disjoint from S")
+        raise ParameterError("a_set", "meets s_set")
     if len(a) > r * t or len(a) % r != 0:
         return None
     fa = has_factor(g, r, within=a)
@@ -109,9 +110,9 @@ def certify_absorber(g: Graph, s: VertexSet, a: VertexSet, r: int,
 def certify_reachable(g: Graph, u: int, v: int, s: VertexSet,
                       r: int) -> Optional[ReachableCertificate]:
     if u == v:
-        raise ValueError("endpoints must differ")
+        raise ParameterError("v", "equals u")
     if u in s or v in s:
-        raise ValueError("endpoints may not lie in S")
+        raise ParameterError("s_set", "contains u or v")
     if (len(s) + 1) % r != 0:
         return None
     fu = has_factor(g, r, within=VertexSet(g, s.mask | (1 << u)))
@@ -309,8 +310,7 @@ def build_reachable_gadget(r: int) -> ReachGadget:
     is everything except u and v; G[set + u] and G[set + v] decompose into
     four r-cliques each.
     """
-    if r < 2:
-        raise ValueError("r must be >= 2")
+    ParameterError.at_least("r", r, 2)
     u, v = 0, 1
     tail_u = list(range(2, r + 1))
     tail_v = list(range(r + 1, 2 * r))

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
+from .graphs import ParameterError
+
 
 def log_binomial(n: int, k: int) -> float:
     """log C(n, k); -inf when the coefficient is zero."""
@@ -30,8 +32,10 @@ def fkg_lower_bound(n: int, ell: int, p: float) -> float:
     lower bound.  Returns 0.0 when there are no (ell+1)-sets and -inf when
     p = 1 and at least one set exists.
     """
+    ParameterError.at_least("n", n, 1)
+    ParameterError.at_least("ell", ell, 1)
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
+        raise ParameterError("p", f"expected a probability in [0, 1], got {p}")
     if n < ell + 1:
         return 0.0
     nsets = math.comb(n, ell + 1)
@@ -81,10 +85,10 @@ def janson_bound(a_size: int, ell: int, p: float) -> JansonReport:
     C(a, ell) C(ell, s) C(a-ell, ell-s) p^(2 C(ell,2) - C(s,2)); only
     s in [2, ell-1] carries shared edges.  ell = 2 therefore has Delta = 0.
     """
-    if not (a_size >= ell >= 2):
-        raise ValueError(f"need a_size >= ell >= 2, got {a_size}, {ell}")
+    ParameterError.at_least("ell", ell, 2)
+    ParameterError.at_least("a_size", a_size, ell)
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
+        raise ParameterError("p", f"expected a probability in [0, 1], got {p}")
     epairs = math.comb(ell, 2)
     if p == 0.0:
         expected = 0.0
@@ -158,10 +162,13 @@ def drc_condition(n: int, avg_degree: float, t: int, r: int, m: float,
     only exponentiated if representable; otherwise the sign of the dominant
     term decides.
     """
-    if n <= 0 or t < 1 or r < 1:
-        raise ValueError("need n >= 1, t >= 1, r >= 1")
-    if avg_degree < 0 or m < 0:
-        raise ValueError("degrees and neighborhood targets must be nonnegative")
+    ParameterError.at_least("n", n, 1)
+    if not avg_degree >= 0:
+        raise ParameterError("avg_degree", f"expected a number >= 0, got {avg_degree}")
+    ParameterError.at_least("t", t, 1)
+    ParameterError.at_least("r", r, 1)
+    if not m >= 0:
+        raise ParameterError("m", f"expected a number >= 0, got {m}")
     lt1 = -math.inf if avg_degree == 0 else t * math.log(avg_degree) - (t - 1) * math.log(n)
     lt2 = -math.inf if m == 0 else log_binomial(n, r) + t * (math.log(m) - math.log(n))
     big = 700.0
@@ -179,10 +186,9 @@ def chi_cr(part_sizes: Sequence[int]) -> Fraction:
     A single part is degenerate (the formula is 0/0); by convention the
     value 0 is returned and callers treat it as undefined.
     """
-    if not part_sizes:
-        raise ValueError("at least one part required")
-    if any(s <= 0 for s in part_sizes):
-        raise ValueError("part sizes must be positive")
+    if not part_sizes or min(part_sizes) < 1:
+        raise ParameterError("parts", "expected one or more positive part "
+                             f"sizes, got {list(part_sizes)}")
     k = len(part_sizes)
     if k == 1:
         return Fraction(0)
@@ -214,11 +220,12 @@ class DegreeThresholds:
 
 
 def degree_thresholds(n: int, r: int, ell: int, rho_star) -> DegreeThresholds:
-    if not r > ell >= 2:
-        raise ValueError(f"need r > ell >= 2, got r={r}, ell={ell}")
+    ParameterError.at_least("ell", ell, 2)
+    ParameterError.at_least("r", r, ell + 1)
+    ParameterError.at_least("n", n, 1)
     rho = rho_star if isinstance(rho_star, Fraction) else Fraction(rho_star)
     if not 0 <= rho < 1:
-        raise ValueError(f"rho_star={rho} outside [0, 1)")
+        raise ParameterError("rho_star", f"expected a rational in [0, 1), got {rho}")
     tiling_term = Fraction(r - ell, r)
     cover_term = Fraction(1) / (2 - rho)
     threshold = max(tiling_term, cover_term)
@@ -234,8 +241,7 @@ def alpha_profile(n: int, r: int, ell: int, c: float) -> float:
     A finite-n stand-in for "almost linear but not quite": the profile sits
     between n^(1-eps) and n / log n for every fixed eps as n grows.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    ParameterError.at_least("n", n, 2)
     if not r > ell >= 2:
         raise ValueError(f"need r > ell >= 2, got r={r}, ell={ell}")
     lam = 1.0 / (r // ell + 1)

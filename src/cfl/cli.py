@@ -17,6 +17,14 @@ is accepted and ignored: scan points run in sequence.  A finished run or
 scan warns on stderr about each config key that nothing read; the exit code
 and the report stay as they are.
 
+Each parameter's range is checked once, by the solver that takes it: a
+bad value raises ``graphs.ParameterError``, whose ``key`` is the parameter's
+config name, and ``_execute`` reports it as the config error ``[<kind>]
+<key>`` (exit 2), for a run and for each scan point.  A handler checks only
+what no solver sees: counts such as ``tries`` and ``samples``, vertex ids
+against the graph, mode strings, overflow guards, and keys that reach a
+solver only in derived form (absorb's ``r`` outside the gadget).
+
 Each kind handler gets the effective node budget (None for none) as
 ``node_cap`` and returns its result and its flags; ``_execute`` turns them
 into the finished report.  A handler returns its solver's result dataclass
@@ -46,7 +54,7 @@ from typing import Dict, List, Optional
 
 from . import graphs, reports
 from .config import Config, ConfigError, parse_vertex_list
-from .graphs import Graph, GraphFormatError, VertexSet
+from .graphs import Graph, GraphFormatError, ParameterError, VertexSet
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -81,7 +89,7 @@ def load_graph(cfg: Config, section: str, key: str = "graph",
     from . import constructions
     try:
         return constructions.graph_from_spec(raw, seed=seed)
-    except (constructions.ConstructionError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"[{section}] {key}", str(exc)) from exc
 
 
@@ -145,7 +153,7 @@ def _node_budget(cfg: Config) -> Optional[int]:
 def run_alpha(cfg, seed, node_cap, outdir):
     from . import invariants
     g = load_graph(cfg, "alpha", seed=seed)
-    ell = _int_at_least(cfg, "alpha", "ell", 2)
+    ell = cfg.get_int("alpha", "ell")
     mode = cfg.get_str("alpha", "mode", "exact")
     if mode == "exact":
         res = invariants.alpha_ell_exact(g, ell, node_cap=node_cap)
@@ -161,7 +169,7 @@ def run_alpha(cfg, seed, node_cap, outdir):
 def run_tile(cfg, seed, node_cap, outdir):
     from . import tiling
     g = load_graph(cfg, "tile", seed=seed)
-    r = _int_at_least(cfg, "tile", "r", 2)
+    r = cfg.get_int("tile", "r")
     res = tiling.max_tiling(g, r, node_cap=node_cap)
     result = {"r": r, "tiles": res.best.members,
               "count": len(res.best), "deficiency": res.deficiency,
@@ -173,7 +181,7 @@ def run_tile(cfg, seed, node_cap, outdir):
 def run_factor(cfg, seed, node_cap, outdir):
     from . import tiling
     g = load_graph(cfg, "factor", seed=seed)
-    r = _int_at_least(cfg, "factor", "r", 2)
+    r = cfg.get_int("factor", "r")
     res = tiling.has_factor(g, r, node_cap=node_cap)
     result = {"r": r, "status": res.status,
               "factor": res.tiling.members if res.tiling else None,
@@ -185,13 +193,9 @@ def run_cover(cfg, seed, node_cap, outdir):
     from . import invariants
     g = load_graph(cfg, "cover", seed=seed)
     v = _vertex(cfg, "cover", "vertex", g)
-    r = _int_at_least(cfg, "cover", "r", 1)
-    forbidden = None
-    if cfg.has("cover", "forbidden"):
-        forbidden = _vertex_set(cfg, "cover", "forbidden", g)
-        if v in forbidden:
-            raise ConfigError("[cover] forbidden",
-                              f"contains the distinguished vertex {v}")
+    r = cfg.get_int("cover", "r")
+    forbidden = (_vertex_set(cfg, "cover", "forbidden", g)
+                 if cfg.has("cover", "forbidden") else None)
     res = invariants.has_clique_cover(g, v, r, forbidden)
     return {"vertex": v, "r": r, "cover": res}, {"cap_hit": False}
 
@@ -202,42 +206,35 @@ def run_construct(cfg, seed, node_cap, outdir):
     section = "construct"
     flags = {"cap_hit": False}
     if family == "lower-bound":
-        n = _int_at_least(cfg, section, "n", 1)
-        ell = _int_at_least(cfg, section, "ell", 2)
-        r = _int_at_least(cfg, section, "r", ell + 1)
+        n = cfg.get_int(section, "n")
+        ell = cfg.get_int(section, "ell")
+        r = cfg.get_int(section, "r")
         inner = load_graph(cfg, section, "inner", seed=seed)
         # eta and clique_size both set |X1|; a refusal of either names the
-        # one the config gave
+        # one the config gave (the builder refuses an n below 1 before it
+        # uses eta)
         x1_key = "clique_size" if cfg.has(section, "clique_size") else "eta"
-        eta = (Fraction(cfg.get_int(section, "clique_size"), n)
+        eta = (Fraction(cfg.get_int(section, "clique_size"), max(n, 1))
                if x1_key == "clique_size" else cfg.get_fraction(section, "eta"))
         try:
             build = constructions.build_lower_bound_graph(n, r, ell, eta, inner)
-        except constructions.ConstructionError as exc:
-            key = x1_key if exc.key in ("eta", "clique_size") else exc.key
-            raise ConfigError(f"[construct] {key}", str(exc)) from exc
+        except ParameterError as exc:
+            if exc.key in ("eta", "clique_size"):
+                exc.key = x1_key
+            raise
         result = {"family": family, **vars(build)}
         built = build.graph
     elif family == "cover-threshold":
-        n = _int_at_least(cfg, section, "n", 1)
-        r = _int_at_least(cfg, section, "r", 2)
+        n, r = cfg.get_int(section, "n"), cfg.get_int(section, "r")
         inner = load_graph(cfg, section, "inner", seed=seed)
-        x = cfg.get_fraction(section, "x")
-        try:
-            build = constructions.build_cover_threshold_graph(n, r, x, inner)
-        except constructions.ConstructionError as exc:
-            raise ConfigError(f"[construct] {exc.key}", str(exc)) from exc
+        build = constructions.build_cover_threshold_graph(
+            n, r, cfg.get_fraction(section, "x"), inner)
         result = {"family": family, **vars(build)}
         built = build.graph
     elif family == "sparse-klfree":
-        n = _int_at_least(cfg, section, "n", 1)
-        # ell = 2 lives at the Ramsey scale R(3, n), outside the sampler's regime
-        ell = _int_at_least(cfg, section, "ell", 3)
+        n = cfg.get_int(section, "n")
+        ell = cfg.get_int(section, "ell")
         gamma = cfg.get_float(section, "gamma")
-        limit = constructions.sparse_gamma_limit(ell)
-        if not 0 < gamma < limit:
-            raise ConfigError("[construct] gamma", f"expected a number in "
-                              f"(0, {limit}) for ell = {ell}, got {gamma}")
         tries = _int_at_least(cfg, section, "max_tries", 1, default=20)
         sample = constructions.sample_sparse_klfree(n, ell, gamma, seed,
                                                     max_tries=tries)
@@ -272,17 +269,16 @@ def run_regcheck(cfg, seed, node_cap, outdir):
     except ValueError as exc:      # PartitionFormatError included
         raise InputError(f"{ppath}: {exc}") from exc
     eps = cfg.get_fraction("regcheck", "epsilon")
-    if not 0 < eps < 1:
+    if eps >= 1:    # the checkers take it, but it makes every pair regular
         raise ConfigError("[regcheck] epsilon", f"expected a rational in (0, 1), "
                           f"got {eps}")
     d = cfg.get_fraction("regcheck", "d")
-    if not 0 <= d <= 1:
-        raise ConfigError("[regcheck] d", f"expected a rational in [0, 1], got {d}")
     samples = _int_at_least(cfg, "regcheck", "samples", 1, default=10_000)
     check_super = cfg.get_bool("regcheck", "super", False)
     m = part.cluster_size
     # every pair has sides m and m, so the one rule gives every pair's mode
     mode = "exhaustive" if regularity.exhaustive_fits(m, m, eps) else "sampled"
+    red = regularity.reduced_graph(g, part, d)
     pair_results = {}
     for i in range(part.k):
         for j in range(i + 1, part.k):
@@ -300,7 +296,6 @@ def run_regcheck(cfg, seed, node_cap, outdir):
                 pair_results[f"{i}-{j}"] = {
                     "density": part.density(i, j), "regular": rv.regular,
                     "mode": rv.mode, "violation": rv.violation}
-    red = regularity.reduced_graph(g, part, d)
     result = {"k": part.k, "cluster_size": m, "mode": mode,
               "pairs": pair_results,
               "reduced_edges": {f"{i}-{j}": w for (i, j), w in red.weights.items()},
@@ -313,13 +308,10 @@ def run_drc(cfg, seed, node_cap, outdir):
     g = load_graph(cfg, "drc", seed=seed)
     target = _vertex_set(cfg, "drc", "target", g)
     witness = _vertex_set(cfg, "drc", "witness", g)
-    if target.mask & witness.mask:
-        raise ConfigError("[drc] witness", "meets [drc] target")
+    # the condition's n is |target| + |witness|
     if not target.mask | witness.mask:
         raise ConfigError("[drc] target", "target and witness are both empty")
-    t = _int_at_least(cfg, "drc", "t", 1)
-    r = _int_at_least(cfg, "drc", "r", 2)
-    m = _int_at_least(cfg, "drc", "m", 1)
+    t, r, m = (cfg.get_int("drc", key) for key in ("t", "r", "m"))
     trials = _int_at_least(cfg, "drc", "trials", 1, default=8)
     out = embedding.drc_select(g, target, witness, t, r, m, seed=seed,
                                max_trials=trials)
@@ -342,14 +334,7 @@ def run_embed(cfg, seed, node_cap, outdir):
     class_specs = cfg.get_str("embed", "classes").split(";")
     classes = [_vertices(spec, f"[embed] classes[{i}]", g)
                for i, spec in enumerate(class_specs)]
-    if len(classes) < 2:
-        raise ConfigError("[embed] classes", "expected at least two classes")
-    seen = 0
-    for i, c in enumerate(classes):
-        if c.mask & seen:
-            raise ConfigError(f"[embed] classes[{i}]", "meets an earlier class")
-        seen |= c.mask
-    p = _int_at_least(cfg, "embed", "p", 1)
+    p = cfg.get_int("embed", "p")
     alpha_capped = False
     if cfg.get_str("embed", "alpha_bound", "auto") == "auto":
         alphas = [invariants.alpha_ell_exact(g, max(2, p), within=c,
@@ -359,10 +344,9 @@ def run_embed(cfg, seed, node_cap, outdir):
         # a capped search gives only a lower bound on alpha
         alpha_capped = not all(res.exact for res in alphas)
     else:
-        alpha_bound = _int_at_least(cfg, "embed", "alpha_bound", 0)
+        alpha_bound = cfg.get_int("embed", "alpha_bound")
     res = embedding.embed_clique_in_tuple(
-        g, classes, p, alpha_bound, seed=seed,
-        s=_int_at_least(cfg, "embed", "s", 1, default=2),
+        g, classes, p, alpha_bound, seed=seed, s=cfg.get_int("embed", "s", 2),
         trials=_int_at_least(cfg, "embed", "trials", 0, default=8),
         fallback_node_cap=(embedding.FALLBACK_NODE_CAP if node_cap is None
                            else node_cap))
@@ -373,7 +357,7 @@ def run_embed(cfg, seed, node_cap, outdir):
 def run_absorb(cfg, seed, node_cap, outdir):
     from . import absorption
     task = cfg.get_str("absorb", "task")
-    r = _int_at_least(cfg, "absorb", "r", 2)
+    r = cfg.get_int("absorb", "r")
     if task == "gadget":
         gad = absorption.build_reachable_gadget(r)
         cert = absorption.certify_reachable(gad.graph, gad.u, gad.v,
@@ -382,14 +366,14 @@ def run_absorb(cfg, seed, node_cap, outdir):
                   "factor_u": cert.factor_u.members if cert else None,
                   "factor_v": cert.factor_v.members if cert else None}
         return result, {"cap_hit": False}
+    # the certifiers below take r as it is: xi divides by it, and closedness
+    # looks for (r-1)-cliques
+    if r < 2:
+        raise ConfigError("[absorb] r", f"expected an integer >= 2, got {r}")
     g = load_graph(cfg, "absorb", seed=seed)
     if task == "absorber":
         s = _vertex_set(cfg, "absorb", "s_set", g)
-        if len(s) != r:
-            raise ConfigError("[absorb] s_set", f"expected exactly r = {r} vertices")
         a = _vertex_set(cfg, "absorb", "a_set", g)
-        if a.mask & s.mask:
-            raise ConfigError("[absorb] a_set", "meets [absorb] s_set")
         t = _int_at_least(cfg, "absorb", "t", 1)
         cert = absorption.certify_absorber(g, s, a, r, t)
         result = {"task": task, "certified": cert is not None,
@@ -399,11 +383,7 @@ def run_absorb(cfg, seed, node_cap, outdir):
     elif task == "reachable":
         u = _vertex(cfg, "absorb", "u", g)
         v = _vertex(cfg, "absorb", "v", g)
-        if u == v:
-            raise ConfigError("[absorb] v", "equals [absorb] u")
         s = _vertex_set(cfg, "absorb", "s_set", g)
-        if u in s or v in s:
-            raise ConfigError("[absorb] s_set", "contains [absorb] u or v")
         cert = absorption.certify_reachable(g, u, v, s, r)
         result = {"task": task, "certified": cert is not None,
                   "factor_u": cert.factor_u.members if cert else None,
@@ -441,9 +421,7 @@ def run_absorb(cfg, seed, node_cap, outdir):
 
 def run_rtt(cfg, seed, node_cap, outdir):
     from . import invariants
-    n = _int_at_least(cfg, "rtt", "n", 1)
-    r = _int_at_least(cfg, "rtt", "r", 2)
-    ell = _int_at_least(cfg, "rtt", "ell", 2)
+    n, r, ell = (cfg.get_int("rtt", key) for key in ("n", "r", "ell"))
     alpha_bound = cfg.get_int("rtt", "alpha_bound")
     tries = _int_at_least(cfg, "rtt", "tries", 1, default=2000)
     res = invariants.rtt_oracle(n, r, ell, alpha_bound, seed=seed, tries=tries)
@@ -456,9 +434,6 @@ def run_thresholds(cfg, seed, node_cap, outdir):
     result: Dict[str, object] = {}
     if cfg.has("thresholds", "parts"):
         parts = cfg.get_int_list("thresholds", "parts")
-        if not parts or min(parts) < 1:
-            raise ConfigError("[thresholds] parts", f"expected one or more "
-                              f"positive part sizes, got {parts}")
         c = bounds.chi_cr(parts)
         result["parts"] = parts
         result["chi_cr"] = c
@@ -466,22 +441,18 @@ def run_thresholds(cfg, seed, node_cap, outdir):
         if c != 0:
             result["komlos_threshold"] = bounds.komlos_threshold(parts)
     if cfg.has("thresholds", "r") and cfg.has("thresholds", "ell"):
-        ell = _int_at_least(cfg, "thresholds", "ell", 2)
-        r = _int_at_least(cfg, "thresholds", "r", ell + 1)
-        n = _int_at_least(cfg, "thresholds", "n", 1, default=1)
+        ell = cfg.get_int("thresholds", "ell")
+        r = cfg.get_int("thresholds", "r")
+        n = cfg.get_int("thresholds", "n", 1)
         rho = cfg.get_fraction("thresholds", "rho_star", Fraction(0))
-        if not 0 <= rho < 1:
-            raise ConfigError("[thresholds] rho_star",
-                              f"expected a rational in [0, 1), got {rho}")
         result["degree_thresholds"] = bounds.degree_thresholds(n, r, ell, rho)
         if cfg.has("thresholds", "profile_c"):
             c = cfg.get_float("thresholds", "profile_c")
             npts = cfg.get_int("thresholds", "profile_n", n if n > 1 else 100)
-            if npts < 2:
-                raise ConfigError("[thresholds] profile_n",
-                                  f"expected an integer >= 2, got {npts}")
             try:
                 value = bounds.alpha_profile(npts, r, ell, c)
+            except ParameterError as exc:      # alpha_profile's n is profile_n
+                raise ConfigError("[thresholds] profile_n", str(exc)) from exc
             except OverflowError as exc:
                 raise ConfigError("[thresholds] profile_c",
                                   f"profile at n = {npts} overflows: {exc}") from exc
@@ -495,25 +466,9 @@ def run_thresholds(cfg, seed, node_cap, outdir):
 def run_bounds(cfg, seed, node_cap, outdir):
     from . import bounds
     formula = cfg.get_str("bounds", "formula")
-
-    def probability() -> float:
-        p = cfg.get_float("bounds", "p")
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError("[bounds] p", f"expected a probability in [0, 1], "
-                              f"got {p}")
-        return p
-
-    def nonnegative(key: str) -> float:
-        value = cfg.get_float("bounds", key)
-        if not value >= 0.0:
-            raise ConfigError(f"[bounds] {key}",
-                              f"expected a number >= 0, got {value}")
-        return value
-
     if formula == "fkg":
-        n = _int_at_least(cfg, "bounds", "n", 1)
-        ell = _int_at_least(cfg, "bounds", "ell", 1)
-        p = probability()
+        n, ell = cfg.get_int("bounds", "n"), cfg.get_int("bounds", "ell")
+        p = cfg.get_float("bounds", "p")
         try:
             log_lb = bounds.fkg_lower_bound(n, ell, p)
         except OverflowError as exc:
@@ -525,9 +480,8 @@ def run_bounds(cfg, seed, node_cap, outdir):
         result = {"formula": formula, "n": n, "ell": ell, "p": p,
                   "log_lower_bound": log_lb, "lower_bound": math.exp(log_lb)}
     elif formula == "janson":
-        ell = _int_at_least(cfg, "bounds", "ell", 2)
-        a = _int_at_least(cfg, "bounds", "a_size", ell)
-        p = probability()
+        ell, a = cfg.get_int("bounds", "ell"), cfg.get_int("bounds", "a_size")
+        p = cfg.get_float("bounds", "p")
         where = f"a_size = {a}, ell = {ell}, p = {p}"
         try:
             rep = bounds.janson_bound(a, ell, p)
@@ -541,12 +495,8 @@ def run_bounds(cfg, seed, node_cap, outdir):
                               "has too many digits for a report") from exc
         result = {"formula": formula, **vars(rep), "delta_exact": delta_exact}
     elif formula == "drc-condition":
-        n = _int_at_least(cfg, "bounds", "n", 1)
-        d = nonnegative("avg_degree")
-        t = _int_at_least(cfg, "bounds", "t", 1)
-        r = _int_at_least(cfg, "bounds", "r", 1)
-        m = nonnegative("m")
-        a = cfg.get_float("bounds", "a")
+        n, t, r = (cfg.get_int("bounds", key) for key in ("n", "t", "r"))
+        d, m, a = (cfg.get_float("bounds", key) for key in ("avg_degree", "m", "a"))
         slack = bounds.drc_condition(n, d, t, r, m, a)
         if not math.isfinite(slack):
             # +inf: d^t / n^(t-1) dominates; -inf: C(n, r) (m/n)^t does
@@ -582,7 +532,10 @@ def _execute(kind: str, cfg: Config, seed: int, outdir: Optional[str]) -> dict:
     """Run one kind handler and return its finished report."""
     node_cap = _node_budget(cfg)
     t0 = time.perf_counter()
-    result, flags = HANDLERS[kind](cfg, seed, node_cap, outdir)
+    try:
+        result, flags = HANDLERS[kind](cfg, seed, node_cap, outdir)
+    except ParameterError as exc:
+        raise ConfigError(f"[{kind}] {exc.key}", str(exc)) from exc
     timings = {"total_s": time.perf_counter() - t0}
     return reports.build_report(kind, seed, cfg.flat(), result, flags,
                                 {"node_budget": node_cap}, timings)

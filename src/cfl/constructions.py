@@ -25,19 +25,10 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import graphs as gr
-from .graphs import Graph, VertexSet, has_clique
+from .graphs import Graph, ParameterError, VertexSet, has_clique
 from .invariants import alpha_ell_exact, has_clique_cover
 from .numbers import round_half_up
 from .rng import derive_seed
-
-
-class ConstructionError(ValueError):
-    """Parameters a builder refuses; ``key`` names the parameter at fault
-    (None for a graph spec string)."""
-
-    def __init__(self, message: str, key: Optional[str] = None):
-        super().__init__(message)
-        self.key = key
 
 
 class ConstructionInvariantError(RuntimeError):
@@ -69,21 +60,22 @@ def build_lower_bound_graph(n: int, r: int, ell: int, eta: Fraction,
     l-independence bound (ell-1) + alpha_ell(inner) is audited against the
     exact solver.
     """
-    if not r > ell >= 2:
-        raise ConstructionError(f"need r > ell >= 2, got r={r}, ell={ell}", "r")
+    ParameterError.at_least("n", n, 1)
+    ParameterError.at_least("ell", ell, 2)
+    ParameterError.at_least("r", r, ell + 1)
     r_minus_l = r - ell
     if not 0 < eta < Fraction(r_minus_l, r):
-        raise ConstructionError(
-            f"eta={eta} outside (0, (r-ell)/r = {Fraction(r_minus_l, r)})", "eta")
+        raise ParameterError(
+            "eta", f"eta={eta} outside (0, (r-ell)/r = {Fraction(r_minus_l, r)})")
     x1 = round_half_up(eta * n)
     if x1 < 1:
-        raise ConstructionError("clique part X1 must have at least one vertex",
-                                "clique_size")
+        raise ParameterError("clique_size",
+                             "clique part X1 must have at least one vertex")
     if inner.n != n - x1:
-        raise ConstructionError(
-            f"inner graph has {inner.n} vertices, expected {n - x1}", "inner")
+        raise ParameterError(
+            "inner", f"inner graph has {inner.n} vertices, expected {n - x1}")
     if has_clique(inner, ell + 1):
-        raise ConstructionError(f"inner graph contains a K_{ell + 1}", "inner")
+        raise ParameterError("inner", f"inner graph contains a K_{ell + 1}")
     edges = [(u, v) for u in range(x1) for v in range(u + 1, n)]
     # inner edges shifted onto X2
     for u, v in inner.edges():
@@ -132,20 +124,20 @@ def build_cover_threshold_graph(n: int, r: int, x: Fraction,
 
     The "no K_r covers the hub" property is re-certified after assembly.
     """
-    if r < 2:
-        raise ConstructionError("r must be >= 2", "r")
+    ParameterError.at_least("n", n, 1)
+    ParameterError.at_least("r", r, 2)
     if not 0 < x < 1:
-        raise ConstructionError(f"x={x} outside (0, 1)", "x")
+        raise ParameterError("x", f"x={x} outside (0, 1)")
     s = round_half_up(x * n)
     if s < 1:
-        raise ConstructionError("hub neighborhood must be nonempty", "x")
+        raise ParameterError("x", "hub neighborhood must be nonempty")
     if n - s - 1 < 1:
-        raise ConstructionError("clique part must have at least one vertex", "x")
+        raise ParameterError("x", "clique part must have at least one vertex")
     if inner.n != s:
-        raise ConstructionError(
-            f"inner graph has {inner.n} vertices, expected {s}", "inner")
+        raise ParameterError("inner",
+                             f"inner graph has {inner.n} vertices, expected {s}")
     if has_clique(inner, r - 1):
-        raise ConstructionError(f"inner graph contains a K_{r - 1}", "inner")
+        raise ParameterError("inner", f"inner graph contains a K_{r - 1}")
     edges = [(0, 1 + i) for i in range(s)]
     for u, v in inner.edges():
         edges.append((1 + u, 1 + v))
@@ -207,14 +199,16 @@ def sample_sparse_klfree(n: int, ell: int, gamma: float, seed: int,
     independence number live at the R(3,n) = Theta(n^2/log n) scale and this
     sampler's density regime does not apply.
     """
+    ParameterError.at_least("n", n, 1)
     if ell < 3:
-        raise ValueError(
-            "ell must be >= 3: for ell = 2 the triangle-free regime is governed "
-            "by the Ramsey growth R(3,n) = Theta(n^2/log n); use an explicit "
-            "triangle-free inner graph instead")
+        raise ParameterError(
+            "ell", f"expected an integer >= 3, got {ell}: for ell = 2 the "
+            "triangle-free regime is governed by the Ramsey growth R(3,n) = "
+            "Theta(n^2/log n); use an explicit triangle-free inner graph instead")
     limit = sparse_gamma_limit(ell)
     if not 0 < gamma < limit:
-        raise ValueError(f"gamma={gamma} outside (0, {limit}) for ell={ell}")
+        raise ParameterError("gamma", f"expected a number in (0, {limit}) for "
+                             f"ell = {ell}, got {gamma}")
     exponent = (2.0 - gamma) / (ell + 1)
     p = n ** (-exponent)
     alpha_target = math.ceil(n ** (1.0 - gamma))
@@ -238,8 +232,8 @@ def sample_sparse_klfree(n: int, ell: int, gamma: float, seed: int,
 def _spec_args(spec: str, arg: str, required: int) -> List[str]:
     parts = arg.split(",")
     if len(parts) < required:
-        raise ConstructionError(f"graph spec {spec!r} needs at least "
-                                f"{required} arguments")
+        raise ParameterError("spec", f"graph spec {spec!r} needs at least "
+                             f"{required} arguments")
     return parts
 
 
@@ -279,4 +273,4 @@ def graph_from_spec(spec: str, seed: int = 0) -> Graph:
         n, p, tgt = int(parts[0]), float(parts[1]), int(parts[2])
         s0 = int(parts[3]) if len(parts) > 3 else seed
         return gr.random_graph_with_min_degree(n, tgt, s0, p=p)
-    raise ConstructionError(f"unknown graph spec {spec!r}")
+    raise ParameterError("spec", f"unknown graph spec {spec!r}")

@@ -38,8 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .graphs import (Graph, SearchCapExceeded, VertexSet, iter_bits,
-                     iter_clique_masks)
+from .graphs import (Graph, ParameterError, SearchCapExceeded, VertexSet,
+                     iter_bits, iter_clique_masks)
 from .rng import SplitMix64, derive_seed
 
 
@@ -96,10 +96,11 @@ def drc_select(g: Graph, target_class: VertexSet, witness_class: VertexSet,
     Returns the best certified set across trials (ties to the earliest
     trial).  A small or empty selection is a valid outcome, not an error.
     """
-    if m < 1 or t < 1 or r < 2:
-        raise ValueError("need m >= 1, t >= 1, r >= 2")
+    ParameterError.at_least("t", t, 1)
+    ParameterError.at_least("r", r, 2)
+    ParameterError.at_least("m", m, 1)
     if target_class.mask & witness_class.mask:
-        raise ValueError("target and witness classes must be disjoint")
+        raise ParameterError("witness", "meets target")
     witness_verts = witness_class.vertices()
     best_mask = 0
     best_trial = 0
@@ -289,15 +290,16 @@ def embed_clique_in_tuple(g: Graph, classes: Sequence[VertexSet], p: int,
     ``fallback_node_cap`` nodes.
     """
     q = len(classes)
-    if q < 2 or p < 1:
-        raise ValueError("need at least two classes and p >= 1")
-    if s < 1:
-        raise ValueError("s must be >= 1")
+    if q < 2:
+        raise ParameterError("classes", "expected at least two classes")
     seen = 0
-    for c in classes:
+    for i, c in enumerate(classes):
         if c.mask & seen:
-            raise ValueError("classes must be pairwise disjoint")
+            raise ParameterError(f"classes[{i}]", "meets an earlier class")
         seen |= c.mask
+    ParameterError.at_least("p", p, 1)
+    ParameterError.at_least("alpha_bound", alpha_bound, 0)
+    ParameterError.at_least("s", s, 1)
     m = alpha_bound + 1
     telemetry: List[dict] = []
     stage = "start"

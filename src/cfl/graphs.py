@@ -16,9 +16,24 @@ Two wire formats are supported:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .rng import SplitMix64
+
+
+class ParameterError(ValueError):
+    """A parameter value a solver refuses; ``key`` names the parameter as a
+    ``cfl`` config names it, so the CLI reports ``[<kind>] <key>``."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
+
+    @classmethod
+    def at_least(cls, key: str, value: int, low: int) -> None:
+        """Refuse an integer ``value`` below ``low``."""
+        if value < low:
+            raise cls(key, f"expected an integer >= {low}, got {value}")
 
 
 class SearchCapExceeded(Exception):
@@ -90,20 +105,28 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         adj = [0] * n
-        m = 0
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if adj[u] >> v & 1:
-                continue
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-            m += 1
-        object.__setattr__(self, "n", n)
+        self._fill(adj)
+
+    def _fill(self, adj: List[int]) -> None:
+        object.__setattr__(self, "n", len(adj))
         object.__setattr__(self, "adj", tuple(adj))
-        object.__setattr__(self, "edge_count", m)
+        object.__setattr__(self, "edge_count", sum(a.bit_count() for a in adj) // 2)
+
+    @classmethod
+    def _from_adj(cls, adj: List[int]) -> "Graph":
+        """The graph of neighbor bitsets that are symmetric, loop-free and in
+        range by construction (the parsers check each edge as they read it);
+        nothing is checked again."""
+        g = object.__new__(cls)
+        g._fill(adj)
+        return g
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -212,8 +235,8 @@ def parse_edgelist(text: str) -> Graph:
         raise HeaderError(
             f"header declares {m} edges but payload has {len(lines) - 1} edge lines",
             line=1)
-    seen = set()
-    edges = []
+    # keyed by vertex, so an absurd n costs nothing before an edge is refused
+    adj: Dict[int, int] = {}
     for i, raw in enumerate(lines[1:], start=2):
         parts = raw.split(" ")
         if len(parts) != 2 or not all(p.isdigit() for p in parts):
@@ -225,11 +248,12 @@ def parse_edgelist(text: str) -> Graph:
             raise EdgeSyntaxError(f"edge must satisfy u < v, got {raw!r}", line=i)
         if v >= n:
             raise VertexRangeError(f"vertex {v} out of range for n={n}", line=i)
-        if (u, v) in seen:
+        nbrs = adj.get(u, 0)
+        if nbrs >> v & 1:
             raise DuplicateEdgeError(f"duplicate edge {u} {v}", line=i)
-        seen.add((u, v))
-        edges.append((u, v))
-    return Graph(n, edges)
+        adj[u] = nbrs | 1 << v
+        adj[v] = adj.get(v, 0) | 1 << u
+    return Graph._from_adj([adj.get(v, 0) for v in range(n)])
 
 
 def format_edgelist(g: Graph) -> str:
@@ -272,14 +296,16 @@ def parse_graph6(text: str) -> Graph:
             f"bit field has {len(data) - pos} sextets, expected {need}", offset=pos)
     # bit k of the field, pair (u, v) with k = v(v-1)/2 + u, is field[k]
     field = "".join([_SEXTET_BITS[b] for b in data[pos:]])
-    edges = []
+    adj = [0] * n
     for v in range(1, n):
         row = v * (v - 1) // 2
+        adj[v] |= int(field[row:row + v][::-1], 2)     # v's low neighbours
+        bit = 1 << v
         u = field.find("1", row, row + v)
         while u >= 0:
-            edges.append((u - row, v))
+            adj[u - row] |= bit
             u = field.find("1", u + 1, row + v)
-    return Graph(n, edges)
+    return Graph._from_adj(adj)
 
 
 def format_graph6(g: Graph) -> str:
@@ -403,11 +429,7 @@ def random_graph_with_min_degree(n: int, target: int, seed: int,
         u = candidates[0] if rng.random() < 0.9 else rng.choice(candidates)
         adj[v] |= 1 << u
         adj[u] |= 1 << v
-    edges = []
-    for u in range(n):
-        for v in iter_bits(adj[u] >> (u + 1)):
-            edges.append((u, u + 1 + v))
-    return Graph(n, edges)
+    return Graph._from_adj(adj)
 
 
 # -- cliques and neighborhoods --------------------------------------------

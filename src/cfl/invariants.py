@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Optional
 
-from .graphs import (Graph, SearchCapExceeded, VertexSet, _has_clique,
-                     iter_bits, iter_clique_masks)
+from .graphs import (Graph, ParameterError, SearchCapExceeded, VertexSet,
+                     _has_clique, iter_bits, iter_clique_masks)
 from .rng import SplitMix64
 
 
@@ -106,8 +106,7 @@ def alpha_ell_exact(g: Graph, ell: int, node_cap: Optional[int] = None,
     set); include branch first.  A node cap turns the result into a flagged
     lower bound instead of raising.
     """
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
+    ParameterError.at_least("ell", ell, 2)
     adj = g.adj
     universe = g.full_mask() if within is None else within.mask
     nodes = 0
@@ -152,8 +151,7 @@ def alpha_ell_exact(g: Graph, ell: int, node_cap: Optional[int] = None,
 def alpha_ell_greedy(g: Graph, ell: int, seed: int) -> AlphaResult:
     """Randomized greedy K_ell-free set: one shuffled pass, keep a vertex
     whenever the set stays K_ell-free.  Always a valid lower bound."""
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
+    ParameterError.at_least("ell", ell, 2)
     adj = g.adj
     order = list(range(g.n))
     SplitMix64(seed).shuffle(order)
@@ -168,11 +166,10 @@ def alpha_ell_greedy(g: Graph, ell: int, seed: int) -> AlphaResult:
 def has_clique_cover(g: Graph, v: int, r: int,
                      forbidden: Optional[VertexSet] = None) -> Optional[VertexSet]:
     """First (lexicographic) K_r through v avoiding ``forbidden``, else None."""
+    ParameterError.at_least("r", r, 1)
     banned = forbidden.mask if forbidden is not None else 0
     if banned >> v & 1:
-        raise ValueError("distinguished vertex may not be forbidden")
-    if r < 1:
-        raise ValueError("r must be >= 1")
+        raise ParameterError("forbidden", f"contains the distinguished vertex {v}")
     if r == 1:
         return VertexSet(g, 1 << v)
     pool = g.adj[v] & ~banned
@@ -250,8 +247,9 @@ def rtt_oracle(n: int, r: int, ell: int, alpha_bound: int, seed: int = 0,
     is accepted but flagged degenerate (no graph has a factor, so the factor
     constraint is vacuous).
     """
-    if n < 1 or r < 2 or ell < 2:
-        raise ValueError("need n >= 1, r >= 2, ell >= 2")
+    ParameterError.at_least("n", n, 1)
+    ParameterError.at_least("r", r, 2)
+    ParameterError.at_least("ell", ell, 2)
     degenerate = n % r != 0
     if n <= _EXHAUSTIVE_LIMIT:
         return _rtt_exhaustive(n, r, ell, alpha_bound, degenerate)

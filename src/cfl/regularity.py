@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .graphs import Graph, VertexSet, iter_bits
+from .graphs import Graph, ParameterError, VertexSet, iter_bits
 from .numbers import exact_fraction as _as_fraction
 from .rng import SplitMix64
 
@@ -92,6 +92,8 @@ def exhaustive_fits(a: int, b: int, eps: Fraction) -> bool:
     """Whether the exhaustive check of a pair with |X| = a, |Y| = b fits its
     work bound: C(a, min_x) subsets of X, each costing b degree counts.
     Every check in this module runs exhaustive exactly when this holds."""
+    if eps <= 0:
+        raise ParameterError("epsilon", f"expected a positive rational, got {eps}")
     return math.comb(a, _qualifying_min(eps, a)) * b <= _EXHAUSTIVE_WORK
 
 
@@ -106,8 +108,6 @@ def is_regular_pair(g: Graph, x: VertexSet, y: VertexSet, epsilon,
     the minimum qualifying sizes, where deviations are largest.
     """
     eps = _as_fraction(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
     if exhaustive_fits(len(x), len(y), eps):
         return _regular_exhaustive(g, x, y, eps)
     return _regular_sampled(g, x, y, eps, samples, seed)
@@ -335,6 +335,8 @@ class ReducedGraph:
 def reduced_graph(g: Graph, partition: Partition, d) -> ReducedGraph:
     partition.validate()
     dd = _as_fraction(d)
+    if not 0 <= dd <= 1:
+        raise ParameterError("d", f"expected a rational in [0, 1], got {dd}")
     weights = {}
     for i in range(partition.k):
         for j in range(i + 1, partition.k):

@@ -47,8 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .graphs import (Graph, SearchCapExceeded, VertexSet, _has_clique,
-                     iter_bits, iter_clique_masks)
+from .graphs import (Graph, ParameterError, SearchCapExceeded, VertexSet,
+                     _has_clique, iter_bits, iter_clique_masks)
 
 
 @dataclass
@@ -169,8 +169,7 @@ def _lex_greedy_masks(g: Graph, r: int, active: int) -> List[int]:
 def max_tiling(g: Graph, r: int, within: Optional[VertexSet] = None,
                node_cap: Optional[int] = None) -> TilingResult:
     """Maximum K_r-tiling by branch and bound; certificate canonicalized."""
-    if r < 2:
-        raise ValueError("r must be >= 2")
+    ParameterError.at_least("r", r, 2)
     universe = g.full_mask() if within is None else within.mask
     adj = g.adj
     n_active = universe.bit_count()
@@ -226,8 +225,7 @@ def has_factor(g: Graph, r: int, within: Optional[VertexSet] = None,
                node_cap: Optional[int] = None) -> FactorResult:
     """Perfect K_r-tiling decision; branches that strand a vertex or fail the
     free-set bound are cut."""
-    if r < 2:
-        raise ValueError("r must be >= 2")
+    ParameterError.at_least("r", r, 2)
     universe = g.full_mask() if within is None else within.mask
     n_active = universe.bit_count()
     if n_active % r != 0:

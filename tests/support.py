@@ -18,6 +18,11 @@ either, so they live here.
 ``reference_parse_graph6`` and ``reference_format_graph6`` are the graph6
 codec as it was before it went linear: one C(n, 2)-bit int, shifted once per
 pair.  The codec's equivalence test holds the package's pair to them.
+
+``reference_parse_edgelist`` is the edge-list parser as it was before it
+built the adjacency bitsets itself: it collects the edges in a set and a
+list and hands them to ``Graph(n, edges)``, which checks each one again.
+The parser's equivalence test holds ``parse_edgelist`` to it.
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from cfl.graphs import (Graph, Graph6Error, VertexSet, iter_bits,
-                        iter_clique_masks)
+from cfl.graphs import (DuplicateEdgeError, EdgeSyntaxError, Graph,
+                        Graph6Error, HeaderError, LoopError, VertexRangeError,
+                        VertexSet, iter_bits, iter_clique_masks)
 from cfl.numbers import exact_fraction
 from cfl.regularity import SuperRegularVerdict, is_super_regular, pair_density
 from cfl.rng import _GOLDEN, SplitMix64
@@ -146,6 +152,40 @@ def strip_cliques(g: Graph, k: int, seed: int = 0) -> Graph:
         drop = pairs[rng.randrange(len(pairs))]
         edges = [e for e in current.edges() if e != drop]
         current = Graph(current.n, edges)
+
+
+def reference_parse_edgelist(text: str) -> Graph:
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise HeaderError("empty payload", line=1)
+    head = lines[0].split(" ")
+    if len(head) != 2 or not all(p.isdigit() for p in head):
+        raise HeaderError(f"expected 'n m' header, got {lines[0]!r}", line=1)
+    n, m = int(head[0]), int(head[1])
+    if len(lines) - 1 != m:
+        raise HeaderError(
+            f"header declares {m} edges but payload has {len(lines) - 1} edge lines",
+            line=1)
+    seen = set()
+    edges = []
+    for i, raw in enumerate(lines[1:], start=2):
+        parts = raw.split(" ")
+        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+            raise EdgeSyntaxError(f"expected 'u v', got {raw!r}", line=i)
+        u, v = int(parts[0]), int(parts[1])
+        if u == v:
+            raise LoopError(f"loop at vertex {u}", line=i)
+        if u > v:
+            raise EdgeSyntaxError(f"edge must satisfy u < v, got {raw!r}", line=i)
+        if v >= n:
+            raise VertexRangeError(f"vertex {v} out of range for n={n}", line=i)
+        if (u, v) in seen:
+            raise DuplicateEdgeError(f"duplicate edge {u} {v}", line=i)
+        seen.add((u, v))
+        edges.append((u, v))
+    return Graph(n, edges)
 
 
 def reference_parse_graph6(text: str) -> Graph:

@@ -1,5 +1,6 @@
 """Absorber, reachable-set and absorbing-set certifiers; the explicit gadget."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -336,3 +337,27 @@ def test_closedness_on_lower_bound_construction_is_observational():
     assert rep.pairs_evaluated == 20
     assert 0 <= rep.min_count <= rep.median_count <= rep.max_count
     assert rep.implied_beta == Fraction(rep.min_count, 12)
+
+
+def test_verifiers_refuse_tampered_certificates():
+    """verify_absorber and verify_reachable re-check what the certifiers
+    built: sets that overlap, an A larger than r t, or a tiling that does
+    not cover its set fails."""
+    k6 = complete_graph(6)
+    cert = certify_absorber(k6, VertexSet.of(k6, [0, 1, 2]),
+                            VertexSet.of(k6, [3, 4, 5]), r=3, t=1)
+    assert verify_absorber(k6, cert)
+    # A = S: both tilings are the one triangle S, but A meets S
+    triangle = CliqueTiling(3, [cert.s])
+    assert not verify_absorber(k6, replace(cert, a=cert.s, factor_of_a=triangle,
+                                           factor_of_a_union_s=triangle))
+    assert not verify_absorber(k6, replace(cert, t=0))          # |A| > r t
+    assert not verify_absorber(k6, replace(cert, factor_of_a=cert.factor_of_a_union_s))
+    k4 = complete_graph(4)
+    reach = certify_reachable(k4, 0, 1, VertexSet.of(k4, [2, 3]), r=3)
+    assert verify_reachable(k4, reach)
+    # S holds both endpoints, and both tilings cover it
+    both = CliqueTiling(2, [VertexSet.of(k4, [0, 1]), VertexSet.of(k4, [2, 3])])
+    assert not verify_reachable(k4, replace(reach, s=VertexSet(k4, 15), r=2,
+                                            factor_u=both, factor_v=both))
+    assert not verify_reachable(k4, replace(reach, factor_u=reach.factor_v))

@@ -321,6 +321,21 @@ def test_cover_user_errors_exit_two(tmp_path, capsys, key, value, field):
     ("absorb", "task = bogus\nr = 3\ngraph = c5\n",
      "[absorb] task: expected absorber|reachable|xi|closedness|gadget"),
     ("thresholds", "", "[thresholds]: nothing to compute"),
+    ("thresholds", "r = 4\nell = 2\nrho_star = x\n",
+     "[thresholds] rho_star: expected rational"),
+    ("absorb", "task = closedness\ngraph = petersen\nr = 3\ninner = maybe\n",
+     "[absorb] inner: expected boolean, got 'maybe'"),
+    ("thresholds", "parts = 1 x 3\n", "[thresholds] parts: expected integer list"),
+    ("drc", "graph = petersen\ntarget = 4-1\nwitness = 5-9\nt = 1\nr = 2\nm = 1\n",
+     "[drc] target: descending range '4-1'"),
+    ("drc", "graph = petersen\ntarget = 1-x\nwitness = 5-9\nt = 1\nr = 2\nm = 1\n",
+     "[drc] target: bad range '1-x'"),
+    ("drc", "graph = petersen\ntarget = 0-4\nwitness = 5,y\nt = 1\nr = 2\nm = 1\n",
+     "[drc] witness: bad vertex id 'y'"),
+    ("construct", "family = bogus\n",
+     "[construct] family: expected lower-bound|cover-threshold|sparse-klfree|spec"),
+    ("alpha", "graph = complete:-3\nell = 2\n",
+     "[alpha] graph: vertex count must be nonnegative"),
 ])
 def test_out_of_range_parameters_exit_two(tmp_path, capsys, kind, body, field):
     body = body.replace("{golden}", GOLDEN)
@@ -502,8 +517,9 @@ def test_a_config_with_a_byte_order_mark_runs(tmp_path, capsys):
      "config error: [run] kind: unknown kind 'bogus'"),
     (["graph", "convert", "--from", "csv", "--to", "graph6", "--in", "{bad}"],
      None, 2, "config error: --from/--to: formats are"),
+    (["alpha"], "[run]\nkind = alpha\n", 2, "config error: [alpha]: missing section"),
 ], ids=["malformed-graph-file", "unparseable-ini", "scan-unknown-kind",
-        "convert-from-csv"])
+        "convert-from-csv", "missing-section"])
 def test_command_line_errors_exit_with_their_code(tmp_path, capsys, args, body,
                                                   code, message):
     bad = write(tmp_path / "bad.el", "3 9\n0 1\n")
@@ -513,6 +529,24 @@ def test_command_line_errors_exit_with_their_code(tmp_path, capsys, args, body,
                  "--out", str(tmp_path / "out")]
     assert run_cli(args) == code
     assert message.replace("{bad}", bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, message", [
+    ("", "empty payload (line 1)"),
+    ("3 3\n", "expected 'k m n0' header, got '3 3' (line 1)"),
+    ("3 0 9\n", "cluster size m must be at least 1 (line 1)"),
+    ("3 3 0\n0 1 2\n3 4 5\n", "expected 3 cluster lines plus exceptional line (line 3)"),
+    ("3 3 0\n0 1 2\n3 4\n6 7 8\n", "cluster line must list exactly 3 vertex ids (line 3)"),
+    ("2 3 3\n0 1 2\n3 4 5\n6 x 8\n", "exceptional line must list vertex ids (line 4)"),
+    ("2 3 2\n0 1 2\n3 4 5\n6 7 8\n", "exceptional line lists 3 ids, header says 2 (line 4)"),
+])
+def test_malformed_partition_files_exit_three(tmp_path, capsys, payload, message):
+    part = write(tmp_path / "part.txt", payload)
+    cfg = write(tmp_path / "rc.ini", "[run]\nkind = regcheck\n[regcheck]\n"
+                "graph = multipartite:3,3,3\npartition = " + part
+                + "\nepsilon = 1/4\nd = 0\n")
+    assert run_cli(["regcheck", "--config", cfg]) == 3
+    assert f"input error: {part}: {message}" in capsys.readouterr().err
 
 
 def test_construct_spec_family_reports_its_graph(tmp_path, capsys):
@@ -972,12 +1006,14 @@ def _vertex_lists():
 
 
 def _class_lists():
-    """Consecutive disjoint ranges '0-2;3-4', or arbitrary vertex lists."""
+    """Consecutive disjoint ranges '0-2;3-4', arbitrary vertex lists, or
+    classes that the embedder refuses: one class, or two that overlap."""
     ranges = st.lists(st.integers(1, 4), min_size=2, max_size=3).map(
         lambda sizes: ";".join(f"{sum(sizes[:i])}-{sum(sizes[:i + 1]) - 1}"
                                for i in range(len(sizes))))
     return st.one_of(ranges, ranges, ranges,
-                     st.lists(_vertex_lists(), min_size=1, max_size=3).map(";".join))
+                     st.lists(_vertex_lists(), min_size=1, max_size=3).map(";".join),
+                     st.sampled_from(["0-3", "0-2;2-4", "0-1;0-1", "0-1;2-3;3-5"]))
 
 
 _FRACTIONS = st.sampled_from(["0", "1/4", "0.5", "1", "2", "-1/3", "1/100", "x"])
@@ -1031,7 +1067,8 @@ def _kind_keys(draw, kind):
     elif kind == "cover":
         keys["vertex"] = draw(_value(0, 14))
         keys["r"] = draw(_value(1))
-        keys["forbidden"] = draw(st.one_of(st.just(""), _vertex_lists()))
+        keys["forbidden"] = draw(st.one_of(st.just(""), _vertex_lists(),
+                                           st.just(keys["vertex"])))
     elif kind == "rtt":
         # n <= 7 scans at most 2^21 graphs, a min-degree level at a time;
         # n = 8 samples `tries` graphs
@@ -1042,10 +1079,14 @@ def _kind_keys(draw, kind):
         keys["tries"] = draw(st.integers(-1, 2).map(str))
     elif kind == "absorb":
         keys["r"] = draw(_value(2, 4))
-        for k in ("s_set", "a_set"):
-            keys[k] = draw(_vertex_lists())
+        keys["s_set"] = draw(_vertex_lists())
+        # the certifiers' refusals: a_set meeting s_set, u == v, s_set
+        # holding an endpoint
+        keys["a_set"] = draw(st.one_of(_vertex_lists(), st.just(keys["s_set"])))
         keys["u"] = draw(_value(0, 14))
-        keys["v"] = draw(_value(0, 14))
+        keys["v"] = draw(st.one_of(_value(0, 14), st.just(keys["u"])))
+        if draw(st.booleans()):
+            keys["s_set"] = ",".join(filter(None, (keys["s_set"], keys["v"])))
         keys["u_set"] = draw(st.one_of(st.just("all"), _vertex_lists()))
         keys["t"] = draw(_value(0, 3))
         keys["xi"] = draw(st.sampled_from(["0", "1/5", "0.25", "-1", "2", "x"]))
@@ -1056,7 +1097,7 @@ def _kind_keys(draw, kind):
         keys["inner"] = draw(st.sampled_from(["true", "false", "x"]))
     elif kind == "drc":
         keys["target"] = draw(_vertex_lists())
-        keys["witness"] = draw(_vertex_lists())
+        keys["witness"] = draw(st.one_of(_vertex_lists(), st.just(keys["target"])))
         keys["t"] = draw(_value(1, 3))
         keys["r"] = draw(_value(2, 4))
         keys["m"] = draw(_value(1, 4))
@@ -1070,7 +1111,8 @@ def _kind_keys(draw, kind):
     elif kind == "thresholds":
         optional = {"parts": _int_lists(), "r": _value(2, 6), "ell": _value(2, 4),
                     "n": _value(-1, 12), "rho_star": _FRACTIONS,
-                    "profile_c": _FLOATS, "profile_n": _value(0, 12)}
+                    "profile_c": _FLOATS,
+                    "profile_n": st.one_of(_value(0, 12), st.just("1"))}
         for k, values in optional.items():
             if draw(st.sampled_from([True, True, True, False])):
                 keys[k] = draw(values)

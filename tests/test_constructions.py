@@ -6,13 +6,13 @@ from functools import partial
 import pytest
 
 from cfl import constructions
-from cfl.constructions import (ConstructionError, ConstructionInvariantError,
+from cfl.constructions import (ConstructionInvariantError,
                                build_cover_threshold_graph,
                                build_lower_bound_graph, graph_from_spec,
                                sample_sparse_klfree, sparse_gamma_limit)
-from cfl.graphs import (VertexSet, complete_graph, cycle_graph, empty_graph,
-                        has_clique, iter_clique_masks, petersen_graph,
-                        random_gnp)
+from cfl.graphs import (ParameterError, VertexSet, complete_graph, cycle_graph,
+                        empty_graph, has_clique, iter_clique_masks,
+                        petersen_graph, random_gnp)
 from cfl.invariants import alpha_ell_exact, has_clique_cover
 from cfl.tiling import max_tiling
 from cfl.rng import SplitMix64
@@ -40,13 +40,13 @@ def test_lower_bound_every_clique_meets_x1():
 
 
 def test_lower_bound_rejects_bad_specs():
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ParameterError):
         build_lower_bound_graph(7, 3, 2, Fraction(0, 7), cycle_graph(7))
-    with pytest.raises(ConstructionError):    # inner has a triangle
+    with pytest.raises(ParameterError):    # inner has a triangle
         build_lower_bound_graph(7, 3, 2, Fraction(2, 7), complete_graph(5))
-    with pytest.raises(ConstructionError):    # size mismatch
+    with pytest.raises(ParameterError):    # size mismatch
         build_lower_bound_graph(7, 3, 2, Fraction(2, 7), cycle_graph(4))
-    with pytest.raises(ConstructionError):    # eta above (r-ell)/r
+    with pytest.raises(ParameterError):    # eta above (r-ell)/r
         build_lower_bound_graph(6, 3, 2, Fraction(1, 2), cycle_graph(3))
 
 
@@ -92,7 +92,7 @@ def test_cover_threshold_structure():
 def test_cover_threshold_r3_forces_empty_inner():
     b = build_cover_threshold_graph(10, 3, Fraction(1, 2), empty_graph(5))
     assert has_clique_cover(b.graph, 0, 3) is None
-    with pytest.raises(ConstructionError):    # any edge is a K_2 = K_{r-1}
+    with pytest.raises(ParameterError):    # any edge is a K_2 = K_{r-1}
         build_cover_threshold_graph(10, 3, Fraction(1, 2), cycle_graph(5))
 
 
@@ -105,7 +105,7 @@ def test_cover_threshold_recheck_raises_without_assert(monkeypatch):
 
 
 def test_cover_threshold_rejects_kr1_inner():
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ParameterError):
         build_cover_threshold_graph(16, 4, Fraction(1, 2), complete_graph(8))
 
 
@@ -133,7 +133,7 @@ def test_cover_threshold_rejects_kr1_inner():
      "inner"),
 ])
 def test_each_refusal_names_its_spec_field(spec, key):
-    with pytest.raises(ConstructionError) as info:
+    with pytest.raises(ParameterError) as info:
         spec()
     assert info.value.key == key
 
@@ -185,5 +185,5 @@ def test_graph_from_spec():
     assert graph_from_spec("complete:4") == complete_graph(4)
     assert graph_from_spec("gnp:10,0.5,3") == random_gnp(10, 0.5, 3)
     assert graph_from_spec("multipartite:2,3").edge_count == 6
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ParameterError):
         graph_from_spec("dodecahedron")

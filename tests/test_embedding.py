@@ -404,3 +404,24 @@ def test_multipartite_search_finds_lexicographic_min():
     cls = hyper_classes(g, [3, 3])
     found = multipartite_clique_search(g, cls, 1)
     assert [s.vertices() for s in found] == [(0,), (3,)]
+
+
+def test_verify_embedding_refuses_tampered_certificates():
+    """The final check refuses a per-class set of the wrong size or outside
+    its class, sets that share a vertex, and a union that is no clique;
+    each case breaks one condition only."""
+    g = complete_multipartite([3, 3, 3])
+    cls = hyper_classes(g, [3, 3, 3])
+    res = embed_clique_in_tuple(g, cls, p=1, alpha_bound=0)
+    check = embedding._verify_embedding
+    assert res.success and check(g, cls, res.per_class, 1)
+    first = res.per_class[0]
+    assert not check(g, cls, res.per_class, 2)
+    k6 = complete_multipartite([1] * 6)
+    pair = [VertexSet.of(k6, [0, 1]), VertexSet.of(k6, [2, 3])]
+    assert check(k6, pair, [VertexSet.of(k6, [0]), VertexSet.of(k6, [2])], 1)
+    assert not check(k6, pair, [VertexSet.of(k6, [4]), VertexSet.of(k6, [2])], 1)
+    assert not check(g, [cls[0], cls[0]], [first, first], 1)
+    # vertices 0 and 2 lie in one part of K_{3,3,3}, so they are not adjacent
+    split = [VertexSet.of(g, [0, 1]), VertexSet.of(g, [2, 3])]
+    assert not check(g, split, [VertexSet.of(g, [0]), VertexSet.of(g, [2])], 1)

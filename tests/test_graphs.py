@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cfl.graphs import (DuplicateEdgeError, EdgeSyntaxError,
-                        Graph6Error, HeaderError, LoopError,
+from cfl.graphs import (DuplicateEdgeError, EdgeSyntaxError, Graph,
+                        Graph6Error, GraphFormatError, HeaderError, LoopError,
                         VertexRangeError, VertexSet,
                         complete_graph, complete_multipartite, cycle_graph,
                         empty_graph, format_edgelist, format_graph6,
@@ -13,7 +13,8 @@ from cfl.graphs import (DuplicateEdgeError, EdgeSyntaxError,
 
 from conftest import independent_graph6_decode, naive_cliques, seeded_graphs
 from cfl.rng import SplitMix64
-from support import bulk_random, reference_format_graph6, reference_parse_graph6
+from support import (bulk_random, reference_format_graph6,
+                     reference_parse_edgelist, reference_parse_graph6)
 
 
 # -- edge list format ---------------------------------------------------------
@@ -56,6 +57,59 @@ def test_edgelist_roundtrip_is_bit_exact():
         assert format_edgelist(parse_edgelist(text)) == text
 
 
+def _edgelist_corruptions(text, rng):
+    """Payloads near the edge list ``text``: a line repeated, dropped,
+    reversed or turned into a loop, an endpoint pushed out of range, a
+    character replaced or inserted, the header count changed, a cut."""
+    lines = text.split("\n")[:-1]
+    n = int(lines[0].split(" ")[0])
+    out = []
+    for _ in range(3):
+        i = 1 + rng.randrange(len(lines) - 1) if len(lines) > 1 else 0
+        u, _, v = lines[i].partition(" ")
+        edited = [f"{v} {u}", f"{u} {u}", f"{u} {n + rng.randrange(3)}",
+                  lines[i] + " ", "x" + lines[i][1:]]
+        for line in edited:
+            out.append("\n".join(lines[:i] + [line] + lines[i + 1:]) + "\n")
+        # line i twice and the last line dropped, so the count still holds
+        out.append("\n".join(lines[:i + 1] + lines[i:-1]) + "\n")
+        out.append("\n".join(lines[:i] + lines[i + 1:]) + "\n")
+        j = rng.randrange(len(text))
+        c = rng.choice("0123456789 \nx-")
+        out += [text[:j] + c + text[j + 1:], text[:j] + c + text[j:], text[:j]]
+    head_n, head_m = lines[0].split(" ")
+    out.append(text.replace(lines[0], f"{head_n} {int(head_m) + 1}", 1))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 30), st.integers(0, 2**32 - 1))
+@example(0, 1)
+@example(1, 2)
+@example(2, 3)
+def test_parse_edgelist_matches_the_reference(n, seed):
+    """The parser that builds bitsets gives the graph, or the error class,
+    message and line, of the one that hands an edge list to Graph."""
+    rng = SplitMix64(seed)
+    g = random_gnp(n, rng.random(), rng.next_u64())
+    text = format_edgelist(g)
+    assert parse_edgelist(text) == g
+    for payload in [text, text.rstrip("\n"), *_edgelist_corruptions(text, rng)]:
+        assert (_decode_outcome(parse_edgelist, payload)
+                == _decode_outcome(reference_parse_edgelist, payload)), payload
+
+
+def test_graph_constructor_checks_code_built_edges():
+    with pytest.raises(ValueError, match="loop at vertex 1"):
+        Graph(3, [(1, 1)])
+    with pytest.raises(ValueError, match="out of range"):
+        Graph(3, [(0, 3)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        Graph(-1)
+    doubled = Graph(3, [(0, 1), (1, 0), (0, 1)])
+    assert doubled.edge_count == 1 and doubled == Graph(3, [(0, 1)])
+
+
 # -- graph6 -------------------------------------------------------------------
 
 def test_graph6_c5_against_independent_decoder():
@@ -95,7 +149,7 @@ def _decode_outcome(parse, payload):
     message and position."""
     try:
         return parse(payload)
-    except Graph6Error as exc:
+    except GraphFormatError as exc:
         return type(exc), str(exc), exc.offset, exc.line
 
 

@@ -284,6 +284,18 @@ def test_super_regular_flags_isolated_vertex():
     assert not v.ok and v.reason == "degree" and v.witness_vertex == 3
 
 
+def test_super_regular_refuses_a_sparse_pair_and_a_low_degree_in_y():
+    # an empty pair is regular at every eps, but its density 0 is below d
+    e = empty_graph(16)
+    v = is_super_regular(e, *split_pair(e, 8, 8), Fraction(1, 4), Fraction(1, 2))
+    assert not v.ok and v.reason == "density" and v.regularity.regular
+    assert v.witness_vertex is None
+    # every X vertex keeps 7 of 8, but vertex 11 of Y sees no X vertex
+    g = Graph(16, [(u, w) for u in range(8) for w in range(8, 16) if w != 11])
+    v = is_super_regular(g, *split_pair(g, 8, 8), 0.3, 0.5)
+    assert not v.ok and v.reason == "degree" and v.witness_vertex == 11
+
+
 def test_super_regular_sampled_random_pair():
     # At eps = 0.1 the minimum qualifying subsets (7 of 64) of a p = 0.5
     # pair genuinely fluctuate past the tolerance, so honest min-size

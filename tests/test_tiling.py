@@ -9,7 +9,8 @@ from cfl.constructions import build_lower_bound_graph
 from cfl.graphs import (Graph, VertexSet, complete_graph,
                         complete_multipartite, cycle_graph, has_clique,
                         iter_clique_masks, random_gnp)
-from cfl.tiling import _free_sets, has_factor, max_tiling, verify_tiling
+from cfl.tiling import (CliqueTiling, _free_sets, has_factor, max_tiling,
+                        verify_tiling)
 
 from conftest import naive_has_factor, naive_max_tiling_count, small_graphs
 
@@ -262,3 +263,19 @@ def test_free_set_bound_node_count_on_criterion_4_instance():
     assert res.optimal and len(res.best) == 4
     assert verify_tiling(g, res.best)
     assert res.nodes_explored <= 10**4
+
+
+def test_verify_tiling_refuses_tampered_certificates():
+    """The independent checker refuses a tile of the wrong size, two tiles
+    that overlap, a tile outside ``within`` and a tile that is no clique."""
+    k6 = complete_graph(6)
+    tiles = max_tiling(k6, 3).best
+    a, b = tiles.members
+    assert verify_tiling(k6, tiles)
+    assert verify_tiling(k6, tiles, within=VertexSet(k6, k6.full_mask()))
+    assert not verify_tiling(k6, CliqueTiling(3, [a, VertexSet.of(k6, [3, 4])]))
+    assert not verify_tiling(k6, CliqueTiling(3, [a, a]))
+    assert not verify_tiling(k6, tiles, within=a)
+    holed = Graph(6, [e for e in k6.edges() if e != (4, 5)])
+    assert not verify_tiling(holed, CliqueTiling(3, [VertexSet(holed, a.mask),
+                                                     VertexSet(holed, b.mask)]))
