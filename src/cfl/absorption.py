@@ -11,8 +11,10 @@ The objects certified here:
 * closedness: statistics of how many disjoint reachable sets connect the
   pairs of a vertex set.
 
-Every certificate stores the factor tilings themselves and re-verifies via
-the independent tiling checker.  Searches are greedy first-fit over
+Every certificate stores its factor tilings, and each is re-checked before
+the certificate is returned: the independent tiling checker accepts it and
+it covers exactly its set, or ``graphs.SelfCheckError`` is raised (a defect
+in cfl).  Searches are greedy first-fit over
 candidates in lexicographic order: the counts are honest lower bounds, and
 exact packing lives only in the test oracles.
 """
@@ -25,16 +27,11 @@ from itertools import combinations
 from statistics import median
 from typing import Dict, List, Optional, Tuple
 
-from .graphs import (Graph, ParameterError, VertexSet, iter_bits,
-                     iter_clique_masks, mask_of)
+from .graphs import (Graph, ParameterError, SelfCheckError, VertexSet,
+                     iter_bits, iter_clique_masks, mask_of)
 from .numbers import exact_fraction
 from .rng import SplitMix64, derive_seed
 from .tiling import CliqueTiling, has_factor, verify_tiling
-
-
-class CertificateError(RuntimeError):
-    """A certificate assembled from solver output failed its independent
-    re-verification (a solver defect, never a property of the input)."""
 
 
 @dataclass
@@ -61,26 +58,37 @@ class ReachableCertificate:
     factor_v: CliqueTiling
 
 
+def _factors(g: Graph, r: int, masks) -> Optional[List[CliqueTiling]]:
+    """A K_r-factor of each mask in turn, or None at the first without one."""
+    out = []
+    for mask in masks:
+        out.append(has_factor(g, r, within=VertexSet(g, mask)).tiling)
+        if out[-1] is None:
+            return None
+    return out
+
+
+def _is_factor_of(g: Graph, tiling: CliqueTiling, mask: int) -> bool:
+    """Whether verify_tiling accepts the tiling and it covers exactly mask."""
+    return (verify_tiling(g, tiling, within=VertexSet(g, mask))
+            and tiling.covered_mask == mask)
+
+
 def verify_absorber(g: Graph, cert: AbsorberCertificate) -> bool:
-    if cert.a.mask & cert.s.mask:
+    if (cert.a.mask & cert.s.mask or len(cert.a) > cert.r * cert.t
+            or len(cert.a) % cert.r):
         return False
-    if len(cert.a) > cert.r * cert.t or len(cert.a) % cert.r:
-        return False
-    return (verify_tiling(g, cert.factor_of_a, within=cert.a)
-            and cert.factor_of_a.covered_mask == cert.a.mask
-            and verify_tiling(g, cert.factor_of_a_union_s,
-                              within=VertexSet(g, cert.a.mask | cert.s.mask))
-            and cert.factor_of_a_union_s.covered_mask == (cert.a.mask | cert.s.mask))
+    return (_is_factor_of(g, cert.factor_of_a, cert.a.mask)
+            and _is_factor_of(g, cert.factor_of_a_union_s,
+                              cert.a.mask | cert.s.mask))
 
 
 def verify_reachable(g: Graph, cert: ReachableCertificate) -> bool:
     um, vm = 1 << cert.u, 1 << cert.v
     if cert.s.mask & (um | vm):
         return False
-    return (verify_tiling(g, cert.factor_u, within=VertexSet(g, cert.s.mask | um))
-            and cert.factor_u.covered_mask == (cert.s.mask | um)
-            and verify_tiling(g, cert.factor_v, within=VertexSet(g, cert.s.mask | vm))
-            and cert.factor_v.covered_mask == (cert.s.mask | vm))
+    return (_is_factor_of(g, cert.factor_u, cert.s.mask | um)
+            and _is_factor_of(g, cert.factor_v, cert.s.mask | vm))
 
 
 def certify_absorber(g: Graph, s: VertexSet, a: VertexSet, r: int,
@@ -93,17 +101,13 @@ def certify_absorber(g: Graph, s: VertexSet, a: VertexSet, r: int,
         raise ParameterError("a_set", "meets s_set")
     if len(a) > r * t or len(a) % r != 0:
         return None
-    fa = has_factor(g, r, within=a)
-    if fa.tiling is None:
+    factors = _factors(g, r, (a.mask, a.mask | s.mask))
+    if factors is None:
         return None
-    fas = has_factor(g, r, within=VertexSet(g, a.mask | s.mask))
-    if fas.tiling is None:
-        return None
-    cert = AbsorberCertificate(s=s, a=a, r=r, t=t, factor_of_a=fa.tiling,
-                               factor_of_a_union_s=fas.tiling)
+    cert = AbsorberCertificate(s, a, r, t, *factors)
     if not verify_absorber(g, cert):
-        raise CertificateError(f"absorber certificate for S={s.vertices()} "
-                               "failed re-verification")
+        raise SelfCheckError(f"absorber certificate for S={s.vertices()} "
+                             "failed re-verification")
     return cert
 
 
@@ -115,17 +119,13 @@ def certify_reachable(g: Graph, u: int, v: int, s: VertexSet,
         raise ParameterError("s_set", "contains u or v")
     if (len(s) + 1) % r != 0:
         return None
-    fu = has_factor(g, r, within=VertexSet(g, s.mask | (1 << u)))
-    if fu.tiling is None:
+    factors = _factors(g, r, (s.mask | (1 << u), s.mask | (1 << v)))
+    if factors is None:
         return None
-    fv = has_factor(g, r, within=VertexSet(g, s.mask | (1 << v)))
-    if fv.tiling is None:
-        return None
-    cert = ReachableCertificate(u=u, v=v, s=s, r=r, factor_u=fu.tiling,
-                                factor_v=fv.tiling)
+    cert = ReachableCertificate(u, v, s, r, *factors)
     if not verify_reachable(g, cert):
-        raise CertificateError(f"reachable certificate for ({u}, {v}) "
-                               "failed re-verification")
+        raise SelfCheckError(f"reachable certificate for ({u}, {v}) "
+                             "failed re-verification")
     return cert
 
 

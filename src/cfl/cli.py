@@ -9,7 +9,8 @@ Grammar::
 Kinds: construct, alpha, tile, factor, cover, regcheck, drc, embed, absorb,
 rtt, thresholds, bounds.  Exit codes: 0 success, 2 config error, 3 input
 error (including an unreadable or unwritable path, or an input file that
-is not UTF-8), 4 resource cap hit (partial results written).  The
+is not UTF-8), 4 resource cap hit (partial results written); a failed
+self-check (``graphs.SelfCheckError``) is a defect in cfl, exit 1.  The
 environment variable CFL_NODE_BUDGET overrides ``[run] node_budget``; only
 alpha, tile, factor and embed (its auto alpha and its fallback search) pass
 the budget on, and every other kind's search runs uncapped.  ``--threads``
@@ -286,16 +287,15 @@ def run_regcheck(cfg, seed, node_cap, outdir):
                 sv = regularity.is_super_regular(
                     g, part.clusters[i], part.clusters[j], eps, d,
                     samples=samples, seed=seed)
-                pair_results[f"{i}-{j}"] = {
-                    "density": part.density(i, j), "super_regular": sv.ok,
-                    "reason": sv.reason, "mode": sv.regularity.mode}
+                rv = sv.regularity
+                row = {"super_regular": sv.ok, "reason": sv.reason}
             else:
                 rv = regularity.is_regular_pair(
                     g, part.clusters[i], part.clusters[j], eps,
                     samples=samples, seed=seed)
-                pair_results[f"{i}-{j}"] = {
-                    "density": part.density(i, j), "regular": rv.regular,
-                    "mode": rv.mode, "violation": rv.violation}
+                row = {"regular": rv.regular, "violation": rv.violation}
+            pair_results[f"{i}-{j}"] = {"density": rv.base_density,
+                                        "mode": rv.mode, **row}
     result = {"k": part.k, "cluster_size": m, "mode": mode,
               "pairs": pair_results,
               "reduced_edges": {f"{i}-{j}": w for (i, j), w in red.weights.items()},

@@ -12,7 +12,8 @@ Two deterministic constructions and one randomized sampler:
   accepted only when certified K_{l+1}-free with l-independence at most
   ceil(n^(1-gamma)).
 
-Inner graphs are certified clique-free at build time, never trusted.
+Inner graphs are certified clique-free at build time, never trusted, and a
+built cover-threshold graph is re-checked (``graphs.SelfCheckError``).
 Fractional sizes round to nearest with ties up, and builds report realized
 sizes so downstream audits use realized, not nominal, parameters.
 """
@@ -25,15 +26,11 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import graphs as gr
-from .graphs import Graph, ParameterError, VertexSet, has_clique
+from .graphs import (Graph, ParameterError, SelfCheckError, VertexSet,
+                     has_clique)
 from .invariants import alpha_ell_exact, has_clique_cover
 from .numbers import round_half_up
 from .rng import derive_seed
-
-
-class ConstructionInvariantError(RuntimeError):
-    """A built graph failed its post-assembly re-certification (a builder
-    defect, never a property of accepted parameters)."""
 
 
 # -- lower-bound family ----------------------------------------------------
@@ -149,8 +146,7 @@ def build_cover_threshold_graph(n: int, r: int, x: Fraction,
             edges.append((u, v))
     g = Graph(n, edges)
     if has_clique_cover(g, 0, r) is not None:
-        raise ConstructionInvariantError(
-            "construction invariant broken: hub is covered")
+        raise SelfCheckError("construction invariant broken: hub is covered")
     hub_deg = g.degree(0)
     nb = VertexSet.of(g, range(1, s + 1))
     cl = VertexSet.of(g, range(clique_lo, n))

@@ -24,9 +24,10 @@ Two parts:
   the selector on the resulting bipartite structure, find a p-clique
   inside the selected set (any set larger than the caller's independence
   budget must contain one), back-extend through common links, and verify
-  the final p-per-class clique directly.  A bounded brute-force
-  multipartite search is the fallback; reports name which path
-  succeeded, and failure is a structured outcome with the stage reached.
+  the final p-per-class clique directly; a result's clique is the union
+  that check accepted.  A bounded brute-force multipartite search is the
+  fallback; reports name which path succeeded, and failure is a
+  structured outcome with the stage reached.
 
 The asymptotic parameter schedule behind these procedures is meaningless at
 desk scale; s, the trial count and the fallback node cap are explicit
@@ -103,7 +104,6 @@ def drc_select(g: Graph, target_class: VertexSet, witness_class: VertexSet,
         raise ParameterError("witness", "meets target")
     witness_verts = witness_class.vertices()
     best_mask = 0
-    best_trial = 0
     best_deletions = 0
     best_initial = 0
     trials_run = 0
@@ -127,8 +127,7 @@ def drc_select(g: Graph, target_class: VertexSet, witness_class: VertexSet,
             umask &= ~(1 << drop)
             deletions += 1
         if umask.bit_count() > best_mask.bit_count():
-            best_mask, best_trial = umask, trial
-            best_deletions, best_initial = deletions, initial
+            best_mask, best_deletions, best_initial = umask, deletions, initial
     return DrcOutcome(selected=VertexSet(g, best_mask), certified=True,
                       trials=trials_run, deletions=best_deletions,
                       initial_size=best_initial)
@@ -263,15 +262,15 @@ def multipartite_clique_search(g: Graph, classes: Sequence[VertexSet], p: int,
 
 
 def _verify_embedding(g: Graph, classes: Sequence[VertexSet],
-                      per_class: List[VertexSet], p: int) -> bool:
+                      per_class: List[VertexSet], p: int) -> int:
+    """``per_class``'s union if it is a clique with p per class, else 0."""
     union = 0
     for i, a in enumerate(per_class):
         if len(a) != p or a.mask & ~classes[i].mask:
-            return False
+            return 0
         union |= a.mask
-    if union.bit_count() != p * len(classes):
-        return False
-    return g.is_clique(union)
+    ok = union.bit_count() == p * len(classes) and g.is_clique(union)
+    return union if ok else 0
 
 
 def embed_clique_in_tuple(g: Graph, classes: Sequence[VertexSet], p: int,
@@ -314,16 +313,13 @@ def embed_clique_in_tuple(g: Graph, classes: Sequence[VertexSet], p: int,
         telemetry.append(note)
         stage = note.get("stage", stage)
         if per_class is not None:
-            if _verify_embedding(g, classes, per_class, p):
-                union = 0
-                for a in per_class:
-                    union |= a.mask
+            union = _verify_embedding(g, classes, per_class, p)
+            if union:
                 return EmbedResult(True, VertexSet(g, union), per_class,
                                    path="drc", stage="done",
                                    alpha_bound=alpha_bound, trials_used=trial,
                                    telemetry=telemetry)
-            note["stage"] = "verification"
-            stage = "verification"
+            note["stage"] = stage = "verification"
 
     try:
         fallback = multipartite_clique_search(g, classes, p,
@@ -331,10 +327,8 @@ def embed_clique_in_tuple(g: Graph, classes: Sequence[VertexSet], p: int,
     except SearchCapExceeded:
         fallback = None
         telemetry.append({"fallback": "cap"})
-    if fallback is not None and _verify_embedding(g, classes, fallback, p):
-        union = 0
-        for a in fallback:
-            union |= a.mask
+    union = _verify_embedding(g, classes, fallback, p) if fallback else 0
+    if union:
         return EmbedResult(True, VertexSet(g, union), fallback,
                            path="fallback", stage="done",
                            alpha_bound=alpha_bound, trials_used=trials_used,

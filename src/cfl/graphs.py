@@ -8,8 +8,10 @@ lightweight (graph, mask) views.
 Two wire formats are supported:
 
 * edge list: first line ``n m``, then m lines ``u v`` with 0 <= u < v < n,
-  LF line endings, no comments.  The serializer emits edges sorted
-  lexicographically, so parse/serialize round-trips are bit-exact.
+  LF line endings, no comments.  Every field is ASCII decimal digits, and
+  n is at most MAX_EDGELIST_N, since the graph holds one bitset per vertex.
+  The serializer emits edges sorted lexicographically, so parse/serialize
+  round-trips are bit-exact.
 * graph6: the standard printable encoding, one graph per line, with the
   optional ``>>graph6<<`` header accepted on input.
 """
@@ -34,6 +36,10 @@ class ParameterError(ValueError):
         """Refuse an integer ``value`` below ``low``."""
         if value < low:
             raise cls(key, f"expected an integer >= {low}, got {value}")
+
+
+class SelfCheckError(RuntimeError):
+    """cfl's own certificate failed its re-check: a defect, not bad input."""
 
 
 class SearchCapExceeded(Exception):
@@ -219,6 +225,13 @@ class VertexSet:
 
 # -- parsing and serialization ------------------------------------------
 
+MAX_EDGELIST_N = 1_000_000
+
+
+def decimal_fields(fields: Iterable[str]) -> bool:
+    """Whether each field is ASCII digits (``isdigit`` also takes '²')."""
+    return all(f.isascii() and f.isdigit() for f in fields)
+
 
 def parse_edgelist(text: str) -> Graph:
     """Parse the edge-list wire format; errors carry line numbers."""
@@ -228,9 +241,11 @@ def parse_edgelist(text: str) -> Graph:
     if not lines:
         raise HeaderError("empty payload", line=1)
     head = lines[0].split(" ")
-    if len(head) != 2 or not all(p.isdigit() for p in head):
+    if len(head) != 2 or not decimal_fields(head):
         raise HeaderError(f"expected 'n m' header, got {lines[0]!r}", line=1)
     n, m = int(head[0]), int(head[1])
+    if n > MAX_EDGELIST_N:
+        raise HeaderError(f"n = {n} exceeds the limit {MAX_EDGELIST_N}", line=1)
     if len(lines) - 1 != m:
         raise HeaderError(
             f"header declares {m} edges but payload has {len(lines) - 1} edge lines",
@@ -239,7 +254,7 @@ def parse_edgelist(text: str) -> Graph:
     adj: Dict[int, int] = {}
     for i, raw in enumerate(lines[1:], start=2):
         parts = raw.split(" ")
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if len(parts) != 2 or not decimal_fields(parts):
             raise EdgeSyntaxError(f"expected 'u v', got {raw!r}", line=i)
         u, v = int(parts[0]), int(parts[1])
         if u == v:
@@ -331,9 +346,8 @@ def parse_graph(payload) -> Graph:
     """
     if isinstance(payload, bytes):
         payload = payload.decode("utf-8")
-    first = payload.split("\n", 1)[0].strip()
-    parts = first.split(" ")
-    if len(parts) == 2 and all(p.isdigit() for p in parts):
+    parts = payload.split("\n", 1)[0].strip().split(" ")
+    if len(parts) == 2 and decimal_fields(parts):
         return parse_edgelist(payload)
     return parse_graph6(payload)
 

@@ -17,10 +17,12 @@ C(|X|, min_x) * |Y| <= 2^19 (``exhaustive_fits``), which admits every pair
 with both sides <= 14 and, for example, sides 20 at eps = 1/4.  Beyond that
 the check samples: it can refute regularity with a witness but never
 certify it, and the verdict's mode says "sampled".  No caller picks the
-mode.  All densities and thresholds are exact rationals, so
-verdicts carry no float fuzz.  A float epsilon is read at its shortest
-decimal (``numbers.exact_fraction``): 0.2 means exactly 1/5, not the binary
-double just above it.
+mode.  All densities and thresholds are exact rationals, so verdicts carry
+no float fuzz; each verdict carries its pair's density (``base_density``),
+and an exhaustive witness is re-counted directly before it is reported
+(a mismatch raises ``graphs.SelfCheckError``).  A float epsilon is read at
+its shortest decimal (``numbers.exact_fraction``): 0.2 means exactly 1/5,
+not the binary double just above it.
 
 Partitions here are supplied by builders or files, never produced by a
 regularity-lemma algorithm: the package certifies partitions, it does not
@@ -30,21 +32,17 @@ search for them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .graphs import Graph, ParameterError, VertexSet, iter_bits
+from .graphs import (Graph, ParameterError, SelfCheckError, VertexSet,
+                     decimal_fields, iter_bits)
 from .numbers import exact_fraction as _as_fraction
 from .rng import SplitMix64
 
 # Work bound of an exhaustive check: subsets of X scanned times |Y|.
 _EXHAUSTIVE_WORK = 1 << 19
-
-
-class WitnessError(RuntimeError):
-    """An irregularity witness failed its direct density re-computation (a
-    checker defect, never a property of the input)."""
 
 
 class PartitionFormatError(ValueError):
@@ -168,8 +166,8 @@ def _violation(g, x, y, xs, ys, xmask, ysel, eps, d0, ax, q, edge_count):
     dv = Fraction(edge_count, ax * q)
     # re-verify the witness by direct density computation
     if pair_density(g, wx, wy) != dv:
-        raise WitnessError(f"witness density {dv} does not match a direct "
-                           "count")
+        raise SelfCheckError(f"witness density {dv} does not match a direct "
+                             "count")
     return RegularityVerdict(epsilon=eps, mode="exhaustive", regular=False,
                              base_density=d0, violation=(wx, wy),
                              violation_density=dv)
@@ -222,14 +220,11 @@ def is_super_regular(g: Graph, x: VertexSet, y: VertexSet, epsilon, d,
         return SuperRegularVerdict(eps, dd, False, "irregular", verdict)
     if verdict.base_density < dd:
         return SuperRegularVerdict(eps, dd, False, "density", verdict)
-    for v in sorted(x):
-        if Fraction((g.adj[v] & y.mask).bit_count()) < dd * len(y):
-            return SuperRegularVerdict(eps, dd, False, "degree", verdict,
-                                       witness_vertex=v)
-    for v in sorted(y):
-        if Fraction((g.adj[v] & x.mask).bit_count()) < dd * len(x):
-            return SuperRegularVerdict(eps, dd, False, "degree", verdict,
-                                       witness_vertex=v)
+    for side, other in ((x, y), (y, x)):
+        for v in side:
+            if (g.adj[v] & other.mask).bit_count() < dd * len(other):
+                return SuperRegularVerdict(eps, dd, False, "degree", verdict,
+                                           witness_vertex=v)
     return SuperRegularVerdict(eps, dd, True, "ok", verdict)
 
 
@@ -242,7 +237,6 @@ class Partition:
     graph: Graph
     exceptional: VertexSet
     clusters: List[VertexSet]
-    _density_cache: Dict[Tuple[int, int], Fraction] = field(default_factory=dict)
 
     def validate(self) -> None:
         n = self.graph.n
@@ -267,13 +261,6 @@ class Partition:
     def cluster_size(self) -> int:
         return len(self.clusters[0])
 
-    def density(self, i: int, j: int) -> Fraction:
-        key = (min(i, j), max(i, j))
-        if key not in self._density_cache:
-            self._density_cache[key] = pair_density(
-                self.graph, self.clusters[key[0]], self.clusters[key[1]])
-        return self._density_cache[key]
-
 
 def parse_partition(text: str, g: Graph) -> Partition:
     """Parse the partition wire format: ``k m n0``, then one line of m
@@ -284,7 +271,7 @@ def parse_partition(text: str, g: Graph) -> Partition:
     if not lines:
         raise PartitionFormatError("empty payload", line=1)
     head = lines[0].split()
-    if len(head) != 3 or not all(p.isdigit() for p in head):
+    if len(head) != 3 or not decimal_fields(head):
         raise PartitionFormatError(f"expected 'k m n0' header, got {lines[0]!r}",
                                    line=1)
     k, m, n0 = (int(p) for p in head)
@@ -297,13 +284,13 @@ def parse_partition(text: str, g: Graph) -> Partition:
     clusters = []
     for i in range(k):
         parts = lines[1 + i].split()
-        if len(parts) != m or not all(p.isdigit() for p in parts):
+        if len(parts) != m or not decimal_fields(parts):
             raise PartitionFormatError(
                 f"cluster line must list exactly {m} vertex ids", line=2 + i)
         clusters.append(VertexSet.of(g, (int(p) for p in parts)))
     if len(lines) - 1 > k:
         parts = lines[1 + k].split()
-        if not all(p.isdigit() for p in parts):
+        if not decimal_fields(parts):
             raise PartitionFormatError("exceptional line must list vertex ids",
                                        line=2 + k)
         if len(parts) != n0:
@@ -340,7 +327,7 @@ def reduced_graph(g: Graph, partition: Partition, d) -> ReducedGraph:
     weights = {}
     for i in range(partition.k):
         for j in range(i + 1, partition.k):
-            dij = partition.density(i, j)
+            dij = pair_density(g, partition.clusters[i], partition.clusters[j])
             if dij >= dd:
                 weights[(i, j)] = dij
     return ReducedGraph(k=partition.k, weights=weights)

@@ -32,9 +32,7 @@ SCHEMA_VERSION = 1
 
 def jsonable(obj: Any) -> Any:
     """Recursively convert package objects into JSON-stable values."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
@@ -44,7 +42,7 @@ def jsonable(obj: Any) -> Any:
         return {"n": obj.n, "graph6": format_graph6(obj)}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj) if not f.name.startswith("_")}
+                for f in dataclasses.fields(obj)}
     if isinstance(obj, Mapping):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -7,13 +7,13 @@ from itertools import combinations
 import pytest
 
 from cfl import absorption
-from cfl.absorption import (CertificateError, build_reachable_gadget,
+from cfl.absorption import (build_reachable_gadget,
                             certify_absorber, certify_reachable,
                             certify_xi_absorbing, closedness_report,
                             find_disjoint_reachable_sets, verify_absorber,
                             verify_reachable)
-from cfl.graphs import (Graph, VertexSet, complete_graph, cycle_graph,
-                        mask_of, random_gnp)
+from cfl.graphs import (Graph, SelfCheckError, VertexSet, complete_graph,
+                        cycle_graph, mask_of, random_gnp)
 from cfl.tiling import CliqueTiling, has_factor, verify_tiling
 
 from conftest import subset_is_clique
@@ -96,12 +96,12 @@ def test_reachable_on_k4():
 def test_certificate_checks_raise_without_assert(monkeypatch):
     k6 = complete_graph(6)
     monkeypatch.setattr(absorption, "verify_absorber", lambda g, cert: False)
-    with pytest.raises(CertificateError):
+    with pytest.raises(SelfCheckError):
         certify_absorber(k6, VertexSet.of(k6, [0, 1, 2]),
                          VertexSet.of(k6, [3, 4, 5]), r=3, t=1)
     k4 = complete_graph(4)
     monkeypatch.setattr(absorption, "verify_reachable", lambda g, cert: False)
-    with pytest.raises(CertificateError):
+    with pytest.raises(SelfCheckError):
         certify_reachable(k4, 0, 1, VertexSet.of(k4, [2, 3]), r=3)
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +15,10 @@ from hypothesis import given, settings, strategies as st
 import cfl
 from cfl.cli import main
 from cfl.config import Config, ConfigError
-from cfl.graphs import (cycle_graph, format_edgelist, format_graph6, parse_graph,
+from cfl.graphs import (MAX_EDGELIST_N, VertexSet, cycle_graph,
+                        format_edgelist, format_graph6, parse_graph,
                         random_gnp)
+from cfl.regularity import exhaustive_fits, pair_density
 
 from support import strip_timings
 
@@ -24,7 +27,7 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 def write(path, text):
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")     # cfl reads every file as UTF-8
     return str(path)
 
 
@@ -518,8 +521,18 @@ def test_a_config_with_a_byte_order_mark_runs(tmp_path, capsys):
     (["graph", "convert", "--from", "csv", "--to", "graph6", "--in", "{bad}"],
      None, 2, "config error: --from/--to: formats are"),
     (["alpha"], "[run]\nkind = alpha\n", 2, "config error: [alpha]: missing section"),
+    (["scan"], "[run]\nkind = alpha\n[alpha]\ngraph = c5\nell = 2\n"
+     "[scan]\nparam = ell\nvalues = 2\n", 2,
+     "config error: [scan] param: expected '<section>.<key>'"),
+    (["scan"], "[run]\nkind = alpha\n[alpha]\ngraph = c5\nell = 2\n"
+     "[scan]\nparam = scan.values\nvalues = 2\n", 2,
+     "config error: [scan] param: cannot sweep a [scan] key"),
+    (["bounds"], "[run]\nkind = bounds\n[bounds]\nformula = chernoff\n", 2,
+     "config error: [bounds] formula: expected fkg|janson|drc-condition, "
+     "got 'chernoff'"),
 ], ids=["malformed-graph-file", "unparseable-ini", "scan-unknown-kind",
-        "convert-from-csv", "missing-section"])
+        "convert-from-csv", "missing-section", "scan-param-without-dot",
+        "scan-sweeps-scan", "bounds-unknown-formula"])
 def test_command_line_errors_exit_with_their_code(tmp_path, capsys, args, body,
                                                   code, message):
     bad = write(tmp_path / "bad.el", "3 9\n0 1\n")
@@ -539,6 +552,11 @@ def test_command_line_errors_exit_with_their_code(tmp_path, capsys, args, body,
     ("3 3 0\n0 1 2\n3 4\n6 7 8\n", "cluster line must list exactly 3 vertex ids (line 3)"),
     ("2 3 3\n0 1 2\n3 4 5\n6 x 8\n", "exceptional line must list vertex ids (line 4)"),
     ("2 3 2\n0 1 2\n3 4 5\n6 7 8\n", "exceptional line lists 3 ids, header says 2 (line 4)"),
+    # digits such as '\u00b2' pass str.isdigit but not int
+    ("3 3 \u00b2\n", "expected 'k m n0' header, got '3 3 \u00b2' (line 1)"),
+    ("3 3 0\n0 1 2\n3 4 \u00b2\n6 7 8\n",
+     "cluster line must list exactly 3 vertex ids (line 3)"),
+    ("2 3 3\n0 1 2\n3 4 5\n6 7 \u00b2\n", "exceptional line must list vertex ids (line 4)"),
 ])
 def test_malformed_partition_files_exit_three(tmp_path, capsys, payload, message):
     part = write(tmp_path / "part.txt", payload)
@@ -547,6 +565,21 @@ def test_malformed_partition_files_exit_three(tmp_path, capsys, payload, message
                 + "\nepsilon = 1/4\nd = 0\n")
     assert run_cli(["regcheck", "--config", cfg]) == 3
     assert f"input error: {part}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, message", [
+    # '\u00b2' passes str.isdigit but not int; these ended in a traceback
+    ("3 1\n0 \u00b2\n", "expected 'u v', got '0 \u00b2' (line 2)"),
+    ("\u00b2 0\n", "byte '\u00b2' outside graph6 alphabet (byte 0)"),
+    ("200000000 0\n",
+     f"n = 200000000 exceeds the limit {MAX_EDGELIST_N} (line 1)"),
+], ids=["edge-digit", "header-digit", "absurd-n"])
+def test_malformed_graph_files_exit_three(tmp_path, capsys, payload, message):
+    graph = write(tmp_path / "g.el", payload)
+    cfg = write(tmp_path / "a.ini", "[run]\nkind = alpha\n[alpha]\n"
+                f"graph = {graph}\nell = 2\n")
+    assert run_cli(["alpha", "--config", cfg]) == 3
+    assert f"input error: {graph}: {message}" in capsys.readouterr().err
 
 
 def test_construct_spec_family_reports_its_graph(tmp_path, capsys):
@@ -845,6 +878,31 @@ d = 0.5
     assert all(p["regular"] for p in rep["result"]["pairs"].values())
 
 
+@pytest.mark.parametrize("check_super", ["false", "true"])
+def test_regcheck_sampled_reports_each_pairs_density(tmp_path, capsys,
+                                                     check_super):
+    # clusters of 24 at eps = 1/4 are past the exhaustive work bound
+    g = random_gnp(72, 0.5, 3)
+    assert not exhaustive_fits(24, 24, Fraction(1, 4))
+    clusters = [range(24 * i, 24 * (i + 1)) for i in range(3)]
+    graph = write(tmp_path / "g.el", format_edgelist(g))
+    part = write(tmp_path / "p.txt", "3 24 0\n" + "".join(
+        " ".join(map(str, c)) + "\n" for c in clusters))
+    cfg = write(tmp_path / "rc.ini", "[run]\nkind = regcheck\n[regcheck]\n"
+                f"graph = {graph}\npartition = {part}\nepsilon = 1/4\n"
+                f"d = 1/2\nsamples = 20\nsuper = {check_super}\n")
+    assert run_cli(["regcheck", "--config", cfg]) == 0
+    result = read_report(capsys)["result"]
+    assert result["mode"] == "sampled"
+    assert len(result["pairs"]) == 3
+    for key, pair in result["pairs"].items():
+        i, j = map(int, key.split("-"))
+        d = pair_density(g, VertexSet.of(g, clusters[i]),
+                         VertexSet.of(g, clusters[j]))
+        assert pair["mode"] == "sampled"
+        assert pair["density"] == f"{d.numerator}/{d.denominator}"
+
+
 def test_absorb_gadget_kind(tmp_path, capsys):
     cfg = write(tmp_path / "g.ini", "[run]\nkind = absorb\n"
                                     "[absorb]\ntask = gadget\nr = 4\n")
@@ -865,6 +923,18 @@ def test_rtt_kind(tmp_path, capsys):
     # vertex has min degree 0; a K_4 minus nothing always has one; the
     # oracle reports the true maximum
     assert rep["result"]["value"] is not None
+
+
+def test_rtt_kind_searches_past_the_exhaustive_limit(tmp_path, capsys):
+    cfg = write(tmp_path / "rtt.ini", "[run]\nkind = rtt\n[rtt]\nn = 8\nr = 4\n"
+                                      "ell = 2\nalpha_bound = 4\ntries = 3\n")
+    assert run_cli(["rtt", "--config", cfg]) == 0
+    rep = read_report(capsys)
+    result = rep["result"]
+    assert rep["flags"]["exhaustive"] is False and result["exhaustive"] is False
+    assert result["graphs_scanned"] == 3 and result["feasible"] is True
+    witness = parse_graph(result["witness"]["graph6"])
+    assert witness.n == 8 and witness.min_degree() == result["value"]
 
 
 RTT_N4 = "[run]\nkind = rtt\n[rtt]\nn = 4\nr = 2\nell = 2\nalpha_bound = 4\n"

@@ -6,13 +6,12 @@ from functools import partial
 import pytest
 
 from cfl import constructions
-from cfl.constructions import (ConstructionInvariantError,
-                               build_cover_threshold_graph,
+from cfl.constructions import (build_cover_threshold_graph,
                                build_lower_bound_graph, graph_from_spec,
                                sample_sparse_klfree, sparse_gamma_limit)
-from cfl.graphs import (ParameterError, VertexSet, complete_graph, cycle_graph,
-                        empty_graph, has_clique, iter_clique_masks,
-                        petersen_graph, random_gnp)
+from cfl.graphs import (ParameterError, SelfCheckError, VertexSet,
+                        complete_graph, cycle_graph, empty_graph, has_clique,
+                        iter_clique_masks, petersen_graph, random_gnp)
 from cfl.invariants import alpha_ell_exact, has_clique_cover
 from cfl.tiling import max_tiling
 from cfl.rng import SplitMix64
@@ -99,9 +98,9 @@ def test_cover_threshold_r3_forces_empty_inner():
 def test_cover_threshold_recheck_raises_without_assert(monkeypatch):
     monkeypatch.setattr(constructions, "has_clique_cover",
                         lambda g, v, r: VertexSet(g, 1 << v))
-    with pytest.raises(ConstructionInvariantError, match="hub is covered"):
+    with pytest.raises(SelfCheckError, match="hub is covered"):
         build_cover_threshold_graph(16, 4, Fraction(1, 2), cycle_graph(8))
-    assert not issubclass(ConstructionInvariantError, AssertionError)
+    assert not issubclass(SelfCheckError, AssertionError)
 
 
 def test_cover_threshold_rejects_kr1_inner():

@@ -310,6 +310,28 @@ def test_zero_trials_skip_the_level0_count(monkeypatch):
     assert res.success and res.path == "fallback" and res.telemetry == []
 
 
+def test_a_cascade_answer_that_fails_the_final_check_falls_back(monkeypatch):
+    # each trial's answer is no clique: the trial records the stage
+    # "verification", and the fallback search supplies the clique if any
+    def not_a_clique(g, classes, level0, p, m, seed, note, *, s):
+        note["stage"] = "assembled"
+        return [VertexSet(g, 1 << 1), VertexSet(g, 1 << 3)]
+
+    monkeypatch.setattr(embedding, "_drc_attempt", not_a_clique)
+    for edges, found in [([(0, 2)], [0, 2]), ([], None)]:
+        g = Graph(4, edges)
+        classes = [VertexSet.of(g, [0, 1]), VertexSet.of(g, [2, 3])]
+        res = embed_clique_in_tuple(g, classes, p=1, alpha_bound=0, trials=2)
+        assert [note["stage"] for note in res.telemetry] == ["verification"] * 2
+        assert res.trials_used == 2
+        if found is None:
+            assert not res.success and res.path == "none"
+            assert res.stage == "verification"
+        else:
+            assert res.success and res.path == "fallback"
+            assert res.vertices == VertexSet.of(g, found)
+
+
 # -- embedder -----------------------------------------------------------------------
 
 def test_embed_complete_multipartite_any_p():

@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cfl.graphs import (DuplicateEdgeError, EdgeSyntaxError, Graph,
-                        Graph6Error, GraphFormatError, HeaderError, LoopError,
-                        VertexRangeError, VertexSet,
+from cfl.graphs import (MAX_EDGELIST_N, DuplicateEdgeError, EdgeSyntaxError,
+                        Graph, Graph6Error, GraphFormatError, HeaderError,
+                        LoopError, VertexRangeError, VertexSet,
                         complete_graph, complete_multipartite, cycle_graph,
                         empty_graph, format_edgelist, format_graph6,
                         iter_clique_masks, kneser_graph, parse_edgelist,
@@ -48,6 +48,25 @@ def test_parse_errors_name_lines():
         parse_edgelist("3 1\n1 0\n")           # must be u < v
     with pytest.raises(EdgeSyntaxError):
         parse_edgelist("3 1\na b\n")
+
+
+@pytest.mark.parametrize("payload, error, line", [
+    ("\u00b2 0\n", HeaderError, 1),           # superscript two: isdigit, not int
+    ("3 \u0661\n0 1\n", HeaderError, 1),     # Arabic-Indic one: int reads 1
+    ("3 1\n0 \u00b2\n", EdgeSyntaxError, 2),
+    ("3 1\n\uff10 1\n", EdgeSyntaxError, 2),  # fullwidth zero
+])
+def test_edge_list_fields_are_ascii_digits(payload, error, line):
+    with pytest.raises(error) as e:
+        parse_edgelist(payload)
+    assert e.value.line == line
+
+
+def test_an_edge_list_n_past_the_limit_is_refused_before_its_edges():
+    with pytest.raises(HeaderError, match="exceeds the limit") as e:
+        parse_edgelist(f"{MAX_EDGELIST_N + 1} 1\n0 1\n")
+    assert e.value.line == 1
+    assert parse_edgelist(f"{MAX_EDGELIST_N} 0\n").n == MAX_EDGELIST_N
 
 
 def test_edgelist_roundtrip_is_bit_exact():

@@ -318,6 +318,22 @@ def test_rtt_n7_infeasible_full_scan():
     assert res.graphs_scanned == 2 ** 21
 
 
+def test_rtt_search_refuses_graphs_past_the_alpha_bound():
+    # alpha_2 <= 1 holds only for K_9, which a G(9, p <= 0.8) draw never is
+    res = rtt_oracle(9, 3, 2, alpha_bound=1, seed=3, tries=4)
+    assert not res.exhaustive and not res.degenerate
+    assert not res.feasible and res.value is None and res.witness is None
+    assert res.graphs_scanned == 4
+
+
+def test_rtt_search_on_a_degenerate_n_skips_the_factor_check():
+    # 4 does not divide 9 and alpha_bound = n binds nothing, so the climb
+    # adds every missing edge
+    res = rtt_oracle(9, 4, 2, alpha_bound=9, seed=3, tries=2)
+    assert not res.exhaustive and res.degenerate and res.feasible
+    assert res.value == 8 and res.witness == complete_graph(9)
+
+
 def test_rtt_search_mode_is_certified():
     res = rtt_oracle(9, 3, 2, alpha_bound=9, seed=5, tries=40)
     assert not res.exhaustive

@@ -13,12 +13,15 @@ code, but it never reports code that a kind calls.
 A top-level definition or method that the walk does not reach fails the
 test; there is no allowlist.  Code that only the tests use lives in
 ``tests/support.py``, and a second test keeps that move one-way: no module
-of the package imports numpy, pytest, hypothesis or ``support``.
+of the package imports numpy, pytest, hypothesis or ``support``.  A third
+keeps one defect class: ``graphs.SelfCheckError`` is the only
+``RuntimeError`` subclass the package defines.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import os
 from typing import Dict, Iterable, List, Set
 
@@ -146,6 +149,31 @@ def test_no_module_imports_test_only_code():
     assert not found, f"src/cfl imports test-only code: {', '.join(found)}"
 
 
+def _runtime_errors(package: _Package) -> List[str]:
+    """``module.Class`` for each class in the package that derives, directly
+    or through other classes named as bases, from ``RuntimeError``."""
+    classes = [(f"{module}.{node.name}", node)
+               for module, tree in sorted(package.trees.items())
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    # builtin subclasses such as NotImplementedError count too
+    derived = {name for name, obj in vars(builtins).items()
+               if isinstance(obj, type) and issubclass(obj, RuntimeError)}
+    found: List[str] = []
+    while True:
+        more = [qual for qual, node in classes if qual not in found
+                and _names(node.bases) & derived]
+        if not more:
+            return sorted(found)
+        found += more
+        derived |= {qual.rsplit(".", 1)[-1] for qual in more}
+
+
+def test_the_package_defines_one_defect_class():
+    found = _runtime_errors(_Package(SRC))
+    assert found == ["graphs.SelfCheckError"], (
+        f"RuntimeError subclasses in src/cfl: {', '.join(found)}")
+
+
 def _toy(tmp_path, lib: str) -> _Package:
     """A two-module package: a ``cli`` with one handler that calls
     ``Thing().go()`` from ``lib``, and the given ``lib`` source."""
@@ -210,3 +238,21 @@ def test_the_import_guard_finds_a_test_only_import(tmp_path):
                    "        import numpy.linalg\n"
                    "        return 0\n")
     assert _test_only_imports(package) == ["lib: support", "lib: numpy.linalg"]
+
+
+def test_the_defect_guard_finds_every_runtime_error_subclass(tmp_path):
+    # a subclass of a subclass counts, as does one of a builtin subclass;
+    # other exception classes do not
+    package = _toy(tmp_path,
+                   "class Broken(RuntimeError):\n"
+                   "    pass\n"
+                   "class Worse(Broken):\n"
+                   "    pass\n"
+                   "class Todo(NotImplementedError):\n"
+                   "    pass\n"
+                   "class Refused(ValueError):\n"
+                   "    pass\n"
+                   "class Thing:\n"
+                   "    def go(self):\n"
+                   "        return 0\n")
+    assert _runtime_errors(package) == ["lib.Broken", "lib.Todo", "lib.Worse"]

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfl import regularity
-from cfl.graphs import (Graph, VertexSet, complete_multipartite, empty_graph,
-                        iter_bits, random_gnp)
-from cfl.regularity import (Partition, PartitionFormatError, WitnessError,
-                            is_regular_pair, is_super_regular, pair_density,
-                            parse_partition, reduced_graph)
+from cfl.graphs import (Graph, SelfCheckError, VertexSet,
+                        complete_multipartite, empty_graph, iter_bits,
+                        random_gnp)
+from cfl.regularity import (Partition, PartitionFormatError, is_regular_pair,
+                            is_super_regular, pair_density, parse_partition,
+                            reduced_graph)
 from cfl.rng import SplitMix64
 
 from support import make_super_regular
@@ -142,7 +143,7 @@ def test_witness_check_raises_without_assert(monkeypatch):
     g = Graph(20, [(0, 10)])
     x, y = split_pair(g, 10, 10)
     monkeypatch.setattr(regularity, "pair_density", lambda g, wx, wy: Fraction(-1))
-    with pytest.raises(WitnessError):
+    with pytest.raises(SelfCheckError):
         is_regular_pair(g, x, y, 0.2)
 
 
