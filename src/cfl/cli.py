@@ -54,8 +54,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import graphs, reports
-from .config import Config, ConfigError, parse_vertex_list
+from .config import Config, ConfigError, parse_vertex_list, read_int
 from .graphs import Graph, GraphFormatError, ParameterError, VertexSet
+from .numbers import number
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -123,29 +124,20 @@ def _vertex(cfg: Config, section: str, key: str, g: Graph) -> int:
     return v
 
 
-def _int_at_least(cfg: Config, section: str, key: str, low: int,
-                  default: Optional[int] = None) -> int:
-    value = cfg.get_int(section, key, default)
-    if value < low:
-        raise ConfigError(f"[{section}] {key}",
-                          f"expected an integer >= {low}, got {value}")
-    return value
-
-
 def _node_budget(cfg: Config) -> Optional[int]:
     env = os.environ.get("CFL_NODE_BUDGET")
     if env is not None:
-        try:
-            budget = int(env)
-        except ValueError:
-            raise ConfigError("CFL_NODE_BUDGET", f"expected integer, got {env!r}")
-        if budget < 0:
-            raise ConfigError("CFL_NODE_BUDGET",
-                              f"expected an integer >= 0, got {budget}")
-        return budget
+        return read_int("CFL_NODE_BUDGET", env, low=0)
     if cfg.has("run", "node_budget"):
-        return _int_at_least(cfg, "run", "node_budget", 0)
+        return cfg.get_int("run", "node_budget", low=0)
     return None
+
+
+def _int_option(text: str) -> int:
+    return number(text)
+
+
+_int_option.__name__ = "int"    # so argparse still says "invalid int value"
 
 
 # -- kind handlers: (config, seed, node_cap, outdir) -> (result, flags) ------
@@ -207,9 +199,7 @@ def run_construct(cfg, seed, node_cap, outdir):
     section = "construct"
     flags = {"cap_hit": False}
     if family == "lower-bound":
-        n = cfg.get_int(section, "n")
-        ell = cfg.get_int(section, "ell")
-        r = cfg.get_int(section, "r")
+        n, ell, r = (cfg.get_int(section, key) for key in ("n", "ell", "r"))
         inner = load_graph(cfg, section, "inner", seed=seed)
         # eta and clique_size both set |X1|; a refusal of either names the
         # one the config gave (the builder refuses an n below 1 before it
@@ -233,10 +223,9 @@ def run_construct(cfg, seed, node_cap, outdir):
         result = {"family": family, **vars(build)}
         built = build.graph
     elif family == "sparse-klfree":
-        n = cfg.get_int(section, "n")
-        ell = cfg.get_int(section, "ell")
+        n, ell = cfg.get_int(section, "n"), cfg.get_int(section, "ell")
         gamma = cfg.get_float(section, "gamma")
-        tries = _int_at_least(cfg, section, "max_tries", 1, default=20)
+        tries = cfg.get_int(section, "max_tries", 20, low=1)
         sample = constructions.sample_sparse_klfree(n, ell, gamma, seed,
                                                     max_tries=tries)
         result = {"family": family, **vars(sample)}
@@ -274,7 +263,7 @@ def run_regcheck(cfg, seed, node_cap, outdir):
         raise ConfigError("[regcheck] epsilon", f"expected a rational in (0, 1), "
                           f"got {eps}")
     d = cfg.get_fraction("regcheck", "d")
-    samples = _int_at_least(cfg, "regcheck", "samples", 1, default=10_000)
+    samples = cfg.get_int("regcheck", "samples", 10_000, low=1)
     check_super = cfg.get_bool("regcheck", "super", False)
     m = part.cluster_size
     # every pair has sides m and m, so the one rule gives every pair's mode
@@ -312,7 +301,7 @@ def run_drc(cfg, seed, node_cap, outdir):
     if not target.mask | witness.mask:
         raise ConfigError("[drc] target", "target and witness are both empty")
     t, r, m = (cfg.get_int("drc", key) for key in ("t", "r", "m"))
-    trials = _int_at_least(cfg, "drc", "trials", 1, default=8)
+    trials = cfg.get_int("drc", "trials", 8, low=1)
     out = embedding.drc_select(g, target, witness, t, r, m, seed=seed,
                                max_trials=trials)
     slack = bounds.drc_condition(len(target) + len(witness),
@@ -347,7 +336,7 @@ def run_embed(cfg, seed, node_cap, outdir):
         alpha_bound = cfg.get_int("embed", "alpha_bound")
     res = embedding.embed_clique_in_tuple(
         g, classes, p, alpha_bound, seed=seed, s=cfg.get_int("embed", "s", 2),
-        trials=_int_at_least(cfg, "embed", "trials", 0, default=8),
+        trials=cfg.get_int("embed", "trials", 8, low=0),
         fallback_node_cap=(embedding.FALLBACK_NODE_CAP if node_cap is None
                            else node_cap))
     return res, {"cap_hit": alpha_capped
@@ -374,7 +363,7 @@ def run_absorb(cfg, seed, node_cap, outdir):
     if task == "absorber":
         s = _vertex_set(cfg, "absorb", "s_set", g)
         a = _vertex_set(cfg, "absorb", "a_set", g)
-        t = _int_at_least(cfg, "absorb", "t", 1)
+        t = cfg.get_int("absorb", "t", low=1)
         cert = absorption.certify_absorber(g, s, a, r, t)
         result = {"task": task, "certified": cert is not None,
                   "factor_of_a": cert.factor_of_a.members if cert else None,
@@ -393,7 +382,7 @@ def run_absorb(cfg, seed, node_cap, outdir):
         xi = cfg.get_fraction("absorb", "xi")
         if xi < 0:
             raise ConfigError("[absorb] xi", f"expected a rational >= 0, got {xi}")
-        samples = _int_at_least(cfg, "absorb", "samples", 1, default=2000)
+        samples = cfg.get_int("absorb", "samples", 2000, low=1)
         verdict = absorption.certify_xi_absorbing(g, a, r, xi, samples=samples,
                                                   seed=seed)
         result = {"task": task, **vars(verdict)}
@@ -404,10 +393,10 @@ def run_absorb(cfg, seed, node_cap, outdir):
         if len(u_set) < 2:
             raise ConfigError("[absorb] u_set", f"expected at least two vertices, "
                               f"got {len(u_set)}")
-        t = _int_at_least(cfg, "absorb", "t", 1, default=1)
-        budget = _int_at_least(cfg, "absorb", "pair_budget", 1, default=64)
+        t = cfg.get_int("absorb", "t", 1, low=1)
+        budget = cfg.get_int("absorb", "pair_budget", 64, low=1)
         inner = cfg.get_bool("absorb", "inner", False)
-        limit = _int_at_least(cfg, "absorb", "limit", 1, default=8)
+        limit = cfg.get_int("absorb", "limit", 8, low=1)
         rep = absorption.closedness_report(g, u_set, r, t, budget,
                                            inner=inner, per_pair_limit=limit,
                                            seed=seed)
@@ -423,7 +412,7 @@ def run_rtt(cfg, seed, node_cap, outdir):
     from . import invariants
     n, r, ell = (cfg.get_int("rtt", key) for key in ("n", "r", "ell"))
     alpha_bound = cfg.get_int("rtt", "alpha_bound")
-    tries = _int_at_least(cfg, "rtt", "tries", 1, default=2000)
+    tries = cfg.get_int("rtt", "tries", 2000, low=1)
     res = invariants.rtt_oracle(n, r, ell, alpha_bound, seed=seed, tries=tries)
     return res, {"exhaustive": res.exhaustive, "degenerate": res.degenerate,
                  "cap_hit": False}
@@ -441,8 +430,7 @@ def run_thresholds(cfg, seed, node_cap, outdir):
         if c != 0:
             result["komlos_threshold"] = bounds.komlos_threshold(parts)
     if cfg.has("thresholds", "r") and cfg.has("thresholds", "ell"):
-        ell = cfg.get_int("thresholds", "ell")
-        r = cfg.get_int("thresholds", "r")
+        ell, r = cfg.get_int("thresholds", "ell"), cfg.get_int("thresholds", "r")
         n = cfg.get_int("thresholds", "n", 1)
         rho = cfg.get_fraction("thresholds", "rho_star", Fraction(0))
         result["degree_thresholds"] = bounds.degree_thresholds(n, r, ell, rho)
@@ -666,9 +654,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_run_args(p):
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="report directory")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_int_option, default=None,
                        help="override the config seed")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=_int_option, default=1,
                        help="ignored; kept so older command lines still "
                             "parse (scan points run in sequence)")
 

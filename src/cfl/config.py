@@ -3,7 +3,9 @@
 The on-disk format is INI: a [run] section fixes the experiment kind, seed
 and output, and one section per kind carries its parameters.  Everything a
 run needs flows from the file (plus CLI overrides); schema errors name the
-offending field path.
+offending field path.  A numeric value must be ASCII text with no '_' that
+Python reads as the getter's type (``numbers.number``): ``ell = ٢`` and
+``ell = 1_0`` are refused like ``ell = x``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
-from .numbers import exact_fraction
+from .numbers import exact_fraction, number
 
 
 class ConfigError(ValueError):
@@ -108,22 +110,15 @@ class Config:
             return default
         return self._raw(section, key)
 
-    def get_int(self, section: str, key: str,
-                default: Optional[int] = None) -> int:
+    def get_int(self, section: str, key: str, default: Optional[int] = None,
+                low: Optional[int] = None) -> int:
         if default is not None and not self.has(section, key):
             return default
-        raw = self._raw(section, key)
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}", f"expected integer, got {raw!r}")
+        return read_int(f"[{section}] {key}", self._raw(section, key), low)
 
     def get_float(self, section: str, key: str) -> float:
         raw = self._raw(section, key)
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}", f"expected number, got {raw!r}")
+        value = _read(f"[{section}] {key}", raw, float, "number")
         if not math.isfinite(value):
             raise ConfigError(f"[{section}] {key}",
                               f"expected a finite number, got {raw!r}")
@@ -133,12 +128,8 @@ class Config:
                      default: Optional[Fraction] = None) -> Fraction:
         if default is not None and not self.has(section, key):
             return default
-        raw = self._raw(section, key)
-        try:
-            return exact_fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"[{section}] {key}",
-                              f"expected rational ('2/7' or '0.3'), got {raw!r}")
+        return _read(f"[{section}] {key}", self._raw(section, key),
+                     exact_fraction, "rational ('2/7' or '0.3')")
 
     def get_bool(self, section: str, key: str, default: bool = False) -> bool:
         if not self.has(section, key):
@@ -151,12 +142,25 @@ class Config:
         raise ConfigError(f"[{section}] {key}", f"expected boolean, got {raw!r}")
 
     def get_int_list(self, section: str, key: str) -> List[int]:
-        raw = self._raw(section, key)
-        try:
-            return [int(p) for p in raw.replace(",", " ").split()]
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}",
-                              f"expected integer list, got {raw!r}")
+        return _read(f"[{section}] {key}", self._raw(section, key),
+                     lambda raw: [number(p) for p in raw.replace(",", " ").split()],
+                     "integer list")
+
+
+def _read(field: str, raw: str, kind, expected: str):
+    """``numbers.number(raw, kind)``, or a ConfigError naming ``field``."""
+    try:
+        return number(raw, kind)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(field, f"expected {expected}, got {raw!r}")
+
+
+def read_int(field: str, raw: str, low: Optional[int] = None) -> int:
+    """``raw`` as an integer that is at least ``low`` (if given)."""
+    value = _read(field, raw, int, "integer")
+    if low is not None and value < low:
+        raise ConfigError(field, f"expected an integer >= {low}, got {value}")
+    return value
 
 
 def parse_vertex_list(raw: str, field: str) -> List[int]:
@@ -165,18 +169,13 @@ def parse_vertex_list(raw: str, field: str) -> List[int]:
     for chunk in raw.replace(" ", "").split(","):
         if not chunk:
             continue
-        if "-" in chunk:
-            lo, _, hi = chunk.partition("-")
-            try:
-                a, b = int(lo), int(hi)
-            except ValueError:
-                raise ConfigError(field, f"bad range {chunk!r}")
-            if b < a:
-                raise ConfigError(field, f"descending range {chunk!r}")
-            out.extend(range(a, b + 1))
-        else:
-            try:
-                out.append(int(chunk))
-            except ValueError:
-                raise ConfigError(field, f"bad vertex id {chunk!r}")
+        lo, dash, hi = chunk.partition("-")
+        try:
+            a, b = number(lo), number(hi if dash else lo)
+        except ValueError:
+            raise ConfigError(field, f"bad {'range' if dash else 'vertex id'} "
+                                     f"{chunk!r}")
+        if b < a:
+            raise ConfigError(field, f"descending range {chunk!r}")
+        out.extend(range(a, b + 1))
     return out

@@ -29,7 +29,7 @@ from . import graphs as gr
 from .graphs import (Graph, ParameterError, SelfCheckError, VertexSet,
                      has_clique)
 from .invariants import alpha_ell_exact, has_clique_cover
-from .numbers import round_half_up
+from .numbers import number, round_half_up
 from .rng import derive_seed
 
 
@@ -247,26 +247,26 @@ def graph_from_spec(spec: str, seed: int = 0) -> Graph:
     if name in ("c5", "c_5"):
         return gr.cycle_graph(5)
     if name == "cycle":
-        return gr.cycle_graph(int(arg))
+        return gr.cycle_graph(number(arg))
     if name == "complete":
-        return gr.complete_graph(int(arg))
+        return gr.complete_graph(number(arg))
     if name == "empty":
-        return gr.empty_graph(int(arg))
+        return gr.empty_graph(number(arg))
     if name == "path":
-        return gr.path_graph(int(arg))
+        return gr.path_graph(number(arg))
     if name == "kneser":
-        a, b = (int(t) for t in arg.split(","))
+        a, b = (number(t) for t in arg.split(","))
         return gr.kneser_graph(a, b)
     if name == "multipartite":
-        return gr.complete_multipartite([int(t) for t in arg.split(",")])
+        return gr.complete_multipartite([number(t) for t in arg.split(",")])
     if name == "gnp":
         parts = _spec_args(spec, arg, 2)
-        n, p = int(parts[0]), float(parts[1])
-        s0 = int(parts[2]) if len(parts) > 2 else seed
+        n, p = number(parts[0]), number(parts[1], float)
+        s0 = number(parts[2]) if len(parts) > 2 else seed
         return gr.random_gnp(n, p, s0)
     if name == "gnp-min-degree":
         parts = _spec_args(spec, arg, 3)
-        n, p, tgt = int(parts[0]), float(parts[1]), int(parts[2])
-        s0 = int(parts[3]) if len(parts) > 3 else seed
+        n, p, tgt = number(parts[0]), number(parts[1], float), number(parts[2])
+        s0 = number(parts[3]) if len(parts) > 3 else seed
         return gr.random_graph_with_min_degree(n, tgt, s0, p=p)
     raise ParameterError("spec", f"unknown graph spec {spec!r}")

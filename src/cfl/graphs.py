@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from .numbers import decimal_fields
 from .rng import SplitMix64
 
 
@@ -226,11 +227,6 @@ class VertexSet:
 # -- parsing and serialization ------------------------------------------
 
 MAX_EDGELIST_N = 1_000_000
-
-
-def decimal_fields(fields: Iterable[str]) -> bool:
-    """Whether each field is ASCII digits (``isdigit`` also takes '²')."""
-    return all(f.isascii() and f.isdigit() for f in fields)
 
 
 def parse_edgelist(text: str) -> Graph:

@@ -172,10 +172,8 @@ def has_clique_cover(g: Graph, v: int, r: int,
         raise ParameterError("forbidden", f"contains the distinguished vertex {v}")
     if r == 1:
         return VertexSet(g, 1 << v)
-    pool = g.adj[v] & ~banned
-    for m in iter_clique_masks(g, r - 1, pool):
-        return VertexSet(g, m | (1 << v))
-    return None
+    m = next(iter_clique_masks(g, r - 1, g.adj[v] & ~banned), None)
+    return None if m is None else VertexSet(g, m | (1 << v))
 
 
 # -- the tiny-n oracle ----------------------------------------------------
@@ -392,13 +390,10 @@ def _climb(g: Graph, feasible) -> Graph:
         if not non:
             break
         non.sort(key=lambda u: (degs[u], u))
-        improved = False
-        for u in non:
-            candidate = Graph(current.n, list(current.edges()) + [(min(u, v), max(u, v))])
-            if feasible(candidate):
-                current = candidate
-                improved = True
-                break
-        if not improved:
+        grown = (Graph(current.n, list(current.edges()) + [(min(u, v), max(u, v))])
+                 for u in non)
+        candidate = next((c for c in grown if feasible(c)), None)
+        if candidate is None:
             break
+        current = candidate
     return current

@@ -1,9 +1,31 @@
-"""Exact-rational helpers shared by the certifiers and builders."""
+"""Exact rationals, and the one rule for what text is a number.
+
+Every number cfl reads from text passes through here.  In a graph or
+partition file a number is ASCII digits (``decimal_fields``).  Anywhere
+else (config values, vertex lists, graph specs, ``--seed``,
+CFL_NODE_BUDGET) it is ASCII text with no '_', which ``int``, ``float`` or
+``exact_fraction`` then reads (``number``): '-1/3', '1e6' and '+3' are
+numbers, but '٢' and '1_0', which Python's readers take, are not.
+"""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable, Iterable
+
+
+def decimal_fields(fields: Iterable[str]) -> bool:
+    """Whether each field is ASCII digits (``isdigit`` also takes '²')."""
+    return all(f.isascii() and f.isdigit() for f in fields)
+
+
+def number(text: str, kind: Callable = int):
+    """``kind(text)``, where ``kind`` is ``int``, ``float`` or
+    ``exact_fraction``, if ``text`` is ASCII with no '_'; else ValueError."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"expected an ASCII number without '_', got {text!r}")
+    return kind(text)
 
 
 def exact_fraction(x) -> Fraction:

@@ -36,9 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .graphs import (Graph, ParameterError, SelfCheckError, VertexSet,
-                     decimal_fields, iter_bits)
-from .numbers import exact_fraction as _as_fraction
+from .graphs import Graph, ParameterError, SelfCheckError, VertexSet, iter_bits
+from .numbers import decimal_fields, exact_fraction as _as_fraction
 from .rng import SplitMix64
 
 # Work bound of an exhaustive check: subsets of X scanned times |Y|.
@@ -264,7 +263,8 @@ class Partition:
 
 def parse_partition(text: str, g: Graph) -> Partition:
     """Parse the partition wire format: ``k m n0``, then one line of m
-    vertex ids per cluster, then one line for the exceptional set."""
+    vertex ids per cluster, then one line for the exceptional set.  An id
+    past the graph, or used before in the file, is refused with its line."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -277,30 +277,32 @@ def parse_partition(text: str, g: Graph) -> Partition:
     k, m, n0 = (int(p) for p in head)
     if m < 1:
         raise PartitionFormatError("cluster size m must be at least 1", line=1)
-    need = k + (1 if n0 > 0 else 0)
-    if len(lines) - 1 < need:
+    if len(lines) - 1 < k + (n0 > 0):
         raise PartitionFormatError(
             f"expected {k} cluster lines plus exceptional line", line=len(lines))
-    clusters = []
-    for i in range(k):
-        parts = lines[1 + i].split()
-        if len(parts) != m or not decimal_fields(parts):
+    seen, sets = 0, []
+    for i, raw in enumerate(lines[1:k + 2]):
+        parts, line = raw.split(), 2 + i
+        if i < k and (len(parts) != m or not decimal_fields(parts)):
             raise PartitionFormatError(
-                f"cluster line must list exactly {m} vertex ids", line=2 + i)
-        clusters.append(VertexSet.of(g, (int(p) for p in parts)))
-    if len(lines) - 1 > k:
-        parts = lines[1 + k].split()
-        if not decimal_fields(parts):
+                f"cluster line must list exactly {m} vertex ids", line=line)
+        if i == k and not decimal_fields(parts):
             raise PartitionFormatError("exceptional line must list vertex ids",
-                                       line=2 + k)
-        if len(parts) != n0:
+                                       line=line)
+        if i == k and len(parts) != n0:
             raise PartitionFormatError(
                 f"exceptional line lists {len(parts)} ids, header says {n0}",
-                line=2 + k)
-        exceptional = VertexSet.of(g, (int(p) for p in parts))
-    else:
-        exceptional = VertexSet(g, 0)
-    part = Partition(graph=g, exceptional=exceptional, clusters=clusters)
+                line=line)
+        start = seen
+        for v in map(int, parts):
+            if v >= g.n or seen >> v & 1:
+                raise PartitionFormatError(
+                    f"vertex {v} out of range for n={g.n}" if v >= g.n
+                    else f"duplicate vertex {v}", line=line)
+            seen |= 1 << v
+        sets.append(VertexSet(g, seen ^ start))
+    exceptional = sets.pop() if len(sets) > k else VertexSet(g, 0)
+    part = Partition(graph=g, exceptional=exceptional, clusters=sets)
     part.validate()
     return part
 

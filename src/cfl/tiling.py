@@ -155,14 +155,12 @@ def _lex_greedy_masks(g: Graph, r: int, active: int) -> List[int]:
     while rest:
         low = rest & -rest
         v = low.bit_length() - 1
-        placed = False
-        for cm in iter_clique_masks(g, r - 1, rest & adj[v]):
+        cm = next(iter_clique_masks(g, r - 1, rest & adj[v]), None)
+        if cm is None:
+            rest ^= low
+        else:
             out.append(cm | low)
             rest &= ~(cm | low)
-            placed = True
-            break
-        if not placed:
-            rest ^= low
     return out
 
 

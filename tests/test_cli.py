@@ -557,6 +557,11 @@ def test_command_line_errors_exit_with_their_code(tmp_path, capsys, args, body,
     ("3 3 0\n0 1 2\n3 4 \u00b2\n6 7 8\n",
      "cluster line must list exactly 3 vertex ids (line 3)"),
     ("2 3 3\n0 1 2\n3 4 5\n6 7 \u00b2\n", "exceptional line must list vertex ids (line 4)"),
+    # ids past the graph or used twice were caught later, with no line
+    ("3 3 0\n0 0 2\n3 4 5\n6 7 8\n", "duplicate vertex 0 (line 2)"),
+    ("3 3 0\n0 1 2\n2 4 5\n6 7 8\n", "duplicate vertex 2 (line 3)"),
+    ("2 3 3\n0 1 2\n3 4 5\n6 7 0\n", "duplicate vertex 0 (line 4)"),
+    ("3 3 0\n0 1 2\n3 4 5\n6 7 99\n", "vertex 99 out of range for n=9 (line 4)"),
 ])
 def test_malformed_partition_files_exit_three(tmp_path, capsys, payload, message):
     part = write(tmp_path / "part.txt", payload)
@@ -565,6 +570,49 @@ def test_malformed_partition_files_exit_three(tmp_path, capsys, payload, message
                 + "\nepsilon = 1/4\nd = 0\n")
     assert run_cli(["regcheck", "--config", cfg]) == 3
     assert f"input error: {part}: {message}" in capsys.readouterr().err
+
+
+_ALPHA = "[run]\nkind = alpha\n[alpha]\ngraph = c5\nell = 2\n"
+_REGCHECK = ("[run]\nkind = regcheck\n[regcheck]\ngraph = multipartite:3,3,3\n"
+             "partition = {part}\nepsilon = 1/4\nd = 0\n")
+
+
+@pytest.mark.parametrize("kind, body, env, args, message", [
+    ("alpha", _ALPHA.replace("ell = 2", "ell = \u0662"), None, [],
+     "config error: [alpha] ell: expected integer, got '\u0662'"),
+    ("alpha", _ALPHA.replace("ell = 2", "ell = 1_0"), None, [],
+     "config error: [alpha] ell: expected integer, got '1_0'"),
+    ("thresholds", "[run]\nkind = thresholds\n[thresholds]\nparts = 2,\u0663\n",
+     None, [], "config error: [thresholds] parts: expected integer list"),
+    ("embed", "[run]\nkind = embed\n[embed]\ngraph = complete:8\n"
+     "classes = 0-3;4-\u0667\np = 2\n", None, [],
+     "config error: [embed] classes[1]: bad range '4-\u0667'"),
+    ("alpha", _ALPHA.replace("c5", "cycle:\u0661\u0660"), None, [],
+     "config error: [alpha] graph: expected an ASCII number without '_'"),
+    ("regcheck", _REGCHECK.replace("1/4", "\u0661/\u0664"), None, [],
+     "config error: [regcheck] epsilon: expected rational"),
+    ("bounds", "[run]\nkind = bounds\n[bounds]\nformula = fkg\nn = 10\n"
+     "ell = 2\np = \u0660.5\n", None, [],
+     "config error: [bounds] p: expected number, got '\u0660.5'"),
+    ("alpha", _ALPHA, "\u0661", [],
+     "config error: CFL_NODE_BUDGET: expected integer, got '\u0661'"),
+    ("alpha", _ALPHA, None, ["--seed", "\u0663"],
+     "argument --seed: invalid int value: '\u0663'"),
+], ids=["ell-arabic-indic", "ell-underscore", "parts", "classes", "graph-spec",
+        "epsilon", "p", "node-budget", "seed"])
+def test_every_number_is_ascii_without_separators(tmp_path, capsys, monkeypatch,
+                                                  kind, body, env, args, message):
+    # Python's int, float and Fraction read these; cfl used to run them
+    if env is not None:
+        monkeypatch.setenv("CFL_NODE_BUDGET", env)
+    part = write(tmp_path / "part.txt", "3 3 0\n0 1 2\n3 4 5\n6 7 8\n")
+    cfg = write(tmp_path / "n.ini", body.replace("{part}", part))
+    try:
+        code = run_cli([kind, "--config", cfg] + args)
+    except SystemExit as exc:       # argparse refuses a bad option itself
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("payload, message", [
@@ -1024,7 +1072,8 @@ def test_absorb_xi_ignores_a_mode_key(tmp_path, capsys):
 
 # -- fuzzing over generated configs ---------------------------------------------
 
-_JUNK = st.sampled_from(["", "x", "1.5", "-", "1e3", "0x10", "3 4"])
+_JUNK = st.sampled_from(["", "x", "1.5", "-", "1e3", "0x10", "3 4", "\u0662",
+                        "1_0"])
 
 
 def _value(lo, hi=5):

@@ -15,7 +15,10 @@ test; there is no allowlist.  Code that only the tests use lives in
 ``tests/support.py``, and a second test keeps that move one-way: no module
 of the package imports numpy, pytest, hypothesis or ``support``.  A third
 keeps one defect class: ``graphs.SelfCheckError`` is the only
-``RuntimeError`` subclass the package defines.
+``RuntimeError`` subclass the package defines.  A fourth keeps one number
+rule: the modules that read outside text (``config``, ``cli`` and
+``constructions``) never call the builtin ``int`` or ``float`` by name, so
+every number they read goes through ``numbers``.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ import cfl
 SRC = os.path.dirname(os.path.abspath(cfl.__file__))
 
 TEST_ONLY = {"numpy", "pytest", "hypothesis", "support"}
+
+NUMBER_READERS = ("config", "cli", "constructions")
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -174,6 +179,22 @@ def test_the_package_defines_one_defect_class():
         f"RuntimeError subclasses in src/cfl: {', '.join(found)}")
 
 
+def _builtin_number_calls(package: _Package,
+                          modules: Iterable[str] = NUMBER_READERS) -> List[str]:
+    """``module:line name`` for each call of the builtin ``int`` or
+    ``float`` by name in ``modules``."""
+    return [f"{module}:{node.lineno} {node.func.id}" for module in modules
+            for node in ast.walk(package.trees[module])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("int", "float")]
+
+
+def test_outside_text_is_read_through_numbers():
+    found = _builtin_number_calls(_Package(SRC))
+    assert not found, ("read these numbers with numbers.number: "
+                       f"{', '.join(found)}")
+
+
 def _toy(tmp_path, lib: str) -> _Package:
     """A two-module package: a ``cli`` with one handler that calls
     ``Thing().go()`` from ``lib``, and the given ``lib`` source."""
@@ -256,3 +277,20 @@ def test_the_defect_guard_finds_every_runtime_error_subclass(tmp_path):
                    "    def go(self):\n"
                    "        return 0\n")
     assert _runtime_errors(package) == ["lib.Broken", "lib.Todo", "lib.Worse"]
+
+
+def test_the_number_guard_finds_each_builtin_call(tmp_path):
+    # a call of int or float by name counts; passing the type to a reader,
+    # or a call of some other name, does not
+    package = _toy(tmp_path,
+                   "def whole(text):\n"
+                   "    return int(text)\n"
+                   "def real(text):\n"
+                   "    return number(text, float)\n"
+                   "def ratio(text):\n"
+                   "    return float(text.strip()) + round(1.5)\n"
+                   "class Thing:\n"
+                   "    def go(self):\n"
+                   "        return 0\n")
+    assert _builtin_number_calls(package, ["cli", "lib"]) == [
+        "lib:2 int", "lib:6 float"]
