@@ -21,7 +21,6 @@ exact packing lives only in the test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from statistics import median
@@ -30,12 +29,12 @@ from typing import Dict, List, Optional, Tuple
 from .graphs import (Graph, ParameterError, SelfCheckError, VertexSet,
                      iter_bits, iter_clique_masks, mask_of)
 from .numbers import exact_fraction
+from .records import Factory, Record
 from .rng import SplitMix64, derive_seed
 from .tiling import CliqueTiling, has_factor, verify_tiling
 
 
-@dataclass
-class AbsorberCertificate:
+class AbsorberCertificate(Record):
     """A set A (at most r*t vertices, disjoint from S) such that both A and
     A u S carry perfect clique tilings; the tilings are the certificate."""
     s: VertexSet
@@ -46,8 +45,7 @@ class AbsorberCertificate:
     factor_of_a_union_s: CliqueTiling
 
 
-@dataclass
-class ReachableCertificate:
+class ReachableCertificate(Record):
     """A set S such that {u} u S and {v} u S both carry perfect clique
     tilings."""
     u: int
@@ -174,8 +172,7 @@ def find_disjoint_reachable_sets(g: Graph, u: int, v: int, r: int, t: int,
     return out
 
 
-@dataclass
-class AbsorbingVerdict:
+class AbsorbingVerdict(Record):
     """Exhaustive verdicts are ground truth; sampled verdicts are one-sided
     (absorbing=True means "no violating leftover found in checked trials")."""
     absorbing: bool
@@ -238,8 +235,7 @@ def _absorbs_every(g: Graph, a: VertexSet, r: int, mode: str,
     return AbsorbingVerdict(True, mode, checked)
 
 
-@dataclass
-class ClosednessReport:
+class ClosednessReport(Record):
     """Disjoint-reachable-set counts over sampled (or all) pairs of U.
     implied_beta is min_count / |U|, an observational quantity."""
     r: int
@@ -251,7 +247,7 @@ class ClosednessReport:
     median_count: float
     max_count: int
     implied_beta: Fraction
-    per_pair: List[Tuple[int, int, int]] = field(default_factory=list)
+    per_pair: List[Tuple[int, int, int]] = Factory(list)
 
 
 def closedness_report(g: Graph, u_set: VertexSet, r: int, t: int,
@@ -288,8 +284,7 @@ def closedness_report(g: Graph, u_set: VertexSet, r: int, t: int,
 # -- the explicit reachable-set gadget ------------------------------------------
 
 
-@dataclass
-class ReachGadget:
+class ReachGadget(Record):
     """Two endpoint vertices plus a (4r-1)-vertex reachable set built from
     two (r+1)-cliques sharing one vertex and two clique tails hanging off
     the endpoints."""

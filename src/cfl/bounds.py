@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .graphs import ParameterError
+from .records import Record
 
 
 def log_binomial(n: int, k: int) -> float:
@@ -47,8 +47,7 @@ def fkg_lower_bound(n: int, ell: int, p: float) -> float:
     return nsets * math.log1p(-(p ** epairs))
 
 
-@dataclass
-class JansonReport:
+class JansonReport(Record):
     """Upper bound on P[an a_size-set spans no K_ell] in G(., p):
     exp(-E(X) + Delta/2), with X the K_ell count in the set and Delta the
     ordered-pair correlation sum over ell-subsets sharing >= 2 vertices."""
@@ -207,8 +206,7 @@ def komlos_threshold(part_sizes: Sequence[int]) -> Fraction:
     return 1 - Fraction(1) / c
 
 
-@dataclass
-class DegreeThresholds:
+class DegreeThresholds(Record):
     """The two minimum-degree terms competing in the factor threshold:
     the tiling term (r-l)/r and the cover term 1/(2 - rho_star); the
     threshold is the larger, and ``scaled`` is the threshold times n."""

@@ -28,12 +28,13 @@ solver only in derived form (absorb's ``r`` outside the gadget).
 
 Each kind handler gets the effective node budget (None for none) as
 ``node_cap`` and returns its result and its flags; ``_execute`` turns them
-into the finished report.  A handler returns its solver's result dataclass
-as it is, or spreads its fields (``vars``) into the result dict beside the
-few keys the solver does not know, so report keys are field names.  Each
-handler imports its own solver modules on its first line, so a run loads
-only the solvers its kind uses.  No key picks a certifier's mode: each runs
-exhaustive within its module's size cap, sampled beyond it, and says which.
+into the finished report.  A handler returns its solver's result record
+(``records.Record``) as it is, or spreads its fields (``vars``) into the
+result dict beside the few keys the solver does not know, so report keys
+are field names.  Each handler imports its own solver modules on its first
+line, so a run loads only the solvers its kind uses.  No key picks a
+certifier's mode: each runs exhaustive within its module's size cap,
+sampled beyond it, and says which.
 
 A process (``python -m cfl.cli`` or the ``cfl`` script) runs ``entry``: it
 exits with ``main``'s code and freezes the heap on the way out, so shutdown's
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import math
 import os
 import sys
@@ -57,6 +57,7 @@ from . import graphs, reports
 from .config import Config, ConfigError, parse_vertex_list, read_int
 from .graphs import Graph, GraphFormatError, ParameterError, VertexSet
 from .numbers import number
+from .rng import sha256
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -514,6 +515,7 @@ HANDLERS = {
     "bounds": run_bounds,
 }
 KINDS = tuple(HANDLERS)
+COMMANDS = KINDS + ("scan", "graph")
 
 
 def _execute(kind: str, cfg: Config, seed: int, outdir: Optional[str]) -> dict:
@@ -536,7 +538,7 @@ def _report_path(outdir: str, report: dict, prefix: str = "report") -> str:
     never share a file."""
     key = (f"{report['config_hash']}\n{report['seed']}\n"
            f"{report['caps']['node_budget']}")
-    digest = hashlib.sha256(key.encode()).hexdigest()
+    digest = sha256(key.encode()).hexdigest()
     return os.path.join(outdir, f"{prefix}-{report['kind']}-{digest[:12]}.json")
 
 
@@ -644,14 +646,31 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``cfl`` parser.  When ``command`` names a command, only its
+    subparser is built, and the top-level usage still lists every command,
+    so all the parser prints is the full tree's; help, an empty command
+    line and an unknown command get the full tree."""
     parser = argparse.ArgumentParser(
         prog="cfl",
         description="clique-factor laboratory: config-driven experiments "
                     "with reproducible JSON reports")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_run_args(p):
+    names = [command] if command in COMMANDS else COMMANDS
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None)
+    for name in names:
+        if name == "graph":
+            graph_p = sub.add_parser("graph", help="graph file utilities")
+            graph_sub = graph_p.add_subparsers(dest="graph_command", required=True)
+            conv = graph_sub.add_parser("convert", help="convert between formats")
+            conv.add_argument("--from", dest="from_fmt", required=True)
+            conv.add_argument("--to", dest="to_fmt", required=True)
+            conv.add_argument("--in", dest="infile", default=None)
+            conv.add_argument("--out", dest="outfile", default=None)
+            continue
+        p = sub.add_parser(name, help="sweep one parameter" if name == "scan"
+                           else f"run a {name} experiment")
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="report directory")
         p.add_argument("--seed", type=_int_option, default=None,
@@ -659,23 +678,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=_int_option, default=1,
                        help="ignored; kept so older command lines still "
                             "parse (scan points run in sequence)")
-
-    for kind in KINDS:
-        add_run_args(sub.add_parser(kind, help=f"run a {kind} experiment"))
-    add_run_args(sub.add_parser("scan", help="sweep one parameter"))
-
-    graph_p = sub.add_parser("graph", help="graph file utilities")
-    graph_sub = graph_p.add_subparsers(dest="graph_command", required=True)
-    conv = graph_sub.add_parser("convert", help="convert between formats")
-    conv.add_argument("--from", dest="from_fmt", required=True)
-    conv.add_argument("--to", dest="to_fmt", required=True)
-    conv.add_argument("--in", dest="infile", default=None)
-    conv.add_argument("--out", dest="outfile", default=None)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.command == "graph":
             return cmd_convert(args)

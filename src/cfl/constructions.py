@@ -21,7 +21,6 @@ sizes so downstream audits use realized, not nominal, parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
@@ -30,14 +29,14 @@ from .graphs import (Graph, ParameterError, SelfCheckError, VertexSet,
                      has_clique)
 from .invariants import alpha_ell_exact, has_clique_cover
 from .numbers import number, round_half_up
+from .records import Record
 from .rng import derive_seed
 
 
 # -- lower-bound family ----------------------------------------------------
 
 
-@dataclass
-class LowerBoundBuild:
+class LowerBoundBuild(Record):
     graph: Graph
     clique_part: VertexSet            # X1
     inner_part: VertexSet             # X2
@@ -103,8 +102,7 @@ def build_lower_bound_graph(n: int, r: int, ell: int, eta: Fraction,
 # -- cover-threshold family --------------------------------------------------
 
 
-@dataclass
-class CoverThresholdBuild:
+class CoverThresholdBuild(Record):
     graph: Graph
     hub: int                      # the distinguished vertex, always 0
     neighborhood: VertexSet
@@ -163,16 +161,14 @@ def build_cover_threshold_graph(n: int, r: int, x: Fraction,
 # -- sparse clique-free sampler ----------------------------------------------
 
 
-@dataclass
-class SparseAttempt:
+class SparseAttempt(Record):
     index: int
     seed: int
     reason: str          # "accepted", "contains-clique", "alpha-too-large"
     alpha: Optional[int] = None
 
 
-@dataclass
-class SparseSample:
+class SparseSample(Record):
     accepted: bool
     graph: Optional[Graph]
     p: float
@@ -225,12 +221,22 @@ def sample_sparse_klfree(n: int, ell: int, gamma: float, seed: int,
     return SparseSample(False, None, p, exponent, alpha_target, attempts)
 
 
-def _spec_args(spec: str, arg: str, required: int) -> List[str]:
+def _spec_fields(spec: str, form: str, arg: str, kinds: tuple,
+                 optional: int = 0) -> list:
+    """``arg``'s comma-separated fields, read by ``kinds`` through ``number``;
+    the last ``optional`` may be left out.  Any other count, or a field that
+    does not read, is refused with a message naming the expected ``form``."""
     parts = arg.split(",")
-    if len(parts) < required:
-        raise ParameterError("spec", f"graph spec {spec!r} needs at least "
-                             f"{required} arguments")
-    return parts
+    if not len(kinds) - optional <= len(parts) <= len(kinds):
+        raise ParameterError("spec", f"expected {form}, got {spec!r}")
+    try:
+        return [number(text, kind) for text, kind in zip(parts, kinds)]
+    except ValueError as exc:
+        raise ParameterError("spec", f"{exc}, in {form}") from None
+
+
+_ONE_COUNT = {"cycle": gr.cycle_graph, "complete": gr.complete_graph,
+              "empty": gr.empty_graph, "path": gr.path_graph}
 
 
 def graph_from_spec(spec: str, seed: int = 0) -> Graph:
@@ -238,35 +244,28 @@ def graph_from_spec(spec: str, seed: int = 0) -> Graph:
 
     Accepted forms: ``c5`` / ``cycle:N``, ``petersen``, ``kneser:N,K``,
     ``complete:N``, ``empty:N``, ``path:N``, ``multipartite:A,B,...``,
-    ``gnp:N,P[,SEED]``, ``gnp-min-degree:N,P,TARGET[,SEED]``.
+    ``gnp:N,P[,SEED]``, ``gnp-min-degree:N,P,TARGET[,SEED]``.  A spec with
+    more or fewer fields than its form is refused.
     """
     s = spec.strip().lower()
-    name, _, arg = s.partition(":")
-    if name == "petersen":
-        return gr.petersen_graph()
-    if name in ("c5", "c_5"):
-        return gr.cycle_graph(5)
-    if name == "cycle":
-        return gr.cycle_graph(number(arg))
-    if name == "complete":
-        return gr.complete_graph(number(arg))
-    if name == "empty":
-        return gr.empty_graph(number(arg))
-    if name == "path":
-        return gr.path_graph(number(arg))
+    name, colon, arg = s.partition(":")
+    if name in ("petersen", "c5", "c_5"):
+        if colon:
+            raise ParameterError("spec", f"expected {name}, got {spec!r}")
+        return gr.petersen_graph() if name == "petersen" else gr.cycle_graph(5)
+    if name in _ONE_COUNT:
+        return _ONE_COUNT[name](*_spec_fields(spec, f"{name}:N", arg, (int,)))
     if name == "kneser":
-        a, b = (number(t) for t in arg.split(","))
-        return gr.kneser_graph(a, b)
+        return gr.kneser_graph(*_spec_fields(spec, "kneser:N,K", arg, (int, int)))
     if name == "multipartite":
-        return gr.complete_multipartite([number(t) for t in arg.split(",")])
+        return gr.complete_multipartite(_spec_fields(
+            spec, "multipartite:A,B,...", arg, (int,) * (arg.count(",") + 1)))
     if name == "gnp":
-        parts = _spec_args(spec, arg, 2)
-        n, p = number(parts[0]), number(parts[1], float)
-        s0 = number(parts[2]) if len(parts) > 2 else seed
-        return gr.random_gnp(n, p, s0)
+        n, p, *s0 = _spec_fields(spec, "gnp:N,P[,SEED]", arg, (int, float, int),
+                                 optional=1)
+        return gr.random_gnp(n, p, s0[0] if s0 else seed)
     if name == "gnp-min-degree":
-        parts = _spec_args(spec, arg, 3)
-        n, p, tgt = number(parts[0]), number(parts[1], float), number(parts[2])
-        s0 = number(parts[3]) if len(parts) > 3 else seed
-        return gr.random_graph_with_min_degree(n, tgt, s0, p=p)
+        n, p, tgt, *s0 = _spec_fields(spec, "gnp-min-degree:N,P,TARGET[,SEED]",
+                                      arg, (int, float, int, int), optional=1)
+        return gr.random_graph_with_min_degree(n, tgt, s0[0] if s0 else seed, p=p)
     raise ParameterError("spec", f"unknown graph spec {spec!r}")

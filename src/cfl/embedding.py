@@ -36,16 +36,15 @@ arguments of embed_clique_in_tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .graphs import (Graph, ParameterError, SearchCapExceeded, VertexSet,
                      iter_bits, iter_clique_masks)
+from .records import Factory, Record
 from .rng import SplitMix64, derive_seed
 
 
-@dataclass
-class DrcOutcome:
+class DrcOutcome(Record):
     """A selected set in which every r-subset has at least m common
     neighbors inside the witness class, verified by complete scan."""
     selected: VertexSet
@@ -216,8 +215,7 @@ HYPERGRAPH_CAP = 500_000        # level-0 edges the cascade keeps
 FALLBACK_NODE_CAP = 2_000_000   # fallback search nodes when no budget is set
 
 
-@dataclass
-class EmbedResult:
+class EmbedResult(Record):
     success: bool
     vertices: Optional[VertexSet]
     per_class: Optional[List[VertexSet]]
@@ -225,7 +223,7 @@ class EmbedResult:
     stage: str                     # furthest stage reached (or "done")
     alpha_bound: int
     trials_used: int
-    telemetry: List[dict] = field(default_factory=list)
+    telemetry: List[dict] = Factory(list)
 
 
 def multipartite_clique_search(g: Graph, classes: Sequence[VertexSet], p: int,

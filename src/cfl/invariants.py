@@ -27,17 +27,16 @@ answer's witness is built as a ``Graph``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Optional
 
 from .graphs import (Graph, ParameterError, SearchCapExceeded, VertexSet,
                      _has_clique, iter_bits, iter_clique_masks)
+from .records import Record
 from .rng import SplitMix64
 
 
-@dataclass
-class AlphaResult:
+class AlphaResult(Record):
     """Outcome of an l-independence computation.
 
     ``exact`` is False when a node cap stopped the search; the witness is
@@ -179,8 +178,7 @@ def has_clique_cover(g: Graph, v: int, r: int,
 # -- the tiny-n oracle ----------------------------------------------------
 
 
-@dataclass
-class RttResult:
+class RttResult(Record):
     """Largest minimum degree over n-vertex graphs that satisfy the
     clique-independence ceiling yet have no K_r-factor."""
     n: int

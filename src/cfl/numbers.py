@@ -22,10 +22,15 @@ def decimal_fields(fields: Iterable[str]) -> bool:
 
 def number(text: str, kind: Callable = int):
     """``kind(text)``, where ``kind`` is ``int``, ``float`` or
-    ``exact_fraction``, if ``text`` is ASCII with no '_'; else ValueError."""
+    ``exact_fraction``, if ``text`` is ASCII with no '_'; else a ValueError
+    that says what was expected."""
     if not text.isascii() or "_" in text:
         raise ValueError(f"expected an ASCII number without '_', got {text!r}")
-    return kind(text)
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"expected {what}, got {text!r}") from None
 
 
 def exact_fraction(x) -> Fraction:

@@ -32,12 +32,12 @@ search for them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .graphs import Graph, ParameterError, SelfCheckError, VertexSet, iter_bits
 from .numbers import decimal_fields, exact_fraction as _as_fraction
+from .records import Record
 from .rng import SplitMix64
 
 # Work bound of an exhaustive check: subsets of X scanned times |Y|.
@@ -64,8 +64,7 @@ def pair_density(g: Graph, x: VertexSet, y: VertexSet) -> Fraction:
     return Fraction(edges, len(x) * len(y))
 
 
-@dataclass
-class RegularityVerdict:
+class RegularityVerdict(Record):
     """Outcome of a regularity check.
 
     ``violation`` carries an offending subset pair when one was found.
@@ -195,8 +194,7 @@ def _regular_sampled(g, x, y, epsilon, samples, seed):
                              base_density=d0, samples_used=samples)
 
 
-@dataclass
-class SuperRegularVerdict:
+class SuperRegularVerdict(Record):
     """Regularity plus density floor plus per-vertex cross-degree audit.
     ``witness_vertex`` is the first vertex failing its degree floor."""
     epsilon: Fraction
@@ -230,8 +228,7 @@ def is_super_regular(g: Graph, x: VertexSet, y: VertexSet, epsilon, d,
 # -- partitions and reduced graphs -------------------------------------------
 
 
-@dataclass
-class Partition:
+class Partition(Record):
     """Exceptional set plus equal-size clusters covering all vertices."""
     graph: Graph
     exceptional: VertexSet
@@ -307,8 +304,7 @@ def parse_partition(text: str, g: Graph) -> Partition:
     return part
 
 
-@dataclass
-class ReducedGraph:
+class ReducedGraph(Record):
     """Cluster graph of a partition: an edge wherever the pair density
     clears the threshold, weighted by that density."""
     k: int

@@ -4,7 +4,8 @@ Reports are versioned JSON ("schema": 1).  Rerunning an identical config
 (including the seed) reproduces every field except ``timings`` bit for bit:
 all randomness flows from the recorded seed, vertex sets serialize sorted,
 rationals serialize as "p/q" strings, graphs as graph6 lines, and keys are
-emitted sorted.
+emitted sorted.  A result record (``records.Record``) becomes an object of
+its fields, in field order, and SHA-256 (``config_hash``) is ``rng``'s.
 
 Every file cfl writes goes through ``write_text_atomic``: UTF-8 whatever the
 locale, and never rewritten when it already holds the bytes a run would
@@ -14,8 +15,6 @@ untouched.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import os
 import stat
@@ -25,7 +24,8 @@ from typing import Any, Dict, Iterable, Mapping
 
 from . import __version__
 from .graphs import Graph, VertexSet, format_graph6
-from .rng import GENERATOR_NAME
+from .records import Record
+from .rng import GENERATOR_NAME, sha256
 
 SCHEMA_VERSION = 1
 
@@ -40,9 +40,8 @@ def jsonable(obj: Any) -> Any:
         return sorted(obj.vertices())
     if isinstance(obj, Graph):
         return {"n": obj.n, "graph6": format_graph6(obj)}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
+    if isinstance(obj, Record):
+        return {f: jsonable(getattr(obj, f)) for f in obj._fields}
     if isinstance(obj, Mapping):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -52,7 +51,7 @@ def jsonable(obj: Any) -> Any:
 
 def config_hash(flat_config: Mapping[str, str]) -> str:
     canon = "\n".join(f"{k}={flat_config[k]}" for k in sorted(flat_config))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return sha256(canon.encode()).hexdigest()
 
 
 def build_report(kind: str, seed: int, flat_config: Mapping[str, str],

@@ -11,12 +11,18 @@ lives with the tests.
 
 Per-task streams are derived from (master seed, label path) via SHA-256,
 never by ad-hoc arithmetic, so adding a new consumer of randomness cannot
-shift the stream seen by existing ones.
+shift the stream seen by existing ones.  Every SHA-256 in cfl is this
+module's ``sha256``: the interpreter's own, not OpenSSL's via ``hashlib``.
 """
 
 from __future__ import annotations
 
-import hashlib
+import sys
+
+try:    # the module was renamed in 3.12
+    sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+except ImportError:     # an interpreter built without its own SHA-256
+    from hashlib import sha256
 
 GENERATOR_NAME = "splitmix64"
 
@@ -38,7 +44,7 @@ def derive_seed(master: int, *labels: object) -> int:
     Labels may be strings or integers; the derivation is the first 8 bytes of
     SHA-256 over their canonical textual form.
     """
-    h = hashlib.sha256()
+    h = sha256()
     h.update(str(int(master) & _MASK).encode())
     for label in labels:
         h.update(b"/")

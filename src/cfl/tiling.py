@@ -44,15 +44,14 @@ point catches it once: ``max_tiling`` keeps its incumbent with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from .graphs import (Graph, ParameterError, SearchCapExceeded, VertexSet,
                      _has_clique, iter_bits, iter_clique_masks)
+from .records import Record
 
 
-@dataclass
-class CliqueTiling:
+class CliqueTiling(Record):
     """Pairwise-disjoint vertex sets, each inducing a complete graph of
     order r.  ``covered_mask`` is their union."""
     r: int
@@ -68,20 +67,21 @@ class CliqueTiling:
     def __len__(self) -> int:
         return len(self.members)
 
-    def canonical(self) -> "CliqueTiling":
-        return CliqueTiling(self.r, sorted(self.members, key=lambda s: s.vertices()))
+
+def _canonical_tiling(g: Graph, r: int, masks: List[int]) -> CliqueTiling:
+    """The tiling of the clique ``masks``, its tiles in lexicographic order."""
+    return CliqueTiling(r, sorted((VertexSet(g, m) for m in masks),
+                                  key=lambda s: s.vertices()))
 
 
-@dataclass
-class TilingResult:
+class TilingResult(Record):
     best: CliqueTiling
     optimal: bool
     deficiency: int
     nodes_explored: int
 
 
-@dataclass
-class FactorResult:
+class FactorResult(Record):
     """``tiling`` is None unless a perfect tiling was found; ``status`` is
     one of found / none / divisibility / cap (cap = search truncated,
     existence undecided)."""
@@ -208,13 +208,12 @@ def max_tiling(g: Graph, r: int, within: Optional[VertexSet] = None,
         complete = True
     except SearchCapExceeded:
         complete = False
-    members = [VertexSet(g, m) for m in best]
-    til = CliqueTiling(r, members).canonical()
-    deficiency = n_active - r * len(members)
+    til = _canonical_tiling(g, r, best)
+    deficiency = n_active - r * len(best)
     # first incumbent of optimal size may have been found mid-branch; the
     # optimum value is exact whenever the search ran to completion or hit
     # the ceiling
-    optimal = complete or len(members) == ceiling
+    optimal = complete or len(best) == ceiling
     return TilingResult(best=til, optimal=optimal, deficiency=deficiency,
                         nodes_explored=nodes)
 
@@ -278,5 +277,4 @@ def has_factor(g: Graph, r: int, within: Optional[VertexSet] = None,
         return FactorResult(None, "cap")
     if found is None:
         return FactorResult(None, "none")
-    til = CliqueTiling(r, [VertexSet(g, m) for m in found]).canonical()
-    return FactorResult(til, "found")
+    return FactorResult(_canonical_tiling(g, r, found), "found")

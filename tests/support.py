@@ -23,6 +23,10 @@ pair.  The codec's equivalence test holds the package's pair to them.
 built the adjacency bitsets itself: it collects the edges in a set and a
 list and hands them to ``Graph(n, edges)``, which checks each one again.
 The parser's equivalence test holds ``parse_edgelist`` to it.
+
+``replace`` copies a result record with some fields changed, as
+``dataclasses.replace`` did for dataclasses; the certificate-tampering
+tests use it.  No ``cfl`` code needs it.
 """
 
 from __future__ import annotations
@@ -57,6 +61,11 @@ def bulk_u64(seed: int, count: int, start: int = 0) -> np.ndarray:
 def bulk_random(seed: int, count: int, start: int = 0) -> np.ndarray:
     """Uniform floats in [0,1), matching SplitMix64.random() bit-for-bit."""
     return (bulk_u64(seed, count, start) >> np.uint64(11)) * 2.0**-53
+
+
+def replace(record, **changes):
+    """A new record of ``record``'s class, with ``changes`` over its fields."""
+    return type(record)(**{**vars(record), **changes})
 
 
 def strip_timings(report: Mapping) -> Dict:

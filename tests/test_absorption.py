@@ -1,6 +1,6 @@
 """Absorber, reachable-set and absorbing-set certifiers; the explicit gadget."""
 
-from dataclasses import replace
+from support import replace
 from fractions import Fraction
 from itertools import combinations
 

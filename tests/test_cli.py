@@ -1,5 +1,6 @@
 """Command-line harness: runs, sweeps, conversion, exit codes, reproducibility."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cfl
-from cfl.cli import main
+from cfl.cli import COMMANDS, build_parser, main
 from cfl.config import Config, ConfigError
 from cfl.graphs import (MAX_EDGELIST_N, VertexSet, cycle_graph,
                         format_edgelist, format_graph6, parse_graph,
@@ -615,6 +616,25 @@ def test_every_number_is_ascii_without_separators(tmp_path, capsys, monkeypatch,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("kneser:5", "expected kneser:N,K, got 'kneser:5'"),
+    ("kneser:5,2,9", "expected kneser:N,K, got 'kneser:5,2,9'"),
+    ("cycle:x", "expected an integer, got 'x', in cycle:N"),
+    ("cycle:", "expected an integer, got '', in cycle:N"),
+    ("complete:4,7", "expected complete:N, got 'complete:4,7'"),
+    ("multipartite:", "expected an integer, got '', in multipartite:A,B,..."),
+    ("petersen:3", "expected petersen, got 'petersen:3'"),
+    ("c5:3", "expected c5, got 'c5:3'"),
+    ("gnp:10,0.5,3,9", "expected gnp:N,P[,SEED], got 'gnp:10,0.5,3,9'"),
+])
+def test_a_misread_graph_spec_names_its_form(tmp_path, capsys, spec, message):
+    # these used to pass Python's unpacking or int() message through, or
+    # (the last three) drop the extra arguments and exit 0
+    cfg = write(tmp_path / "s.ini", _ALPHA.replace("c5", spec))
+    assert run_cli(["alpha", "--config", cfg]) == 2
+    assert f"config error: [alpha] graph: {message}\n" == capsys.readouterr().err
+
+
 @pytest.mark.parametrize("payload, message", [
     # '\u00b2' passes str.isdigit but not int; these ended in a traceback
     ("3 1\n0 \u00b2\n", "expected 'u v', got '0 \u00b2' (line 2)"),
@@ -826,6 +846,10 @@ def test_scan_cannot_sweep_the_kind(tmp_path, capsys):
 
 SOLVERS = {"absorption", "bounds", "constructions", "embedding", "invariants",
            "regularity", "tiling"}
+# what a cfl process must not load unless the interpreter's own start
+# (``site``) already has: ``dataclasses`` brings ``inspect`` and its
+# compiler modules, and ``_hashlib`` is OpenSSL
+START_PATH = ("dataclasses", "inspect", "_hashlib")
 
 
 @pytest.mark.parametrize("commands, body, solvers", [
@@ -846,17 +870,21 @@ def test_a_run_loads_only_its_kinds_solvers(tmp_path, commands, body, solvers):
     loads none of them and a run loads only its kind's; a generator spec
     adds ``constructions`` and the ``invariants`` it imports.  The n <= 7
     rtt oracle works on Python ints, so even its full n = 7 scan loads
-    neither ``tiling`` nor numpy; no run loads numpy or a thread pool."""
+    neither ``tiling`` nor numpy; no run loads numpy or a thread pool, or
+    any of ``START_PATH`` that the bare interpreter had not."""
     graph = write(tmp_path / "g.el", format_edgelist(random_gnp(24, 0.28, 4)))
     kind = commands[0] if commands else "alpha"
     cfg = write(tmp_path / "k.ini", f"[run]\nkind = {kind}\n"
                 + body.replace("{graph}", graph))
-    code = ("import json, sys\nimport cfl.cli\n"
+    code = ("import json, sys\n"
+            f"bare = [m for m in {START_PATH!r} if m in sys.modules]\n"
+            "import cfl.cli\n"
             f"codes = [cfl.cli.main([command, '--config', {cfg!r}, '--out', "
             f"{str(tmp_path)!r}, '--threads', '2']) for command in {commands!r}]\n"
             "print(json.dumps([codes, sorted(m[4:] for m in sys.modules "
             "if m.startswith('cfl.')), [m for m in ('numpy', 'concurrent.futures') "
-            "if m in sys.modules]]))\n")
+            "if m in sys.modules] + [m for m in "
+            f"{START_PATH!r} if m in sys.modules and m not in bare]]))\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cfl.__file__)))
     out = subprocess.run([sys.executable, "-c", code],
                          env=dict(os.environ, PYTHONPATH=src),
@@ -865,6 +893,67 @@ def test_a_run_loads_only_its_kinds_solvers(tmp_path, commands, body, solvers):
     assert codes == [0] * len(commands)
     assert SOLVERS.intersection(modules) == solvers
     assert heavy == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["alpha", "--help"], ["scan", "--help"],
+    ["graph", "convert", "--help"], ["alpha"], ["graph"], ["bogus"],
+    ["alpha", "--config", "a.ini", "--seed", "x"],
+    ["alpha", "--config", "a.ini", "--bogus"],
+    ["graph", "convert", "--from", "graph6", "--to", "edgelist"],
+    ["scan", "--config", "s.ini", "--seed", "3", "--threads", "2"],
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_the_invoked_commands_parser_prints_what_the_full_tree_does(argv):
+    """``main`` builds only the subparser that ``argv[0]`` names; its help,
+    usage, errors, exit codes and parsed values are the full tree's."""
+
+    def parse(parser):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                parsed = vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                parsed = exc.code
+        return parsed, out.getvalue(), err.getvalue()
+
+    pruned = build_parser(argv[0] if argv else None)
+    assert parse(pruned) == parse(build_parser())
+    commands = next(action.choices for action in pruned._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert list(commands) == ([argv[0]] if argv and argv[0] in COMMANDS
+                              else list(COMMANDS))
+
+
+def _imported(argv, cwd):
+    """The modules a ``python -X importtime`` process imports, in order."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cfl.__file__)))
+    out = subprocess.run([sys.executable, "-X", "importtime"] + argv, cwd=cwd,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    return out.returncode, [line.rsplit("|", 1)[1].strip()
+                            for line in out.stderr.splitlines()
+                            if line.startswith("import time:") and "|" in line]
+
+
+def test_no_process_loads_the_start_path_weight(tmp_path):
+    """``python -m cfl.cli thresholds``, the benchmark's no-op, and a
+    process that imports every cfl module load none of ``START_PATH``
+    beyond what the bare interpreter loads; the no-op loads one solver."""
+    _, bare = _imported(["-c", "pass"], tmp_path)
+    cfg = write(tmp_path / "noop.ini", "[run]\nkind = thresholds\n"
+                                       "[thresholds]\nparts = 2, 3, 3\n")
+    code, noop = _imported(["-m", "cfl.cli", "thresholds", "--config", cfg,
+                            "--out", str(tmp_path)], tmp_path)
+    assert code == 0
+    assert [m for m in START_PATH if m in noop and m not in bare] == []
+    assert SOLVERS.intersection(m[4:] for m in noop if m.startswith("cfl.")) \
+        == {"bounds"}
+    modules = sorted(f"cfl.{name[:-3]}" for name in os.listdir(
+        os.path.dirname(os.path.abspath(cfl.__file__)))
+        if name.endswith(".py") and name != "__init__.py")
+    code, every = _imported(["-c", f"import {', '.join(modules)}"], tmp_path)
+    assert code == 0 and set(modules) <= set(every)
+    assert [m for m in START_PATH if m in every and m not in bare] == []
 
 
 def test_scan_point_config_sets_one_key_and_drops_scan():
