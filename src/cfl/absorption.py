@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from statistics import median
 from typing import Dict, List, Optional, Tuple
 
 from .graphs import (Graph, ParameterError, SelfCheckError, VertexSet,
@@ -271,13 +270,15 @@ def closedness_report(g: Graph, u_set: VertexSet, r: int, t: int,
         certs = find_disjoint_reachable_sets(
             g, a, b, r, t, limit=per_pair_limit, within=within)
         counts.append((a, b, len(certs)))
-    values = [c for (_, _, c) in counts]
+    values = sorted(c for (_, _, c) in counts)
+    half = len(values) // 2   # values[~half] is values[half - 1] for an even count
     return ClosednessReport(
         r=r, t=t, variant="inner-closed" if inner else "closed",
         pairs_evaluated=len(pairs), all_pairs=all_pairs,
-        min_count=min(values), median_count=float(median(values)),
-        max_count=max(values),
-        implied_beta=Fraction(min(values), len(u_set)),
+        min_count=values[0],
+        median_count=(values[half] + values[~half]) / 2,
+        max_count=values[-1],
+        implied_beta=Fraction(values[0], len(u_set)),
         per_pair=counts)
 
 

@@ -3,10 +3,11 @@
 The central quantity is the l-independence number: the maximum size of a
 vertex subset inducing no K_l (l=2 recovers the ordinary independence
 number).  The exact solver is a branch-and-bound over (chosen, candidate)
-bitsets; the upper bound partitions the candidates into cliques greedily.
-Each part Q is built beside a clique K of chosen vertices, inside their
-common neighbourhood, and contributes at most l-1-|K| vertices: with the
-final set S, (S & Q) | K is a clique of the K_l-free S.  For l = 2 no
+bitsets with colour-ordered branching, as in Tomita's MCS: one greedy clique
+partition of each node's candidates both bounds the node and orders its
+children.  Each part Q is built beside a clique K of chosen vertices, inside
+their common neighbourhood, and contributes at most l-1-|K| vertices: with
+the final set S, (S & Q) | K is a clique of the K_l-free S.  For l = 2 no
 candidate has a chosen neighbour, so K is empty and the cap is l-1.
 
 Resource caps are node counts, not wall clock, so capped results are
@@ -28,7 +29,7 @@ answer's witness is built as a ``Graph``.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .graphs import (Graph, ParameterError, SearchCapExceeded, VertexSet,
                      _has_clique, iter_bits, iter_clique_masks)
@@ -49,20 +50,20 @@ class AlphaResult(Record):
     ell: int
 
 
-def _clique_cover_bound(adj, chosen: int, mask: int, ell: int) -> int:
-    """Upper bound on how many vertices of ``mask`` a K_ell-free superset of
-    ``chosen`` can add, from a greedy clique partition of ``mask``.
+def _clique_partition(adj, chosen: int, cand: int, ell: int) -> List[Tuple[int, int]]:
+    """Greedy clique partition of ``cand`` as (part, cum) pairs in build
+    order, where ``cum`` bounds how many vertices of that part and the ones
+    before it a K_ell-free superset of ``chosen`` can add.
 
-    Each part is seeded at its lowest vertex v.  A clique K is first grown
-    greedily inside ``chosen & N(v)``, lowest index first, and the part then
-    extends only inside the common neighbourhood of K.  For a K_ell-free
-    S containing ``chosen``, (S & Q) | K is a clique of S for the part Q,
-    so Q contributes at most min(|Q|, ell-1-|K|) vertices.  That cap is at
-    least 1, because every candidate v keeps ``chosen | {v}`` K_ell-free,
-    so |K| + 1 <= ell - 1.
+    Each part Q is seeded at its lowest vertex v.  A clique K is first grown
+    greedily inside ``chosen & N(v)``, lowest index first, and Q then extends
+    only inside the common neighbourhood of K, so Q adds at most
+    min(|Q|, ell-1-|K|).  That cap is at least 1, because every candidate v
+    keeps ``chosen | {v}`` K_ell-free, so |K| + 1 <= ell - 1.
     """
-    bound = 0
-    rest = mask
+    parts = []
+    cum = 0
+    rest = cand
     while rest:
         low = rest & -rest
         v = low.bit_length() - 1
@@ -78,22 +79,26 @@ def _clique_cover_bound(adj, chosen: int, mask: int, ell: int) -> int:
         size = 1
         while avail:
             ulow = avail & -avail
-            u = ulow.bit_length() - 1
             clique |= ulow
             size += 1
-            avail &= adj[u]
-        rest &= ~clique
-        bound += size if size < cap else cap
-    return bound
+            avail &= adj[ulow.bit_length() - 1]
+        rest ^= clique
+        cum += size if size < cap else cap
+        parts.append((clique, cum))
+    return parts
 
 
 def _feasible_candidates(adj, ell: int, chosen: int, cand: int, v: int) -> int:
     """Filter ``cand`` after v joins ``chosen``: drop any u whose addition
     would complete a K_ell (i.e. a K_{ell-2} sits in chosen & N(u) & N(v))."""
     out = cand
-    for u in iter_bits(cand & adj[v]):
-        if _has_clique(adj, ell - 2, chosen & adj[u] & adj[v]):
-            out &= ~(1 << u)
+    near = chosen & adj[v]
+    rest = cand & adj[v]
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if _has_clique(adj, ell - 2, near & adj[low.bit_length() - 1]):
+            out ^= low
     return out
 
 
@@ -101,9 +106,12 @@ def alpha_ell_exact(g: Graph, ell: int, node_cap: Optional[int] = None,
                     within: Optional[VertexSet] = None) -> AlphaResult:
     """Exact maximum K_ell-free subset, with witness.
 
-    Branches on a maximum-degree candidate (degree inside the candidate
-    set); include branch first.  A node cap turns the result into a flagged
-    lower bound instead of raising.
+    Each node takes its candidates' clique partition once and branches on
+    its parts from last to first, each from the highest vertex down: the
+    vertex joins ``chosen`` in a child, then leaves the candidates.  What is
+    left lies in parts 1..j, so the node stops once its size plus part j's
+    ``cum`` cannot beat the incumbent, which only a strictly larger set
+    replaces.  A node cap turns the result into a flagged lower bound.
     """
     ParameterError.at_least("ell", ell, 2)
     adj = g.adj
@@ -119,24 +127,16 @@ def alpha_ell_exact(g: Graph, ell: int, node_cap: Optional[int] = None,
             raise SearchCapExceeded
         if size > best_size:
             best_size, best_mask = size, chosen
-        if not cand:
-            return
-        if size + _clique_cover_bound(adj, chosen, cand, ell) <= best_size:
-            return
-        # highest degree inside cand, ties to the higher index
-        v = -1
-        vdeg = -1
-        rest = cand
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
-            d = (adj[u] & cand).bit_count()
-            if d >= vdeg:
-                v, vdeg = u, d
-        branch(chosen | (1 << v), size + 1,
-               _feasible_candidates(adj, ell, chosen, cand & ~(1 << v), v))
-        branch(chosen, size, cand & ~(1 << v))
+        for part, cum in reversed(_clique_partition(adj, chosen, cand, ell)):
+            while part:
+                if size + cum <= best_size:
+                    return
+                v = part.bit_length() - 1
+                bit = 1 << v
+                part ^= bit
+                cand ^= bit
+                branch(chosen | bit, size + 1,
+                       _feasible_candidates(adj, ell, chosen, cand, v))
 
     try:
         branch(0, 0, universe)

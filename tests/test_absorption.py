@@ -1,6 +1,7 @@
 """Absorber, reachable-set and absorbing-set certifiers; the explicit gadget."""
 
 from support import replace
+import statistics
 from fractions import Fraction
 from itertools import combinations
 
@@ -337,6 +338,19 @@ def test_closedness_on_lower_bound_construction_is_observational():
     assert rep.pairs_evaluated == 20
     assert 0 <= rep.min_count <= rep.median_count <= rep.max_count
     assert rep.implied_beta == Fraction(rep.min_count, 12)
+
+
+@pytest.mark.parametrize("budget", [5, 6, 7, 8])
+def test_closedness_median_is_the_statistics_median(budget):
+    # an odd pair count takes the middle count, an even one the mean of two
+    g = random_gnp(12, 0.6, 5)
+    rep = closedness_report(g, VertexSet(g, g.full_mask()), r=3, t=1,
+                            pair_budget=budget, seed=2)
+    counts = [c for (_, _, c) in rep.per_pair]
+    assert rep.pairs_evaluated == budget == len(counts)
+    assert rep.median_count == float(statistics.median(counts))
+    assert type(rep.median_count) is float
+    assert (rep.min_count, rep.max_count) == (min(counts), max(counts))
 
 
 def test_verifiers_refuse_tampered_certificates():

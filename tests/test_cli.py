@@ -848,8 +848,9 @@ SOLVERS = {"absorption", "bounds", "constructions", "embedding", "invariants",
            "regularity", "tiling"}
 # what a cfl process must not load unless the interpreter's own start
 # (``site``) already has: ``dataclasses`` brings ``inspect`` and its
-# compiler modules, and ``_hashlib`` is OpenSSL
-START_PATH = ("dataclasses", "inspect", "_hashlib")
+# compiler modules, ``_hashlib`` is OpenSSL, and ``absorb`` needs no
+# ``statistics`` for its one median
+START_PATH = ("dataclasses", "inspect", "_hashlib", "statistics")
 
 
 @pytest.mark.parametrize("commands, body, solvers", [
@@ -863,8 +864,10 @@ START_PATH = ("dataclasses", "inspect", "_hashlib")
      {"tiling", "constructions", "invariants"}),
     (("rtt",), "[rtt]\nn = 7\nr = 7\nell = 2\nalpha_bound = 1\n",
      {"invariants"}),
+    (("absorb",), "[absorb]\ntask = closedness\ngraph = {graph}\nr = 3\nt = 1\n"
+     "pair_budget = 6\n", {"absorption", "tiling"}),
 ], ids=["import", "thresholds", "tile-and-scan", "factor", "alpha", "tile-spec",
-        "rtt"])
+        "rtt", "absorb"])
 def test_a_run_loads_only_its_kinds_solvers(tmp_path, commands, body, solvers):
     """Each handler imports its own solver modules, so ``import cfl.cli``
     loads none of them and a run loads only its kind's; a generator spec

@@ -9,7 +9,7 @@ from cfl import tiling
 from cfl.graphs import (VertexSet, complete_graph, cycle_graph, empty_graph,
                         format_graph6, has_clique, iter_clique_masks,
                         petersen_graph, random_gnp)
-from cfl.invariants import (_clique_cover_bound, _factor_masks,
+from cfl.invariants import (_clique_partition, _factor_masks,
                             _graph_from_pair_mask, _pair_index_masks,
                             alpha_ell_exact, alpha_ell_greedy,
                             has_clique_cover, rtt_oracle)
@@ -83,7 +83,7 @@ def test_alpha_node_cap_flags_partial():
 
 
 def test_alpha_node_cap_counts_the_first_node_past_it():
-    g = random_gnp(20, 0.5, 3)
+    g = random_gnp(24, 0.5, 3)
     assert alpha_ell_exact(g, 3).nodes_explored > 51
     for cap in (0, 1, 5, 50):
         capped = alpha_ell_exact(g, 3, node_cap=cap)
@@ -100,9 +100,11 @@ def test_alpha_rejects_bad_ell():
 
 
 def reference_alpha(g, ell, universe):
-    """The exact search without any bound: same branching vertex (highest
-    degree inside the candidates, ties to the higher index), include branch
-    first, incumbent replaced only by a strictly larger set.  A sound bound
+    """The exact search without any bound, in the solver's branch order: at
+    each node the parts of ``_clique_partition`` (read for their order only,
+    never for their caps) from last to first, each from its highest vertex
+    down; each vertex joins a child and then leaves the candidates, and the
+    incumbent is replaced only by a strictly larger set.  A sound bound
     prunes only subtrees that cannot beat the incumbent, so the pruned search
     must return this value and this witness."""
     best = [0, 0]
@@ -110,18 +112,16 @@ def reference_alpha(g, ell, universe):
     def branch(chosen, size, cand):
         if size > best[0]:
             best[:] = [size, chosen]
-        if not cand:
-            return
-        v = max((u for u in range(g.n) if cand >> u & 1),
-                key=lambda u: ((g.adj[u] & cand).bit_count(), u))
-        rest = cand & ~(1 << v)
-        keep = chosen | 1 << v
-        feasible = 0
-        for u in range(g.n):
-            if rest >> u & 1 and not has_clique(g, ell, keep | 1 << u):
-                feasible |= 1 << u
-        branch(keep, size + 1, feasible)
-        branch(chosen, size, rest)
+        order = [v for part, _ in reversed(_clique_partition(g.adj, chosen, cand, ell))
+                 for v in range(g.n - 1, -1, -1) if part >> v & 1]
+        for v in order:
+            cand &= ~(1 << v)
+            keep = chosen | 1 << v
+            feasible = 0
+            for u in range(g.n):
+                if cand >> u & 1 and not has_clique(g, ell, keep | 1 << u):
+                    feasible |= 1 << u
+            branch(keep, size + 1, feasible)
 
     branch(0, 0, universe)
     return best[0], best[1]
@@ -152,14 +152,23 @@ def test_clique_cover_bound_is_at_least_the_optimum(g, ell, data):
     for v in feasible:
         if data.draw(st.booleans()):
             cand |= 1 << v
-    best = max(sub.bit_count() for sub in range(1 << g.n)
-               if sub & ~cand == 0 and not has_clique(g, ell, chosen | sub))
-    assert _clique_cover_bound(g.adj, chosen, cand, ell) >= best
+    parts = _clique_partition(g.adj, chosen, cand, ell)
+    covered = 0
+    for part, cum in parts:
+        # the parts are disjoint cliques that cover cand
+        assert part and part & covered == 0
+        assert has_clique(g, part.bit_count(), part)
+        covered |= part
+        best = max(sub.bit_count() for sub in range(1 << g.n)
+                   if sub & ~covered == 0 and not has_clique(g, ell, chosen | sub))
+        assert cum >= best
+    assert covered == cand
 
 
-@pytest.mark.parametrize("n, ell, cap", [(42, 3, 10_000), (34, 4, 25_000)])
+@pytest.mark.parametrize("n, ell, cap", [(42, 3, 4_000), (34, 4, 3_500)])
 def test_alpha_node_counts_with_the_chosen_clique_cap(n, ell, cap):
-    # before the chosen-clique cap: 44,457 and 206,583 nodes
+    # 3,896 and 3,364 nodes; before colour-ordered branching 7,373 and 17,995
+    # (caps 10,000 and 25,000), before the chosen-clique cap 44,457 and 206,583
     res = alpha_ell_exact(random_gnp(n, 0.5, 1), ell)
     assert res.exact
     assert res.nodes_explored <= cap
