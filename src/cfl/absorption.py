@@ -14,9 +14,10 @@ The objects certified here:
 Every certificate stores its factor tilings, and each is re-checked before
 the certificate is returned: the independent tiling checker accepts it and
 it covers exactly its set, or ``graphs.SelfCheckError`` is raised (a defect
-in cfl).  Searches are greedy first-fit over
-candidates in lexicographic order: the counts are honest lower bounds, and
-exact packing lives only in the test oracles.
+in cfl).  The absorbing-set checks read only the bare factor masks of
+``tiling._factor_masks``.  Searches are greedy first-fit over candidates in
+lexicographic order: the counts are honest lower bounds, and exact packing
+lives only in the test oracles.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .graphs import (Graph, ParameterError, SelfCheckError, VertexSet,
 from .numbers import exact_fraction
 from .records import Factory, Record
 from .rng import SplitMix64, derive_seed
-from .tiling import CliqueTiling, has_factor, verify_tiling
+from .tiling import CliqueTiling, _factor_masks, has_factor, verify_tiling
 
 
 class AbsorberCertificate(Record):
@@ -228,7 +229,7 @@ def _absorbs_every(g: Graph, a: VertexSet, r: int, mode: str,
     for combo in leftovers:
         checked += 1
         rm = mask_of(combo)
-        if has_factor(g, r, within=VertexSet(g, a.mask | rm)).tiling is None:
+        if _factor_masks(g, r, a.mask | rm) is None:
             return AbsorbingVerdict(False, mode, checked,
                                     witness_r=VertexSet(g, rm))
     return AbsorbingVerdict(True, mode, checked)

@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .graphs import (Graph, ParameterError, SearchCapExceeded, VertexSet,
-                     iter_bits, iter_clique_masks)
+                     _first_clique, iter_bits, iter_clique_masks)
 from .records import Factory, Record
 from .rng import SplitMix64, derive_seed
 
@@ -387,7 +387,7 @@ def _drc_attempt(g: Graph, classes: Sequence[VertexSet], level0: tuple,
     if len(drc.selected) < p:
         note["stage"] = "selected set smaller than p"
         return None
-    a_target = next(iter_clique_masks(g, p, drc.selected.mask), None)
+    a_target = _first_clique(g.adj, p, drc.selected.mask)
     if a_target is None:
         note["stage"] = "no p-clique in selected set"
         return None
@@ -396,7 +396,7 @@ def _drc_attempt(g: Graph, classes: Sequence[VertexSet], level0: tuple,
         common &= bip.adj[v]
     pool = common & witness.mask
     note["back_pool"] = pool.bit_count()
-    a_witness = next(iter_clique_masks(g, p, pool), None)
+    a_witness = _first_clique(g.adj, p, pool)
     if a_witness is None:
         note["stage"] = "no p-clique in common neighborhood"
         return None
@@ -417,7 +417,7 @@ def _drc_attempt(g: Graph, classes: Sequence[VertexSet], level0: tuple,
             top = tuple(chosen[j].bit_length() - 1 for j in range(i + 1, q))
             extenders &= (1 << (bound[0] + (top <= bound[1:]))) - 1
         note[f"extenders_{i}"] = extenders.bit_count()
-        a_i = next(iter_clique_masks(g, p, extenders), None)
+        a_i = _first_clique(g.adj, p, extenders)
         if a_i is None:
             note["stage"] = f"no p-clique among extenders of class {i}"
             return None

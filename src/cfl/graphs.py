@@ -495,6 +495,20 @@ def _has_clique(adj, k: int, mask: int) -> bool:
     return False
 
 
+def _first_clique(adj, k: int, mask: int) -> Optional[int]:
+    """The first k-clique (k >= 1) that ``iter_clique_masks`` yields inside
+    ``mask``, or None; private, as ``_has_clique`` is, and generator-free."""
+    if k == 1:
+        return mask & -mask or None
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        found = _first_clique(adj, k - 1, mask & adj[low.bit_length() - 1])
+        if found is not None:
+            return found | low
+    return None
+
+
 def has_clique(g: Graph, k: int, within: Optional[int] = None) -> bool:
     """True iff a k-clique exists inside ``within`` (default: all of g)."""
     return _has_clique(g.adj, k, g.full_mask() if within is None else within)

@@ -32,7 +32,7 @@ from itertools import combinations
 from typing import List, Optional, Tuple
 
 from .graphs import (Graph, ParameterError, SearchCapExceeded, VertexSet,
-                     _has_clique, iter_bits, iter_clique_masks)
+                     _first_clique, _has_clique, iter_bits)
 from .records import Record
 from .rng import SplitMix64
 
@@ -171,7 +171,7 @@ def has_clique_cover(g: Graph, v: int, r: int,
         raise ParameterError("forbidden", f"contains the distinguished vertex {v}")
     if r == 1:
         return VertexSet(g, 1 << v)
-    m = next(iter_clique_masks(g, r - 1, g.adj[v] & ~banned), None)
+    m = _first_clique(g.adj, r - 1, g.adj[v] & ~banned)
     return None if m is None else VertexSet(g, m | (1 << v))
 
 
@@ -359,7 +359,7 @@ def _rtt_search(n: int, r: int, ell: int, alpha_bound: int, degenerate: bool,
             return False
         if degenerate:
             return True
-        return tiling.has_factor(g, r).tiling is None
+        return tiling._factor_masks(g, r, g.full_mask()) is None
 
     for t in range(tries):
         p = 0.2 + 0.6 * rng.random()

@@ -82,10 +82,18 @@ class SplitMix64:
         return seq[self.randrange(len(seq))]
 
     def shuffle(self, items: list) -> None:
-        """Fisher-Yates, in place."""
+        """Fisher-Yates, in place, with each ``randrange(i + 1)`` inline."""
+        state = self._state
         for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
+            z = 2**64                   # no draw yet
+            while z >= 2**64 - 2**64 % (i + 1):
+                state = (state + _GOLDEN) & _MASK
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+                z ^= z >> 31
+            j = z % (i + 1)
             items[i], items[j] = items[j], items[i]
+        self._state = state
 
     def sample(self, pool, k: int) -> list:
         """k distinct items of ``pool``: the first k of a Fisher-Yates

@@ -17,7 +17,12 @@ set ``active``; a pruned subtree cannot strictly beat the incumbent):
 * coverable: only vertices with r-1 active neighbors can be covered, so at
   most (their number) // r more tiles fit.
 
-Pruning rules of ``has_factor`` (a pruned subtree holds no factor):
+``has_factor`` wraps ``_factor_masks``, the clique masks of the first factor
+found, or None.  That first runs the greedy tiling: if it skips no vertex, it
+is the search's first descent and finds the factor in |U|/r + 1 nodes, so it
+runs whenever ``node_cap`` allows that many.
+
+Pruning rules of the factor search (a pruned subtree holds no factor):
 
 * stranded: the lowest active vertex has fewer than r-1 active neighbors;
 * free set: a factor of ``active`` puts at least r - l vertices outside S in
@@ -27,8 +32,8 @@ The free sets S_1 .. S_{r-1} are built greedily once per call, inside the
 call's universe (``_free_sets``).  A subset of a K_{l+1}-free set is
 K_{l+1}-free, so S restricted to any deeper ``active`` still qualifies and
 the root sets serve every node at r-1 popcounts each.  ``max_tiling`` builds
-them only when the greedy incumbent misses the ceiling; ``has_factor`` only
-at its first dead end, so queries answered on the first descent never pay
+them only when the greedy incumbent misses the ceiling; the factor search
+only at its first dead end, so queries answered on the first descent never pay
 for them, and re-tests a node's bound after each failed child, because the
 sets may have been built below it.  Neither rule changes the branching
 order, so certificates, ``optimal`` and ``status`` are those of the unpruned
@@ -47,7 +52,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from .graphs import (Graph, ParameterError, SearchCapExceeded, VertexSet,
-                     _has_clique, iter_bits, iter_clique_masks)
+                     _first_clique, _has_clique, iter_bits, iter_clique_masks)
 from .records import Record
 
 
@@ -148,14 +153,13 @@ def _free_sets(g: Graph, r: int, universe: int) -> List[int]:
 
 
 def _lex_greedy_masks(g: Graph, r: int, active: int) -> List[int]:
-    """Deterministic first-fit tiling used as the branch-and-bound incumbent."""
+    """First fit: the incumbent of max_tiling, the first descent of _factor_masks."""
     adj = g.adj
     out = []
     rest = active
     while rest:
         low = rest & -rest
-        v = low.bit_length() - 1
-        cm = next(iter_clique_masks(g, r - 1, rest & adj[v]), None)
+        cm = _first_clique(adj, r - 1, rest & adj[low.bit_length() - 1])
         if cm is None:
             rest ^= low
         else:
@@ -218,15 +222,17 @@ def max_tiling(g: Graph, r: int, within: Optional[VertexSet] = None,
                         nodes_explored=nodes)
 
 
-def has_factor(g: Graph, r: int, within: Optional[VertexSet] = None,
-               node_cap: Optional[int] = None) -> FactorResult:
-    """Perfect K_r-tiling decision; branches that strand a vertex or fail the
-    free-set bound are cut."""
-    ParameterError.at_least("r", r, 2)
-    universe = g.full_mask() if within is None else within.mask
+def _factor_masks(g: Graph, r: int, universe: int,
+                  node_cap: Optional[int] = None) -> Optional[List[int]]:
+    """The first K_r-factor of ``universe`` in search order as clique masks,
+    or None (r not dividing |U| included); SearchCapExceeded past node_cap."""
     n_active = universe.bit_count()
-    if n_active % r != 0:
-        return FactorResult(None, "divisibility")
+    if n_active % r:
+        return None
+    if node_cap is None or node_cap > n_active // r:
+        tiles = _lex_greedy_masks(g, r, universe)   # the first descent
+        if len(tiles) * r == n_active:
+            return tiles
     adj = g.adj
     nodes = 0
     found: Optional[List[int]] = None
@@ -271,8 +277,19 @@ def has_factor(g: Graph, r: int, within: Optional[VertexSet] = None,
                 return
         dead_end()
 
+    search(universe, [])
+    return found
+
+
+def has_factor(g: Graph, r: int, within: Optional[VertexSet] = None,
+               node_cap: Optional[int] = None) -> FactorResult:
+    """Perfect K_r-tiling decision by ``_factor_masks``, tiling canonical."""
+    ParameterError.at_least("r", r, 2)
+    universe = g.full_mask() if within is None else within.mask
+    if universe.bit_count() % r:
+        return FactorResult(None, "divisibility")
     try:
-        search(universe, [])
+        found = _factor_masks(g, r, universe, node_cap)
     except SearchCapExceeded:
         return FactorResult(None, "cap")
     if found is None:

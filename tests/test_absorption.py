@@ -7,8 +7,8 @@ from itertools import combinations
 
 import pytest
 
-from cfl import absorption
-from cfl.absorption import (build_reachable_gadget,
+from cfl import absorption, tiling
+from cfl.absorption import (AbsorbingVerdict, build_reachable_gadget,
                             certify_absorber, certify_reachable,
                             certify_xi_absorbing, closedness_report,
                             find_disjoint_reachable_sets, verify_absorber,
@@ -271,6 +271,37 @@ def test_the_size_cap_picks_the_xi_path(n, size):
         assert (verdict.checked, verdict.witness_r) == (want.checked, None)
         assert verdict.checked == 40
     assert verdict.absorbing
+
+
+def test_leftover_checks_build_no_factor_record(monkeypatch):
+    """The xi checks ask only whether each leftover has a factor: with
+    ``has_factor`` and the canonical tiling made to raise, they return the
+    same verdicts, and refute at the same leftover after the same count."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a leftover check built a factor record")
+
+    monkeypatch.setattr(tiling, "has_factor", refuse)
+    monkeypatch.setattr(absorption, "has_factor", refuse)
+    monkeypatch.setattr(tiling, "_canonical_tiling", refuse)
+    k12 = complete_graph(12)
+    assert certify_xi_absorbing(k12, VertexSet.of(k12, range(6)), 3,
+                                Fraction(1, 4)) == AbsorbingVerdict(
+        True, "exhaustive", 1 + len(list(combinations(range(6), 3))))
+    k20 = complete_graph(20)
+    assert certify_xi_absorbing(k20, VertexSet.of(k20, range(6)), 3,
+                                Fraction(1, 2), samples=30) == AbsorbingVerdict(
+        True, "sampled", 30)
+    # checked counts and witnesses as the record-building check found them
+    for seed, exhaustive, sampled in ((12, (17, (7, 10, 11)), (22, (7, 10, 11))),
+                                      (95, (21, (9, 10, 11)), (16, (9, 10, 11)))):
+        g = random_gnp(12, 0.7, seed)
+        a = VertexSet.of(g, range(6))
+        ex = certify_xi_absorbing(g, a, 3, Fraction(1, 3))
+        sa = absorption._xi_sampled(g, a, 3, Fraction(1, 3), samples=300, seed=7)
+        assert (ex.absorbing, ex.mode) == (False, "exhaustive")
+        assert (sa.absorbing, sa.mode) == (False, "sampled")
+        assert (ex.checked, ex.witness_r.vertices()) == exhaustive
+        assert (sa.checked, sa.witness_r.vertices()) == sampled
 
 
 def test_absorbing_composition_yields_factor():

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cfl.graphs import (MAX_EDGELIST_N, DuplicateEdgeError, EdgeSyntaxError,
                         Graph, Graph6Error, GraphFormatError, HeaderError,
-                        LoopError, VertexRangeError, VertexSet,
+                        LoopError, VertexRangeError, VertexSet, _first_clique,
                         complete_graph, complete_multipartite, cycle_graph,
                         empty_graph, format_edgelist, format_graph6,
                         iter_clique_masks, kneser_graph, parse_edgelist,
@@ -13,7 +13,7 @@ from cfl.graphs import (MAX_EDGELIST_N, DuplicateEdgeError, EdgeSyntaxError,
 
 from conftest import independent_graph6_decode, naive_cliques, seeded_graphs
 from cfl.rng import SplitMix64
-from support import (bulk_random, reference_format_graph6,
+from support import (bulk_random, bulk_u64, reference_format_graph6,
                      reference_parse_edgelist, reference_parse_graph6)
 
 
@@ -261,6 +261,43 @@ def test_random_gnp_matches_the_vectorised_stream(n, p, seed):
     assert [g.has_edge(u, v) for u, v in pairs] == [bool(d < p) for d in draws]
 
 
+def randrange_fisher_yates(rng, items):
+    """Fisher-Yates with one randrange call per swap: the reference for the
+    shuffle's inline draws."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def test_shuffle_draws_what_randrange_fisher_yates_draws():
+    seeds = list(range(150)) + [2**64 - 1 - s for s in range(50)]
+    for seed in seeds:
+        for length in range(31):
+            got, want = SplitMix64(seed), SplitMix64(seed)
+            xs, ys = list(range(length)), list(range(length))
+            got.shuffle(xs)
+            randrange_fisher_yates(want, ys)
+            assert xs == ys
+            assert got.next_u64() == want.next_u64()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2901, 2**63, 2**64 - 1])
+def test_shuffle_reads_the_vectorised_stream(seed):
+    """Swap i takes draw mod (i + 1), one draw each (a rejection needs a
+    draw within i + 1 of 2^64), and the next draw is the one after."""
+    for length in range(31):
+        draws = [int(x) for x in bulk_u64(seed, length + 1)]
+        want = list(range(length))
+        for step, i in enumerate(range(length - 1, 0, -1)):
+            j = draws[step] % (i + 1)
+            want[i], want[j] = want[j], want[i]
+        rng = SplitMix64(seed)
+        got = list(range(length))
+        rng.shuffle(got)
+        assert got == want
+        assert rng.next_u64() == draws[max(length - 1, 0)]
+
+
 def test_random_gnp_edge_count_statistics():
     # mean C(1000,2)/2, sd = sqrt(npairs * 0.25); require within 4 sd
     g = random_gnp(1000, 0.5, 2024)
@@ -303,6 +340,16 @@ def test_enumerate_cliques_canonical_and_capped():
     first = [VertexSet(g, c).vertices()
              for c, _ in zip(iter_clique_masks(g, 3), range(5))]
     assert first == full[:5]
+
+
+def test_first_clique_is_the_first_listed_clique(small_graph_battery):
+    rng = SplitMix64(2903)
+    for g in small_graph_battery:
+        masks = [g.full_mask(), 0] + [rng.randrange(1 << g.n) for _ in range(6)]
+        for k in range(1, 6):
+            for m in masks:
+                assert _first_clique(g.adj, k, m) == next(
+                    iter_clique_masks(g, k, m), None)
 
 
 def test_kneser_graph_is_triangle_free():

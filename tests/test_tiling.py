@@ -9,8 +9,9 @@ from cfl.constructions import build_lower_bound_graph
 from cfl.graphs import (Graph, VertexSet, complete_graph,
                         complete_multipartite, cycle_graph, has_clique,
                         iter_clique_masks, random_gnp)
-from cfl.tiling import (CliqueTiling, _free_sets, has_factor, max_tiling,
-                        verify_tiling)
+from cfl.rng import SplitMix64
+from cfl.tiling import (CliqueTiling, _factor_masks, _free_sets, has_factor,
+                        max_tiling, verify_tiling)
 
 from conftest import naive_has_factor, naive_max_tiling_count, small_graphs
 
@@ -279,3 +280,71 @@ def test_verify_tiling_refuses_tampered_certificates():
     holed = Graph(6, [e for e in k6.edges() if e != (4, 5)])
     assert not verify_tiling(holed, CliqueTiling(3, [VertexSet(holed, a.mask),
                                                      VertexSet(holed, b.mask)]))
+
+
+# -- the bare-mask factor search and its first descent ------------------------
+
+def first_descent(g, r, universe):
+    """The factor search's first path: the lowest active vertex with the
+    first listed (r-1)-clique of its active neighbourhood, until one is
+    missing (None) or the universe is covered (the tiles)."""
+    tiles = []
+    active = universe
+    while active:
+        low = active & -active
+        cm = next(iter_clique_masks(g, r - 1, active & g.adj[low.bit_length() - 1]),
+                  None)
+        if cm is None:
+            return None
+        tiles.append(cm | low)
+        active &= ~(cm | low)
+    return tiles
+
+
+def random_factor_cases(count, seed):
+    """(g, r, universe) on n <= 14 vertices, r 2..4, random universes."""
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        n = 1 + rng.randrange(14)
+        g = random_gnp(n, 0.3 + 0.6 * rng.random(), rng.next_u64())
+        yield g, 2 + rng.randrange(3), rng.randrange(1 << n)
+
+
+def test_factor_masks_are_has_factors_tiling_in_search_order():
+    seen = {"found": 0, "none": 0, "divisibility": 0}
+    for g, r, universe in random_factor_cases(600, 2901):
+        masks = _factor_masks(g, r, universe)
+        fac = has_factor(g, r, within=VertexSet(g, universe))
+        seen[fac.status] += 1
+        if masks is None:
+            assert fac.tiling is None and fac.status in ("none", "divisibility")
+            assert (fac.status == "divisibility") == bool(universe.bit_count() % r)
+            continue
+        assert fac.status == "found"
+        assert masks == reference_factor(g, r, universe)
+        assert [s.mask for s in fac.tiling.members] == sorted(
+            masks, key=lambda m: VertexSet(g, m).vertices())
+    assert min(seen.values()) >= 50, seen
+
+
+def test_a_first_descent_factor_takes_one_node_per_tile_plus_one():
+    k9 = complete_graph(9)
+    assert _factor_masks(k9, 3, k9.full_mask(), node_cap=4) == [0b111, 0b111000,
+                                                              0b111000000]
+    first = backtracked = 0
+    for g, r, universe in random_factor_cases(600, 2902):
+        full = has_factor(g, r, within=VertexSet(g, universe))
+        if full.status != "found":
+            continue
+        k = universe.bit_count() // r
+        capped = has_factor(g, r, within=VertexSet(g, universe), node_cap=k + 1)
+        if first_descent(g, r, universe) is not None:
+            first += 1
+            assert capped == full
+            below = has_factor(g, r, within=VertexSet(g, universe), node_cap=k)
+            assert below.status == "cap" and below.tiling is None
+        else:
+            # the search left its first path, so it took more than k + 1 nodes
+            backtracked += 1
+            assert capped.status == "cap" and capped.tiling is None
+    assert first >= 50 and backtracked >= 5, (first, backtracked)
