@@ -36,27 +36,30 @@ line, so a run loads only the solvers its kind uses.  No key picks a
 certifier's mode: each runs exhaustive within its module's size cap,
 sampled beyond it, and says which.
 
-A process (``python -m cfl.cli`` or the ``cfl`` script) runs ``entry``: it
-exits with ``main``'s code and freezes the heap on the way out, so shutdown's
-full collection has nothing to traverse.  ``main`` never freezes, so callers
-in one process, such as the tests, keep normal cycle collection.
+A process (``python -m cfl.cli`` or the ``cfl`` script) runs ``entry``:
+when ``main`` returns its code, ``entry`` flushes stdout and stderr and ends
+the process with ``os._exit``, skipping interpreter teardown, so no atexit
+handler runs after ``main``.  An uncaught exception still propagates, with
+its traceback and exit 1, and argparse's exits (``--help``, usage errors)
+still end the process normally.  ``main`` flushes stdout itself, so a
+closed stdout pipe is an input error (exit 3) in process too; it never
+ends the process, so callers in one process, such as the tests, can call
+it repeatedly.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import math
 import os
 import sys
 import time
-from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import graphs, reports
 from .config import Config, ConfigError, parse_vertex_list, read_int
 from .graphs import Graph, GraphFormatError, ParameterError, VertexSet
-from .numbers import number
+from .numbers import exact_fraction, number
 from .rng import sha256
 
 EXIT_OK = 0
@@ -206,6 +209,7 @@ def run_construct(cfg, seed, node_cap, outdir):
         # one the config gave (the builder refuses an n below 1 before it
         # uses eta)
         x1_key = "clique_size" if cfg.has(section, "clique_size") else "eta"
+        from fractions import Fraction
         eta = (Fraction(cfg.get_int(section, "clique_size"), max(n, 1))
                if x1_key == "clique_size" else cfg.get_fraction(section, "eta"))
         try:
@@ -433,7 +437,7 @@ def run_thresholds(cfg, seed, node_cap, outdir):
     if cfg.has("thresholds", "r") and cfg.has("thresholds", "ell"):
         ell, r = cfg.get_int("thresholds", "ell"), cfg.get_int("thresholds", "r")
         n = cfg.get_int("thresholds", "n", 1)
-        rho = cfg.get_fraction("thresholds", "rho_star", Fraction(0))
+        rho = cfg.get_fraction("thresholds", "rho_star", exact_fraction(0))
         result["degree_thresholds"] = bounds.degree_thresholds(n, r, ell, rho)
         if cfg.has("thresholds", "profile_c"):
             c = cfg.get_float("thresholds", "profile_c")
@@ -686,19 +690,29 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.command == "graph":
-            return cmd_convert(args)
-        if args.command == "scan":
-            return cmd_scan(args)
-        return cmd_run(args.command, args)
+            code = cmd_convert(args)
+        elif args.command == "scan":
+            code = cmd_scan(args)
+        else:
+            code = cmd_run(args.command, args)
+        # a closed stdout fails here, as an input error, whether or not
+        # the stream is buffered
+        sys.stdout.flush()
+        return code
     except (ConfigError, InputError, OSError) as exc:
         return _user_error(exc)
 
 
 def entry() -> None:
+    code = main()
     try:
-        sys.exit(main())
-    finally:
-        gc.freeze()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        # only output that main already reported as unwritable is left;
+        # a failed flush never turns into success
+        code = code or EXIT_INPUT
+    os._exit(code)
 
 
 if __name__ == "__main__":

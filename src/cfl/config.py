@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import configparser
 import math
-from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from .numbers import exact_fraction, number
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class ConfigError(ValueError):

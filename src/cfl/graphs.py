@@ -227,10 +227,62 @@ class VertexSet:
 # -- parsing and serialization ------------------------------------------
 
 MAX_EDGELIST_N = 1_000_000
+# characters per decoded slice of an edge-list body, so the transient lists
+# of a large body stay small
+_EDGELIST_SLICE = 1 << 13
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+
+
+def _decode_edgelist(text: str) -> Optional[Graph]:
+    """The graph of a well-formed edge list, checked and decoded in bulk,
+    or None for any payload it cannot vouch for.
+
+    The body must be ASCII and each line two digit fields joined by one
+    space, with the final LF: deleting the digits leaves m copies of " \\n",
+    and no field is empty.  The integers are then read in slices of about
+    ``_EDGELIST_SLICE`` characters, each slice's u < v < n checked over its
+    lists before its edges are set.  A repeated edge sets no new bit, so it
+    shows as fewer than m edges in the graph.  Its one list of n zeros is
+    allocated before any edge is checked, which n <= MAX_EDGELIST_N bounds."""
+    if not text.isascii() or not text.endswith("\n"):
+        return None
+    head, _, body = text.partition("\n")
+    fields = head.split(" ")
+    if len(fields) != 2 or not decimal_fields(fields):
+        return None
+    n, m = int(fields[0]), int(fields[1])
+    shape = body.translate(_NO_DIGITS)
+    if (n > MAX_EDGELIST_N or len(shape) != 2 * m or shape != " \n" * m
+            or body.startswith(" ") or "\n " in body or " \n" in body):
+        return None
+    adj = [0] * n
+    start = 0
+    while start < len(body):
+        end = body.find("\n", start + _EDGELIST_SLICE) + 1 or len(body)
+        ends = list(map(int, body[start:end].split()))
+        us, vs = ends[0::2], ends[1::2]
+        if max(vs) >= n or not all(map(int.__lt__, us, vs)):
+            return None
+        for u, v in zip(us, vs):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        start = end
+    g = Graph._from_adj(adj)
+    return g if g.edge_count == m else None
 
 
 def parse_edgelist(text: str) -> Graph:
-    """Parse the edge-list wire format; errors carry line numbers."""
+    """Parse the edge-list wire format; errors carry line numbers.
+
+    A well-formed payload is decoded in bulk (``_decode_edgelist``); the
+    line-by-line reader below runs only when that declines, and it is the
+    only code that raises, so every error names its first bad line."""
+    try:
+        g = _decode_edgelist(text)
+    except ValueError:      # a field past int's digit limit; the reader says where
+        g = None
+    if g is not None:
+        return g
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

@@ -88,18 +88,29 @@ def _clique_partition(adj, chosen: int, cand: int, ell: int) -> List[Tuple[int, 
     return parts
 
 
+def _clique_reach(adj, k: int, near: int, rest: int) -> int:
+    """The vertices of ``rest`` adjacent to every vertex of some k-clique
+    inside ``near``: the union, over those cliques, of their common
+    neighbourhoods within ``rest``.  A partial clique whose common
+    neighbourhood adds nothing new is not extended."""
+    if k == 0:
+        return rest
+    reach = 0
+    while near:
+        low = near & -near
+        near ^= low
+        w = low.bit_length() - 1
+        left = rest & adj[w] & ~reach
+        if left:
+            reach |= left if k == 1 else _clique_reach(adj, k - 1, near & adj[w], left)
+    return reach
+
+
 def _feasible_candidates(adj, ell: int, chosen: int, cand: int, v: int) -> int:
     """Filter ``cand`` after v joins ``chosen``: drop any u whose addition
-    would complete a K_ell (i.e. a K_{ell-2} sits in chosen & N(u) & N(v))."""
-    out = cand
-    near = chosen & adj[v]
-    rest = cand & adj[v]
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        if _has_clique(adj, ell - 2, near & adj[low.bit_length() - 1]):
-            out ^= low
-    return out
+    would complete a K_ell, i.e. every u of cand & N(v) that sees all of a
+    K_{ell-2} in chosen & N(v), found in one pass over those cliques."""
+    return cand ^ _clique_reach(adj, ell - 2, chosen & adj[v], cand & adj[v])
 
 
 def alpha_ell_exact(g: Graph, ell: int, node_cap: Optional[int] = None,

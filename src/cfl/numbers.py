@@ -6,13 +6,18 @@ else (config values, vertex lists, graph specs, ``--seed``,
 CFL_NODE_BUDGET) it is ASCII text with no '_', which ``int``, ``float`` or
 ``exact_fraction`` then reads (``number``): '-1/3', '1e6' and '+3' are
 numbers, but '٢' and '1_0', which Python's readers take, are not.
+
+``fractions`` is imported where a Fraction is built, so a run that reads
+no rational never loads it (or the ``decimal`` and ``numbers`` it brings).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def decimal_fields(fields: Iterable[str]) -> bool:
@@ -41,6 +46,7 @@ def exact_fraction(x) -> Fraction:
     thresholds like ceil(eps * size) landing on the intended integer.
     Fractions, ints and strings ("2/7", "0.3") pass through exactly.
     """
+    from fractions import Fraction
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
@@ -50,4 +56,5 @@ def exact_fraction(x) -> Fraction:
 
 def round_half_up(x: Fraction) -> int:
     """Round to nearest integer, ties upward."""
+    from fractions import Fraction
     return math.floor(x + Fraction(1, 2))

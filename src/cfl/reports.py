@@ -19,7 +19,6 @@ import json
 import os
 import stat
 import tempfile
-from fractions import Fraction
 from typing import Any, Dict, Iterable, Mapping
 
 from . import __version__
@@ -34,8 +33,6 @@ def jsonable(obj: Any) -> Any:
     """Recursively convert package objects into JSON-stable values."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, VertexSet):
         return sorted(obj.vertices())
     if isinstance(obj, Graph):
@@ -46,6 +43,10 @@ def jsonable(obj: Any) -> Any:
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
+    # last, so a report without a rational never loads fractions
+    from fractions import Fraction
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
     raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 

@@ -20,9 +20,14 @@ codec as it was before it went linear: one C(n, 2)-bit int, shifted once per
 pair.  The codec's equivalence test holds the package's pair to them.
 
 ``reference_parse_edgelist`` is the edge-list parser as it was before it
-built the adjacency bitsets itself: it collects the edges in a set and a
-list and hands them to ``Graph(n, edges)``, which checks each one again.
-The parser's equivalence test holds ``parse_edgelist`` to it.
+decoded well-formed payloads in bulk: one line at a time, each field
+checked as ASCII digits and each edge as it is read, into bitsets keyed by
+vertex.  The parser's equivalence tests hold ``parse_edgelist`` to it.
+
+``reference_feasible_candidates`` is the exact alpha search's candidate
+filter as it was before it found the dropped candidates in one pass: one
+K_{ell-2} test per candidate.  The filter's equivalence test holds
+``invariants._feasible_candidates`` to it.
 
 ``replace`` copies a result record with some fields changed, as
 ``dataclasses.replace`` did for dataclasses; the certificate-tampering
@@ -37,10 +42,11 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from cfl.graphs import (DuplicateEdgeError, EdgeSyntaxError, Graph,
-                        Graph6Error, HeaderError, LoopError, VertexRangeError,
-                        VertexSet, iter_bits, iter_clique_masks)
-from cfl.numbers import exact_fraction
+from cfl.graphs import (MAX_EDGELIST_N, DuplicateEdgeError, EdgeSyntaxError,
+                        Graph, Graph6Error, HeaderError, LoopError,
+                        VertexRangeError, VertexSet, _has_clique, iter_bits,
+                        iter_clique_masks)
+from cfl.numbers import decimal_fields, exact_fraction
 from cfl.regularity import SuperRegularVerdict, is_super_regular, pair_density
 from cfl.rng import _GOLDEN, SplitMix64
 
@@ -170,18 +176,19 @@ def reference_parse_edgelist(text: str) -> Graph:
     if not lines:
         raise HeaderError("empty payload", line=1)
     head = lines[0].split(" ")
-    if len(head) != 2 or not all(p.isdigit() for p in head):
+    if len(head) != 2 or not decimal_fields(head):
         raise HeaderError(f"expected 'n m' header, got {lines[0]!r}", line=1)
     n, m = int(head[0]), int(head[1])
+    if n > MAX_EDGELIST_N:
+        raise HeaderError(f"n = {n} exceeds the limit {MAX_EDGELIST_N}", line=1)
     if len(lines) - 1 != m:
         raise HeaderError(
             f"header declares {m} edges but payload has {len(lines) - 1} edge lines",
             line=1)
-    seen = set()
-    edges = []
+    adj: Dict[int, int] = {}
     for i, raw in enumerate(lines[1:], start=2):
         parts = raw.split(" ")
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if len(parts) != 2 or not decimal_fields(parts):
             raise EdgeSyntaxError(f"expected 'u v', got {raw!r}", line=i)
         u, v = int(parts[0]), int(parts[1])
         if u == v:
@@ -190,11 +197,25 @@ def reference_parse_edgelist(text: str) -> Graph:
             raise EdgeSyntaxError(f"edge must satisfy u < v, got {raw!r}", line=i)
         if v >= n:
             raise VertexRangeError(f"vertex {v} out of range for n={n}", line=i)
-        if (u, v) in seen:
+        nbrs = adj.get(u, 0)
+        if nbrs >> v & 1:
             raise DuplicateEdgeError(f"duplicate edge {u} {v}", line=i)
-        seen.add((u, v))
-        edges.append((u, v))
-    return Graph(n, edges)
+        adj[u] = nbrs | 1 << v
+        adj[v] = adj.get(v, 0) | 1 << u
+    return Graph._from_adj([adj.get(v, 0) for v in range(n)])
+
+
+def reference_feasible_candidates(adj, ell: int, chosen: int, cand: int,
+                                  v: int) -> int:
+    out = cand
+    near = chosen & adj[v]
+    rest = cand & adj[v]
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if _has_clique(adj, ell - 2, near & adj[low.bit_length() - 1]):
+            out ^= low
+    return out
 
 
 def reference_parse_graph6(text: str) -> Graph:

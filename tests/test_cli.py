@@ -851,51 +851,59 @@ SOLVERS = {"absorption", "bounds", "constructions", "embedding", "invariants",
 # compiler modules, ``_hashlib`` is OpenSSL, and ``absorb`` needs no
 # ``statistics`` for its one median
 START_PATH = ("dataclasses", "inspect", "_hashlib", "statistics")
+# what a run that reads and reports no rational must not load
+RATIONALS = ("fractions", "decimal")
 
 
-@pytest.mark.parametrize("commands, body, solvers", [
-    ((), "", set()),
-    (("thresholds",), "[thresholds]\nr = 4\nell = 2\n", {"bounds"}),
+@pytest.mark.parametrize("commands, body, solvers, light", [
+    ((), "", set(), True),
+    (("thresholds",), "[thresholds]\nr = 4\nell = 2\n", {"bounds"}, False),
     (("tile", "scan"), "[tile]\ngraph = {graph}\nr = 3\n"
-     "[scan]\nparam = tile.r\nvalues = 2, 3\n", {"tiling"}),
-    (("factor",), "[factor]\ngraph = {graph}\nr = 3\n", {"tiling"}),
-    (("alpha",), "[alpha]\ngraph = {graph}\nell = 2\n", {"invariants"}),
+     "[scan]\nparam = tile.r\nvalues = 2, 3\n", {"tiling"}, False),
+    (("factor",), "[factor]\ngraph = {graph}\nr = 3\n", {"tiling"}, True),
+    (("alpha",), "[alpha]\ngraph = {graph}\nell = 2\n", {"invariants"}, True),
     (("tile",), "[tile]\ngraph = gnp:24,0.28,4\nr = 3\n",
-     {"tiling", "constructions", "invariants"}),
+     {"tiling", "constructions", "invariants"}, False),
     (("rtt",), "[rtt]\nn = 7\nr = 7\nell = 2\nalpha_bound = 1\n",
-     {"invariants"}),
+     {"invariants"}, True),
     (("absorb",), "[absorb]\ntask = closedness\ngraph = {graph}\nr = 3\nt = 1\n"
-     "pair_budget = 6\n", {"absorption", "tiling"}),
+     "pair_budget = 6\n", {"absorption", "tiling"}, False),
 ], ids=["import", "thresholds", "tile-and-scan", "factor", "alpha", "tile-spec",
         "rtt", "absorb"])
-def test_a_run_loads_only_its_kinds_solvers(tmp_path, commands, body, solvers):
+def test_a_run_loads_only_its_kinds_solvers(tmp_path, commands, body, solvers,
+                                            light):
     """Each handler imports its own solver modules, so ``import cfl.cli``
     loads none of them and a run loads only its kind's; a generator spec
     adds ``constructions`` and the ``invariants`` it imports.  The n <= 7
     rtt oracle works on Python ints, so even its full n = 7 scan loads
     neither ``tiling`` nor numpy; no run loads numpy or a thread pool, or
-    any of ``START_PATH`` that the bare interpreter had not."""
+    any of ``START_PATH`` that the bare interpreter had not.  A ``light``
+    run reads and reports no rational, so it loads none of ``RATIONALS``
+    that the bare interpreter had not either."""
     graph = write(tmp_path / "g.el", format_edgelist(random_gnp(24, 0.28, 4)))
     kind = commands[0] if commands else "alpha"
     cfg = write(tmp_path / "k.ini", f"[run]\nkind = {kind}\n"
                 + body.replace("{graph}", graph))
     code = ("import json, sys\n"
-            f"bare = [m for m in {START_PATH!r} if m in sys.modules]\n"
+            f"bare = [m for m in {START_PATH + RATIONALS!r} if m in sys.modules]\n"
             "import cfl.cli\n"
             f"codes = [cfl.cli.main([command, '--config', {cfg!r}, '--out', "
             f"{str(tmp_path)!r}, '--threads', '2']) for command in {commands!r}]\n"
             "print(json.dumps([codes, sorted(m[4:] for m in sys.modules "
             "if m.startswith('cfl.')), [m for m in ('numpy', 'concurrent.futures') "
             "if m in sys.modules] + [m for m in "
-            f"{START_PATH!r} if m in sys.modules and m not in bare]]))\n")
+            f"{START_PATH!r} if m in sys.modules and m not in bare], "
+            f"[m for m in {RATIONALS!r} if m in sys.modules and m not in bare]]))\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cfl.__file__)))
     out = subprocess.run([sys.executable, "-c", code],
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
-    codes, modules, heavy = json.loads(out.stdout.splitlines()[-1])
+    codes, modules, heavy, rationals = json.loads(out.stdout.splitlines()[-1])
     assert codes == [0] * len(commands)
     assert SOLVERS.intersection(modules) == solvers
     assert heavy == []
+    if light:
+        assert rationals == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,8 @@
 """The process entry: ``python -m cfl.cli`` and the ``cfl`` script both run
-``cli.entry``, which exits with ``main``'s code and freezes the heap on the
-way out.  ``main`` itself never freezes, so in-process callers keep normal
-cycle collection."""
+``cli.entry``, which flushes stdout and stderr once ``main`` returns and
+ends the process with ``main``'s code, skipping interpreter teardown.
+``main`` itself neither exits nor freezes the heap, so in-process callers
+keep normal cycle collection."""
 
 import ast
 import gc
@@ -28,11 +29,13 @@ def write(path, text):
 
 
 def run_process(args, env=None, **kwargs):
-    """``python -m cfl.cli`` with ``args``; CFL_NODE_BUDGET only if given."""
+    """``python -m cfl.cli`` with ``args``; CFL_NODE_BUDGET only if given,
+    and a variable that ``env`` maps to None unset."""
     base = {k: v for k, v in os.environ.items() if k != "CFL_NODE_BUDGET"}
     base["PYTHONPATH"] = SRC
+    env = {k: v for k, v in {**base, **(env or {})}.items() if v is not None}
     return subprocess.run([sys.executable, "-m", "cfl.cli", *args],
-                          env={**base, **(env or {})}, timeout=60, **kwargs)
+                          env=env, timeout=60, **kwargs)
 
 
 def without_timings(text):
@@ -96,31 +99,77 @@ def test_a_process_exits_four_on_a_cap_hit(tmp_path):
     assert rep["caps"] == {"node_budget": 1}
 
 
-def test_a_closed_stdout_pipe_exits_three_with_one_line(tmp_path):
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_pipe_exits_three_with_one_line(tmp_path, unbuffered):
     cfg = write(tmp_path / "a.ini", ALPHA.format(graph="c5"))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         out = run_process(["alpha", "--config", cfg], stdout=write_end,
-                          stderr=subprocess.PIPE, text=True)
+                          stderr=subprocess.PIPE, text=True,
+                          env={"PYTHONUNBUFFERED": unbuffered})
     finally:
         os.close(write_end)
     assert out.returncode == 3
     assert out.stderr == "input error: [Errno 32] Broken pipe\n"
 
 
-def test_the_exit_path_freezes_the_heap(tmp_path):
-    # atexit handlers run after entry's freeze, during interpreter shutdown
-    cfg = write(tmp_path / "a.ini", ALPHA.format(graph="c5"))
-    code = ("import atexit, gc, sys\n"
-            "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
-            "from cfl.cli import entry\n"
-            f"sys.argv = ['cfl', 'alpha', '--config', {cfg!r}]\n"
-            "entry()\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
-    assert out.returncode == 0
-    assert int(out.stderr) > 1000
+# a report of about 14 KB, past the streams' 8 KB buffers
+BIG = "[run]\nkind = construct\n[construct]\nfamily = spec\ngraph = gnp:420,0.5,1\n"
+
+
+@pytest.mark.parametrize("args, env, code, stderr", [
+    (["construct", "--config", "{big}"], {}, 0, ""),
+    (["alpha", "--config", "{bad}"], {}, 2, "config error: [alpha] ell: "),
+    (["alpha", "--config", "{missing}"], {}, 3, "input error: "),
+    (["alpha", "--config", "{gnp}"], {"CFL_NODE_BUDGET": "1"}, 4, ""),
+    (["--help"], {}, 0, ""),
+], ids=["ok", "config-error", "input-error", "cap-hit", "help"])
+@pytest.mark.parametrize("sink", ["pipe", "file"])
+def test_the_process_ends_when_main_returns(tmp_path, capsys, monkeypatch, args,
+                                            env, code, stderr, sink):
+    """Once ``main`` returns, ``entry`` flushes both streams and ends the
+    process: the report is whole on a pipe and in a file, each exit code is
+    ``main``'s, and an atexit handler registered before ``entry`` never runs.
+    ``--help`` exits inside argparse, before ``main`` returns, and so still
+    ends through interpreter shutdown."""
+    paths = {
+        "{big}": write(tmp_path / "big.ini", BIG),
+        "{bad}": write(tmp_path / "bad.ini", "[run]\nkind = alpha\n"
+                                             "[alpha]\ngraph = c5\nell = two\n"),
+        "{missing}": write(tmp_path / "miss.ini",
+                           ALPHA.format(graph=tmp_path / "no-such-file.g6")),
+        "{gnp}": write(tmp_path / "gnp.ini", ALPHA.format(graph="gnp:24,0.5,3")),
+    }
+    argv = [paths.get(a, a) for a in args]
+    monkeypatch.delenv("CFL_NODE_BUDGET", raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    try:
+        assert cli.main(argv) == code
+    except SystemExit as exc:
+        assert exc.code == code
+    inprocess = capsys.readouterr().out
+    script = ("import atexit, sys\n"
+              "atexit.register(lambda: sys.stderr.write('atexit ran\\n'))\n"
+              "from cfl.cli import entry\n"
+              f"sys.argv = ['cfl', *{argv!r}]\n"
+              "entry()\n")
+    environ = {k: v for k, v in os.environ.items() if k != "CFL_NODE_BUDGET"}
+    environ.update(env, PYTHONPATH=SRC)
+    environ.pop("PYTHONUNBUFFERED", None)
+    sink_path = tmp_path / "stdout.txt"
+    with open(sink_path, "wb") as fh:
+        out = subprocess.run([sys.executable, "-c", script], env=environ,
+                             stdout=subprocess.PIPE if sink == "pipe" else fh,
+                             stderr=subprocess.PIPE, timeout=60)
+    stdout = (out.stdout if sink == "pipe" else sink_path.read_bytes()).decode()
+    assert out.returncode == code
+    assert stderr in out.stderr.decode()
+    assert ("atexit ran" in out.stderr.decode()) == (args == ["--help"])
+    assert without_timings(stdout) == without_timings(inprocess)
+    if args[0] == "construct":
+        assert len(stdout) > 8192 and json.loads(stdout)["result"]["graph"]["n"] == 420
 
 
 def _script_target():

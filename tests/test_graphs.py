@@ -5,7 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from cfl.graphs import (MAX_EDGELIST_N, DuplicateEdgeError, EdgeSyntaxError,
                         Graph, Graph6Error, GraphFormatError, HeaderError,
-                        LoopError, VertexRangeError, VertexSet, _first_clique,
+                        LoopError, VertexRangeError, VertexSet,
+                        _decode_edgelist, _first_clique,
                         complete_graph, complete_multipartite, cycle_graph,
                         empty_graph, format_edgelist, format_graph6,
                         iter_clique_masks, kneser_graph, parse_edgelist,
@@ -114,6 +115,54 @@ def test_parse_edgelist_matches_the_reference(n, seed):
     text = format_edgelist(g)
     assert parse_edgelist(text) == g
     for payload in [text, text.rstrip("\n"), *_edgelist_corruptions(text, rng)]:
+        assert (_decode_outcome(parse_edgelist, payload)
+                == _decode_outcome(reference_parse_edgelist, payload)), payload
+
+
+def _format_corruptions(text, rng):
+    """Payloads one edit away from the edge list ``text``: a field with a
+    leading zero, '+', '_' or a non-ASCII digit, a tab, a double space or
+    CR LF in a line (the header included), no final LF, a loop, u > v,
+    v >= n, a repeated edge, a line too many or too few, and a header n
+    past MAX_EDGELIST_N."""
+    lines = text.split("\n")[:-1]
+    n, m = map(int, lines[0].split(" "))
+
+    def at(k, *new):
+        return "\n".join(lines[:k] + list(new) + lines[k + 1:]) + "\n"
+
+    i = rng.randrange(len(lines))
+    u, _, v = lines[i].partition(" ")
+    out = [at(i, f"0{u} {v}"), at(i, f"{u} 00{v}"), at(i, f"+{u} {v}"),
+           at(i, f"{u} {v[0]}_{v}"), at(i, f"\u0661{u} {v}"),
+           at(i, f"{u} {v}\uff10"), at(i, f"{u}\t{v}"), at(i, f"{u}  {v}"),
+           at(i, f"{u} {v}\r"), text.replace("\n", "\r\n"), text[:-1],
+           text + lines[-1] + "\n", at(len(lines) - 1),
+           at(0, f"{MAX_EDGELIST_N + 1 + rng.randrange(3)} {m}")]
+    if m:
+        j = 1 + rng.randrange(m)
+        a, b = map(int, lines[j].split(" "))
+        out += [at(j, f"{a} {a}"), at(j, f"{b} {a}"),
+                at(j, f"{a} {n + rng.randrange(3)}"),
+                at(j, lines[j], lines[j]).replace(f"{n} {m}\n", f"{n} {m + 1}\n", 1),
+                at(len(lines) - 1, lines[j])]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 70), st.floats(0, 1), st.integers(0, 2**32 - 1))
+@example(70, 1.0, 5)         # a body of several decoding slices
+@example(0, 0.5, 1)
+@example(2, 1.0, 2)
+def test_bulk_decoding_matches_the_line_reader(n, p, seed):
+    """A well-formed edge list is decoded in bulk, and every payload one edit
+    away gives the graph, or the error class, message and line, of the
+    line-by-line reader."""
+    rng = SplitMix64(seed)
+    g = random_gnp(n, p, rng.next_u64())
+    text = format_edgelist(g)
+    assert _decode_edgelist(text) == g
+    for payload in _format_corruptions(text, rng):
         assert (_decode_outcome(parse_edgelist, payload)
                 == _decode_outcome(reference_parse_edgelist, payload)), payload
 

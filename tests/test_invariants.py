@@ -10,11 +10,13 @@ from cfl.graphs import (VertexSet, complete_graph, cycle_graph, empty_graph,
                         format_graph6, has_clique, iter_clique_masks,
                         petersen_graph, random_gnp)
 from cfl.invariants import (_clique_partition, _factor_masks,
-                            _graph_from_pair_mask, _pair_index_masks,
-                            alpha_ell_exact, alpha_ell_greedy,
-                            has_clique_cover, rtt_oracle)
+                            _feasible_candidates, _graph_from_pair_mask,
+                            _pair_index_masks, alpha_ell_exact,
+                            alpha_ell_greedy, has_clique_cover, rtt_oracle)
+from cfl.rng import SplitMix64
 
 from conftest import contains_clique, naive_alpha, seeded_graphs, small_graphs
+from support import reference_feasible_candidates
 
 
 def test_alpha_examples():
@@ -163,6 +165,38 @@ def test_clique_cover_bound_is_at_least_the_optimum(g, ell, data):
                    if sub & ~covered == 0 and not has_clique(g, ell, chosen | sub))
         assert cum >= best
     assert covered == cand
+
+
+def test_feasible_candidates_match_the_per_candidate_filter():
+    """The one-pass filter keeps exactly the candidates u with chosen | {v, u}
+    K_ell-free, as the filter with one K_{ell-2} test per candidate does, on
+    random graphs, ell 2..5, K_ell-free chosen sets and feasible v and
+    candidates."""
+    rng = SplitMix64(0xF1173)
+    dropped = dict.fromkeys(range(2, 6), 0)
+    for _ in range(800):
+        n = 1 + rng.randrange(22)
+        g = random_gnp(n, rng.random(), rng.next_u64())
+        ell = 2 + rng.randrange(4)
+        order = list(range(n))
+        rng.shuffle(order)
+        chosen = 0
+        for v in order:
+            if rng.random() < 0.6 and not has_clique(g, ell, chosen | 1 << v):
+                chosen |= 1 << v
+        feasible = [v for v in range(n) if not chosen >> v & 1
+                    and not has_clique(g, ell, chosen | 1 << v)]
+        if not feasible:
+            continue
+        v = rng.choice(feasible)
+        cand = sum(1 << u for u in feasible if u != v and rng.random() < 0.8)
+        got = _feasible_candidates(g.adj, ell, chosen, cand, v)
+        assert got == reference_feasible_candidates(g.adj, ell, chosen, cand, v)
+        keep = chosen | 1 << v
+        assert got == sum(1 << u for u in range(n) if cand >> u & 1
+                          and not has_clique(g, ell, keep | 1 << u))
+        dropped[ell] += got != cand
+    assert all(dropped.values()), dropped
 
 
 @pytest.mark.parametrize("n, ell, cap", [(42, 3, 4_000), (34, 4, 3_500)])
