@@ -22,7 +22,7 @@ Each parameter's range is checked once, by the solver that takes it: a
 bad value raises ``graphs.ParameterError``, whose ``key`` is the parameter's
 config name, and ``_execute`` reports it as the config error ``[<kind>]
 <key>`` (exit 2), for a run and for each scan point.  A handler checks only
-what no solver sees: counts such as ``tries`` and ``samples``, vertex ids
+what no solver sees: counts such as ``max_tries`` and ``samples``, vertex ids
 against the graph, mode strings, overflow guards, and keys that reach a
 solver only in derived form (absorb's ``r`` outside the gadget).
 
@@ -415,10 +415,8 @@ def run_absorb(cfg, seed, node_cap, outdir):
 
 def run_rtt(cfg, seed, node_cap, outdir):
     from . import invariants
-    n, r, ell = (cfg.get_int("rtt", key) for key in ("n", "r", "ell"))
-    alpha_bound = cfg.get_int("rtt", "alpha_bound")
-    tries = cfg.get_int("rtt", "tries", 2000, low=1)
-    res = invariants.rtt_oracle(n, r, ell, alpha_bound, seed=seed, tries=tries)
+    res = invariants.rtt_oracle(*(cfg.get_int("rtt", key)
+                                  for key in ("n", "r", "ell", "alpha_bound")))
     return res, {"exhaustive": res.exhaustive, "degenerate": res.degenerate,
                  "cap_hit": False}
 

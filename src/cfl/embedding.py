@@ -69,9 +69,6 @@ def _certify_scan(g: Graph, umask: int, witness_mask: int, r: int, m: int
     adj = g.adj
 
     def rec(start: int, chosen_mask: int, common: int, depth: int) -> Optional[int]:
-        if depth == r:
-            # the full r-subset already passed the floor test as a prefix
-            return None
         for i in range(start, nv - (r - depth) + 1):
             v = verts[i]
             c2 = common & adj[v]
@@ -80,9 +77,11 @@ def _certify_scan(g: Graph, umask: int, witness_mask: int, r: int, m: int
                 for j in range(i + 1, i + r - depth):
                     fill |= 1 << verts[j]
                 return fill
-            found = rec(i + 1, chosen_mask | (1 << v), c2, depth + 1)
-            if found is not None:
-                return found
+            # a full r-subset that passed the floor test needs no call
+            if depth + 1 < r:
+                found = rec(i + 1, chosen_mask | (1 << v), c2, depth + 1)
+                if found is not None:
+                    return found
         return None
 
     return rec(0, 0, -1, 0)

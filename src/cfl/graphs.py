@@ -146,11 +146,8 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def degrees(self) -> List[int]:
-        return [a.bit_count() for a in self.adj]
-
     def min_degree(self) -> int:
-        return min(self.degrees(), default=0)
+        return min(map(int.bit_count, self.adj), default=0)
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -227,6 +224,7 @@ class VertexSet:
 # -- parsing and serialization ------------------------------------------
 
 MAX_EDGELIST_N = 1_000_000
+_ID_DIGITS = len(str(MAX_EDGELIST_N))   # the most digits of an in-range n or id
 # characters per decoded slice of an edge-list body, so the transient lists
 # of a large body stay small
 _EDGELIST_SLICE = 1 << 13
@@ -291,20 +289,26 @@ def parse_edgelist(text: str) -> Graph:
     head = lines[0].split(" ")
     if len(head) != 2 or not decimal_fields(head):
         raise HeaderError(f"expected 'n m' header, got {lines[0]!r}", line=1)
-    n, m = int(head[0]), int(head[1])
-    if n > MAX_EDGELIST_N:
+    # a field past every in-range n, or m < n**2, is refused before int reads it
+    n, m = (f.lstrip("0") or "0" for f in head)
+    if len(n) > _ID_DIGITS or int(n) > MAX_EDGELIST_N:
         raise HeaderError(f"n = {n} exceeds the limit {MAX_EDGELIST_N}", line=1)
-    if len(lines) - 1 != m:
+    if len(m) > 2 * _ID_DIGITS or int(m) != len(lines) - 1:
         raise HeaderError(
             f"header declares {m} edges but payload has {len(lines) - 1} edge lines",
             line=1)
+    n = int(n)
     # keyed by vertex, so an absurd n costs nothing before an edge is refused
     adj: Dict[int, int] = {}
     for i, raw in enumerate(lines[1:], start=2):
         parts = raw.split(" ")
         if len(parts) != 2 or not decimal_fields(parts):
             raise EdgeSyntaxError(f"expected 'u v', got {raw!r}", line=i)
-        u, v = int(parts[0]), int(parts[1])
+        u, v = (f.lstrip("0") or "0" for f in parts)
+        if max(len(u), len(v)) > _ID_DIGITS:   # before int reads it
+            raise VertexRangeError(
+                f"vertex {max(u, v, key=len)} out of range for n={n}", line=i)
+        u, v = int(u), int(v)
         if u == v:
             raise LoopError(f"loop at vertex {u}", line=i)
         if u > v:

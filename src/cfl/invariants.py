@@ -23,7 +23,9 @@ mask m, and decides every graph at once with whole-int operations: a
 bit-sliced count gives the minimum-degree levels, alpha_l(G) <= b holds
 exactly when every (b+1)-subset of the vertices contains a K_l, and G has a
 K_r-factor exactly when it contains one of the few factors of K_n.  Only the
-answer's witness is built as a ``Graph``.
+answer's witness is built as a ``Graph``.  Past n = 7 the oracle scans a
+fixed family of barrier graphs instead, each certified by the exact solvers,
+so its answer is a seed-free lower bound.
 """
 
 from __future__ import annotations
@@ -210,12 +212,9 @@ _EXHAUSTIVE_LIMIT = 7
 def _pair_index_masks(n: int) -> List[int]:
     """For each vertex, the incidence mask over the C(n,2) pair slots."""
     masks = [0] * n
-    k = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            masks[u] |= 1 << k
-            masks[v] |= 1 << k
-            k += 1
+    for k, (u, v) in enumerate(combinations(range(n), 2)):
+        masks[u] |= 1 << k
+        masks[v] |= 1 << k
     return masks
 
 
@@ -229,30 +228,24 @@ def _clique_pairs(pair_masks: List[int], t) -> int:
 
 
 def _graph_from_pair_mask(n: int, mask: int) -> Graph:
-    edges = []
-    k = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if mask >> k & 1:
-                edges.append((u, v))
-            k += 1
-    return Graph(n, edges)
+    return Graph(n, (e for k, e in enumerate(combinations(range(n), 2))
+                     if mask >> k & 1))
 
 
-def rtt_oracle(n: int, r: int, ell: int, alpha_bound: int, seed: int = 0,
-               tries: int = 2000) -> RttResult:
+def rtt_oracle(n: int, r: int, ell: int, alpha_bound: int) -> RttResult:
     """Maximize min degree subject to "clique-independence <= alpha_bound"
     and "no K_r-factor".
 
     n <= 7: exhaustive over all 2^C(n,2) labeled graphs, scanned in
     decreasing-min-degree order, ascending pair mask within a degree
-    (isomorph rejection is unnecessary for exhaustiveness).  The answer is
+    (isomorph rejection is unnecessary for exhaustiveness); the answer is
     the first graph in that order that passes "every (alpha_bound+1)-subset
     holds a K_ell" and contains no K_r-factor of K_n, and ``graphs_scanned``
-    counts graphs up to it in that order.  Larger
-    n: seeded randomized search, flagged non-exhaustive.  r not dividing n
-    is accepted but flagged degenerate (no graph has a factor, so the factor
-    constraint is vacuous).
+    counts graphs up to it.  Larger n: the first member of a fixed barrier
+    family that the exact solvers certify (``_rtt_barriers``), a lower bound
+    flagged non-exhaustive, with ``graphs_scanned`` counting members up to
+    it.  r not dividing n is accepted but flagged degenerate (no graph has a
+    factor, so the factor constraint is vacuous).
     """
     ParameterError.at_least("n", n, 1)
     ParameterError.at_least("r", r, 2)
@@ -260,7 +253,7 @@ def rtt_oracle(n: int, r: int, ell: int, alpha_bound: int, seed: int = 0,
     degenerate = n % r != 0
     if n <= _EXHAUSTIVE_LIMIT:
         return _rtt_exhaustive(n, r, ell, alpha_bound, degenerate)
-    return _rtt_search(n, r, ell, alpha_bound, degenerate, seed, tries)
+    return _rtt_barriers(n, r, ell, alpha_bound, degenerate)
 
 
 def _factor_masks(n: int, r: int) -> List[int]:
@@ -353,56 +346,55 @@ def _rtt_exhaustive(n: int, r: int, ell: int, alpha_bound: int,
                      graphs_scanned=scanned)
 
 
-def _rtt_search(n: int, r: int, ell: int, alpha_bound: int, degenerate: bool,
-                seed: int, tries: int) -> RttResult:
-    """Random sampling plus a min-degree hill climb; every incumbent is
-    re-certified by the exact solvers before acceptance."""
+_MEMBER_CAP = 2000   # factor-search nodes per barrier member
+
+
+def _rtt_barriers(n: int, r: int, ell: int, alpha_bound: int,
+                  degenerate: bool) -> RttResult:
+    """The first member of H v (K_{n_1} u ... u K_{n_k}), by descending min
+    degree d, then ascending adjacency tuple, with alpha_ell <= alpha_bound
+    and no K_r-factor, both decided exactly (a factor search past
+    ``_MEMBER_CAP`` nodes skips the member).  H is T(a, q) on 0..a-1 (v in
+    part v mod q; T(0, 1) is empty) or C_a, a >= 4; the cliques follow,
+    largest first, in k <= alpha_bound parts (one vertex each is independent)
+    of at least d + 1 - a vertices at level d.  H = K_s, one clique and parts
+    (c, 1) give the divisibility, space and cover barriers."""
     from . import tiling
-    from .graphs import random_gnp
 
-    rng = SplitMix64(seed)
-    best: Optional[Graph] = None
-    best_val = -1
+    def cliques(h: int, start: int, most: int, low: int, top: int = n):
+        if start == n:
+            yield []
+        for size in range(min(n - start, top), low - 1, -1) if most > 0 else ():
+            block = ((1 << size) - 1) << start
+            own = [h | block ^ 1 << v for v in range(start, start + size)]
+            yield from (own + t for t in cliques(h, start + size, most - 1, low, size))
+
+    cores = []   # cores[a]: the neighbour masks of each H on a vertices
+    for a in range(n + 1):
+        full, rest = (1 << a) - 1, (1 << n) - (1 << a)
+        cores.append([[full ^ sum(1 << u for u in range(v % q, a, q)) | rest
+                       for v in range(a)] for q in range(1, max(a, 1) + 1)])
+        if a >= 4:
+            cores[a].append([1 << (v - 1) % a | 1 << (v + 1) % a | rest
+                             for v in range(a)])
     scanned = 0
-
-    def feasible(g: Graph) -> bool:
-        if alpha_ell_exact(g, ell).value > alpha_bound:
-            return False
-        if degenerate:
-            return True
-        return tiling._factor_masks(g, r, g.full_mask()) is None
-
-    for t in range(tries):
-        p = 0.2 + 0.6 * rng.random()
-        g = random_gnp(n, p, rng.next_u64())
-        scanned += 1
-        if not feasible(g):
-            continue
-        g = _climb(g, feasible)
-        if g.min_degree() > best_val:
-            best_val = g.min_degree()
-            best = g
-    return RttResult(n, r, ell, alpha_bound,
-                     value=best_val if best is not None else None,
-                     witness=best, exhaustive=False, degenerate=degenerate,
-                     feasible=best is not None, graphs_scanned=scanned)
-
-
-def _climb(g: Graph, feasible) -> Graph:
-    """Add edges at a minimum-degree vertex while feasibility survives."""
-    current = g
-    for _ in range(200):
-        degs = current.degrees()
-        v = min(range(current.n), key=lambda i: (degs[i], i))
-        non = [u for u in range(current.n)
-               if u != v and not current.has_edge(u, v)]
-        if not non:
-            break
-        non.sort(key=lambda u: (degs[u], u))
-        grown = (Graph(current.n, list(current.edges()) + [(min(u, v), max(u, v))])
-                 for u in non)
-        candidate = next((c for c in grown if feasible(c)), None)
-        if candidate is None:
-            break
-        current = candidate
-    return current
+    for degree in range(n - 1, -1, -1):
+        level = set()
+        for a, hs in enumerate(cores):
+            for tail in cliques((1 << a) - 1, a, alpha_bound, max(degree + 1 - a, 1)):
+                level.update(adj for adj in (tuple(h + tail) for h in hs)
+                             if min(map(int.bit_count, adj)) == degree)
+        for adj in sorted(level):
+            scanned += 1
+            g = Graph._from_adj(list(adj))
+            try:
+                if alpha_ell_exact(g, ell).value <= alpha_bound and (degenerate or
+                        tiling._factor_masks(g, r, g.full_mask(), _MEMBER_CAP) is None):
+                    return RttResult(n, r, ell, alpha_bound, value=degree,
+                                     witness=g, exhaustive=False, degenerate=degenerate,
+                                     feasible=True, graphs_scanned=scanned)
+            except SearchCapExceeded:
+                pass
+    return RttResult(n, r, ell, alpha_bound, value=None, witness=None,
+                     exhaustive=False, degenerate=degenerate, feasible=False,
+                     graphs_scanned=scanned)

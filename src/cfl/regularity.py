@@ -271,7 +271,11 @@ def parse_partition(text: str, g: Graph) -> Partition:
     if len(head) != 3 or not decimal_fields(head):
         raise PartitionFormatError(f"expected 'k m n0' header, got {lines[0]!r}",
                                    line=1)
-    k, m, n0 = (int(p) for p in head)
+    width = len(str(g.n))   # no header value or id has more digits than n
+    head = [p.lstrip("0") or "0" for p in head]
+    if max(map(len, head)) > width:
+        raise PartitionFormatError(f"header past n={g.n}: {lines[0]!r}", line=1)
+    k, m, n0 = map(int, head)
     if m < 1:
         raise PartitionFormatError("cluster size m must be at least 1", line=1)
     if len(lines) - 1 < k + (n0 > 0):
@@ -291,10 +295,12 @@ def parse_partition(text: str, g: Graph) -> Partition:
                 f"exceptional line lists {len(parts)} ids, header says {n0}",
                 line=line)
         start = seen
-        for v in map(int, parts):
+        for p in parts:
+            p = p.lstrip("0") or "0"
+            v = int(p) if len(p) <= width else g.n
             if v >= g.n or seen >> v & 1:
                 raise PartitionFormatError(
-                    f"vertex {v} out of range for n={g.n}" if v >= g.n
+                    f"vertex {p} out of range for n={g.n}" if v >= g.n
                     else f"duplicate vertex {v}", line=line)
             seen |= 1 << v
         sets.append(VertexSet(g, seen ^ start))

@@ -251,7 +251,6 @@ def test_cover_user_errors_exit_two(tmp_path, capsys, key, value, field):
      "[absorb] t"),
     ("absorb", "task = absorber\ngraph = petersen\nr = 3\ns_set = 0,1,2\n"
      "a_set = 3,4,5\nt = -2\n", "[absorb] t"),
-    ("rtt", "n = 9\nr = 3\nell = 2\nalpha_bound = 3\ntries = 0\n", "[rtt] tries"),
     ("embed", "graph = complete:12\nclasses = 0-3;4-7;8-11\np = 2\n"
      "alpha_bound = 1\ntrials = -3\n", "[embed] trials"),
     ("embed", "graph = complete:12\nclasses = 0-3;4-7;8-11\np = 2\n"
@@ -576,6 +575,24 @@ def test_malformed_partition_files_exit_three(tmp_path, capsys, payload, message
 _ALPHA = "[run]\nkind = alpha\n[alpha]\ngraph = c5\nell = 2\n"
 _REGCHECK = ("[run]\nkind = regcheck\n[regcheck]\ngraph = multipartite:3,3,3\n"
              "partition = {part}\nepsilon = 1/4\nd = 0\n")
+
+
+@pytest.mark.parametrize("payload, message, line", [
+    ("3 3 0\n0 1 2\n3 4 5\n6 7 " + "9" * 5000 + "\n",
+     "vertex " + "9" * 5000 + " out of range for n=9", 4),
+    ("3 3 " + "1" * 5000 + "\n", "header past n=9: '3 3 1111", 1),
+    # leading zeros do not count: the last id is 0, used on line 2
+    ("3 3 0\n0 1 2\n3 4 5\n6 7 " + "0" * 5000 + "\n", "duplicate vertex 0", 4),
+], ids=["id", "header", "padded-id"])
+def test_a_partition_field_past_every_in_range_value_names_its_line(
+        tmp_path, capsys, payload, message, line):
+    # the first two passed int's 4,300-digit limit and exited 3 with no line
+    part = write(tmp_path / "part.txt", payload)
+    cfg = write(tmp_path / "rc.ini", _REGCHECK.replace("{part}", part))
+    assert run_cli(["regcheck", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {part}: {message}")
+    assert err.endswith(f" (line {line})\n")
 
 
 @pytest.mark.parametrize("kind, body, env, args, message", [
@@ -1026,6 +1043,27 @@ d = 0.5
     assert all(p["regular"] for p in rep["result"]["pairs"].values())
 
 
+_HUGE = "1" + "0" * 5000   # past int's 4,300-digit limit
+
+
+@pytest.mark.parametrize("payload, message, line", [
+    (f"{_HUGE} 0\n", f"n = {_HUGE} exceeds the limit 1000000", 1),
+    (f"3 {_HUGE}\n", f"header declares {_HUGE} edges but payload has 0 edge lines", 1),
+    (f"3 1\n0 {_HUGE}\n", f"vertex {_HUGE} out of range for n=3", 2),
+    # leading zeros do not count: line 2 is the edge 0 1, and line 3 repeats it
+    (f"3 2\n{'0' * 5000} 1\n0 1\n", "duplicate edge 0 1", 3),
+], ids=["n", "m", "id", "padded-id"])
+def test_an_edge_list_field_past_every_in_range_value_exits_three(
+        tmp_path, capsys, payload, message, line):
+    # the first three ended in int's ValueError with a traceback and exit 1
+    src = write(tmp_path / "big.el", payload)
+    assert run_cli(["graph", "convert", "--from", "edgelist", "--to", "graph6",
+                    "--in", src]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {message}")
+    assert err.endswith(f" (line {line})\n")
+
+
 @pytest.mark.parametrize("check_super", ["false", "true"])
 def test_regcheck_sampled_reports_each_pairs_density(tmp_path, capsys,
                                                      check_super):
@@ -1074,15 +1112,29 @@ def test_rtt_kind(tmp_path, capsys):
 
 
 def test_rtt_kind_searches_past_the_exhaustive_limit(tmp_path, capsys):
-    cfg = write(tmp_path / "rtt.ini", "[run]\nkind = rtt\n[rtt]\nn = 8\nr = 4\n"
-                                      "ell = 2\nalpha_bound = 4\ntries = 3\n")
-    assert run_cli(["rtt", "--config", cfg]) == 0
-    rep = read_report(capsys)
-    result = rep["result"]
-    assert rep["flags"]["exhaustive"] is False and result["exhaustive"] is False
-    assert result["graphs_scanned"] == 3 and result["feasible"] is True
+    cfg = write(tmp_path / "rtt.ini", "[run]\nkind = rtt\n[rtt]\nn = 9\nr = 3\n"
+                                      "ell = 2\nalpha_bound = 4\n")
+    results = []
+    for seed in ("0", "1"):
+        assert run_cli(["rtt", "--config", cfg, "--seed", seed]) == 0
+        rep = read_report(capsys)
+        assert rep["flags"]["exhaustive"] is False
+        results.append(json.dumps(rep["result"]))
+    # the barrier scan draws nothing, so the seed cannot change the result
+    assert results[0] == results[1]
+    result = json.loads(results[0])
+    assert result["exhaustive"] is False and result["feasible"] is True
     witness = parse_graph(result["witness"]["graph6"])
-    assert witness.n == 8 and witness.min_degree() == result["value"]
+    assert witness.n == 9 and witness.min_degree() == result["value"]
+
+
+def test_rtt_tries_is_no_longer_read(tmp_path, capsys):
+    # [rtt] tries sized the seeded search that the barrier scan replaced;
+    # tries = 0 was a config error, and now the key is only warned about
+    cfg = write(tmp_path / "rtt.ini", "[run]\nkind = rtt\n[rtt]\nn = 9\nr = 3\n"
+                                      "ell = 2\nalpha_bound = 3\ntries = 0\n")
+    assert run_cli(["rtt", "--config", cfg]) == 0
+    assert capsys.readouterr().err == "warning: [rtt] tries was never read\n"
 
 
 RTT_N4 = "[run]\nkind = rtt\n[rtt]\nn = 4\nr = 2\nell = 2\nalpha_bound = 4\n"
@@ -1245,6 +1297,13 @@ def _int_lists():
         lambda ps: " ".join(map(str, ps))), _JUNK)
 
 
+# fields past int's 4,300-digit limit, some of them zero-padded small ids
+_OVERSIZE_PARTITIONS = [f"1 1 0\n{_HUGE}\n", f"{_HUGE} 1 0\n0\n",
+                        f"1 1 0\n{'0' * 5000}\n", f"1 {'0' * 4999}1 0\n0\n"]
+_OVERSIZE_EDGELISTS = [f"{_HUGE} 0\n", f"2 {_HUGE}\n", f"2 1\n0 {_HUGE}\n",
+                       f"2 1\n{'0' * 5000} 1\n", f"{'0' * 4999}2 0\n"]
+
+
 @st.composite
 def _partitioned_graphs(draw):
     """A graph spec and a partition file: mostly k clusters of m consecutive
@@ -1262,7 +1321,7 @@ def _partitioned_graphs(draw):
     partition = draw(st.one_of(
         st.just("\n".join(lines) + "\n"), st.just("\n".join(lines) + "\n"),
         st.sampled_from(["", "x\n", "2 2 0\n0 1\n", "1 1 0\n99\n",
-                         "1 2 0\n0 0\n"])))
+                         "1 2 0\n0 0\n", *_OVERSIZE_PARTITIONS])))
     return graph, partition
 
 
@@ -1278,6 +1337,9 @@ def _kind_keys(draw, kind):
             ["lower-bound", "cover-threshold", "sparse-klfree", "spec", "other"]))
     if kind not in ("rtt", "thresholds", "bounds", "regcheck"):
         keys["graph"] = draw(_graph_specs())
+        if draw(st.sampled_from([False] * 7 + [True])):
+            keys["graph"] = "{dir}/g.el"
+            files["g.el"] = draw(st.sampled_from(_OVERSIZE_EDGELISTS))
     if kind == "alpha":
         keys["ell"] = draw(_value(2))
         keys["mode"] = draw(st.sampled_from(["exact", "exact", "greedy", "other"]))
@@ -1290,12 +1352,11 @@ def _kind_keys(draw, kind):
                                            st.just(keys["vertex"])))
     elif kind == "rtt":
         # n <= 7 scans at most 2^21 graphs, a min-degree level at a time;
-        # n = 8 samples `tries` graphs
+        # n = 8 scans the barrier family
         keys["n"] = draw(st.one_of(_value(1, 7), st.just("8")))
         keys["r"] = draw(_value(2))
         keys["ell"] = draw(_value(2))
         keys["alpha_bound"] = draw(_value(0, 8))
-        keys["tries"] = draw(st.integers(-1, 2).map(str))
     elif kind == "absorb":
         keys["r"] = draw(_value(2, 4))
         keys["s_set"] = draw(_vertex_lists())

@@ -8,7 +8,7 @@ import pytest
 from cfl import embedding
 from cfl.bounds import drc_condition
 from cfl.graphs import (Graph, VertexSet, complete_multipartite, empty_graph,
-                        iter_clique_masks, random_gnp)
+                        iter_bits, iter_clique_masks, random_gnp)
 from cfl.embedding import (SearchCapExceeded, drc_select,
                            embed_clique_in_tuple, multipartite_clique_search)
 from cfl.invariants import alpha_ell_exact
@@ -32,6 +32,33 @@ def exhaustive_pair_floor(g, selected, witness, r, m):
 
 def halves(g, a):
     return (VertexSet.of(g, range(a)), VertexSet.of(g, range(a, 2 * a)))
+
+
+def first_violating_subset(g, umask, witness_mask, r, m):
+    """Brute force: the lexicographically first r-subset of ``umask`` with
+    fewer than m common neighbours in ``witness_mask``, as a mask."""
+    for sub in combinations(iter_bits(umask), r):
+        common = witness_mask
+        for v in sub:
+            common &= g.adj[v]
+        if common.bit_count() < m:
+            return sum(1 << v for v in sub)
+    return None
+
+
+def test_certify_scan_finds_the_first_violating_subset():
+    rng = SplitMix64(0xCE27)
+    outcomes = {True: 0, False: 0}
+    for _ in range(400):
+        n = 4 + rng.randrange(9)
+        g = random_gnp(n, 0.3 + 0.6 * rng.random(), rng.next_u64())
+        umask = rng.randrange(1 << n)
+        witness_mask = rng.randrange(1 << n) & ~umask
+        r, m = 2 + rng.randrange(3), 1 + rng.randrange(3)
+        want = first_violating_subset(g, umask, witness_mask, r, m)
+        assert embedding._certify_scan(g, umask, witness_mask, r, m) == want
+        outcomes[want is None] += 1
+    assert min(outcomes.values()) >= 50
 
 
 def test_drc_complete_bipartite_keeps_everything():

@@ -6,13 +6,15 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 
 from cfl import tiling
-from cfl.graphs import (VertexSet, complete_graph, cycle_graph, empty_graph,
+from cfl.graphs import (Graph, VertexSet, complete_graph, cycle_graph, empty_graph,
                         format_graph6, has_clique, iter_clique_masks,
                         petersen_graph, random_gnp)
+from cfl import invariants
 from cfl.invariants import (_clique_partition, _factor_masks,
                             _feasible_candidates, _graph_from_pair_mask,
-                            _pair_index_masks, alpha_ell_exact,
-                            alpha_ell_greedy, has_clique_cover, rtt_oracle)
+                            _pair_index_masks, _rtt_barriers, _rtt_exhaustive,
+                            alpha_ell_exact, alpha_ell_greedy,
+                            has_clique_cover, rtt_oracle)
 from cfl.rng import SplitMix64
 
 from conftest import contains_clique, naive_alpha, seeded_graphs, small_graphs
@@ -361,28 +363,74 @@ def test_rtt_n7_infeasible_full_scan():
     assert res.graphs_scanned == 2 ** 21
 
 
-def test_rtt_search_refuses_graphs_past_the_alpha_bound():
-    # alpha_2 <= 1 holds only for K_9, which a G(9, p <= 0.8) draw never is
-    res = rtt_oracle(9, 3, 2, alpha_bound=1, seed=3, tries=4)
+def assert_certified(res):
+    """The witness is a simple graph on n vertices whose min degree is the
+    value, whose alpha_ell is at most the bound, and which has no K_r-factor
+    (r not dividing n: none can exist)."""
+    g = res.witness
+    assert g.n == res.n and Graph(g.n, g.edges()) == g
+    assert g.min_degree() == res.value
+    assert alpha_ell_exact(g, res.ell).value <= res.alpha_bound
+    assert tiling.has_factor(g, res.r).status == (
+        "divisibility" if res.degenerate else "none")
+
+
+def _rtt_grid(n):
+    return [(n, r, ell, b) for r in range(2, n + 1) for ell in range(2, 5)
+            for b in range(n + 1)]
+
+
+def test_rtt_barriers_match_the_exhaustive_oracle_below_n8():
+    # every triple up to n = 6, and a seeded sample of n = 7 (its 144
+    # exhaustive runs take about 1.6 s)
+    sevens = _rtt_grid(7)
+    SplitMix64(0xBA44).shuffle(sevens)
+    for n, r, ell, b in [t for n in range(2, 7) for t in _rtt_grid(n)] + sevens[:24]:
+        exact = _rtt_exhaustive(n, r, ell, b, n % r != 0)
+        scan = _rtt_barriers(n, r, ell, b, n % r != 0)
+        assert (scan.value, scan.feasible) == (exact.value, exact.feasible), (n, r, ell, b)
+        if scan.feasible:
+            assert_certified(scan)
+
+
+@pytest.mark.parametrize("n, r, ell, alpha_bound, value", [
+    (8, 2, 2, 2, 2), (8, 4, 3, 3, 2), (8, 2, 3, 3, 0), (8, 4, 4, 4, 2),
+    (8, 4, 2, 2, 5),
+])
+def test_rtt_barriers_reach_the_exact_n8_values(n, r, ell, alpha_bound, value):
+    # the exact values, from the exhaustive oracle run at n = 8
+    res = _rtt_barriers(n, r, ell, alpha_bound, n % r != 0)
+    assert not res.exhaustive and res.feasible and res.value == value
+    assert_certified(res)
+
+
+def test_rtt_barriers_refuse_graphs_past_the_alpha_bound():
+    # alpha_2 <= 1 holds only for K_9, which has a K_3-factor
+    res = rtt_oracle(9, 3, 2, alpha_bound=1)
     assert not res.exhaustive and not res.degenerate
     assert not res.feasible and res.value is None and res.witness is None
-    assert res.graphs_scanned == 4
+    assert res.graphs_scanned > 0
 
 
-def test_rtt_search_on_a_degenerate_n_skips_the_factor_check():
-    # 4 does not divide 9 and alpha_bound = n binds nothing, so the climb
-    # adds every missing edge
-    res = rtt_oracle(9, 4, 2, alpha_bound=9, seed=3, tries=2)
+def test_rtt_barriers_on_a_degenerate_n_skip_the_factor_check():
+    # 4 does not divide 9 and alpha_bound = n binds nothing, so K_9 passes
+    res = rtt_oracle(9, 4, 2, alpha_bound=9)
     assert not res.exhaustive and res.degenerate and res.feasible
     assert res.value == 8 and res.witness == complete_graph(9)
+    assert res.graphs_scanned == 1
 
 
-def test_rtt_search_mode_is_certified():
-    res = rtt_oracle(9, 3, 2, alpha_bound=9, seed=5, tries=40)
-    assert not res.exhaustive
-    assert res.feasible
-    g = res.witness
-    assert g.min_degree() == res.value
-    assert alpha_ell_exact(g, 2).value <= 9
-    from cfl.tiling import has_factor
-    assert has_factor(g, 3).tiling is None
+def test_rtt_barriers_are_certified():
+    res = rtt_oracle(9, 3, 2, alpha_bound=9)
+    assert not res.exhaustive and res.feasible
+    assert_certified(res)
+
+
+def test_rtt_barriers_never_report_a_member_whose_factor_search_is_capped(
+        monkeypatch):
+    # with no factor-search nodes every member is undecided, so none passes
+    scanned = _rtt_barriers(8, 2, 2, 8, False).graphs_scanned
+    monkeypatch.setattr(invariants, "_MEMBER_CAP", 0)
+    res = _rtt_barriers(8, 2, 2, 8, False)
+    assert not res.feasible and res.witness is None
+    assert res.graphs_scanned > scanned
