@@ -9,8 +9,10 @@ Grammar::
 Kinds: construct, alpha, tile, factor, cover, regcheck, drc, embed, absorb,
 rtt, thresholds, bounds.  Exit codes: 0 success, 2 config error, 3 input
 error (including an unreadable or unwritable path, or an input file that
-is not UTF-8), 4 resource cap hit (partial results written); a failed
-self-check (``graphs.SelfCheckError``) is a defect in cfl, exit 1.  The
+is not UTF-8, or a search deeper than the interpreter's recursion limit,
+such as a clique of about a thousand vertices), 4 resource cap hit
+(partial results written); a failed self-check
+(``graphs.SelfCheckError``) is a defect in cfl, exit 1.  The
 environment variable CFL_NODE_BUDGET overrides ``[run] node_budget``; only
 alpha, tile, factor and embed (its auto alpha and its fallback search) pass
 the budget on, and every other kind's search runs uncapped.  ``--threads``
@@ -528,6 +530,9 @@ def _execute(kind: str, cfg: Config, seed: int, outdir: Optional[str]) -> dict:
         result, flags = HANDLERS[kind](cfg, seed, node_cap, outdir)
     except ParameterError as exc:
         raise ConfigError(f"[{kind}] {exc.key}", str(exc)) from exc
+    except RecursionError as exc:
+        raise InputError(f"{kind}: the search goes deeper than the "
+                         f"interpreter's recursion limit ({exc})") from exc
     timings = {"total_s": time.perf_counter() - t0}
     return reports.build_report(kind, seed, cfg.flat(), result, flags,
                                 {"node_budget": node_cap}, timings)

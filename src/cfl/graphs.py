@@ -531,32 +531,15 @@ def iter_clique_masks(g: Graph, k: int, within: Optional[int] = None) -> Iterato
     yield from extend(0, universe, 0)
 
 
-def _has_clique(adj, k: int, mask: int) -> bool:
-    """Early-exit test for a k-clique inside ``mask`` over the adjacency
-    bitsets ``adj``; k <= 0 asks for the empty clique, which always exists.
-
-    Private so that the exact searches' per-node calls stay out of
-    function-level tracing; callers outside the hot loops use has_clique.
-    """
-    if k <= 0:
-        return True
-    if k == 1:
-        return mask != 0
-    rest = mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        if _has_clique(adj, k - 1, rest & adj[low.bit_length() - 1]):
-            return True
-    return False
-
-
 def _first_clique(adj, k: int, mask: int) -> Optional[int]:
     """The first k-clique (k >= 1) that ``iter_clique_masks`` yields inside
-    ``mask``, or None; private, as ``_has_clique`` is, and generator-free."""
+    ``mask`` over the adjacency bitsets ``adj``, or None: the one routine
+    that searches a mask for a clique.  A branch stops once fewer than k
+    vertices are left.  Private and generator-free, so the exact searches'
+    per-node calls stay out of function-level tracing."""
     if k == 1:
         return mask & -mask or None
-    while mask:
+    while mask.bit_count() >= k:
         low = mask & -mask
         mask ^= low
         found = _first_clique(adj, k - 1, mask & adj[low.bit_length() - 1])
@@ -565,6 +548,19 @@ def _first_clique(adj, k: int, mask: int) -> Optional[int]:
     return None
 
 
+def _greedy_clique_free(adj, k: int, order: Iterable[int]) -> int:
+    """The greedy K_k-free set (k >= 2) over ``order``, as a bitmask: a
+    vertex joins unless the set's part of its neighbourhood already holds a
+    K_{k-1}."""
+    chosen = 0
+    for v in order:
+        if _first_clique(adj, k - 1, chosen & adj[v]) is None:
+            chosen |= 1 << v
+    return chosen
+
+
 def has_clique(g: Graph, k: int, within: Optional[int] = None) -> bool:
-    """True iff a k-clique exists inside ``within`` (default: all of g)."""
-    return _has_clique(g.adj, k, g.full_mask() if within is None else within)
+    """True iff a k-clique exists inside ``within`` (default: all of g);
+    the empty clique (k <= 0) always exists."""
+    return k <= 0 or _first_clique(
+        g.adj, k, g.full_mask() if within is None else within) is not None

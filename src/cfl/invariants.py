@@ -34,7 +34,7 @@ from itertools import combinations
 from typing import List, Optional, Tuple
 
 from .graphs import (Graph, ParameterError, SearchCapExceeded, VertexSet,
-                     _first_clique, _has_clique, iter_bits)
+                     _first_clique, _greedy_clique_free, iter_bits)
 from .records import Record
 from .rng import SplitMix64
 
@@ -164,13 +164,9 @@ def alpha_ell_greedy(g: Graph, ell: int, seed: int) -> AlphaResult:
     """Randomized greedy K_ell-free set: one shuffled pass, keep a vertex
     whenever the set stays K_ell-free.  Always a valid lower bound."""
     ParameterError.at_least("ell", ell, 2)
-    adj = g.adj
     order = list(range(g.n))
     SplitMix64(seed).shuffle(order)
-    chosen = 0
-    for v in order:
-        if not _has_clique(adj, ell - 1, chosen & adj[v]):
-            chosen |= 1 << v
+    chosen = _greedy_clique_free(g.adj, ell, order)
     return AlphaResult(value=chosen.bit_count(), witness=VertexSet(g, chosen),
                        exact=False, nodes_explored=len(order), ell=ell)
 
@@ -256,7 +252,7 @@ def rtt_oracle(n: int, r: int, ell: int, alpha_bound: int) -> RttResult:
     return _rtt_barriers(n, r, ell, alpha_bound, degenerate)
 
 
-def _factor_masks(n: int, r: int) -> List[int]:
+def _kn_factor_pair_masks(n: int, r: int) -> List[int]:
     """Pair masks of the K_r-factors of K_n, none when r does not divide n.
 
     Each factor is built around the lowest vertex not yet covered, so every
@@ -326,7 +322,7 @@ def _rtt_exhaustive(n: int, r: int, ell: int, alpha_bound: int,
             hit |= cliques[t]
         passing &= hit
     with_factor = 0   # K_n has no factor when degenerate
-    for f in _factor_masks(n, r):
+    for f in _kn_factor_pair_masks(n, r):
         with_factor |= holding(f)
     scanned = 0
     for degree in range(n - 1, -1, -1):

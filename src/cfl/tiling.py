@@ -28,8 +28,9 @@ Pruning rules of the factor search (a pruned subtree holds no factor):
 * free set: a factor of ``active`` puts at least r - l vertices outside S in
   every tile, so it needs r * |active & ~S| >= (r - l) * |active|.
 
-The free sets S_1 .. S_{r-1} are built greedily once per call, inside the
-call's universe (``_free_sets``).  A subset of a K_{l+1}-free set is
+The free sets S_1 .. S_{r-1} are built once per call, inside the call's
+universe (``_free_sets``), each by ``graphs._greedy_clique_free`` over
+one ascending-degree order.  A subset of a K_{l+1}-free set is
 K_{l+1}-free, so S restricted to any deeper ``active`` still qualifies and
 the root sets serve every node at r-1 popcounts each.  ``max_tiling`` builds
 them only when the greedy incumbent misses the ceiling; the factor search
@@ -52,7 +53,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from .graphs import (Graph, ParameterError, SearchCapExceeded, VertexSet,
-                     _first_clique, _has_clique, iter_bits, iter_clique_masks)
+                     _first_clique, _greedy_clique_free, iter_bits,
+                     iter_clique_masks)
 from .records import Record
 
 
@@ -130,26 +132,12 @@ def _free_sets(g: Graph, r: int, universe: int) -> List[int]:
 
     Vertices are visited by ascending degree within ``universe`` (ties by
     index): on a lower-bound graph that picks up the K_{l+1}-free inner part
-    before the clique.  v joins S iff S & N(v) spans no K_l.
+    before the clique.
     """
     adj = g.adj
     order = sorted(iter_bits(universe),
                    key=lambda v: ((adj[v] & universe).bit_count(), v))
-    sets = []
-    for ell in range(1, r):
-        s = 0
-        for v in order:
-            nb = s & adj[v]
-            if ell == 1:
-                fits = not nb
-            elif ell == 2:
-                fits = not any(adj[u] & nb for u in iter_bits(nb))
-            else:
-                fits = not _has_clique(adj, ell, nb)
-            if fits:
-                s |= 1 << v
-        sets.append(s)
-    return sets
+    return [_greedy_clique_free(adj, ell + 1, order) for ell in range(1, r)]
 
 
 def _lex_greedy_masks(g: Graph, r: int, active: int) -> List[int]:

@@ -44,7 +44,7 @@ import numpy as np
 
 from cfl.graphs import (MAX_EDGELIST_N, DuplicateEdgeError, EdgeSyntaxError,
                         Graph, Graph6Error, HeaderError, LoopError,
-                        VertexRangeError, VertexSet, _has_clique, iter_bits,
+                        VertexRangeError, VertexSet, _first_clique, iter_bits,
                         iter_clique_masks)
 from cfl.numbers import decimal_fields, exact_fraction
 from cfl.regularity import SuperRegularVerdict, is_super_regular, pair_density
@@ -213,7 +213,8 @@ def reference_feasible_candidates(adj, ell: int, chosen: int, cand: int,
     while rest:
         low = rest & -rest
         rest ^= low
-        if _has_clique(adj, ell - 2, near & adj[low.bit_length() - 1]):
+        if ell == 2 or _first_clique(
+                adj, ell - 2, near & adj[low.bit_length() - 1]) is not None:
             out ^= low
     return out
 

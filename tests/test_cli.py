@@ -138,6 +138,33 @@ def test_cover_user_errors_exit_two(tmp_path, capsys, key, value, field):
     assert field in capsys.readouterr().err
 
 
+def test_a_cover_past_the_hub_degree_answers_at_once(tmp_path, capsys):
+    # the clique search once walked every subset of the hub's 39 neighbours
+    cfg = write(tmp_path / "cv.ini",
+                "[run]\nkind = cover\n[cover]\ngraph = complete:40\n"
+                "vertex = 0\nr = 41\n")
+    assert run_cli(["cover", "--config", cfg]) == 0
+    assert read_report(capsys)["result"]["cover"] is None
+
+
+def test_a_search_past_the_recursion_limit_exits_three(tmp_path, capsys):
+    # a K_999 through vertex 0 of K_1000 recurses once per clique vertex;
+    # it once ended in a RecursionError traceback with exit 1
+    cover = "[cover]\ngraph = complete:1000\nvertex = 0\n"
+    cfg = write(tmp_path / "cv.ini", "[run]\nkind = cover\n" + cover + "r = 999\n")
+    assert run_cli(["cover", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("input error: cover: ") and "recursion limit" in err
+    # a scan point gets an error row, and the other points still run
+    cfg = write(tmp_path / "scan.ini", "[run]\nkind = cover\n" + cover
+                + "r = 2\n[scan]\nparam = cover.r\nvalues = 2, 999\n")
+    outdir = tmp_path / "out"
+    assert run_cli(["scan", "--config", cfg, "--out", str(outdir)]) == 3
+    rows = (outdir / "scan.csv").read_text().strip().split("\n")[1:]
+    assert [row.split(",")[3:5] for row in rows] == [["ok", "0"], ["error", "3"]]
+
+
 @pytest.mark.parametrize("kind, body, field", [
     ("alpha", "graph = c5\nell = 1\n", "[alpha] ell"),
     ("alpha", "graph = c5\nell = 0\nmode = greedy\n", "[alpha] ell"),

@@ -9,8 +9,9 @@ from cfl.graphs import (MAX_EDGELIST_N, DuplicateEdgeError, EdgeSyntaxError,
                         _decode_edgelist, _first_clique,
                         complete_graph, complete_multipartite, cycle_graph,
                         empty_graph, format_edgelist, format_graph6,
-                        iter_clique_masks, kneser_graph, parse_edgelist,
-                        parse_graph, parse_graph6, petersen_graph, random_gnp)
+                        has_clique, iter_clique_masks, kneser_graph, mask_of,
+                        parse_edgelist, parse_graph, parse_graph6,
+                        petersen_graph, random_gnp)
 
 from conftest import independent_graph6_decode, naive_cliques, seeded_graphs
 from cfl.rng import SplitMix64
@@ -399,6 +400,30 @@ def test_first_clique_is_the_first_listed_clique(small_graph_battery):
             for m in masks:
                 assert _first_clique(g.adj, k, m) == next(
                     iter_clique_masks(g, k, m), None)
+
+
+@pytest.mark.parametrize("k", [-1, 0])
+def test_the_empty_clique_always_exists(k):
+    for g in (empty_graph(0), empty_graph(3), complete_graph(4)):
+        assert has_clique(g, k) and has_clique(g, k, 0)
+
+
+def test_has_clique_matches_naive_filter(small_graph_battery):
+    rng = SplitMix64(3202)
+    for g in small_graph_battery:
+        masks = [g.full_mask(), 0] + [rng.randrange(1 << g.n) for _ in range(4)]
+        for k in range(1, 6):
+            cliques = [mask_of(c) for c in naive_cliques(g, k)]
+            for m in masks:
+                assert has_clique(g, k, m) == any(c & ~m == 0 for c in cliques)
+
+
+def test_a_clique_search_stops_when_too_few_vertices_are_left():
+    # it once walked every subset of a mask too small for the clique: K_22
+    # at k = 23 took 0.8 s, and each added vertex doubled that
+    k40 = complete_graph(40)
+    assert has_clique(k40, 41) is False
+    assert _first_clique(k40.adj, 40, k40.adj[0]) is None
 
 
 def test_kneser_graph_is_triangle_free():

@@ -10,8 +10,8 @@ from cfl.graphs import (Graph, VertexSet, complete_graph, cycle_graph, empty_gra
                         format_graph6, has_clique, iter_clique_masks,
                         petersen_graph, random_gnp)
 from cfl import invariants
-from cfl.invariants import (_clique_partition, _factor_masks,
-                            _feasible_candidates, _graph_from_pair_mask,
+from cfl.invariants import (_clique_partition, _feasible_candidates,
+                            _graph_from_pair_mask, _kn_factor_pair_masks,
                             _pair_index_masks, _rtt_barriers, _rtt_exhaustive,
                             alpha_ell_exact, alpha_ell_greedy,
                             has_clique_cover, rtt_oracle)
@@ -54,6 +54,26 @@ def test_greedy_is_sandwiched(small_graph_battery):
             assert got.value <= exact
             assert not has_clique(g, 3, got.witness.mask)
             assert got.value == len(got.witness)
+            # maximal: every outside vertex would complete a triangle
+            for v in range(g.n):
+                if v not in got.witness:
+                    assert contains_clique(g, got.witness.vertices() + (v,), 3)
+            # and it is the first fit over the seed's shuffled order
+            order = list(range(g.n))
+            SplitMix64(seed).shuffle(order)
+            first_fit = []
+            for v in order:
+                if not contains_clique(g, first_fit + [v], 3):
+                    first_fit.append(v)
+            assert got.witness.vertices() == tuple(sorted(first_fit))
+
+
+def test_greedy_stops_at_a_clique_too_large_for_the_set():
+    # each vertex once walked every subset of the set's part of its
+    # neighbourhood, looking for a K_{ell-1} among fewer vertices: 0.2 s on
+    # K_26 at ell = 21, and no end in sight on K_40 at ell = 33
+    assert alpha_ell_greedy(complete_graph(26), 21, 0).value == 20
+    assert alpha_ell_greedy(complete_graph(40), 33, 0).value == 32
 
 
 def test_greedy_on_seeded_graph_below_exact():
@@ -307,7 +327,7 @@ def assert_matches_reference(n, r, ell, alpha_bound):
     (6, 6, 1), (7, 2, 0), (7, 7, 1),
 ])
 def test_factor_masks_count_the_factors_of_kn(n, r, count):
-    masks = _factor_masks(n, r)
+    masks = _kn_factor_pair_masks(n, r)
     assert len(masks) == len(set(masks)) == count
     pair_masks = _pair_index_masks(n)
     for f in masks:
@@ -327,7 +347,7 @@ def test_factor_mask_membership_agrees_with_has_factor():
         for r in range(2, g.n + 1):
             if g.n % r:
                 continue
-            has = any(m & f == f for f in _factor_masks(g.n, r))
+            has = any(m & f == f for f in _kn_factor_pair_masks(g.n, r))
             assert has == (tiling.has_factor(g, r).tiling is not None)
             seen[has] += 1
     assert min(seen.values()) >= 100

@@ -18,7 +18,9 @@ keeps one defect class: ``graphs.SelfCheckError`` is the only
 ``RuntimeError`` subclass the package defines.  A fourth keeps one number
 rule: the modules that read outside text (``config``, ``cli`` and
 ``constructions``) never call the builtin ``int`` or ``float`` by name, so
-every number they read goes through ``numbers``.
+every number they read goes through ``numbers``.  A fifth keeps the walk's
+resolution by name sound for top-level definitions: no top-level function
+or class name is defined in two modules.
 """
 
 from __future__ import annotations
@@ -195,6 +197,23 @@ def test_outside_text_is_read_through_numbers():
                        f"{', '.join(found)}")
 
 
+def _repeated_names(package: _Package) -> List[str]:
+    """``name: module, module, ...`` for each top-level function or class
+    name that more than one module defines."""
+    modules: Dict[str, List[str]] = {}
+    for qual in package.defs:
+        module, _, name = qual.partition(".")
+        if "." not in name:
+            modules.setdefault(name, []).append(module)
+    return [f"{name}: {', '.join(mods)}"
+            for name, mods in sorted(modules.items()) if len(mods) > 1]
+
+
+def test_no_top_level_name_is_defined_twice():
+    found = _repeated_names(_Package(SRC))
+    assert not found, f"top-level names defined twice: {'; '.join(found)}"
+
+
 def _toy(tmp_path, lib: str) -> _Package:
     """A two-module package: a ``cli`` with one handler that calls
     ``Thing().go()`` from ``lib``, and the given ``lib`` source."""
@@ -294,3 +313,17 @@ def test_the_number_guard_finds_each_builtin_call(tmp_path):
                    "        return 0\n")
     assert _builtin_number_calls(package, ["cli", "lib"]) == [
         "lib:2 int", "lib:6 float"]
+
+
+def test_the_name_guard_finds_a_repeated_top_level_name(tmp_path):
+    # a function or class that shares its name with another module's
+    # top-level definition counts; a method of the same name does not
+    package = _toy(tmp_path,
+                   "def main():\n"
+                   "    return 0\n"
+                   "class Thing:\n"
+                   "    def run_x(self):\n"
+                   "        return 0\n"
+                   "    def go(self):\n"
+                   "        return main()\n")
+    assert _repeated_names(package) == ["main: cli, lib"]
