@@ -14,10 +14,14 @@ The objects certified here:
 Every certificate stores its factor tilings, and each is re-checked before
 the certificate is returned: the independent tiling checker accepts it and
 it covers exactly its set, or ``graphs.SelfCheckError`` is raised (a defect
-in cfl).  The absorbing-set checks read only the bare factor masks of
-``tiling._factor_masks``.  Searches are greedy first-fit over candidates in
-lexicographic order: the counts are honest lower bounds, and exact packing
-lives only in the test oracles.
+in cfl).  The absorbing-set and closedness checks build no certificate:
+they read only the bare factor masks of ``tiling._factor_masks``.  An
+absorbing-set check searches each distinct leftover once, and every search
+shares free sets built once over the whole graph; the reachable-set search
+re-checks each factor it finds on its masks (pairwise-disjoint r-cliques
+covering exactly their set), or raises ``SelfCheckError``.  Searches are
+greedy first-fit over candidates in lexicographic order: the counts are
+honest lower bounds, and exact packing lives only in the test oracles.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from .graphs import (Graph, ParameterError, SelfCheckError, VertexSet,
 from .numbers import exact_fraction
 from .records import Factory, Record
 from .rng import SplitMix64, derive_seed
-from .tiling import CliqueTiling, _factor_masks, has_factor, verify_tiling
+from .tiling import (CliqueTiling, _factor_masks, _free_sets, has_factor,
+                     verify_tiling)
 
 
 class AbsorberCertificate(Record):
@@ -131,9 +136,31 @@ def certify_reachable(g: Graph, u: int, v: int, s: VertexSet,
 CANDIDATE_BUDGET = 50_000
 
 
+def _has_checked_factor(g: Graph, r: int, mask: int) -> bool:
+    """Whether ``mask`` has a K_r-factor, by ``_factor_masks``.  A factor it
+    finds must be pairwise-disjoint r-cliques covering exactly ``mask``, by
+    direct adjacency lookups, or SelfCheckError."""
+    tiles = _factor_masks(g, r, mask)
+    if tiles is None:
+        return False
+    adj = g.adj
+    union = 0
+    for tile in tiles:
+        union |= tile
+    # r-vertex tiles whose union is ``mask`` of r * len(tiles) vertices are
+    # pairwise disjoint
+    if (union == mask and mask.bit_count() == r * len(tiles)
+            and all(tile.bit_count() == r
+                    and all(tile & ~adj[w] == 1 << w for w in iter_bits(tile))
+                    for tile in tiles)):
+        return True
+    raise SelfCheckError(f"factor of {VertexSet(g, mask).vertices()} "
+                         "failed re-verification")
+
+
 def find_disjoint_reachable_sets(g: Graph, u: int, v: int, r: int, t: int,
                                  limit: int, within: Optional[VertexSet] = None
-                                 ) -> List[ReachableCertificate]:
+                                 ) -> List[VertexSet]:
     """Greedy first-fit collection of pairwise-disjoint reachable sets for
     {u, v}, sizes r-1, 2r-1, ..., rt-1 in that order, candidates in
     lexicographic order.  The count is a lower bound on the true maximum.
@@ -141,11 +168,14 @@ def find_disjoint_reachable_sets(g: Graph, u: int, v: int, r: int, t: int,
     Size r-1 has a fast path: such a set works iff it is an (r-1)-clique
     adjacent to both endpoints.  Larger sizes enumerate the subsets of the
     vertices still unused when that size starts.  At most CANDIDATE_BUDGET
-    candidates are examined in all.
+    candidates are examined in all.  A candidate S is kept when S u {u} and
+    S u {v} both have a factor, each re-checked on its clique masks; the
+    sets come back bare, and ``certify_reachable`` builds the certificate
+    of any one of them.
     """
     universe = (g.full_mask() if within is None else within.mask)
     universe &= ~((1 << u) | (1 << v))
-    out: List[ReachableCertificate] = []
+    out: List[VertexSet] = []
     used = 0
 
     def candidates():
@@ -165,9 +195,9 @@ def find_disjoint_reachable_sets(g: Graph, u: int, v: int, r: int, t: int,
         budget -= 1
         if cm & used:
             continue
-        cert = certify_reachable(g, u, v, VertexSet(g, cm), r)
-        if cert is not None:
-            out.append(cert)
+        if (_has_checked_factor(g, r, cm | (1 << u))
+                and _has_checked_factor(g, r, cm | (1 << v))):
+            out.append(VertexSet(g, cm))
             used |= cm
     return out
 
@@ -224,14 +254,24 @@ def _xi_sampled(g: Graph, a: VertexSet, r: int, xi, samples: int,
 
 def _absorbs_every(g: Graph, a: VertexSet, r: int, mode: str,
                    leftovers) -> AbsorbingVerdict:
-    """Test each leftover in turn; the first without a factor refutes."""
+    """Test each leftover in turn; the first without a factor refutes.
+
+    ``checked`` counts every leftover, but a leftover met before is not
+    searched again.  The searches share one set of free sets, built over
+    the whole graph (A and every vertex outside it): restricted to A u R
+    they are still free, so every verdict is that of a search of its own."""
+    free = _free_sets(g, r, g.full_mask())
+    absorbed = set()
     checked = 0
     for combo in leftovers:
         checked += 1
         rm = mask_of(combo)
-        if _factor_masks(g, r, a.mask | rm) is None:
+        if rm in absorbed:
+            continue
+        if _factor_masks(g, r, a.mask | rm, _free=free) is None:
             return AbsorbingVerdict(False, mode, checked,
                                     witness_r=VertexSet(g, rm))
+        absorbed.add(rm)
     return AbsorbingVerdict(True, mode, checked)
 
 
@@ -268,9 +308,9 @@ def closedness_report(g: Graph, u_set: VertexSet, r: int, t: int,
     within = u_set if inner else None
     counts: List[Tuple[int, int, int]] = []
     for (a, b) in pairs:
-        certs = find_disjoint_reachable_sets(
+        sets = find_disjoint_reachable_sets(
             g, a, b, r, t, limit=per_pair_limit, within=within)
-        counts.append((a, b, len(certs)))
+        counts.append((a, b, len(sets)))
     values = sorted(c for (_, _, c) in counts)
     half = len(values) // 2   # values[~half] is values[half - 1] for an even count
     return ClosednessReport(

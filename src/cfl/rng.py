@@ -5,9 +5,13 @@ All randomness flows from a single 64-bit master seed through SplitMix64
 stream seeded with s is mix64(s + (k+1)*GOLDEN), so sequential and bulk
 (vectorised) generation produce identical streams, and the generator is
 trivial to re-implement bit-for-bit in any language.  Reports record the
-generator name so runs stay auditable.  The package itself only draws
-sequentially and needs no numpy; the tests' vectorised form of the stream
-lives with the tests.
+generator name so runs stay auditable.  ``shuffle`` mixes its draws in bulk:
+the next states sit in 128-bit lanes of one int, each lane's 64-bit product
+never carries into the next, so a handful of int operations mix up to
+``_CHUNK`` outputs at once; it then rejects exactly as ``randrange`` does,
+so the stream and the permutation are those of one ``randrange(i + 1)`` per
+swap.  Every other draw is sequential.  The package needs no numpy; the
+tests' vectorised form of the stream lives with the tests.
 
 Per-task streams are derived from (master seed, label path) via SHA-256,
 never by ad-hoc arithmetic, so adding a new consumer of randomness cannot
@@ -28,6 +32,14 @@ GENERATOR_NAME = "splitmix64"
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = 0xFFFFFFFFFFFFFFFF
+_SPAN = _MASK + 1
+
+# The most outputs one bulk mix computes, and the lane constants built so
+# far: (lanes, ones, steps, low), where lane k (from 0) of ``ones`` holds 1,
+# of ``steps`` (k + 1) * _GOLDEN and of ``low`` 2^64 - 1.  They grow by
+# doubling on first use, so a process that never shuffles pays nothing.
+_CHUNK = 4096
+_lanes = (0, 0, 0, 0)
 
 
 def mix64(z: int) -> int:
@@ -36,6 +48,31 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
+
+
+def _mixed(state: int, count: int):
+    """Outputs 1..count of the stream whose state is ``state``, as one
+    ``mix64`` over ``count`` 128-bit lanes of one int (count <= _CHUNK)."""
+    global _lanes
+    lanes, ones, steps, low = _lanes
+    if lanes < count:
+        lanes, ones, steps = 1, 1, _GOLDEN
+        while lanes < count:
+            width = lanes << 7
+            steps |= (steps + lanes * _GOLDEN * ones) << width
+            ones |= ones << width
+            lanes <<= 1
+        low = ones * _MASK
+        _lanes = (lanes, ones, steps, low)
+    keep = (1 << (count << 7)) - 1
+    # a lane's top 64 bits are zero before each multiply, so its product
+    # stays in the lane; the shifts' spill from the next lane is masked off
+    z = (state * (ones & keep) + (steps & keep)) & low
+    z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+    z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+    z ^= z >> 31
+    words = memoryview(z.to_bytes(count << 4, sys.byteorder)).cast("Q")
+    return words[::2] if sys.byteorder == "little" else words[::-2]
 
 
 def derive_seed(master: int, *labels: object) -> int:
@@ -72,7 +109,7 @@ class SplitMix64:
         """Uniform integer in [0, n) by rejection sampling (unbiased)."""
         if n <= 0:
             raise ValueError("randrange bound must be positive")
-        limit = (_MASK + 1) - (_MASK + 1) % n
+        limit = _SPAN - _SPAN % n
         while True:
             x = self.next_u64()
             if x < limit:
@@ -82,17 +119,24 @@ class SplitMix64:
         return seq[self.randrange(len(seq))]
 
     def shuffle(self, items: list) -> None:
-        """Fisher-Yates, in place, with each ``randrange(i + 1)`` inline."""
+        """Fisher-Yates, in place, drawing as ``randrange(i + 1)`` for swap i.
+
+        Draws come from ``_mixed`` in chunks of at most as many as swaps
+        remain, so none is left over; a rejected draw leaves its swap to the
+        next one, or to the next chunk.
+        """
         state = self._state
-        for i in range(len(items) - 1, 0, -1):
-            z = 2**64                   # no draw yet
-            while z >= 2**64 - 2**64 % (i + 1):
-                state = (state + _GOLDEN) & _MASK
-                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-                z ^= z >> 31
-            j = z % (i + 1)
-            items[i], items[j] = items[j], items[i]
+        safe = _SPAN - len(items)   # no bound i + 1 rejects a draw below it
+        i = len(items) - 1
+        while i > 0:
+            count = min(i, _CHUNK)
+            draws = _mixed(state, count)
+            state = (state + count * _GOLDEN) & _MASK
+            for z in draws:
+                if z < safe or z < _SPAN - _SPAN % (i + 1):
+                    j = z % (i + 1)
+                    items[i], items[j] = items[j], items[i]
+                    i -= 1
         self._state = state
 
     def sample(self, pool, k: int) -> list:

@@ -32,7 +32,10 @@ The free sets S_1 .. S_{r-1} are built once per call, inside the call's
 universe (``_free_sets``), each by ``graphs._greedy_clique_free`` over
 one ascending-degree order.  A subset of a K_{l+1}-free set is
 K_{l+1}-free, so S restricted to any deeper ``active`` still qualifies and
-the root sets serve every node at r-1 popcounts each.  ``max_tiling`` builds
+the root sets serve every node at r-1 popcounts each.  For the same reason
+free sets built over a larger set serve too: the absorbing-set checks build
+them once over the whole graph and hand them to every leftover's search
+(``_factor_masks``' private ``_free``).  ``max_tiling`` builds
 them only when the greedy incumbent misses the ceiling; the factor search
 only at its first dead end, so queries answered on the first descent never pay
 for them, and re-tests a node's bound after each failed child, because the
@@ -211,9 +214,13 @@ def max_tiling(g: Graph, r: int, within: Optional[VertexSet] = None,
 
 
 def _factor_masks(g: Graph, r: int, universe: int,
-                  node_cap: Optional[int] = None) -> Optional[List[int]]:
+                  node_cap: Optional[int] = None,
+                  _free: Optional[List[int]] = None) -> Optional[List[int]]:
     """The first K_r-factor of ``universe`` in search order as clique masks,
-    or None (r not dividing |U| included); SearchCapExceeded past node_cap."""
+    or None (r not dividing |U| included); SearchCapExceeded past node_cap.
+
+    ``_free``, if given, are free sets S_1 .. S_{r-1} over a superset of
+    ``universe``, used at the first dead end in place of building them."""
     n_active = universe.bit_count()
     if n_active % r:
         return None
@@ -229,7 +236,7 @@ def _factor_masks(g: Graph, r: int, universe: int,
     def dead_end() -> None:
         nonlocal free
         if free is None:
-            free = _free_sets(g, r, universe)
+            free = _free_sets(g, r, universe) if _free is None else _free
 
     def hopeless(active: int) -> bool:
         """Free-set bound: ``active`` has no factor."""

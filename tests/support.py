@@ -8,6 +8,10 @@ package's SplitMix64 stream.  The stream is counter-based, so they give the
 same values as repeated ``SplitMix64(seed).next_u64()`` and ``.random()``
 calls; criterion 6 and the ``random_gnp`` reference test draw from them.
 
+``reference_shuffle`` is ``SplitMix64.shuffle`` as it was before it mixed
+its draws in bulk: one 64-bit draw mixed at a time, each rejected or used
+inline.  The shuffle's equivalence tests hold the package's to it.
+
 ``make_super_regular`` (with its result, ``SuperRegularization``) and
 ``strip_cliques`` build the inputs of two proof steps that ``cfl`` only
 certifies: clusters trimmed toward super-regularity (criterion 9 and the
@@ -48,7 +52,7 @@ from cfl.graphs import (MAX_EDGELIST_N, DuplicateEdgeError, EdgeSyntaxError,
                         iter_clique_masks)
 from cfl.numbers import decimal_fields, exact_fraction
 from cfl.regularity import SuperRegularVerdict, is_super_regular, pair_density
-from cfl.rng import _GOLDEN, SplitMix64
+from cfl.rng import _GOLDEN, _MASK, SplitMix64
 
 
 def bulk_u64(seed: int, count: int, start: int = 0) -> np.ndarray:
@@ -67,6 +71,21 @@ def bulk_u64(seed: int, count: int, start: int = 0) -> np.ndarray:
 def bulk_random(seed: int, count: int, start: int = 0) -> np.ndarray:
     """Uniform floats in [0,1), matching SplitMix64.random() bit-for-bit."""
     return (bulk_u64(seed, count, start) >> np.uint64(11)) * 2.0**-53
+
+
+def reference_shuffle(rng: SplitMix64, items: list) -> None:
+    """Fisher-Yates, in place, with each ``randrange(i + 1)`` inline."""
+    state = rng._state
+    for i in range(len(items) - 1, 0, -1):
+        z = 2**64                   # no draw yet
+        while z >= 2**64 - 2**64 % (i + 1):
+            state = (state + _GOLDEN) & _MASK
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            z ^= z >> 31
+        j = z % (i + 1)
+        items[i], items[j] = items[j], items[i]
+    rng._state = state
 
 
 def replace(record, **changes):

@@ -14,7 +14,9 @@ from cfl.absorption import (AbsorbingVerdict, build_reachable_gadget,
                             find_disjoint_reachable_sets, verify_absorber,
                             verify_reachable)
 from cfl.graphs import (Graph, SelfCheckError, VertexSet, complete_graph,
-                        cycle_graph, mask_of, random_gnp)
+                        cycle_graph, iter_bits, iter_clique_masks, mask_of,
+                        random_gnp)
+from cfl.rng import SplitMix64
 from cfl.tiling import CliqueTiling, has_factor, verify_tiling
 
 from conftest import subset_is_clique
@@ -161,13 +163,13 @@ def test_gadget_endpoints_not_adjacent_to_far_side():
 
 def test_disjoint_reachable_on_clique():
     k12 = complete_graph(12)
-    certs = find_disjoint_reachable_sets(k12, 0, 1, r=3, t=1, limit=100)
-    assert len(certs) == 5          # floor((12-2)/2) disjoint pairs
+    sets = find_disjoint_reachable_sets(k12, 0, 1, r=3, t=1, limit=100)
+    assert len(sets) == 5          # floor((12-2)/2) disjoint pairs
     used = 0
-    for c in certs:
-        assert not c.s.mask & used
-        used |= c.s.mask
-        assert verify_reachable(k12, c)
+    for s in sets:
+        assert not s.mask & used
+        used |= s.mask
+        assert verify_reachable(k12, certify_reachable(k12, 0, 1, s, 3))
 
 
 def test_disjoint_reachable_respects_limit():
@@ -198,12 +200,103 @@ def test_disjoint_reachable_larger_sizes():
     # path endpoints at distance 2 in a sparse graph have no common
     # (r-1)-clique, but a 5-set with factors on both sides can exist
     k6 = complete_graph(6)
-    certs = find_disjoint_reachable_sets(k6, 0, 1, r=3, t=2, limit=4)
-    sizes = sorted(len(c.s) for c in certs)
+    sets = find_disjoint_reachable_sets(k6, 0, 1, r=3, t=2, limit=4)
+    sizes = sorted(len(s) for s in sets)
     assert sizes and sizes[0] == 2
-    for c in certs:
-        assert len(c.s) in (2, 5)
-        assert verify_reachable(k6, c)
+    for s in sets:
+        assert len(s) in (2, 5)
+        assert verify_reachable(k6, certify_reachable(k6, 0, 1, s, 3))
+
+
+def reference_disjoint_reachable_sets(g, u, v, r, t, limit, within=None):
+    """find_disjoint_reachable_sets as it was when it built certificates:
+    every candidate through certify_reachable, which builds both canonical
+    tilings and re-verifies them."""
+    universe = (g.full_mask() if within is None else within.mask)
+    universe &= ~((1 << u) | (1 << v))
+    out, used = [], 0
+
+    def candidates():
+        yield from iter_clique_masks(g, r - 1, universe & g.adj[u] & g.adj[v])
+        for k in range(2, t + 1):
+            avail = list(iter_bits(universe & ~used))
+            if len(avail) < k * r - 1:
+                return
+            for combo in combinations(avail, k * r - 1):
+                yield mask_of(combo)
+
+    budget = absorption.CANDIDATE_BUDGET
+    for cm in candidates():
+        if budget <= 0 or len(out) >= limit:
+            break
+        budget -= 1
+        if cm & used:
+            continue
+        cert = certify_reachable(g, u, v, VertexSet(g, cm), r)
+        if cert is not None:
+            out.append(cert)
+            used |= cm
+    return out
+
+
+def test_closedness_counts_what_certificates_count():
+    """Each pair's count equals the certificate-building search's, on
+    seeded G(n, p), n 8..14, r 2..4, t 1..2, closed and inner-closed."""
+    rng = SplitMix64(3301)
+    nonzero = 0
+    for _ in range(40):
+        n = 8 + rng.randrange(7)
+        g = random_gnp(n, 0.45 + 0.45 * rng.random(), rng.next_u64())
+        r, t = 2 + rng.randrange(3), 1 + rng.randrange(2)
+        u_set = VertexSet.of(g, rng.sample(range(n), 2 + rng.randrange(n - 1)))
+        inner = rng.randrange(2) == 1
+        rep = closedness_report(g, u_set, r, t, pair_budget=5, inner=inner,
+                                per_pair_limit=4, seed=rng.randrange(100))
+        for (a, b, count) in rep.per_pair:
+            want = reference_disjoint_reachable_sets(
+                g, a, b, r, t, 4, within=u_set if inner else None)
+            assert count == len(want), (n, r, t, inner, a, b)
+            nonzero += count > 0
+    assert nonzero >= 20
+
+
+def test_reachable_sets_are_those_the_certificates_hold():
+    g = random_gnp(12, 0.7, 33)
+    for (u, v, r, t) in ((0, 1, 3, 2), (2, 9, 2, 2), (4, 7, 4, 1)):
+        sets = find_disjoint_reachable_sets(g, u, v, r, t, limit=6)
+        certs = reference_disjoint_reachable_sets(g, u, v, r, t, 6)
+        assert sets == [c.s for c in certs]
+
+
+def test_a_tampered_reachable_factor_is_a_defect(monkeypatch):
+    """Vertices 2..6 form a K_5; u = 0 sees 2 and 3, v = 1 sees 4 and 5, so
+    {2, .., 6} is the one reachable set (t = 2).  A factor search that
+    returns overlapping tiles, a tile that is no clique or too few tiles
+    raises SelfCheckError."""
+    k5 = [(i, j) for i in range(2, 7) for j in range(i + 1, 7)]
+    g = Graph(7, k5 + [(0, 2), (0, 3), (1, 4), (1, 5)])
+    assert find_disjoint_reachable_sets(g, 0, 1, 3, 2, limit=4) == [
+        VertexSet.of(g, range(2, 7))]
+    real = tiling._factor_masks
+
+    def overlapping(g, r, mask):          # the union is still the mask
+        tiles = real(g, r, mask)
+        return tiles and tiles + tiles[:1]
+
+    def ascending_chunks(g, r, mask):     # {1, 2, 3} is no clique
+        vs = list(iter_bits(mask))
+        return [mask_of(vs[i:i + r]) for i in range(0, len(vs), r)]
+
+    def short(g, r, mask):
+        tiles = real(g, r, mask)
+        return tiles and tiles[:-1]
+
+    for tampered in (overlapping, ascending_chunks, short):
+        monkeypatch.setattr(absorption, "_factor_masks", tampered)
+        with pytest.raises(SelfCheckError, match="failed re-verification"):
+            find_disjoint_reachable_sets(g, 0, 1, 3, 2, limit=4)
+        with pytest.raises(SelfCheckError):
+            closedness_report(g, VertexSet.of(g, [0, 1]), 3, 2, pair_budget=1)
 
 
 # -- absorbing sets ------------------------------------------------------------------
@@ -225,7 +318,6 @@ def test_xi_absorbing_refuted_on_triangle_free():
 
 
 def test_xi_absorbing_modes_agree_on_planted_instances():
-    from cfl.rng import SplitMix64
     rng = SplitMix64(1234)
     for i in range(6):
         g = random_gnp(12, 0.5 + 0.04 * i, rng.next_u64())
@@ -302,6 +394,80 @@ def test_leftover_checks_build_no_factor_record(monkeypatch):
         assert (sa.absorbing, sa.mode) == (False, "sampled")
         assert (ex.checked, ex.witness_r.vertices()) == exhaustive
         assert (sa.checked, sa.witness_r.vertices()) == sampled
+
+
+def reference_absorbs_every(g, a, r, mode, leftovers):
+    """_absorbs_every with a search of its own per leftover: no memo, and
+    each search builds its own free sets."""
+    checked = 0
+    for combo in leftovers:
+        checked += 1
+        rm = mask_of(combo)
+        if tiling._factor_masks(g, r, a.mask | rm) is None:
+            return AbsorbingVerdict(False, mode, checked,
+                                    witness_r=VertexSet(g, rm))
+    return AbsorbingVerdict(True, mode, checked)
+
+
+def xi_cases():
+    """(g, A, r, xi) on seeded G(n, p) and K_n minus a perfect matching,
+    n 12..18, r 3..4, |A| = 2r, xi 1/4..5/8."""
+    rng = SplitMix64(3302)
+    for i in range(24):
+        n, r = 12 + rng.randrange(7), 3 + rng.randrange(2)
+        if i % 4 == 3:
+            n += n % 2
+            g = Graph(n, [(x, y) for x in range(n) for y in range(x + 1, n)
+                          if (x, y) != (x & ~1, x | 1)])
+        else:
+            g = random_gnp(n, 0.55 + 0.35 * rng.random(), rng.next_u64())
+        a = VertexSet.of(g, rng.sample(range(n), 2 * r))
+        yield g, a, r, Fraction(1 + rng.randrange(4), 8) + Fraction(1, 8)
+
+
+def test_xi_checks_match_a_search_per_leftover(monkeypatch):
+    """Same verdict, ``checked`` and witness as one search per leftover,
+    exhaustive and sampled, with refuting leftovers among the cases."""
+    got = [(certify_xi_absorbing(g, a, r, xi, samples=300, seed=4),
+            absorption._xi_sampled(g, a, r, xi, samples=300, seed=5))
+           for g, a, r, xi in xi_cases()]
+    monkeypatch.setattr(absorption, "_absorbs_every", reference_absorbs_every)
+    want = [(certify_xi_absorbing(g, a, r, xi, samples=300, seed=4),
+             absorption._xi_sampled(g, a, r, xi, samples=300, seed=5))
+            for g, a, r, xi in xi_cases()]
+    assert got == want
+    verdicts = [v for pair in got for v in pair]
+    assert sum(not v.absorbing for v in verdicts) >= 8
+    assert sum(v.absorbing for v in verdicts) >= 8
+    assert {v.mode for v in verdicts} == {"exhaustive", "sampled"}
+
+
+def test_xi_checks_search_each_distinct_leftover_once(monkeypatch):
+    """One factor search per distinct leftover up to the verdict, while
+    ``checked`` counts every draw."""
+    calls = []
+    drawn = []
+    real_search, real_every = absorption._factor_masks, absorption._absorbs_every
+
+    def counting(g, r, universe, **kwargs):
+        calls.append(universe)
+        return real_search(g, r, universe, **kwargs)
+
+    def recording(g, a, r, mode, leftovers):
+        drawn.append(list(leftovers))
+        return real_every(g, a, r, mode, drawn[-1])
+
+    monkeypatch.setattr(absorption, "_factor_masks", counting)
+    monkeypatch.setattr(absorption, "_absorbs_every", recording)
+    repeated = 0
+    for g, a, r, xi in xi_cases():
+        calls.clear()
+        verdict = absorption._xi_sampled(g, a, r, xi, samples=300, seed=6)
+        seen = [mask_of(c) for c in drawn[-1][:verdict.checked]]
+        assert verdict.checked == (300 if verdict.absorbing else len(seen))
+        assert calls == [a.mask | rm for rm in dict.fromkeys(seen)]
+        repeated += len(seen) - len(calls)
+    assert repeated > 1000
 
 
 def test_absorbing_composition_yields_factor():

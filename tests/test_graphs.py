@@ -14,9 +14,11 @@ from cfl.graphs import (MAX_EDGELIST_N, DuplicateEdgeError, EdgeSyntaxError,
                         petersen_graph, random_gnp)
 
 from conftest import independent_graph6_decode, naive_cliques, seeded_graphs
-from cfl.rng import SplitMix64
+from cfl import rng as rng_module
+from cfl.rng import _GOLDEN, _MASK, SplitMix64, _mixed, mix64
 from support import (bulk_random, bulk_u64, reference_format_graph6,
-                     reference_parse_edgelist, reference_parse_graph6)
+                     reference_parse_edgelist, reference_parse_graph6,
+                     reference_shuffle)
 
 
 # -- edge list format ---------------------------------------------------------
@@ -346,6 +348,78 @@ def test_shuffle_reads_the_vectorised_stream(seed):
         rng.shuffle(got)
         assert got == want
         assert rng.next_u64() == draws[max(length - 1, 0)]
+
+
+SHUFFLE_SEEDS = [0, 1, 2, 3301, 2**63, 2**64 - 1] + [
+    int(x) for x in bulk_u64(33, 20)]
+
+
+def test_shuffle_keeps_the_stream_of_the_one_draw_at_a_time_loop():
+    """Equal permutations and equal final states, lengths 0..300."""
+    for seed in SHUFFLE_SEEDS:
+        for length in range(301):
+            got, want = SplitMix64(seed), SplitMix64(seed)
+            xs, ys = list(range(length)), list(range(length))
+            got.shuffle(xs)
+            reference_shuffle(want, ys)
+            assert xs == ys, (seed, length)
+            assert got._state == want._state, (seed, length)
+
+
+def test_shuffle_keeps_the_stream_across_chunks(monkeypatch):
+    """With 3-lane chunks a shuffle of up to 40 items mixes up to 14 chunks;
+    a 9,000-item shuffle crosses the default chunk twice."""
+    for seed in SHUFFLE_SEEDS[:8]:
+        got, want = SplitMix64(seed), SplitMix64(seed)
+        xs, ys = list(range(9000)), list(range(9000))
+        got.shuffle(xs)
+        reference_shuffle(want, ys)
+        assert xs == ys and got._state == want._state
+    monkeypatch.setattr(rng_module, "_CHUNK", 3)
+    for seed in SHUFFLE_SEEDS:
+        for length in range(41):
+            got, want = SplitMix64(seed), SplitMix64(seed)
+            xs, ys = list(range(length)), list(range(length))
+            got.shuffle(xs)
+            reference_shuffle(want, ys)
+            assert xs == ys and got._state == want._state, (seed, length)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 10, 199, 4096])
+def test_bulk_mix_reads_the_vectorised_stream(count):
+    for seed in (0, 1, 2**64 - 1, 0xDEADBEEF):
+        assert list(_mixed(seed, count)) == [int(x) for x in bulk_u64(seed, count)]
+
+
+def unmix64(z):
+    """The state whose ``mix64`` is z: each xorshift and multiply undone."""
+    def unshift(y, k):
+        x = y
+        for _ in range(64 // k):
+            x = y ^ (x >> k)
+        return x
+    z = unshift(z, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 2**64) & _MASK, 27)
+    return unshift(z * pow(0xBF58476D1CE4E5B9, -1, 2**64) & _MASK, 30)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 12])
+def test_shuffle_rejects_as_randrange_does(n):
+    """Draw ``step`` is 2^64 - 1, for every step in turn.  Every bound that
+    is no power of 2 rejects it, and that swap takes the next draw."""
+    top = unmix64(_MASK)
+    assert mix64(top) == _MASK
+    for step in range(n - 1):
+        seed = (top - (step + 1) * _GOLDEN) & _MASK
+        assert int(bulk_u64(seed, step + 1)[step]) == _MASK
+        got, want = SplitMix64(seed), SplitMix64(seed)
+        xs, ys = list(range(n)), list(range(n))
+        got.shuffle(xs)
+        reference_shuffle(want, ys)
+        assert xs == ys and got._state == want._state
+        bound = n - step
+        draws = n - 1 + (bound & (bound - 1) != 0)
+        assert got._state == (seed + draws * _GOLDEN) & _MASK
 
 
 def test_random_gnp_edge_count_statistics():

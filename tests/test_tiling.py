@@ -327,6 +327,15 @@ def test_factor_masks_are_has_factors_tiling_in_search_order():
     assert min(seen.values()) >= 50, seen
 
 
+def test_free_sets_of_the_whole_graph_keep_every_first_factor():
+    """Free sets built over all of g, handed in as ``_free``, still bound
+    every sub-universe's search: the same factor, or None, on each."""
+    for g, r, universe in random_factor_cases(600, 3303):
+        whole = _free_sets(g, r, g.full_mask())
+        assert (_factor_masks(g, r, universe, _free=whole)
+                == _factor_masks(g, r, universe))
+
+
 def test_a_first_descent_factor_takes_one_node_per_tile_plus_one():
     k9 = complete_graph(9)
     assert _factor_masks(k9, 3, k9.full_mask(), node_cap=4) == [0b111, 0b111000,
