@@ -6,6 +6,14 @@ Grammar::
     cfl scan   --config PATH [--out DIR] [--seed N] [--threads N]
     cfl graph convert --from FMT --to FMT [--in PATH] [--out PATH]
 
+A run or scan command line of the plain shape (each option spelled out
+and followed by its value, ``--config`` given, and no value that starts
+with '-') is read by ``_simple_args`` without loading argparse.  Every
+other command line (``graph convert``, ``--help``, an abbreviated option,
+``--opt=value``, a missing or bad value) goes to the argparse parser of
+``build_parser``, so help, usage and usage errors are argparse's, and the
+two readers give the same arguments wherever both read a command line.
+
 Kinds: construct, alpha, tile, factor, cover, regcheck, drc, embed, absorb,
 rtt, thresholds, bounds.  Exit codes: 0 success, 2 config error, 3 input
 error (including an unreadable or unwritable path, or an input file that
@@ -42,27 +50,31 @@ A process (``python -m cfl.cli`` or the ``cfl`` script) runs ``entry``:
 when ``main`` returns its code, ``entry`` flushes stdout and stderr and ends
 the process with ``os._exit``, skipping interpreter teardown, so no atexit
 handler runs after ``main``.  An uncaught exception still propagates, with
-its traceback and exit 1, and argparse's exits (``--help``, usage errors)
-still end the process normally.  ``main`` flushes stdout itself, so a
-closed stdout pipe is an input error (exit 3) in process too; it never
-ends the process, so callers in one process, such as the tests, can call
-it repeatedly.
+its traceback and exit 1, and argparse's exits (``--help``, usage errors;
+only a command line that ``_simple_args`` refuses reaches them) still end
+the process normally.  ``main`` flushes stdout itself, so a closed stdout
+pipe is an input error (exit 3) in process too; it never ends the
+process, so callers in one process, such as the tests, can call it
+repeatedly.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
 import time
-from typing import Dict, List, Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from . import graphs, reports
 from .config import Config, ConfigError, parse_vertex_list, read_int
 from .graphs import Graph, GraphFormatError, ParameterError, VertexSet
 from .numbers import exact_fraction, number
 from .rng import sha256
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -653,20 +665,16 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The ``cfl`` parser.  When ``command`` names a command, only its
-    subparser is built, and the top-level usage still lists every command,
-    so all the parser prints is the full tree's; help, an empty command
-    line and an unknown command get the full tree."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``cfl`` parser, for every command line that ``_simple_args``
+    does not take: ``graph convert``, help and usage errors."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="cfl",
         description="clique-factor laboratory: config-driven experiments "
                     "with reproducible JSON reports")
-    names = [command] if command in COMMANDS else COMMANDS
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar="{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None)
-    for name in names:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMANDS:
         if name == "graph":
             graph_p = sub.add_parser("graph", help="graph file utilities")
             graph_sub = graph_p.add_subparsers(dest="graph_command", required=True)
@@ -688,9 +696,37 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
+_OPTIONS = ("--config", "--out", "--seed", "--threads")
+
+
+def _simple_args(argv: List[str]) -> Optional[SimpleNamespace]:
+    """What ``build_parser().parse_args(argv)`` returns when ``argv`` is a
+    kind or ``scan`` followed by pairs of an option from ``_OPTIONS``,
+    spelled out, and a value that does not start with '-', with
+    ``--config`` among them and every ``--seed`` and ``--threads`` value a
+    number; else None.  A repeated option keeps its last value."""
+    if len(argv) % 2 == 0 or (argv[0] not in HANDLERS and argv[0] != "scan"):
+        return None
+    args = {"config": None, "out": None, "seed": None, "threads": 1}
+    for name, value in zip(argv[1::2], argv[2::2]):
+        if name not in _OPTIONS or value.startswith("-"):
+            return None
+        if name in ("--seed", "--threads"):
+            try:
+                value = _int_option(value)
+            except ValueError:
+                return None
+        args[name[2:]] = value
+    if args["config"] is None:
+        return None
+    return SimpleNamespace(command=argv[0], **args)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _simple_args(argv)
+    if args is None:        # help, usage errors and graph convert
+        args = build_parser().parse_args(argv)
     try:
         if args.command == "graph":
             code = cmd_convert(args)

@@ -6,11 +6,20 @@ run needs flows from the file (plus CLI overrides); schema errors name the
 offending field path.  A numeric value must be ASCII text with no '_' that
 Python reads as the getter's type (``numbers.number``): ``ell = ٢`` and
 ``ell = 1_0`` are refused like ``ell = x``.
+
+A config is read in one of two ways, with the same result.  A file whose
+every line is blank, a whole-line ``#`` or ``;`` comment, a ``[name]``
+header or a one-line ``key = value`` (or ``key: value``) pair, none of
+them indented, is read by ``_simple_sections``, and configparser is never
+loaded.  Any other file (continuation lines, indented comments, a
+DEFAULT section, a repeated section or key, a key before any header)
+goes to configparser, whose errors are the ``(file)`` config errors.
+Either way a ``Config`` holds plain dicts: its sections in file order,
+each mapping its keys, in file order, to their values.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
@@ -29,29 +38,20 @@ class ConfigError(ValueError):
 
 
 class Config:
-    """One parsed config file.  Every ``(section, key)`` that a getter or
+    """One parsed config file: its sections in file order, each a dict of
+    its keys in file order.  Every ``(section, key)`` that a getter or
     ``has`` consults is recorded, so a run can name the keys it never read;
     ``flat`` (the report's echo of the file) records nothing."""
 
-    def __init__(self, parser: configparser.ConfigParser,
+    def __init__(self, sections: Dict[str, Dict[str, str]],
                  read: Optional[Set[Tuple[str, str]]] = None):
-        self._parser = parser
+        self._sections = sections
         self._read: Set[Tuple[str, str]] = set() if read is None else read
-
-    @staticmethod
-    def _new_parser() -> configparser.ConfigParser:
-        parser = configparser.ConfigParser(interpolation=None)
-        parser.optionxform = str  # keys are case-sensitive
-        return parser
 
     @classmethod
     def from_text(cls, text: str) -> "Config":
-        parser = cls._new_parser()
-        try:
-            parser.read_string(text)
-        except configparser.Error as exc:
-            raise ConfigError("(file)", f"not parseable as INI: {exc}") from exc
-        return cls(parser)
+        sections = _simple_sections(text)
+        return cls(_parsed_sections(text) if sections is None else sections)
 
     @classmethod
     def from_path(cls, path: str) -> "Config":
@@ -63,11 +63,9 @@ class Config:
         return cls.from_text(text)
 
     def flat(self) -> Dict[str, str]:
-        out = {}
-        for section in self._parser.sections():
-            for key, value in self._parser.items(section):
-                out[f"{section}.{key}"] = value
-        return out
+        return {f"{section}.{key}": value
+                for section, keys in self._sections.items()
+                for key, value in keys.items()}
 
     def scan_point(self, section: str, key: str, value: str) -> "Config":
         """One ``cfl scan`` grid point: a copy of this config with
@@ -78,33 +76,31 @@ class Config:
         if (section, key) == ("run", "kind"):
             raise ConfigError("[scan] param", "cannot sweep run.kind: a scan "
                               "runs one kind")
-        if not self._parser.has_section(section):
+        if section not in self._sections:
             raise ConfigError(f"[{section}]", "swept section missing")
-        parser = self._new_parser()
-        for sec in self._parser.sections():
-            if sec != "scan":
-                parser[sec] = dict(self._parser.items(sec))
-        parser.set(section, key, value)
-        return Config(parser, self._read)
+        sections = {sec: dict(keys) for sec, keys in self._sections.items()
+                    if sec != "scan"}
+        sections[section][key] = value
+        return Config(sections, self._read)
 
     def unread_keys(self) -> List[Tuple[str, str]]:
         """``(section, key)`` pairs of the file that nothing has consulted,
         in file order.  A scan point shares its scan's record."""
-        return [(section, key) for section in self._parser.sections()
-                for key in self._parser.options(section)
-                if (section, key) not in self._read]
+        return [(section, key) for section, keys in self._sections.items()
+                for key in keys if (section, key) not in self._read]
 
     def has(self, section: str, key: str) -> bool:
         self._read.add((section, key))
-        return self._parser.has_option(section, key)
+        return key in self._sections.get(section, ())
 
     def _raw(self, section: str, key: str) -> str:
         self._read.add((section, key))
-        if not self._parser.has_section(section):
+        keys = self._sections.get(section)
+        if keys is None:
             raise ConfigError(f"[{section}]", "missing section")
-        if not self._parser.has_option(section, key):
+        if key not in keys:
             raise ConfigError(f"[{section}] {key}", "missing key")
-        return self._parser.get(section, key)
+        return keys[key]
 
     def get_str(self, section: str, key: str,
                 default: Optional[str] = None) -> str:
@@ -147,6 +143,59 @@ class Config:
         return _read(f"[{section}] {key}", self._raw(section, key),
                      lambda raw: [number(p) for p in raw.replace(",", " ").split()],
                      "integer list")
+
+
+def _simple_sections(text: str) -> Optional[Dict[str, Dict[str, str]]]:
+    """The sections of ``text`` if each of its lines is blank, a ``#`` or
+    ``;`` comment, a ``[name]`` header or a one-line ``key = value`` (or
+    ``key: value``) pair, none of them indented; else None.  A header
+    names a new section other than DEFAULT (everything between its first
+    and last character, brackets too, as configparser reads it); a pair
+    comes after a header, splits at its first ``=`` or ``:``, and names a
+    key its section does not have yet.  On these lines configparser
+    gives the same sections, keys, order and values."""
+    sections: Dict[str, Dict[str, str]] = {}
+    keys = None
+    for line in text.split("\n"):     # as configparser's StringIO splits
+        stripped = line.strip()
+        if not stripped or line[0] in "#;":
+            continue
+        if line[0].isspace():           # a continuation or indented line
+            return None
+        if line[0] == "[":
+            name = stripped[1:-1]
+            if (stripped[-1] != "]" or not name or name == "DEFAULT"
+                    or name in sections):
+                return None
+            keys = sections[name] = {}
+            continue
+        key, eq, value = stripped.partition("=")
+        if ":" in key or not eq:
+            key, colon, value = stripped.partition(":")
+            if not colon:
+                return None
+        key = key.rstrip()
+        if keys is None or not key or key in keys:
+            return None
+        keys[key] = value.strip()
+    return sections
+
+
+def _parsed_sections(text: str) -> Dict[str, Dict[str, str]]:
+    """``text`` read by configparser, which takes the rest of INI
+    (continuation lines, DEFAULT) and names what it refuses."""
+    import configparser
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str  # keys are case-sensitive
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError("(file)", f"not parseable as INI: {exc}") from exc
+    # options(), not items(): a section's own keys first, as configparser
+    # lists them, then those it takes from DEFAULT
+    return {section: {key: parser.get(section, key)
+                      for key in parser.options(section)}
+            for section in parser.sections()}
 
 
 def _read(field: str, raw: str, kind, expected: str):

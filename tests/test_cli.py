@@ -1,10 +1,12 @@
 """Command-line harness: runs, sweeps, conversion, exit codes, reproducibility."""
 
-import argparse
 import contextlib
 import io
 import json
 import os
+import random
+import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cfl
-from cfl.cli import COMMANDS, build_parser, main
+from cfl.cli import build_parser, main
 from cfl.config import Config, ConfigError
 from cfl.graphs import (MAX_EDGELIST_N, VertexSet, cycle_graph,
                         format_edgelist, format_graph6, parse_graph,
@@ -892,9 +894,12 @@ SOLVERS = {"absorption", "bounds", "constructions", "embedding", "invariants",
            "regularity", "tiling"}
 # what a cfl process must not load unless the interpreter's own start
 # (``site``) already has: ``dataclasses`` brings ``inspect`` and its
-# compiler modules, ``_hashlib`` is OpenSSL, and ``absorb`` needs no
-# ``statistics`` for its one median
-START_PATH = ("dataclasses", "inspect", "_hashlib", "statistics")
+# compiler modules, ``_hashlib`` is OpenSSL, ``absorb`` needs no
+# ``statistics`` for its one median, a plain command line needs no
+# ``argparse`` (whose first parse loads ``gettext`` and ``locale``) and a
+# plain INI file no ``configparser``
+START_PATH = ("dataclasses", "inspect", "_hashlib", "statistics", "argparse",
+              "configparser", "gettext", "locale")
 # what a run that reads and reports no rational must not load
 RATIONALS = ("fractions", "decimal")
 
@@ -950,33 +955,143 @@ def test_a_run_loads_only_its_kinds_solvers(tmp_path, commands, body, solvers,
         assert rationals == []
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv, code, head", [
+    (["--help"], 0, "usage: cfl [-h]\n"),
+    (["alpha", "--config", "a.ini", "--seed", "x"], 2,
+     "usage: cfl alpha [-h] --config CONFIG [--out OUT] [--seed SEED]\n"),
+], ids=["help", "bad-seed"])
+def test_help_and_usage_errors_are_argparses_in_a_process(tmp_path, monkeypatch,
+                                                          argv, code, head):
+    """A command line that the plain reader refuses goes to argparse: the
+    process prints exactly what the full parser prints and exits with its
+    code."""
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == code
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cfl.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "cfl.cli", *argv], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src, COLUMNS="80"),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (code, out.getvalue(), err.getvalue())
+    assert (proc.stdout or proc.stderr).startswith(head)
+    if code == 2:
+        assert proc.stderr.endswith(
+            "cfl alpha: error: argument --seed: invalid int value: 'x'\n")
+
+
+# the rows that once pinned the pruned parser to the full tree, then a seeded
+# corpus of command lines near and far from the plain shape
+_ARGV_ROWS = [
     ["--help"], [], ["alpha", "--help"], ["scan", "--help"],
     ["graph", "convert", "--help"], ["alpha"], ["graph"], ["bogus"],
     ["alpha", "--config", "a.ini", "--seed", "x"],
     ["alpha", "--config", "a.ini", "--bogus"],
     ["graph", "convert", "--from", "graph6", "--to", "edgelist"],
     ["scan", "--config", "s.ini", "--seed", "3", "--threads", "2"],
-], ids=lambda argv: " ".join(argv) or "empty")
-def test_the_invoked_commands_parser_prints_what_the_full_tree_does(argv):
-    """``main`` builds only the subparser that ``argv[0]`` names; its help,
-    usage, errors, exit codes and parsed values are the full tree's."""
+]
+_ARGV_COMMANDS = ["thresholds", "thresholds", "alpha", "scan", "scan", "graph",
+                  "bogus", "", "-h", "--help", "thr", "Thresholds"]
+_ARGV_OPTIONS = ["--config", "--config", "--out", "--seed", "--threads",
+                 "--conf", "--co", "--s", "--see", "--thread", "--out=OUT",
+                 "--config=CFG", "--seed=3", "--", "-h", "--help", "--bogus",
+                 "-c", "--CONFIG"]
+_ARGV_VALUES = ["CFG", "CFG", "SCAN", "OUT", "MISSING", "3", "0", "-1", "-x",
+                "+3", " 3", "3 ", "1_0", "٣", "²", "x", "", "1e3",
+                "-", "--", "9" * 4400, "convert", "a=b"]
+_PLAIN_VALUES = {"--config": ["CFG", "SCAN", "MISSING"], "--out": ["OUT"],
+                 "--seed": ["3", "0", "+3", " 3"], "--threads": ["2", "1"]}
 
-    def parse(parser):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                parsed = vars(parser.parse_args(argv))
-            except SystemExit as exc:
-                parsed = exc.code
-        return parsed, out.getvalue(), err.getvalue()
 
-    pruned = build_parser(argv[0] if argv else None)
-    assert parse(pruned) == parse(build_parser())
-    commands = next(action.choices for action in pruned._actions
-                    if isinstance(action, argparse._SubParsersAction))
-    assert list(commands) == ([argv[0]] if argv and argv[0] in COMMANDS
-                              else list(COMMANDS))
+def _argv_corpus(seed, count):
+    """``_ARGV_ROWS``, two ``graph convert`` lines, then plain command lines
+    (options in any order, some repeated), half of them with one token
+    replaced, dropped or added, and command lines drawn from the pools."""
+    rng = random.Random(seed)
+    corpus = [list(row) for row in _ARGV_ROWS]
+    corpus += [["graph", "convert", "--from", "edgelist", "--to", "graph6",
+                "--in", "GRAPH"], ["graph", "convert", "--to", "graph6",
+                                   "--from", "edgelist", "--out", "OUT"]]
+    while len(corpus) < count:
+        if rng.random() < 0.6:
+            names = ["--config"] + [rng.choice(list(_PLAIN_VALUES))
+                                    for _ in range(rng.randrange(4))]
+            rng.shuffle(names)
+            argv = [rng.choice(["thresholds", "scan", "alpha"])]
+            for name in names:
+                argv += [name, rng.choice(_PLAIN_VALUES[name])]
+            if rng.random() < 0.5:
+                at = rng.randrange(len(argv))
+                token = rng.choice(_ARGV_OPTIONS + _ARGV_VALUES)
+                edit = rng.randrange(3)
+                if edit == 0:
+                    argv[at] = token
+                elif edit == 1:
+                    del argv[at]
+                else:
+                    argv.insert(at, token)
+        else:
+            argv = [rng.choice(_ARGV_COMMANDS)]
+            for _ in range(rng.randrange(4)):
+                argv.append(rng.choice(_ARGV_OPTIONS))
+                if rng.random() < 0.9:
+                    argv.append(rng.choice(_ARGV_VALUES))
+        corpus.append(argv)
+    return corpus
+
+
+def test_the_plain_reader_agrees_with_argparse(tmp_path, capsys, monkeypatch):
+    """``_simple_args`` either refuses a command line or returns exactly the
+    attributes of ``build_parser().parse_args``; and through ``main`` every
+    command line prints the same stdout and stderr and ends with the same
+    code as with argparse alone."""
+    from cfl import cli
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("CFL_NODE_BUDGET", raising=False)
+    paths = {
+        "CFG": write(tmp_path / "t.ini", "[run]\nkind = thresholds\n"
+                     "[thresholds]\nparts = 2, 3, 3\n"),
+        "SCAN": write(tmp_path / "s.ini", "[run]\nkind = thresholds\n"
+                      "[thresholds]\nr = 4\nell = 2\n"
+                      "[scan]\nparam = thresholds.r\nvalues = 3, 4\n"),
+        "GRAPH": write(tmp_path / "g.el", "3 2\n0 1\n1 2\n"),
+        "OUT": str(tmp_path / "out"), "MISSING": str(tmp_path / "none.ini"),
+    }
+
+    def real(token):
+        for name, path in paths.items():
+            token = token.replace(name, path)
+        return token
+
+    def outcome(argv):
+        for stale in ("out", "cfl-scan-out"):   # every write is a fresh file
+            shutil.rmtree(tmp_path / stale, ignore_errors=True)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("3 1\n0 2\n"))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out, err = capsys.readouterr()
+        return code, re.sub(r'"total_s": [0-9.e-]+', "", out), err
+
+    plain = 0
+    for argv in _argv_corpus(3401, 400):
+        argv = [real(token) for token in argv]
+        fast = cli._simple_args(argv)
+        if fast is not None:
+            plain += 1
+            assert vars(fast) == vars(build_parser().parse_args(argv)), argv
+            assert capsys.readouterr() == ("", "")
+        with_reader = outcome(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_simple_args", lambda argv: None)
+            assert outcome(argv) == with_reader, argv
+    assert 100 <= plain <= 300
 
 
 def _imported(argv, cwd):
