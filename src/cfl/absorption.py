@@ -26,9 +26,8 @@ honest lower bounds, and exact packing lives only in the test oracles.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .graphs import (Graph, ParameterError, SelfCheckError, VertexSet,
                      iter_bits, iter_clique_masks, mask_of)
@@ -37,6 +36,9 @@ from .records import Factory, Record
 from .rng import SplitMix64, derive_seed
 from .tiling import (CliqueTiling, _factor_masks, _free_sets, has_factor,
                      verify_tiling)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class AbsorberCertificate(Record):
@@ -313,6 +315,7 @@ def closedness_report(g: Graph, u_set: VertexSet, r: int, t: int,
         counts.append((a, b, len(sets)))
     values = sorted(c for (_, _, c) in counts)
     half = len(values) // 2   # values[~half] is values[half - 1] for an even count
+    from fractions import Fraction
     return ClosednessReport(
         r=r, t=t, variant="inner-closed" if inner else "closed",
         pairs_evaluated=len(pairs), all_pairs=all_pairs,

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from .graphs import ParameterError
 from .records import Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def log_binomial(n: int, k: int) -> float:
@@ -135,6 +137,7 @@ def janson_delta_exact(a_size: int, ell: int, p) -> Fraction:
     Raises ValueError, before summing, when the result's denominator would
     have more decimal digits than Python's int-to-str limit allows: such a
     sum can run for minutes and could not be printed anyway."""
+    from fractions import Fraction
     q = p if isinstance(p, Fraction) else Fraction(p)
     # the limit exists from Python 3.10.7 on; 0 means none
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -188,6 +191,7 @@ def chi_cr(part_sizes: Sequence[int]) -> Fraction:
     if not part_sizes or min(part_sizes) < 1:
         raise ParameterError("parts", "expected one or more positive part "
                              f"sizes, got {list(part_sizes)}")
+    from fractions import Fraction
     k = len(part_sizes)
     if k == 1:
         return Fraction(0)
@@ -203,7 +207,7 @@ def komlos_threshold(part_sizes: Sequence[int]) -> Fraction:
     c = chi_cr(part_sizes)
     if c == 0:
         raise ValueError("degenerate critical chromatic number (single part)")
-    return 1 - Fraction(1) / c
+    return 1 - 1 / c
 
 
 class DegreeThresholds(Record):
@@ -221,6 +225,7 @@ def degree_thresholds(n: int, r: int, ell: int, rho_star) -> DegreeThresholds:
     ParameterError.at_least("ell", ell, 2)
     ParameterError.at_least("r", r, ell + 1)
     ParameterError.at_least("n", n, 1)
+    from fractions import Fraction
     rho = rho_star if isinstance(rho_star, Fraction) else Fraction(rho_star)
     if not 0 <= rho < 1:
         raise ParameterError("rho_star", f"expected a rational in [0, 1), got {rho}")

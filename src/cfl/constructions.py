@@ -21,8 +21,7 @@ sizes so downstream audits use realized, not nominal, parameters.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from . import graphs as gr
 from .graphs import (Graph, ParameterError, SelfCheckError, VertexSet,
@@ -31,6 +30,9 @@ from .invariants import alpha_ell_exact, has_clique_cover
 from .numbers import number, round_half_up
 from .records import Record
 from .rng import derive_seed
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 # -- lower-bound family ----------------------------------------------------
@@ -59,6 +61,7 @@ def build_lower_bound_graph(n: int, r: int, ell: int, eta: Fraction,
     ParameterError.at_least("n", n, 1)
     ParameterError.at_least("ell", ell, 2)
     ParameterError.at_least("r", r, ell + 1)
+    from fractions import Fraction
     r_minus_l = r - ell
     if not 0 < eta < Fraction(r_minus_l, r):
         raise ParameterError(
@@ -178,6 +181,7 @@ class SparseSample(Record):
 
 
 def sparse_gamma_limit(ell: int) -> Fraction:
+    from fractions import Fraction
     return Fraction(ell - 1, ell * ell + 2 * ell)
 
 

@@ -7,8 +7,10 @@ CFL_NODE_BUDGET) it is ASCII text with no '_', which ``int``, ``float`` or
 ``exact_fraction`` then reads (``number``): '-1/3', '1e6' and '+3' are
 numbers, but '٢' and '1_0', which Python's readers take, are not.
 
-``fractions`` is imported where a Fraction is built, so a run that reads
-no rational never loads it (or the ``decimal`` and ``numbers`` it brings).
+Every cfl module imports ``fractions`` inside the function that builds a
+Fraction, and names the type in annotations only, so a run that reads and
+builds no rational never loads it (or the ``decimal`` and ``numbers`` it
+brings).
 """
 
 from __future__ import annotations

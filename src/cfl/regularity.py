@@ -32,13 +32,15 @@ search for them.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .graphs import Graph, ParameterError, SelfCheckError, VertexSet, iter_bits
 from .numbers import decimal_fields, exact_fraction as _as_fraction
 from .records import Record
 from .rng import SplitMix64
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Work bound of an exhaustive check: subsets of X scanned times |Y|.
 _EXHAUSTIVE_WORK = 1 << 19
@@ -61,6 +63,7 @@ def pair_density(g: Graph, x: VertexSet, y: VertexSet) -> Fraction:
     ymask = y.mask
     for v in x:
         edges += (g.adj[v] & ymask).bit_count()
+    from fractions import Fraction
     return Fraction(edges, len(x) * len(y))
 
 
@@ -161,6 +164,7 @@ def _regular_exhaustive(g, x, y, eps):
 def _violation(g, x, y, xs, ys, xmask, ysel, eps, d0, ax, q, edge_count):
     wx = VertexSet.of(g, (xs[i] for i in iter_bits(xmask)))
     wy = VertexSet.of(g, (ys[j] for j in ysel))
+    from fractions import Fraction
     dv = Fraction(edge_count, ax * q)
     # re-verify the witness by direct density computation
     if pair_density(g, wx, wy) != dv:

@@ -7,6 +7,13 @@ rationals serialize as "p/q" strings, graphs as graph6 lines, and keys are
 emitted sorted.  A result record (``records.Record``) becomes an object of
 its fields, in field order, and SHA-256 (``config_hash``) is ``rng``'s.
 
+``dump_report`` writes exactly ``json.dumps(report, sort_keys=True,
+indent=2)`` and a newline, but a report of plain values (``_plain``: dicts
+with str keys, lists, tuples, ints, bools, None, finite floats and
+printable ASCII strings) is written without the ``json`` package, so a run
+loads ``json`` only for a report holding anything else, such as a
+non-ASCII string or a NaN.
+
 Every file cfl writes goes through ``write_text_atomic``: UTF-8 whatever the
 locale, and never rewritten when it already holds the bytes a run would
 write, so a seeded rerun leaves its graph files (inode and mtime included)
@@ -15,11 +22,11 @@ untouched.
 
 from __future__ import annotations
 
-import json
+import math
 import os
 import stat
 import tempfile
-from typing import Any, Dict, Iterable, Mapping
+from typing import Any, Dict, Iterable, List, Mapping
 
 from . import __version__
 from .graphs import Graph, VertexSet, format_graph6
@@ -72,8 +79,70 @@ def build_report(kind: str, seed: int, flat_config: Mapping[str, str],
     }
 
 
+class _Declined(Exception):
+    """A value that ``_plain`` leaves to ``json``."""
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _string(text: str) -> str:
+    if not (text.isascii() and text.isprintable()):
+        raise _Declined
+    # the only printable ASCII characters that json escapes
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _plain(obj: Any, out: List[str], pad: str) -> None:
+    """Append ``obj`` to ``out`` as ``json.dumps(obj, sort_keys=True,
+    indent=2)`` writes it after the line break ``pad``, or raise
+    ``_Declined`` for anything but a dict with str keys, a list or tuple,
+    an int, a bool, None, a finite float or a printable ASCII string."""
+    kind = type(obj)
+    if kind is str:
+        out.append(_string(obj))
+    elif kind is int:
+        out.append(repr(obj))
+    elif obj is None or kind is bool:
+        out.append(_CONSTANTS[obj])
+    elif kind is float:
+        if not math.isfinite(obj):
+            raise _Declined
+        out.append(repr(obj))
+    elif kind is dict or kind is list or kind is tuple:
+        opening, closing = "{}" if kind is dict else "[]"
+        if not obj:
+            out.append(opening + closing)
+            return
+        inner = pad + "  "
+        out.append(opening)
+        sep = inner
+        if kind is dict:
+            if not all(type(key) is str for key in obj):
+                raise _Declined
+            for key in sorted(obj):
+                out.append(sep + _string(key) + ": ")
+                _plain(obj[key], out, inner)
+                sep = "," + inner
+        else:
+            for item in obj:
+                out.append(sep)
+                _plain(item, out, inner)
+                sep = "," + inner
+        out.append(pad + closing)
+    else:
+        raise _Declined
+
+
 def dump_report(report: Mapping) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    out: List[str] = []
+    try:
+        _plain(report, out, "\n")
+    except _Declined:
+        import json
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    out.append("\n")
+    return "".join(out)
 
 
 def write_text_atomic(path: str, text: str) -> None:

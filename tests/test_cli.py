@@ -1,5 +1,6 @@
 """Command-line harness: runs, sweeps, conversion, exit codes, reproducibility."""
 
+import ast
 import contextlib
 import io
 import json
@@ -896,12 +897,12 @@ SOLVERS = {"absorption", "bounds", "constructions", "embedding", "invariants",
 # (``site``) already has: ``dataclasses`` brings ``inspect`` and its
 # compiler modules, ``_hashlib`` is OpenSSL, ``absorb`` needs no
 # ``statistics`` for its one median, a plain command line needs no
-# ``argparse`` (whose first parse loads ``gettext`` and ``locale``) and a
-# plain INI file no ``configparser``
+# ``argparse`` (whose first parse loads ``gettext`` and ``locale``), a
+# plain INI file no ``configparser`` and a report of plain values no ``json``
 START_PATH = ("dataclasses", "inspect", "_hashlib", "statistics", "argparse",
-              "configparser", "gettext", "locale")
+              "configparser", "gettext", "locale", "json")
 # what a run that reads and reports no rational must not load
-RATIONALS = ("fractions", "decimal")
+RATIONALS = ("fractions", "decimal", "numbers")
 
 
 @pytest.mark.parametrize("commands, body, solvers, light", [
@@ -912,13 +913,20 @@ RATIONALS = ("fractions", "decimal")
     (("factor",), "[factor]\ngraph = {graph}\nr = 3\n", {"tiling"}, True),
     (("alpha",), "[alpha]\ngraph = {graph}\nell = 2\n", {"invariants"}, True),
     (("tile",), "[tile]\ngraph = gnp:24,0.28,4\nr = 3\n",
-     {"tiling", "constructions", "invariants"}, False),
+     {"tiling", "constructions", "invariants"}, True),
     (("rtt",), "[rtt]\nn = 7\nr = 7\nell = 2\nalpha_bound = 1\n",
      {"invariants"}, True),
     (("absorb",), "[absorb]\ntask = closedness\ngraph = {graph}\nr = 3\nt = 1\n"
      "pair_budget = 6\n", {"absorption", "tiling"}, False),
+    (("absorb",), "[absorb]\ntask = gadget\nr = 3\n", {"absorption", "tiling"},
+     True),
+    (("drc",), "[drc]\ngraph = petersen\ntarget = 0-4\nwitness = 5-9\nt = 1\n"
+     "r = 2\nm = 1\n", {"bounds", "embedding", "constructions", "invariants"},
+     True),
+    (("bounds",), "[bounds]\nformula = fkg\nn = 20\nell = 2\np = 0.5\n",
+     {"bounds"}, True),
 ], ids=["import", "thresholds", "tile-and-scan", "factor", "alpha", "tile-spec",
-        "rtt", "absorb"])
+        "rtt", "absorb", "absorb-gadget", "drc", "bounds-fkg"])
 def test_a_run_loads_only_its_kinds_solvers(tmp_path, commands, body, solvers,
                                             light):
     """Each handler imports its own solver modules, so ``import cfl.cli``
@@ -928,17 +936,18 @@ def test_a_run_loads_only_its_kinds_solvers(tmp_path, commands, body, solvers,
     neither ``tiling`` nor numpy; no run loads numpy or a thread pool, or
     any of ``START_PATH`` that the bare interpreter had not.  A ``light``
     run reads and reports no rational, so it loads none of ``RATIONALS``
-    that the bare interpreter had not either."""
+    that the bare interpreter had not either.  The harness itself imports
+    nothing beyond ``sys``: it prints its findings with ``repr``."""
     graph = write(tmp_path / "g.el", format_edgelist(random_gnp(24, 0.28, 4)))
     kind = commands[0] if commands else "alpha"
     cfg = write(tmp_path / "k.ini", f"[run]\nkind = {kind}\n"
                 + body.replace("{graph}", graph))
-    code = ("import json, sys\n"
+    code = ("import sys\n"
             f"bare = [m for m in {START_PATH + RATIONALS!r} if m in sys.modules]\n"
             "import cfl.cli\n"
             f"codes = [cfl.cli.main([command, '--config', {cfg!r}, '--out', "
             f"{str(tmp_path)!r}, '--threads', '2']) for command in {commands!r}]\n"
-            "print(json.dumps([codes, sorted(m[4:] for m in sys.modules "
+            "print(repr([codes, sorted(m[4:] for m in sys.modules "
             "if m.startswith('cfl.')), [m for m in ('numpy', 'concurrent.futures') "
             "if m in sys.modules] + [m for m in "
             f"{START_PATH!r} if m in sys.modules and m not in bare], "
@@ -947,7 +956,7 @@ def test_a_run_loads_only_its_kinds_solvers(tmp_path, commands, body, solvers,
     out = subprocess.run([sys.executable, "-c", code],
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
-    codes, modules, heavy, rationals = json.loads(out.stdout.splitlines()[-1])
+    codes, modules, heavy, rationals = ast.literal_eval(out.stdout.splitlines()[-1])
     assert codes == [0] * len(commands)
     assert SOLVERS.intersection(modules) == solvers
     assert heavy == []

@@ -1,13 +1,18 @@
-"""``reports.write_text_atomic``, the one function that writes cfl's files:
-unchanged bytes leave the file alone, anything else replaces it whole, and
-file modes follow the umask or the replaced file."""
+"""``reports.dump_report``, which writes json's text without the json
+package for plain values, and ``reports.write_text_atomic``, the one
+function that writes cfl's files: unchanged bytes leave the file alone,
+anything else replaces it whole, and file modes follow the umask or the
+replaced file."""
 
+import json
+import math
 import os
 import stat
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cfl.reports import write_text_atomic
+from cfl.reports import _Declined, _plain, dump_report, write_text_atomic
 
 OLD_NS = 1_000_000_000_000_000_000
 
@@ -62,3 +67,62 @@ def test_new_files_follow_the_umask_and_replaced_files_keep_their_mode(tmp_path)
     assert stat.S_IMODE(os.stat(fresh).st_mode) == 0o640
     assert stat.S_IMODE(os.stat(kept).st_mode) == 0o604
     assert kept.read_text() == "new\n"
+
+
+def _json(value):
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+# every character json escapes (quote, backslash, controls, DEL and all
+# non-ASCII, astral ones as surrogate pairs) next to ones it leaves alone
+TEXT = (st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e))
+        | st.text(st.sampled_from('a Z~\\"/\x00\x1f\t\n\x7f\x80\xe9\u2028\U0001f600'))
+        | st.text())
+SCALARS = (st.none() | st.booleans() | st.integers()
+           | st.sampled_from([0, 1, -1, 2 ** 64, -2 ** 63 - 1, 10 ** 300])
+           | st.floats()
+           | st.sampled_from([-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf])
+           | TEXT)
+REPORTS = st.recursive(
+    SCALARS, lambda kids: (st.lists(kids, max_size=4)
+                           | st.lists(kids, max_size=4).map(tuple)
+                           | st.dictionaries(TEXT, kids, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(REPORTS)
+@example({"graph6": "H?qa`\\\\", "note": 'say "no"', "n": 9})
+@example({"b": [True, 1, False, 0], "a": {"": [], "z": {}}, "c": ()})
+@example({"slack": math.nan, "low": -math.inf, "high": math.inf, "zero": -0.0})
+@example({"name": "K\u2083-free \u2113", "tab": "a\tb", "del": "\x7f", "emoji": "\U0001f600"})
+def test_dump_report_writes_jsons_text(value):
+    assert dump_report(value) == _json(value)
+
+
+@pytest.mark.parametrize("value, plain", [
+    ({"a": [1, 2.5, -0.0, None, True], "b": ("x", {})}, True),
+    ({"g": 'H?\\"`'}, True),
+    ({"big": -10 ** 200}, True),
+    ({"s": "\x7f"}, False),
+    ({"s": "\n"}, False),
+    ({"s": "\xe9"}, False),
+    ([math.nan], False),
+    ([-math.inf], False),
+    ({1: "int key"}, False),
+])
+def test_the_plain_emitter_declines_only_what_it_cannot_vouch_for(value, plain):
+    """Plain values are written without json; anything else declines to
+    it, and both paths give json's text."""
+    try:
+        _plain(value, [], "\n")
+        took = True
+    except _Declined:
+        took = False
+    assert took == plain
+    assert dump_report(value) == _json(value)
+
+
+def test_a_value_json_cannot_write_raises_jsons_error():
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        dump_report({"a": {1, 2}})
