@@ -114,11 +114,7 @@ def load_graph(cfg: Config, section: str, key: str = "graph",
 
 
 def _vertices(raw: str, field: str, g: Graph) -> VertexSet:
-    vs = parse_vertex_list(raw, field)
-    bad = [v for v in vs if not 0 <= v < g.n]
-    if bad:
-        raise ConfigError(field, f"vertex ids out of range: {bad}")
-    return VertexSet.of(g, vs)
+    return VertexSet.of(g, parse_vertex_list(raw, field, g.n))
 
 
 def _vertex_set(cfg: Config, section: str, key: str, g: Graph) -> VertexSet:
@@ -650,7 +646,13 @@ def cmd_convert(args) -> int:
     formats = ("edgelist", "graph6")
     if args.from_fmt not in formats or args.to_fmt not in formats:
         raise ConfigError("--from/--to", f"formats are {formats}")
-    text = _read_file(args.infile) if args.infile else sys.stdin.read()
+    if args.infile:
+        text = _read_file(args.infile)
+    else:
+        try:
+            text = sys.stdin.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"cannot read stdin: {exc}") from exc
     try:
         g = (graphs.parse_edgelist(text) if args.from_fmt == "edgelist"
              else graphs.parse_graph6(text))

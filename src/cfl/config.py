@@ -7,15 +7,13 @@ offending field path.  A numeric value must be ASCII text with no '_' that
 Python reads as the getter's type (``numbers.number``): ``ell = ٢`` and
 ``ell = 1_0`` are refused like ``ell = x``.
 
-A config is read in one of two ways, with the same result.  A file whose
-every line is blank, a whole-line ``#`` or ``;`` comment, a ``[name]``
-header or a one-line ``key = value`` (or ``key: value``) pair, none of
-them indented, is read by ``_simple_sections``, and configparser is never
-loaded.  Any other file (continuation lines, indented comments, a
-DEFAULT section, a repeated section or key, a key before any header)
-goes to configparser, whose errors are the ``(file)`` config errors.
-Either way a ``Config`` holds plain dicts: its sections in file order,
-each mapping its keys, in file order, to their values.
+A config is plain INI: each line is blank, a whole-line ``#`` or ``;``
+comment, a ``[name]`` header or a one-line ``key = value`` (or ``key:
+value``) pair, none of them indented.  ``_simple_sections`` reads it into
+plain dicts, its sections in file order, each mapping its keys, in file
+order, to their values, as configparser would; any other line
+(continuation, DEFAULT, a repeated section or key, a key before any
+header) is a ``(file)`` config error that names its line.
 """
 
 from __future__ import annotations
@@ -50,8 +48,7 @@ class Config:
 
     @classmethod
     def from_text(cls, text: str) -> "Config":
-        sections = _simple_sections(text)
-        return cls(_parsed_sections(text) if sections is None else sections)
+        return cls(_simple_sections(text))
 
     @classmethod
     def from_path(cls, path: str) -> "Config":
@@ -145,57 +142,43 @@ class Config:
                      "integer list")
 
 
-def _simple_sections(text: str) -> Optional[Dict[str, Dict[str, str]]]:
-    """The sections of ``text`` if each of its lines is blank, a ``#`` or
-    ``;`` comment, a ``[name]`` header or a one-line ``key = value`` (or
-    ``key: value``) pair, none of them indented; else None.  A header
-    names a new section other than DEFAULT (everything between its first
-    and last character, brackets too, as configparser reads it); a pair
-    comes after a header, splits at its first ``=`` or ``:``, and names a
-    key its section does not have yet.  On these lines configparser
-    gives the same sections, keys, order and values."""
+def _simple_sections(text: str) -> Dict[str, Dict[str, str]]:
+    """The sections of plain INI ``text``, or a ``(file)`` ConfigError that
+    names its first other line.  A header names everything between its
+    first and last character, brackets too, and a pair splits at its first
+    ``=`` or ``:``: configparser gives the same sections, keys, order and
+    values."""
     sections: Dict[str, Dict[str, str]] = {}
     keys = None
-    for line in text.split("\n"):     # as configparser's StringIO splits
+    for number, line in enumerate(text.split("\n"), 1):  # as configparser splits
         stripped = line.strip()
         if not stripped or line[0] in "#;":
             continue
-        if line[0].isspace():           # a continuation or indented line
-            return None
-        if line[0] == "[":
+        if line[0].isspace():
+            why = "an indented or continuation line"
+        elif line[0] == "[":
             name = stripped[1:-1]
-            if (stripped[-1] != "]" or not name or name == "DEFAULT"
-                    or name in sections):
-                return None
-            keys = sections[name] = {}
-            continue
-        key, eq, value = stripped.partition("=")
-        if ":" in key or not eq:
-            key, colon, value = stripped.partition(":")
-            if not colon:
-                return None
-        key = key.rstrip()
-        if keys is None or not key or key in keys:
-            return None
-        keys[key] = value.strip()
+            why = ("a header must end with ']'" if stripped[-1] != "]"
+                   else f"section [{name}] repeated" if name in sections
+                   else f"no section may be named {stripped}"
+                   if name in ("", "DEFAULT") else "")
+            if not why:
+                keys = sections[name] = {}
+                continue
+        else:
+            key, eq, value = stripped.partition("=")
+            if ":" in key or not eq:
+                key, eq, value = stripped.partition(":")
+            key = key.rstrip()
+            why = ("expected '[section]' or 'key = value'" if not eq
+                   else "a key before any [section] header" if keys is None
+                   else f"key {key!r} repeated" if key in keys
+                   else "no key" if not key else "")
+            if not why:
+                keys[key] = value.strip()
+                continue
+        raise ConfigError("(file)", f"not parseable as INI: line {number}: {why}")
     return sections
-
-
-def _parsed_sections(text: str) -> Dict[str, Dict[str, str]]:
-    """``text`` read by configparser, which takes the rest of INI
-    (continuation lines, DEFAULT) and names what it refuses."""
-    import configparser
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str  # keys are case-sensitive
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError("(file)", f"not parseable as INI: {exc}") from exc
-    # options(), not items(): a section's own keys first, as configparser
-    # lists them, then those it takes from DEFAULT
-    return {section: {key: parser.get(section, key)
-                      for key in parser.options(section)}
-            for section in parser.sections()}
 
 
 def _read(field: str, raw: str, kind, expected: str):
@@ -214,8 +197,9 @@ def read_int(field: str, raw: str, low: Optional[int] = None) -> int:
     return value
 
 
-def parse_vertex_list(raw: str, field: str) -> List[int]:
-    """Parse '0-4,7,9-11' style vertex lists."""
+def parse_vertex_list(raw: str, field: str, n: int) -> List[int]:
+    """Parse '0-4,7,9-11' style lists of ids below ``n``; a chunk that
+    reaches ``n`` is refused before its range is built."""
     out: List[int] = []
     for chunk in raw.replace(" ", "").split(","):
         if not chunk:
@@ -228,5 +212,8 @@ def parse_vertex_list(raw: str, field: str) -> List[int]:
                                      f"{chunk!r}")
         if b < a:
             raise ConfigError(field, f"descending range {chunk!r}")
+        if b >= n:
+            raise ConfigError(field, f"vertex ids out of range for n={n}: "
+                                     f"{chunk!r}")
         out.extend(range(a, b + 1))
     return out

@@ -8,11 +8,9 @@ emitted sorted.  A result record (``records.Record``) becomes an object of
 its fields, in field order, and SHA-256 (``config_hash``) is ``rng``'s.
 
 ``dump_report`` writes exactly ``json.dumps(report, sort_keys=True,
-indent=2)`` and a newline, but a report of plain values (``_plain``: dicts
-with str keys, lists, tuples, ints, bools, None, finite floats and
-printable ASCII strings) is written without the ``json`` package, so a run
-loads ``json`` only for a report holding anything else, such as a
-non-ASCII string or a NaN.
+indent=2)`` and a newline, or raises json's TypeError, without loading
+``json``.  A printable ASCII string takes two ``str.replace`` calls; any
+other string is escaped character by character, as json escapes it.
 
 Every file cfl writes goes through ``write_text_atomic``: UTF-8 whatever the
 locale, and never rewritten when it already holds the bytes a run would
@@ -26,7 +24,7 @@ import math
 import os
 import stat
 import tempfile
-from typing import Any, Dict, Iterable, List, Mapping
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from . import __version__
 from .graphs import Graph, VertexSet, format_graph6
@@ -79,68 +77,81 @@ def build_report(kind: str, seed: int, flat_config: Mapping[str, str],
     }
 
 
-class _Declined(Exception):
-    """A value that ``_plain`` leaves to ``json``."""
-
-
 _CONSTANTS = {None: "null", True: "true", False: "false"}
+# json's short escapes; any other character outside printable ASCII is \uXXXX
+_SHORT = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+          "\b": "\\b", "\f": "\\f"}
+
+
+def _escape(ch: str) -> str:
+    code = ord(ch)
+    if code > 0xFFFF:                   # a surrogate pair, as json writes it
+        code -= 0x10000
+        return "\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF)
+    return "\\u%04x" % code
 
 
 def _string(text: str) -> str:
-    if not (text.isascii() and text.isprintable()):
-        raise _Declined
-    # the only printable ASCII characters that json escapes
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if text.isascii() and text.isprintable():
+        # the only printable ASCII characters that json escapes
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + "".join(_SHORT.get(ch) or (ch if " " <= ch <= "~" else _escape(ch))
+                         for ch in text) + '"'
 
 
-def _plain(obj: Any, out: List[str], pad: str) -> None:
+def _scalar(obj: Any) -> Optional[str]:
+    """json's text for None, a bool, an int or a float; else None."""
+    if obj is None or obj is True or obj is False:
+        return _CONSTANTS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if not isinstance(obj, float):
+        return None
+    if math.isfinite(obj):
+        return float.__repr__(obj)
+    return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+
+
+def _emit(obj: Any, out: List[str], pad: str) -> None:
     """Append ``obj`` to ``out`` as ``json.dumps(obj, sort_keys=True,
-    indent=2)`` writes it after the line break ``pad``, or raise
-    ``_Declined`` for anything but a dict with str keys, a list or tuple,
-    an int, a bool, None, a finite float or a printable ASCII string."""
-    kind = type(obj)
-    if kind is str:
+    indent=2)`` writes it after the line break ``pad``, or raise json's
+    TypeError for what it cannot write."""
+    if isinstance(obj, str):
         out.append(_string(obj))
-    elif kind is int:
-        out.append(repr(obj))
-    elif obj is None or kind is bool:
-        out.append(_CONSTANTS[obj])
-    elif kind is float:
-        if not math.isfinite(obj):
-            raise _Declined
-        out.append(repr(obj))
-    elif kind is dict or kind is list or kind is tuple:
-        opening, closing = "{}" if kind is dict else "[]"
+    elif isinstance(obj, (list, tuple, dict)):
+        opening, closing = "{}" if isinstance(obj, dict) else "[]"
         if not obj:
             out.append(opening + closing)
             return
         inner = pad + "  "
         out.append(opening)
         sep = inner
-        if kind is dict:
-            if not all(type(key) is str for key in obj):
-                raise _Declined
-            for key in sorted(obj):
-                out.append(sep + _string(key) + ": ")
-                _plain(obj[key], out, inner)
+        if opening == "{":
+            for key, value in sorted(obj.items()):
+                text = key if isinstance(key, str) else _scalar(key)
+                if text is None:
+                    raise TypeError("keys must be str, int, float, bool or "
+                                    f"None, not {key.__class__.__name__}")
+                out.append(sep + _string(text) + ": ")
+                _emit(value, out, inner)
                 sep = "," + inner
         else:
             for item in obj:
                 out.append(sep)
-                _plain(item, out, inner)
+                _emit(item, out, inner)
                 sep = "," + inner
         out.append(pad + closing)
     else:
-        raise _Declined
+        text = _scalar(obj)
+        if text is None:
+            raise TypeError(f"Object of type {obj.__class__.__name__} "
+                            "is not JSON serializable")
+        out.append(text)
 
 
 def dump_report(report: Mapping) -> str:
     out: List[str] = []
-    try:
-        _plain(report, out, "\n")
-    except _Declined:
-        import json
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    _emit(report, out, "\n")
     out.append("\n")
     return "".join(out)
 

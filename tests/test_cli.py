@@ -365,6 +365,8 @@ def test_a_search_past_the_recursion_limit_exits_three(tmp_path, capsys):
      "[drc] target: bad range '1-x'"),
     ("drc", "graph = petersen\ntarget = 0-4\nwitness = 5,y\nt = 1\nr = 2\nm = 1\n",
      "[drc] witness: bad vertex id 'y'"),
+    ("drc", "graph = c5\ntarget = 0-1000000\nwitness = 0-1\nt = 1\nr = 2\nm = 1\n",
+     "[drc] target: vertex ids out of range for n=5: '0-1000000'\n"),
     ("construct", "family = bogus\n",
      "[construct] family: expected lower-bound|cover-threshold|sparse-klfree|spec"),
     ("alpha", "graph = complete:-3\nell = 2\n",
@@ -516,6 +518,20 @@ def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, body,
                                    body.replace("{path}", str(path)))]
     assert run_cli(args) == 3
     assert f"input error: cannot read {path}" in capsys.readouterr().err
+
+
+def test_stdin_that_is_not_utf8_is_an_input_error(tmp_path):
+    # convert from stdin read outside the decode handling --in gets, and
+    # ended in a UnicodeDecodeError traceback with exit 1
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cfl.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cfl.cli", "graph", "convert", "--from",
+         "edgelist", "--to", "graph6"], input=b"3 1\n0 \xff\n", cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8"),
+        capture_output=True, timeout=60)
+    assert proc.returncode == 3
+    assert b"input error: cannot read stdin: " in proc.stderr
+    assert b"Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("command", [
@@ -897,8 +913,8 @@ SOLVERS = {"absorption", "bounds", "constructions", "embedding", "invariants",
 # (``site``) already has: ``dataclasses`` brings ``inspect`` and its
 # compiler modules, ``_hashlib`` is OpenSSL, ``absorb`` needs no
 # ``statistics`` for its one median, a plain command line needs no
-# ``argparse`` (whose first parse loads ``gettext`` and ``locale``), a
-# plain INI file no ``configparser`` and a report of plain values no ``json``
+# ``argparse`` (whose first parse loads ``gettext`` and ``locale``), and
+# no config or report needs ``configparser`` or ``json``, whatever it holds
 START_PATH = ("dataclasses", "inspect", "_hashlib", "statistics", "argparse",
               "configparser", "gettext", "locale", "json")
 # what a run that reads and reports no rational must not load
@@ -925,8 +941,10 @@ RATIONALS = ("fractions", "decimal", "numbers")
      True),
     (("bounds",), "[bounds]\nformula = fkg\nn = 20\nell = 2\np = 0.5\n",
      {"bounds"}, True),
+    (("alpha",), "[alpha]\ngraph = {graph}\nell = 2\nnote = K\u2083-free\t\u2113\n",
+     {"invariants"}, True),
 ], ids=["import", "thresholds", "tile-and-scan", "factor", "alpha", "tile-spec",
-        "rtt", "absorb", "absorb-gadget", "drc", "bounds-fkg"])
+        "rtt", "absorb", "absorb-gadget", "drc", "bounds-fkg", "non-ascii-config"])
 def test_a_run_loads_only_its_kinds_solvers(tmp_path, commands, body, solvers,
                                             light):
     """Each handler imports its own solver modules, so ``import cfl.cli``

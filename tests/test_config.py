@@ -1,13 +1,14 @@
 """Config reading: the plain-INI reader against configparser.
 
-``config._simple_sections`` reads a plain INI file without configparser and
-refuses every other file.  Whatever it reads, configparser must read to the
-same sections, keys, order and values, and a ``Config`` built either way
-must echo and warn the same."""
+``config._simple_sections`` reads a plain INI file and refuses every other
+file with a ``(file)`` config error that names a line.  Whatever it reads,
+configparser must read to the same sections, keys, order and values, and a
+``Config`` must echo and warn as configparser lists the file."""
 
 import configparser
 import os
 import random
+import re
 
 import pytest
 
@@ -82,28 +83,27 @@ def _ordered(sections):
 def test_the_plain_reader_reads_what_configparser_reads():
     """On seeded texts with odd whitespace, a BOM, continuation lines,
     indented comments, DEFAULT, repeated sections and keys, ':' pairs,
-    '[a] = b', keys before any header and '= v': the plain reader refuses
-    the text or reads configparser's sections, keys, order and values, and
+    '[a] = b', keys before any header and '= v': the plain reader reads
+    configparser's sections, keys, order and values, and
     ``Config.from_text`` echoes and warns as configparser lists the file
     (``flat`` is ``items`` per section, ``unread_keys`` is ``options`` per
-    section), or raises a ``(file)`` config error where configparser
-    refuses the text."""
+    section), or it raises a ``(file)`` config error that names a line."""
     read = refused = 0
     for text in _texts(3402, 4000):
-        fast = config._simple_sections(text)
         parser = _configparser(text)
-        if fast is not None:
-            read += 1
-            assert parser is not None, repr(text)
-            assert _ordered(fast) == [(s, parser.items(s))
-                                      for s in parser.sections()], repr(text)
-        else:
+        try:
+            fast = config._simple_sections(text)
+        except ConfigError as exc:
             refused += 1
-        if parser is None:
-            with pytest.raises(ConfigError) as exc:
+            assert exc.field == "(file)", repr(text)
+            assert re.search(r"not parseable as INI: line \d+: ", str(exc))
+            with pytest.raises(ConfigError, match=re.escape(str(exc))):
                 Config.from_text(text)
-            assert exc.value.field == "(file)"
             continue
+        read += 1
+        assert parser is not None, repr(text)
+        assert _ordered(fast) == [(s, parser.items(s))
+                                  for s in parser.sections()], repr(text)
         cfg = Config.from_text(text)
         assert cfg.flat() == {f"{s}.{k}": v for s in parser.sections()
                               for k, v in parser.items(s)}
@@ -128,17 +128,15 @@ def test_every_golden_config_is_plain_and_reads_as_before(name):
                                  for k in parser.options(s)]
 
 
-def test_a_default_section_warns_in_configparsers_option_order():
-    """With a DEFAULT section a section lists its own keys first, then the
-    ones it takes from DEFAULT, in the unread-key warnings as before."""
+def test_a_default_section_is_refused_at_its_line():
+    """A DEFAULT section, which configparser would merge into every other
+    section, is refused at its header."""
     text = "[DEFAULT]\nshared = 1\n[run]\nkind = alpha\nown = 2\n"
-    assert config._simple_sections(text) is None
-    cfg = Config.from_text(text)
-    assert cfg.unread_keys() == [("run", "kind"), ("run", "own"),
-                                 ("run", "shared")]
-    assert cfg.get_int("run", "shared") == 1
-    assert cfg.scan_point("run", "seed", "3").flat() == {
-        "run.kind": "alpha", "run.own": "2", "run.shared": "1", "run.seed": "3"}
+    with pytest.raises(ConfigError) as exc:
+        Config.from_text(text)
+    assert exc.value.field == "(file)"
+    assert str(exc.value) == ("(file): not parseable as INI: line 1: no "
+                              "section may be named [DEFAULT]")
 
 
 @pytest.mark.parametrize("text, sections", [
@@ -152,3 +150,14 @@ def test_the_plain_reader_strips_what_configparser_strips(text, sections):
     assert config._simple_sections(text) == sections
     parser = _configparser(text)
     assert {s: dict(parser.items(s)) for s in parser.sections()} == sections
+
+
+def test_a_vertex_range_past_n_is_refused_before_it_is_built():
+    """A range that reaches ``n`` is refused by its text: ``0-10**12`` once
+    asked for a list of 10**12 ids before any was checked."""
+    with pytest.raises(ConfigError, match=r"\[drc\] target: vertex ids out "
+                       r"of range for n=5: '0-1000000000000'"):
+        config.parse_vertex_list("1,0-1000000000000", "[drc] target", 5)
+    with pytest.raises(ConfigError, match="for n=5: '5'"):
+        config.parse_vertex_list("0-4,5", "[drc] target", 5)
+    assert config.parse_vertex_list("4, 0-2,3", "[drc] target", 5) == [4, 0, 1, 2, 3]

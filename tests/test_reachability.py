@@ -134,9 +134,11 @@ def test_every_definition_is_reached_from_the_command_line():
     assert not unreached, f"no cfl kind reaches {', '.join(unreached)}"
 
 
-def _test_only_imports(package: _Package) -> List[str]:
-    """``module: name`` for each import of a ``TEST_ONLY`` module anywhere
-    in the package, function-level imports included."""
+def _imports_of(package: _Package,
+                banned: Iterable[str] = TEST_ONLY) -> List[str]:
+    """``module: name`` for each import of a ``banned`` (by default
+    ``TEST_ONLY``) module anywhere in the package, function-level imports
+    included."""
     found = []
     for module, tree in sorted(package.trees.items()):
         for node in ast.walk(tree):
@@ -147,13 +149,20 @@ def _test_only_imports(package: _Package) -> List[str]:
             else:
                 continue
             found += [f"{module}: {name}" for name in names
-                      if name.split(".")[0] in TEST_ONLY]
+                      if name.split(".")[0] in banned]
     return found
 
 
 def test_no_module_imports_test_only_code():
-    found = _test_only_imports(_Package(SRC))
+    found = _imports_of(_Package(SRC))
     assert not found, f"src/cfl imports test-only code: {', '.join(found)}"
+
+
+def test_no_module_imports_json_or_configparser():
+    """Configs are read by ``config._simple_sections`` and reports written by
+    ``reports.dump_report`` alone, whatever they hold."""
+    found = _imports_of(_Package(SRC), {"json", "configparser"})
+    assert not found, f"src/cfl imports {', '.join(found)}"
 
 
 def _runtime_errors(package: _Package) -> List[str]:
@@ -277,7 +286,7 @@ def test_the_import_guard_finds_a_test_only_import(tmp_path):
                    "    def go(self):\n"
                    "        import numpy.linalg\n"
                    "        return 0\n")
-    assert _test_only_imports(package) == ["lib: support", "lib: numpy.linalg"]
+    assert _imports_of(package) == ["lib: support", "lib: numpy.linalg"]
 
 
 def test_the_defect_guard_finds_every_runtime_error_subclass(tmp_path):

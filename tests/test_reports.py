@@ -1,5 +1,5 @@
 """``reports.dump_report``, which writes json's text without the json
-package for plain values, and ``reports.write_text_atomic``, the one
+package, and ``reports.write_text_atomic``, the one
 function that writes cfl's files: unchanged bytes leave the file alone,
 anything else replaces it whole, and file modes follow the umask or the
 replaced file."""
@@ -12,7 +12,7 @@ import stat
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cfl.reports import _Declined, _plain, dump_report, write_text_atomic
+from cfl.reports import dump_report, write_text_atomic
 
 OLD_NS = 1_000_000_000_000_000_000
 
@@ -100,26 +100,35 @@ def test_dump_report_writes_jsons_text(value):
     assert dump_report(value) == _json(value)
 
 
-@pytest.mark.parametrize("value, plain", [
-    ({"a": [1, 2.5, -0.0, None, True], "b": ("x", {})}, True),
-    ({"g": 'H?\\"`'}, True),
-    ({"big": -10 ** 200}, True),
-    ({"s": "\x7f"}, False),
-    ({"s": "\n"}, False),
-    ({"s": "\xe9"}, False),
-    ([math.nan], False),
-    ([-math.inf], False),
-    ({1: "int key"}, False),
+class _Int(int):
+    def __repr__(self):
+        return "not json"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not json"
+
+
+@pytest.mark.parametrize("value", [
+    {"a": [1, 2.5, -0.0, None, True], "b": ("x", {})},
+    {"g": 'H?\\"`'},
+    {"big": -10 ** 200},
+    {"s": "\x7f"},
+    {"s": "\n"},
+    {"s": "\xe9"},
+    [math.nan],
+    [-math.inf],
+    {1: "int key"},
+    {1.5: "float", True: "bool", -3: "int", math.inf: "inf"},
+    {None: "null key"},
+    {"astral": "\U0001f600\x00\b\f"},
+    {_Int(7): [_Int(3), _Float(0.5)]},
 ])
-def test_the_plain_emitter_declines_only_what_it_cannot_vouch_for(value, plain):
-    """Plain values are written without json; anything else declines to
-    it, and both paths give json's text."""
-    try:
-        _plain(value, [], "\n")
-        took = True
-    except _Declined:
-        took = False
-    assert took == plain
+def test_dump_report_writes_jsons_text_for_each_kind_of_value(value):
+    """Plain values, escaped characters, non-finite floats, keys that are
+    not strings and number subclasses: each is written as json writes
+    it."""
     assert dump_report(value) == _json(value)
 
 
