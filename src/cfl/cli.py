@@ -6,13 +6,14 @@ Grammar::
     cfl scan   --config PATH [--out DIR] [--seed N] [--threads N]
     cfl graph convert --from FMT --to FMT [--in PATH] [--out PATH]
 
-A run or scan command line of the plain shape (each option spelled out
-and followed by its value, ``--config`` given, and no value that starts
-with '-') is read by ``_simple_args`` without loading argparse.  Every
-other command line (``graph convert``, ``--help``, an abbreviated option,
-``--opt=value``, a missing or bad value) goes to the argparse parser of
-``build_parser``, so help, usage and usage errors are argparse's, and the
-two readers give the same arguments wherever both read a command line.
+``parse_args`` reads every command line.  Each option is spelled out and
+followed by its value; a repeated option keeps its last value.  A value
+may start with '-' only where argparse would take it as a value ('-'
+alone or a negative number, so ``--seed -1`` works).  ``-h`` or
+``--help`` anywhere prints ``USAGE`` (this grammar) on stdout and exits 0;
+any other line outside the grammar (an abbreviated option, ``--opt=value``,
+``--``, a missing or bad value) prints ``USAGE`` and ``cfl: error: <why>``
+on stderr and exits 2.
 
 Kinds: construct, alpha, tile, factor, cover, regcheck, drc, embed, absorb,
 rtt, thresholds, bounds.  Exit codes: 0 success, 2 config error, 3 input
@@ -49,13 +50,11 @@ sampled beyond it, and says which.
 A process (``python -m cfl.cli`` or the ``cfl`` script) runs ``entry``:
 when ``main`` returns its code, ``entry`` flushes stdout and stderr and ends
 the process with ``os._exit``, skipping interpreter teardown, so no atexit
-handler runs after ``main``.  An uncaught exception still propagates, with
-its traceback and exit 1, and argparse's exits (``--help``, usage errors;
-only a command line that ``_simple_args`` refuses reaches them) still end
-the process normally.  ``main`` flushes stdout itself, so a closed stdout
-pipe is an input error (exit 3) in process too; it never ends the
-process, so callers in one process, such as the tests, can call it
-repeatedly.
+handler runs after ``main``, help and usage errors included.  Only an
+uncaught exception still ends the process normally, with its traceback
+and exit 1.  ``main`` flushes stdout itself, so a closed stdout pipe is an
+input error (exit 3) in process too; it never ends the process, so
+callers in one process, such as the tests, can call it repeatedly.
 """
 
 from __future__ import annotations
@@ -65,16 +64,13 @@ import os
 import sys
 import time
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from . import graphs, reports
 from .config import Config, ConfigError, parse_vertex_list, read_int
 from .graphs import Graph, GraphFormatError, ParameterError, VertexSet
 from .numbers import exact_fraction, number
 from .rng import sha256
-
-if TYPE_CHECKING:
-    import argparse
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -145,13 +141,6 @@ def _node_budget(cfg: Config) -> Optional[int]:
     if cfg.has("run", "node_budget"):
         return cfg.get_int("run", "node_budget", low=0)
     return None
-
-
-def _int_option(text: str) -> int:
-    return number(text)
-
-
-_int_option.__name__ = "int"    # so argparse still says "invalid int value"
 
 
 # -- kind handlers: (config, seed, node_cap, outdir) -> (result, flags) ------
@@ -526,8 +515,6 @@ HANDLERS = {
     "thresholds": run_thresholds,
     "bounds": run_bounds,
 }
-KINDS = tuple(HANDLERS)
-COMMANDS = KINDS + ("scan", "graph")
 
 
 def _execute(kind: str, cfg: Config, seed: int, outdir: Optional[str]) -> dict:
@@ -667,79 +654,83 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The ``cfl`` parser, for every command line that ``_simple_args``
-    does not take: ``graph convert``, help and usage errors."""
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="cfl",
-        description="clique-factor laboratory: config-driven experiments "
-                    "with reproducible JSON reports")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        if name == "graph":
-            graph_p = sub.add_parser("graph", help="graph file utilities")
-            graph_sub = graph_p.add_subparsers(dest="graph_command", required=True)
-            conv = graph_sub.add_parser("convert", help="convert between formats")
-            conv.add_argument("--from", dest="from_fmt", required=True)
-            conv.add_argument("--to", dest="to_fmt", required=True)
-            conv.add_argument("--in", dest="infile", default=None)
-            conv.add_argument("--out", dest="outfile", default=None)
-            continue
-        p = sub.add_parser(name, help="sweep one parameter" if name == "scan"
-                           else f"run a {name} experiment")
-        p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--out", default=None, help="report directory")
-        p.add_argument("--seed", type=_int_option, default=None,
-                       help="override the config seed")
-        p.add_argument("--threads", type=_int_option, default=1,
-                       help="ignored; kept so older command lines still "
-                            "parse (scan points run in sequence)")
-    return parser
+class UsageError(Exception):
+    """A command line outside the grammar (exit 2)."""
 
 
-_OPTIONS = ("--config", "--out", "--seed", "--threads")
+USAGE = """\
+usage: cfl <kind> --config PATH [--out DIR] [--seed N] [--threads N]
+       cfl scan   --config PATH [--out DIR] [--seed N] [--threads N]
+       cfl graph convert --from FMT --to FMT [--in PATH] [--out PATH]
+kinds: """ + ", ".join(HANDLERS) + "\n"
+
+# each command's options, mapped to their attributes
+_RUN_OPTIONS = {"--config": "config", "--out": "out", "--seed": "seed",
+                "--threads": "threads"}
+_CONVERT_OPTIONS = {"--from": "from_fmt", "--to": "to_fmt", "--in": "infile",
+                    "--out": "outfile"}
 
 
-def _simple_args(argv: List[str]) -> Optional[SimpleNamespace]:
-    """What ``build_parser().parse_args(argv)`` returns when ``argv`` is a
-    kind or ``scan`` followed by pairs of an option from ``_OPTIONS``,
-    spelled out, and a value that does not start with '-', with
-    ``--config`` among them and every ``--seed`` and ``--threads`` value a
-    number; else None.  A repeated option keeps its last value."""
-    if len(argv) % 2 == 0 or (argv[0] not in HANDLERS and argv[0] != "scan"):
-        return None
-    args = {"config": None, "out": None, "seed": None, "threads": 1}
-    for name, value in zip(argv[1::2], argv[2::2]):
-        if name not in _OPTIONS or value.startswith("-"):
-            return None
+def _is_option(token: str) -> bool:
+    """argparse's rule: a token that starts with '-' is an option unless it
+    is '-' alone, a negative number or holds a space."""
+    if token[:1] != "-" or len(token) == 1 or " " in token:
+        return False
+    import re
+    return not re.match(r"^-\d+$|^-\d*\.\d+$", token)
+
+
+def parse_args(argv: List[str]) -> SimpleNamespace:
+    """``argv``'s arguments, named as argparse named them, or a UsageError
+    that says why ``argv`` is outside the grammar."""
+    if argv[:2] == ["graph", "convert"]:
+        options, required, rest = _CONVERT_OPTIONS, ("--from", "--to"), argv[2:]
+        fixed = {"command": "graph", "graph_command": "convert"}
+    elif argv[:1] and (argv[0] in HANDLERS or argv[0] == "scan"):
+        options, required, rest = _RUN_OPTIONS, ("--config",), argv[1:]
+        fixed = {"command": argv[0], "threads": 1}
+    else:
+        command = " ".join(argv[:2] if argv[:1] == ["graph"] else argv[:1])
+        raise UsageError(f"unknown command {command!r}" if argv
+                         else "a command is required")
+    args = {**dict.fromkeys(options.values()), **fixed}
+    for name, value in zip(rest[::2], rest[1::2] + [None]):
+        if name not in options:
+            raise UsageError(f"unrecognized argument {name!r}")
+        if value is None or _is_option(value):
+            raise UsageError(f"argument {name}: expected one argument")
         if name in ("--seed", "--threads"):
             try:
-                value = _int_option(value)
+                value = number(value)
             except ValueError:
-                return None
-        args[name[2:]] = value
-    if args["config"] is None:
-        return None
-    return SimpleNamespace(command=argv[0], **args)
+                raise UsageError(f"argument {name}: invalid int value: "
+                                 f"{value!r}") from None
+        args[options[name]] = value
+    missing = [name for name in required if args[options[name]] is None]
+    if missing:
+        raise UsageError("the following arguments are required: "
+                         + ", ".join(missing))
+    return SimpleNamespace(**args)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _simple_args(argv)
-    if args is None:        # help, usage errors and graph convert
-        args = build_parser().parse_args(argv)
     try:
-        if args.command == "graph":
-            code = cmd_convert(args)
-        elif args.command == "scan":
-            code = cmd_scan(args)
+        if "-h" in argv or "--help" in argv:
+            sys.stdout.write(USAGE)
+            code = EXIT_OK
         else:
-            code = cmd_run(args.command, args)
+            args = parse_args(argv)
+            code = (cmd_convert(args) if args.command == "graph"
+                    else cmd_scan(args) if args.command == "scan"
+                    else cmd_run(args.command, args))
         # a closed stdout fails here, as an input error, whether or not
         # the stream is buffered
         sys.stdout.flush()
         return code
+    except UsageError as exc:
+        sys.stderr.write(f"{USAGE}cfl: error: {exc}\n")
+        return EXIT_CONFIG
     except (ConfigError, InputError, OSError) as exc:
         return _user_error(exc)
 

@@ -198,8 +198,8 @@ def read_int(field: str, raw: str, low: Optional[int] = None) -> int:
 
 
 def parse_vertex_list(raw: str, field: str, n: int) -> List[int]:
-    """Parse '0-4,7,9-11' style lists of ids below ``n``; a chunk that
-    reaches ``n`` is refused before its range is built."""
+    """Parse '0-4,7,9-11' style lists of distinct ids below ``n``; a chunk
+    that reaches ``n`` is refused before its range is built."""
     out: List[int] = []
     for chunk in raw.replace(" ", "").split(","):
         if not chunk:
@@ -216,4 +216,6 @@ def parse_vertex_list(raw: str, field: str, n: int) -> List[int]:
             raise ConfigError(field, f"vertex ids out of range for n={n}: "
                                      f"{chunk!r}")
         out.extend(range(a, b + 1))
+    if len(set(out)) < len(out):
+        raise ConfigError(field, f"vertex id repeated in {raw!r}")
     return out

@@ -33,6 +33,11 @@ filter as it was before it found the dropped candidates in one pass: one
 K_{ell-2} test per candidate.  The filter's equivalence test holds
 ``invariants._feasible_candidates`` to it.
 
+``reference_parser`` is the argparse parser that read ``cfl`` command
+lines before ``cli.parse_args`` became the only reader.  The reader's
+equivalence test holds ``parse_args`` to it on every command line it takes
+without an abbreviated option, ``--opt=value`` or ``--``.
+
 ``replace`` copies a result record with some fields changed, as
 ``dataclasses.replace`` did for dataclasses; the certificate-tampering
 tests use it.  No ``cfl`` code needs it.
@@ -50,7 +55,8 @@ from cfl.graphs import (MAX_EDGELIST_N, DuplicateEdgeError, EdgeSyntaxError,
                         Graph, Graph6Error, HeaderError, LoopError,
                         VertexRangeError, VertexSet, _first_clique, iter_bits,
                         iter_clique_masks)
-from cfl.numbers import decimal_fields, exact_fraction
+from cfl.cli import HANDLERS
+from cfl.numbers import decimal_fields, exact_fraction, number
 from cfl.regularity import SuperRegularVerdict, is_super_regular, pair_density
 from cfl.rng import _GOLDEN, _MASK, SplitMix64
 
@@ -299,3 +305,30 @@ def reference_format_graph6(g: Graph) -> str:
     bits <<= need * 6 - nbits
     body = "".join(chr(((bits >> (6 * (need - 1 - i))) & 63) + 63) for i in range(need))
     return head + body
+
+
+def reference_parser():
+    """The ``cfl`` command-line grammar as an argparse parser."""
+    import argparse
+
+    def int_option(text):
+        return number(text)
+
+    int_option.__name__ = "int"     # so argparse says "invalid int value"
+    parser = argparse.ArgumentParser(prog="cfl")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in (*HANDLERS, "scan", "graph"):
+        p = sub.add_parser(name)
+        if name == "graph":
+            graph_sub = p.add_subparsers(dest="graph_command", required=True)
+            conv = graph_sub.add_parser("convert")
+            conv.add_argument("--from", dest="from_fmt", required=True)
+            conv.add_argument("--to", dest="to_fmt", required=True)
+            conv.add_argument("--in", dest="infile", default=None)
+            conv.add_argument("--out", dest="outfile", default=None)
+            continue
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", default=None)
+        p.add_argument("--seed", type=int_option, default=None)
+        p.add_argument("--threads", type=int_option, default=1)
+    return parser

@@ -6,8 +6,6 @@ import io
 import json
 import os
 import random
-import re
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -17,14 +15,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cfl
-from cfl.cli import build_parser, main
+from cfl.cli import USAGE, main, parse_args
 from cfl.config import Config, ConfigError
 from cfl.graphs import (MAX_EDGELIST_N, VertexSet, cycle_graph,
                         format_edgelist, format_graph6, parse_graph,
                         random_gnp)
 from cfl.regularity import exhaustive_fits, pair_density
 
-from support import strip_timings
+from support import reference_parser, strip_timings
 
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -367,6 +365,8 @@ def test_a_search_past_the_recursion_limit_exits_three(tmp_path, capsys):
      "[drc] witness: bad vertex id 'y'"),
     ("drc", "graph = c5\ntarget = 0-1000000\nwitness = 0-1\nt = 1\nr = 2\nm = 1\n",
      "[drc] target: vertex ids out of range for n=5: '0-1000000'\n"),
+    ("drc", "graph = petersen\ntarget = 0-4,2,2\nwitness = 5-9\nt = 1\nr = 2\n"
+     "m = 1\n", "config error: [drc] target: vertex id repeated in '0-4,2,2'\n"),
     ("construct", "family = bogus\n",
      "[construct] family: expected lower-bound|cover-threshold|sparse-klfree|spec"),
     ("alpha", "graph = complete:-3\nell = 2\n",
@@ -671,11 +671,7 @@ def test_every_number_is_ascii_without_separators(tmp_path, capsys, monkeypatch,
         monkeypatch.setenv("CFL_NODE_BUDGET", env)
     part = write(tmp_path / "part.txt", "3 3 0\n0 1 2\n3 4 5\n6 7 8\n")
     cfg = write(tmp_path / "n.ini", body.replace("{part}", part))
-    try:
-        code = run_cli([kind, "--config", cfg] + args)
-    except SystemExit as exc:       # argparse refuses a bad option itself
-        code = exc.code
-    assert code == 2
+    assert run_cli([kind, "--config", cfg] + args) == 2
     assert message in capsys.readouterr().err
 
 
@@ -912,9 +908,9 @@ SOLVERS = {"absorption", "bounds", "constructions", "embedding", "invariants",
 # what a cfl process must not load unless the interpreter's own start
 # (``site``) already has: ``dataclasses`` brings ``inspect`` and its
 # compiler modules, ``_hashlib`` is OpenSSL, ``absorb`` needs no
-# ``statistics`` for its one median, a plain command line needs no
-# ``argparse`` (whose first parse loads ``gettext`` and ``locale``), and
-# no config or report needs ``configparser`` or ``json``, whatever it holds
+# ``statistics`` for its one median, no command line needs ``argparse``
+# (whose first parse loads ``gettext`` and ``locale``), and no config or
+# report needs ``configparser`` or ``json``, whatever it holds
 START_PATH = ("dataclasses", "inspect", "_hashlib", "statistics", "argparse",
               "configparser", "gettext", "locale", "json")
 # what a run that reads and reports no rational must not load
@@ -943,16 +939,19 @@ RATIONALS = ("fractions", "decimal", "numbers")
      {"bounds"}, True),
     (("alpha",), "[alpha]\ngraph = {graph}\nell = 2\nnote = K\u2083-free\t\u2113\n",
      {"invariants"}, True),
+    (("graph",), "", set(), True),
 ], ids=["import", "thresholds", "tile-and-scan", "factor", "alpha", "tile-spec",
-        "rtt", "absorb", "absorb-gadget", "drc", "bounds-fkg", "non-ascii-config"])
+        "rtt", "absorb", "absorb-gadget", "drc", "bounds-fkg", "non-ascii-config",
+        "graph-convert"])
 def test_a_run_loads_only_its_kinds_solvers(tmp_path, commands, body, solvers,
                                             light):
     """Each handler imports its own solver modules, so ``import cfl.cli``
     loads none of them and a run loads only its kind's; a generator spec
     adds ``constructions`` and the ``invariants`` it imports.  The n <= 7
     rtt oracle works on Python ints, so even its full n = 7 scan loads
-    neither ``tiling`` nor numpy; no run loads numpy or a thread pool, or
-    any of ``START_PATH`` that the bare interpreter had not.  A ``light``
+    neither ``tiling`` nor numpy; no run, and no ``graph convert``, loads
+    numpy or a thread pool, or any of ``START_PATH`` that the bare
+    interpreter had not.  A ``light``
     run reads and reports no rational, so it loads none of ``RATIONALS``
     that the bare interpreter had not either.  The harness itself imports
     nothing beyond ``sys``: it prints its findings with ``repr``."""
@@ -960,11 +959,15 @@ def test_a_run_loads_only_its_kinds_solvers(tmp_path, commands, body, solvers,
     kind = commands[0] if commands else "alpha"
     cfg = write(tmp_path / "k.ini", f"[run]\nkind = {kind}\n"
                 + body.replace("{graph}", graph))
+    argvs = [["graph", "convert", "--from", "edgelist", "--to", "graph6",
+              "--in", graph, "--out", str(tmp_path / "g.g6")]
+             if command == "graph" else
+             [command, "--config", cfg, "--out", str(tmp_path), "--threads", "2"]
+             for command in commands]
     code = ("import sys\n"
             f"bare = [m for m in {START_PATH + RATIONALS!r} if m in sys.modules]\n"
             "import cfl.cli\n"
-            f"codes = [cfl.cli.main([command, '--config', {cfg!r}, '--out', "
-            f"{str(tmp_path)!r}, '--threads', '2']) for command in {commands!r}]\n"
+            f"codes = [cfl.cli.main(argv) for argv in {argvs!r}]\n"
             "print(repr([codes, sorted(m[4:] for m in sys.modules "
             "if m.startswith('cfl.')), [m for m in ('numpy', 'concurrent.futures') "
             "if m in sys.modules] + [m for m in "
@@ -982,32 +985,27 @@ def test_a_run_loads_only_its_kinds_solvers(tmp_path, commands, body, solvers,
         assert rationals == []
 
 
-@pytest.mark.parametrize("argv, code, head", [
-    (["--help"], 0, "usage: cfl [-h]\n"),
-    (["alpha", "--config", "a.ini", "--seed", "x"], 2,
-     "usage: cfl alpha [-h] --config CONFIG [--out OUT] [--seed SEED]\n"),
+_BAD_SEED = "cfl: error: argument --seed: invalid int value: 'x'\n"
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", [
+    (["--help"], 0, USAGE, ""),
+    (["alpha", "--config", "a.ini", "--seed", "x"], 2, "", USAGE + _BAD_SEED),
 ], ids=["help", "bad-seed"])
-def test_help_and_usage_errors_are_argparses_in_a_process(tmp_path, monkeypatch,
-                                                          argv, code, head):
-    """A command line that the plain reader refuses goes to argparse: the
-    process prints exactly what the full parser prints and exits with its
-    code."""
-    monkeypatch.setenv("COLUMNS", "80")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(argv)
-    assert exc.value.code == code
+def test_help_and_usage_errors_in_a_process(tmp_path, argv, code, stdout,
+                                            stderr):
+    """Help is the grammar on stdout, exit 0; a usage error is the grammar
+    and one ``cfl: error:`` line on stderr, exit 2."""
+    assert USAGE.startswith(
+        "usage: cfl <kind> --config PATH [--out DIR] [--seed N] [--threads N]\n"
+        "       cfl scan   --config PATH [--out DIR] [--seed N] [--threads N]\n"
+        "       cfl graph convert --from FMT --to FMT [--in PATH] [--out PATH]\n"
+        "kinds: construct, alpha, tile, factor, cover, regcheck, drc, embed, ")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cfl.__file__)))
     proc = subprocess.run([sys.executable, "-m", "cfl.cli", *argv], cwd=tmp_path,
-                          env=dict(os.environ, PYTHONPATH=src, COLUMNS="80"),
+                          env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == \
-        (code, out.getvalue(), err.getvalue())
-    assert (proc.stdout or proc.stderr).startswith(head)
-    if code == 2:
-        assert proc.stderr.endswith(
-            "cfl alpha: error: argument --seed: invalid int value: 'x'\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
 
 
 # the rows that once pinned the pruned parser to the full tree, then a seeded
@@ -1070,55 +1068,41 @@ def _argv_corpus(seed, count):
     return corpus
 
 
-def test_the_plain_reader_agrees_with_argparse(tmp_path, capsys, monkeypatch):
-    """``_simple_args`` either refuses a command line or returns exactly the
-    attributes of ``build_parser().parse_args``; and through ``main`` every
-    command line prints the same stdout and stderr and ends with the same
-    code as with argparse alone."""
-    from cfl import cli
+def _argparse_only(argv):
+    """Whether ``argv`` holds ``--``, an ``--opt=value`` or an abbreviated
+    option: forms that argparse took and ``parse_args`` refuses."""
+    names = ("--config", "--out", "--seed", "--threads", "--from", "--to",
+             "--in", "--help")
+    return any(token == "--" or token.startswith("-") and "=" in token
+               or token.startswith("--") and token not in names
+               and any(name.startswith(token) for name in names)
+               for token in argv)
 
+
+def test_the_reader_agrees_with_argparse(tmp_path, capsys, monkeypatch):
+    """On every command line that the argparse reference takes, bar the
+    forms that only argparse reads, ``parse_args`` returns exactly its
+    attributes; through ``main`` every other command line prints the help
+    text on stdout and exits 0, or prints nothing on stdout and a usage
+    error on stderr and exits 2."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("CFL_NODE_BUDGET", raising=False)
-    paths = {
-        "CFG": write(tmp_path / "t.ini", "[run]\nkind = thresholds\n"
-                     "[thresholds]\nparts = 2, 3, 3\n"),
-        "SCAN": write(tmp_path / "s.ini", "[run]\nkind = thresholds\n"
-                      "[thresholds]\nr = 4\nell = 2\n"
-                      "[scan]\nparam = thresholds.r\nvalues = 3, 4\n"),
-        "GRAPH": write(tmp_path / "g.el", "3 2\n0 1\n1 2\n"),
-        "OUT": str(tmp_path / "out"), "MISSING": str(tmp_path / "none.ini"),
-    }
-
-    def real(token):
-        for name, path in paths.items():
-            token = token.replace(name, path)
-        return token
-
-    def outcome(argv):
-        for stale in ("out", "cfl-scan-out"):   # every write is a fresh file
-            shutil.rmtree(tmp_path / stale, ignore_errors=True)
-        monkeypatch.setattr(sys, "stdin", io.StringIO("3 1\n0 2\n"))
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = ("exit", exc.code)
-        out, err = capsys.readouterr()
-        return code, re.sub(r'"total_s": [0-9.e-]+', "", out), err
-
-    plain = 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO("3 1\n0 2\n"))
+    taken = 0
     for argv in _argv_corpus(3401, 400):
-        argv = [real(token) for token in argv]
-        fast = cli._simple_args(argv)
-        if fast is not None:
-            plain += 1
-            assert vars(fast) == vars(build_parser().parse_args(argv)), argv
-            assert capsys.readouterr() == ("", "")
-        with_reader = outcome(argv)
-        with monkeypatch.context() as m:
-            m.setattr(cli, "_simple_args", lambda argv: None)
-            assert outcome(argv) == with_reader, argv
-    assert 100 <= plain <= 300
+        try:
+            expected = vars(reference_parser().parse_args(argv))
+        except SystemExit:
+            expected = None
+        capsys.readouterr()
+        if expected is not None and not _argparse_only(argv):
+            taken += 1
+            assert vars(parse_args(argv)) == expected, argv
+            continue
+        code, (out, err) = main(list(argv)), capsys.readouterr()
+        assert ((code, out, err) == (0, USAGE, "")
+                or (code, out) == (2, "")
+                and err.startswith(USAGE + "cfl: error: ")), argv
+    assert 100 <= taken <= 300
 
 
 def _imported(argv, cwd):

@@ -158,10 +158,11 @@ def test_no_module_imports_test_only_code():
     assert not found, f"src/cfl imports test-only code: {', '.join(found)}"
 
 
-def test_no_module_imports_json_or_configparser():
-    """Configs are read by ``config._simple_sections`` and reports written by
-    ``reports.dump_report`` alone, whatever they hold."""
-    found = _imports_of(_Package(SRC), {"json", "configparser"})
+def test_no_module_imports_json_configparser_or_argparse():
+    """Configs are read by ``config._simple_sections``, reports written by
+    ``reports.dump_report`` and command lines read by ``cli.parse_args``
+    alone, whatever they hold."""
+    found = _imports_of(_Package(SRC), {"json", "configparser", "argparse"})
     assert not found, f"src/cfl imports {', '.join(found)}"
 
 
