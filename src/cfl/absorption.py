@@ -11,17 +11,18 @@ The objects certified here:
 * closedness: statistics of how many disjoint reachable sets connect the
   pairs of a vertex set.
 
-Every certificate stores its factor tilings, and each is re-checked before
-the certificate is returned: the independent tiling checker accepts it and
-it covers exactly its set, or ``graphs.SelfCheckError`` is raised (a defect
-in cfl).  The absorbing-set and closedness checks build no certificate:
-they read only the bare factor masks of ``tiling._factor_masks``.  An
-absorbing-set check searches each distinct leftover once, and every search
-shares free sets built once over the whole graph; the reachable-set search
-re-checks each factor it finds on its masks (pairwise-disjoint r-cliques
-covering exactly their set), or raises ``SelfCheckError``.  Searches are
-greedy first-fit over candidates in lexicographic order: the counts are
-honest lower bounds, and exact packing lives only in the test oracles.
+Every factor comes from ``tiling._factor_masks``, which re-checks each one
+it returns with ``tiling._clique_union`` (pairwise-disjoint r-cliques
+covering exactly their set) or raises ``graphs.SelfCheckError`` (a defect
+in cfl); nothing here checks a factor a second way.  A certificate stores
+its factor tilings, and ``verify_absorber`` and ``verify_reachable`` hold
+stored tilings to that same union test, so a tampered certificate is
+refused.  The absorbing-set and closedness checks build no certificate:
+they read only the bare factor masks.  An absorbing-set check searches each
+distinct leftover once, and every search shares free sets built once over
+the whole graph.  Searches are greedy first-fit over candidates in
+lexicographic order: the counts are honest lower bounds, and exact packing
+lives only in the test oracles.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from .graphs import (Graph, ParameterError, SelfCheckError, VertexSet,
                      iter_bits, iter_clique_masks, mask_of)
 from .numbers import exact_fraction
-from .records import Factory, Record
+from .records import Record
 from .rng import SplitMix64, derive_seed
-from .tiling import (CliqueTiling, _factor_masks, _free_sets, has_factor,
-                     verify_tiling)
+from .tiling import (CliqueTiling, _clique_union, _factor_masks, _free_sets,
+                     has_factor)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -74,9 +75,9 @@ def _factors(g: Graph, r: int, masks) -> Optional[List[CliqueTiling]]:
 
 
 def _is_factor_of(g: Graph, tiling: CliqueTiling, mask: int) -> bool:
-    """Whether verify_tiling accepts the tiling and it covers exactly mask."""
-    return (verify_tiling(g, tiling, within=VertexSet(g, mask))
-            and tiling.covered_mask == mask)
+    """Whether the tiling's tiles are pairwise-disjoint r-cliques whose
+    union is exactly mask."""
+    return _clique_union(g, tiling.r, [s.mask for s in tiling.members]) == mask
 
 
 def verify_absorber(g: Graph, cert: AbsorberCertificate) -> bool:
@@ -138,28 +139,6 @@ def certify_reachable(g: Graph, u: int, v: int, s: VertexSet,
 CANDIDATE_BUDGET = 50_000
 
 
-def _has_checked_factor(g: Graph, r: int, mask: int) -> bool:
-    """Whether ``mask`` has a K_r-factor, by ``_factor_masks``.  A factor it
-    finds must be pairwise-disjoint r-cliques covering exactly ``mask``, by
-    direct adjacency lookups, or SelfCheckError."""
-    tiles = _factor_masks(g, r, mask)
-    if tiles is None:
-        return False
-    adj = g.adj
-    union = 0
-    for tile in tiles:
-        union |= tile
-    # r-vertex tiles whose union is ``mask`` of r * len(tiles) vertices are
-    # pairwise disjoint
-    if (union == mask and mask.bit_count() == r * len(tiles)
-            and all(tile.bit_count() == r
-                    and all(tile & ~adj[w] == 1 << w for w in iter_bits(tile))
-                    for tile in tiles)):
-        return True
-    raise SelfCheckError(f"factor of {VertexSet(g, mask).vertices()} "
-                         "failed re-verification")
-
-
 def find_disjoint_reachable_sets(g: Graph, u: int, v: int, r: int, t: int,
                                  limit: int, within: Optional[VertexSet] = None
                                  ) -> List[VertexSet]:
@@ -171,9 +150,8 @@ def find_disjoint_reachable_sets(g: Graph, u: int, v: int, r: int, t: int,
     adjacent to both endpoints.  Larger sizes enumerate the subsets of the
     vertices still unused when that size starts.  At most CANDIDATE_BUDGET
     candidates are examined in all.  A candidate S is kept when S u {u} and
-    S u {v} both have a factor, each re-checked on its clique masks; the
-    sets come back bare, and ``certify_reachable`` builds the certificate
-    of any one of them.
+    S u {v} both have a factor; the sets come back bare, and
+    ``certify_reachable`` builds the certificate of any one of them.
     """
     universe = (g.full_mask() if within is None else within.mask)
     universe &= ~((1 << u) | (1 << v))
@@ -197,8 +175,8 @@ def find_disjoint_reachable_sets(g: Graph, u: int, v: int, r: int, t: int,
         budget -= 1
         if cm & used:
             continue
-        if (_has_checked_factor(g, r, cm | (1 << u))
-                and _has_checked_factor(g, r, cm | (1 << v))):
+        if (_factor_masks(g, r, cm | (1 << u)) is not None
+                and _factor_masks(g, r, cm | (1 << v)) is not None):
             out.append(VertexSet(g, cm))
             used |= cm
     return out
@@ -289,7 +267,7 @@ class ClosednessReport(Record):
     median_count: float
     max_count: int
     implied_beta: Fraction
-    per_pair: List[Tuple[int, int, int]] = Factory(list)
+    per_pair: List[Tuple[int, int, int]]
 
 
 def closedness_report(g: Graph, u_set: VertexSet, r: int, t: int,
@@ -357,21 +335,10 @@ def build_reachable_gadget(r: int) -> ReachGadget:
     left = list(range(2 * r, 3 * r + 1))
     right = list(range(3 * r, 4 * r + 1))
     anchor_u, anchor_v = 2 * r, 4 * r
-    edges = set()
-
-    def add_clique(vs):
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                edges.add((min(vs[i], vs[j]), max(vs[i], vs[j])))
-
-    add_clique(tail_u + [u])
-    add_clique(tail_u + [anchor_u])
-    add_clique(tail_v + [v])
-    add_clique(tail_v + [anchor_v])
-    add_clique(left)
-    add_clique(right)
+    cliques = (tail_u + [u], tail_u + [anchor_u], tail_v + [v],
+               tail_v + [anchor_v], left, right)
     n = 4 * r + 1
-    g = Graph(n, sorted(edges))
+    g = Graph(n, (e for vs in cliques for e in combinations(vs, 2)))
     reach = VertexSet.of(g, range(2, n))
     parts = {
         "tail_u": VertexSet.of(g, tail_u),

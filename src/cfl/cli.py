@@ -39,10 +39,12 @@ solver only in derived form (absorb's ``r`` outside the gadget).
 
 Each kind handler gets the effective node budget (None for none) as
 ``node_cap`` and returns its result and its flags; ``_execute`` turns them
-into the finished report.  A handler returns its solver's result record
-(``records.Record``) as it is, or spreads its fields (``vars``) into the
-result dict beside the few keys the solver does not know, so report keys
-are field names.  Each handler imports its own solver modules on its first
+into the finished report.  Most handlers return their solver's result
+record (``records.Record``) as it is, or spread its fields (``vars``) into
+the result dict beside the few keys the solver does not know, so report
+keys are field names.  Until report schema 2, these still copy fields by
+hand under their own key names: tile, factor, cover, absorb's gadget,
+absorber and reachable certificates, and regcheck's pairs.  Each handler imports its own solver modules on its first
 line, so a run loads only the solvers its kind uses.  No key picks a
 certifier's mode: each runs exhaustive within its module's size cap,
 sampled beyond it, and says which.
@@ -575,7 +577,9 @@ def cmd_scan(args) -> int:
     """Sweep one parameter.  A point that raises a user error gets no report
     and its row in scan.csv says so; the scan still writes every other point.
     Exit code: the first failing point's, else 4 if any point capped, else 0.
-    Points run one after another, in index order."""
+    Points run one after another, in index order.  A point's own files
+    (construct's relative ``graph_out``) go under ``point-NNN/``, so no two
+    points share one."""
     cfg = Config.from_path(args.config)
     kind = cfg.get_str("run", "kind")
     if kind not in HANDLERS:
@@ -597,7 +601,8 @@ def cmd_scan(args) -> int:
         try:
             seed = (args.seed if args.seed is not None
                     else point.get_int("run", "seed", 0))
-            report = _execute(kind, point, seed, outdir)
+            report = _execute(kind, point, seed,
+                              os.path.join(outdir, f"point-{idx:03d}"))
         except (ConfigError, InputError, OSError) as exc:
             code = _user_error(exc, f"point {idx} ({param} = {values[idx]}): ")
             rows.append(("error", code, {}))

@@ -40,7 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .graphs import (Graph, ParameterError, SearchCapExceeded, VertexSet,
                      _first_clique, iter_bits, iter_clique_masks)
-from .records import Factory, Record
+from .records import Record
 from .rng import SplitMix64, derive_seed
 
 
@@ -222,7 +222,7 @@ class EmbedResult(Record):
     stage: str                     # furthest stage reached (or "done")
     alpha_bound: int
     trials_used: int
-    telemetry: List[dict] = Factory(list)
+    telemetry: List[dict]
 
 
 def multipartite_clique_search(g: Graph, classes: Sequence[VertexSet], p: int,

@@ -140,9 +140,6 @@ class Graph:
 
     # -- basic queries -------------------------------------------------
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 

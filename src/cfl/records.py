@@ -1,17 +1,10 @@
 """``Record``, the base class of every solver's result type: its fields are
-its class annotations, in order, each with an optional default or a
-``Factory`` for a fresh one per instance.  Records construct, compare,
-repr, refuse bad arguments and keep ``vars`` in field order as dataclasses
-do, but defining one generates and compiles no code."""
+its class annotations, in order, each with an optional default.  A default
+is shared by every instance, so no field has a mutable one.  Records
+construct, compare, repr, refuse bad arguments and keep ``vars`` in field
+order as dataclasses do, but defining one generates and compiles no code."""
 
 from __future__ import annotations
-
-
-class Factory:
-    """A default that ``make()`` builds afresh for each instance."""
-
-    def __init__(self, make):
-        self.make = make
 
 
 class Record:
@@ -43,8 +36,7 @@ class Record:
             if key not in given:
                 if key not in self._defaults:
                     raise TypeError(f"{name}() missing required argument {key!r}")
-                default = self._defaults[key]
-                given[key] = default.make() if isinstance(default, Factory) else default
+                given[key] = self._defaults[key]
         return [given[key] for key in fields]
 
     def __eq__(self, other):

@@ -22,6 +22,14 @@ found, or None.  That first runs the greedy tiling: if it skips no vertex, it
 is the search's first descent and finds the factor in |U|/r + 1 nodes, so it
 runs whenever ``node_cap`` allows that many.
 
+``_clique_union`` is the one test of what a tiling is: pairwise-disjoint
+r-cliques, by ``Graph.is_clique``.  ``verify_tiling`` is that test inside
+``within``, and ``_factor_masks`` passes every factor it returns, greedy or
+searched, through it before returning it: one that is not a factor of its
+universe raises ``graphs.SelfCheckError``, a defect in cfl.  So every caller
+(``has_factor``, the absorption certifiers and checks, the rtt oracle) gets
+factors that have been re-checked once.
+
 Pruning rules of the factor search (a pruned subtree holds no factor):
 
 * stranded: the lowest active vertex has fewer than r-1 active neighbors;
@@ -55,24 +63,17 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .graphs import (Graph, ParameterError, SearchCapExceeded, VertexSet,
-                     _first_clique, _greedy_clique_free, iter_bits,
+from .graphs import (Graph, ParameterError, SearchCapExceeded, SelfCheckError,
+                     VertexSet, _first_clique, _greedy_clique_free, iter_bits,
                      iter_clique_masks)
 from .records import Record
 
 
 class CliqueTiling(Record):
     """Pairwise-disjoint vertex sets, each inducing a complete graph of
-    order r.  ``covered_mask`` is their union."""
+    order r."""
     r: int
     members: List[VertexSet]
-
-    @property
-    def covered_mask(self) -> int:
-        m = 0
-        for s in self.members:
-            m |= s.mask
-        return m
 
     def __len__(self) -> int:
         return len(self.members)
@@ -99,26 +100,30 @@ class FactorResult(Record):
     status: str
 
 
+def _clique_union(g: Graph, r: int, masks) -> Optional[int]:
+    """The union of ``masks`` if they are pairwise-disjoint r-cliques of g,
+    else None: the one test of what a K_r-tiling is."""
+    union = 0
+    for m in masks:
+        if m.bit_count() != r or m & union or not g.is_clique(m):
+            return None
+        union |= m
+    return union
+
+
+def _checked(g: Graph, r: int, universe: int, masks: List[int]) -> List[int]:
+    """``masks`` if they form a K_r-factor of ``universe``, else
+    SelfCheckError (a defect in the search that found them)."""
+    if _clique_union(g, r, masks) != universe:
+        raise SelfCheckError(f"factor of {VertexSet(g, universe).vertices()} "
+                             "failed re-verification")
+    return masks
+
+
 def verify_tiling(g: Graph, t: CliqueTiling, within: Optional[VertexSet] = None) -> bool:
-    """Independent validity check: disjointness and clique-ness by direct
-    pairwise adjacency lookups (no shared code with the solver)."""
-    seen: set = set()
-    allowed = within.vertices() if within is not None else None
-    for s in t.members:
-        vs = s.vertices()
-        if len(vs) != t.r:
-            return False
-        for v in vs:
-            if v in seen:
-                return False
-            if allowed is not None and v not in allowed:
-                return False
-            seen.add(v)
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                if not g.has_edge(vs[i], vs[j]):
-                    return False
-    return True
+    """Whether ``t`` is a K_r-tiling of g, inside ``within`` if given."""
+    union = _clique_union(g, t.r, [s.mask for s in t.members])
+    return union is not None and (within is None or not union & ~within.mask)
 
 
 def _coverable_bound(adj, active: int, r: int) -> int:
@@ -227,7 +232,7 @@ def _factor_masks(g: Graph, r: int, universe: int,
     if node_cap is None or node_cap > n_active // r:
         tiles = _lex_greedy_masks(g, r, universe)   # the first descent
         if len(tiles) * r == n_active:
-            return tiles
+            return _checked(g, r, universe, tiles)
     adj = g.adj
     nodes = 0
     found: Optional[List[int]] = None
@@ -273,7 +278,7 @@ def _factor_masks(g: Graph, r: int, universe: int,
         dead_end()
 
     search(universe, [])
-    return found
+    return None if found is None else _checked(g, r, universe, found)
 
 
 def has_factor(g: Graph, r: int, within: Optional[VertexSet] = None,

@@ -2,9 +2,10 @@
 streams.
 
 The oracles here deliberately avoid the package's solver code paths: clique
-membership goes through has_edge loops over itertools.combinations, maximum
-tilings through a memoized set-packing recursion over uncovered-set masks,
-and graph6 decoding through a from-scratch reimplementation of the format.
+membership goes through adjacency-bit loops over itertools.combinations,
+maximum tilings through a memoized set-packing recursion over uncovered-set
+masks, and graph6 decoding through a from-scratch reimplementation of the
+format.  ``covered`` is the union of a tiling's member masks.
 """
 
 from __future__ import annotations
@@ -23,9 +24,16 @@ def subset_is_clique(g: Graph, vs) -> bool:
     vs = list(vs)
     for i in range(len(vs)):
         for j in range(i + 1, len(vs)):
-            if not g.has_edge(vs[i], vs[j]):
+            if not g.adj[vs[i]] >> vs[j] & 1:
                 return False
     return True
+
+
+def covered(tiling) -> int:
+    m = 0
+    for s in tiling.members:
+        m |= s.mask
+    return m
 
 
 def contains_clique(g: Graph, vs, k: int) -> bool:

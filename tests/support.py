@@ -38,6 +38,12 @@ lines before ``cli.parse_args`` became the only reader.  The reader's
 equivalence test holds ``parse_args`` to it on every command line it takes
 without an abbreviated option, ``--opt=value`` or ``--``.
 
+``reference_verify_tiling`` is ``tiling.verify_tiling`` as it was before
+the one tiling check, ``tiling._clique_union``, replaced it: each tile's
+size, each vertex against the ones seen and against ``within``, and each
+pair of a tile by its adjacency bit.  The tiling check's equivalence test
+holds ``verify_tiling`` to it.
+
 ``replace`` copies a result record with some fields changed, as
 ``dataclasses.replace`` did for dataclasses; the certificate-tampering
 tests use it.  No ``cfl`` code needs it.
@@ -59,6 +65,7 @@ from cfl.cli import HANDLERS
 from cfl.numbers import decimal_fields, exact_fraction, number
 from cfl.regularity import SuperRegularVerdict, is_super_regular, pair_density
 from cfl.rng import _GOLDEN, _MASK, SplitMix64
+from cfl.tiling import CliqueTiling
 
 
 def bulk_u64(seed: int, count: int, start: int = 0) -> np.ndarray:
@@ -244,6 +251,26 @@ def reference_feasible_candidates(adj, ell: int, chosen: int, cand: int,
     return out
 
 
+def reference_verify_tiling(g: Graph, t: CliqueTiling, within=None) -> bool:
+    seen: set = set()
+    allowed = within.vertices() if within is not None else None
+    for s in t.members:
+        vs = s.vertices()
+        if len(vs) != t.r:
+            return False
+        for v in vs:
+            if v in seen:
+                return False
+            if allowed is not None and v not in allowed:
+                return False
+            seen.add(v)
+        for i in range(len(vs)):
+            for j in range(i + 1, len(vs)):
+                if not g.adj[vs[i]] >> vs[j] & 1:
+                    return False
+    return True
+
+
 def reference_parse_graph6(text: str) -> Graph:
     s = text.strip()
     if s.startswith(">>graph6<<"):
@@ -298,7 +325,7 @@ def reference_format_graph6(g: Graph) -> str:
     k = nbits - 1
     for v in range(1, n):
         for u in range(v):
-            if g.has_edge(u, v):
+            if g.adj[u] >> v & 1:
                 bits |= 1 << k
             k -= 1
     need = (nbits + 5) // 6

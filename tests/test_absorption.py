@@ -19,7 +19,7 @@ from cfl.graphs import (Graph, SelfCheckError, VertexSet, complete_graph,
 from cfl.rng import SplitMix64
 from cfl.tiling import CliqueTiling, has_factor, verify_tiling
 
-from conftest import subset_is_clique
+from conftest import covered, subset_is_clique
 
 
 def exhaustive_max_disjoint_reachable(g, u, v, r, within_mask=None):
@@ -33,8 +33,8 @@ def exhaustive_max_disjoint_reachable(g, u, v, r, within_mask=None):
                               r - 1):
         if not subset_is_clique(g, combo):
             continue
-        if all(g.has_edge(u, w) for w in combo) and \
-                all(g.has_edge(v, w) for w in combo):
+        if all(g.adj[u] >> w & 1 for w in combo) and \
+                all(g.adj[v] >> w & 1 for w in combo):
             cands.append(mask_of(combo))
 
     best = 0
@@ -142,7 +142,7 @@ def test_gadget_certifies_with_four_cliques(r):
         VertexSet.of(g, [4 * r] + list(gad.parts["tail_v"])),
     ])
     assert verify_tiling(g, tiles_u)
-    assert tiles_u.covered_mask == gad.reach_set.mask | (1 << gad.u)
+    assert covered(tiles_u) == gad.reach_set.mask | (1 << gad.u)
     # side v, mirrored
     tiles_v = CliqueTiling(r, [
         VertexSet.of(g, [gad.v] + list(gad.parts["tail_v"])),
@@ -151,12 +151,12 @@ def test_gadget_certifies_with_four_cliques(r):
         VertexSet.of(g, [2 * r] + list(gad.parts["tail_u"])),
     ])
     assert verify_tiling(g, tiles_v)
-    assert tiles_v.covered_mask == gad.reach_set.mask | (1 << gad.v)
+    assert covered(tiles_v) == gad.reach_set.mask | (1 << gad.v)
 
 
 def test_gadget_endpoints_not_adjacent_to_far_side():
     gad = build_reachable_gadget(3)
-    assert not gad.graph.has_edge(gad.u, gad.v)
+    assert not (gad.graph.adj[gad.u] >> gad.v & 1)
 
 
 # -- disjoint reachable sets ------------------------------------------------------
@@ -270,33 +270,42 @@ def test_reachable_sets_are_those_the_certificates_hold():
 
 def test_a_tampered_reachable_factor_is_a_defect(monkeypatch):
     """Vertices 2..6 form a K_5; u = 0 sees 2 and 3, v = 1 sees 4 and 5, so
-    {2, .., 6} is the one reachable set (t = 2).  A factor search that
-    returns overlapping tiles, a tile that is no clique or too few tiles
-    raises SelfCheckError."""
+    {2, .., 6} is the one reachable set (t = 2).  A first descent that
+    returns as many tiles as a factor needs, but tiles that overlap, that
+    are no cliques or that have the wrong sizes, raises SelfCheckError in
+    every check that searches for a factor."""
     k5 = [(i, j) for i in range(2, 7) for j in range(i + 1, 7)]
     g = Graph(7, k5 + [(0, 2), (0, 3), (1, 4), (1, 5)])
     assert find_disjoint_reachable_sets(g, 0, 1, 3, 2, limit=4) == [
         VertexSet.of(g, range(2, 7))]
-    real = tiling._factor_masks
+    real = tiling._lex_greedy_masks
 
-    def overlapping(g, r, mask):          # the union is still the mask
-        tiles = real(g, r, mask)
-        return tiles and tiles + tiles[:1]
+    def overlapping(g, r, active):        # the first tile, over and over
+        tiles = real(g, r, active)
+        return tiles[:1] * len(tiles)
 
-    def ascending_chunks(g, r, mask):     # {1, 2, 3} is no clique
-        vs = list(iter_bits(mask))
+    def ascending_chunks(g, r, active):   # {1, 2, 3} is no clique
+        vs = list(iter_bits(active))
         return [mask_of(vs[i:i + r]) for i in range(0, len(vs), r)]
 
-    def short(g, r, mask):
-        tiles = real(g, r, mask)
-        return tiles and tiles[:-1]
+    def resized(g, r, active):            # cliques of r - 1 and r + 1 vertices
+        tiles = real(g, r, active)
+        if len(tiles) < 2:
+            return tiles
+        top = 1 << tiles[0].bit_length() - 1
+        return [tiles[0] ^ top, tiles[1] | top] + tiles[2:]
 
-    for tampered in (overlapping, ascending_chunks, short):
-        monkeypatch.setattr(absorption, "_factor_masks", tampered)
-        with pytest.raises(SelfCheckError, match="failed re-verification"):
-            find_disjoint_reachable_sets(g, 0, 1, 3, 2, limit=4)
-        with pytest.raises(SelfCheckError):
-            closedness_report(g, VertexSet.of(g, [0, 1]), 3, 2, pair_budget=1)
+    a = VertexSet.of(g, range(2, 7))
+    for tampered in (overlapping, ascending_chunks, resized):
+        monkeypatch.setattr(tiling, "_lex_greedy_masks", tampered)
+        for check in (
+                lambda: has_factor(g, 3, within=VertexSet.of(g, range(1, 7))),
+                lambda: find_disjoint_reachable_sets(g, 0, 1, 3, 2, limit=4),
+                lambda: closedness_report(g, VertexSet.of(g, [0, 1]), 3, 2,
+                                          pair_budget=1),
+                lambda: certify_xi_absorbing(g, a, 3, Fraction(1, 7))):
+            with pytest.raises(SelfCheckError, match="failed re-verification"):
+                check()
 
 
 # -- absorbing sets ------------------------------------------------------------------
@@ -479,13 +488,13 @@ def test_absorbing_composition_yields_factor():
     outside = VertexSet(k12, k12.full_mask() & ~a.mask)
     tiling = CliqueTiling(3, [VertexSet.of(k12, [6, 7, 9]),
                               VertexSet.of(k12, [8, 10, 11])])
-    leftover = outside.mask & ~tiling.covered_mask
+    leftover = outside.mask & ~covered(tiling)
     assert leftover.bit_count() <= 3   # within the absorbing tolerance
     res = has_factor(k12, 3, within=VertexSet(k12, a.mask | leftover))
     assert res.tiling is not None
     combined = CliqueTiling(3, tiling.members + res.tiling.members)
     assert verify_tiling(k12, combined)
-    assert combined.covered_mask == k12.full_mask()
+    assert covered(combined) == k12.full_mask()
 
 
 # -- closedness -----------------------------------------------------------------------

@@ -20,7 +20,8 @@ from cfl.invariants import _graph_from_pair_mask, alpha_ell_exact, rtt_oracle
 from cfl.numbers import round_half_up
 from cfl.rng import SplitMix64, derive_seed
 
-from conftest import naive_alpha, naive_has_factor, naive_max_tiling_count
+from conftest import (covered, naive_alpha, naive_has_factor,
+                      naive_max_tiling_count)
 from support import bulk_random, make_super_regular, strip_cliques
 from test_bounds import brute_delta
 from test_regularity import definitional_regular
@@ -364,7 +365,7 @@ def test_criterion_11_absorption_certificates():
     ])
     gadget_ok = (size_ok and cert is not None
                  and tiling.verify_tiling(g, named)
-                 and named.covered_mask == gad.reach_set.mask | (1 << gad.u))
+                 and covered(named) == gad.reach_set.mask | (1 << gad.u))
 
     rng = SplitMix64(derive_seed(1, "acceptance-absorb"))
     disagreements = 0

@@ -829,6 +829,28 @@ values = gnp-min-degree:12,0.5,4; gnp-min-degree:12,0.5,6; gnp-min-degree:12,0.5
         assert rep["result"]["status"] in lines[i + 1]
 
 
+def test_scan_points_write_their_graphs_to_files_of_their_own(tmp_path, capsys):
+    """A construct scan with one graph_out name keeps every point's graph:
+    point NNN writes point-NNN/<name> and its report names that file."""
+    cfg = write(tmp_path / "s.ini", "[run]\nkind = construct\n"
+                                    "[construct]\nfamily = spec\ngraph = cycle:5\n"
+                                    "graph_out = g.el\n"
+                                    "[scan]\nparam = construct.graph\n"
+                                    "values = cycle:5, cycle:7\n")
+    outdir = tmp_path / "out"
+    assert run_cli(["scan", "--config", cfg, "--out", str(outdir)]) == 0
+    capsys.readouterr()
+    reports = sorted(f for f in os.listdir(outdir) if f.endswith(".json"))
+    assert [f[:len("point-000")] for f in reports] == ["point-000", "point-001"]
+    for idx, (fname, n) in enumerate(zip(reports, (5, 7))):
+        path = os.path.join(str(outdir), f"point-{idx:03d}", "g.el")
+        rep = json.loads((outdir / fname).read_text())
+        assert rep["result"]["graph_path"] == path
+        with open(path, encoding="utf-8") as fh:
+            assert parse_graph(fh.read()) == cycle_graph(n)
+    assert not (outdir / "g.el").exists()
+
+
 def test_scan_exits_four_when_a_point_is_capped(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("CFL_NODE_BUDGET", raising=False)
     cfg = write(tmp_path / "sc.ini", "[run]\nkind = factor\nnode_budget = 2\n"

@@ -24,7 +24,7 @@ def exhaustive_pair_floor(g, selected, witness, r, m):
     for sub in combinations(vs, r):
         common = set(range(g.n))
         for v in sub:
-            common &= {u for u in range(g.n) if g.has_edge(u, v)}
+            common &= {u for u in range(g.n) if g.adj[u] >> v & 1}
         if len(common & wset) < m:
             return False
     return True
@@ -135,7 +135,7 @@ def transversal_cliques(g, classes):
     out = [()]
     for c in classes:
         out = [t + (v,) for t in out for v in c.vertices()
-               if all(g.has_edge(u, v) for u in t)]
+               if all(g.adj[u] >> v & 1 for u in t)]
     return out
 
 

@@ -7,41 +7,40 @@ import os
 import pytest
 
 import cfl
-from cfl.records import Factory, Record
+from cfl.records import Record
 from cfl.reports import jsonable
 
 
 class Point(Record):
     x: int
     y: int = 0
-    tags: list = Factory(list)
+    tags: tuple = ()
 
 
 class Twin(Record):
     x: int
     y: int = 0
-    tags: list = Factory(list)
+    tags: tuple = ()
 
 
 def test_fields_are_given_by_position_or_by_name_in_declared_order():
-    assert vars(Point(1, 2, ["a"])) == {"x": 1, "y": 2, "tags": ["a"]}
-    assert vars(Point(tags=["a"], y=2, x=1)) == {"x": 1, "y": 2, "tags": ["a"]}
-    assert list(vars(Point(tags=[], x=1))) == ["x", "y", "tags"]
-    assert vars(Point(1, tags=["b"])) == {"x": 1, "y": 0, "tags": ["b"]}
+    assert vars(Point(1, 2, ("a",))) == {"x": 1, "y": 2, "tags": ("a",)}
+    assert vars(Point(tags=("a",), y=2, x=1)) == {"x": 1, "y": 2, "tags": ("a",)}
+    assert list(vars(Point(tags=(), x=1))) == ["x", "y", "tags"]
+    assert vars(Point(1, tags=("b",))) == {"x": 1, "y": 0, "tags": ("b",)}
 
 
-def test_defaults_fill_and_each_instance_gets_its_own_factory_list():
-    a, b = Point(1), Point(2)
-    assert (a.y, a.tags) == (0, [])
-    a.tags.append("a")
-    assert b.tags == [] and Point(3).tags == []
+def test_defaults_fill_the_fields_not_given():
+    a = Point(1)
+    assert (a.y, a.tags) == (0, ())
+    assert vars(Point(2, 5)) == {"x": 2, "y": 5, "tags": ()}
 
 
 @pytest.mark.parametrize("args, kwargs, message", [
     ((), {"y": 2}, "missing required argument 'x'"),
     ((1,), {"z": 2}, "unexpected keyword argument 'z'"),
     ((1,), {"x": 2}, "multiple values for argument 'x'"),
-    ((1, 2, [], 4), {}, "takes 3 positional arguments but 4 were given"),
+    ((1, 2, (), 4), {}, "takes 3 positional arguments but 4 were given"),
 ])
 def test_a_missing_unknown_or_doubled_field_is_a_type_error(args, kwargs, message):
     with pytest.raises(TypeError, match=message):
@@ -49,14 +48,14 @@ def test_a_missing_unknown_or_doubled_field_is_a_type_error(args, kwargs, messag
 
 
 def test_equality_is_by_class_and_fields():
-    assert Point(1, 2) == Point(1, 2, [])
+    assert Point(1, 2) == Point(1, 2, ())
     assert Point(1, 2) != Point(1, 3)
     assert Point(1, 2) != Twin(1, 2)
-    assert Point(1) != (1, 0, [])
+    assert Point(1) != (1, 0, ())
 
 
 def test_repr_lists_the_fields_and_records_are_unhashable():
-    assert repr(Point(1, tags=["a"])) == "Point(x=1, y=0, tags=['a'])"
+    assert repr(Point(1, tags=("a",))) == "Point(x=1, y=0, tags=('a',))"
     with pytest.raises(TypeError):
         hash(Point(1))
 

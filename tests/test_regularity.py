@@ -32,7 +32,7 @@ def definitional_regular(g, x, y, eps: Fraction):
         degs = []
         for j, yy in enumerate(ys):
             degs.append(sum(1 for i, xx in enumerate(xs)
-                            if xm >> i & 1 and g.has_edge(xx, yy)))
+                            if xm >> i & 1 and g.adj[xx] >> yy & 1))
         esum = [0] * (1 << b)
         for ym in range(1, 1 << b):
             low = ym & -ym

@@ -5,15 +5,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cfl import tiling
 from cfl.constructions import build_lower_bound_graph
-from cfl.graphs import (Graph, VertexSet, complete_graph,
+from cfl.graphs import (Graph, SelfCheckError, VertexSet, complete_graph,
                         complete_multipartite, cycle_graph, has_clique,
-                        iter_clique_masks, random_gnp)
+                        iter_bits, iter_clique_masks, mask_of, random_gnp)
 from cfl.rng import SplitMix64
 from cfl.tiling import (CliqueTiling, _factor_masks, _free_sets, has_factor,
                         max_tiling, verify_tiling)
 
-from conftest import naive_has_factor, naive_max_tiling_count, small_graphs
+from conftest import (covered, naive_has_factor, naive_max_tiling_count,
+                      small_graphs)
+from support import reference_verify_tiling
 
 
 def test_max_tiling_examples():
@@ -47,7 +50,7 @@ def test_max_tiling_within_view():
     inside = VertexSet.of(k6, [0, 1, 2, 3])
     res = max_tiling(k6, 3, within=inside)
     assert len(res.best) == 1 and res.deficiency == 1
-    assert res.best.covered_mask & ~inside.mask == 0
+    assert covered(res.best) & ~inside.mask == 0
 
 
 def test_tiling_certificate_is_canonical():
@@ -76,7 +79,7 @@ def test_has_factor_matches_oracle(small_graph_battery):
                 assert (res.status == "found") == naive_has_factor(g, r)
             if res.tiling is not None:
                 assert verify_tiling(g, res.tiling)
-                assert res.tiling.covered_mask == g.full_mask()
+                assert covered(res.tiling) == g.full_mask()
 
 
 def test_factor_absent_implies_positive_deficiency(small_graph_battery):
@@ -280,6 +283,73 @@ def test_verify_tiling_refuses_tampered_certificates():
     holed = Graph(6, [e for e in k6.edges() if e != (4, 5)])
     assert not verify_tiling(holed, CliqueTiling(3, [VertexSet(holed, a.mask),
                                                      VertexSet(holed, b.mask)]))
+
+
+def tiling_cases(count, seed):
+    """(g, tiling, within) on n <= 12 vertices, r = 1 .. 4: disjoint
+    r-cliques of g, kept in a shuffled order, then one flaw or none."""
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        n = 2 + rng.randrange(11)
+        g = random_gnp(n, 0.4 + 0.5 * rng.random(), rng.next_u64())
+        r = 1 + rng.randrange(4)
+        cliques = list(iter_clique_masks(g, r))
+        rng.shuffle(cliques)
+        tiles, union = [], 0
+        for c in cliques:
+            if not c & union:
+                tiles.append(c)
+                union |= c
+        within = g.full_mask() if rng.random() < 0.5 else None
+        flaw = rng.randrange(6) if tiles else 0
+        i = rng.randrange(len(tiles)) if tiles else 0
+        v = 1 << rng.randrange(n)
+        if flaw == 1:       # a tile twice
+            tiles.append(tiles[i])
+        elif flaw == 2:     # its lowest vertex swapped for any vertex
+            tiles[i] = tiles[i] & tiles[i] - 1 | v
+        elif flaw == 3:     # a vertex short
+            tiles[i] &= tiles[i] - 1
+        elif flaw == 4:     # a vertex more, unless v is in it
+            tiles[i] |= v
+        elif flaw == 5:     # a covered vertex outside within
+            within = union & ~(tiles[i] & -tiles[i])
+        members = [VertexSet(g, t) for t in tiles]
+        rng.shuffle(members)
+        yield (g, CliqueTiling(r, members),
+               None if within is None else VertexSet(g, within))
+
+
+def test_verify_tiling_agrees_with_the_pairwise_reference():
+    """On 400 seeded tilings, valid and flawed, ``verify_tiling`` (one
+    ``_clique_union``) answers as the pairwise checker it replaced."""
+    verdicts = []
+    for g, t, within in tiling_cases(400, 4001):
+        expected = reference_verify_tiling(g, t, within)
+        assert verify_tiling(g, t, within) == expected, (g.adj, t, within)
+        verdicts.append(expected)
+    assert 100 <= sum(verdicts) <= 300, sum(verdicts)
+
+
+def test_a_searched_factor_is_rechecked(monkeypatch):
+    """With the first descent switched off, a search whose clique generator
+    hands out the whole neighbourhood (one tile of K_6) or two vertices of
+    one part (non-cliques of K_{2,2,2}) raises SelfCheckError instead of
+    returning that factor."""
+    def neighbourhood(g, k, within):
+        yield within
+
+    def lowest(g, k, within):
+        yield mask_of(list(iter_bits(within))[:k])
+
+    for g, fake in ((complete_graph(6), neighbourhood),
+                    (complete_multipartite([2, 2, 2]), lowest)):
+        assert has_factor(g, 3).status == "found"
+        with monkeypatch.context() as m:
+            m.setattr(tiling, "_lex_greedy_masks", lambda g, r, active: [])
+            m.setattr(tiling, "iter_clique_masks", fake)
+            with pytest.raises(SelfCheckError, match="failed re-verification"):
+                has_factor(g, 3)
 
 
 # -- the bare-mask factor search and its first descent ------------------------
