@@ -24,7 +24,10 @@ such as a clique of about a thousand vertices), 4 resource cap hit
 (``graphs.SelfCheckError``) is a defect in cfl, exit 1.  The
 environment variable CFL_NODE_BUDGET overrides ``[run] node_budget``; only
 alpha, tile, factor and embed (its auto alpha and its fallback search) pass
-the budget on, and every other kind's search runs uncapped.  ``--threads``
+the budget on.  Every other kind ignores it: most run uncapped, but rtt past
+n = 7 stops each barrier member's factor search at a fixed 2,000 nodes and
+skips the member without setting ``cap_hit``, so its ``feasible: false``
+can be wrong.  ``--threads``
 is accepted and ignored: scan points run in sequence.  A finished run or
 scan warns on stderr about each config key that nothing read; the exit code
 and the report stay as they are.
@@ -248,6 +251,10 @@ def run_construct(cfg, seed, node_cap, outdir):
     if cfg.has(section, "graph_out") and built is not None:
         path = cfg.get_str(section, "graph_out")
         if outdir:
+            top = os.path.normpath(path).split(os.sep)[0]
+            if os.path.isabs(path) or top == os.pardir:
+                raise ConfigError("[construct] graph_out",
+                                  f"{path!r} leaves the output directory {outdir}")
             path = os.path.join(outdir, path)
         text = (graphs.format_graph6(built) + "\n" if path.endswith(".g6")
                 else graphs.format_edgelist(built))
@@ -578,8 +585,8 @@ def cmd_scan(args) -> int:
     and its row in scan.csv says so; the scan still writes every other point.
     Exit code: the first failing point's, else 4 if any point capped, else 0.
     Points run one after another, in index order.  A point's own files
-    (construct's relative ``graph_out``) go under ``point-NNN/``, so no two
-    points share one."""
+    (construct's ``graph_out``) go under ``point-NNN/``, so no two points
+    share one; a ``graph_out`` that leaves it is a config error."""
     cfg = Config.from_path(args.config)
     kind = cfg.get_str("run", "kind")
     if kind not in HANDLERS:

@@ -25,7 +25,8 @@ exactly when every (b+1)-subset of the vertices contains a K_l, and G has a
 K_r-factor exactly when it contains one of the few factors of K_n.  Only the
 answer's witness is built as a ``Graph``.  Past n = 7 the oracle scans a
 fixed family of barrier graphs instead, each certified by the exact solvers,
-so its answer is a seed-free lower bound.
+so its answer is a seed-free lower bound; a member whose factor search
+passes ``_MEMBER_CAP`` nodes is skipped, so "infeasible" there can be wrong.
 """
 
 from __future__ import annotations

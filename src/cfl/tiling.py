@@ -6,16 +6,37 @@ zero.  The solver branches on the lowest-indexed uncovered vertex: cover it
 with one of its r-cliques (enumerated lazily, lexicographically) or declare
 it uncovered.
 
-Pruning rules of ``max_tiling`` (a node holds ``tiles`` and the uncovered
-set ``active``; a pruned subtree cannot strictly beat the incumbent):
+One branch and bound, ``_search``, serves both questions.  It looks for a
+tiling with more than ``floor`` tiles; each one it finds becomes the
+incumbent and the new floor.  ``max_tiling`` starts it from the greedy
+tiling with ``floor`` = its size; ``_factor_masks`` from no tiling with
+``floor`` = |U|/r - 1, so only a factor is ever taken, and the first
+factor in branching order is the one returned.  Pruning rules (a node holds
+``tiles`` and the uncovered set ``active``; a pruned subtree holds no tiling
+above the floor):
 
-* ceiling: stop once the incumbent has n // r tiles;
+* ceiling: stop once the floor is n // r tiles;
 * free set: if S is K_{l+1}-free, every K_r meets S in at most l vertices,
   so a tiling of ``active`` has at most |active & ~S| // (r - l) tiles; prune
   when ``len(tiles)`` plus the least such count over l = 1 .. r-1 cannot
-  exceed the incumbent;
+  exceed the floor;
 * coverable: only vertices with r-1 active neighbors can be covered, so at
-  most (their number) // r more tiles fit.
+  most (their number) // r more tiles fit.  In a factor search the floor
+  leaves no room for an uncovered vertex, so the branch that declares one
+  is pruned at its first node.
+
+The free sets S_1 .. S_{r-1} are built once per call, inside the call's
+universe (``_free_sets``), each by ``graphs._greedy_clique_free`` over
+one ascending-degree order.  A subset of a K_{l+1}-free set is
+K_{l+1}-free, so S restricted to any deeper ``active`` still qualifies and
+the root sets serve every node at r-1 popcounts each.  For the same reason
+free sets built over a larger set serve too: the absorbing-set checks build
+them once over the whole graph and hand them to every leftover's search
+(``_factor_masks``' private ``_free``).  ``max_tiling`` builds them only
+when the greedy incumbent misses the ceiling, ``_factor_masks`` only when
+the greedy tiling (below) is no factor.  No rule changes the branching
+order, so certificates, ``optimal`` and ``status`` are those of the
+unpruned search; only the node count shrinks.
 
 ``has_factor`` wraps ``_factor_masks``, the clique masks of the first factor
 found, or None.  That first runs the greedy tiling: if it skips no vertex, it
@@ -30,28 +51,7 @@ universe raises ``graphs.SelfCheckError``, a defect in cfl.  So every caller
 (``has_factor``, the absorption certifiers and checks, the rtt oracle) gets
 factors that have been re-checked once.
 
-Pruning rules of the factor search (a pruned subtree holds no factor):
-
-* stranded: the lowest active vertex has fewer than r-1 active neighbors;
-* free set: a factor of ``active`` puts at least r - l vertices outside S in
-  every tile, so it needs r * |active & ~S| >= (r - l) * |active|.
-
-The free sets S_1 .. S_{r-1} are built once per call, inside the call's
-universe (``_free_sets``), each by ``graphs._greedy_clique_free`` over
-one ascending-degree order.  A subset of a K_{l+1}-free set is
-K_{l+1}-free, so S restricted to any deeper ``active`` still qualifies and
-the root sets serve every node at r-1 popcounts each.  For the same reason
-free sets built over a larger set serve too: the absorbing-set checks build
-them once over the whole graph and hand them to every leftover's search
-(``_factor_masks``' private ``_free``).  ``max_tiling`` builds
-them only when the greedy incumbent misses the ceiling; the factor search
-only at its first dead end, so queries answered on the first descent never pay
-for them, and re-tests a node's bound after each failed child, because the
-sets may have been built below it.  Neither rule changes the branching
-order, so certificates, ``optimal`` and ``status`` are those of the unpruned
-search; only ``nodes_explored`` shrinks.
-
-Node caps: each search counts its nodes in a local ``nodes`` and raises
+Node caps: ``_search`` counts its nodes and raises
 ``graphs.SearchCapExceeded`` on the first node past ``node_cap`` (so a
 capped ``max_tiling`` reports ``nodes_explored = node_cap + 1``).  The entry
 point catches it once: ``max_tiling`` keeps its incumbent with
@@ -164,33 +164,32 @@ def _lex_greedy_masks(g: Graph, r: int, active: int) -> List[int]:
     return out
 
 
-def max_tiling(g: Graph, r: int, within: Optional[VertexSet] = None,
-               node_cap: Optional[int] = None) -> TilingResult:
-    """Maximum K_r-tiling by branch and bound; certificate canonicalized."""
-    ParameterError.at_least("r", r, 2)
-    universe = g.full_mask() if within is None else within.mask
+def _search(g: Graph, r: int, universe: int, best: List[int], floor: int,
+            free: List[int], node_cap: Optional[int]) -> int:
+    """The branch and bound: look for a K_r-tiling of ``universe`` with more
+    than ``floor`` tiles; each one found replaces ``best`` in place and
+    becomes the floor.  ``free`` are free sets S_1 .. S_{r-1} over a
+    superset of ``universe``, or none.  Returns the node count;
+    SearchCapExceeded on the first node past ``node_cap``."""
     adj = g.adj
-    n_active = universe.bit_count()
-    ceiling = n_active // r
-
-    best: List[int] = _lex_greedy_masks(g, r, universe)
+    ceiling = universe.bit_count() // r
     nodes = 0
-    free = _free_sets(g, r, universe) if len(best) < ceiling else []
 
     def search(active: int, tiles: List[int]) -> None:
-        nonlocal best, nodes
+        nonlocal floor, nodes
         nodes += 1
         if node_cap is not None and nodes > node_cap:
             raise SearchCapExceeded
-        if len(tiles) > len(best):
-            best = tiles.copy()
-        if len(best) == ceiling or not active:
+        if len(tiles) > floor:
+            best[:] = tiles
+            floor = len(tiles)
+        if floor == ceiling or not active:
             return
-        need = len(best) - len(tiles)
+        need = floor - len(tiles)
         for ell, s in enumerate(free, 1):
             if (active & ~s).bit_count() // (r - ell) <= need:
                 return
-        if len(tiles) + _coverable_bound(adj, active, r) <= len(best):
+        if len(tiles) + _coverable_bound(adj, active, r) <= floor:
             return
         low = active & -active
         v = low.bit_length() - 1
@@ -199,23 +198,34 @@ def max_tiling(g: Graph, r: int, within: Optional[VertexSet] = None,
             tiles.append(clique)
             search(active & ~clique, tiles)
             tiles.pop()
-            if len(best) == ceiling:
+            if floor == ceiling:
                 return
         search(active ^ low, tiles)
 
+    search(universe, [])
+    return nodes
+
+
+def max_tiling(g: Graph, r: int, within: Optional[VertexSet] = None,
+               node_cap: Optional[int] = None) -> TilingResult:
+    """Maximum K_r-tiling by branch and bound; certificate canonicalized."""
+    ParameterError.at_least("r", r, 2)
+    universe = g.full_mask() if within is None else within.mask
+    n_active = universe.bit_count()
+    ceiling = n_active // r
+    best = _lex_greedy_masks(g, r, universe)
+    free = _free_sets(g, r, universe) if len(best) < ceiling else []
     try:
-        search(universe, [])
+        nodes = _search(g, r, universe, best, len(best), free, node_cap)
         complete = True
     except SearchCapExceeded:
-        complete = False
-    til = _canonical_tiling(g, r, best)
-    deficiency = n_active - r * len(best)
+        nodes, complete = node_cap + 1, False
     # first incumbent of optimal size may have been found mid-branch; the
     # optimum value is exact whenever the search ran to completion or hit
     # the ceiling
     optimal = complete or len(best) == ceiling
-    return TilingResult(best=til, optimal=optimal, deficiency=deficiency,
-                        nodes_explored=nodes)
+    return TilingResult(best=_canonical_tiling(g, r, best), optimal=optimal,
+                        deficiency=n_active - r * len(best), nodes_explored=nodes)
 
 
 def _factor_masks(g: Graph, r: int, universe: int,
@@ -225,7 +235,7 @@ def _factor_masks(g: Graph, r: int, universe: int,
     or None (r not dividing |U| included); SearchCapExceeded past node_cap.
 
     ``_free``, if given, are free sets S_1 .. S_{r-1} over a superset of
-    ``universe``, used at the first dead end in place of building them."""
+    ``universe``, used in place of building them."""
     n_active = universe.bit_count()
     if n_active % r:
         return None
@@ -233,52 +243,10 @@ def _factor_masks(g: Graph, r: int, universe: int,
         tiles = _lex_greedy_masks(g, r, universe)   # the first descent
         if len(tiles) * r == n_active:
             return _checked(g, r, universe, tiles)
-    adj = g.adj
-    nodes = 0
-    found: Optional[List[int]] = None
-    free: Optional[List[int]] = None   # built at the first dead end
-
-    def dead_end() -> None:
-        nonlocal free
-        if free is None:
-            free = _free_sets(g, r, universe) if _free is None else _free
-
-    def hopeless(active: int) -> bool:
-        """Free-set bound: ``active`` has no factor."""
-        size = active.bit_count()
-        for ell, s in enumerate(free, 1):
-            if (r - ell) * size > r * (active & ~s).bit_count():
-                return True
-        return False
-
-    def search(active: int, tiles: List[int]) -> None:
-        nonlocal found, nodes
-        nodes += 1
-        if node_cap is not None and nodes > node_cap:
-            raise SearchCapExceeded
-        if not active:
-            found = tiles.copy()
-            return
-        if free is not None and hopeless(active):
-            return
-        low = active & -active
-        v = low.bit_length() - 1
-        # every remaining vertex must keep r-1 active neighbors
-        if (adj[v] & active).bit_count() < r - 1:
-            dead_end()
-            return
-        for cm in iter_clique_masks(g, r - 1, active & adj[v]):
-            clique = cm | low
-            tiles.append(clique)
-            search(active & ~clique, tiles)
-            tiles.pop()
-            # once a child has failed, the free sets exist
-            if found is not None or hopeless(active):
-                return
-        dead_end()
-
-    search(universe, [])
-    return None if found is None else _checked(g, r, universe, found)
+    best: List[int] = []
+    free = _free_sets(g, r, universe) if _free is None else _free
+    _search(g, r, universe, best, n_active // r - 1, free, node_cap)
+    return _checked(g, r, universe, best) if best else None
 
 
 def has_factor(g: Graph, r: int, within: Optional[VertexSet] = None,

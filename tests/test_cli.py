@@ -446,9 +446,13 @@ def test_exit_code_cap_hit(tmp_path, capsys, monkeypatch):
 def test_factor_exit_code_cap_hit(tmp_path, capsys, monkeypatch):
     cfg = write(tmp_path / "fcap.ini", "[run]\nkind = factor\n"
                                        "[factor]\ngraph = gnp:24,0.28,4\nr = 3\n")
-    monkeypatch.setenv("CFL_NODE_BUDGET", "2")
+    monkeypatch.setenv("CFL_NODE_BUDGET", "0")
     assert run_cli(["factor", "--config", cfg]) == 4
     assert read_report(capsys)["result"]["status"] == "cap"
+    # the root's bounds refute this graph, so two nodes decide it
+    monkeypatch.setenv("CFL_NODE_BUDGET", "2")
+    assert run_cli(["factor", "--config", cfg]) == 0
+    assert read_report(capsys)["result"]["status"] == "none"
     monkeypatch.delenv("CFL_NODE_BUDGET")
     assert run_cli(["factor", "--config", cfg]) == 0
     assert read_report(capsys)["result"]["status"] == "none"
@@ -851,18 +855,46 @@ def test_scan_points_write_their_graphs_to_files_of_their_own(tmp_path, capsys):
     assert not (outdir / "g.el").exists()
 
 
+def test_a_graph_out_that_leaves_the_output_directory_is_a_config_error(
+        tmp_path, capsys):
+    """An absolute graph_out would be one file for every scan point, and
+    a '..' one lands outside --out: either is [construct] graph_out."""
+    shared = tmp_path / "g.el"
+    cfg = write(tmp_path / "s.ini", "[run]\nkind = construct\n"
+                                    "[construct]\nfamily = spec\ngraph = cycle:5\n"
+                                    f"graph_out = {shared}\n"
+                                    "[scan]\nparam = construct.graph\n"
+                                    "values = cycle:5, cycle:7\n")
+    outdir = tmp_path / "out"
+    assert run_cli(["scan", "--config", cfg, "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    for idx, value in enumerate(("cycle:5", "cycle:7")):
+        assert (f"point {idx} (construct.graph = {value}): "
+                "config error: [construct] graph_out") in err
+    assert (outdir / "scan.csv").read_text().split("\n")[1:3] == [
+        "0,construct.graph,cycle:5,error,2", "1,construct.graph,cycle:7,error,2"]
+    assert not shared.exists()
+    run = write(tmp_path / "c.ini", "[run]\nkind = construct\n"
+                                    "[construct]\nfamily = spec\ngraph = cycle:5\n"
+                                    "graph_out = sub/../../g.el\n")
+    assert run_cli(["construct", "--config", run, "--out", str(outdir)]) == 2
+    assert "config error: [construct] graph_out" in capsys.readouterr().err
+    assert not shared.exists()
+
+
 def test_scan_exits_four_when_a_point_is_capped(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("CFL_NODE_BUDGET", raising=False)
     cfg = write(tmp_path / "sc.ini", "[run]\nkind = factor\nnode_budget = 2\n"
                                      "[factor]\ngraph = gnp:24,0.28,4\nr = 3\n"
                                      "[scan]\nparam = run.node_budget\n"
-                                     "values = 2, 1000\n")
+                                     "values = 0, 2, 1000\n")
     outdir = tmp_path / "capped"
     assert run_cli(["scan", "--config", cfg, "--out", str(outdir)]) == 4
     lines = (outdir / "scan.csv").read_text().strip().split("\n")
     assert lines == ["index,param,param_value,status,exit_code,r,result.status",
-                     "0,run.node_budget,2,cap,4,3,cap",
-                     "1,run.node_budget,1000,ok,0,3,none"]
+                     "0,run.node_budget,0,cap,4,3,cap",
+                     "1,run.node_budget,2,ok,0,3,none",
+                     "2,run.node_budget,1000,ok,0,3,none"]
 
 
 def test_scan_point_errors_are_rows_not_aborts(tmp_path, capsys):

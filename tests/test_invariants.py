@@ -17,7 +17,8 @@ from cfl.invariants import (_clique_partition, _feasible_candidates,
                             has_clique_cover, rtt_oracle)
 from cfl.rng import SplitMix64
 
-from conftest import contains_clique, naive_alpha, seeded_graphs, small_graphs
+from conftest import (contains_clique, naive_alpha, naive_has_factor,
+                      seeded_graphs, small_graphs)
 from support import reference_feasible_candidates
 
 
@@ -422,6 +423,21 @@ def test_rtt_barriers_reach_the_exact_n8_values(n, r, ell, alpha_bound, value):
     res = _rtt_barriers(n, r, ell, alpha_bound, n % r != 0)
     assert not res.exhaustive and res.feasible and res.value == value
     assert_certified(res)
+
+
+@pytest.mark.parametrize("n, r, ell, alpha_bound, value", [
+    (12, 3, 3, 3, 1), (12, 4, 3, 3, 2), (12, 4, 4, 4, 2),
+])
+def test_rtt_barriers_find_the_witnesses_a_root_bound_refutes(
+        n, r, ell, alpha_bound, value):
+    # each witness's factor search used to pass the member cap before its
+    # free-set bound was built; the witness is checked by brute force
+    res = rtt_oracle(n, r, ell, alpha_bound)
+    assert res.feasible and res.value == value
+    g = res.witness
+    assert g.min_degree() == value
+    assert naive_alpha(g, ell) <= alpha_bound
+    assert not naive_has_factor(g, r)
 
 
 def test_rtt_barriers_refuse_graphs_past_the_alpha_bound():

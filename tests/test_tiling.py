@@ -118,11 +118,13 @@ def test_max_tiling_cap_counts_the_first_node_past_it():
 
 
 def test_has_factor_cap_leaves_existence_undecided():
+    # the root's bounds refute this graph, so one node decides it
     g = random_gnp(24, 0.28, 4)
     assert has_factor(g, 3).status == "none"
-    for cap in (0, 1, 5):
-        capped = has_factor(g, 3, node_cap=cap)
-        assert capped.status == "cap" and capped.tiling is None
+    capped = has_factor(g, 3, node_cap=0)
+    assert capped.status == "cap" and capped.tiling is None
+    for cap in (1, 5):
+        assert has_factor(g, 3, node_cap=cap) == has_factor(g, 3)
     k9 = complete_graph(9)
     assert has_factor(k9, 3, node_cap=4).status == "found"
     assert has_factor(k9, 3, node_cap=3).status == "cap"
@@ -333,23 +335,24 @@ def test_verify_tiling_agrees_with_the_pairwise_reference():
 
 def test_a_searched_factor_is_rechecked(monkeypatch):
     """With the first descent switched off, a search whose clique generator
-    hands out the whole neighbourhood (one tile of K_6) or two vertices of
-    one part (non-cliques of K_{2,2,2}) raises SelfCheckError instead of
-    returning that factor."""
-    def neighbourhood(g, k, within):
-        yield within
+    hands out vertices outside the active set (tiles of K_9 that leave the
+    universe 0..5) or two vertices of one part (a non-clique of
+    K_{1,2,1,1,1}) raises SelfCheckError instead of returning that factor."""
+    def outside(g, k, within):
+        yield mask_of(range(g.n - k, g.n))
 
     def lowest(g, k, within):
         yield mask_of(list(iter_bits(within))[:k])
 
-    for g, fake in ((complete_graph(6), neighbourhood),
-                    (complete_multipartite([2, 2, 2]), lowest)):
-        assert has_factor(g, 3).status == "found"
+    k9 = complete_graph(9)
+    for g, within, fake in ((k9, VertexSet(k9, 0b111111), outside),
+                            (complete_multipartite([1, 2, 1, 1, 1]), None, lowest)):
+        assert has_factor(g, 3, within=within).status == "found"
         with monkeypatch.context() as m:
             m.setattr(tiling, "_lex_greedy_masks", lambda g, r, active: [])
             m.setattr(tiling, "iter_clique_masks", fake)
             with pytest.raises(SelfCheckError, match="failed re-verification"):
-                has_factor(g, 3)
+                has_factor(g, 3, within=within)
 
 
 # -- the bare-mask factor search and its first descent ------------------------
@@ -427,3 +430,26 @@ def test_a_first_descent_factor_takes_one_node_per_tile_plus_one():
             backtracked += 1
             assert capped.status == "cap" and capped.tiling is None
     assert first >= 50 and backtracked >= 5, (first, backtracked)
+
+
+def test_every_budget_caps_or_gives_the_uncapped_answer():
+    """The cap contract on 400 seeded G(r * k, p), r 2..4 and r * k <= 20:
+    from budget 0 up to the first budget that decides, ``has_factor`` returns
+    "cap" without a tiling or exactly its uncapped result, budget 0 caps,
+    and a larger budget decides the same way."""
+    rng = SplitMix64(4101)
+    seen = {}
+    for _ in range(400):
+        r = 2 + rng.randrange(3)
+        k = 2 + rng.randrange(12 // r + 1)
+        g = random_gnp(r * k, 0.35 + 0.55 * rng.random(), rng.next_u64())
+        full = has_factor(g, r)
+        budget = 0
+        while (capped := has_factor(g, r, node_cap=budget)) != full:
+            assert capped.status == "cap" and capped.tiling is None
+            budget += 1
+        assert budget > 0
+        assert has_factor(g, r, node_cap=2 * budget) == full
+        key = (full.status, budget > k + 1)   # decided past the first descent
+        seen[key] = seen.get(key, 0) + 1
+    assert len(seen) == 4 and min(seen.values()) >= 10, seen
