@@ -2,12 +2,13 @@
 
 Subpackages by concern:
 
-* graphs        immutable bitset graphs, wire formats, generators, clique listing
+* graphs        immutable bitset graphs, wire formats, generators (circulants
+                among them), clique listing
 * invariants    exact/greedy clique-independence, clique covers, the tiny-n
                 degree-threshold oracle
 * tiling        exact maximum clique tilings and factor decisions
-* constructions builders for the extremal graph families and the sparse
-                clique-free sampler
+* constructions builders for the extremal graph families and the graph
+                spec resolver
 * bounds        log-space evaluation of the probabilistic and threshold formulas
 * regularity    density, regular/super-regular certification, reduced graphs
 * embedding     dependent-random-choice selectors and the regular-tuple

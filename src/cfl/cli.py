@@ -26,8 +26,9 @@ environment variable CFL_NODE_BUDGET overrides ``[run] node_budget``; only
 alpha, tile, factor and embed (its auto alpha and its fallback search) pass
 the budget on.  Every other kind ignores it: most run uncapped, but rtt past
 n = 7 stops each barrier member's factor search at a fixed 2,000 nodes and
-skips the member without setting ``cap_hit``, so its ``feasible: false``
-can be wrong.  ``--threads``
+skips the member.  A feasible answer there is a lower bound either way; a
+run that skipped a member and found none sets ``cap_hit`` (exit 4), so
+rtt never answers a plain ``feasible: false`` after a skip.  ``--threads``
 is accepted and ignored: scan points run in sequence.  A finished run or
 scan warns on stderr about each config key that nothing read; the exit code
 and the report stay as they are.
@@ -36,7 +37,7 @@ Each parameter's range is checked once, by the solver that takes it: a
 bad value raises ``graphs.ParameterError``, whose ``key`` is the parameter's
 config name, and ``_execute`` reports it as the config error ``[<kind>]
 <key>`` (exit 2), for a run and for each scan point.  A handler checks only
-what no solver sees: counts such as ``max_tries`` and ``samples``, vertex ids
+what no solver sees: counts such as ``samples`` and ``trials``, vertex ids
 against the graph, mode strings, overflow guards, and keys that reach a
 solver only in derived form (absorb's ``r`` outside the gadget).
 
@@ -205,7 +206,6 @@ def run_construct(cfg, seed, node_cap, outdir):
     from . import constructions
     family = cfg.get_str("construct", "family")
     section = "construct"
-    flags = {"cap_hit": False}
     if family == "lower-bound":
         n, ell, r = (cfg.get_int(section, key) for key in ("n", "ell", "r"))
         inner = load_graph(cfg, section, "inner", seed=seed)
@@ -231,24 +231,17 @@ def run_construct(cfg, seed, node_cap, outdir):
             n, r, cfg.get_fraction(section, "x"), inner)
         result = {"family": family, **vars(build)}
         built = build.graph
-    elif family == "sparse-klfree":
-        n, ell = cfg.get_int(section, "n"), cfg.get_int(section, "ell")
-        gamma = cfg.get_float(section, "gamma")
-        tries = cfg.get_int(section, "max_tries", 20, low=1)
-        sample = constructions.sample_sparse_klfree(n, ell, gamma, seed,
-                                                    max_tries=tries)
-        result = {"family": family, **vars(sample)}
-        flags["accepted"] = sample.accepted
-        built = sample.graph
     elif family == "spec":
         built = load_graph(cfg, section, "graph", seed=seed)
         result = {"family": family, "graph": built,
                   "min_degree": built.min_degree(), "edges": built.edge_count}
     else:
         raise ConfigError("[construct] family",
-                          f"expected lower-bound|cover-threshold|sparse-klfree|spec, "
-                          f"got {family!r}")
-    if cfg.has(section, "graph_out") and built is not None:
+                          f"expected lower-bound|cover-threshold|spec, got "
+                          f"{family!r}; a K_{{l+1}}-free graph of small "
+                          "l-independence is family = spec with graph = "
+                          "circulant:N,D1,D2,...")
+    if cfg.has(section, "graph_out"):
         path = cfg.get_str(section, "graph_out")
         if outdir:
             top = os.path.normpath(path).split(os.sep)[0]
@@ -260,7 +253,7 @@ def run_construct(cfg, seed, node_cap, outdir):
                 else graphs.format_edgelist(built))
         reports.write_text_atomic(path, text)
         result["graph_path"] = path
-    return result, flags
+    return result, {"cap_hit": False}
 
 
 def run_regcheck(cfg, seed, node_cap, outdir):
@@ -425,8 +418,9 @@ def run_rtt(cfg, seed, node_cap, outdir):
     from . import invariants
     res = invariants.rtt_oracle(*(cfg.get_int("rtt", key)
                                   for key in ("n", "r", "ell", "alpha_bound")))
+    # no member passed, but a skipped one might have: not a plain "infeasible"
     return res, {"exhaustive": res.exhaustive, "degenerate": res.degenerate,
-                 "cap_hit": False}
+                 "cap_hit": res.members_skipped > 0}
 
 
 def run_thresholds(cfg, seed, node_cap, outdir):
@@ -542,15 +536,15 @@ def _execute(kind: str, cfg: Config, seed: int, outdir: Optional[str]) -> dict:
                                 {"node_budget": node_cap}, timings)
 
 
-def _report_path(outdir: str, report: dict, prefix: str = "report") -> str:
-    """File name for ``report``.  Its digest covers the config file's hash,
-    the seed and the effective node budget, since ``--seed`` and
-    CFL_NODE_BUDGET override the file; runs that differ in any of them
+def _report_stem(outdir: str, kind: str, cfg: Config, seed: int,
+                 prefix: str = "report") -> str:
+    """A run's report path without ``.json``.  Its digest covers the config
+    file's hash, the seed and the effective node budget, since ``--seed``
+    and CFL_NODE_BUDGET override the file; runs that differ in any of them
     never share a file."""
-    key = (f"{report['config_hash']}\n{report['seed']}\n"
-           f"{report['caps']['node_budget']}")
+    key = f"{reports.config_hash(cfg.flat())}\n{seed}\n{_node_budget(cfg)}"
     digest = sha256(key.encode()).hexdigest()
-    return os.path.join(outdir, f"{prefix}-{report['kind']}-{digest[:12]}.json")
+    return os.path.join(outdir, f"{prefix}-{kind}-{digest[:12]}")
 
 
 def _warn_unread(*cfgs: Config) -> None:
@@ -569,9 +563,12 @@ def cmd_run(kind: str, args) -> int:
         raise ConfigError("[run] kind",
                           f"config declares {declared!r}, command line says {kind!r}")
     seed = args.seed if args.seed is not None else cfg.get_int("run", "seed", 0)
-    report = _execute(kind, cfg, seed, args.out)
+    # the run's own files (construct's graph_out) go in a directory named
+    # after its report, so runs that never share a report share no file
+    stem = args.out and _report_stem(args.out, kind, cfg, seed)
+    report = _execute(kind, cfg, seed, stem)
     if args.out:
-        path = _report_path(args.out, report)
+        path = stem + ".json"
         reports.write_report_atomic(path, report)
         print(path)
     else:
@@ -614,8 +611,8 @@ def cmd_scan(args) -> int:
             code = _user_error(exc, f"point {idx} ({param} = {values[idx]}): ")
             rows.append(("error", code, {}))
             continue
-        path = _report_path(outdir, report, prefix=f"point-{idx:03d}")
-        reports.write_report_atomic(path, report)
+        path = _report_stem(outdir, kind, point, seed, f"point-{idx:03d}")
+        reports.write_report_atomic(path + ".json", report)
         if report["flags"].get("cap_hit"):
             rows.append(("cap", EXIT_CAP, report["result"]))
         else:

@@ -1,6 +1,6 @@
 """Builders for the extremal graph families used throughout the package.
 
-Two deterministic constructions and one randomized sampler:
+Two deterministic constructions, and the resolver of graph specs:
 
 * lower-bound family: a clique X1, joined completely to a K_{l+1}-free
   inner graph on X2.  Every r-clique must take at least r-l vertices from
@@ -8,9 +8,10 @@ Two deterministic constructions and one randomized sampler:
 * cover-threshold family: a hub vertex v whose neighborhood carries a
   K_{r-1}-free inner graph, plus a clique joined completely to that
   neighborhood but not to v.  No K_r covers v, so no K_r-factor exists.
-* sparse K_{l+1}-free sampler: G(n, p) at p = n^(-(2-gamma)/(l+1)),
-  accepted only when certified K_{l+1}-free with l-independence at most
-  ceil(n^(1-gamma)).
+* ``graph_from_spec``: the inner graphs and every other generated graph,
+  named by a compact spec.  Circulants ``circulant:N,D1,D2,...`` are the
+  deterministic K_{l+1}-free inner graphs of small l-independence; the
+  README lists pinned ones.
 
 Inner graphs are certified clique-free at build time, never trusted, and a
 built cover-threshold graph is re-checked (``graphs.SelfCheckError``).
@@ -20,8 +21,7 @@ sizes so downstream audits use realized, not nominal, parameters.
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import graphs as gr
 from .graphs import (Graph, ParameterError, SelfCheckError, VertexSet,
@@ -29,7 +29,6 @@ from .graphs import (Graph, ParameterError, SelfCheckError, VertexSet,
 from .invariants import alpha_ell_exact, has_clique_cover
 from .numbers import number, round_half_up
 from .records import Record
-from .rng import derive_seed
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -161,68 +160,7 @@ def build_cover_threshold_graph(n: int, r: int, x: Fraction,
                                degree_breakdown=breakdown)
 
 
-# -- sparse clique-free sampler ----------------------------------------------
-
-
-class SparseAttempt(Record):
-    index: int
-    seed: int
-    reason: str          # "accepted", "contains-clique", "alpha-too-large"
-    alpha: Optional[int] = None
-
-
-class SparseSample(Record):
-    accepted: bool
-    graph: Optional[Graph]
-    p: float
-    exponent: float
-    alpha_target: int
-    attempts: List[SparseAttempt]
-
-
-def sparse_gamma_limit(ell: int) -> Fraction:
-    from fractions import Fraction
-    return Fraction(ell - 1, ell * ell + 2 * ell)
-
-
-def sample_sparse_klfree(n: int, ell: int, gamma: float, seed: int,
-                         max_tries: int = 20) -> SparseSample:
-    """Repeatedly sample G(n, n^(-(2-gamma)/(l+1))) until a sample is
-    certified K_{l+1}-free with l-independence <= ceil(n^(1-gamma)).
-
-    Exhausting max_tries is a normal, reported outcome at desk scale, not an
-    error.  l = 2 is rejected: sparse triangle-free graphs with small
-    independence number live at the R(3,n) = Theta(n^2/log n) scale and this
-    sampler's density regime does not apply.
-    """
-    ParameterError.at_least("n", n, 1)
-    if ell < 3:
-        raise ParameterError(
-            "ell", f"expected an integer >= 3, got {ell}: for ell = 2 the "
-            "triangle-free regime is governed by the Ramsey growth R(3,n) = "
-            "Theta(n^2/log n); use an explicit triangle-free inner graph instead")
-    limit = sparse_gamma_limit(ell)
-    if not 0 < gamma < limit:
-        raise ParameterError("gamma", f"expected a number in (0, {limit}) for "
-                             f"ell = {ell}, got {gamma}")
-    exponent = (2.0 - gamma) / (ell + 1)
-    p = n ** (-exponent)
-    alpha_target = math.ceil(n ** (1.0 - gamma))
-    attempts: List[SparseAttempt] = []
-    for i in range(1, max_tries + 1):
-        attempt_seed = derive_seed(seed, "sparse-klfree", i)
-        g = gr.random_gnp(n, p, attempt_seed)
-        if has_clique(g, ell + 1):
-            attempts.append(SparseAttempt(i, attempt_seed, "contains-clique"))
-            continue
-        a = alpha_ell_exact(g, ell)
-        if a.value > alpha_target:
-            attempts.append(SparseAttempt(i, attempt_seed, "alpha-too-large",
-                                          alpha=a.value))
-            continue
-        attempts.append(SparseAttempt(i, attempt_seed, "accepted", alpha=a.value))
-        return SparseSample(True, g, p, exponent, alpha_target, attempts)
-    return SparseSample(False, None, p, exponent, alpha_target, attempts)
+# -- graph specs ------------------------------------------------------------
 
 
 def _spec_fields(spec: str, form: str, arg: str, kinds: tuple,
@@ -247,9 +185,12 @@ def graph_from_spec(spec: str, seed: int = 0) -> Graph:
     """Resolve a compact graph description.
 
     Accepted forms: ``c5`` / ``cycle:N``, ``petersen``, ``kneser:N,K``,
-    ``complete:N``, ``empty:N``, ``path:N``, ``multipartite:A,B,...``,
-    ``gnp:N,P[,SEED]``, ``gnp-min-degree:N,P,TARGET[,SEED]``.  A spec with
-    more or fewer fields than its form is refused.
+    ``complete:N``, ``empty:N``, ``path:N``, ``circulant:N,D1,D2,...``
+    (v ~ v +- d mod N; one or more distances, each in 1..N // 2, none
+    repeated), ``multipartite:A,B,...``, ``gnp:N,P[,SEED]``,
+    ``gnp-min-degree:N,P,TARGET[,SEED]``.  Cycles, complete and empty graphs
+    are circulants too.  A spec with more or fewer fields than its form is
+    refused.
     """
     s = spec.strip().lower()
     name, colon, arg = s.partition(":")
@@ -259,6 +200,14 @@ def graph_from_spec(spec: str, seed: int = 0) -> Graph:
         return gr.petersen_graph() if name == "petersen" else gr.cycle_graph(5)
     if name in _ONE_COUNT:
         return _ONE_COUNT[name](*_spec_fields(spec, f"{name}:N", arg, (int,)))
+    if name == "circulant":
+        form = "circulant:N,D1,D2,..."
+        n, *dists = _spec_fields(spec, form, arg,
+                                 (int,) * max(2, arg.count(",") + 1))
+        try:
+            return gr.circulant_graph(n, dists)
+        except ValueError as exc:
+            raise ParameterError("spec", f"{exc}, in {form}") from None
     if name == "kneser":
         return gr.kneser_graph(*_spec_fields(spec, "kneser:N,K", arg, (int, int)))
     if name == "multipartite":

@@ -404,18 +404,35 @@ def parse_graph(payload) -> Graph:
 # -- generators ----------------------------------------------------------
 
 
+def circulant_graph(n: int, dists: Iterable[int]) -> Graph:
+    """The circulant C_n(D): v ~ v + d and v - d (mod n) for each distance d
+    of D, each in 1..n // 2 and none repeated."""
+    dists = list(dists)
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if len(set(dists)) < len(dists):
+        raise ValueError("a distance is repeated")
+    for d in dists:
+        if not 1 <= d <= n // 2:
+            raise ValueError(f"distance {d} outside 1..{n // 2}")
+    zero = mask_of(dists) | mask_of(n - d for d in dists)
+    # v's neighbours are vertex 0's, rotated by v
+    return Graph._from_adj([(zero << v | zero >> (n - v)) & ((1 << n) - 1)
+                            for v in range(n)])
+
+
 def empty_graph(n: int) -> Graph:
-    return Graph(n)
+    return circulant_graph(n, ())
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
+    return circulant_graph(n, range(1, n // 2 + 1))
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+    return circulant_graph(n, (1,))
 
 
 def path_graph(n: int) -> Graph:

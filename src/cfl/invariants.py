@@ -25,8 +25,10 @@ exactly when every (b+1)-subset of the vertices contains a K_l, and G has a
 K_r-factor exactly when it contains one of the few factors of K_n.  Only the
 answer's witness is built as a ``Graph``.  Past n = 7 the oracle scans a
 fixed family of barrier graphs instead, each certified by the exact solvers,
-so its answer is a seed-free lower bound; a member whose factor search
-passes ``_MEMBER_CAP`` nodes is skipped, so "infeasible" there can be wrong.
+so its answer is a seed-free lower bound.  A member whose factor search
+passes ``_MEMBER_CAP`` nodes is skipped; an answer "infeasible" after a
+skip counts its skips in ``members_skipped``, which the CLI reports as a
+cap hit.
 """
 
 from __future__ import annotations
@@ -201,6 +203,9 @@ class RttResult(Record):
     degenerate: bool
     feasible: bool
     graphs_scanned: int
+    # barrier members skipped at _MEMBER_CAP by a scan that found none; not
+    # a field, so not a report key, until report schema 2
+    members_skipped = 0
 
 
 _EXHAUSTIVE_LIMIT = 7
@@ -351,7 +356,8 @@ def _rtt_barriers(n: int, r: int, ell: int, alpha_bound: int,
     """The first member of H v (K_{n_1} u ... u K_{n_k}), by descending min
     degree d, then ascending adjacency tuple, with alpha_ell <= alpha_bound
     and no K_r-factor, both decided exactly (a factor search past
-    ``_MEMBER_CAP`` nodes skips the member).  H is T(a, q) on 0..a-1 (v in
+    ``_MEMBER_CAP`` nodes skips the member, and an infeasible answer counts
+    the skips in ``members_skipped``).  H is T(a, q) on 0..a-1 (v in
     part v mod q; T(0, 1) is empty) or C_a, a >= 4; the cliques follow,
     largest first, in k <= alpha_bound parts (one vertex each is independent)
     of at least d + 1 - a vertices at level d.  H = K_s, one clique and parts
@@ -374,7 +380,7 @@ def _rtt_barriers(n: int, r: int, ell: int, alpha_bound: int,
         if a >= 4:
             cores[a].append([1 << (v - 1) % a | 1 << (v + 1) % a | rest
                              for v in range(a)])
-    scanned = 0
+    scanned = skipped = 0
     for degree in range(n - 1, -1, -1):
         level = set()
         for a, hs in enumerate(cores):
@@ -391,7 +397,9 @@ def _rtt_barriers(n: int, r: int, ell: int, alpha_bound: int,
                                      witness=g, exhaustive=False, degenerate=degenerate,
                                      feasible=True, graphs_scanned=scanned)
             except SearchCapExceeded:
-                pass
-    return RttResult(n, r, ell, alpha_bound, value=None, witness=None,
-                     exhaustive=False, degenerate=degenerate, feasible=False,
-                     graphs_scanned=scanned)
+                skipped += 1
+    res = RttResult(n, r, ell, alpha_bound, value=None, witness=None,
+                    exhaustive=False, degenerate=degenerate, feasible=False,
+                    graphs_scanned=scanned)
+    res.members_skipped = skipped
+    return res

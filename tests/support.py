@@ -44,6 +44,12 @@ size, each vertex against the ones seen and against ``within``, and each
 pair of a tile by its adjacency bit.  The tiling check's equivalence test
 holds ``verify_tiling`` to it.
 
+``reference_empty``, ``reference_complete`` and ``reference_cycle`` are
+the edge-list builders of ``graphs.empty_graph``, ``complete_graph`` and
+``cycle_graph`` as they were before all three became circulants
+(``graphs.circulant_graph``).  The circulant tests hold the package's
+builders to them.
+
 ``replace`` copies a result record with some fields changed, as
 ``dataclasses.replace`` did for dataclasses; the certificate-tampering
 tests use it.  No ``cfl`` code needs it.
@@ -199,6 +205,20 @@ def strip_cliques(g: Graph, k: int, seed: int = 0) -> Graph:
         drop = pairs[rng.randrange(len(pairs))]
         edges = [e for e in current.edges() if e != drop]
         current = Graph(current.n, edges)
+
+
+def reference_empty(n: int) -> Graph:
+    return Graph(n)
+
+
+def reference_complete(n: int) -> Graph:
+    return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
+
+
+def reference_cycle(n: int) -> Graph:
+    if n < 3:
+        raise ValueError("cycle needs at least 3 vertices")
+    return Graph(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
 
 
 def reference_parse_edgelist(text: str) -> Graph:

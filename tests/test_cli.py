@@ -267,8 +267,6 @@ def test_a_search_past_the_recursion_limit_exits_three(tmp_path, capsys):
      "[bounds] a_size: E[X] or Delta"),
     ("construct", "family = lower-bound\nn = 0\nr = 3\nell = 2\nclique_size = 1\n"
      "inner = empty:1\n", "[construct] n"),
-    ("construct", "family = sparse-klfree\nn = 0\nell = 3\ngamma = 0.1\n",
-     "[construct] n"),
     ("drc", "graph = petersen\ntarget = 0-4\nwitness = 5-9\nt = 1\nr = 2\nm = 1\n"
      "trials = -1\n", "[drc] trials"),
     ("drc", "graph = petersen\ntarget = 0-4\nwitness = 5-9\nt = 1\nr = 2\nm = 1\n"
@@ -302,8 +300,6 @@ def test_a_search_past_the_recursion_limit_exits_three(tmp_path, capsys):
     ("regcheck", "graph = multipartite:3,3,3\n"
      "partition = {golden}/regcheck-partition.txt\nepsilon = 1/4\nd = 3/2\n"
      "super = true\n", "[regcheck] d"),
-    ("construct", "family = sparse-klfree\nn = 12\nell = 3\ngamma = 0.1\n"
-     "max_tries = 0\n", "[construct] max_tries"),
     # epsilon >= 1 made every pair regular: gnp:9,0.5,3 passed all three
     ("regcheck", "graph = gnp:9,0.5,3\n"
      "partition = {golden}/regcheck-partition.txt\nepsilon = 2\nd = 0.5\n",
@@ -323,10 +319,6 @@ def test_a_search_past_the_recursion_limit_exits_three(tmp_path, capsys):
     ("thresholds", "r = 4\nell = 2\nrho_star = 1\n", "[thresholds] rho_star"),
     ("construct", "family = lower-bound\nn = 6\nr = 2\nell = 3\nclique_size = 1\n"
      "inner = empty:5\n", "[construct] r"),
-    ("construct", "family = sparse-klfree\nn = 12\nell = 3\ngamma = 0.9\n",
-     "[construct] gamma"),
-    ("construct", "family = sparse-klfree\nn = 12\nell = 2\ngamma = 0.1\n",
-     "[construct] ell"),
     # a refused lower-bound or cover-threshold spec names its key, not just
     # the section; eta and clique_size both set |X1|, and the config's names
     ("construct", "family = lower-bound\nn = 10\nr = 3\nell = 2\neta = 9/10\n"
@@ -368,7 +360,12 @@ def test_a_search_past_the_recursion_limit_exits_three(tmp_path, capsys):
     ("drc", "graph = petersen\ntarget = 0-4,2,2\nwitness = 5-9\nt = 1\nr = 2\n"
      "m = 1\n", "config error: [drc] target: vertex id repeated in '0-4,2,2'\n"),
     ("construct", "family = bogus\n",
-     "[construct] family: expected lower-bound|cover-threshold|sparse-klfree|spec"),
+     "[construct] family: expected lower-bound|cover-threshold|spec, got 'bogus'"),
+    # the random sampler is gone; its message points at the circulants
+    ("construct", "family = sparse-klfree\nn = 14\nell = 3\ngamma = 0.1\n",
+     "[construct] family: expected lower-bound|cover-threshold|spec, got "
+     "'sparse-klfree'; a K_{l+1}-free graph of small l-independence is "
+     "family = spec with graph = circulant:N,D1,D2,...\n"),
     ("alpha", "graph = complete:-3\nell = 2\n",
      "[alpha] graph: vertex count must be nonnegative"),
 ])
@@ -380,6 +377,21 @@ def test_out_of_range_parameters_exit_two(tmp_path, capsys, kind, body, field):
     cfg = write(tmp_path / "oor.ini", f"[run]\nkind = {kind}\n{body}")
     assert run_cli([kind, "--config", cfg]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, why", [
+    ("circulant:5", "expected circulant:N,D1,D2,..., got 'circulant:5'"),
+    ("circulant:5,0", "distance 0 outside 1..2, in circulant:N,D1,D2,..."),
+    ("circulant:5,3", "distance 3 outside 1..2, in circulant:N,D1,D2,..."),
+    ("circulant:6,1,1", "a distance is repeated, in circulant:N,D1,D2,..."),
+    ("circulant:-1,1", "vertex count must be nonnegative, in circulant:N,D1,D2,..."),
+])
+def test_a_bad_circulant_spec_is_a_config_error(tmp_path, capsys, spec, why):
+    for kind, body in (("alpha", "ell = 2\n"), ("construct", "family = spec\n")):
+        cfg = write(tmp_path / f"{kind}.ini", f"[run]\nkind = {kind}\n"
+                                               f"[{kind}]\ngraph = {spec}\n{body}")
+        assert run_cli([kind, "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"config error: [{kind}] graph: {why}\n"
 
 
 def test_cover_threshold_builds_without_ell(tmp_path, capsys):
@@ -395,8 +407,9 @@ def test_cover_threshold_builds_without_ell(tmp_path, capsys):
         cfg = write(tmp_path / f"{name}.ini", text + "graph_out = g.el\n")
         assert run_cli(["construct", "--config", cfg, "--out",
                         str(tmp_path / name)]) == 0
-        graphs_out.append((tmp_path / name / "g.el").read_text())
-        capsys.readouterr()
+        with open(capsys.readouterr().out.strip(), encoding="utf-8") as fh:
+            with open(json.load(fh)["result"]["graph_path"], encoding="utf-8") as g:
+                graphs_out.append(g.read())
     assert graphs_out[0] == graphs_out[1] == graphs_out[2]
     assert parse_graph(graphs_out[0]).n == 16
 
@@ -772,6 +785,34 @@ def test_rerunning_a_construct_leaves_its_graph_file_alone(tmp_path, capsys):
     assert os.stat(gpath).st_ino == inode
     assert strip_timings(rep1) == strip_timings(rep2)
     assert sorted(os.listdir(tmp_path)) == ["c.ini", "lb.el"]
+
+
+def test_runs_into_one_output_directory_write_graph_files_of_their_own(
+        tmp_path, capsys):
+    """Two seeds into one --out write two graph files, each under its own
+    report's name and holding that report's graph; a rerun rewrites
+    neither file."""
+    cfg = write(tmp_path / "c.ini", "[run]\nkind = construct\n"
+                                    "[construct]\nfamily = spec\n"
+                                    "graph = gnp:8,0.5\ngraph_out = g.el\n")
+    outdir = tmp_path / "out"
+    seen = {}
+    for seed in ("1", "2", "1"):
+        assert run_cli(["construct", "--config", cfg, "--seed", seed,
+                        "--out", str(outdir)]) == 0
+        report = capsys.readouterr().out.strip()
+        with open(report, encoding="utf-8") as fh:
+            result = json.load(fh)["result"]
+        gpath = result["graph_path"]
+        assert gpath == os.path.join(report[:-len(".json")], "g.el")
+        with open(gpath, encoding="utf-8") as fh:
+            assert format_graph6(parse_graph(fh.read())) == result["graph"]["graph6"]
+        st_now = os.stat(gpath)
+        state = (gpath, result["graph"]["graph6"], st_now.st_ino, st_now.st_mtime_ns)
+        assert seen.setdefault(seed, state) == state     # the rerun keeps it
+    # the two seeds' graphs differ, and each sits in its own file
+    assert seen["1"][0] != seen["2"][0] and seen["1"][1] != seen["2"][1]
+    assert not (outdir / "g.el").exists()
 
 
 def test_convert_onto_a_directory_is_an_input_error(tmp_path, capsys):
@@ -1335,6 +1376,24 @@ def test_rtt_kind_searches_past_the_exhaustive_limit(tmp_path, capsys):
     assert witness.n == 9 and witness.min_degree() == result["value"]
 
 
+def test_rtt_that_skipped_a_member_and_found_none_is_capped(
+        tmp_path, capsys, monkeypatch):
+    # with no factor-search nodes the barrier scan skips every member; it
+    # once answered a plain "infeasible" and exited 0
+    from cfl import invariants
+    monkeypatch.setattr(invariants, "_MEMBER_CAP", 0)
+    cfg = write(tmp_path / "rtt.ini", "[run]\nkind = rtt\n[rtt]\nn = 8\nr = 2\n"
+                                      "ell = 2\nalpha_bound = 8\n")
+    assert run_cli(["rtt", "--config", cfg]) == 4
+    rep = read_report(capsys)
+    assert rep["flags"]["cap_hit"] is True
+    assert rep["result"]["feasible"] is False and rep["result"]["value"] is None
+    assert "members_skipped" not in rep["result"]
+    monkeypatch.undo()
+    assert run_cli(["rtt", "--config", cfg]) == 0
+    assert read_report(capsys)["result"]["feasible"] is True
+
+
 def test_rtt_tries_is_no_longer_read(tmp_path, capsys):
     # [rtt] tries sized the seeded search that the barrier scan replaced;
     # tries = 0 was a config error, and now the key is only warned about
@@ -1730,3 +1789,5 @@ def test_generated_configs_never_end_in_a_traceback(case):
         if saved is not None:
             os.environ["CFL_NODE_BUDGET"] = saved
     assert code in (0, 2, 3, 4)
+    if command == "construct" and "family = sparse-klfree\n" in text:
+        assert code == 2        # the sampler is gone

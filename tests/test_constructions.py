@@ -1,5 +1,6 @@
-"""The extremal family builders and the sparse clique-free sampler."""
+"""The extremal family builders, the graph specs and the pinned circulants."""
 
+import math
 from fractions import Fraction
 from functools import partial
 
@@ -7,16 +8,17 @@ import pytest
 
 from cfl import constructions
 from cfl.constructions import (build_cover_threshold_graph,
-                               build_lower_bound_graph, graph_from_spec,
-                               sample_sparse_klfree, sparse_gamma_limit)
+                               build_lower_bound_graph, graph_from_spec)
 from cfl.graphs import (ParameterError, SelfCheckError, VertexSet,
-                        complete_graph, cycle_graph, empty_graph, has_clique,
-                        iter_clique_masks, petersen_graph, random_gnp)
+                        circulant_graph, complete_graph, cycle_graph,
+                        empty_graph, has_clique, iter_clique_masks,
+                        petersen_graph, random_gnp)
 from cfl.invariants import alpha_ell_exact, has_clique_cover
 from cfl.tiling import max_tiling
 from cfl.rng import SplitMix64
 
-from support import strip_cliques
+from support import (reference_complete, reference_cycle, reference_empty,
+                     strip_cliques)
 
 
 # -- lower-bound family --------------------------------------------------------
@@ -137,36 +139,57 @@ def test_each_refusal_names_its_spec_field(spec, key):
     assert info.value.key == key
 
 
-# -- sparse sampler --------------------------------------------------------------
+# -- circulants -------------------------------------------------------------------
 
-def test_sparse_sampler_density_formula():
-    s = sample_sparse_klfree(30, 3, 0.05, seed=11, max_tries=6)
-    assert s.exponent == pytest.approx((2 - 0.05) / 4)
-    assert s.p == pytest.approx(30 ** -0.4875)
-
-
-def test_sparse_sampler_rejects_ell_two():
-    with pytest.raises(ValueError, match="R\\(3,n\\)"):
-        sample_sparse_klfree(30, 2, 0.05, seed=1)
-
-
-def test_sparse_sampler_gamma_range():
-    assert sparse_gamma_limit(3) == Fraction(2, 15)
-    with pytest.raises(ValueError):
-        sample_sparse_klfree(30, 3, 0.2, seed=1)
+@pytest.mark.parametrize("n", range(13))
+def test_cycle_complete_and_empty_are_the_edge_list_builders(n):
+    assert empty_graph(n) == graph_from_spec(f"empty:{n}") == reference_empty(n)
+    assert (complete_graph(n) == graph_from_spec(f"complete:{n}")
+            == reference_complete(n))
+    if n >= 3:
+        assert cycle_graph(n) == graph_from_spec(f"cycle:{n}") == reference_cycle(n)
+    else:
+        for build in (cycle_graph, reference_cycle):
+            with pytest.raises(ValueError, match="cycle needs at least 3 vertices"):
+                build(n)
 
 
-def test_sparse_sampler_postconditions_and_determinism():
-    a = sample_sparse_klfree(24, 3, 0.1, seed=7, max_tries=10)
-    b = sample_sparse_klfree(24, 3, 0.1, seed=7, max_tries=10)
-    assert len(a.attempts) == len(b.attempts)
-    if a.accepted:
-        assert b.graph == a.graph
-        assert not has_clique(a.graph, 4)
-        assert alpha_ell_exact(a.graph, 3).value <= a.alpha_target
-        assert a.attempts[-1].reason == "accepted"
-    for attempt in a.attempts[:-1]:
-        assert attempt.reason in ("contains-clique", "alpha-too-large")
+def test_circulant_joins_each_vertex_at_its_distances():
+    # C8(1,4) is the Ramsey-critical graph for R(3,4) = 9
+    g = graph_from_spec("circulant:8,1,4")
+    assert g == circulant_graph(8, (4, 1))
+    assert set(g.edges()) == {(min(v, (v + d) % 8), max(v, (v + d) % 8))
+                              for v in range(8) for d in (1, 4)}
+    assert g.edge_count == 12 and not has_clique(g, 3)
+    assert alpha_ell_exact(g, 2).value == 3
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        circulant_graph(-1, ())
+
+
+# The sampler that these replace accepted a G(n, p) sample only when it was
+# K_{ell+1}-free with alpha_ell <= ceil(n^0.9) (gamma = 0.1); at ell = 4,
+# n = 20 and at ell = 5 it never did.
+PINNED_CIRCULANTS = [
+    (3, 14, (2, 4), 8),
+    (3, 18, (1, 3, 4), 10),
+    (3, 22, (1, 3, 4, 6, 8), 10),
+    (3, 26, (3, 4, 5, 6, 7, 8), 12),
+    (3, 30, (2, 4, 5, 8, 9, 10), 13),
+    (4, 12, (1, 4, 5, 6), 8),
+    (4, 16, (2, 3, 5, 8), 11),
+    (4, 20, (1, 2, 4, 5, 6), 12),
+    (5, 12, (1, 2, 3, 4), 9),
+    (5, 16, (1, 2, 3, 4), 12),
+]
+
+
+@pytest.mark.parametrize("ell, n, dists, alpha", PINNED_CIRCULANTS)
+def test_pinned_circulants_are_klfree_with_small_alpha(ell, n, dists, alpha):
+    g = graph_from_spec(f"circulant:{n}," + ",".join(map(str, dists)))
+    assert not has_clique(g, ell + 1)
+    res = alpha_ell_exact(g, ell)
+    assert res.exact and res.value == alpha
+    assert alpha < math.ceil(n ** 0.9)
 
 
 # -- helpers ----------------------------------------------------------------------
@@ -179,7 +202,7 @@ def test_strip_cliques_produces_free_graph():
 
 
 def test_graph_from_spec():
-    assert graph_from_spec("c5") == cycle_graph(5)
+    assert graph_from_spec("c5") == reference_cycle(5)
     assert graph_from_spec("petersen") == petersen_graph()
     assert graph_from_spec("complete:4") == complete_graph(4)
     assert graph_from_spec("gnp:10,0.5,3") == random_gnp(10, 0.5, 3)

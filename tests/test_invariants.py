@@ -470,3 +470,5 @@ def test_rtt_barriers_never_report_a_member_whose_factor_search_is_capped(
     res = _rtt_barriers(8, 2, 2, 8, False)
     assert not res.feasible and res.witness is None
     assert res.graphs_scanned > scanned
+    # alpha_2 <= 8 holds on every member, so each one was skipped
+    assert res.members_skipped == res.graphs_scanned

@@ -79,7 +79,7 @@ def _declared_records():
 
 def test_every_result_record_reports_its_keys_in_declared_order():
     records = list(_declared_records())
-    assert len(records) == 22
+    assert len(records) == 20
     for module, name, fields in records:
         cls = getattr(importlib.import_module(f"cfl.{module}"), name)
         record = cls(*range(len(fields)))
